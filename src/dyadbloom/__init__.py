@@ -20,12 +20,10 @@ from .bmo import (
 from .config import SUITE_NAMES, ExperimentConfig, derive_seed
 from .errors import (
     ConfigError,
-    DenseCapError,
     DyadBloomError,
     EnsembleTargetError,
     GridMismatchError,
     InadmissibleLevelError,
-    NotPositiveDefiniteError,
     PackingSearchError,
 )
 from .grid import (
@@ -35,7 +33,6 @@ from .grid import (
     StepFunction,
     haar_analyze,
     haar_function,
-    haar_matrix,
     haar_synthesize,
     indicator,
     pointwise_multiply,
@@ -43,23 +40,19 @@ from .grid import (
 )
 from .normest import (
     CarlesonSequence,
-    LinearOperatorMatrix,
+    LeafOperator,
     NormReport,
     adjoint_paraproduct_carleson_sequence,
-    best_quadratic_constant,
     carleson_constant,
     carleson_embedding_check,
-    commutator_matrix,
+    commutator_operator,
     compute_norm_report,
     necessity_test_function_bound,
-    operator_matrix,
-    paraproduct_adjoint_matrix,
+    paraproduct_adjoint_operator,
     paraproduct_carleson_sequence,
-    paraproduct_matrix,
-    power_iteration_norm,
+    paraproduct_operator,
     ppott_best_constant,
-    ppott_forms,
-    shift_matrix,
+    shift_operator,
     weighted_operator_norm,
 )
 from .operators import (
@@ -72,6 +65,7 @@ from .operators import (
     paraproduct_adjoint,
     project_admissible,
     remainder_closed_form,
+    shift_adjoint,
 )
 from .stopping import (
     StoppingFamily,

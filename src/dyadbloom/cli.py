@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SUITE_NAMES, ExperimentConfig
-from .errors import ConfigError, DenseCapError, DyadBloomError, EnsembleTargetError
+from .errors import ConfigError, DyadBloomError, EnsembleTargetError
 from .normest import NormReport, compute_norm_report
 from .serialize import (
     load_step_function,
@@ -68,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--lambda", dest="lam", required=True)
     n.add_argument("--symbol", required=True)
     n.add_argument("--out", default=None)
-    n.add_argument("--method", choices=["dense", "power"], default="dense")
-    n.add_argument("--dense-cap", type=int, default=10)
 
     v = sub.add_parser("verify", help="run verification suites")
     v.add_argument("--config", default=None)
@@ -172,8 +170,7 @@ def _cmd_norms(args) -> int:
             "depth mismatch across files: "
             + ", ".join(f"{p} has depth {d}" for p, d in depths.items())
         )
-    rep = compute_norm_report(b, mu, lam, method=args.method,
-                              dense_depth_cap=args.dense_cap)
+    rep = compute_norm_report(b, mu, lam)
     _print_norm_report(rep)
     if args.out:
         write_json(args.out, rep.to_dict())
@@ -298,10 +295,7 @@ def sweep_rows(base: ExperimentConfig, parameter: str, values) -> list[dict]:
     for v in values:
         cfg = _sweep_config(base, parameter, float(v))
         td = make_trial(cfg, 0)
-        rep = compute_norm_report(
-            td.b, td.mu, td.lam, method=cfg.norm_method,
-            dense_depth_cap=cfg.dense_depth_cap,
-        )
+        rep = compute_norm_report(td.b, td.mu, td.lam)
         rows.append(
             {
                 "parameter": parameter,
@@ -397,7 +391,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, DenseCapError, EnsembleTargetError) as e:
+    except (ConfigError, EnsembleTargetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except DyadBloomError as e:

@@ -67,8 +67,6 @@ class ExperimentConfig:
     mu: dict = field(default_factory=lambda: dict(_DEFAULT_MU))
     lam: dict = field(default_factory=lambda: dict(_DEFAULT_LAMBDA))
     symbol: dict = field(default_factory=lambda: dict(_DEFAULT_SYMBOL))
-    dense_depth_cap: int = 10
-    norm_method: str = "dense"
 
     def __post_init__(self):
         if not MIN_DEPTH <= self.depth <= MAX_DEPTH:
@@ -84,8 +82,6 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown suite {s!r}; choose from {', '.join(SUITE_NAMES)}"
                 )
-        if self.norm_method not in ("dense", "power"):
-            raise ConfigError(f"norm_method must be 'dense' or 'power', got {self.norm_method!r}")
         for role_name, d, kinds in (
             ("mu", self.mu, WEIGHT_KINDS),
             ("lambda", self.lam, WEIGHT_KINDS),
@@ -129,23 +125,18 @@ class ExperimentConfig:
             "mu": dict(self.mu),
             "lambda": dict(self.lam),
             "symbol": dict(self.symbol),
-            "dense_depth_cap": self.dense_depth_cap,
-            "norm_method": self.norm_method,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigError(f"config must be an object, got {type(d).__name__}")
-        known = {
-            "depth", "seed", "trials", "suites", "mu", "lambda", "symbol",
-            "dense_depth_cap", "norm_method",
-        }
+        known = {"depth", "seed", "trials", "suites", "mu", "lambda", "symbol"}
         extra = set(d) - known
         if extra:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
         kw = {}
-        for name in ("depth", "seed", "trials", "dense_depth_cap"):
+        for name in ("depth", "seed", "trials"):
             if name in d:
                 kw[name] = int(d[name])
         if "suites" in d:
@@ -156,6 +147,4 @@ class ExperimentConfig:
             kw["lam"] = dict(d["lambda"])
         if "symbol" in d:
             kw["symbol"] = dict(d["symbol"])
-        if "norm_method" in d:
-            kw["norm_method"] = str(d["norm_method"])
         return cls(**kw)

@@ -26,14 +26,6 @@ class InadmissibleLevelError(DyadBloomError):
         self.max_abs = max_abs
 
 
-class DenseCapError(DyadBloomError):
-    """Dense spectral routine refused: matrix dimension above the cap."""
-
-
-class NotPositiveDefiniteError(DyadBloomError):
-    """A quadratic-form matrix failed its definiteness requirement."""
-
-
 class PackingSearchError(DyadBloomError):
     """No constant on the search grid achieved the packing target.
 

@@ -41,7 +41,6 @@ __all__ = [
     "haar_synthesize",
     "haar_function",
     "indicator",
-    "haar_matrix",
     "square_function",
     "pointwise_multiply",
 ]
@@ -392,28 +391,6 @@ def indicator(grid: DyadicGrid, iv: DyadicInterval) -> StepFunction:
     vals = np.zeros(grid.n_leaves)
     vals[grid.leaf_slice(iv)] = 1.0
     return StepFunction(grid, vals)
-
-
-def haar_matrix(grid: DyadicGrid) -> np.ndarray:
-    """Matrix of Haar functions on leaves: shape (2^D - 1, 2^D).
-
-    Row order is level-major (all level-0, then level-1, ...), matching
-    DyadicGrid.coeff_intervals().  Row r holds the leaf values of h_I, so
-    coefficients of f are (2^-D) * H @ f.values and the rows are orthonormal
-    under the inner product <u, v> = 2^-D sum(u v).
-    """
-    n = grid.n_leaves
-    rows = []
-    for k in range(grid.depth):
-        scale = math.sqrt(2**k)
-        block = np.zeros((1 << k, n))
-        width = n >> (k + 1)
-        view = block.reshape(1 << k, 1 << k, 2, width)
-        idx = np.arange(1 << k)
-        view[idx, idx, 0, :] = -scale
-        view[idx, idx, 1, :] = scale
-        rows.append(block)
-    return np.vstack(rows)
 
 
 def square_function(f: StepFunction) -> StepFunction:

@@ -1,16 +1,24 @@
-"""Operator matrices, weighted norms, best constants, Carleson embedding.
+"""Weighted operator norms, best constants, Carleson embedding.
 
-Matrices act on leaf-value vectors; the L^2 pairing carries the leaf width
-2^{-D}, which cancels between domain and codomain in every norm here, so
+Every operator is used only through its O(2^D D) applies in operators.py,
+together with its transpose under the unweighted pairing <u, v> = mean(u v);
+nothing here builds an n x n array.  The pairing's leaf width 2^{-D} cancels
+between domain and codomain, so
 
-    || T : L^2(mu) -> L^2(lambda) || = sigma_max( diag(sqrt(lambda)) M diag(1/sqrt(mu)) ).
+    || T : L^2(mu) -> L^2(lambda) ||^2 = lambda_max(W'W),
+    W = diag(sqrt(lambda)) T diag(1/sqrt(mu)),
 
-Dense SVD is used up to a dimension cap (default depth 10); above it the
-caller must opt into certified power iteration.
+with W'W applied as x -> mu^{-1/2} T'(lambda T(mu^{-1/2} x)).
 
-best_quadratic_constant(A, G) returns the least C with  x' A x <= C x' G x
-for all x, i.e. the top generalized eigenvalue; G must be positive definite
-and A positive semidefinite.
+Best constants of the quadratic inequalities x'Ax <= C x'Gx met here have a
+diagonal G, so C = lambda_max(G^{-1/2} A G^{-1/2}), with A applied through
+the analysis and level_masses pyramids.
+
+Every top eigenvalue comes from Lanczos on the symmetric operator
+(ARPACK through scipy.sparse.linalg.eigsh, tol=0) started from one fixed
+seeded random vector, so repeated calls return bitwise-equal floats.  The
+start vector is random, not constant, because constants lie in the kernel of
+the shift.
 
 The Carleson block ties the coefficient functionals to embedding constants:
 carleson_constant does the definitional bottom-up scan, while
@@ -29,28 +37,27 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse.linalg
 
 from .bmo import BmoReport, bmo_report
-from .errors import DenseCapError, NotPositiveDefiniteError
-from .grid import DyadicGrid, StepFunction, analyze_leaves, haar_matrix
-from .operators import is_admissible
+from .grid import DyadicGrid, StepFunction, analyze_leaves, level_masses, synthesize_leaves
+from .operators import (
+    commutator_shift,
+    haar_shift,
+    is_admissible,
+    paraproduct,
+    paraproduct_adjoint,
+    shift_adjoint,
+)
 from .weights import Weight, a2_characteristic, rho_weight
 
 __all__ = [
-    "LinearOperatorMatrix",
-    "identity_matrix",
-    "averaging_matrix",
-    "expectation_matrix",
-    "operator_matrix",
-    "paraproduct_matrix",
-    "paraproduct_adjoint_matrix",
-    "shift_matrix",
-    "commutator_matrix",
+    "LeafOperator",
+    "paraproduct_operator",
+    "paraproduct_adjoint_operator",
+    "shift_operator",
+    "commutator_operator",
     "weighted_operator_norm",
-    "power_iteration_norm",
-    "best_quadratic_constant",
-    "ppott_forms",
     "ppott_best_constant",
     "CarlesonSequence",
     "carleson_constant",
@@ -64,284 +71,99 @@ __all__ = [
     "compute_norm_report",
 ]
 
-DENSE_DEPTH_CAP = 10
 
-
-@dataclass(frozen=True)
-class LinearOperatorMatrix:
-    """An operator on leaf vectors, with bookkeeping.
-
-    truncated=True marks matrices that structurally drop level-(D-1) content
-    (shift and commutator assemblies do, by the shift's nature).
-    """
+class LeafOperator(NamedTuple):
+    """A linear map on the step functions of one grid, with its transpose
+    under the unweighted L^2 pairing."""
 
     grid: DyadicGrid
-    matrix: np.ndarray
-    tag: str
-    truncated: bool = False
-
-    def __post_init__(self):
-        n = self.grid.n_leaves
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.shape != (n, n):
-            raise ValueError(f"matrix must be {n}x{n}, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError(f"matrix {self.tag!r} has non-finite entries")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def apply(self, f: StepFunction) -> StepFunction:
-        return StepFunction(self.grid, self.matrix @ f.values)
+    apply: Callable[[StepFunction], StepFunction]
+    transpose: Callable[[StepFunction], StepFunction]
 
 
-def identity_matrix(grid: DyadicGrid) -> LinearOperatorMatrix:
-    return LinearOperatorMatrix(grid, np.eye(grid.n_leaves), "identity")
+def paraproduct_operator(b: StepFunction) -> LeafOperator:
+    return LeafOperator(
+        b.grid, lambda f: paraproduct(b, f), lambda g: paraproduct_adjoint(b, g)
+    )
 
 
-def averaging_matrix(grid: DyadicGrid) -> np.ndarray:
-    """Rows indexed by intervals (level-major, levels 0..D-1), A[I, j] = 2^{k-D}
-    for leaves j inside I, so (A v)_I = <v>_I."""
-    n = grid.n_leaves
-    rows = []
-    for k in range(grid.depth):
-        block = np.zeros((1 << k, n))
-        width = n >> k
-        for j in range(1 << k):
-            block[j, j * width : (j + 1) * width] = 2.0 ** (k - grid.depth)
-        rows.append(block)
-    return np.vstack(rows)
+def paraproduct_adjoint_operator(b: StepFunction) -> LeafOperator:
+    return LeafOperator(
+        b.grid, lambda f: paraproduct_adjoint(b, f), lambda g: paraproduct(b, g)
+    )
 
 
-def expectation_matrix(w: Weight) -> np.ndarray:
-    """Rows indexed by intervals (level-major, levels 0..D-1):
-    L[I, j] = w_j 2^{-D} / w(I) for leaves j inside I, so (L phi)_I = E^w_I(phi)."""
-    grid = w.grid
-    n = grid.n_leaves
-    leaf_masses = w.values * grid.leaf_width
-    rows = []
-    for k in range(grid.depth):
-        block = np.zeros((1 << k, n))
-        width = n >> k
-        masses = w.level_masses[k]
-        for j in range(1 << k):
-            block[j, j * width : (j + 1) * width] = (
-                leaf_masses[j * width : (j + 1) * width] / masses[j]
-            )
-        rows.append(block)
-    return np.vstack(rows)
+def shift_operator(grid: DyadicGrid) -> LeafOperator:
+    """The shift with its deepest input level dropped (truncate mode)."""
+    return LeafOperator(grid, lambda f: haar_shift(f, mode="truncate"), shift_adjoint)
 
 
-def operator_matrix(
-    grid: DyadicGrid, fn: Callable[[StepFunction], StepFunction], tag: str
-) -> LinearOperatorMatrix:
-    """Assemble any linear map column by column from its action on leaf
-    indicators.  Independent of the closed-form assemblies below; tests use it
-    as the oracle route."""
-    n = grid.n_leaves
-    cols = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        cols[:, j] = fn(StepFunction(grid, e)).values
-    return LinearOperatorMatrix(grid, cols, tag)
+def commutator_operator(b: StepFunction) -> LeafOperator:
+    """[b, Sh] with transpose Sh^T b - b Sh^T (truncate mode).
+
+    The symbol is centred first: [b, Sh] = [b - <b>, Sh], and the centred
+    form makes a constant symbol give exactly zero.
+    """
+    bc = b - b.integral()
+    return LeafOperator(
+        b.grid,
+        lambda f: commutator_shift(bc, f, mode="truncate"),
+        lambda g: shift_adjoint(bc * g) - bc * shift_adjoint(g),
+    )
 
 
-def paraproduct_matrix(b: StepFunction) -> LinearOperatorMatrix:
-    """M = H' diag(bhat) A: h-synthesis of bhat(I) <f>_I."""
-    grid = b.grid
-    _, cb = analyze_leaves(b.values, grid.depth)
-    d = np.concatenate(cb)
-    H = haar_matrix(grid)
-    A = averaging_matrix(grid)
-    return LinearOperatorMatrix(grid, H.T @ (d[:, None] * A), "paraproduct")
+def _top_eigenvalue(n: int, matvec: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Largest eigenvalue of a symmetric positive semidefinite n x n operator.
+
+    A zero operator returns 0.0: ARPACK refuses it, and a random start vector
+    lies in the kernel of a nonzero operator with probability zero.
+    """
+    v0 = np.random.default_rng(0).standard_normal(n)
+    if not np.any(matvec(v0)):
+        return 0.0
+    op = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=lambda x: matvec(x.ravel()), dtype=np.float64
+    )
+    top = scipy.sparse.linalg.eigsh(
+        op, k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False
+    )
+    return max(float(top[0]), 0.0)
 
 
-def paraproduct_adjoint_matrix(b: StepFunction) -> LinearOperatorMatrix:
-    """The unweighted adjoint: exactly the transpose of paraproduct_matrix."""
-    base = paraproduct_matrix(b)
-    return LinearOperatorMatrix(base.grid, base.matrix.T.copy(), "paraproduct_adjoint")
-
-
-def _shift_image_matrix(grid: DyadicGrid) -> np.ndarray:
-    """Rows indexed like haar_matrix: row I holds the leaf values of Sh h_I.
-    Level-(D-1) rows are zero (structural truncation)."""
-    n = grid.n_leaves
-    rows = []
-    for k in range(grid.depth):
-        block = np.zeros((1 << k, n))
-        if k <= grid.depth - 2:
-            scale = math.sqrt(2**k)
-            width = n >> (k + 2)
-            view = block.reshape(1 << k, 1 << k, 4, width)
-            idx = np.arange(1 << k)
-            view[idx, idx, 0, :] = -scale
-            view[idx, idx, 1, :] = scale
-            view[idx, idx, 2, :] = scale
-            view[idx, idx, 3, :] = -scale
-        rows.append(block)
-    return np.vstack(rows)
-
-
-def shift_matrix(grid: DyadicGrid) -> LinearOperatorMatrix:
-    """M = G' (2^{-D} H) where row I of G is Sh h_I: analyze, then re-emit each
-    coefficient through the shifted Haar function."""
-    H = haar_matrix(grid)
-    G = _shift_image_matrix(grid)
-    M = G.T @ (H * grid.leaf_width)
-    return LinearOperatorMatrix(grid, M, "shift", truncated=True)
-
-
-def commutator_matrix(b: StepFunction) -> LinearOperatorMatrix:
-    """M = diag(b) M_Sh - M_Sh diag(b)."""
-    grid = b.grid
-    S = shift_matrix(grid).matrix
-    D = b.values
-    M = D[:, None] * S - S * D[None, :]
-    return LinearOperatorMatrix(grid, M, "commutator", truncated=True)
-
-
-def _weighted_matrix(T: LinearOperatorMatrix, mu: Weight, lam: Weight) -> np.ndarray:
-    if T.grid != mu.grid or T.grid != lam.grid:
+def weighted_operator_norm(T: LeafOperator, mu: Weight, lam: Weight) -> float:
+    """|| T : L^2(mu) -> L^2(lambda) ||, the square root of lambda_max(W'W)."""
+    grid = T.grid
+    if grid != mu.grid or grid != lam.grid:
         raise ValueError("operator and weights must share one grid")
-    return np.sqrt(lam.values)[:, None] * T.matrix * (1.0 / np.sqrt(mu.values))[None, :]
+    scale = 1.0 / np.sqrt(mu.values)
+    lam_vals = lam.values
 
+    def normal(x: np.ndarray) -> np.ndarray:
+        y = T.apply(StepFunction(grid, scale * x)).values
+        return scale * T.transpose(StepFunction(grid, lam_vals * y)).values
 
-class PowerIterationResult(NamedTuple):
-    norm: float
-    lower: float
-    upper: float
-    iterations: int
-
-
-def power_iteration_norm(
-    W: np.ndarray,
-    tol: float = 1e-6,
-    max_iter: int = 20000,
-    seed: int = 0,
-) -> PowerIterationResult:
-    """Largest singular value of W by power iteration on B = W'W.
-
-    Bracket semantics: every Rayleigh quotient of B is an unconditional lower
-    bound for sigma_max^2.  The residual bound r + ||Bx - rx|| covers the
-    eigenvalue nearest r, so it is taken per iterate (never min-ed across
-    iterations, where a far-from-converged x would clamp it below the truth)
-    and capped by the unconditional ceilings ||W||_F^2 and ||W||_1 ||W||_inf.
-    Stops when the current bracket's relative width is below tol; as the
-    iterate enters the top eigenspace the residual vanishes and the bracket
-    collapses onto sigma_max^2.
-    """
-    rng = np.random.default_rng(seed)
-    n = W.shape[1]
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    B = lambda v: W.T @ (W @ v)  # noqa: E731
-    abs_w = np.abs(W)
-    static_cap = min(
-        float((W**2).sum()),
-        float(abs_w.sum(axis=1).max() * abs_w.sum(axis=0).max()),
-    )
-    lower = 0.0
-    upper = static_cap
-    for it in range(1, max_iter + 1):
-        y = B(x)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return PowerIterationResult(0.0, 0.0, 0.0, it)
-        r = float(x @ y)  # Rayleigh quotient of B at unit x
-        resid = float(np.linalg.norm(y - r * x))
-        lower = max(lower, r)
-        upper = min(static_cap, max(lower, r + resid))
-        if upper <= lower * (1.0 + tol) or upper - lower <= tol**2:
-            break
-        x = y / ny
-    lo = math.sqrt(max(lower, 0.0))
-    hi = math.sqrt(max(upper, 0.0))
-    return PowerIterationResult(0.5 * (lo + hi), lo, hi, it)
-
-
-def weighted_operator_norm(
-    T: LinearOperatorMatrix,
-    mu: Weight,
-    lam: Weight,
-    method: str = "dense",
-    dense_depth_cap: int = DENSE_DEPTH_CAP,
-    tol: float = 1e-6,
-) -> float:
-    """|| T : L^2(mu) -> L^2(lambda) ||, exact cancellation of grid factors.
-
-    method="dense" computes all singular values (refused above the depth cap
-    with instructions to switch); method="power" runs certified power
-    iteration and returns the bracket midpoint.
-    """
-    W = _weighted_matrix(T, mu, lam)
-    if method == "dense":
-        if T.grid.depth > dense_depth_cap:
-            raise DenseCapError(
-                f"depth {T.grid.depth} exceeds the dense cap {dense_depth_cap}; "
-                f"pass method='power' (certified power iteration) or raise "
-                f"dense_depth_cap explicitly"
-            )
-        s = scipy.linalg.svdvals(W)
-        return float(s[0])
-    if method == "power":
-        return power_iteration_norm(W, tol=tol).norm
-    raise ValueError(f"method must be 'dense' or 'power', got {method!r}")
-
-
-def best_quadratic_constant(A: np.ndarray, G: np.ndarray, psd_tol: float = 1e-10) -> float:
-    """Least C with x'Ax <= C x'Gx for all x: top eigenvalue of the pencil (A, G).
-
-    G must be symmetric positive definite, A symmetric positive semidefinite
-    (up to psd_tol relative slack); violations raise NotPositiveDefiniteError.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    G = np.asarray(G, dtype=np.float64)
-    if A.shape != G.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A and G must be square matrices of one shape")
-    if not np.allclose(A, A.T, atol=1e-12, rtol=1e-12):
-        raise NotPositiveDefiniteError("A is not symmetric")
-    if not np.allclose(G, G.T, atol=1e-12, rtol=1e-12):
-        raise NotPositiveDefiniteError("G is not symmetric")
-    try:
-        scipy.linalg.cholesky(G, lower=True)
-    except scipy.linalg.LinAlgError as e:
-        raise NotPositiveDefiniteError(f"G is not positive definite: {e}") from e
-    eigs = scipy.linalg.eigh(A, G, eigvals_only=True)
-    scale = float(np.abs(eigs).max(initial=0.0))
-    if eigs[0] < -psd_tol * max(scale, 1.0):
-        raise NotPositiveDefiniteError(
-            f"A has a significantly negative pencil eigenvalue {eigs[0]:.3e}"
-        )
-    return float(max(eigs[-1], 0.0))
-
-
-def ppott_forms(w: Weight) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic forms (A, G) for the weighted coefficient-energy inequality
-
-        sum_I fhat(I)^2 / <w>_I  <=  C ||f||^2_{L^2(w^{-1})}.
-
-    With H the Haar matrix and fhat = 2^{-D} H v:
-    A = 2^{-2D} H' diag(1/<w>_I) H and G = 2^{-D} diag(w^{-1}).
-    """
-    grid = w.grid
-    H = haar_matrix(grid)
-    inv_avgs = np.concatenate(
-        [1.0 / w.averages_at_level(k) for k in range(grid.depth)]
-    )
-    s = grid.leaf_width
-    A = (H.T * inv_avgs[None, :]) @ H * (s * s)
-    A = 0.5 * (A + A.T)
-    G = np.diag(w.inverse.values * s)
-    return A, G
+    return math.sqrt(_top_eigenvalue(grid.n_leaves, normal))
 
 
 def ppott_best_constant(w: Weight) -> float:
-    """Best constant of the coefficient-energy inequality for the weight w.
+    """Best constant C of the weighted coefficient-energy inequality
 
-    Bounded below by 1/[w]_{A2} and equals 1 exactly when w is constant.
+        sum_I fhat(I)^2 / <w>_I  <=  C ||f||^2_{L^2(w^{-1})}.
+
+    With f = sqrt(w) y the right side is ||y||^2, so C is the top eigenvalue
+    of y -> sqrt(w) * synthesis(analysis(sqrt(w) y) / <w>_I).  Bounded below
+    by 1/[w]_{A2} and equals 1 exactly when w is constant.
     """
-    A, G = ppott_forms(w)
-    return best_quadratic_constant(A, G)
+    depth = w.grid.depth
+    root_w = np.sqrt(w.values)
+    inv_avgs = [1.0 / w.averages_at_level(k) for k in range(depth)]
+
+    def form(y: np.ndarray) -> np.ndarray:
+        _, c = analyze_leaves(root_w * y, depth)
+        scaled = [c[k] * inv_avgs[k] for k in range(depth)]
+        return root_w * synthesize_leaves(np.asarray(0.0), scaled, depth)
+
+    return _top_eigenvalue(w.grid.n_leaves, form)
 
 
 class CarlesonSequence:
@@ -367,9 +189,6 @@ class CarlesonSequence:
         self.grid = grid
         self.level_values = tuple(frozen)
         self.weight = weight
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate(self.level_values)
 
 
 def carleson_constant(seq: CarlesonSequence) -> float:
@@ -404,19 +223,27 @@ class CarlesonEmbeddingReport:
 
 def carleson_embedding_check(seq: CarlesonSequence) -> CarlesonEmbeddingReport:
     """Best constant C* of sum_I a_I E^w_I(phi)^2 <= C* ||phi||^2_{L^2(w)},
-    found as a generalized eigenvalue, reported against the Carleson constant.
+    reported against the Carleson constant.
 
-    The classical dyadic embedding theorem pins C* within [carleson,
+    With phi = y / sqrt(w 2^{-D}) the right side is ||y||^2, so C* is the top
+    eigenvalue of y -> sqrt(w) sum_I a_I E^w_I(y / sqrt(w)) 1_I / w(I).  The
+    classical dyadic embedding theorem pins C* within [carleson,
     4*carleson]; callers assert that window.
     """
     w = seq.weight
-    grid = seq.grid
-    L = expectation_matrix(w)
-    a = seq.flat()
-    A = (L.T * a[None, :]) @ L
-    A = 0.5 * (A + A.T)
-    G = np.diag(w.values * grid.leaf_width)
-    best = best_quadratic_constant(A, G)
+    depth = seq.grid.depth
+    n = seq.grid.n_leaves
+    root_w = np.sqrt(w.values)
+    level_weights = [a / m**2 for a, m in zip(seq.level_values, w.level_masses)]
+
+    def form(y: np.ndarray) -> np.ndarray:
+        masses = level_masses(root_w * y, depth)
+        acc = np.zeros(n)
+        for k in range(depth):
+            acc += np.repeat(level_weights[k] * masses[k], n >> k)
+        return root_w * acc
+
+    best = _top_eigenvalue(n, form)
     car = carleson_constant(seq)
     ratio = best / car if car > 0 else math.nan
     return CarlesonEmbeddingReport(carleson=car, best_embedding=best, ratio=ratio)
@@ -477,7 +304,6 @@ def necessity_restriction_ratios(
     vanish, and the ratio is defined as 0 there.
     """
     from .grid import DyadicInterval, indicator
-    from .operators import paraproduct as _pi
 
     grid = b.grid
     depth = grid.depth
@@ -505,7 +331,7 @@ def necessity_restriction_ratios(
                 row[j] = 0.0
                 continue
             phi = StepFunction(grid, mu_inv.values * indicator(grid, K).values)
-            img = _pi(b, phi)
+            img = paraproduct(b, phi)
             den = float((img.values**2 * lam_vals).mean()) / mass
             row[j] = math.sqrt(num / den)
         out.append(row)
@@ -564,8 +390,6 @@ def compute_norm_report(
     b: StepFunction,
     mu: Weight,
     lam: Weight,
-    method: str = "dense",
-    dense_depth_cap: int = DENSE_DEPTH_CAP,
 ) -> NormReport:
     """Assemble every norm and functional for one (b, mu, lambda) triple.
 
@@ -575,16 +399,14 @@ def compute_norm_report(
     grid = b.grid
     rho = rho_weight(mu, lam)
     rep = bmo_report(b, mu, lam)
-    kw = {"method": method, "dense_depth_cap": dense_depth_cap}
-    pi = paraproduct_matrix(b)
-    pi_adj = paraproduct_adjoint_matrix(b)
-    sh = shift_matrix(grid)
-    comm = commutator_matrix(b)
-    norm_pi = weighted_operator_norm(pi, mu, lam, **kw)
-    norm_pi_adj = weighted_operator_norm(pi_adj, lam.inverse, mu.inverse, **kw)
-    norm_sh_mu = weighted_operator_norm(sh, mu, mu, **kw)
-    norm_sh_lam = weighted_operator_norm(sh, lam, lam, **kw)
-    norm_comm = weighted_operator_norm(comm, mu, lam, **kw)
+    sh = shift_operator(grid)
+    norm_pi = weighted_operator_norm(paraproduct_operator(b), mu, lam)
+    norm_pi_adj = weighted_operator_norm(
+        paraproduct_adjoint_operator(b), lam.inverse, mu.inverse
+    )
+    norm_sh_mu = weighted_operator_norm(sh, mu, mu)
+    norm_sh_lam = weighted_operator_norm(sh, lam, lam)
+    norm_comm = weighted_operator_norm(commutator_operator(b), mu, lam)
     ratios = {
         "commutator_over_bmo_rho": _safe_ratio(norm_comm, rep.bmo_rho),
         "bmo_rho_over_commutator": _safe_ratio(rep.bmo_rho, norm_comm),

@@ -9,7 +9,7 @@ Operators act on step functions of one grid.  With bhat(I) = <b, h_I> and
 
 (sums over coefficient levels 0..D-1).  The pair (Pi_b, Pi*_b) is an
 unweighted-adjoint pair, and Sh is an isometry on mean-free functions whose
-spectrum avoids the deepest level.
+spectrum avoids the deepest level; shift_adjoint is its transpose.
 
 Admissibility.  Sh maps a level-k coefficient to level k+1, so level-(D-1)
 input coefficients have no representation at depth D.  Functions whose
@@ -47,6 +47,7 @@ __all__ = [
     "paraproduct",
     "paraproduct_adjoint",
     "haar_shift",
+    "shift_adjoint",
     "commutator_shift",
     "remainder_closed_form",
     "ExpansionTerms",
@@ -166,6 +167,19 @@ def haar_shift(
     if return_flag:
         return result, truncated
     return result
+
+
+def shift_adjoint(f: StepFunction) -> StepFunction:
+    """Transpose of the (truncating) shift under the unweighted L^2 pairing.
+
+    The coefficient of Sh^T f on a level-k interval I, k <= D-2, is
+    (fhat(I_-) - fhat(I_+)) / sqrt(2); the mean, the level-0 coefficient of
+    f and the level-(D-1) coefficient of the image are all zero.
+    """
+    depth = f.grid.depth
+    _, cf = analyze_leaves(f.values, depth)
+    out = [(cf[k + 1][0::2] - cf[k + 1][1::2]) / math.sqrt(2.0) for k in range(depth - 1)]
+    return StepFunction(f.grid, synthesize_leaves(np.asarray(0.0), out, depth))
 
 
 def commutator_shift(

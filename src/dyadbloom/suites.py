@@ -45,12 +45,13 @@ from .normest import (
     adjoint_paraproduct_carleson_sequence,
     carleson_constant,
     carleson_embedding_check,
-    commutator_matrix,
+    commutator_operator,
     necessity_test_function_bound,
+    paraproduct_adjoint_operator,
     paraproduct_carleson_sequence,
-    paraproduct_matrix,
-    paraproduct_adjoint_matrix,
+    paraproduct_operator,
     ppott_best_constant,
+    shift_operator,
     weighted_operator_norm,
 )
 from .operators import (
@@ -227,10 +228,6 @@ def make_trial(cfg: ExperimentConfig, t: int) -> TrialData:
         f_raw=f_raw,
         g_raw=g_raw,
     )
-
-
-def _norm_kwargs(cfg: ExperimentConfig) -> dict:
-    return {"method": cfg.norm_method, "dense_depth_cap": cfg.dense_depth_cap}
 
 
 # ---------------------------------------------------------------- identities
@@ -484,16 +481,15 @@ def lower_bound_finding(
 
 def run_paraproduct_bounds(cfg: ExperimentConfig) -> SuiteResult:
     res = SuiteResult("paraproduct-bounds", cfg.to_dict())
-    kw = _norm_kwargs(cfg)
     w_duality = _Worst()
     upper_ratio, norms, blooms, necessity = [], [], [], []
     excesses, excesses_dual = [], []
     for t in range(cfg.trials):
         td = make_trial(cfg, t)
         mu, lam, b = td.mu, td.lam, td.b
-        n_pi = weighted_operator_norm(paraproduct_matrix(b), mu, lam, **kw)
+        n_pi = weighted_operator_norm(paraproduct_operator(b), mu, lam)
         n_adj = weighted_operator_norm(
-            paraproduct_adjoint_matrix(b), lam.inverse, mu.inverse, **kw
+            paraproduct_adjoint_operator(b), lam.inverse, mu.inverse
         )
         b2 = bloom_b2(b, mu, lam)
         b2d = bloom_b2_dual(b, mu, lam)
@@ -536,42 +532,45 @@ def run_paraproduct_bounds(cfg: ExperimentConfig) -> SuiteResult:
 
 def run_commutator_bounds(cfg: ExperimentConfig) -> SuiteResult:
     res = SuiteResult("commutator-bounds", cfg.to_dict())
-    kw = _norm_kwargs(cfg)
     w_agree = _Worst()
+    w_const = _Worst()
+    w_adjoint = _Worst()
     ratios, norms, bmos = [], [], []
     for t in range(cfg.trials):
         td = make_trial(cfg, t)
         mu, lam, b = td.mu, td.lam, td.b
         rho = rho_weight(mu, lam)
-        M = commutator_matrix(b)
-        # matrix route vs function route on the trial's test function
-        via_matrix = M.matrix @ td.f.values
-        via_ops = commutator_shift(b, td.f).values
+        M = commutator_operator(b)
+        # the norm engine's apply vs the six-term paraproduct route
+        via_engine = M.apply(td.f).values
+        via_expansion = expansion_terms(b, td.f).signed_sum().values
         w_agree.update(
-            _rel(float(np.abs(via_matrix - via_ops).max()),
-                 float(np.abs(via_ops).max())),
+            _rel(float(np.abs(via_engine - via_expansion).max()),
+                 float(np.abs(via_expansion).max())),
             t,
         )
-        n_comm = weighted_operator_norm(M, mu, lam, **kw)
+        # a constant symbol commutes exactly
+        c = StepFunction.constant(b.grid, 2.5)
+        w_const.update(float(np.abs(commutator_operator(c).apply(td.f).values).max()), t)
+        # <T f, g> = <f, T' g> for every transpose the engine uses; the raw
+        # functions keep level-(D-1) content, which the shift truncates
+        f, g = td.f_raw, td.g_raw
+        for T in (paraproduct_operator(b), paraproduct_adjoint_operator(b),
+                  shift_operator(b.grid), M):
+            ip1 = float((T.apply(f).values * g.values).mean())
+            ip2 = float((f.values * T.transpose(g).values).mean())
+            w_adjoint.update(_rel(abs(ip1 - ip2), ip1, ip2), t)
+        n_comm = weighted_operator_norm(M, mu, lam)
         bmo = bmo_rho(b, rho)
         norms.append(n_comm)
         bmos.append(bmo)
         if bmo > 0:
             ratios.append(n_comm / bmo)
-    # constant symbol commutes exactly
-    grid = DyadicGrid(cfg.depth)
-    c = StepFunction.constant(grid, 2.5)
-    norm_const = float(np.abs(commutator_matrix(c).matrix).max())
     res.assertions.append(
-        Assertion(
-            "constant_symbol_commutes",
-            norm_const == 0.0,
-            norm_const,
-            0.0,
-            "[c, shift] = 0 entrywise",
-        )
+        w_const.assertion("constant_symbol_commutes", 0.0, "[c, shift] f == 0 exactly")
     )
-    res.assertions.append(w_agree.assertion("matrix_matches_operators", 1e-11))
+    res.assertions.append(w_agree.assertion("commutator_apply_matches_expansion", 1e-11))
+    res.assertions.append(w_adjoint.assertion("adjoint_consistency", 1e-12))
     res.measured["norm_over_bmo_rho"] = _stats(ratios)
     res.measured["norm_commutator"] = _stats(norms)
     res.measured["bmo_rho"] = _stats(bmos)
@@ -599,7 +598,7 @@ def run_carleson(cfg: ExperimentConfig) -> SuiteResult:
         car_d = carleson_constant(seq_d)
         b2d = bloom_b2_dual(b, mu, lam)
         w_cross_dual.update(_rel(abs(car_d - b2d**2), b2d**2), t)
-        if cfg.depth <= cfg.dense_depth_cap and car > 0:
+        if car > 0:
             rep = carleson_embedding_check(seq)
             w_embed_low.update((rep.carleson - rep.best_embedding) / rep.carleson, t)
             w_embed_high.update(
@@ -627,11 +626,6 @@ def run_ppott(cfg: ExperimentConfig) -> SuiteResult:
     res = SuiteResult("ppott", cfg.to_dict())
     w_lower = _Worst()
     cs, c_over_a2 = [], []
-    if cfg.depth > cfg.dense_depth_cap:
-        res.measured["skipped"] = f"depth {cfg.depth} above dense cap {cfg.dense_depth_cap}"
-        res.measured["best_constant"] = _stats([])
-        res.measured["best_constant_over_a2"] = _stats([])
-        return res
     for t in range(cfg.trials):
         td = make_trial(cfg, t)
         for w in (td.mu, td.lam):
@@ -821,7 +815,6 @@ def _mu_normalized_oscillation(b: StepFunction, mu: Weight, lam: Weight) -> floa
 
 def run_neccon_chain(cfg: ExperimentConfig) -> SuiteResult:
     res = SuiteResult("neccon-chain", cfg.to_dict())
-    kw = _norm_kwargs(cfg)
     w_low = _Worst()
     w_high = _Worst()
     r_bmo, r_b2, r_comm = [], [], []
@@ -841,7 +834,7 @@ def run_neccon_chain(cfg: ExperimentConfig) -> SuiteResult:
             r_bmo.append(nec / bmo)
         if b2 > 0:
             r_b2.append(nec / b2)
-        n_comm = weighted_operator_norm(commutator_matrix(b), mu, lam, **kw)
+        n_comm = weighted_operator_norm(commutator_operator(b), mu, lam)
         if n_comm > 0:
             r_comm.append(nec / n_comm)
     res.assertions.append(w_low.assertion("neccon_at_least_mu_oscillation", 1e-12))

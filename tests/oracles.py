@@ -2,12 +2,16 @@
 
 Everything here trades speed for obviousness: explicit leaf arrays, nested
 interval loops, direct dot products, no shared code with the package beyond
-numpy.  Intended for depths up to about 6.
+numpy and scipy.  The loop oracles are intended for depths up to about 6;
+the dense matrix routes (2^D x 2^D arrays, SVD, eigh, power iteration) are
+the reference for the package's matrix-free norm engine up to depth 10.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 
 def leaf_slice(depth, k, j):
@@ -211,3 +215,174 @@ def weighted_norm_oracle(matrix, mu, lam):
     lam = np.asarray(lam)
     scaled = np.sqrt(lam)[:, None] * np.asarray(matrix) / np.sqrt(mu)[None, :]
     return float(np.linalg.norm(scaled, 2))
+
+
+# ------------------------------------------------------------- dense routes
+#
+# Matrices act on leaf-value vectors; rows and columns of interval-indexed
+# matrices run level-major over coefficient levels 0..depth-1.
+
+
+def haar_matrix(depth):
+    """Shape (2^D - 1, 2^D): row I holds the leaf values of h_I, so the
+    coefficients of v are H @ v / 2^D."""
+    return np.array([haar_leaves(depth, k, j) for k, j in all_intervals(depth, depth - 1)])
+
+
+def averaging_matrix(depth):
+    """A[I, j] = 1/|I| 2^{-D} for leaves j inside I, so (A v)_I = <v>_I."""
+    n = 1 << depth
+    return np.array(
+        [indicator_leaves(depth, k, j) * (1 << k) / n for k, j in all_intervals(depth, depth - 1)]
+    )
+
+
+def expectation_matrix(w, depth):
+    """L[I, j] = w_j 2^{-D} / w(I) for leaves j inside I, so (L phi)_I = E^w_I(phi)."""
+    w = np.asarray(w)
+    n = 1 << depth
+    return np.array(
+        [
+            indicator_leaves(depth, k, j) * w / n / mass_on(w, depth, k, j)
+            for k, j in all_intervals(depth, depth - 1)
+        ]
+    )
+
+
+def operator_matrix(fn, depth):
+    """Assemble a linear map of leaf arrays column by column from its action
+    on leaf indicators."""
+    n = 1 << depth
+    return np.column_stack([fn(np.eye(n)[j]) for j in range(n)])
+
+
+def paraproduct_matrix(b, depth):
+    """H' diag(bhat) A: h-synthesis of bhat(I) <f>_I."""
+    H = haar_matrix(depth)
+    bhat = H @ np.asarray(b) / (1 << depth)
+    return H.T @ (bhat[:, None] * averaging_matrix(depth))
+
+
+def paraproduct_adjoint_matrix(b, depth):
+    return paraproduct_matrix(b, depth).T
+
+
+def shift_matrix(depth):
+    """G' H / 2^D, where row I of G holds the leaf values of
+    Sh h_I = (h_{I_-} - h_{I_+}) / sqrt(2); level-(D-1) rows of G are zero."""
+    n = 1 << depth
+    rows = []
+    for k, j in all_intervals(depth, depth - 1):
+        if k <= depth - 2:
+            rows.append(
+                (haar_leaves(depth, k + 1, 2 * j) - haar_leaves(depth, k + 1, 2 * j + 1))
+                / math.sqrt(2.0)
+            )
+        else:
+            rows.append(np.zeros(n))
+    return np.array(rows).T @ haar_matrix(depth) / n
+
+
+def commutator_matrix(b, depth):
+    """diag(b) S - S diag(b)."""
+    S = shift_matrix(depth)
+    b = np.asarray(b)
+    return b[:, None] * S - S * b[None, :]
+
+
+class PowerIterationResult(NamedTuple):
+    norm: float
+    lower: float
+    upper: float
+    iterations: int
+
+
+def power_iteration_norm(W, tol=1e-6, max_iter=20000, seed=0):
+    """Largest singular value of W by power iteration on B = W'W.
+
+    Every Rayleigh quotient of B is a lower bound for sigma_max^2.  The
+    residual bound r + ||Bx - rx|| bounds the eigenvalue of B nearest r, which
+    is the top one only once the iterate has entered the top eigenspace, so
+    the upper end of the bracket is a heuristic, capped by the unconditional
+    ceilings ||W||_F^2 and ||W||_1 ||W||_inf.  Stops when the bracket's
+    relative width is below tol.
+    """
+    rng = np.random.default_rng(seed)
+    W = np.asarray(W)
+    x = rng.standard_normal(W.shape[1])
+    x /= np.linalg.norm(x)
+    abs_w = np.abs(W)
+    static_cap = min(
+        float((W**2).sum()),
+        float(abs_w.sum(axis=1).max() * abs_w.sum(axis=0).max()),
+    )
+    lower = 0.0
+    upper = static_cap
+    for it in range(1, max_iter + 1):
+        y = W.T @ (W @ x)
+        ny = np.linalg.norm(y)
+        if ny == 0.0:
+            return PowerIterationResult(0.0, 0.0, 0.0, it)
+        r = float(x @ y)
+        resid = float(np.linalg.norm(y - r * x))
+        lower = max(lower, r)
+        upper = min(static_cap, max(lower, r + resid))
+        if upper <= lower * (1.0 + tol) or upper - lower <= tol**2:
+            break
+        x = y / ny
+    lo = math.sqrt(max(lower, 0.0))
+    hi = math.sqrt(max(upper, 0.0))
+    return PowerIterationResult(0.5 * (lo + hi), lo, hi, it)
+
+
+class NotPositiveDefiniteError(ValueError):
+    """A quadratic-form matrix failed its definiteness requirement."""
+
+
+def best_quadratic_constant(A, G, psd_tol=1e-10):
+    """Least C with x'Ax <= C x'Gx for all x: top eigenvalue of the pencil
+    (A, G).  G must be symmetric positive definite and A symmetric positive
+    semidefinite (up to psd_tol relative slack)."""
+    A = np.asarray(A, dtype=np.float64)
+    G = np.asarray(G, dtype=np.float64)
+    if A.shape != G.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("A and G must be square matrices of one shape")
+    if not np.allclose(A, A.T, atol=1e-12, rtol=1e-12):
+        raise NotPositiveDefiniteError("A is not symmetric")
+    if not np.allclose(G, G.T, atol=1e-12, rtol=1e-12):
+        raise NotPositiveDefiniteError("G is not symmetric")
+    try:
+        scipy.linalg.cholesky(G, lower=True)
+    except scipy.linalg.LinAlgError as e:
+        raise NotPositiveDefiniteError(f"G is not positive definite: {e}") from e
+    eigs = scipy.linalg.eigh(A, G, eigvals_only=True)
+    scale = float(np.abs(eigs).max(initial=0.0))
+    if eigs[0] < -psd_tol * max(scale, 1.0):
+        raise NotPositiveDefiniteError(
+            f"A has a significantly negative pencil eigenvalue {eigs[0]:.3e}"
+        )
+    return float(max(eigs[-1], 0.0))
+
+
+def ppott_forms(w, depth):
+    """(A, G) of sum_I fhat(I)^2 / <w>_I <= C ||f||^2_{L^2(w^{-1})}:
+    A = 2^{-2D} H' diag(1/<w>_I) H and G = 2^{-D} diag(w^{-1})."""
+    w = np.asarray(w)
+    n = 1 << depth
+    H = haar_matrix(depth)
+    inv_avgs = np.array([1.0 / average_on(w, depth, k, j) for k, j in all_intervals(depth, depth - 1)])
+    A = (H.T * inv_avgs[None, :]) @ H / n**2
+    return 0.5 * (A + A.T), np.diag(1.0 / w / n)
+
+
+def ppott_oracle(w, depth):
+    return best_quadratic_constant(*ppott_forms(w, depth))
+
+
+def carleson_embedding_oracle(level_values, w, depth):
+    """Best C* in sum_I a_I E^w_I(phi)^2 <= C* ||phi||^2_{L^2(w)} as the top
+    eigenvalue of the pencil (L' diag(a) L, 2^{-D} diag(w))."""
+    L = expectation_matrix(w, depth)
+    a = np.concatenate([np.asarray(v, dtype=np.float64) for v in level_values])
+    A = (L.T * a[None, :]) @ L
+    return best_quadratic_constant(0.5 * (A + A.T), np.diag(np.asarray(w) / (1 << depth)))

@@ -93,7 +93,6 @@ def _regenerate():
 
     import oracles
     from dyadbloom.grid import DyadicGrid
-    from dyadbloom.normest import commutator_matrix, shift_matrix
     from dyadbloom.suites import make_trial
     from dyadbloom.weights import EnsembleSpec, a2_characteristic, generate
 
@@ -122,14 +121,14 @@ def _regenerate():
             used += 1
             spread = max(spread, max(funcs) / min(funcs))
             r = oracles.weighted_norm_oracle(
-                commutator_matrix(td.b).matrix, muv, lamv
+                oracles.commutator_matrix(bv, PILOT_DEPTH), muv, lamv
             ) / funcs[2]
             band = max(band, r, 1.0 / r)
         assert used >= cfg.trials // 2, f"{name}: too many degenerate trials"
         k_ens[name] = spread
         k_prime[name] = band
     grid = DyadicGrid(8)
-    sh = shift_matrix(grid).matrix
+    sh = oracles.shift_matrix(grid.depth)
     worst = 0.0
     for alpha in np.linspace(-0.9, 0.9, 19):
         w = generate(EnsembleSpec(kind="power", depth=8, alpha=float(alpha)))

@@ -29,18 +29,17 @@ from dyadbloom.grid import (
     StepFunction,
     analyze_leaves,
     haar_function,
-    haar_matrix,
     synthesize_leaves,
 )
 from dyadbloom.normest import (
     adjoint_paraproduct_carleson_sequence,
     carleson_constant,
     carleson_embedding_check,
-    commutator_matrix,
+    commutator_operator,
+    paraproduct_adjoint_operator,
     paraproduct_carleson_sequence,
-    paraproduct_matrix,
-    paraproduct_adjoint_matrix,
-    shift_matrix,
+    paraproduct_operator,
+    shift_operator,
     weighted_operator_norm,
 )
 from dyadbloom.operators import (
@@ -53,7 +52,7 @@ from dyadbloom.operators import (
     remainder_closed_form,
 )
 from dyadbloom.suites import make_trial, run_suite
-from dyadbloom.weights import EnsembleSpec, a2_characteristic, generate, rho_weight
+from dyadbloom.weights import EnsembleSpec, Weight, a2_characteristic, generate, rho_weight
 
 
 def _record(num: int, ok: bool, label: str, detail: str, sub: list[str] = ()):
@@ -93,7 +92,7 @@ def _ensemble_stats(name: str) -> tuple[float, float, int]:
                 continue  # constant projected symbol: spread undefined
             used += 1
             spread = max(spread, max(funcs) / min(funcs))
-            r = weighted_operator_norm(commutator_matrix(td.b), td.mu, td.lam)
+            r = weighted_operator_norm(commutator_operator(td.b), td.mu, td.lam)
             ratio = r / funcs[2]
             band = max(band, ratio, 1.0 / ratio)
         _ENSEMBLE_STATS[name] = (spread, band, used)
@@ -115,7 +114,7 @@ def test_criterion_01_haar_algebra():
         worst = max(worst, abs(energy - float(f @ f) / grid.n_leaves))
     for depth in range(1, 13):
         grid = DyadicGrid(depth)
-        H = haar_matrix(grid)
+        H = np.array([haar_function(grid, iv).values for iv in grid.coeff_intervals()])
         G = (H @ H.T) / grid.n_leaves
         worst = max(worst, float(np.abs(G - np.eye(G.shape[0])).max()))
     elapsed = time.perf_counter() - t0
@@ -228,9 +227,9 @@ def test_criterion_05_adjointness_and_norm_duality():
         rhs = float((f.values * paraproduct_adjoint(b, g).values).mean())
         scale = max(1.0, abs(lhs))
         worst_adj = max(worst_adj, abs(lhs - rhs) / scale)
-        n1 = weighted_operator_norm(paraproduct_matrix(b), td.mu, td.lam)
+        n1 = weighted_operator_norm(paraproduct_operator(b), td.mu, td.lam)
         n2 = weighted_operator_norm(
-            paraproduct_adjoint_matrix(b), td.lam.inverse, td.mu.inverse
+            paraproduct_adjoint_operator(b), td.lam.inverse, td.mu.inverse
         )
         worst_dual = max(worst_dual, abs(n1 - n2) / max(n1, 1e-30))
     ok = worst_adj <= 1e-9 and worst_dual <= 1e-9
@@ -369,11 +368,12 @@ def test_criterion_11_shift_bounds():
         nf = float(np.sqrt((f.values**2).mean()))
         ns = float(np.sqrt((haar_shift(f).values ** 2).mean()))
         worst_iso = max(worst_iso, abs(ns / nf - 1.0))
-    sigma = float(np.linalg.norm(shift_matrix(grid).matrix, 2))
+    one = Weight(StepFunction.constant(grid, 1.0))
+    sigma = weighted_operator_norm(shift_operator(grid), one, one)
     worst_sweep = 0.0
     for alpha in np.linspace(-0.9, 0.9, 19):
         w = generate(EnsembleSpec(kind="power", depth=8, alpha=float(alpha)))
-        norm = weighted_operator_norm(shift_matrix(grid), w, w)
+        norm = weighted_operator_norm(shift_operator(grid), w, w)
         worst_sweep = max(worst_sweep, norm / a2_characteristic(w))
     ok = worst_iso <= 1e-12 and abs(sigma - 1.0) <= 1e-12 and worst_sweep <= ALPHA_SWEEP_BOUND
     _record(

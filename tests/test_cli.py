@@ -7,6 +7,9 @@ reruns of the same arguments.
 
 import csv
 import json
+import math
+import os
+import resource
 import subprocess
 import sys
 
@@ -189,6 +192,58 @@ def test_verify_config_file_errors_name_the_file(tmp_path, capsys):
     assert str(cfg) in err and "bogus" in err
     missing = tmp_path / "absent.json"
     assert main(["verify", "--config", str(missing)]) == 2
+
+
+@pytest.mark.parametrize("field,value", [("dense_depth_cap", 10), ("norm_method", "power")])
+def test_verify_config_rejects_removed_norm_fields(tmp_path, capsys, field, value):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"depth": 3, "trials": 1, "suites": ["identities"], field: value})
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config fields" in err and field in err
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+_RUN_COMMANDS = """
+import json, sys
+from dyadbloom.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    if code:
+        sys.exit(code)
+"""
+
+
+def test_norms_at_depth_14_within_one_gib(tmp_path):
+    # A 2^14 x 2^14 float64 matrix alone is 2 GiB, so under a 1 GiB
+    # address-space limit any dense regression fails cleanly instead of
+    # drawing the machine into an out-of-memory kill.
+    files = {role: str(tmp_path / f"{role}.json") for role in ("mu", "lambda", "symbol")}
+    out = tmp_path / "report.json"
+    commands = [
+        ["gen", "--kind", kind, "--depth", "14", "--seed", str(seed), "--out", files[role]]
+        for role, kind, seed in (("mu", "cascade", 0), ("lambda", "cascade", 1),
+                                 ("symbol", "log-symbol", 2))
+    ]
+    commands.append(["norms", "--mu", files["mu"], "--lambda", files["lambda"],
+                     "--symbol", files["symbol"], "--out", str(out)])
+    # every BLAS thread reserves address space, so one thread keeps the
+    # limit independent of the core count
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)],
+        capture_output=True, text=True, timeout=300, env=env,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["depth"] == 14
+    for key in ("norm_paraproduct", "norm_paraproduct_adjoint", "norm_shift_mu",
+                "norm_shift_lambda", "norm_commutator"):
+        assert math.isfinite(doc[key]) and doc[key] > 0.0, key
 
 
 def test_verify_prints_findings_with_seeds(capsys):

@@ -1,4 +1,5 @@
-"""Matrix assembly, weighted norms, quadratic-form constants, Carleson checks."""
+"""Matrix-free norm engine against the dense oracles, quadratic-form
+constants, Carleson checks."""
 
 import math
 
@@ -8,37 +9,33 @@ import pytest
 import oracles
 from dyadbloom import (
     CarlesonSequence,
-    DenseCapError,
     DyadicGrid,
     DyadicInterval,
-    NotPositiveDefiniteError,
+    LeafOperator,
     StepFunction,
     Weight,
-    best_quadratic_constant,
     bloom_b2,
     bloom_b2_dual,
     carleson_constant,
     carleson_embedding_check,
-    commutator_matrix,
+    commutator_operator,
     commutator_shift,
     compute_norm_report,
     haar_function,
-    haar_shift,
     indicator,
     necessity_test_function_bound,
-    operator_matrix,
     paraproduct,
     paraproduct_adjoint,
-    paraproduct_adjoint_matrix,
+    paraproduct_adjoint_operator,
     paraproduct_carleson_sequence,
-    paraproduct_matrix,
+    paraproduct_operator,
     ppott_best_constant,
-    ppott_forms,
     project_admissible,
-    shift_matrix,
+    shift_adjoint,
+    shift_operator,
     weighted_operator_norm,
 )
-from dyadbloom.normest import adjoint_paraproduct_carleson_sequence, power_iteration_norm
+from dyadbloom.normest import adjoint_paraproduct_carleson_sequence
 
 
 def _materials(depth, seed):
@@ -50,26 +47,48 @@ def _materials(depth, seed):
     return grid, mu, lam, b
 
 
+def _arrays(fn, grid):
+    return lambda v: fn(StepFunction(grid, v)).values
+
+
 def test_closed_form_matrices_match_column_oracle():
     grid, _, _, b = _materials(4, 21)
+    d = grid.depth
     pairs = [
-        (paraproduct_matrix(b), lambda f: paraproduct(b, f)),
-        (paraproduct_adjoint_matrix(b), lambda f: paraproduct_adjoint(b, f)),
-        (shift_matrix(grid), lambda f: haar_shift(f, mode="truncate")),
-        (commutator_matrix(b), lambda f: commutator_shift(b, f, mode="truncate")),
+        (oracles.paraproduct_matrix(b.values, d), paraproduct_operator(b)),
+        (oracles.paraproduct_adjoint_matrix(b.values, d), paraproduct_adjoint_operator(b)),
+        (oracles.shift_matrix(d), shift_operator(grid)),
+        (oracles.commutator_matrix(b.values, d), commutator_operator(b)),
     ]
-    for closed, fn in pairs:
-        oracle = operator_matrix(grid, fn, closed.tag)
-        np.testing.assert_allclose(closed.matrix, oracle.matrix, rtol=0, atol=1e-12)
+    for closed, T in pairs:
+        applied = oracles.operator_matrix(_arrays(T.apply, grid), d)
+        transposed = oracles.operator_matrix(_arrays(T.transpose, grid), d)
+        np.testing.assert_allclose(applied, closed, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(transposed, closed.T, rtol=0, atol=1e-12)
+
+
+def test_shift_adjoint_coefficients():
+    # the coefficient of Sh^T f on I is (fhat(I_-) - fhat(I_+)) / sqrt(2)
+    grid = DyadicGrid(5)
+    f = StepFunction(grid, np.random.default_rng(3).standard_normal(32))
+    g = shift_adjoint(f).values
+    for k in range(4):
+        for j in range(1 << k):
+            want = (oracles.coeff(f.values, 5, k + 1, 2 * j)
+                    - oracles.coeff(f.values, 5, k + 1, 2 * j + 1)) / math.sqrt(2.0)
+            assert oracles.coeff(g, 5, k, j) == pytest.approx(want, abs=1e-13)
+    for j in range(16):
+        assert oracles.coeff(g, 5, 4, j) == pytest.approx(0.0, abs=1e-13)
+    assert abs(float(g.mean())) <= 1e-15
 
 
 def test_matrix_reproduces_function_on_random_vectors():
     grid, _, _, b = _materials(5, 33)
     r = np.random.default_rng(34)
-    M = commutator_matrix(b)
+    M = oracles.commutator_matrix(b.values, grid.depth)
     for _ in range(10):
         f = StepFunction(grid, r.standard_normal(grid.n_leaves))
-        via_matrix = M.apply(f).values
+        via_matrix = M @ f.values
         via_ops = commutator_shift(b, f, mode="truncate").values
         scale = max(1.0, float(np.abs(via_ops).max()))
         assert np.abs(via_matrix - via_ops).max() <= 1e-11 * scale
@@ -82,32 +101,117 @@ def test_weighted_norm_of_diagonal_operator():
     d = r.uniform(-2, 2, 8)
     mu = Weight(StepFunction(grid, r.uniform(0.5, 2.0, 8)))
     lam = Weight(StepFunction(grid, r.uniform(0.5, 2.0, 8)))
-    from dyadbloom import LinearOperatorMatrix
-
-    T = LinearOperatorMatrix(grid, np.diag(d), "diag")
+    diag = lambda f: StepFunction(grid, d * f.values)  # noqa: E731
+    T = LeafOperator(grid, diag, diag)
     want = float(np.max(np.abs(d) * np.sqrt(lam.values / mu.values)))
     assert weighted_operator_norm(T, mu, lam) == pytest.approx(want, rel=1e-13)
 
 
 def test_weighted_norm_matches_scaled_svd_oracle():
     grid, mu, lam, b = _materials(4, 55)
-    T = paraproduct_matrix(b)
-    want = oracles.weighted_norm_oracle(T.matrix, mu.values, lam.values)
-    assert weighted_operator_norm(T, mu, lam) == pytest.approx(want, rel=1e-12)
+    want = oracles.weighted_norm_oracle(
+        oracles.paraproduct_matrix(b.values, grid.depth), mu.values, lam.values
+    )
+    assert weighted_operator_norm(paraproduct_operator(b), mu, lam) == pytest.approx(
+        want, rel=1e-12
+    )
+
+
+def _engine_and_oracle(depth, seed):
+    """Each engine quantity of one random triple with its dense oracle value."""
+    grid, mu, lam, b_adm = _materials(depth, seed)
+    b = StepFunction(grid, np.random.default_rng(seed + 1).standard_normal(grid.n_leaves))
+    bv, muv, lamv = b.values, mu.values, lam.values
+    sh = oracles.shift_matrix(depth)
+    seq = paraproduct_carleson_sequence(b_adm, mu, lam)
+    pairs = {
+        "paraproduct": (
+            weighted_operator_norm(paraproduct_operator(b), mu, lam),
+            oracles.weighted_norm_oracle(oracles.paraproduct_matrix(bv, depth), muv, lamv),
+        ),
+        "paraproduct_adjoint": (
+            weighted_operator_norm(paraproduct_adjoint_operator(b), lam.inverse, mu.inverse),
+            oracles.weighted_norm_oracle(
+                oracles.paraproduct_adjoint_matrix(bv, depth), 1.0 / lamv, 1.0 / muv
+            ),
+        ),
+        "shift_mu": (
+            weighted_operator_norm(shift_operator(grid), mu, mu),
+            oracles.weighted_norm_oracle(sh, muv, muv),
+        ),
+        "shift_lambda": (
+            weighted_operator_norm(shift_operator(grid), lam, lam),
+            oracles.weighted_norm_oracle(sh, lamv, lamv),
+        ),
+        "commutator": (
+            weighted_operator_norm(commutator_operator(b), mu, lam),
+            oracles.weighted_norm_oracle(oracles.commutator_matrix(bv, depth), muv, lamv),
+        ),
+        "ppott": (ppott_best_constant(mu), oracles.ppott_oracle(muv, depth)),
+        "carleson_embedding": (
+            carleson_embedding_check(seq).best_embedding,
+            oracles.carleson_embedding_oracle(seq.level_values, 1.0 / muv, depth),
+        ),
+    }
+    return pairs
+
+
+@pytest.mark.parametrize("depth", range(2, 11))
+def test_engine_matches_dense_oracles(depth):
+    for name, (got, want) in _engine_and_oracle(depth, 900 + depth).items():
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300), name
+
+
+def test_engine_is_bitwise_repeatable():
+    grid, mu, lam, b = _materials(8, 950)
+    seq = paraproduct_carleson_sequence(b, mu, lam)
+
+    def run():
+        return (
+            weighted_operator_norm(paraproduct_operator(b), mu, lam),
+            weighted_operator_norm(paraproduct_adjoint_operator(b), lam.inverse, mu.inverse),
+            weighted_operator_norm(shift_operator(grid), mu, mu),
+            weighted_operator_norm(commutator_operator(b), mu, lam),
+            ppott_best_constant(lam),
+            carleson_embedding_check(seq).best_embedding,
+        )
+
+    assert run() == run()
+
+
+@pytest.mark.parametrize("depth", [1, 2, 8])
+def test_constant_symbol_report_has_zero_symbol_norms(depth):
+    grid = DyadicGrid(depth)
+    r = np.random.default_rng(960 + depth)
+    mu = Weight(StepFunction(grid, np.exp(r.uniform(-1, 1, grid.n_leaves))))
+    lam = Weight(StepFunction(grid, np.exp(r.uniform(-1, 1, grid.n_leaves))))
+    rep = compute_norm_report(StepFunction.constant(grid, 2.5), mu, lam)
+    assert rep.norm_paraproduct == 0.0
+    assert rep.norm_paraproduct_adjoint == 0.0
+    assert rep.norm_commutator == 0.0
+    sh = oracles.shift_matrix(depth)
+    want = oracles.weighted_norm_oracle(sh, mu.values, mu.values)
+    assert rep.norm_shift_mu == pytest.approx(want, rel=1e-12, abs=1e-300)
+    if depth == 1:
+        assert rep.norm_shift_mu == 0.0 and rep.norm_shift_lambda == 0.0
+    else:
+        assert rep.norm_shift_mu > 0.0 and rep.norm_shift_lambda > 0.0
 
 
 def test_power_iteration_agrees_with_dense():
     grid, mu, lam, b = _materials(5, 66)
-    T = commutator_matrix(b)
-    dense = weighted_operator_norm(T, mu, lam, method="dense")
-    powr = weighted_operator_norm(T, mu, lam, method="power", tol=1e-9)
-    assert powr == pytest.approx(dense, rel=1e-7)
+    M = oracles.commutator_matrix(b.values, 5)
+    W = np.sqrt(lam.values)[:, None] * M / np.sqrt(mu.values)[None, :]
+    powr = oracles.power_iteration_norm(W, tol=1e-9).norm
+    assert powr == pytest.approx(oracles.weighted_norm_oracle(M, mu.values, lam.values), rel=1e-7)
+    engine = weighted_operator_norm(commutator_operator(b), mu, lam)
+    assert powr == pytest.approx(engine, rel=1e-7)
 
 
-def test_power_iteration_bracket_is_certified():
+def test_power_iteration_bracket_contains_sigma_max():
     r = np.random.default_rng(8)
     W = r.standard_normal((40, 40))
-    res = power_iteration_norm(W, tol=1e-8)
+    res = oracles.power_iteration_norm(W, tol=1e-8)
     truth = float(np.linalg.norm(W, 2))
     assert res.lower <= truth * (1 + 1e-12)
     assert res.upper >= truth * (1 - 1e-12)
@@ -115,50 +219,41 @@ def test_power_iteration_bracket_is_certified():
     assert res.iterations >= 1
 
 
-def test_dense_cap_refuses_and_names_the_fallback():
-    grid, mu, lam, b = _materials(4, 77)
-    T = paraproduct_matrix(b)
-    with pytest.raises(DenseCapError) as exc:
-        weighted_operator_norm(T, mu, lam, dense_depth_cap=3)
-    assert "power" in str(exc.value)
-    # the power method ignores the cap
-    val = weighted_operator_norm(T, mu, lam, method="power", dense_depth_cap=3)
-    assert val > 0
-
-
 def test_norm_duality_between_paraproduct_and_adjoint():
     # ||Pi_b : L^2(mu) -> L^2(lam)|| = ||Pi*_b : L^2(lam^{-1}) -> L^2(mu^{-1})||
     grid, mu, lam, b = _materials(5, 88)
-    n1 = weighted_operator_norm(paraproduct_matrix(b), mu, lam)
-    n2 = weighted_operator_norm(paraproduct_adjoint_matrix(b), lam.inverse, mu.inverse)
+    n1 = weighted_operator_norm(paraproduct_operator(b), mu, lam)
+    n2 = weighted_operator_norm(paraproduct_adjoint_operator(b), lam.inverse, mu.inverse)
     assert n1 == pytest.approx(n2, rel=1e-12)
 
 
 def test_shift_matrix_is_truncated_and_norm_one():
     grid = DyadicGrid(5)
     one = Weight(StepFunction.constant(grid, 1.0))
-    S = shift_matrix(grid)
-    assert S.truncated
+    S = shift_operator(grid)
+    deepest = haar_function(grid, DyadicInterval(4, 3))
+    assert not np.any(S.apply(deepest).values)
     assert weighted_operator_norm(S, one, one) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_best_quadratic_constant_known_pencil():
     A = np.diag([2.0, 0.5])
     G = np.eye(2)
-    assert best_quadratic_constant(A, G) == pytest.approx(2.0, rel=1e-14)
+    assert oracles.best_quadratic_constant(A, G) == pytest.approx(2.0, rel=1e-14)
     # scaling G scales the constant inversely
-    assert best_quadratic_constant(A, 4.0 * G) == pytest.approx(0.5, rel=1e-14)
+    assert oracles.best_quadratic_constant(A, 4.0 * G) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_best_quadratic_constant_rejects_bad_inputs():
-    with pytest.raises(NotPositiveDefiniteError):
-        best_quadratic_constant(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
-    with pytest.raises(NotPositiveDefiniteError):
-        best_quadratic_constant(np.eye(2), np.diag([1.0, 0.0]))
-    with pytest.raises(NotPositiveDefiniteError):
-        best_quadratic_constant(np.diag([-1.0, 1.0]), np.eye(2))
+    bad = oracles.NotPositiveDefiniteError
+    with pytest.raises(bad):
+        oracles.best_quadratic_constant(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
+    with pytest.raises(bad):
+        oracles.best_quadratic_constant(np.eye(2), np.diag([1.0, 0.0]))
+    with pytest.raises(bad):
+        oracles.best_quadratic_constant(np.diag([-1.0, 1.0]), np.eye(2))
     with pytest.raises(ValueError):
-        best_quadratic_constant(np.eye(3), np.eye(2))
+        oracles.best_quadratic_constant(np.eye(3), np.eye(2))
 
 
 def test_ppott_constant_weight_gives_one():
@@ -176,7 +271,7 @@ def test_ppott_witness_lower_bound():
 
 def test_ppott_forms_shapes_and_symmetry():
     _, mu, _, _ = _materials(3, 5)
-    A, G = ppott_forms(mu)
+    A, G = oracles.ppott_forms(mu.values, 3)
     assert A.shape == (8, 8) and G.shape == (8, 8)
     np.testing.assert_allclose(A, A.T, rtol=0, atol=1e-15)
 
@@ -282,7 +377,7 @@ def test_norm_report_end_to_end():
 
 def test_indicator_average_identity(grid4):
     # averaging against an indicator recovers interval averages; guards the
-    # expectation_matrix construction used by the embedding check
+    # expectation_matrix oracle behind the embedding check
     r = np.random.default_rng(9)
     f = StepFunction(grid4, r.standard_normal(16))
     iv = DyadicInterval(2, 1)
