@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse.linalg
 
-from .bmo import BmoReport, bmo_report
+from .bmo import BmoReport, _subtree_sums, bmo_report
 from .grid import DyadicGrid, StepFunction, analyze_leaves, level_masses, synthesize_leaves
 from .operators import (
     commutator_shift,
@@ -302,39 +302,66 @@ def necessity_restriction_ratios(
     outside K, so the comparison is not an exact identity and the suites
     record where the ratio lands.  num(K) = 0 forces every localized term to
     vanish, and the ratio is defined as 0 there.
-    """
-    from .grid import DyadicInterval, indicator
 
-    grid = b.grid
-    depth = grid.depth
+    The images are not formed one K at a time: three per-level arrays give
+    all of them, so the pass costs O(2^D D) rather than one O(2^D D)
+    paraproduct per K (O(4^D D) in all).  For K at level k, <phi_K>_I is
+    <mu^{-1}>_I for I subset= K, mu^{-1}(K)/|I| for I containing K
+    strictly, and 0 otherwise, so
+
+      - on K, Pi_b phi_K = L_k + mu^{-1}(K) P(K), where L_k is the synthesis
+        of bhat(I) <mu^{-1}>_I over levels >= k and
+        P(J) = sum_{I strictly containing J} bhat(I) |I|^{-1} h_I(J), a path
+        sum: P(child) = P(parent) -+ bhat(parent) 2^{3 k'/2} for the left and
+        right child of a level-k' parent;
+      - off K, Pi_b phi_K = mu^{-1}(K) P(S) on each sibling S of K and of
+        each ancestor of K; these siblings tile [0,1) outside K.
+
+    Hence ||Pi_b phi_K||^2_{L^2(lambda)} is the integral over K of
+    (L_k + mu^{-1}(K) P(K))^2 lambda plus mu^{-1}(K)^2 R(K), with
+    R(child) = R(parent) + P(sibling)^2 lambda(sibling) and R(root) = 0.
+    """
+    depth = b.grid.depth
+    n = b.grid.n_leaves
     mu_inv = mu.inverse
     _, cb = analyze_leaves(b.values, depth)
-    per_level = [
-        cb[k] ** 2 * mu_inv.averages_at_level(k) ** 2 * lam.averages_at_level(k)
-        for k in range(depth)
-    ]
-    sums = [None] * depth  # type: ignore[list-item]
-    acc = per_level[depth - 1].copy()
-    sums[depth - 1] = acc
-    for k in range(depth - 2, -1, -1):
-        acc = per_level[k] + acc.reshape(-1, 2).sum(axis=1)
-        sums[k] = acc
-    out = []
+    sums = _subtree_sums(
+        [
+            cb[k] ** 2 * mu_inv.averages_at_level(k) ** 2 * lam.averages_at_level(k)
+            for k in range(depth)
+        ]
+    )
+
+    def siblings(a: np.ndarray) -> np.ndarray:
+        return a.reshape(-1, 2)[:, ::-1].ravel()
+
+    paths, outside = [np.zeros(1)], [np.zeros(1)]
+    for k in range(1, depth):
+        step = cb[k - 1] * (2.0 ** (k - 1)) * math.sqrt(2 ** (k - 1))
+        p = np.repeat(paths[-1], 2)
+        p[0::2] -= step
+        p[1::2] += step
+        paths.append(p)
+        outside.append(
+            np.repeat(outside[-1], 2) + siblings(p) ** 2 * siblings(lam.level_masses[k])
+        )
     lam_vals = lam.values
-    for k in range(depth):
+    local = np.zeros(n)
+    out: list[np.ndarray] = [None] * depth  # type: ignore[list-item]
+    for k in range(depth - 1, -1, -1):
+        scaled = cb[k] * mu_inv.averages_at_level(k) * math.sqrt(2**k)
+        blocks = local.reshape(1 << k, 2, n >> (k + 1))
+        blocks[:, 0, :] -= scaled[:, None]
+        blocks[:, 1, :] += scaled[:, None]
+        mass = mu_inv.level_masses[k]
+        image = local + np.repeat(mass * paths[k], n >> k)
+        on_k = (image**2 * lam_vals).reshape(1 << k, -1).sum(axis=1) / n
+        num = sums[k] / mass
+        den = (on_k + mass**2 * outside[k]) / mass
         row = np.zeros(1 << k)
-        for j in range(1 << k):
-            K = DyadicInterval(k, j)
-            mass = mu_inv.mass(K)
-            num = float(sums[k][j]) / mass
-            if num == 0.0:
-                row[j] = 0.0
-                continue
-            phi = StepFunction(grid, mu_inv.values * indicator(grid, K).values)
-            img = paraproduct(b, phi)
-            den = float((img.values**2 * lam_vals).mean()) / mass
-            row[j] = math.sqrt(num / den)
-        out.append(row)
+        live = num != 0.0
+        row[live] = np.sqrt(num[live] / den[live])
+        out[k] = row
     return out
 
 

@@ -6,6 +6,13 @@ continues below a member.  Predicates come from factories anchored at the
 root (factory(root) -> predicate), so corona generations re-anchor
 automatically when members become the next roots.
 
+A predicate answers for a whole level at once: predicate(k) returns a bool
+array over the root's level-k descendants, left to right (2^(k - level(I0))
+entries), or a scalar, which stands for the same answer everywhere on the
+level.  The scan walks levels top-down with a mask of the positions already
+inside a member, so its cost is a few array operations per level and no
+Python work per interval.
+
 The unstopped collection for a family consists of the root together with
 every interval inside it that is not contained in any member; each unstopped
 interval therefore fails the predicate (the root vacuously), which is what
@@ -38,7 +45,7 @@ __all__ = [
     "corona_generations",
 ]
 
-Predicate = Callable[[DyadicInterval], bool]
+Predicate = Callable[[int], "np.ndarray | bool"]
 PredicateFactory = Callable[[DyadicInterval], Predicate]
 
 
@@ -55,25 +62,33 @@ class StoppingFamily:
         return float(sum(w.mass(s) for s in self.members))
 
 
+def _descendants(root: DyadicInterval, k: int) -> slice:
+    """Positions of root's level-k descendants within level k."""
+    shift = k - root.level
+    return slice(root.position << shift, (root.position + 1) << shift)
+
+
 def maximal_stopping_intervals(
     grid: DyadicGrid,
     root: DyadicInterval,
     predicate: Predicate,
     generation: int = 1,
 ) -> StoppingFamily:
-    """Depth-first scan for the maximal intervals strictly inside root where
-    predicate holds; descent stops at each member.  Left-to-right order."""
+    """Maximal intervals strictly inside root where predicate holds, by a
+    top-down level-mask scan; descent stops at each member, and the scan
+    ends once every position is inside a member.  Left-to-right order."""
     members: list[DyadicInterval] = []
-    stack: list[DyadicInterval] = []
-    if root.level < grid.depth:
-        stack.extend([root.right, root.left])
-    while stack:
-        iv = stack.pop()
-        if predicate(iv):
-            members.append(iv)
+    blocked = np.zeros(1, dtype=bool)
+    for k in range(root.level + 1, grid.depth + 1):
+        blocked = np.repeat(blocked, 2)
+        hit = np.asarray(predicate(k)) & ~blocked
+        if not hit.any():
             continue
-        if iv.level < grid.depth:
-            stack.extend([iv.right, iv.left])
+        start = _descendants(root, k).start
+        members.extend(DyadicInterval(k, start + int(j)) for j in np.flatnonzero(hit))
+        blocked |= hit
+        if blocked.all():
+            break
     # disjoint, so left endpoint orders them; integer shift keeps it exact
     members.sort(key=lambda s: s.position << (grid.depth - s.level))
     return StoppingFamily(grid, root, tuple(members), generation)
@@ -116,14 +131,15 @@ def deviation_factory(
     def factory(root: DyadicInterval) -> Predicate:
         anchors = [w.average(root) for w in ws]
 
-        def predicate(iv: DyadicInterval) -> bool:
+        def predicate(k: int) -> np.ndarray:
+            sl = _descendants(root, k)
+            fires = np.zeros(sl.stop - sl.start, dtype=bool)
             for w, a in zip(ws, anchors):
-                v = w.average(iv)
-                if v > C * a:
-                    return True
-                if two_sided and v < a / C:
-                    return True
-            return False
+                v = w.averages_at_level(k)[sl]
+                fires |= v > C * a
+                if two_sided:
+                    fires |= v < a / C
+            return fires
 
         return predicate
 
@@ -136,8 +152,8 @@ def threshold_factory(w: Weight, factor: float = 4.0) -> PredicateFactory:
     def factory(root: DyadicInterval) -> Predicate:
         anchor = w.average(root)
 
-        def predicate(iv: DyadicInterval) -> bool:
-            return w.average(iv) >= factor * anchor
+        def predicate(k: int) -> np.ndarray:
+            return w.averages_at_level(k)[_descendants(root, k)] >= factor * anchor
 
         return predicate
 
@@ -155,10 +171,8 @@ def _path_sum_table(b: StepFunction, root: DyadicInterval) -> dict[int, np.ndarr
     table: dict[int, np.ndarray] = {}
     prev = None
     for k in range(root.level, depth + 1):
-        shift = k - root.level
-        lo = root.position << shift
-        hi = (root.position + 1) << shift
-        own = q[k][lo:hi] if k < depth else np.zeros(hi - lo)
+        sl = _descendants(root, k)
+        own = q[k][sl] if k < depth else np.zeros(sl.stop - sl.start)
         if prev is None:
             table[k] = own
         else:
@@ -196,14 +210,13 @@ def three_condition_factory(
         table = _path_sum_table(b, root)
         threshold = (C_b * a_rho) ** 2
 
-        def predicate(iv: DyadicInterval) -> bool:
-            if mu_inv.average(iv) > C * a_mu:
-                return True
-            if rho.average(iv) > C * a_rho:
-                return True
-            shift = iv.level - root.level
-            local = iv.position - (root.position << shift)
-            return bool(table[iv.level][local] > threshold)
+        def predicate(k: int) -> np.ndarray:
+            sl = _descendants(root, k)
+            return (
+                (mu_inv.averages_at_level(k)[sl] > C * a_mu)
+                | (rho.averages_at_level(k)[sl] > C * a_rho)
+                | (table[k] > threshold)
+            )
 
         return predicate
 
@@ -221,10 +234,8 @@ def square_sum_factory(
         table = _path_sum_table(b, root)
         threshold = C * (b2_value * a_rho) ** 2
 
-        def predicate(iv: DyadicInterval) -> bool:
-            shift = iv.level - root.level
-            local = iv.position - (root.position << shift)
-            return bool(table[iv.level][local] >= threshold)
+        def predicate(k: int) -> np.ndarray:
+            return table[k] >= threshold
 
         return predicate
 
@@ -263,11 +274,12 @@ def minimal_packing_constant(
         fam = maximal_stopping_intervals(grid, root, factory_of_c(c)(root))
         return packing_ratio(fam, w)
 
-    if ratio_at(candidates[-1]) > target:
+    best = ratio_at(candidates[-1])
+    if best > target:
         raise PackingSearchError(
             f"no constant up to {candidates[-1]:.6g} reaches packing target "
-            f"{target}; best achieved ratio {ratio_at(candidates[-1]):.6g}",
-            min_ratio=ratio_at(candidates[-1]),
+            f"{target}; best achieved ratio {best:.6g}",
+            min_ratio=best,
         )
     lo, hi = 0, len(candidates) - 1
     # invariant: candidates[hi] succeeds

@@ -386,3 +386,150 @@ def carleson_embedding_oracle(level_values, w, depth):
     a = np.concatenate([np.asarray(v, dtype=np.float64) for v in level_values])
     A = (L.T * a[None, :]) @ L
     return best_quadratic_constant(0.5 * (A + A.T), np.diag(np.asarray(w) / (1 << depth)))
+
+
+
+# ------------------------------------------------------- per-interval routes
+#
+# One full paraproduct per test function, each by level pyramids on plain
+# arrays: O(4^D D) in all, fast enough for depth 10.
+
+
+def _level_averages(v, depth):
+    """Averages of v over every interval, level 0 first (leaves last)."""
+    out = [np.asarray(v, dtype=np.float64)]
+    for _ in range(depth):
+        out.append(out[-1].reshape(-1, 2).mean(axis=1))
+    return out[::-1]
+
+
+def _level_coeffs(v, depth):
+    """bhat(I) = |I|^{1/2} (<v>_{I+} - <v>_{I-}) / 2, level by level."""
+    avgs = _level_averages(v, depth)
+    return [
+        (avgs[k + 1][1::2] - avgs[k + 1][0::2]) / (2.0 * math.sqrt(2.0**k))
+        for k in range(depth)
+    ]
+
+
+def _pyramid_paraproduct(bhat, f, depth):
+    """sum_I bhat(I) <f>_I h_I by adding each level's Haar blocks."""
+    n = 1 << depth
+    avgs = _level_averages(f, depth)
+    out = np.zeros(n)
+    for k in range(depth):
+        c = bhat[k] * avgs[k] * math.sqrt(2.0**k)
+        half = n >> (k + 1)
+        out += np.repeat(np.stack([-c, c], axis=1).ravel(), half)
+    return out
+
+
+def necessity_restriction_ratios_oracle(b, mu, lam, depth):
+    """Per-interval route for the necessity ratios: for each K, the image of
+    phi_K = mu^{-1} 1_K under one full paraproduct, its L^2(lam) energy, and
+    the localized coefficient sum over an explicit containment mask.  Row k
+    holds the level-k ratios, 0 where the localized sum vanishes."""
+    mu_inv = 1.0 / np.asarray(mu)
+    lam = np.asarray(lam)
+    bhat = _level_coeffs(b, depth)
+    mu_avgs = _level_averages(mu_inv, depth)
+    lam_avgs = _level_averages(lam, depth)
+    out = []
+    for K in range(depth):
+        row = np.zeros(1 << K)
+        for J in range(1 << K):
+            s = 0.0
+            for k in range(K, depth):
+                for j in range(J << (k - K), (J + 1) << (k - K)):
+                    s += bhat[k][j] ** 2 * mu_avgs[k][j] ** 2 * lam_avgs[k][j]
+            mass = mass_on(mu_inv, depth, K, J)
+            num = s / mass
+            if num == 0.0:
+                continue
+            image = _pyramid_paraproduct(bhat, mu_inv * indicator_leaves(depth, K, J), depth)
+            den = integral(image**2 * lam) / mass
+            row[J] = math.sqrt(num / den)
+        out.append(row)
+    return out
+
+
+# ------------------------------------------------------------ stopping scans
+#
+# Intervals are (level, position) pairs; a predicate answers for one interval.
+
+
+def stopping_scan_oracle(depth, root, fires):
+    """Depth-first scan for the maximal intervals strictly inside root where
+    fires(k, j) holds, descending no further below a member.  Left children
+    are visited first, so members come out ordered by left endpoint."""
+    members = []
+    k0, j0 = root
+    stack = [(k0 + 1, 2 * j0 + 1), (k0 + 1, 2 * j0)] if k0 < depth else []
+    while stack:
+        k, j = stack.pop()
+        if fires(k, j):
+            members.append((k, j))
+        elif k < depth:
+            stack.extend([(k + 1, 2 * j + 1), (k + 1, 2 * j)])
+    return tuple(members)
+
+
+def deviation_predicate(weights, C, two_sided, depth, root):
+    """Any weight's average leaves [<w>_root / C, C <w>_root] (upper side
+    only when one-sided)."""
+    anchors = [average_on(w, depth, *root) for w in weights]
+
+    def fires(k, j):
+        for w, a in zip(weights, anchors):
+            v = average_on(w, depth, k, j)
+            if v > C * a or (two_sided and v < a / C):
+                return True
+        return False
+
+    return fires
+
+
+def threshold_predicate(w, factor, depth, root):
+    anchor = average_on(w, depth, *root)
+    return lambda k, j: average_on(w, depth, k, j) >= factor * anchor
+
+
+def path_sum(coeffs, root, k, j):
+    """sum of bhat(I')^2 / |I'| over root >= I' >= I_{k,j}, root first;
+    coeffs maps (level, position) to bhat and leaves carry none."""
+    k0 = root[0]
+    total = 0.0
+    for level in range(k0, k + 1):
+        c = coeffs.get((level, j >> (k - level)), 0.0)
+        total += c**2 * (1 << level)
+    return total
+
+
+def all_coeffs(b, depth):
+    return {(k, j): coeff(b, depth, k, j) for k, j in all_intervals(depth, depth - 1)}
+
+
+def three_condition_predicate(mu, lam, b, C, C_b, depth, root):
+    """<mu^{-1}> > C <mu^{-1}>_root, or <rho> > C <rho>_root, or the path sum
+    above (C_b <rho>_root)^2, with rho = (mu / lam)^{1/2}."""
+    mu_inv = 1.0 / np.asarray(mu)
+    rho = np.sqrt(np.asarray(mu) / np.asarray(lam))
+    a_mu = average_on(mu_inv, depth, *root)
+    a_rho = average_on(rho, depth, *root)
+    coeffs = all_coeffs(b, depth)
+    threshold = (C_b * a_rho) ** 2
+
+    def fires(k, j):
+        return (
+            average_on(mu_inv, depth, k, j) > C * a_mu
+            or average_on(rho, depth, k, j) > C * a_rho
+            or path_sum(coeffs, root, k, j) > threshold
+        )
+
+    return fires
+
+
+def square_sum_predicate(b, rho, C, b2_value, depth, root):
+    coeffs = all_coeffs(b, depth)
+    threshold = C * (b2_value * average_on(rho, depth, *root)) ** 2
+    return lambda k, j: path_sum(coeffs, root, k, j) >= threshold

@@ -217,6 +217,17 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
+def _run_within_one_gib(commands):
+    # every BLAS thread reserves address space, so one thread keeps the
+    # limit independent of the core count
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)],
+        capture_output=True, text=True, timeout=300, env=env,
+        preexec_fn=_limit_address_space,
+    )
+
+
 def test_norms_at_depth_14_within_one_gib(tmp_path):
     # A 2^14 x 2^14 float64 matrix alone is 2 GiB, so under a 1 GiB
     # address-space limit any dense regression fails cleanly instead of
@@ -230,20 +241,28 @@ def test_norms_at_depth_14_within_one_gib(tmp_path):
     ]
     commands.append(["norms", "--mu", files["mu"], "--lambda", files["lambda"],
                      "--symbol", files["symbol"], "--out", str(out)])
-    # every BLAS thread reserves address space, so one thread keeps the
-    # limit independent of the core count
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)],
-        capture_output=True, text=True, timeout=300, env=env,
-        preexec_fn=_limit_address_space,
-    )
+    proc = _run_within_one_gib(commands)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     assert doc["depth"] == 14
     for key in ("norm_paraproduct", "norm_paraproduct_adjoint", "norm_shift_mu",
                 "norm_shift_lambda", "norm_commutator"):
         assert math.isfinite(doc[key]) and doc[key] > 0.0, key
+
+
+def test_verify_necessity_and_stopping_at_depth_14(tmp_path):
+    # the necessity bound and the stopping scans work level by level, so
+    # both suites run at the deepest configurable depth in seconds
+    out = tmp_path / "results"
+    proc = _run_within_one_gib([
+        ["verify", "--depth", "14", "--trials", "1", "--suite", "paraproduct-bounds",
+         "--suite", "stopping", "--out", str(out)],
+    ])
+    assert proc.returncode == 0, proc.stderr
+    for suite in ("paraproduct-bounds", "stopping"):
+        doc = json.loads((out / f"suite-{suite}.json").read_text())
+        assert doc["config"]["depth"] == 14
+        assert doc["passed"], suite
 
 
 def test_verify_prints_findings_with_seeds(capsys):

@@ -2,13 +2,17 @@
 
 Worked examples are enumerated by hand at depth 2 (six proper subintervals);
 structural invariants (disjointness, maximality, the unstopped partition) are
-checked against brute-force subtree walks at moderate depth.
+checked against brute-force subtree walks at moderate depth, and the
+level-mask scan with every factory against the depth-first per-interval scan
+in oracles.py.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from dyadbloom.errors import PackingSearchError
@@ -49,8 +53,15 @@ def _path_sum(b: StepFunction, root: DyadicInterval, iv: DyadicInterval) -> floa
     return total
 
 
+def _fires(pred, root: DyadicInterval, iv: DyadicInterval) -> bool:
+    """A level predicate's answer at one interval below root."""
+    shift = iv.level - root.level
+    row = np.broadcast_to(pred(iv.level), (1 << shift,))
+    return bool(row[iv.position - (root.position << shift)])
+
+
 def test_false_predicate_gives_empty_family(grid4):
-    fam = maximal_stopping_intervals(grid4, grid4.root, lambda iv: False)
+    fam = maximal_stopping_intervals(grid4, grid4.root, lambda k: False)
     assert fam.members == ()
     assert list(unstopped_intervals(fam)) == sorted(_subtree(grid4.root, 4))
 
@@ -68,10 +79,10 @@ def test_worked_example_single_member(weight_4411):
     # are shadowed by maximality
     lam = weight_4411
     root = lam.grid.root
-    pred = lambda iv: lam.average(iv) > 1.2 * lam.average(root)  # noqa: E731
+    pred = lambda k: lam.averages_at_level(k) > 1.2 * lam.average(root)  # noqa: E731
     fam = maximal_stopping_intervals(lam.grid, root, pred)
     assert fam.members == (DyadicInterval(1, 0),)
-    hits = [iv for iv in _subtree(root, 2) if iv != root and pred(iv)]
+    hits = [iv for iv in _subtree(root, 2) if iv != root and _fires(pred, root, iv)]
     assert hits == [DyadicInterval(1, 0), DyadicInterval(2, 0), DyadicInterval(2, 1)]
 
 
@@ -82,13 +93,13 @@ def test_members_disjoint_maximal_and_satisfying(random_positive):
     fam = maximal_stopping_intervals(grid, grid.root, pred)
     assert fam.members
     for s in fam.members:
-        assert pred(s)
+        assert _fires(pred, grid.root, s)
         assert s.level >= 1
         # no strict ancestor below the root satisfies the predicate
         iv = s
         while iv.level > 1:
             iv = iv.parent
-            assert not pred(iv)
+            assert not _fires(pred, grid.root, iv)
     for a, b in zip(fam.members, fam.members[1:]):
         assert a.endpoints[1] <= b.endpoints[0]  # sorted and disjoint
 
@@ -104,11 +115,11 @@ def test_unstopped_partition_accounts_for_every_interval(random_positive):
     assert covered == len(_subtree(grid.root, grid.depth))
     for iv in free:
         if iv != grid.root:
-            assert not pred(iv)
+            assert not _fires(pred, grid.root, iv)
 
 
 def test_packing_ratio_empty_family_is_zero(grid4, unit_weight):
-    fam = maximal_stopping_intervals(grid4, grid4.root, lambda iv: False)
+    fam = maximal_stopping_intervals(grid4, grid4.root, lambda k: False)
     assert packing_ratio(fam, unit_weight(4)) == 0.0
 
 
@@ -176,7 +187,7 @@ def test_minimal_packing_constant_worked_example(weight_4411):
 
 def test_packing_search_error_carries_ratio(grid2, unit_weight):
     one = unit_weight(2)
-    always = lambda C: (lambda root: (lambda iv: True))  # noqa: E731
+    always = lambda C: (lambda root: (lambda k: True))  # noqa: E731
     with pytest.raises(PackingSearchError) as exc:
         minimal_packing_constant(
             one.grid, one.grid.root, always, one, target=0.5, c_max=4.0
@@ -186,7 +197,7 @@ def test_packing_search_error_carries_ratio(grid2, unit_weight):
 
 def test_corona_trivial_generations(unit_weight):
     one = unit_weight(4)
-    gens = corona_generations(one.grid, one.grid.root, lambda root: (lambda iv: False))
+    gens = corona_generations(one.grid, one.grid.root, lambda root: (lambda k: False))
     assert len(gens) == 1 and gens[0][0].members == ()
     gens = corona_generations(one.grid, one.grid.root, deviation_factory(one, 1.5))
     assert len(gens) == 1 and gens[0][0].members == ()
@@ -308,7 +319,7 @@ def test_square_sum_factory_worked_example(grid2, unit_weight):
 
 def test_minimal_corona_constant_search_failure(grid2, unit_weight):
     one = unit_weight(2)
-    always = lambda C: (lambda root: (lambda iv: True))  # noqa: E731
+    always = lambda C: (lambda root: (lambda k: True))  # noqa: E731
     with pytest.raises(PackingSearchError):
         minimal_corona_constant(
             one.grid, one.grid.root, always, one, target=0.5, c_max=4.0
@@ -323,3 +334,61 @@ def test_member_mass_matches_oracle(weight_4411):
     )
     # masses 4/4 and (1+1)/4
     assert fam.member_mass(weight_4411) == pytest.approx(1.5, abs=1e-15)
+
+
+FACTORY_KINDS = ("deviation", "threshold", "three-condition", "square-sum")
+
+
+@settings(max_examples=100, deadline=None)
+@given(depth=st.integers(1, 10), data=st.data())
+def test_level_mask_scan_matches_depth_first_oracle(depth, data):
+    # each example scans from the top root, a drawn root, and roots at
+    # levels D-1 and D, where the scan has one level or none to walk
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    level = data.draw(st.integers(0, depth), label="root level")
+    position = data.draw(st.integers(0, (1 << level) - 1), label="root position")
+    kind = data.draw(st.sampled_from(FACTORY_KINDS), label="factory")
+    spread = data.draw(st.floats(0.1, 3.0), label="log spread")
+    rng = np.random.default_rng(seed)
+    grid = DyadicGrid(depth)
+    mu, lam = (
+        Weight(StepFunction(grid, np.exp(rng.uniform(-spread, spread, grid.n_leaves))))
+        for _ in range(2)
+    )
+    b = StepFunction(grid, rng.standard_normal(grid.n_leaves))
+    if kind == "deviation":
+        ws = data.draw(st.sampled_from([[lam], [mu.inverse, lam]]), label="weights")
+        C = data.draw(st.floats(1.01, 4.0), label="C")
+        two_sided = data.draw(st.booleans(), label="two-sided")
+        factory = deviation_factory(ws, C, two_sided=two_sided)
+        oracle = lambda r: oracles.deviation_predicate(  # noqa: E731
+            [w.values for w in ws], C, two_sided, depth, r
+        )
+    elif kind == "threshold":
+        factor = data.draw(st.floats(0.5, 4.0), label="factor")
+        factory = threshold_factory(lam, factor)
+        oracle = lambda r: oracles.threshold_predicate(  # noqa: E731
+            lam.values, factor, depth, r
+        )
+    elif kind == "three-condition":
+        C = data.draw(st.floats(0.5, 4.0), label="C")
+        C_b = data.draw(st.floats(0.1, 3.0), label="C_b")
+        factory = three_condition_factory(mu, lam, b, C, C_b)
+        oracle = lambda r: oracles.three_condition_predicate(  # noqa: E731
+            mu.values, lam.values, b.values, C, C_b, depth, r
+        )
+    else:
+        C = data.draw(st.floats(0.05, 10.0), label="C")
+        b2 = data.draw(st.floats(0.1, 3.0), label="b2 value")
+        rho = rho_weight(mu, lam)
+        factory = square_sum_factory(b, rho, C, b2)
+        oracle = lambda r: oracles.square_sum_predicate(  # noqa: E731
+            b.values, rho.values, C, b2, depth, r
+        )
+    last = int(rng.integers(1 << depth))
+    roots = [(0, 0), (level, position), (depth - 1, last >> 1), (depth, last)]
+    for r in roots:
+        root = DyadicInterval(*r)
+        fam = maximal_stopping_intervals(grid, root, factory(root))
+        got = tuple((s.level, s.position) for s in fam.members)
+        assert got == oracles.stopping_scan_oracle(depth, r, oracle(r))
