@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import DyadicGrid, DyadicInterval, StepFunction, analyze_leaves, level_masses
+from .grid import DyadicInterval, StepFunction, analyze_leaves, level_masses
 from .weights import Weight, rho_weight
 
 __all__ = [
@@ -108,46 +108,28 @@ def bloom_b2_dual(b: StepFunction, mu: Weight, lam: Weight) -> float:
     return _bloom_b2_scan(b, lam.inverse, mu.inverse).value
 
 
-def _localized_symbol_values(
-    b_coeffs: list[np.ndarray],
-    scale_per_level: list[np.ndarray],
-    grid: DyadicGrid,
-    top: DyadicInterval,
-) -> np.ndarray:
-    """Leaf values, over the leaves of `top`, of
-    sum_{I subset= top} bhat(I) * scale(I) * h_I."""
-    depth = grid.depth
-    n_local = 1 << (depth - top.level)
-    out = np.zeros(n_local)
-    for k in range(top.level, depth):
-        shift = k - top.level
-        lo = top.position << shift
-        hi = (top.position + 1) << shift
-        scaled = (b_coeffs[k][lo:hi] * scale_per_level[k][lo:hi]) * math.sqrt(2**k)
-        blocks = out.reshape(1 << shift, 2, n_local >> (shift + 1))
-        blocks[:, 0, :] -= scaled[:, None]
-        blocks[:, 1, :] += scaled[:, None]
-    return out
-
-
 def _bloom_l2form_scan(b: StepFunction, mu: Weight, lam: Weight) -> _SupResult:
+    # For each top level k, the localized syntheses of all level-k intervals
+    # K at once: row K of v starts at 0 and level m >= k splits every entry
+    # into (v - s, v + s) with s = bhat(I) <mu^{-1}>_I 2^{m/2}, so each leaf
+    # sees the additions of a per-K synthesis in the same order.
     depth = b.grid.depth
-    grid = b.grid
     mu_inv = mu.inverse
     _, coeffs = analyze_leaves(b.values, depth)
-    scales = [mu_inv.averages_at_level(k) for k in range(depth)]
+    scaled = [
+        (coeffs[m] * mu_inv.averages_at_level(m)) * math.sqrt(2**m)
+        for m in range(depth)
+    ]
     lam_vals = lam.values
-    leaf_w = grid.leaf_width
+    leaf_w = b.grid.leaf_width
     per_level = []
     for k in range(depth):
-        row = np.empty(1 << k)
-        for j in range(1 << k):
-            top = DyadicInterval(k, j)
-            g = _localized_symbol_values(coeffs, scales, grid, top)
-            sl = grid.leaf_slice(top)
-            energy = float((g**2 * lam_vals[sl]).sum()) * leaf_w
-            row[j] = energy / mu_inv.mass(top)
-        per_level.append(row)
+        v = np.zeros((1 << k, 1))
+        for m in range(k, depth):
+            s = scaled[m].reshape(1 << k, -1)
+            v = np.stack((v - s, v + s), axis=-1).reshape(1 << k, -1)
+        energy = (v**2 * lam_vals.reshape(1 << k, -1)).sum(axis=1) * leaf_w
+        per_level.append(energy / mu_inv.level_masses[k])
     value, where = _sup_over_levels(per_level)
     return _SupResult(math.sqrt(max(value, 0.0)), where)
 
@@ -158,7 +140,12 @@ def bloom_b2_l2form(b: StepFunction, mu: Weight, lam: Weight) -> float:
         sup_K (1/mu^{-1}(K)^{1/2}) || sum_{I subset= K} bhat(I) <mu^{-1}>_I h_I ||_{L^2(lambda)}.
 
     Independent route from bloom_b2: it synthesizes the localized symbol and
-    integrates, instead of summing the coefficient expansion.
+    integrates, instead of summing the coefficient expansion.  The
+    syntheses of all level-k intervals K are built together as one
+    (2^k, 2^{D-k}) array by a top-down pyramid over levels k..D-1, each leaf
+    with the additions of a synthesis on K alone in the same order; the
+    energies are its row sums against lambda.  Each top level costs O(2^D),
+    so the whole supremum costs O(2^D D).
     """
     return _bloom_l2form_scan(b, mu, lam).value
 

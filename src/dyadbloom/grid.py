@@ -17,6 +17,15 @@ normalized in unweighted L^2.  A step function of depth D is exactly
 with fhat(I) = <f, h_I>.  Analysis and synthesis below implement the two sides
 of this identity by pyramid passes over sibling pairs; both operate on the last
 axis so batched inputs of shape (..., 2^D) work unchanged.
+
+Every pass writes each level at that level's own width (2^k entries), never
+all 2^D leaves per level, so a pass costs O(2^D) in all.  Analysis and
+level_masses go bottom-up over strided sibling views; synthesis and
+accumulate_levels go top-down, doubling their width per level.  Each leaf
+keeps the exact chain of floating-point additions of a full-width pass (the
+same operands in the same order), so every value is bit for bit what adding
+each level onto all 2^D leaves gives, and outputs built from them do not
+move.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ __all__ = [
     "analyze_leaves",
     "synthesize_leaves",
     "level_masses",
+    "accumulate_levels",
     "haar_analyze",
     "haar_synthesize",
     "haar_function",
@@ -300,18 +310,20 @@ def analyze_leaves(values: np.ndarray, depth: int) -> tuple[np.ndarray, list[np.
     Returns (mean, coeffs) with mean of shape (...) and coeffs[k] of shape
     (..., 2^k).  The level-k coefficient over interval I with child masses
     m_-, m_+ is 2^{k/2} (m_+ - m_-); masses are leaf sums times 2^{-depth}.
+    Each level reads its children through the strided views [..., 0::2] and
+    [..., 1::2] and writes 2^k parents, so the pass costs O(2^depth); every
+    parent mass is m_- + m_+, one addition, as in level_masses.
     """
     values = np.asarray(values, dtype=np.float64)
     n = 1 << depth
     if values.shape[-1] != n:
         raise ValueError(f"last axis must have length {n}, got {values.shape[-1]}")
-    batch = values.shape[:-1]
     masses = values * (2.0 ** (-depth))
     coeffs: list[np.ndarray] = [None] * depth  # type: ignore[list-item]
     for k in range(depth - 1, -1, -1):
-        pairs = masses.reshape(batch + (1 << k, 2))
-        coeffs[k] = math.sqrt(2**k) * (pairs[..., 1] - pairs[..., 0])
-        masses = pairs.sum(axis=-1)
+        left, right = masses[..., 0::2], masses[..., 1::2]
+        coeffs[k] = math.sqrt(2**k) * (right - left)
+        masses = left + right
     # masses now has shape batch + (1,); the single entry is the total integral,
     # which equals the mean since |[0,1)| = 1.
     mean = masses[..., 0]
@@ -321,23 +333,36 @@ def analyze_leaves(values: np.ndarray, depth: int) -> tuple[np.ndarray, list[np.
 def synthesize_leaves(mean, coeffs: Sequence[np.ndarray], depth: int) -> np.ndarray:
     """Inverse of analyze_leaves on the last axis.
 
-    Adds each level's contribution +-coeff * 2^{k/2} to the right/left halves.
-    For inputs whose deepest nonzero level is k0, the result is constant on
-    level-(k0+1) blocks with bitwise-identical values inside each block (the
-    accumulation order per leaf is identical), which downstream exactness
-    checks rely on.
+    Top-down pyramid: v starts as the mean, and level k turns each of its 2^k
+    entries into the pair (v - s, v + s), s = coeff * 2^{k/2}, so v doubles
+    in width and the pass costs O(2^depth).  A list shorter than depth
+    leaves the deeper levels zero: the last v is repeated onto the leaves.
+    Every leaf is mean -+ s_0 -+ s_1 -+ ... in level order, the same chain
+    of additions as adding each level onto all 2^depth leaves, so the
+    values are bit for bit those of that full-width pass.  For inputs whose
+    deepest nonzero level is k0, the result is constant on level-(k0+1)
+    blocks with bitwise-identical values inside each block, which
+    downstream exactness checks rely on.
     """
     mean = np.asarray(mean, dtype=np.float64)
-    n = 1 << depth
-    out = np.broadcast_to(mean[..., None], mean.shape + (n,)).copy()
-    batch = mean.shape
+    v = mean[..., None]
     for k, c in enumerate(coeffs):
-        c = np.asarray(c, dtype=np.float64)
-        scaled = c * math.sqrt(2**k)
-        blocks = out.reshape(batch + (1 << k, 2, n >> (k + 1)))
-        blocks[..., 0, :] -= scaled[..., None]
-        blocks[..., 1, :] += scaled[..., None]
-    return out
+        s = np.asarray(c, dtype=np.float64) * math.sqrt(2**k)
+        v = np.stack((v - s, v + s), axis=-1).reshape(mean.shape + (2 << k,))
+    return np.repeat(v, (1 << depth) >> len(coeffs), axis=-1)
+
+
+def accumulate_levels(terms: Sequence[np.ndarray], depth: int) -> np.ndarray:
+    """sum_k repeat(terms[k], 2^{depth-k}) on the last axis, terms[k] of
+    shape (..., 2^k): each level's values spread over its intervals' leaves.
+
+    Top-down, v = repeat(v, 2) + terms[k], so the pass costs O(2^depth) and
+    every leaf is ((0 + t_0) + t_1) + ... in level order.
+    """
+    v = np.zeros(1)
+    for t in terms:
+        v = np.repeat(v, t.shape[-1] // v.shape[-1], axis=-1) + t
+    return np.repeat(v, (1 << depth) // v.shape[-1], axis=-1)
 
 
 def level_masses(values: np.ndarray, depth: int) -> list[np.ndarray]:
@@ -351,9 +376,8 @@ def level_masses(values: np.ndarray, depth: int) -> list[np.ndarray]:
     out = [None] * (depth + 1)  # type: ignore[list-item]
     m = values * (2.0 ** (-depth))
     out[depth] = m
-    batch = values.shape[:-1]
     for k in range(depth - 1, -1, -1):
-        m = m.reshape(batch + (1 << k, 2)).sum(axis=-1)
+        m = m[..., 0::2] + m[..., 1::2]
         out[k] = m
     return out
 
@@ -396,10 +420,8 @@ def indicator(grid: DyadicGrid, iv: DyadicInterval) -> StepFunction:
 def square_function(f: StepFunction) -> StepFunction:
     """Dyadic square function Sf = (sum over I of fhat(I)^2 |I|^{-1} 1_I)^{1/2}."""
     _, coeffs = analyze_leaves(f.values, f.grid.depth)
-    n = f.grid.n_leaves
-    acc = np.zeros(n)
-    for k, c in enumerate(coeffs):
-        acc += np.repeat(c**2 * (1 << k), n >> k)
+    terms = [c**2 * (1 << k) for k, c in enumerate(coeffs)]
+    acc = accumulate_levels(terms, f.grid.depth)
     return StepFunction(f.grid, np.sqrt(acc))
 
 

@@ -1,6 +1,6 @@
 """Weighted operator norms, best constants, Carleson embedding.
 
-Every operator is used only through its O(2^D D) applies in operators.py,
+Every operator is used only through its O(2^D) applies in operators.py,
 together with its transpose under the unweighted pairing <u, v> = mean(u v);
 nothing here builds an n x n array.  The pairing's leaf width 2^{-D} cancels
 between domain and codomain, so
@@ -40,7 +40,14 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .bmo import BmoReport, _subtree_sums, bmo_report
-from .grid import DyadicGrid, StepFunction, analyze_leaves, level_masses, synthesize_leaves
+from .grid import (
+    DyadicGrid,
+    StepFunction,
+    accumulate_levels,
+    analyze_leaves,
+    level_masses,
+    synthesize_leaves,
+)
 from .operators import (
     commutator_shift,
     haar_shift,
@@ -232,18 +239,15 @@ def carleson_embedding_check(seq: CarlesonSequence) -> CarlesonEmbeddingReport:
     """
     w = seq.weight
     depth = seq.grid.depth
-    n = seq.grid.n_leaves
     root_w = np.sqrt(w.values)
     level_weights = [a / m**2 for a, m in zip(seq.level_values, w.level_masses)]
 
     def form(y: np.ndarray) -> np.ndarray:
         masses = level_masses(root_w * y, depth)
-        acc = np.zeros(n)
-        for k in range(depth):
-            acc += np.repeat(level_weights[k] * masses[k], n >> k)
-        return root_w * acc
+        terms = [level_weights[k] * masses[k] for k in range(depth)]
+        return root_w * accumulate_levels(terms, depth)
 
-    best = _top_eigenvalue(n, form)
+    best = _top_eigenvalue(seq.grid.n_leaves, form)
     car = carleson_constant(seq)
     ratio = best / car if car > 0 else math.nan
     return CarlesonEmbeddingReport(carleson=car, best_embedding=best, ratio=ratio)
@@ -304,8 +308,8 @@ def necessity_restriction_ratios(
     vanish, and the ratio is defined as 0 there.
 
     The images are not formed one K at a time: three per-level arrays give
-    all of them, so the pass costs O(2^D D) rather than one O(2^D D)
-    paraproduct per K (O(4^D D) in all).  For K at level k, <phi_K>_I is
+    all of them, so the pass costs O(2^D D) rather than one O(2^D)
+    paraproduct per K (O(4^D) in all).  For K at level k, <phi_K>_I is
     <mu^{-1}>_I for I subset= K, mu^{-1}(K)/|I| for I containing K
     strictly, and 0 otherwise, so
 
@@ -425,6 +429,7 @@ def compute_norm_report(
     """
     grid = b.grid
     rho = rho_weight(mu, lam)
+    a2_mu = a2_characteristic(mu)
     rep = bmo_report(b, mu, lam)
     sh = shift_operator(grid)
     norm_pi = weighted_operator_norm(paraproduct_operator(b), mu, lam)
@@ -441,13 +446,11 @@ def compute_norm_report(
         "bloom_b2_over_paraproduct": _safe_ratio(rep.bloom_b2, norm_pi),
         "adjoint_over_bloom_b2_dual": _safe_ratio(norm_pi_adj, rep.bloom_b2_dual),
         "l2form_over_bloom_b2": _safe_ratio(rep.bloom_b2_l2form, rep.bloom_b2),
-        "shift_mu_norm_over_sqrt_a2": _safe_ratio(
-            norm_sh_mu, math.sqrt(a2_characteristic(mu))
-        ),
+        "shift_mu_norm_over_sqrt_a2": _safe_ratio(norm_sh_mu, math.sqrt(a2_mu)),
     }
     return NormReport(
         depth=grid.depth,
-        a2_mu=a2_characteristic(mu),
+        a2_mu=a2_mu,
         a2_lambda=a2_characteristic(lam),
         a2_rho=a2_characteristic(rho),
         bmo=rep,

@@ -22,6 +22,8 @@ the image of the I-term of f is coefficient * |I|^{-1} times the sign pattern
 (-1, +1, +1, -1) on the four quarters of I, and the remainder term is
 bhat(I) fhat(I) |I|^{-1} times (+1, -1, +1, -1).  Both avoid any
 sqrt(2)*(1/sqrt(2)) products, so small worked examples reproduce bit for bit.
+Both patterns are laid down by one top-down pyramid in O(2^D), like the
+grid passes every apply here is built from.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .errors import InadmissibleLevelError
 from .grid import (
     DyadicGrid,
     StepFunction,
+    accumulate_levels,
     analyze_leaves,
     level_masses,
     synthesize_leaves,
@@ -114,28 +117,33 @@ def paraproduct_adjoint(b: StepFunction, f: StepFunction) -> StepFunction:
         raise GridMismatchError("b and f must live on the same grid")
     _, cb = analyze_leaves(b.values, depth)
     _, cf = analyze_leaves(f.values, depth)
-    n = b.grid.n_leaves
-    acc = np.zeros(n)
-    for k in range(depth):
-        acc += np.repeat(cb[k] * cf[k] * (1 << k), n >> k)
-    return StepFunction(b.grid, acc)
+    terms = [cb[k] * cf[k] * (1 << k) for k in range(depth)]
+    return StepFunction(b.grid, accumulate_levels(terms, depth))
+
+
+_SHIFT_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
+_REMAINDER_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def _quarter_pyramid(scaled: list[np.ndarray], depth: int, signs) -> np.ndarray:
+    # Leaf values of sum_k scaled[k] * signs on the four quarters of each
+    # level-k interval, k <= D-2, top-down: v holds the sum so far at the
+    # resolution of level-(k+1) intervals, and each level widens it by 2 and
+    # adds +-scaled[k] on the quarters (adding s * -1 is subtracting s,
+    # exactly).  Every leaf is 0 +- s_0 +- s_1 ... in level order, the chain
+    # of adding each level onto all 2^D leaves.
+    v = np.zeros(2)
+    for k in range(max(depth - 1, 0)):
+        v = (np.repeat(v, 2).reshape(1 << k, 4) + scaled[k][:, None] * signs).ravel()
+    return v
 
 
 def _shift_values(coeffs: list[np.ndarray], depth: int) -> np.ndarray:
     # Image of sum_k coeffs: each level-k interval I contributes
     # coeff * |I|^{-1/2} * (-1, +1, +1, -1) on its quarters, which is
     # (h_{I_-} - h_{I_+})/sqrt(2) without irrational intermediates.
-    n = 1 << depth
-    out = np.zeros(n)
-    for k in range(max(depth - 1, 0)):
-        c = coeffs[k]
-        scaled = c * math.sqrt(2**k)
-        blocks = out.reshape(1 << k, 4, n >> (k + 2))
-        blocks[:, 0, :] -= scaled[:, None]
-        blocks[:, 1, :] += scaled[:, None]
-        blocks[:, 2, :] += scaled[:, None]
-        blocks[:, 3, :] -= scaled[:, None]
-    return out
+    scaled = [coeffs[k] * math.sqrt(2**k) for k in range(max(depth - 1, 0))]
+    return _quarter_pyramid(scaled, depth, _SHIFT_SIGNS)
 
 
 def haar_shift(
@@ -220,16 +228,8 @@ def remainder_closed_form(
     if mode == "strict":
         _check_admissible(cb, depth, "remainder symbol b", atol)
         _check_admissible(cf, depth, "remainder argument f", atol)
-    n = b.grid.n_leaves
-    out = np.zeros(n)
-    for k in range(max(depth - 1, 0)):
-        s = cb[k] * cf[k] * (1 << k)
-        blocks = out.reshape(1 << k, 4, n >> (k + 2))
-        blocks[:, 0, :] += s[:, None]
-        blocks[:, 1, :] -= s[:, None]
-        blocks[:, 2, :] += s[:, None]
-        blocks[:, 3, :] -= s[:, None]
-    return StepFunction(b.grid, out)
+    scaled = [cb[k] * cf[k] * (1 << k) for k in range(max(depth - 1, 0))]
+    return StepFunction(b.grid, _quarter_pyramid(scaled, depth, _REMAINDER_SIGNS))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Everything here trades speed for obviousness: explicit leaf arrays, nested
 interval loops, direct dot products, no shared code with the package beyond
 numpy and scipy.  The loop oracles are intended for depths up to about 6;
 the dense matrix routes (2^D x 2^D arrays, SVD, eigh, power iteration) are
-the reference for the package's matrix-free norm engine up to depth 10.
+the reference for the package's matrix-free norm engine up to depth 10.  The
+full-width Haar kernels at the end are bitwise references: the package's
+O(2^D) pyramids must return exactly their floats.
 """
 
 import math
@@ -533,3 +535,116 @@ def square_sum_predicate(b, rho, C, b2_value, depth, root):
     coeffs = all_coeffs(b, depth)
     threshold = C * (b2_value * average_on(rho, depth, *root)) ** 2
     return lambda k, j: path_sum(coeffs, root, k, j) >= threshold
+
+
+# ------------------------------------------------------ full-width kernels
+#
+# The package's Haar pyramids before they went top-down: every level writes
+# all 2^D leaves (O(2^D D)) and sibling sums reduce a length-2 axis.  The
+# package must reproduce these bit for bit (np.array_equal).
+
+
+def analyze_leaves_reference(values, depth):
+    values = np.asarray(values, dtype=np.float64)
+    batch = values.shape[:-1]
+    masses = values * (2.0 ** (-depth))
+    coeffs = [None] * depth
+    for k in range(depth - 1, -1, -1):
+        pairs = masses.reshape(batch + (1 << k, 2))
+        coeffs[k] = math.sqrt(2**k) * (pairs[..., 1] - pairs[..., 0])
+        masses = pairs.sum(axis=-1)
+    return masses[..., 0], coeffs
+
+
+def synthesize_leaves_reference(mean, coeffs, depth):
+    mean = np.asarray(mean, dtype=np.float64)
+    n = 1 << depth
+    out = np.broadcast_to(mean[..., None], mean.shape + (n,)).copy()
+    batch = mean.shape
+    for k, c in enumerate(coeffs):
+        scaled = np.asarray(c, dtype=np.float64) * math.sqrt(2**k)
+        blocks = out.reshape(batch + (1 << k, 2, n >> (k + 1)))
+        blocks[..., 0, :] -= scaled[..., None]
+        blocks[..., 1, :] += scaled[..., None]
+    return out
+
+
+def level_masses_reference(values, depth):
+    values = np.asarray(values, dtype=np.float64)
+    batch = values.shape[:-1]
+    m = values * (2.0 ** (-depth))
+    out = [None] * (depth + 1)
+    out[depth] = m
+    for k in range(depth - 1, -1, -1):
+        m = m.reshape(batch + (1 << k, 2)).sum(axis=-1)
+        out[k] = m
+    return out
+
+
+def accumulate_levels_reference(terms, depth):
+    """sum_k repeat(terms[k], 2^{depth-k}), one full-width add per level."""
+    n = 1 << depth
+    batch = np.broadcast_shapes(*(np.shape(t)[:-1] for t in terms))
+    acc = np.zeros(batch + (n,))
+    for k, t in enumerate(terms):
+        acc += np.repeat(t, n >> k, axis=-1)
+    return acc
+
+
+def _quarter_pattern_reference(scaled, depth, signs):
+    n = 1 << depth
+    out = np.zeros(n)
+    for k in range(max(depth - 1, 0)):
+        blocks = out.reshape(1 << k, 4, n >> (k + 2))
+        for q, sign in enumerate(signs):
+            if sign < 0:
+                blocks[:, q, :] -= scaled[k][:, None]
+            else:
+                blocks[:, q, :] += scaled[k][:, None]
+    return out
+
+
+def shift_values_reference(coeffs, depth):
+    """Leaf values of the shift image of sum_k coeffs[k] h_I: the quarter
+    pattern (-, +, +, -) times coeff 2^{k/2} on each level-k interval."""
+    scaled = [coeffs[k] * math.sqrt(2**k) for k in range(max(depth - 1, 0))]
+    return _quarter_pattern_reference(scaled, depth, (-1, 1, 1, -1))
+
+
+def remainder_values_reference(cb, cf, depth):
+    """Leaf values of the expansion remainder: the quarter pattern
+    (+, -, +, -) times bhat(I) fhat(I) |I|^{-1}."""
+    scaled = [cb[k] * cf[k] * (1 << k) for k in range(max(depth - 1, 0))]
+    return _quarter_pattern_reference(scaled, depth, (1, -1, 1, -1))
+
+
+def bloom_l2form_scan_reference(b, mu, lam, depth):
+    """The localized L^2(lam) form one interval at a time: for each K,
+    synthesize sum_{I within K} bhat(I) <mu^{-1}>_I h_I on K's leaves level by
+    level, integrate its square against lam, divide by mu^{-1}(K).  Returns
+    (sqrt of the sup, (level, position) of its level-major first
+    occurrence), built from the full-width kernels above."""
+    mu_inv = 1.0 / np.asarray(mu, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    _, coeffs = analyze_leaves_reference(b, depth)
+    inv_masses = level_masses_reference(mu_inv, depth)
+    scales = [inv_masses[k] * (2.0**k) for k in range(depth)]
+    leaf_w = 2.0 ** (-depth)
+    best, where = -math.inf, (0, 0)
+    for K in range(depth):
+        for J in range(1 << K):
+            n_local = 1 << (depth - K)
+            g = np.zeros(n_local)
+            for k in range(K, depth):
+                shift = k - K
+                lo, hi = J << shift, (J + 1) << shift
+                scaled = (coeffs[k][lo:hi] * scales[k][lo:hi]) * math.sqrt(2**k)
+                blocks = g.reshape(1 << shift, 2, n_local >> (shift + 1))
+                blocks[:, 0, :] -= scaled[:, None]
+                blocks[:, 1, :] += scaled[:, None]
+            sl = leaf_slice(depth, K, J)
+            energy = float((g**2 * lam[sl]).sum()) * leaf_w
+            ratio = energy / float(inv_masses[K][J])
+            if ratio > best:
+                best, where = ratio, (K, J)
+    return math.sqrt(max(best, 0.0)), where

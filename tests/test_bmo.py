@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ensembles
 import oracles
 from dyadbloom import (
     DyadicGrid,
@@ -68,11 +69,26 @@ def test_bloom_b2_dual_matches_oracle():
         assert bloom_b2_dual(b, mu, lam) == pytest.approx(want, rel=1e-12)
 
 
-def test_bloom_l2form_matches_oracle():
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_bloom_l2form_matches_oracle(depth):
     for seed in range(3):
-        mu, lam, b = _triple(3, 70 + seed)
-        want = oracles.bloom_l2form_oracle(b.values, mu.values, lam.values, 3)
+        mu, lam, b = _triple(depth, 70 + seed)
+        want = oracles.bloom_l2form_oracle(b.values, mu.values, lam.values, depth)
         assert bloom_b2_l2form(b, mu, lam) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("depth", range(1, 11))
+def test_l2form_level_arrays_equal_per_interval_route(depth):
+    # the level-array scan must give the per-interval synthesis's floats
+    # exactly, value and achieving interval, including where whole subtrees
+    # of b vanish and the weights span 16 decades
+    for i, ensemble in enumerate(ensembles.KINDS):
+        b, mu, lam = ensembles.triple(depth, ensemble, 1300 + 10 * depth + i)
+        rep = bmo_report(b, mu, lam)
+        where = rep.argmax["bloom_b2_l2form"]
+        want = oracles.bloom_l2form_scan_reference(b.values, mu.values, lam.values, depth)
+        assert rep.bloom_b2_l2form == want[0]
+        assert (where.level, where.position) == want[1]
 
 
 def test_bloom_routes_agree_for_constant_lambda():

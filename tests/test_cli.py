@@ -250,16 +250,17 @@ def test_norms_at_depth_14_within_one_gib(tmp_path):
         assert math.isfinite(doc[key]) and doc[key] > 0.0, key
 
 
-def test_verify_necessity_and_stopping_at_depth_14(tmp_path):
-    # the necessity bound and the stopping scans work level by level, so
-    # both suites run at the deepest configurable depth in seconds
+def test_verify_necessity_stopping_and_equivalences_at_depth_14(tmp_path):
+    # the necessity bound, the stopping scans and the localized Bloom
+    # functional work level by level, so these suites run at the deepest
+    # configurable depth in seconds
     out = tmp_path / "results"
     proc = _run_within_one_gib([
         ["verify", "--depth", "14", "--trials", "1", "--suite", "paraproduct-bounds",
-         "--suite", "stopping", "--out", str(out)],
+         "--suite", "stopping", "--suite", "equivalences", "--out", str(out)],
     ])
     assert proc.returncode == 0, proc.stderr
-    for suite in ("paraproduct-bounds", "stopping"):
+    for suite in ("paraproduct-bounds", "stopping", "equivalences"):
         doc = json.loads((out / f"suite-{suite}.json").read_text())
         assert doc["config"]["depth"] == 14
         assert doc["passed"], suite

@@ -21,7 +21,13 @@ from dyadbloom import (
     pointwise_multiply,
     square_function,
 )
-from dyadbloom.grid import analyze_leaves, level_masses, synthesize_leaves
+from dyadbloom.grid import (
+    accumulate_levels,
+    analyze_leaves,
+    level_masses,
+    synthesize_leaves,
+)
+from dyadbloom.operators import haar_shift, remainder_closed_form
 
 
 def test_interval_geometry():
@@ -212,6 +218,49 @@ def test_analyze_synthesize_leaves_accept_short_coeff_lists(rng):
         for j in range(1 << k):
             manual += coeffs[k][j] * oracles.haar_leaves(depth, k, j)
     np.testing.assert_allclose(top_only, manual, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    depth=st.integers(0, 14),
+    batch=st.sampled_from([(), (3,)]),
+    exponents=st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(sorted),
+    kept=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pyramids_equal_full_width_kernels(depth, batch, exponents, kept, seed):
+    # the O(2^D) pyramids keep every leaf's chain of additions, so they
+    # reproduce the full-width kernels bit for bit
+    r = np.random.default_rng(seed)
+    n = 1 << depth
+    lo, hi = exponents
+    x = r.choice([-1.0, 1.0], batch + (n,)) * 10.0 ** r.uniform(lo, hi, batch + (n,))
+    mean, coeffs = analyze_leaves(x, depth)
+    want_mean, want_coeffs = oracles.analyze_leaves_reference(x, depth)
+    assert np.array_equal(mean, want_mean)
+    assert all(np.array_equal(a, b) for a, b in zip(coeffs, want_coeffs, strict=True))
+    assert all(
+        np.array_equal(a, b)
+        for a, b in zip(level_masses(x, depth), oracles.level_masses_reference(x, depth),
+                        strict=True)
+    )
+    short = coeffs[: round(kept * depth)]
+    for levels in (coeffs, short, []):
+        got = synthesize_leaves(mean, levels, depth)
+        want = oracles.synthesize_leaves_reference(mean, levels, depth)
+        assert got.shape == want.shape and np.array_equal(got, want)
+    terms = [c * c * (1 << k) for k, c in enumerate(short)]
+    assert np.array_equal(
+        accumulate_levels(terms, depth), oracles.accumulate_levels_reference(terms, depth)
+    )
+    if batch == () and depth >= 1:
+        f = StepFunction(DyadicGrid(depth), x)
+        g = StepFunction(f.grid, r.standard_normal(n))
+        got = haar_shift(f, mode="truncate").values
+        assert np.array_equal(got, oracles.shift_values_reference(coeffs, depth))
+        got = remainder_closed_form(f, g, mode="truncate").values
+        _, cy = oracles.analyze_leaves_reference(g.values, depth)
+        assert np.array_equal(got, oracles.remainder_values_reference(coeffs, cy, depth))
 
 
 def test_haar_matrix_rows_are_haar_functions():

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import ensembles
 import oracles
 from dyadbloom import (
     CarlesonSequence,
     DyadicGrid,
     DyadicInterval,
-    EnsembleSpec,
     LeafOperator,
     StepFunction,
     Weight,
@@ -22,7 +22,6 @@ from dyadbloom import (
     commutator_operator,
     commutator_shift,
     compute_norm_report,
-    generate,
     haar_function,
     indicator,
     necessity_test_function_bound,
@@ -349,37 +348,11 @@ def test_necessity_constant_symbol_reports_zero(unit_weight):
     assert necessity_test_function_bound(const, one, one) == 0.0
 
 
-def _necessity_materials(depth, ensemble, seed):
-    r = np.random.default_rng(seed)
-    grid = DyadicGrid(depth)
-    n = grid.n_leaves
-    if ensemble == "smooth":
-        mu_v, lam_v = np.exp(r.uniform(-1, 1, (2, n)))
-        b_v = r.standard_normal(n)
-    elif ensemble == "extreme":
-        # leaf values across 1e-8..1e8, and b constant on random quarters so
-        # whole subtrees carry no coefficient
-        mu_v, lam_v = 10.0 ** r.uniform(-8, 8, (2, n))
-        b_v = r.standard_normal(n)
-        quarter = max(n // 4, 1)
-        for start in range(0, n, quarter):
-            if r.random() < 0.5:
-                b_v[start : start + quarter] = b_v[start]
-    else:
-        mu_v = generate(EnsembleSpec(kind="cascade", depth=depth, seed=seed)).values
-        lam_v = generate(EnsembleSpec(kind="cascade", depth=depth, seed=seed + 1)).values
-        b_v = generate(
-            EnsembleSpec(kind="haar-sparse-symbol", depth=depth, seed=seed, sparsity=0.1)
-        ).values
-    weights = (Weight(StepFunction(grid, v)) for v in (mu_v, lam_v))
-    return StepFunction(grid, b_v), *weights
-
-
 @pytest.mark.parametrize("depth", range(1, 11))
 def test_necessity_ratios_match_per_interval_oracle(depth):
     zero_rows = 0
-    for i, ensemble in enumerate(("smooth", "extreme", "sparse")):
-        b, mu, lam = _necessity_materials(depth, ensemble, 900 + 10 * depth + i)
+    for i, ensemble in enumerate(ensembles.KINDS):
+        b, mu, lam = ensembles.triple(depth, ensemble, 900 + 10 * depth + i)
         got = necessity_restriction_ratios(b, mu, lam)
         want = oracles.necessity_restriction_ratios_oracle(
             b.values, mu.values, lam.values, depth
