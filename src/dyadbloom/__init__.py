@@ -35,7 +35,6 @@ from .grid import (
     haar_function,
     haar_synthesize,
     indicator,
-    pointwise_multiply,
     square_function,
 )
 from .normest import (
@@ -86,10 +85,7 @@ from .weights import (
     Weight,
     a2_characteristic,
     generate,
-    interval_average,
-    interval_mass,
     rho_weight,
-    weighted_expectation,
 )
 
 __version__ = "0.1.0"

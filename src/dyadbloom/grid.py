@@ -52,7 +52,6 @@ __all__ = [
     "haar_function",
     "indicator",
     "square_function",
-    "pointwise_multiply",
 ]
 
 
@@ -145,9 +144,6 @@ class DyadicGrid:
             raise ValueError(f"interval level {iv.level} exceeds depth {self.depth}")
         shift = self.depth - iv.level
         return slice(iv.position << shift, (iv.position + 1) << shift)
-
-    def leaf_interval(self, j: int) -> DyadicInterval:
-        return DyadicInterval(self.depth, j)
 
 
 def _check_same_grid(a, b):
@@ -423,8 +419,3 @@ def square_function(f: StepFunction) -> StepFunction:
     terms = [c**2 * (1 << k) for k, c in enumerate(coeffs)]
     acc = accumulate_levels(terms, f.grid.depth)
     return StepFunction(f.grid, np.sqrt(acc))
-
-
-def pointwise_multiply(f: StepFunction, g: StepFunction) -> StepFunction:
-    """Pointwise product of two step functions on the same grid."""
-    return f * g

@@ -1,12 +1,19 @@
 """Randomized verification suites over seeded ensembles.
 
-Each suite runs cfg.trials seeded trials and returns a SuiteResult holding
+One runner, run_suite, draws cfg.trials seeded trials and returns a
+SuiteResult holding
 
   * hard assertions -- exact identities and constant-1 inequalities only;
     any failure flips the suite (and the CLI exit code) to failing;
   * measured constants -- dimensionless ratios whose finiteness or size is
     the empirical content; they are recorded, never asserted here (pinned
     acceptance tests freeze pilot values separately).
+
+Each suite is a Suite: a per-trial check that reports residuals, samples,
+counts and findings to the run's Record, and an ordered gate list that fixes
+the assertions.  A gate is either (name, tolerance[, detail]), asserting the
+worst residual reported under that name, or a callable of the Record for a
+check that is not per trial.
 
 Per-trial materials: mu and lambda from the config's weight recipes, the
 symbol b projected onto admissible levels (<= D-2) so commutator identities
@@ -18,7 +25,8 @@ for identities that need no admissibility).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,10 +39,11 @@ from .bmo import (
     neccon_functional,
 )
 from .config import ExperimentConfig
-from .errors import PackingSearchError
+from .errors import ConfigError, PackingSearchError
 from .grid import (
     DyadicGrid,
     StepFunction,
+    accumulate_levels,
     analyze_leaves,
     haar_analyze,
     haar_function,
@@ -80,6 +89,8 @@ from .weights import Weight, a2_characteristic, generate, rho_weight
 __all__ = [
     "Assertion",
     "Finding",
+    "Record",
+    "Suite",
     "SuiteResult",
     "TrialData",
     "lower_bound_finding",
@@ -98,13 +109,7 @@ class Assertion:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "worst": self.worst,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -124,13 +129,7 @@ class Finding:
     data: dict
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "name": self.name,
-            "trial": self.trial,
-            "message": self.message,
-            "data": self.data,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -147,36 +146,7 @@ class SuiteResult:
         return all(a.passed for a in self.assertions)
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "config": self.config,
-            "passed": self.passed,
-            "assertions": [a.to_dict() for a in self.assertions],
-            "measured": self.measured,
-            "trial_records": self.trial_records,
-            "findings": [f.to_dict() for f in self.findings],
-        }
-
-
-class _Worst:
-    """Track the largest residual and the trial where it occurred."""
-
-    __slots__ = ("value", "trial")
-
-    def __init__(self):
-        self.value = 0.0
-        self.trial = -1
-
-    def update(self, v: float, trial: int):
-        if v > self.value or self.trial < 0:
-            self.value = float(v)
-            self.trial = trial
-
-    def assertion(self, name: str, tol: float, extra: str = "") -> Assertion:
-        detail = f"worst at trial {self.trial}" if self.trial >= 0 else "no trials"
-        if extra:
-            detail += f"; {extra}"
-        return Assertion(name, self.value <= tol, self.value, tol, detail)
+        return {**asdict(self), "passed": self.passed}
 
 
 def _stats(xs: list[float]) -> dict:
@@ -193,6 +163,58 @@ def _stats(xs: list[float]) -> dict:
 
 def _rel(diff: float, *scales: float) -> float:
     return diff / max(1.0, *(abs(s) for s in scales))
+
+
+class Record:
+    """What one suite's checks report over its trials.
+
+    run_suite sets ``trial`` before each trial's check.  ``samples`` and
+    ``counts`` hold the names the suite declares, so a name no trial reaches
+    still appears in ``measured``.  ``failures`` lists (trial, label, detail)
+    for checks that could not run.
+    """
+
+    def __init__(self, suite: str, cfg: ExperimentConfig,
+                 samples: tuple[str, ...] = (), counts: tuple[str, ...] = ()):
+        self.suite = suite
+        self.cfg = cfg
+        self.trial = -1
+        self.worst: dict[str, tuple[float, int]] = {}
+        self.samples: dict[str, list[float]] = {k: [] for k in samples}
+        self.counts: dict[str, int] = dict.fromkeys(counts, 0)
+        self.findings: list[Finding] = []
+        self.failures: list[tuple] = []
+
+    def residual(self, name: str, v: float) -> None:
+        """Keep gate *name*'s largest residual and the first trial reaching
+        it.  A NaN is kept once seen, so the gate fails and names its trial."""
+        v = float(v)
+        old = self.worst.get(name)
+        if old is None or (not math.isnan(old[0]) and not v <= old[0]):
+            self.worst[name] = (v, self.trial)
+
+    def sample(self, name: str, v: float) -> None:
+        self.samples[name].append(v)
+
+    def count(self, name: str) -> None:
+        self.counts[name] += 1
+
+    def assertion(self, name: str, tol: float, extra: str = "") -> Assertion:
+        value, trial = self.worst.get(name, (0.0, -1))
+        detail = f"worst at trial {trial}" if trial >= 0 else "no trials"
+        if extra:
+            detail += f"; {extra}"
+        return Assertion(name, value <= tol, value, tol, detail)
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A per-trial check and the ordered gates that become the assertions."""
+
+    check: Callable[[Record, TrialData], None]
+    gates: tuple
+    samples: tuple[str, ...] = ()
+    counts: tuple[str, ...] = ()
 
 
 @dataclass
@@ -254,159 +276,103 @@ def _worked_example_assertions() -> list[Assertion]:
     d_rem = float(np.abs(six.remainder().values - rem.values).max())
     worst = max(d_sum, d_rem)
     return [
-        Assertion(
-            "worked_example_bitwise",
-            bitwise,
-            0.0 if bitwise else 1.0,
-            0.0,
-            "depth-2 shift, commutator, closed-form remainder reproduce bitwise",
-        ),
-        Assertion(
-            "worked_example_expansion",
-            worst <= 1e-12,
-            worst,
-            1e-12,
-            "six-term sum and two-term remainder at depth 2",
-        ),
+        Assertion("worked_example_bitwise", bitwise, 0.0 if bitwise else 1.0, 0.0,
+                  "depth-2 shift, commutator, closed-form remainder reproduce bitwise"),
+        Assertion("worked_example_expansion", worst <= 1e-12, worst, 1e-12,
+                  "six-term sum and two-term remainder at depth 2"),
     ]
 
 
-def run_identities(cfg: ExperimentConfig) -> SuiteResult:
-    res = SuiteResult("identities", cfg.to_dict())
-    w_round = _Worst()
-    w_parseval = _Worst()
-    w_product = _Worst()
-    w_adjoint = _Worst()
-    w_isometry = _Worst()
-    w_expand = _Worst()
-    w_remainder = _Worst()
-    w_energy = _Worst()
-    flipped = []
-    for t in range(cfg.trials):
-        td = make_trial(cfg, t)
-        grid = td.b.grid
-        # round trip and Parseval on a full-spectrum function
-        spec = haar_analyze(td.f_raw)
-        back = haar_synthesize(spec)
-        w_round.update(float(np.abs(back.values - td.f_raw.values).max()), t)
-        energy = float((td.f_raw.values**2).mean())
-        w_parseval.update(
-            _rel(abs(energy - (spec.mean**2 + spec.coeff_energy())), energy), t
-        )
-        # product decomposition holds for arbitrary b, g
-        b, g = td.b_raw, td.g_raw
-        lhs = b * g
-        rhs = (
-            b.integral() * g.integral()
-            + paraproduct(b, g)
-            + paraproduct(g, b)
-            + paraproduct_adjoint(b, g)
-        )
-        w_product.update(
-            _rel(float(np.abs(lhs.values - rhs.values).max()),
-                 float(np.abs(lhs.values).max())),
-            t,
-        )
-        # unweighted adjointness <Pi_b f, g> = <f, Pi*_b g>
-        pf = paraproduct(td.b_raw, td.f_raw)
-        pg = paraproduct_adjoint(td.b_raw, td.g_raw)
-        ip1 = float((pf.values * td.g_raw.values).mean())
-        ip2 = float((td.f_raw.values * pg.values).mean())
-        w_adjoint.update(_rel(abs(ip1 - ip2), ip1, ip2), t)
-        # shift isometry on admissible mean-free input
-        g0 = td.g - td.g.integral()
-        shifted = haar_shift(g0)
-        w_isometry.update(
-            _rel(abs(shifted.l2_norm() - g0.l2_norm()), g0.l2_norm()), t
-        )
-        # six-term expansion, remainder closed form, remainder energy
-        terms = expansion_terms(td.b, td.f)
-        scale = float(np.abs(terms.commutator.values).max())
-        w_expand.update(_rel(terms.residual(), scale), t)
-        flipped.append(_rel(terms.sign_flipped_residual(), scale))
-        rem = remainder_closed_form(td.b, td.f)
-        w_remainder.update(
-            _rel(float(np.abs(rem.values - terms.remainder().values).max()), scale), t
-        )
-        _, cr = analyze_leaves(rem.values, grid.depth)
-        n = grid.n_leaves
-        sq = np.zeros(n)
-        for k in range(grid.depth):
-            sq += np.repeat(cr[k] ** 2 * (1 << k), n >> k)
-        measured_energy = float((sq * td.lam.values).mean())
-        _, cb = analyze_leaves(td.b.values, grid.depth)
-        _, cf = analyze_leaves(td.f.values, grid.depth)
-        predicted = sum(
-            float((cb[k] ** 2 * cf[k] ** 2 * (1 << k) * td.lam.averages_at_level(k)).sum())
-            for k in range(grid.depth - 1)
-        )
-        w_energy.update(_rel(abs(measured_energy - predicted), measured_energy), t)
-    res.assertions.extend(
-        [
-            w_round.assertion("haar_round_trip", 1e-12),
-            w_parseval.assertion("parseval", 1e-12),
-            w_product.assertion("product_decomposition", 1e-11),
-            w_adjoint.assertion("paraproduct_adjointness", 1e-12),
-            w_isometry.assertion("shift_isometry_admissible", 1e-12),
-            w_expand.assertion("six_term_expansion", 1e-11),
-            w_remainder.assertion("remainder_closed_form", 1e-11),
-            w_energy.assertion("remainder_energy_identity", 1e-10),
-        ]
+def _check_identities(rec: Record, td: TrialData) -> None:
+    grid = td.b.grid
+    # round trip and Parseval on a full-spectrum function
+    spec = haar_analyze(td.f_raw)
+    back = haar_synthesize(spec)
+    rec.residual("haar_round_trip", float(np.abs(back.values - td.f_raw.values).max()))
+    energy = float((td.f_raw.values**2).mean())
+    parseval = spec.mean**2 + spec.coeff_energy()
+    rec.residual("parseval", _rel(abs(energy - parseval), energy))
+    # product decomposition holds for arbitrary b, g
+    b, g = td.b_raw, td.g_raw
+    lhs = b * g
+    rhs = (
+        b.integral() * g.integral()
+        + paraproduct(b, g)
+        + paraproduct(g, b)
+        + paraproduct_adjoint(b, g)
     )
-    res.assertions.extend(_worked_example_assertions())
-    res.measured["sign_flipped_residual"] = _stats(flipped)
-    return res
+    rec.residual(
+        "product_decomposition",
+        _rel(float(np.abs(lhs.values - rhs.values).max()),
+             float(np.abs(lhs.values).max())),
+    )
+    # unweighted adjointness <Pi_b f, g> = <f, Pi*_b g>
+    pf = paraproduct(td.b_raw, td.f_raw)
+    pg = paraproduct_adjoint(td.b_raw, td.g_raw)
+    ip1 = float((pf.values * td.g_raw.values).mean())
+    ip2 = float((td.f_raw.values * pg.values).mean())
+    rec.residual("paraproduct_adjointness", _rel(abs(ip1 - ip2), ip1, ip2))
+    # shift isometry on admissible mean-free input
+    g0 = td.g - td.g.integral()
+    shifted = haar_shift(g0)
+    norm0 = g0.l2_norm()
+    rec.residual("shift_isometry_admissible", _rel(abs(shifted.l2_norm() - norm0), norm0))
+    # six-term expansion, remainder closed form, remainder energy
+    terms = expansion_terms(td.b, td.f)
+    scale = float(np.abs(terms.commutator.values).max())
+    rec.residual("six_term_expansion", _rel(terms.residual(), scale))
+    rec.sample("sign_flipped_residual", _rel(terms.sign_flipped_residual(), scale))
+    rem = remainder_closed_form(td.b, td.f)
+    rec.residual(
+        "remainder_closed_form",
+        _rel(float(np.abs(rem.values - terms.remainder().values).max()), scale),
+    )
+    _, cr = analyze_leaves(rem.values, grid.depth)
+    sq = accumulate_levels([c**2 * (1 << k) for k, c in enumerate(cr)], grid.depth)
+    measured_energy = float((sq * td.lam.values).mean())
+    _, cb = analyze_leaves(td.b.values, grid.depth)
+    _, cf = analyze_leaves(td.f.values, grid.depth)
+    predicted = sum(
+        float((cb[k] ** 2 * cf[k] ** 2 * (1 << k) * td.lam.averages_at_level(k)).sum())
+        for k in range(grid.depth - 1)
+    )
+    rec.residual("remainder_energy_identity",
+                 _rel(abs(measured_energy - predicted), measured_energy))
 
 
 # --------------------------------------------------------------- equivalences
 
+_CHAIN_RATIOS = ("l2form_over_b2", "b2_over_l2form", "l1_over_bmo", "bmo_over_l1",
+                 "b2_over_bmo", "bmo_over_b2")
 
-def run_equivalences(cfg: ExperimentConfig) -> SuiteResult:
-    res = SuiteResult("equivalences", cfg.to_dict())
-    w_sandwich_low = _Worst()
-    w_sandwich_high = _Worst()
-    ratios = {
-        "l2form_over_b2": [],
-        "b2_over_l2form": [],
-        "l1_over_bmo": [],
-        "bmo_over_l1": [],
-        "b2_over_bmo": [],
-        "bmo_over_b2": [],
-    }
-    chain = []
-    a2_mu_all, a2_lam_all = [], []
-    for t in range(cfg.trials):
-        td = make_trial(cfg, t)
-        mu, lam, b = td.mu, td.lam, td.b
-        rho = rho_weight(mu, lam)
-        # A2 sandwich 1 <= <mu>_I <mu^{-1}>_I <= [mu]_{A2}, every interval
-        for w in (mu, lam):
-            a2 = a2_characteristic(w)
-            inv = w.inverse
-            for k in range(w.grid.depth + 1):
-                prod = w.averages_at_level(k) * inv.averages_at_level(k)
-                w_sandwich_low.update(float((1.0 - prod).max()), t)
-                w_sandwich_high.update(float((prod - a2).max()), t)
-        a2_mu_all.append(a2_characteristic(mu))
-        a2_lam_all.append(a2_characteristic(lam))
-        b2 = bloom_b2(b, mu, lam)
-        l2f = bloom_b2_l2form(b, mu, lam)
-        bmo = bmo_rho(b, rho)
-        l1 = bmo_rho_l1(b, rho)
-        if min(b2, l2f, bmo, l1) > 0.0:
-            r = {
-                "l2form_over_b2": l2f / b2,
-                "b2_over_l2form": b2 / l2f,
-                "l1_over_bmo": l1 / bmo,
-                "bmo_over_l1": bmo / l1,
-                "b2_over_bmo": b2 / bmo,
-                "bmo_over_b2": bmo / b2,
-            }
-            for k, v in r.items():
-                ratios[k].append(v)
-            chain.append(max(r.values()))
+
+def _check_equivalences(rec: Record, td: TrialData) -> None:
+    mu, lam, b = td.mu, td.lam, td.b
+    rho = rho_weight(mu, lam)
+    # A2 sandwich 1 <= <mu>_I <mu^{-1}>_I <= [mu]_{A2}, every interval
+    for w in (mu, lam):
+        a2 = a2_characteristic(w)
+        inv = w.inverse
+        for k in range(w.grid.depth + 1):
+            prod = w.averages_at_level(k) * inv.averages_at_level(k)
+            rec.residual("a2_sandwich_lower", float((1.0 - prod).max()))
+            rec.residual("a2_sandwich_upper", float((prod - a2).max()))
+    rec.sample("a2_mu", a2_characteristic(mu))
+    rec.sample("a2_lambda", a2_characteristic(lam))
+    b2 = bloom_b2(b, mu, lam)
+    l2f = bloom_b2_l2form(b, mu, lam)
+    bmo = bmo_rho(b, rho)
+    l1 = bmo_rho_l1(b, rho)
+    if min(b2, l2f, bmo, l1) > 0.0:
+        r = (l2f / b2, b2 / l2f, l1 / bmo, bmo / l1, b2 / bmo, bmo / b2)
+        for k, v in zip(_CHAIN_RATIOS, r):
+            rec.sample(k, v)
+        rec.sample("chain_max", max(r))
+
+
+def _degenerate_assertions(rec: Record) -> list[Assertion]:
     # degenerate symbol: every functional vanishes exactly
-    td0 = make_trial(cfg, 0)
+    td0 = make_trial(rec.cfg, 0)
     zero = StepFunction.zero(td0.b.grid)
     vals = [
         bloom_b2(zero, td0.mu, td0.lam),
@@ -416,33 +382,13 @@ def run_equivalences(cfg: ExperimentConfig) -> SuiteResult:
         bmo_rho_l1(zero, rho_weight(td0.mu, td0.lam)),
         neccon_functional(zero, td0.mu, td0.lam),
     ]
-    res.assertions.append(
-        Assertion(
-            "zero_symbol_zero_functionals",
-            max(vals) == 0.0,
-            max(vals),
-            0.0,
-            "all six functionals of b == 0",
-        )
-    )
-    const = Weight(StepFunction.constant(DyadicGrid(cfg.depth), 3.0))
-    res.assertions.append(
-        Assertion(
-            "constant_weight_a2_is_one",
-            a2_characteristic(const) == 1.0,
-            abs(a2_characteristic(const) - 1.0),
-            0.0,
-            "[w]_{A2} of a constant weight",
-        )
-    )
-    res.assertions.append(w_sandwich_low.assertion("a2_sandwich_lower", 1e-12))
-    res.assertions.append(w_sandwich_high.assertion("a2_sandwich_upper", 1e-12))
-    for k, v in ratios.items():
-        res.measured[k] = _stats(v)
-    res.measured["chain_max"] = _stats(chain)
-    res.measured["a2_mu"] = _stats(a2_mu_all)
-    res.measured["a2_lambda"] = _stats(a2_lam_all)
-    return res
+    a2 = a2_characteristic(Weight(StepFunction.constant(DyadicGrid(rec.cfg.depth), 3.0)))
+    return [
+        Assertion("zero_symbol_zero_functionals", max(vals) == 0.0, max(vals), 0.0,
+                  "all six functionals of b == 0"),
+        Assertion("constant_weight_a2_is_one", a2 == 1.0, abs(a2 - 1.0), 0.0,
+                  "[w]_{A2} of a constant weight"),
+    ]
 
 
 # --------------------------------------------------------- paraproduct-bounds
@@ -479,320 +425,224 @@ def lower_bound_finding(
     )
 
 
-def run_paraproduct_bounds(cfg: ExperimentConfig) -> SuiteResult:
-    res = SuiteResult("paraproduct-bounds", cfg.to_dict())
-    w_duality = _Worst()
-    upper_ratio, norms, blooms, necessity = [], [], [], []
-    excesses, excesses_dual = [], []
-    for t in range(cfg.trials):
-        td = make_trial(cfg, t)
-        mu, lam, b = td.mu, td.lam, td.b
-        n_pi = weighted_operator_norm(paraproduct_operator(b), mu, lam)
-        n_adj = weighted_operator_norm(
-            paraproduct_adjoint_operator(b), lam.inverse, mu.inverse
-        )
-        b2 = bloom_b2(b, mu, lam)
-        b2d = bloom_b2_dual(b, mu, lam)
-        w_duality.update(_rel(abs(n_pi - n_adj), n_pi, n_adj), t)
-        # The constant-1 lower bounds are audited, not assumed: the argument
-        # behind them discards a constant-on-K term that need not help, so a
-        # trial can genuinely exceed the norm.  Every violation is reported
-        # as a finding carrying the seeds that replay it.
-        for name, val, norm, xs in (
-            ("bloom_b2_exceeds_paraproduct_norm", b2, n_pi, excesses),
-            ("bloom_b2_dual_exceeds_adjoint_norm", b2d, n_adj, excesses_dual),
-        ):
-            excess = (val - norm) / norm if norm > 0 else 0.0
-            xs.append(excess)
-            if excess > 1e-6:
-                res.findings.append(
-                    lower_bound_finding(res.suite, name, cfg, t, val, norm, excess)
-                )
-        if b2 > 0:
-            upper_ratio.append(n_pi / b2)
-        norms.append(n_pi)
-        blooms.append(b2)
-        necessity.append(necessity_test_function_bound(b, mu, lam))
-    res.assertions.append(w_duality.assertion("norm_duality_transpose", 1e-9))
-    res.measured["norm_over_bloom_b2"] = _stats(upper_ratio)
-    res.measured["norm_paraproduct"] = _stats(norms)
-    res.measured["bloom_b2"] = _stats(blooms)
-    res.measured["lower_bound_excess"] = _stats(excesses)
-    res.measured["lower_bound_excess_dual"] = _stats(excesses_dual)
-    res.measured["lower_bound_violations"] = sum(1 for x in excesses if x > 1e-6)
-    res.measured["lower_bound_violations_dual"] = sum(
-        1 for x in excesses_dual if x > 1e-6
+def _check_paraproduct_bounds(rec: Record, td: TrialData) -> None:
+    mu, lam, b = td.mu, td.lam, td.b
+    n_pi = weighted_operator_norm(paraproduct_operator(b), mu, lam)
+    n_adj = weighted_operator_norm(
+        paraproduct_adjoint_operator(b), lam.inverse, mu.inverse
     )
-    res.measured["necessity_test_function_bound"] = _stats(necessity)
-    return res
+    b2 = bloom_b2(b, mu, lam)
+    b2d = bloom_b2_dual(b, mu, lam)
+    rec.residual("norm_duality_transpose", _rel(abs(n_pi - n_adj), n_pi, n_adj))
+    # The constant-1 lower bounds are audited, not assumed: the argument
+    # behind them discards a constant-on-K term that need not help, so a
+    # trial can genuinely exceed the norm.  Every violation is reported
+    # as a finding carrying the seeds that replay it.
+    for name, val, norm, side in (
+        ("bloom_b2_exceeds_paraproduct_norm", b2, n_pi, ""),
+        ("bloom_b2_dual_exceeds_adjoint_norm", b2d, n_adj, "_dual"),
+    ):
+        excess = (val - norm) / norm if norm > 0 else 0.0
+        rec.sample("lower_bound_excess" + side, excess)
+        if excess > 1e-6:
+            rec.count("lower_bound_violations" + side)
+            rec.findings.append(
+                lower_bound_finding(rec.suite, name, rec.cfg, rec.trial, val, norm, excess)
+            )
+    if b2 > 0:
+        rec.sample("norm_over_bloom_b2", n_pi / b2)
+    rec.sample("norm_paraproduct", n_pi)
+    rec.sample("bloom_b2", b2)
+    rec.sample("necessity_test_function_bound", necessity_test_function_bound(b, mu, lam))
 
 
 # --------------------------------------------------------- commutator-bounds
 
 
-def run_commutator_bounds(cfg: ExperimentConfig) -> SuiteResult:
-    res = SuiteResult("commutator-bounds", cfg.to_dict())
-    w_agree = _Worst()
-    w_const = _Worst()
-    w_adjoint = _Worst()
-    ratios, norms, bmos = [], [], []
-    for t in range(cfg.trials):
-        td = make_trial(cfg, t)
-        mu, lam, b = td.mu, td.lam, td.b
-        rho = rho_weight(mu, lam)
-        M = commutator_operator(b)
-        # the norm engine's apply vs the six-term paraproduct route
-        via_engine = M.apply(td.f).values
-        via_expansion = expansion_terms(b, td.f).signed_sum().values
-        w_agree.update(
-            _rel(float(np.abs(via_engine - via_expansion).max()),
-                 float(np.abs(via_expansion).max())),
-            t,
-        )
-        # a constant symbol commutes exactly
-        c = StepFunction.constant(b.grid, 2.5)
-        w_const.update(float(np.abs(commutator_operator(c).apply(td.f).values).max()), t)
-        # <T f, g> = <f, T' g> for every transpose the engine uses; the raw
-        # functions keep level-(D-1) content, which the shift truncates
-        f, g = td.f_raw, td.g_raw
-        for T in (paraproduct_operator(b), paraproduct_adjoint_operator(b),
-                  shift_operator(b.grid), M):
-            ip1 = float((T.apply(f).values * g.values).mean())
-            ip2 = float((f.values * T.transpose(g).values).mean())
-            w_adjoint.update(_rel(abs(ip1 - ip2), ip1, ip2), t)
-        n_comm = weighted_operator_norm(M, mu, lam)
-        bmo = bmo_rho(b, rho)
-        norms.append(n_comm)
-        bmos.append(bmo)
-        if bmo > 0:
-            ratios.append(n_comm / bmo)
-    res.assertions.append(
-        w_const.assertion("constant_symbol_commutes", 0.0, "[c, shift] f == 0 exactly")
+def _check_commutator_bounds(rec: Record, td: TrialData) -> None:
+    mu, lam, b = td.mu, td.lam, td.b
+    rho = rho_weight(mu, lam)
+    M = commutator_operator(b)
+    # the norm engine's apply vs the six-term paraproduct route
+    via_engine = M.apply(td.f).values
+    via_expansion = expansion_terms(b, td.f).signed_sum().values
+    rec.residual(
+        "commutator_apply_matches_expansion",
+        _rel(float(np.abs(via_engine - via_expansion).max()),
+             float(np.abs(via_expansion).max())),
     )
-    res.assertions.append(w_agree.assertion("commutator_apply_matches_expansion", 1e-11))
-    res.assertions.append(w_adjoint.assertion("adjoint_consistency", 1e-12))
-    res.measured["norm_over_bmo_rho"] = _stats(ratios)
-    res.measured["norm_commutator"] = _stats(norms)
-    res.measured["bmo_rho"] = _stats(bmos)
-    return res
+    # a constant symbol commutes exactly
+    c = StepFunction.constant(b.grid, 2.5)
+    rec.residual(
+        "constant_symbol_commutes",
+        float(np.abs(commutator_operator(c).apply(td.f).values).max()),
+    )
+    # <T f, g> = <f, T' g> for every transpose the engine uses; the raw
+    # functions keep level-(D-1) content, which the shift truncates
+    f, g = td.f_raw, td.g_raw
+    for T in (paraproduct_operator(b), paraproduct_adjoint_operator(b),
+              shift_operator(b.grid), M):
+        ip1 = float((T.apply(f).values * g.values).mean())
+        ip2 = float((f.values * T.transpose(g).values).mean())
+        rec.residual("adjoint_consistency", _rel(abs(ip1 - ip2), ip1, ip2))
+    n_comm = weighted_operator_norm(M, mu, lam)
+    bmo = bmo_rho(b, rho)
+    rec.sample("norm_commutator", n_comm)
+    rec.sample("bmo_rho", bmo)
+    if bmo > 0:
+        rec.sample("norm_over_bmo_rho", n_comm / bmo)
 
 
 # ------------------------------------------------------------------ carleson
 
 
-def run_carleson(cfg: ExperimentConfig) -> SuiteResult:
-    res = SuiteResult("carleson", cfg.to_dict())
-    w_cross = _Worst()
-    w_cross_dual = _Worst()
-    w_embed_low = _Worst()
-    w_embed_high = _Worst()
-    embed_ratios = []
-    for t in range(cfg.trials):
-        td = make_trial(cfg, t)
-        mu, lam, b = td.mu, td.lam, td.b
-        seq = paraproduct_carleson_sequence(b, mu, lam)
-        car = carleson_constant(seq)
-        b2 = bloom_b2(b, mu, lam)
-        w_cross.update(_rel(abs(car - b2**2), b2**2), t)
-        seq_d = adjoint_paraproduct_carleson_sequence(b, mu, lam)
-        car_d = carleson_constant(seq_d)
-        b2d = bloom_b2_dual(b, mu, lam)
-        w_cross_dual.update(_rel(abs(car_d - b2d**2), b2d**2), t)
-        if car > 0:
-            rep = carleson_embedding_check(seq)
-            w_embed_low.update((rep.carleson - rep.best_embedding) / rep.carleson, t)
-            w_embed_high.update(
-                (rep.best_embedding - 4.0 * rep.carleson) / rep.carleson, t
-            )
-            embed_ratios.append(rep.ratio)
-    res.assertions.append(w_cross.assertion("carleson_equals_bloom_b2_sq", 1e-10))
-    res.assertions.append(
-        w_cross_dual.assertion("carleson_dual_equals_bloom_b2_dual_sq", 1e-10)
+def _check_carleson(rec: Record, td: TrialData) -> None:
+    mu, lam, b = td.mu, td.lam, td.b
+    seq = paraproduct_carleson_sequence(b, mu, lam)
+    car = carleson_constant(seq)
+    b2 = bloom_b2(b, mu, lam)
+    rec.residual("carleson_equals_bloom_b2_sq", _rel(abs(car - b2**2), b2**2))
+    seq_d = adjoint_paraproduct_carleson_sequence(b, mu, lam)
+    car_d = carleson_constant(seq_d)
+    b2d = bloom_b2_dual(b, mu, lam)
+    rec.residual(
+        "carleson_dual_equals_bloom_b2_dual_sq", _rel(abs(car_d - b2d**2), b2d**2)
     )
-    res.assertions.append(
-        w_embed_low.assertion("embedding_at_least_carleson", 1e-9)
-    )
-    res.assertions.append(
-        w_embed_high.assertion("embedding_at_most_4x_carleson", 1e-9)
-    )
-    res.measured["embedding_over_carleson"] = _stats(embed_ratios)
-    return res
+    if car > 0:
+        rep = carleson_embedding_check(seq)
+        rec.residual(
+            "embedding_at_least_carleson",
+            (rep.carleson - rep.best_embedding) / rep.carleson,
+        )
+        rec.residual(
+            "embedding_at_most_4x_carleson",
+            (rep.best_embedding - 4.0 * rep.carleson) / rep.carleson,
+        )
+        rec.sample("embedding_over_carleson", rep.ratio)
 
 
 # --------------------------------------------------------------------- ppott
 
 
-def run_ppott(cfg: ExperimentConfig) -> SuiteResult:
-    res = SuiteResult("ppott", cfg.to_dict())
-    w_lower = _Worst()
-    cs, c_over_a2 = [], []
-    for t in range(cfg.trials):
-        td = make_trial(cfg, t)
-        for w in (td.mu, td.lam):
-            c_star = ppott_best_constant(w)
-            a2 = a2_characteristic(w)
-            # witness f = w * sign(h_I) on I gives ratio exactly 1, so C* >= 1
-            w_lower.update(1.0 - c_star, t)
-            cs.append(c_star)
-            c_over_a2.append(c_star / a2)
-    const = Weight(StepFunction.constant(DyadicGrid(cfg.depth), 1.0))
-    c1 = ppott_best_constant(const)
-    res.assertions.append(
-        Assertion(
-            "constant_weight_best_constant_one",
-            abs(c1 - 1.0) <= 1e-9,
-            abs(c1 - 1.0),
-            1e-9,
-            "coefficient energy inequality is Parseval at w == 1",
-        )
-    )
-    res.assertions.append(w_lower.assertion("best_constant_at_least_one", 1e-9))
-    res.measured["best_constant"] = _stats(cs)
-    res.measured["best_constant_over_a2"] = _stats(c_over_a2)
-    return res
+def _check_ppott(rec: Record, td: TrialData) -> None:
+    for w in (td.mu, td.lam):
+        c_star = ppott_best_constant(w)
+        a2 = a2_characteristic(w)
+        # witness f = w * sign(h_I) on I gives ratio exactly 1, so C* >= 1
+        rec.residual("best_constant_at_least_one", 1.0 - c_star)
+        rec.sample("best_constant", c_star)
+        rec.sample("best_constant_over_a2", c_star / a2)
+
+
+def _constant_weight_assertions(rec: Record) -> list[Assertion]:
+    const = Weight(StepFunction.constant(DyadicGrid(rec.cfg.depth), 1.0))
+    err = abs(ppott_best_constant(const) - 1.0)
+    return [Assertion("constant_weight_best_constant_one", err <= 1e-9, err, 1e-9,
+                      "coefficient energy inequality is Parseval at w == 1")]
 
 
 # ------------------------------------------------------------------ stopping
 
 
-def run_stopping(cfg: ExperimentConfig) -> SuiteResult:
-    res = SuiteResult("stopping", cfg.to_dict())
-    grid = DyadicGrid(cfg.depth)
+def _check_stopping(rec: Record, td: TrialData) -> None:
+    mu, lam, b = td.mu, td.lam, td.b
+    grid = b.grid
     root = grid.root
-    w_pack = _Worst()
-    w_decay = _Worst()
-    w_lebesgue4 = _Worst()
-    w_unstopped = _Worst()
-    w_cond1 = _Worst()
-    w_cond2 = _Worst()
-    search_failures = []
-    c_dev, c_cor, c_sq, ks, cond3_packs = [], [], [], [], []
-    for t in range(cfg.trials):
-        td = make_trial(cfg, t)
-        mu, lam, b = td.mu, td.lam, td.b
-        mu_inv = mu.inverse
-        rho = rho_weight(mu, lam)
-        # (a) two-sided lambda deviation: minimal constant and its packing
+    mu_inv = mu.inverse
+    rho = rho_weight(mu, lam)
+
+    def search(label, fn):
         try:
-            c = minimal_packing_constant(
-                grid, root, lambda C: deviation_factory(lam, C), lam, target=0.5
-            )
-            fam = maximal_stopping_intervals(
-                grid, root, deviation_factory(lam, c)(root)
-            )
-            w_pack.update(packing_ratio(fam, lam) - 0.5, t)
-            c_dev.append(c)
+            return fn()
         except PackingSearchError as e:
-            search_failures.append((t, "deviation", e.min_ratio))
-        # corona decay at the corona-wide constant
-        try:
-            cc = minimal_corona_constant(
-                grid, root, lambda C: deviation_factory(lam, C), lam, target=0.5
-            )
-            gens = corona_generations(grid, root, deviation_factory(lam, cc))
-            total_root = lam.mass(root)
-            for i, fams in enumerate(gens):
-                gen_mass = sum(f.member_mass(lam) for f in fams)
-                allowed = 0.5 ** (i + 1) * total_root
-                w_decay.update(gen_mass - allowed * (1 + 1e-12), t)
-            c_cor.append(cc)
-        except PackingSearchError as e:
-            search_failures.append((t, "corona", e.min_ratio))
-        # (c) one-sided factor-4 threshold: definitional Lebesgue packing
-        fam4 = maximal_stopping_intervals(
-            grid, root, threshold_factory(mu_inv, 4.0)(root)
+            rec.failures.append((rec.trial, label, e.min_ratio))
+            return None
+
+    # (a) two-sided lambda deviation: minimal constant and its packing
+    c = search("deviation", lambda: minimal_packing_constant(
+        grid, root, lambda C: deviation_factory(lam, C), lam, target=0.5
+    ))
+    if c is not None:
+        fam = maximal_stopping_intervals(grid, root, deviation_factory(lam, c)(root))
+        rec.residual("deviation_packing_at_target", packing_ratio(fam, lam) - 0.5)
+        rec.sample("deviation_constant", c)
+    # corona decay at the corona-wide constant
+    cc = search("corona", lambda: minimal_corona_constant(
+        grid, root, lambda C: deviation_factory(lam, C), lam, target=0.5
+    ))
+    if cc is not None:
+        gens = corona_generations(grid, root, deviation_factory(lam, cc))
+        total_root = lam.mass(root)
+        for i, fams in enumerate(gens):
+            gen_mass = sum(f.member_mass(lam) for f in fams)
+            allowed = 0.5 ** (i + 1) * total_root
+            rec.residual("corona_geometric_decay", gen_mass - allowed * (1 + 1e-12))
+        rec.sample("corona_constant", cc)
+    # (c) one-sided factor-4 threshold: definitional Lebesgue packing
+    fam4 = maximal_stopping_intervals(grid, root, threshold_factory(mu_inv, 4.0)(root))
+    leb = sum(s.length for s in fam4.members)
+    rec.residual("factor4_lebesgue_packing_quarter", leb - 0.25 * (1 + 1e-12))
+    # unstopped coefficient sum under combined two-weight deviation
+    b2 = bloom_b2(b, mu, lam)
+    c_both = None
+    if b2 > 0:
+        c_both = search("two-weight deviation", lambda: minimal_packing_constant(
+            grid, root, lambda C: deviation_factory([mu_inv, lam], C), mu_inv,
+            target=0.5,
+        ))
+    if c_both is not None:
+        fam_both = maximal_stopping_intervals(
+            grid, root, deviation_factory([mu_inv, lam], c_both)(root)
         )
-        leb = sum(s.length for s in fam4.members)
-        w_lebesgue4.update(leb - 0.25 * (1 + 1e-12), t)
-        # unstopped coefficient sum under combined two-weight deviation
-        b2 = bloom_b2(b, mu, lam)
-        if b2 > 0:
-            try:
-                c_both = minimal_packing_constant(
-                    grid,
-                    root,
-                    lambda C: deviation_factory([mu_inv, lam], C),
-                    mu_inv,
-                    target=0.5,
-                )
-                fam_both = maximal_stopping_intervals(
-                    grid, root, deviation_factory([mu_inv, lam], c_both)(root)
-                )
-                spec_b = haar_analyze(b)
-                coeff_sum = sum(
-                    spec_b.coeff(iv) ** 2
-                    for iv in unstopped_intervals(fam_both)
-                    if iv.level < grid.depth
-                )
-                base = b2**2 * 1.0 / (mu_inv.average(root) * lam.average(root))
-                bound = c_both**3 * base
-                w_unstopped.update(
-                    (coeff_sum - bound * (1 + 1e-9)) / max(1.0, bound), t
-                )
-                ks.append(coeff_sum / base)
-            except PackingSearchError as e:
-                search_failures.append((t, "two-weight deviation", e.min_ratio))
-        # (b) three-condition stopping with C = 2, C_b = 1
-        fam3 = maximal_stopping_intervals(
-            grid, root, three_condition_factory(mu, lam, b, 2.0, 1.0)(root)
+        spec_b = haar_analyze(b)
+        coeff_sum = sum(
+            spec_b.coeff(iv) ** 2
+            for iv in unstopped_intervals(fam_both)
+            if iv.level < grid.depth
         )
-        a_mu = mu_inv.average(root)
-        a_rho = rho.average(root)
-        leb1 = sum(
-            s.length for s in fam3.members if mu_inv.average(s) > 2.0 * a_mu
+        base = b2**2 * 1.0 / (mu_inv.average(root) * lam.average(root))
+        bound = c_both**3 * base
+        rec.residual(
+            "unstopped_coeff_sum_within_C_cubed",
+            (coeff_sum - bound * (1 + 1e-9)) / max(1.0, bound),
         )
-        leb2 = sum(
+        rec.sample("unstopped_coeff_sum_over_base", coeff_sum / base)
+    # (b) three-condition stopping with C = 2, C_b = 1
+    fam3 = maximal_stopping_intervals(
+        grid, root, three_condition_factory(mu, lam, b, 2.0, 1.0)(root)
+    )
+    a_mu = mu_inv.average(root)
+    a_rho = rho.average(root)
+    leb1 = sum(s.length for s in fam3.members if mu_inv.average(s) > 2.0 * a_mu)
+    leb2 = sum(
+        s.length
+        for s in fam3.members
+        if mu_inv.average(s) <= 2.0 * a_mu and rho.average(s) > 2.0 * a_rho
+    )
+    rec.residual("three_cond_weight_packing_half", leb1 - 0.5 * (1 + 1e-12))
+    rec.residual("three_cond_rho_packing_half", leb2 - 0.5 * (1 + 1e-12))
+    rec.sample(
+        "three_cond_path_sum_packing",
+        sum(
             s.length
             for s in fam3.members
-            if mu_inv.average(s) <= 2.0 * a_mu and rho.average(s) > 2.0 * a_rho
-        )
-        w_cond1.update(leb1 - 0.5 * (1 + 1e-12), t)
-        w_cond2.update(leb2 - 0.5 * (1 + 1e-12), t)
-        cond3_packs.append(
-            sum(
-                s.length
-                for s in fam3.members
-                if mu_inv.average(s) <= 2.0 * a_mu and rho.average(s) <= 2.0 * a_rho
-            )
-        )
-        # (d) square-sum stopping: minimal constant in rho-mass
-        if b2 > 0:
-            try:
-                csq = minimal_packing_constant(
-                    grid,
-                    root,
-                    lambda C: square_sum_factory(b, rho, C, b2),
-                    rho,
-                    target=0.5,
-                )
-                c_sq.append(csq)
-            except PackingSearchError as e:
-                search_failures.append((t, "square-sum", e.min_ratio))
-    res.assertions.append(
-        Assertion(
-            "packing_searches_succeed",
-            not search_failures,
-            float(len(search_failures)),
-            0.0,
-            f"failures: {search_failures}" if search_failures else "all searches found a constant",
-        )
+            if mu_inv.average(s) <= 2.0 * a_mu and rho.average(s) <= 2.0 * a_rho
+        ),
     )
-    res.assertions.append(w_pack.assertion("deviation_packing_at_target", 0.0))
-    res.assertions.append(w_decay.assertion("corona_geometric_decay", 0.0))
-    res.assertions.append(
-        w_lebesgue4.assertion("factor4_lebesgue_packing_quarter", 0.0)
-    )
-    res.assertions.append(
-        w_unstopped.assertion("unstopped_coeff_sum_within_C_cubed", 0.0)
-    )
-    res.assertions.append(w_cond1.assertion("three_cond_weight_packing_half", 0.0))
-    res.assertions.append(w_cond2.assertion("three_cond_rho_packing_half", 0.0))
-    res.measured["deviation_constant"] = _stats(c_dev)
-    res.measured["corona_constant"] = _stats(c_cor)
-    res.measured["square_sum_constant"] = _stats(c_sq)
-    res.measured["unstopped_coeff_sum_over_base"] = _stats(ks)
-    res.measured["three_cond_path_sum_packing"] = _stats(cond3_packs)
-    return res
+    # (d) square-sum stopping: minimal constant in rho-mass
+    if b2 > 0:
+        csq = search("square-sum", lambda: minimal_packing_constant(
+            grid, root, lambda C: square_sum_factory(b, rho, C, b2), rho, target=0.5
+        ))
+        if csq is not None:
+            rec.sample("square_sum_constant", csq)
+
+
+def _packing_assertions(rec: Record) -> list[Assertion]:
+    failures = rec.failures
+    detail = f"failures: {failures}" if failures else "all searches found a constant"
+    return [Assertion("packing_searches_succeed", not failures, float(len(failures)),
+                      0.0, detail)]
 
 
 # --------------------------------------------------------------- neccon-chain
@@ -813,53 +663,132 @@ def _mu_normalized_oscillation(b: StepFunction, mu: Weight, lam: Weight) -> floa
     return best
 
 
-def run_neccon_chain(cfg: ExperimentConfig) -> SuiteResult:
-    res = SuiteResult("neccon-chain", cfg.to_dict())
-    w_low = _Worst()
-    w_high = _Worst()
-    r_bmo, r_b2, r_comm = [], [], []
-    for t in range(cfg.trials):
-        td = make_trial(cfg, t)
-        mu, lam, b = td.mu, td.lam, td.b
-        rho = rho_weight(mu, lam)
-        nec = neccon_functional(b, mu, lam)
-        base = _mu_normalized_oscillation(b, mu, lam)
-        a2 = a2_characteristic(mu)
-        # sandwich chain: base <= neccon^2 <= [mu]_{A2} * base, definitional
-        w_low.update(_rel(base - nec**2, base), t)
-        w_high.update(_rel(nec**2 - a2 * base, a2 * base), t)
-        bmo = bmo_rho(b, rho)
-        b2 = bloom_b2(b, mu, lam)
-        if bmo > 0:
-            r_bmo.append(nec / bmo)
-        if b2 > 0:
-            r_b2.append(nec / b2)
-        n_comm = weighted_operator_norm(commutator_operator(b), mu, lam)
-        if n_comm > 0:
-            r_comm.append(nec / n_comm)
-    res.assertions.append(w_low.assertion("neccon_at_least_mu_oscillation", 1e-12))
-    res.assertions.append(w_high.assertion("neccon_within_a2_of_oscillation", 1e-12))
-    res.measured["neccon_over_bmo_rho"] = _stats(r_bmo)
-    res.measured["neccon_over_bloom_b2"] = _stats(r_b2)
-    res.measured["neccon_over_commutator_norm"] = _stats(r_comm)
-    return res
+def _check_neccon_chain(rec: Record, td: TrialData) -> None:
+    mu, lam, b = td.mu, td.lam, td.b
+    rho = rho_weight(mu, lam)
+    nec = neccon_functional(b, mu, lam)
+    base = _mu_normalized_oscillation(b, mu, lam)
+    a2 = a2_characteristic(mu)
+    # sandwich chain: base <= neccon^2 <= [mu]_{A2} * base, definitional
+    rec.residual("neccon_at_least_mu_oscillation", _rel(base - nec**2, base))
+    rec.residual("neccon_within_a2_of_oscillation", _rel(nec**2 - a2 * base, a2 * base))
+    bmo = bmo_rho(b, rho)
+    b2 = bloom_b2(b, mu, lam)
+    if bmo > 0:
+        rec.sample("neccon_over_bmo_rho", nec / bmo)
+    if b2 > 0:
+        rec.sample("neccon_over_bloom_b2", nec / b2)
+    n_comm = weighted_operator_norm(commutator_operator(b), mu, lam)
+    if n_comm > 0:
+        rec.sample("neccon_over_commutator_norm", nec / n_comm)
 
 
 SUITES = {
-    "identities": run_identities,
-    "equivalences": run_equivalences,
-    "paraproduct-bounds": run_paraproduct_bounds,
-    "commutator-bounds": run_commutator_bounds,
-    "carleson": run_carleson,
-    "ppott": run_ppott,
-    "stopping": run_stopping,
-    "neccon-chain": run_neccon_chain,
+    "identities": Suite(
+        _check_identities,
+        (
+            ("haar_round_trip", 1e-12),
+            ("parseval", 1e-12),
+            ("product_decomposition", 1e-11),
+            ("paraproduct_adjointness", 1e-12),
+            ("shift_isometry_admissible", 1e-12),
+            ("six_term_expansion", 1e-11),
+            ("remainder_closed_form", 1e-11),
+            ("remainder_energy_identity", 1e-10),
+            lambda rec: _worked_example_assertions(),
+        ),
+        samples=("sign_flipped_residual",),
+    ),
+    "equivalences": Suite(
+        _check_equivalences,
+        (
+            _degenerate_assertions,
+            ("a2_sandwich_lower", 1e-12),
+            ("a2_sandwich_upper", 1e-12),
+        ),
+        samples=_CHAIN_RATIOS + ("chain_max", "a2_mu", "a2_lambda"),
+    ),
+    "paraproduct-bounds": Suite(
+        _check_paraproduct_bounds,
+        (("norm_duality_transpose", 1e-9),),
+        samples=(
+            "norm_over_bloom_b2",
+            "norm_paraproduct",
+            "bloom_b2",
+            "lower_bound_excess",
+            "lower_bound_excess_dual",
+            "necessity_test_function_bound",
+        ),
+        counts=("lower_bound_violations", "lower_bound_violations_dual"),
+    ),
+    "commutator-bounds": Suite(
+        _check_commutator_bounds,
+        (
+            ("constant_symbol_commutes", 0.0, "[c, shift] f == 0 exactly"),
+            ("commutator_apply_matches_expansion", 1e-11),
+            ("adjoint_consistency", 1e-12),
+        ),
+        samples=("norm_over_bmo_rho", "norm_commutator", "bmo_rho"),
+    ),
+    "carleson": Suite(
+        _check_carleson,
+        (
+            ("carleson_equals_bloom_b2_sq", 1e-10),
+            ("carleson_dual_equals_bloom_b2_dual_sq", 1e-10),
+            ("embedding_at_least_carleson", 1e-9),
+            ("embedding_at_most_4x_carleson", 1e-9),
+        ),
+        samples=("embedding_over_carleson",),
+    ),
+    "ppott": Suite(
+        _check_ppott,
+        (_constant_weight_assertions, ("best_constant_at_least_one", 1e-9)),
+        samples=("best_constant", "best_constant_over_a2"),
+    ),
+    "stopping": Suite(
+        _check_stopping,
+        (
+            _packing_assertions,
+            ("deviation_packing_at_target", 0.0),
+            ("corona_geometric_decay", 0.0),
+            ("factor4_lebesgue_packing_quarter", 0.0),
+            ("unstopped_coeff_sum_within_C_cubed", 0.0),
+            ("three_cond_weight_packing_half", 0.0),
+            ("three_cond_rho_packing_half", 0.0),
+        ),
+        samples=(
+            "deviation_constant",
+            "corona_constant",
+            "square_sum_constant",
+            "unstopped_coeff_sum_over_base",
+            "three_cond_path_sum_packing",
+        ),
+    ),
+    "neccon-chain": Suite(
+        _check_neccon_chain,
+        (
+            ("neccon_at_least_mu_oscillation", 1e-12),
+            ("neccon_within_a2_of_oscillation", 1e-12),
+        ),
+        samples=(
+            "neccon_over_bmo_rho",
+            "neccon_over_bloom_b2",
+            "neccon_over_commutator_norm",
+        ),
+    ),
 }
 
 
 def run_suite(name: str, cfg: ExperimentConfig) -> SuiteResult:
     if name not in SUITES:
-        from .errors import ConfigError
-
         raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    return SUITES[name](cfg)
+    suite = SUITES[name]
+    rec = Record(name, cfg, suite.samples, suite.counts)
+    for t in range(cfg.trials):
+        rec.trial = t
+        suite.check(rec, make_trial(cfg, t))
+    res = SuiteResult(name, cfg.to_dict(), findings=rec.findings)
+    for gate in suite.gates:
+        res.assertions.extend(gate(rec) if callable(gate) else [rec.assertion(*gate)])
+    res.measured = {k: _stats(v) for k, v in rec.samples.items()} | rec.counts
+    return res

@@ -19,9 +19,6 @@ from .grid import DyadicGrid, DyadicInterval, StepFunction, level_masses
 
 __all__ = [
     "Weight",
-    "interval_mass",
-    "interval_average",
-    "weighted_expectation",
     "a2_characteristic",
     "rho_weight",
     "EnsembleSpec",
@@ -48,10 +45,6 @@ class Weight:
             m.setflags(write=False)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "level_masses", tuple(masses))
-
-    @classmethod
-    def from_values(cls, grid: DyadicGrid, values) -> "Weight":
-        return cls(StepFunction(grid, values))
 
     @property
     def grid(self) -> DyadicGrid:
@@ -98,18 +91,6 @@ class Weight:
 
     def __repr__(self):
         return f"Weight(depth={self.grid.depth}, total_mass={self.total_mass!r})"
-
-
-def interval_mass(w: Weight, iv: DyadicInterval) -> float:
-    return w.mass(iv)
-
-
-def interval_average(w: Weight, iv: DyadicInterval) -> float:
-    return w.average(iv)
-
-
-def weighted_expectation(w: Weight, f: StepFunction, iv: DyadicInterval) -> float:
-    return w.expectation(f, iv)
 
 
 def a2_characteristic(w: Weight) -> float:
@@ -190,10 +171,6 @@ class EnsembleSpec:
             lo, hi = self.a2_range
             if not (1.0 <= lo <= hi):
                 raise ConfigError(f"a2_range must satisfy 1 <= lo <= hi, got {self.a2_range}")
-
-    @property
-    def is_weight(self) -> bool:
-        return self.kind in WEIGHT_KINDS
 
     def to_dict(self) -> dict:
         d = {

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from dyadbloom.cli import SWEEP_COLUMNS, main
+from dyadbloom.config import SUITE_NAMES
 from dyadbloom.grid import DyadicGrid, DyadicInterval, StepFunction, haar_function
 from dyadbloom.serialize import load_step_function, load_weight, save_step_function, write_json
 
@@ -141,20 +142,23 @@ def test_norms_rejects_nonpositive_weight(tmp_path, capsys):
 
 def test_verify_writes_suite_json(tmp_path, capsys):
     argv = ["verify", "--depth", "4", "--seed", "9", "--trials", "2",
-            "--suite", "identities", "--out", str(tmp_path / "r1")]
+            "--out", str(tmp_path / "r1")]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "[identities] PASS" in out
-    assert "verify: PASS (1 suites)" in out
+    assert f"verify: PASS ({len(SUITE_NAMES)} suites)" in out
     path = tmp_path / "r1" / "suite-identities.json"
     doc = json.loads(path.read_text())
     assert doc["suite"] == "identities"
     assert doc["passed"] is True
     assert path.read_text().endswith("\n")
-    # byte-identical rerun
+    # byte-identical rerun, every suite
     argv2 = argv[:-1] + [str(tmp_path / "r2")]
     assert main(argv2) == 0
-    assert path.read_bytes() == (tmp_path / "r2" / "suite-identities.json").read_bytes()
+    assert capsys.readouterr().out == out
+    for name in SUITE_NAMES:
+        first = (tmp_path / "r1" / f"suite-{name}.json").read_bytes()
+        assert first == (tmp_path / "r2" / f"suite-{name}.json").read_bytes(), name
 
 
 def test_verify_suite_selection(tmp_path):

@@ -18,7 +18,6 @@ from dyadbloom import (
     haar_function,
     haar_synthesize,
     indicator,
-    pointwise_multiply,
     square_function,
 )
 from dyadbloom.grid import (
@@ -300,7 +299,7 @@ def test_square_function_l2_matches_coeff_energy(rng):
 def test_pointwise_multiply(grid2):
     f = StepFunction(grid2, np.array([1.0, 2.0, 3.0, 4.0]))
     g = StepFunction(grid2, np.array([2.0, 2.0, 0.5, 0.5]))
-    np.testing.assert_array_equal(pointwise_multiply(f, g).values, [2.0, 4.0, 1.5, 2.0])
+    np.testing.assert_array_equal((f * g).values, [2.0, 4.0, 1.5, 2.0])
 
 
 def test_spectrum_truncated_drops_deep_levels(rng):

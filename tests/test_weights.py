@@ -17,10 +17,7 @@ from dyadbloom import (
     Weight,
     a2_characteristic,
     generate,
-    interval_average,
-    interval_mass,
     rho_weight,
-    weighted_expectation,
 )
 
 
@@ -39,8 +36,6 @@ def test_interval_mass_and_average_match_slices(random_positive):
         assert w.average(iv) == pytest.approx(
             oracles.average_on(w.values, 4, k, j), rel=1e-14
         )
-        assert interval_mass(w, iv) == w.mass(iv)
-        assert interval_average(w, iv) == w.average(iv)
 
 
 def test_a2_of_two_leaf_weight_is_four_thirds(weight_13):
@@ -95,7 +90,7 @@ def test_weighted_expectation_and_inner(random_positive, rng):
     iv = DyadicInterval(1, 1)
     sl = oracles.leaf_slice(4, 1, 1)
     want_exp = float((f.values[sl] * w.values[sl]).sum()) / float(w.values[sl].sum())
-    assert weighted_expectation(w, f, iv) == pytest.approx(want_exp, rel=1e-14)
+    assert w.expectation(f, iv) == pytest.approx(want_exp, rel=1e-14)
 
 
 # ------------------------------------------------------------------ ensembles
