@@ -39,32 +39,32 @@ from .grid import (
 )
 from .normest import (
     CarlesonSequence,
-    LeafOperator,
     NormReport,
     adjoint_paraproduct_carleson_sequence,
     carleson_constant,
     carleson_embedding_check,
-    commutator_operator,
     compute_norm_report,
     necessity_test_function_bound,
-    paraproduct_adjoint_operator,
     paraproduct_carleson_sequence,
-    paraproduct_operator,
     ppott_best_constant,
-    shift_operator,
     weighted_operator_norm,
 )
 from .operators import (
     ExpansionTerms,
+    LeafOperator,
+    commutator_operator,
     commutator_shift,
     expansion_terms,
     haar_shift,
     is_admissible,
     paraproduct,
     paraproduct_adjoint,
+    paraproduct_adjoint_operator,
+    paraproduct_operator,
     project_admissible,
     remainder_closed_form,
     shift_adjoint,
+    shift_operator,
 )
 from .stopping import (
     StoppingFamily,

@@ -170,7 +170,17 @@ def _cmd_norms(args) -> int:
             "depth mismatch across files: "
             + ", ".join(f"{p} has depth {d}" for p, d in depths.items())
         )
-    rep = compute_norm_report(b, mu, lam)
+    # Finite inputs can still overflow (a leaf near 1e308 squares to inf);
+    # ratios are exempt, as NaN there marks a zero denominator.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            rep = compute_norm_report(b, mu, lam)
+        except ValueError as e:
+            raise ConfigError(f"inputs out of double-precision range: {e}") from e
+    values = {**rep.to_dict(), **rep.bmo.to_dict()}
+    bad = sorted(k for k, v in values.items() if isinstance(v, float) and not math.isfinite(v))
+    if bad:
+        raise ConfigError(f"inputs out of double-precision range: {', '.join(bad)} not finite")
     _print_norm_report(rep)
     if args.out:
         write_json(args.out, rep.to_dict())

@@ -344,7 +344,10 @@ def synthesize_leaves(mean, coeffs: Sequence[np.ndarray], depth: int) -> np.ndar
     v = mean[..., None]
     for k, c in enumerate(coeffs):
         s = np.asarray(c, dtype=np.float64) * math.sqrt(2**k)
-        v = np.stack((v - s, v + s), axis=-1).reshape(mean.shape + (2 << k,))
+        w = np.empty(mean.shape + (2 << k,))
+        np.subtract(v, s, out=w[..., 0::2])
+        np.add(v, s, out=w[..., 1::2])
+        v = w
     return np.repeat(v, (1 << depth) >> len(coeffs), axis=-1)
 
 

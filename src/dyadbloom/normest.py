@@ -1,9 +1,11 @@
 """Weighted operator norms, best constants, Carleson embedding.
 
-Every operator is used only through its O(2^D) applies in operators.py,
-together with its transpose under the unweighted pairing <u, v> = mean(u v);
-nothing here builds an n x n array.  The pairing's leaf width 2^{-D} cancels
-between domain and codomain, so
+Every operator is used only through its plan in operators.py: a
+LeafOperator whose apply and its transpose under the unweighted pairing
+<u, v> = mean(u v) are O(2^D) array kernels, built once per symbol and
+shared with the verification suites; nothing here builds an n x n array or
+wraps a Lanczos vector in a StepFunction.  The pairing's leaf width 2^{-D}
+cancels between domain and codomain, so
 
     || T : L^2(mu) -> L^2(lambda) ||^2 = lambda_max(W'W),
     W = diag(sqrt(lambda)) T diag(1/sqrt(mu)),
@@ -18,7 +20,8 @@ Every top eigenvalue comes from Lanczos on the symmetric operator
 (ARPACK through scipy.sparse.linalg.eigsh, tol=0) started from one fixed
 seeded random vector, so repeated calls return bitwise-equal floats.  The
 start vector is random, not constant, because constants lie in the kernel of
-the shift.
+the shift.  Each matvec output is checked for finiteness once, and a zero
+operator is recognised from ARPACK's own first image, at no extra apply.
 
 The Carleson block ties the coefficient functionals to embedding constants:
 carleson_constant does the definitional bottom-up scan, while
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 import scipy.sparse.linalg
@@ -49,21 +52,16 @@ from .grid import (
     synthesize_leaves,
 )
 from .operators import (
-    commutator_shift,
-    haar_shift,
+    LeafOperator,
+    commutator_operator,
     is_admissible,
-    paraproduct,
-    paraproduct_adjoint,
-    shift_adjoint,
+    paraproduct_adjoint_operator,
+    paraproduct_operator,
+    shift_operator,
 )
 from .weights import Weight, a2_characteristic, rho_weight
 
 __all__ = [
-    "LeafOperator",
-    "paraproduct_operator",
-    "paraproduct_adjoint_operator",
-    "shift_operator",
-    "commutator_operator",
     "weighted_operator_norm",
     "ppott_best_constant",
     "CarlesonSequence",
@@ -79,61 +77,34 @@ __all__ = [
 ]
 
 
-class LeafOperator(NamedTuple):
-    """A linear map on the step functions of one grid, with its transpose
-    under the unweighted L^2 pairing."""
-
-    grid: DyadicGrid
-    apply: Callable[[StepFunction], StepFunction]
-    transpose: Callable[[StepFunction], StepFunction]
-
-
-def paraproduct_operator(b: StepFunction) -> LeafOperator:
-    return LeafOperator(
-        b.grid, lambda f: paraproduct(b, f), lambda g: paraproduct_adjoint(b, g)
-    )
-
-
-def paraproduct_adjoint_operator(b: StepFunction) -> LeafOperator:
-    return LeafOperator(
-        b.grid, lambda f: paraproduct_adjoint(b, f), lambda g: paraproduct(b, g)
-    )
-
-
-def shift_operator(grid: DyadicGrid) -> LeafOperator:
-    """The shift with its deepest input level dropped (truncate mode)."""
-    return LeafOperator(grid, lambda f: haar_shift(f, mode="truncate"), shift_adjoint)
-
-
-def commutator_operator(b: StepFunction) -> LeafOperator:
-    """[b, Sh] with transpose Sh^T b - b Sh^T (truncate mode).
-
-    The symbol is centred first: [b, Sh] = [b - <b>, Sh], and the centred
-    form makes a constant symbol give exactly zero.
-    """
-    bc = b - b.integral()
-    return LeafOperator(
-        b.grid,
-        lambda f: commutator_shift(bc, f, mode="truncate"),
-        lambda g: shift_adjoint(bc * g) - bc * shift_adjoint(g),
-    )
-
-
 def _top_eigenvalue(n: int, matvec: Callable[[np.ndarray], np.ndarray]) -> float:
     """Largest eigenvalue of a symmetric positive semidefinite n x n operator.
 
-    A zero operator returns 0.0: ARPACK refuses it, and a random start vector
-    lies in the kernel of a nonzero operator with probability zero.
+    A non-finite matvec output raises ValueError before ARPACK sees it.  A
+    zero operator returns 0.0: ARPACK applies it once, then raises
+    ArpackError, and a random start vector lies in the kernel of a nonzero
+    operator with probability zero.  Any other ArpackError is re-raised.
     """
+    first_image_zero: list[bool] = []
+
+    def checked(x: np.ndarray) -> np.ndarray:
+        y = matvec(x.ravel())
+        if not np.isfinite(y).all():
+            raise ValueError("operator image is not finite")
+        if not first_image_zero:
+            first_image_zero.append(not np.any(y))
+        return y
+
     v0 = np.random.default_rng(0).standard_normal(n)
-    if not np.any(matvec(v0)):
-        return 0.0
-    op = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=lambda x: matvec(x.ravel()), dtype=np.float64
-    )
-    top = scipy.sparse.linalg.eigsh(
-        op, k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False
-    )
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=checked, dtype=np.float64)
+    try:
+        top = scipy.sparse.linalg.eigsh(
+            op, k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False
+        )
+    except scipy.sparse.linalg.ArpackError:
+        if first_image_zero == [True]:
+            return 0.0
+        raise
     return max(float(top[0]), 0.0)
 
 
@@ -146,8 +117,7 @@ def weighted_operator_norm(T: LeafOperator, mu: Weight, lam: Weight) -> float:
     lam_vals = lam.values
 
     def normal(x: np.ndarray) -> np.ndarray:
-        y = T.apply(StepFunction(grid, scale * x)).values
-        return scale * T.transpose(StepFunction(grid, lam_vals * y)).values
+        return scale * T.transpose(lam_vals * T.apply(scale * x))
 
     return math.sqrt(_top_eigenvalue(grid.n_leaves, normal))
 

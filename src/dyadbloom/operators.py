@@ -11,11 +11,18 @@ Operators act on step functions of one grid.  With bhat(I) = <b, h_I> and
 unweighted-adjoint pair, and Sh is an isometry on mean-free functions whose
 spectrum avoids the deepest level; shift_adjoint is its transpose.
 
+Each operator has one implementation, a LeafOperator of array kernels
+built once per symbol (b is analysed when the plan is built, not per apply).
+The norm engine runs on the plans; paraproduct, paraproduct_adjoint,
+haar_shift, shift_adjoint and commutator_shift wrap the same kernels for
+StepFunctions, so the suites and the engine share every operator.
+
 Admissibility.  Sh maps a level-k coefficient to level k+1, so level-(D-1)
 input coefficients have no representation at depth D.  Functions whose
 spectrum is supported on levels <= D-2 are called admissible; mode="strict"
 (the default) raises InadmissibleLevelError when the input is not, and
-mode="truncate" drops the offending level and reports a flag.
+mode="truncate" drops the offending level and reports a flag.  The plans
+always truncate.
 
 Exactness.  Sh and the expansion remainder are computed by quarter patterns:
 the image of the I-term of f is coefficient * |I|^{-1} times the sign pattern
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,6 +45,7 @@ from .errors import InadmissibleLevelError
 from .grid import (
     DyadicGrid,
     StepFunction,
+    _check_same_grid,
     accumulate_levels,
     analyze_leaves,
     level_masses,
@@ -44,7 +53,11 @@ from .grid import (
 )
 
 __all__ = [
-    "admissible_max_level",
+    "LeafOperator",
+    "paraproduct_operator",
+    "paraproduct_adjoint_operator",
+    "shift_operator",
+    "commutator_operator",
     "is_admissible",
     "project_admissible",
     "paraproduct",
@@ -58,18 +71,95 @@ __all__ = [
 ]
 
 
-def admissible_max_level(grid: DyadicGrid) -> int:
-    """Deepest coefficient level the shift can represent at this depth: D-2."""
-    return grid.depth - 2
+class LeafOperator(NamedTuple):
+    """A linear map on the leaf values of one grid, with its transpose under
+    the unweighted L^2 pairing <u, v> = mean(u v).  apply and transpose are
+    array kernels (2^D leaf values in, a new array out) that check no
+    finiteness; the StepFunction wrappers and the norm engine do that."""
+
+    grid: DyadicGrid
+    apply: Callable[[np.ndarray], np.ndarray]
+    transpose: Callable[[np.ndarray], np.ndarray]
+
+
+def paraproduct_operator(b: StepFunction) -> LeafOperator:
+    """Pi_b with transpose Pi*_b; b is analysed once, here."""
+    depth = b.grid.depth
+    _, cb = analyze_leaves(b.values, depth)
+
+    def apply(f: np.ndarray) -> np.ndarray:
+        masses = level_masses(f, depth)
+        out = [cb[k] * (masses[k] * (2.0**k)) for k in range(depth)]
+        return synthesize_leaves(0.0, out, depth)
+
+    def transpose(g: np.ndarray) -> np.ndarray:
+        _, cg = analyze_leaves(g, depth)
+        return accumulate_levels([cb[k] * cg[k] * (1 << k) for k in range(depth)], depth)
+
+    return LeafOperator(b.grid, apply, transpose)
+
+
+def paraproduct_adjoint_operator(b: StepFunction) -> LeafOperator:
+    """Pi*_b with transpose Pi_b."""
+    grid, apply, transpose = paraproduct_operator(b)
+    return LeafOperator(grid, transpose, apply)
+
+
+def shift_operator(grid: DyadicGrid) -> LeafOperator:
+    """The shift with its deepest input level dropped (truncate mode).
+
+    The coefficient of Sh^T g on a level-k interval I, k <= D-2, is
+    (ghat(I_-) - ghat(I_+)) / sqrt(2); the mean, the level-0 coefficient of
+    g and the level-(D-1) coefficient of the image are all zero.  Both
+    kernels also take a stack of vectors on the last axis.
+    """
+    depth = grid.depth
+
+    def apply(f: np.ndarray) -> np.ndarray:
+        return _shift_values(analyze_leaves(f, depth)[1], depth)
+
+    def transpose(g: np.ndarray) -> np.ndarray:
+        _, cg = analyze_leaves(g, depth)
+        out = [(cg[k + 1][..., 0::2] - cg[k + 1][..., 1::2]) / math.sqrt(2.0)
+               for k in range(depth - 1)]
+        return synthesize_leaves(np.zeros(g.shape[:-1]), out, depth)
+
+    return LeafOperator(grid, apply, transpose)
+
+
+def _commutator_plan(grid: DyadicGrid, bv: np.ndarray) -> LeafOperator:
+    # [b, Sh] f = b Sh(f) - Sh(b f), transpose Sh^T(b g) - b Sh^T(g); each
+    # pair of shift passes runs as one pass over a (2, 2^D) stack.
+    _, sh, sh_t = shift_operator(grid)
+
+    def apply(f: np.ndarray) -> np.ndarray:
+        sh_f, sh_bf = sh(np.stack((f, bv * f)))
+        return bv * sh_f - sh_bf
+
+    def transpose(g: np.ndarray) -> np.ndarray:
+        sh_t_bg, sh_t_g = sh_t(np.stack((bv * g, g)))
+        return sh_t_bg - bv * sh_t_g
+
+    return LeafOperator(grid, apply, transpose)
+
+
+def commutator_operator(b: StepFunction) -> LeafOperator:
+    """[b, Sh] with transpose Sh^T b - b Sh^T (truncate mode).
+
+    The symbol is centred first: [b, Sh] = [b - <b>, Sh], and the centred
+    form makes a constant symbol give exactly zero.
+    """
+    return _commutator_plan(b.grid, b.values - b.integral())
+
+
+def _top_level_max(coeffs: list[np.ndarray]) -> float:
+    # max |coefficient| on level D-1, the level the shift cannot represent
+    return float(np.abs(coeffs[-1]).max(initial=0.0))
 
 
 def is_admissible(f: StepFunction, atol: float = 0.0) -> bool:
     """True when f's spectrum is supported on levels <= D-2 (within atol)."""
-    _, coeffs = analyze_leaves(f.values, f.grid.depth)
-    top = f.grid.depth - 1
-    if top < 0:
-        return True
-    return float(np.abs(coeffs[top]).max(initial=0.0)) <= atol
+    return _top_level_max(analyze_leaves(f.values, f.grid.depth)[1]) <= atol
 
 
 def project_admissible(f: StepFunction) -> StepFunction:
@@ -80,61 +170,53 @@ def project_admissible(f: StepFunction) -> StepFunction:
 
 
 def _check_admissible(coeffs: list[np.ndarray], depth: int, what: str, atol: float):
-    top = depth - 1
-    if top < 0:
-        return
-    worst = float(np.abs(coeffs[top]).max(initial=0.0))
+    worst = _top_level_max(coeffs)
     if worst > atol:
         raise InadmissibleLevelError(
-            f"{what} has a nonzero Haar coefficient at level {top} "
+            f"{what} has a nonzero Haar coefficient at level {depth - 1} "
             f"(max |coeff| = {worst:.3e}); the shift cannot represent its image "
             f"at depth {depth}. Project to levels <= {depth - 2} or use "
             f"mode='truncate'.",
-            level=top,
+            level=depth - 1,
             max_abs=worst,
         )
 
 
+def _check_both_admissible(b: StepFunction, f: StepFunction, what: str, atol: float):
+    depth = b.grid.depth
+    _check_admissible(analyze_leaves(b.values, depth)[1], depth, f"{what} symbol b", atol)
+    _check_admissible(analyze_leaves(f.values, depth)[1], depth, f"{what} argument f", atol)
+
+
 def paraproduct(b: StepFunction, f: StepFunction) -> StepFunction:
     """Pi_b f = sum_I bhat(I) <f>_I h_I.  Output has mean 0."""
-    depth = b.grid.depth
-    if b.grid != f.grid:
-        from .errors import GridMismatchError
-
-        raise GridMismatchError("b and f must live on the same grid")
-    _, cb = analyze_leaves(b.values, depth)
-    masses = level_masses(f.values, depth)
-    out_coeffs = [cb[k] * (masses[k] * (2.0**k)) for k in range(depth)]
-    return StepFunction(b.grid, synthesize_leaves(np.asarray(0.0), out_coeffs, depth))
+    _check_same_grid(b, f)
+    return StepFunction(b.grid, paraproduct_operator(b).apply(f.values))
 
 
 def paraproduct_adjoint(b: StepFunction, f: StepFunction) -> StepFunction:
     """Pi*_b f = sum_I bhat(I) fhat(I) 1_I / |I|, the unweighted adjoint of Pi_b."""
-    depth = b.grid.depth
-    if b.grid != f.grid:
-        from .errors import GridMismatchError
-
-        raise GridMismatchError("b and f must live on the same grid")
-    _, cb = analyze_leaves(b.values, depth)
-    _, cf = analyze_leaves(f.values, depth)
-    terms = [cb[k] * cf[k] * (1 << k) for k in range(depth)]
-    return StepFunction(b.grid, accumulate_levels(terms, depth))
+    _check_same_grid(b, f)
+    return StepFunction(b.grid, paraproduct_operator(b).transpose(f.values))
 
 
-_SHIFT_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
-_REMAINDER_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+_SHIFT_SIGNS = (np.subtract, np.add, np.add, np.subtract)
+_REMAINDER_SIGNS = (np.add, np.subtract, np.add, np.subtract)
 
 
-def _quarter_pyramid(scaled: list[np.ndarray], depth: int, signs) -> np.ndarray:
+def _quarter_pyramid(scaled: list[np.ndarray], depth: int, signs, batch=()) -> np.ndarray:
     # Leaf values of sum_k scaled[k] * signs on the four quarters of each
     # level-k interval, k <= D-2, top-down: v holds the sum so far at the
-    # resolution of level-(k+1) intervals, and each level widens it by 2 and
-    # adds +-scaled[k] on the quarters (adding s * -1 is subtracting s,
-    # exactly).  Every leaf is 0 +- s_0 +- s_1 ... in level order, the chain
-    # of adding each level onto all 2^D leaves.
-    v = np.zeros(2)
+    # resolution of level-(k+1) intervals, and quarter q of each level-k
+    # interval is written as v -+ scaled[k] straight into the strided view
+    # [q::4] of the next level.  Every leaf is 0 +- s_0 +- s_1 ... in level
+    # order, the chain of adding each level onto all 2^D leaves.
+    v = np.zeros(batch + (2,))
     for k in range(max(depth - 1, 0)):
-        v = (np.repeat(v, 2).reshape(1 << k, 4) + scaled[k][:, None] * signs).ravel()
+        w = np.empty(batch + (4 << k,))
+        for q, op in enumerate(signs):
+            op(v[..., q >> 1::2], scaled[k], out=w[..., q::4])
+        v = w
     return v
 
 
@@ -143,7 +225,7 @@ def _shift_values(coeffs: list[np.ndarray], depth: int) -> np.ndarray:
     # coeff * |I|^{-1/2} * (-1, +1, +1, -1) on its quarters, which is
     # (h_{I_-} - h_{I_+})/sqrt(2) without irrational intermediates.
     scaled = [coeffs[k] * math.sqrt(2**k) for k in range(max(depth - 1, 0))]
-    return _quarter_pyramid(scaled, depth, _SHIFT_SIGNS)
+    return _quarter_pyramid(scaled, depth, _SHIFT_SIGNS, coeffs[0].shape[:-1])
 
 
 def haar_shift(
@@ -163,14 +245,9 @@ def haar_shift(
         raise ValueError(f"mode must be 'strict' or 'truncate', got {mode!r}")
     depth = f.grid.depth
     _, coeffs = analyze_leaves(f.values, depth)
-    truncated = False
-    if depth >= 1:
-        top = depth - 1
-        worst = float(np.abs(coeffs[top]).max(initial=0.0))
-        if worst > atol:
-            if mode == "strict":
-                _check_admissible(coeffs, depth, "shift input", atol)
-            truncated = True
+    truncated = _top_level_max(coeffs) > atol
+    if truncated and mode == "strict":
+        _check_admissible(coeffs, depth, "shift input", atol)
     result = StepFunction(f.grid, _shift_values(coeffs, depth))
     if return_flag:
         return result, truncated
@@ -178,16 +255,9 @@ def haar_shift(
 
 
 def shift_adjoint(f: StepFunction) -> StepFunction:
-    """Transpose of the (truncating) shift under the unweighted L^2 pairing.
-
-    The coefficient of Sh^T f on a level-k interval I, k <= D-2, is
-    (fhat(I_-) - fhat(I_+)) / sqrt(2); the mean, the level-0 coefficient of
-    f and the level-(D-1) coefficient of the image are all zero.
-    """
-    depth = f.grid.depth
-    _, cf = analyze_leaves(f.values, depth)
-    out = [(cf[k + 1][0::2] - cf[k + 1][1::2]) / math.sqrt(2.0) for k in range(depth - 1)]
-    return StepFunction(f.grid, synthesize_leaves(np.asarray(0.0), out, depth))
+    """Transpose of the (truncating) shift under the unweighted L^2 pairing;
+    see shift_operator."""
+    return StepFunction(f.grid, shift_operator(f.grid).transpose(f.values))
 
 
 def commutator_shift(
@@ -200,15 +270,10 @@ def commutator_shift(
     bitwise-equal sibling leaves, so its top coefficients vanish exactly) and
     no truncation can occur anywhere in the formula.
     """
-    depth = b.grid.depth
+    _check_same_grid(b, f)
     if mode == "strict":
-        _, cb = analyze_leaves(b.values, depth)
-        _, cf = analyze_leaves(f.values, depth)
-        _check_admissible(cb, depth, "commutator symbol b", atol)
-        _check_admissible(cf, depth, "commutator argument f", atol)
-    shf = haar_shift(f, mode="truncate")
-    sh_bf = haar_shift(b * f, mode="truncate")
-    return b * shf - sh_bf
+        _check_both_admissible(b, f, "commutator", atol)
+    return StepFunction(b.grid, _commutator_plan(b.grid, b.values).apply(f.values))
 
 
 def remainder_closed_form(
@@ -296,12 +361,8 @@ def expansion_terms(
     Pi*_b f is constant on the (level of I)-blocks of its deepest active I,
     so its spectrum also stays within levels <= D-2.
     """
-    depth = b.grid.depth
     if mode == "strict":
-        _, cb = analyze_leaves(b.values, depth)
-        _, cf = analyze_leaves(f.values, depth)
-        _check_admissible(cb, depth, "expansion symbol b", atol)
-        _check_admissible(cf, depth, "expansion argument f", atol)
+        _check_both_admissible(b, f, "expansion", atol)
     shf = haar_shift(f, mode="truncate")
     return ExpansionTerms(
         commutator=commutator_shift(b, f, mode="truncate"),

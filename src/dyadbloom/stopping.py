@@ -324,14 +324,18 @@ def minimal_corona_constant(
     grid_factor: float = 1.1,
     c_max: float = float(1 << 20),
     max_generations: int = 64,
+    start: float | None = None,
 ) -> float:
     """Smallest grid constant whose packing target holds at EVERY corona root
     (so generation masses decay geometrically).  Monotone in C for the same
-    reason as minimal_packing_constant; scanned upward from that constant."""
+    reason as minimal_packing_constant; scanned upward from that constant.
+    A caller that already has minimal_packing_constant's result for the same
+    arguments passes it as start, and the search is not run again."""
     candidates = _constant_grid(grid_factor, c_max)
-    start = minimal_packing_constant(
-        grid, root, factory_of_c, w, target, grid_factor, c_max
-    )
+    if start is None:
+        start = minimal_packing_constant(
+            grid, root, factory_of_c, w, target, grid_factor, c_max
+        )
     idx = candidates.index(min(c for c in candidates if c >= start * (1 - 1e-12)))
 
     def corona_ok(c: float) -> bool:

@@ -54,23 +54,23 @@ from .normest import (
     adjoint_paraproduct_carleson_sequence,
     carleson_constant,
     carleson_embedding_check,
-    commutator_operator,
     necessity_test_function_bound,
-    paraproduct_adjoint_operator,
     paraproduct_carleson_sequence,
-    paraproduct_operator,
     ppott_best_constant,
-    shift_operator,
     weighted_operator_norm,
 )
 from .operators import (
+    commutator_operator,
     commutator_shift,
     expansion_terms,
     haar_shift,
     paraproduct,
     paraproduct_adjoint,
+    paraproduct_adjoint_operator,
+    paraproduct_operator,
     project_admissible,
     remainder_closed_form,
+    shift_operator,
 )
 from .stopping import (
     corona_generations,
@@ -464,7 +464,7 @@ def _check_commutator_bounds(rec: Record, td: TrialData) -> None:
     rho = rho_weight(mu, lam)
     M = commutator_operator(b)
     # the norm engine's apply vs the six-term paraproduct route
-    via_engine = M.apply(td.f).values
+    via_engine = M.apply(td.f.values)
     via_expansion = expansion_terms(b, td.f).signed_sum().values
     rec.residual(
         "commutator_apply_matches_expansion",
@@ -475,15 +475,15 @@ def _check_commutator_bounds(rec: Record, td: TrialData) -> None:
     c = StepFunction.constant(b.grid, 2.5)
     rec.residual(
         "constant_symbol_commutes",
-        float(np.abs(commutator_operator(c).apply(td.f).values).max()),
+        float(np.abs(commutator_operator(c).apply(td.f.values)).max()),
     )
     # <T f, g> = <f, T' g> for every transpose the engine uses; the raw
     # functions keep level-(D-1) content, which the shift truncates
     f, g = td.f_raw, td.g_raw
     for T in (paraproduct_operator(b), paraproduct_adjoint_operator(b),
               shift_operator(b.grid), M):
-        ip1 = float((T.apply(f).values * g.values).mean())
-        ip2 = float((f.values * T.transpose(g).values).mean())
+        ip1 = float((T.apply(f.values) * g.values).mean())
+        ip2 = float((f.values * T.transpose(g.values)).mean())
         rec.residual("adjoint_consistency", _rel(abs(ip1 - ip2), ip1, ip2))
     n_comm = weighted_operator_norm(M, mu, lam)
     bmo = bmo_rho(b, rho)
@@ -566,9 +566,10 @@ def _check_stopping(rec: Record, td: TrialData) -> None:
         fam = maximal_stopping_intervals(grid, root, deviation_factory(lam, c)(root))
         rec.residual("deviation_packing_at_target", packing_ratio(fam, lam) - 0.5)
         rec.sample("deviation_constant", c)
-    # corona decay at the corona-wide constant
+    # corona decay at the corona-wide constant, scanned up from c (without
+    # c the search reruns and records its own failure)
     cc = search("corona", lambda: minimal_corona_constant(
-        grid, root, lambda C: deviation_factory(lam, C), lam, target=0.5
+        grid, root, lambda C: deviation_factory(lam, C), lam, target=0.5, start=c
     ))
     if cc is not None:
         gens = corona_generations(grid, root, deviation_factory(lam, cc))

@@ -40,6 +40,9 @@ class Weight:
     def __init__(self, base: StepFunction):
         if np.any(base.values <= 0.0):
             raise ValueError("weights must be strictly positive on every leaf")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(1.0 / base.values).all():
+                raise ValueError("weight leaves must have finite reciprocals (not subnormal)")
         masses = level_masses(base.values, base.grid.depth)
         for m in masses:
             m.setflags(write=False)

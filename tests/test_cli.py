@@ -140,6 +140,47 @@ def test_norms_rejects_nonpositive_weight(tmp_path, capsys):
     assert "positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("role", ["mu", "lambda"])
+@pytest.mark.parametrize(
+    "leaves",
+    [
+        [1.0, 1e-320, 1.0, 1.0],  # subnormal: its reciprocal overflows
+        [1.0, 0.0, 1.0, 1.0],
+        [1.0, -1.0, 1.0, 1.0],
+        [1.0, math.nan, 1.0, 1.0],
+        [1.0, 1.0, 1.0],  # wrong length for depth 2
+        [1.0, 1e308, 1.0, 1.0],
+        [1.0, -1e308, 1.0, 1.0],
+    ],
+)
+def test_norms_weight_leaf_fuzz_exits_cleanly(tmp_path, capsys, role, leaves):
+    # every weight file either fails cleanly with exit code 2 or gives a
+    # report whose values are all finite; never a traceback
+    one = _save(tmp_path, "one.json", [1.0] * 4)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"type": "weight", "depth": 2, "values": leaves}))
+    b = _save(tmp_path, "b.json", [0.0, 1.0, -1.0, 2.0], role="symbol")
+    files = {"mu": one, "lambda": one, role: bad}
+    out = tmp_path / "rep.json"
+    code = main(["norms", "--mu", str(files["mu"]), "--lambda", str(files["lambda"]),
+                 "--symbol", str(b), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ")
+        return
+    assert code == 0
+
+    def leaves_of(doc):
+        if isinstance(doc, dict):
+            for v in doc.values():
+                yield from leaves_of(v)
+        else:
+            yield doc
+
+    assert all(v is not None for v in leaves_of(json.loads(out.read_text())))
+
+
 def test_verify_writes_suite_json(tmp_path, capsys):
     argv = ["verify", "--depth", "4", "--seed", "9", "--trials", "2",
             "--out", str(tmp_path / "r1")]
@@ -359,3 +400,12 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert "verify: PASS" in proc.stdout
+
+
+def test_package_entry_point_help():
+    proc = subprocess.run(
+        [sys.executable, "-m", "dyadbloom", "norms", "--help"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "--symbol" in proc.stdout

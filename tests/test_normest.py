@@ -51,10 +51,6 @@ def _materials(depth, seed):
     return grid, mu, lam, b
 
 
-def _arrays(fn, grid):
-    return lambda v: fn(StepFunction(grid, v)).values
-
-
 def test_closed_form_matrices_match_column_oracle():
     grid, _, _, b = _materials(4, 21)
     d = grid.depth
@@ -65,10 +61,21 @@ def test_closed_form_matrices_match_column_oracle():
         (oracles.commutator_matrix(b.values, d), commutator_operator(b)),
     ]
     for closed, T in pairs:
-        applied = oracles.operator_matrix(_arrays(T.apply, grid), d)
-        transposed = oracles.operator_matrix(_arrays(T.transpose, grid), d)
+        applied = oracles.operator_matrix(T.apply, d)
+        transposed = oracles.operator_matrix(T.transpose, d)
         np.testing.assert_allclose(applied, closed, rtol=0, atol=1e-12)
         np.testing.assert_allclose(transposed, closed.T, rtol=0, atol=1e-12)
+
+
+def test_shift_kernels_take_stacks_bitwise():
+    # the commutator runs its two shift passes as one (2, 2^D) stack, so
+    # each row must be bit for bit the single-vector result
+    S = shift_operator(DyadicGrid(6))
+    x = np.random.default_rng(5).standard_normal((2, 64))
+    for kernel in (S.apply, S.transpose):
+        stacked = kernel(x)
+        for row, v in zip(stacked, x):
+            assert np.array_equal(row, kernel(v))
 
 
 def test_shift_adjoint_coefficients():
@@ -105,7 +112,7 @@ def test_weighted_norm_of_diagonal_operator():
     d = r.uniform(-2, 2, 8)
     mu = Weight(StepFunction(grid, r.uniform(0.5, 2.0, 8)))
     lam = Weight(StepFunction(grid, r.uniform(0.5, 2.0, 8)))
-    diag = lambda f: StepFunction(grid, d * f.values)  # noqa: E731
+    diag = lambda f: d * f  # noqa: E731
     T = LeafOperator(grid, diag, diag)
     want = float(np.max(np.abs(d) * np.sqrt(lam.values / mu.values)))
     assert weighted_operator_norm(T, mu, lam) == pytest.approx(want, rel=1e-13)
@@ -183,6 +190,100 @@ def test_engine_is_bitwise_repeatable():
     assert run() == run()
 
 
+def test_zero_operators_return_exact_zero():
+    # ARPACK refuses a zero operator after one apply; the engine reads that
+    # as 0.0, exactly, from the first image alone
+    grid, mu, lam, _ = _materials(6, 71)
+    c = StepFunction.constant(grid, 2.5)
+    assert weighted_operator_norm(paraproduct_operator(c), mu, lam) == 0.0
+    assert weighted_operator_norm(commutator_operator(c), mu, lam) == 0.0
+    g1 = DyadicGrid(1)
+    w1 = Weight(StepFunction(g1, [0.5, 3.0]))
+    assert weighted_operator_norm(shift_operator(g1), w1, w1) == 0.0
+
+
+def test_nonzero_operator_costs_no_extra_apply():
+    # the engine applies T exactly as often as ARPACK asks for a matvec, and
+    # returns the same float as a direct eigsh call on the normal operator
+    import scipy.sparse.linalg as sla
+
+    grid, mu, lam, b = _materials(5, 72)
+    T = paraproduct_operator(b)
+    calls = {"apply": 0, "transpose": 0}
+
+    def counted(name, fn):
+        def run(v):
+            calls[name] += 1
+            return fn(v)
+        return run
+
+    counting = LeafOperator(grid, counted("apply", T.apply), counted("transpose", T.transpose))
+    norm = weighted_operator_norm(counting, mu, lam)
+    scale = 1.0 / np.sqrt(mu.values)
+    matvecs = []
+
+    def normal(x):
+        matvecs.append(1)
+        return scale * T.transpose(lam.values * T.apply(scale * x.ravel()))
+
+    n = grid.n_leaves
+    op = sla.LinearOperator((n, n), matvec=normal, dtype=np.float64)
+    top = sla.eigsh(op, k=1, which="LA", tol=0, v0=np.random.default_rng(0).standard_normal(n),
+                    return_eigenvectors=False)
+    assert calls["apply"] == calls["transpose"] == len(matvecs) > 0
+    assert norm == math.sqrt(float(top[0]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_matvec_raises(bad):
+    grid = DyadicGrid(3)
+    one = Weight(StepFunction.constant(grid, 1.0))
+    T = LeafOperator(grid, lambda f: np.full(8, bad), lambda g: np.asarray(g, float).copy())
+    with pytest.raises(ValueError, match="not finite"):
+        weighted_operator_norm(T, one, one)
+
+
+# compute_norm_report(...).to_dict() for one seeded D=8 triple, every float
+# as float.hex, recorded before the operators became array kernels: the
+# kernels do the same applies in the same order, so not one bit may move.
+_PINNED_D8_REPORT = {
+    "a2_lambda": "0x1.b4d4d4dffe061p+0",
+    "a2_mu": "0x1.8766bd553978bp+0",
+    "a2_rho": "0x1.3c6c586fd2495p+0",
+    "bmo.bloom_b2": "0x1.85baede560a1dp-1",
+    "bmo.bloom_b2_dual": "0x1.6d14c39a3b6efp-1",
+    "bmo.bloom_b2_l2form": "0x1.8eb45a3f71389p-1",
+    "bmo.bmo_rho": "0x1.18b7682203cc5p-1",
+    "bmo.bmo_rho_l1": "0x1.504c95913b235p-1",
+    "bmo.neccon": "0x1.64099d147a515p-1",
+    "norm_commutator": "0x1.8331849088937p+0",
+    "norm_paraproduct": "0x1.dbcb8c726124cp-1",
+    "norm_paraproduct_adjoint": "0x1.dbcb8c726124ap-1",
+    "norm_shift_lambda": "0x1.eea664626a34cp+0",
+    "norm_shift_mu": "0x1.c8e6694704267p+0",
+    "ratios.adjoint_over_bloom_b2_dual": "0x1.4da25bc4c2198p+0",
+    "ratios.bloom_b2_over_paraproduct": "0x1.a362d7c19b88bp-1",
+    "ratios.bmo_rho_over_commutator": "0x1.73339ae6fe4fbp-2",
+    "ratios.commutator_over_bmo_rho": "0x1.611a18f0a0aa7p+1",
+    "ratios.l2form_over_bloom_b2": "0x1.05e518a0713b7p+0",
+    "ratios.paraproduct_over_bloom_b2": "0x1.38887315fc716p+0",
+    "ratios.shift_mu_norm_over_sqrt_a2": "0x1.71836576723a0p+0",
+}
+
+
+def test_norm_report_is_bitwise_pinned():
+    from dyadbloom import EnsembleSpec, generate
+
+    mu = generate(EnsembleSpec(kind="cascade", depth=8, seed=11, delta=0.4))
+    lam = generate(EnsembleSpec(kind="cascade", depth=8, seed=12, delta=0.4))
+    b = generate(EnsembleSpec(kind="log-symbol", depth=8, seed=13, delta=0.3))
+    d = compute_norm_report(b, mu, lam).to_dict()
+    got = {}
+    for prefix, part in (("", d), ("bmo.", d["bmo"]), ("ratios.", d["ratios"])):
+        got.update({prefix + k: v.hex() for k, v in part.items() if isinstance(v, float)})
+    assert got == _PINNED_D8_REPORT
+
+
 @pytest.mark.parametrize("depth", [1, 2, 8])
 def test_constant_symbol_report_has_zero_symbol_norms(depth):
     grid = DyadicGrid(depth)
@@ -236,7 +337,7 @@ def test_shift_matrix_is_truncated_and_norm_one():
     one = Weight(StepFunction.constant(grid, 1.0))
     S = shift_operator(grid)
     deepest = haar_function(grid, DyadicInterval(4, 3))
-    assert not np.any(S.apply(deepest).values)
+    assert not np.any(S.apply(deepest.values))
     assert weighted_operator_norm(S, one, one) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -224,6 +224,10 @@ def test_corona_geometric_decay_cascade():
         grid, grid.root, lambda C: deviation_factory(lam, C), lam, target=0.5
     )
     assert cc >= cp * (1 - 1e-12)
+    # handing the packing constant in skips that search, same result
+    assert minimal_corona_constant(
+        grid, grid.root, lambda C: deviation_factory(lam, C), lam, target=0.5, start=cp
+    ) == cc
     gens = corona_generations(grid, grid.root, deviation_factory(lam, cc))
     total = lam.mass(grid.root)
     for g, fams in enumerate(gens, start=1):
