@@ -16,12 +16,15 @@ Best constants of the quadratic inequalities x'Ax <= C x'Gx met here have a
 diagonal G, so C = lambda_max(G^{-1/2} A G^{-1/2}), with A applied through
 the analysis and level_masses pyramids.
 
-Every top eigenvalue comes from Lanczos on the symmetric operator
-(ARPACK through scipy.sparse.linalg.eigsh, tol=0) started from one fixed
-seeded random vector, so repeated calls return bitwise-equal floats.  The
-start vector is random, not constant, because constants lie in the kernel of
-the shift.  Each matvec output is checked for finiteness once, and a zero
-operator is recognised from ARPACK's own first image, at no extra apply.
+Every top eigenvalue comes from _top_eigenvalue, a numpy thick-restart
+Lanczos on the symmetric operator with full reorthogonalisation, started
+from one fixed seeded random vector, so repeated calls return bitwise-equal
+floats.  The start vector is random, not constant, because constants lie in
+the kernel of the shift.  It stops on ARPACK's tol=0 test: the top Ritz
+value theta has residual at most eps * theta.  theta is then a lower bound
+on the top eigenvalue up to rounding; nothing bounds it from above.  Each
+matvec output is checked for finiteness once, and a zero operator is
+recognised from the first image, at no extra apply.
 
 The Carleson block ties the coefficient functionals to embedding constants:
 carleson_constant does the definitional bottom-up scan, while
@@ -40,9 +43,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .bmo import BmoReport, _subtree_sums, bmo_report
+from .errors import DyadBloomError
 from .grid import (
     DyadicGrid,
     StepFunction,
@@ -77,35 +80,87 @@ __all__ = [
 ]
 
 
+# Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000):
+# ARPACK's default basis size for one eigenvalue, the Ritz vectors a restart
+# keeps, the restart cap, and the leaf columns a restart rotates at a time so
+# that it needs no second basis.
+_BASIS = 20
+_KEEP = 10
+_MAX_RESTARTS = 1000
+_ROTATE_COLUMNS = 4096
+_EPS = float(np.finfo(np.float64).eps)
+
+
 def _top_eigenvalue(n: int, matvec: Callable[[np.ndarray], np.ndarray]) -> float:
     """Largest eigenvalue of a symmetric positive semidefinite n x n operator.
 
-    A non-finite matvec output raises ValueError before ARPACK sees it.  A
-    zero operator returns 0.0: ARPACK applies it once, then raises
-    ArpackError, and a random start vector lies in the kernel of a nonzero
-    operator with probability zero.  Any other ArpackError is re-raised.
+    Thick-restart Lanczos from one fixed seeded random start vector, so
+    repeated calls return bitwise-equal floats.  Each new vector is
+    reorthogonalised against the whole basis by two passes of classical
+    Gram-Schmidt, whose coefficients fill the projected matrix.  A full basis
+    of 20 vectors restarts from its top 10 Ritz vectors, so at most 21
+    vectors of length n are held.  Images are scaled by the power of two that
+    puts the first image's largest entry in [1/2, 1): exact, and it keeps
+    squared norms from overflowing or underflowing.
+
+    The top Ritz value theta is returned once its residual |beta s_m| (beta
+    the next residual norm, s_m the last entry of theta's eigenvector in the
+    projected matrix) is at most eps |theta|: ARPACK's tol=0 test, whose
+    eps^(2/3) floor on |theta| cannot bind once theta >= 1/2 after the
+    scaling.  theta is a lower bound up to rounding; nothing bounds it from
+    above.
+
+    A non-finite image raises ValueError.  A zero first image returns 0.0 (a
+    random start vector lies in the kernel of a nonzero operator with
+    probability zero).  A residual at the rounding level of the Gram-Schmidt
+    passes, or a basis spanning all n dimensions, means the basis is
+    invariant: the top eigenvalue of the projected matrix is returned at
+    once.  No convergence within the restart cap raises DyadBloomError.
     """
-    first_image_zero: list[bool] = []
-
-    def checked(x: np.ndarray) -> np.ndarray:
-        y = matvec(x.ravel())
-        if not np.isfinite(y).all():
-            raise ValueError("operator image is not finite")
-        if not first_image_zero:
-            first_image_zero.append(not np.any(y))
-        return y
-
-    v0 = np.random.default_rng(0).standard_normal(n)
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=checked, dtype=np.float64)
-    try:
-        top = scipy.sparse.linalg.eigsh(
-            op, k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False
-        )
-    except scipy.sparse.linalg.ArpackError:
-        if first_image_zero == [True]:
-            return 0.0
-        raise
-    return max(float(top[0]), 0.0)
+    m = min(_BASIS, n)
+    basis = np.empty((m + 1, n))
+    proj = np.zeros((m, m))
+    start = np.random.default_rng(0).standard_normal(n)
+    basis[0] = start / math.sqrt(start @ start)
+    shift = None
+    j = 0
+    for _ in range(_MAX_RESTARTS):
+        while j < m:
+            w = matvec(basis[j])
+            if not np.isfinite(w).all():
+                raise ValueError("operator image is not finite")
+            if shift is None:
+                peak = float(np.abs(w).max())
+                if peak == 0.0:
+                    return 0.0
+                shift = -math.frexp(peak)[1]
+            w = np.ldexp(w, shift)
+            image_norm = math.sqrt(w @ w)
+            v = basis[: j + 1]
+            h = v @ w
+            w -= h @ v
+            c = v @ w
+            w -= c @ v
+            h += c
+            proj[: j + 1, j] = h
+            beta = math.sqrt(w @ w)
+            j += 1
+            if j == n or beta <= j * _EPS * image_norm:
+                top = np.linalg.eigvalsh(proj[:j, :j], UPLO="U")[-1]
+                return max(float(np.ldexp(top, -shift)), 0.0)
+            basis[j] = w / beta
+        theta, s = np.linalg.eigh(proj, UPLO="U")
+        if abs(beta * s[-1, -1]) <= _EPS * abs(theta[-1]):
+            return max(float(np.ldexp(theta[-1], -shift)), 0.0)
+        ritz = s[:, -_KEEP:].T
+        for lo in range(0, n, _ROTATE_COLUMNS):
+            cols = slice(lo, lo + _ROTATE_COLUMNS)
+            basis[:_KEEP, cols] = ritz @ basis[:m, cols]
+        basis[_KEEP] = basis[m]
+        proj[:] = 0.0
+        proj[range(_KEEP), range(_KEEP)] = theta[-_KEEP:]
+        j = _KEEP
+    raise DyadBloomError(f"Lanczos did not converge in {_MAX_RESTARTS} restarts")
 
 
 def weighted_operator_norm(T: LeafOperator, mu: Weight, lam: Weight) -> float:

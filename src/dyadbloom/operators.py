@@ -363,13 +363,19 @@ def expansion_terms(
     """
     if mode == "strict":
         _check_both_admissible(b, f, "expansion", atol)
+    grid = b.grid
     shf = haar_shift(f, mode="truncate")
+    pi_b = paraproduct_operator(b)
+
+    def sh(values: np.ndarray) -> StepFunction:
+        return haar_shift(StepFunction(grid, values), mode="truncate")
+
     return ExpansionTerms(
         commutator=commutator_shift(b, f, mode="truncate"),
-        pi_b_shf=paraproduct(b, shf),
-        sh_pi_b_f=haar_shift(paraproduct(b, f), mode="truncate"),
-        pi_b_star_shf=paraproduct_adjoint(b, shf),
-        sh_pi_b_star_f=haar_shift(paraproduct_adjoint(b, f), mode="truncate"),
+        pi_b_shf=StepFunction(grid, pi_b.apply(shf.values)),
+        sh_pi_b_f=sh(pi_b.apply(f.values)),
+        pi_b_star_shf=StepFunction(grid, pi_b.transpose(shf.values)),
+        sh_pi_b_star_f=sh(pi_b.transpose(f.values)),
         pi_shf_b=paraproduct(shf, b),
         sh_pi_f_b=haar_shift(paraproduct(f, b), mode="truncate"),
     )

@@ -4,7 +4,8 @@ Everything here trades speed for obviousness: explicit leaf arrays, nested
 interval loops, direct dot products, no shared code with the package beyond
 numpy and scipy.  The loop oracles are intended for depths up to about 6;
 the dense matrix routes (2^D x 2^D arrays, SVD, eigh, power iteration) are
-the reference for the package's matrix-free norm engine up to depth 10.  The
+the reference for the package's matrix-free norm engine up to depth 10, and
+ARPACK (eigsh_top) is its reference on the same matvecs at any depth.  The
 full-width Haar kernels at the end are bitwise references: the package's
 O(2^D) pyramids must return exactly their floats.
 """
@@ -14,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 
 def leaf_slice(depth, k, j):
@@ -335,6 +337,20 @@ def power_iteration_norm(W, tol=1e-6, max_iter=20000, seed=0):
     lo = math.sqrt(max(lower, 0.0))
     hi = math.sqrt(max(upper, 0.0))
     return PowerIterationResult(0.5 * (lo + hi), lo, hi, it)
+
+
+def eigsh_top(n, matvec):
+    """Top eigenvalue of a symmetric positive semidefinite operator by ARPACK
+    (eigsh, which="LA", tol=0) from the engine's seeded start vector.  ARPACK
+    refuses a zero operator, so a zero first image gives 0.0 here."""
+    v0 = np.random.default_rng(0).standard_normal(n)
+    if not np.any(matvec(v0 / np.linalg.norm(v0))):
+        return 0.0
+    op = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=lambda x: matvec(x.ravel()), dtype=np.float64
+    )
+    top = scipy.sparse.linalg.eigsh(op, k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False)
+    return max(float(top[0]), 0.0)
 
 
 class NotPositiveDefiniteError(ValueError):

@@ -154,8 +154,6 @@ def test_norms_rejects_nonpositive_weight(tmp_path, capsys):
     ],
 )
 def test_norms_weight_leaf_fuzz_exits_cleanly(tmp_path, capsys, role, leaves):
-    # every weight file either fails cleanly with exit code 2 or gives a
-    # report whose values are all finite; never a traceback
     one = _save(tmp_path, "one.json", [1.0] * 4)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"type": "weight", "depth": 2, "values": leaves}))
@@ -164,7 +162,41 @@ def test_norms_weight_leaf_fuzz_exits_cleanly(tmp_path, capsys, role, leaves):
     out = tmp_path / "rep.json"
     code = main(["norms", "--mu", str(files["mu"]), "--lambda", str(files["lambda"]),
                  "--symbol", str(b), "--out", str(out)])
-    err = capsys.readouterr().err
+    _assert_clean_norms_exit(code, capsys.readouterr().err, out)
+
+
+def _symbol_doc(leaves):
+    return json.dumps({"type": "symbol", "depth": 2, "values": leaves})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        *(_symbol_doc([0.0, leaf, -1.0, 2.0])
+          for leaf in (1e308, -1e308, 1e200, 1e-320, math.nan, math.inf)),
+        _symbol_doc([1e300, -1e300, -1e300, 1e300]),
+        _symbol_doc([0.0, 1.0, -1.0, 2.0])[:-5],  # truncated
+        "[0.0, 1.0, -1.0, 2.0]",
+        "null",
+        "",
+        _symbol_doc([0.0, 1.0, -1.0]),  # wrong length for depth 2
+        _symbol_doc(["0", "1", "-1", "2"]),
+        _symbol_doc(["0", "one", "-1", "2"]),
+    ],
+)
+def test_norms_symbol_file_fuzz_exits_cleanly(tmp_path, capsys, text):
+    one = _save(tmp_path, "one.json", [1.0] * 4)
+    bad = tmp_path / "b.json"
+    bad.write_text(text)
+    out = tmp_path / "rep.json"
+    code = main(["norms", "--mu", str(one), "--lambda", str(one),
+                 "--symbol", str(bad), "--out", str(out)])
+    _assert_clean_norms_exit(code, capsys.readouterr().err, out)
+
+
+def _assert_clean_norms_exit(code, err, out):
+    # every input file either fails cleanly with exit code 2 or gives a
+    # report whose values are all finite; never a traceback
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("error: ")
@@ -273,20 +305,26 @@ def _run_within_one_gib(commands):
     )
 
 
-def test_norms_at_depth_14_within_one_gib(tmp_path):
-    # A 2^14 x 2^14 float64 matrix alone is 2 GiB, so under a 1 GiB
-    # address-space limit any dense regression fails cleanly instead of
-    # drawing the machine into an out-of-memory kill.
+def _gen_and_norms(tmp_path, depth, out):
+    # CLI argument lists: gen a cascade mu and lambda and a log-symbol, then
+    # run norms on them, writing the report to out
     files = {role: str(tmp_path / f"{role}.json") for role in ("mu", "lambda", "symbol")}
-    out = tmp_path / "report.json"
     commands = [
-        ["gen", "--kind", kind, "--depth", "14", "--seed", str(seed), "--out", files[role]]
+        ["gen", "--kind", kind, "--depth", str(depth), "--seed", str(seed), "--out", files[role]]
         for role, kind, seed in (("mu", "cascade", 0), ("lambda", "cascade", 1),
                                  ("symbol", "log-symbol", 2))
     ]
     commands.append(["norms", "--mu", files["mu"], "--lambda", files["lambda"],
                      "--symbol", files["symbol"], "--out", str(out)])
-    proc = _run_within_one_gib(commands)
+    return commands
+
+
+def test_norms_at_depth_14_within_one_gib(tmp_path):
+    # A 2^14 x 2^14 float64 matrix alone is 2 GiB, so under a 1 GiB
+    # address-space limit any dense regression fails cleanly instead of
+    # drawing the machine into an out-of-memory kill.
+    out = tmp_path / "report.json"
+    proc = _run_within_one_gib(_gen_and_norms(tmp_path, 14, out))
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     assert doc["depth"] == 14
@@ -390,6 +428,20 @@ def test_report_rejects_non_suite_file(tmp_path, capsys):
     write_json(path, {"a": 1})
     assert main(["report", "--results", str(path)]) == 2
     assert "not a suite result" in capsys.readouterr().err
+
+
+def test_norms_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: a full norms report imports no
+    # scipy module
+    out = tmp_path / "report.json"
+    check = "\nassert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_COMMANDS + check,
+         json.dumps(_gen_and_norms(tmp_path, 4, out))],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["depth"] == 4
 
 
 def test_module_entry_point_smoke():

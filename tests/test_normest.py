@@ -36,6 +36,7 @@ from dyadbloom import (
     shift_operator,
     weighted_operator_norm,
 )
+from dyadbloom import normest
 from dyadbloom.normest import (
     adjoint_paraproduct_carleson_sequence,
     necessity_restriction_ratios,
@@ -128,49 +129,76 @@ def test_weighted_norm_matches_scaled_svd_oracle():
     )
 
 
-def _engine_and_oracle(depth, seed):
-    """Each engine quantity of one random triple with its dense oracle value."""
+def _engine_values(depth, seed):
+    """Each engine quantity of one random triple: the five norms from a raw
+    symbol, ppott on mu, and the Carleson embedding of the admissible
+    symbol's paraproduct sequence.  Each makes one _top_eigenvalue call."""
     grid, mu, lam, b_adm = _materials(depth, seed)
     b = StepFunction(grid, np.random.default_rng(seed + 1).standard_normal(grid.n_leaves))
-    bv, muv, lamv = b.values, mu.values, lam.values
+    seq = paraproduct_carleson_sequence(b_adm, mu, lam)
+    return {
+        "paraproduct": weighted_operator_norm(paraproduct_operator(b), mu, lam),
+        "paraproduct_adjoint": weighted_operator_norm(
+            paraproduct_adjoint_operator(b), lam.inverse, mu.inverse
+        ),
+        "shift_mu": weighted_operator_norm(shift_operator(grid), mu, mu),
+        "shift_lambda": weighted_operator_norm(shift_operator(grid), lam, lam),
+        "commutator": weighted_operator_norm(commutator_operator(b), mu, lam),
+        "ppott": ppott_best_constant(mu),
+        "carleson_embedding": carleson_embedding_check(seq).best_embedding,
+    }
+
+
+def _dense_oracles(depth, seed):
+    """The dense oracle value of each quantity in _engine_values."""
+    grid, mu, lam, b_adm = _materials(depth, seed)
+    bv = np.random.default_rng(seed + 1).standard_normal(grid.n_leaves)
+    muv, lamv = mu.values, lam.values
     sh = oracles.shift_matrix(depth)
     seq = paraproduct_carleson_sequence(b_adm, mu, lam)
-    pairs = {
-        "paraproduct": (
-            weighted_operator_norm(paraproduct_operator(b), mu, lam),
-            oracles.weighted_norm_oracle(oracles.paraproduct_matrix(bv, depth), muv, lamv),
+    return {
+        "paraproduct": oracles.weighted_norm_oracle(
+            oracles.paraproduct_matrix(bv, depth), muv, lamv
         ),
-        "paraproduct_adjoint": (
-            weighted_operator_norm(paraproduct_adjoint_operator(b), lam.inverse, mu.inverse),
-            oracles.weighted_norm_oracle(
-                oracles.paraproduct_adjoint_matrix(bv, depth), 1.0 / lamv, 1.0 / muv
-            ),
+        "paraproduct_adjoint": oracles.weighted_norm_oracle(
+            oracles.paraproduct_adjoint_matrix(bv, depth), 1.0 / lamv, 1.0 / muv
         ),
-        "shift_mu": (
-            weighted_operator_norm(shift_operator(grid), mu, mu),
-            oracles.weighted_norm_oracle(sh, muv, muv),
+        "shift_mu": oracles.weighted_norm_oracle(sh, muv, muv),
+        "shift_lambda": oracles.weighted_norm_oracle(sh, lamv, lamv),
+        "commutator": oracles.weighted_norm_oracle(
+            oracles.commutator_matrix(bv, depth), muv, lamv
         ),
-        "shift_lambda": (
-            weighted_operator_norm(shift_operator(grid), lam, lam),
-            oracles.weighted_norm_oracle(sh, lamv, lamv),
-        ),
-        "commutator": (
-            weighted_operator_norm(commutator_operator(b), mu, lam),
-            oracles.weighted_norm_oracle(oracles.commutator_matrix(bv, depth), muv, lamv),
-        ),
-        "ppott": (ppott_best_constant(mu), oracles.ppott_oracle(muv, depth)),
-        "carleson_embedding": (
-            carleson_embedding_check(seq).best_embedding,
-            oracles.carleson_embedding_oracle(seq.level_values, 1.0 / muv, depth),
+        "ppott": oracles.ppott_oracle(muv, depth),
+        "carleson_embedding": oracles.carleson_embedding_oracle(
+            seq.level_values, 1.0 / muv, depth
         ),
     }
-    return pairs
 
 
 @pytest.mark.parametrize("depth", range(2, 11))
 def test_engine_matches_dense_oracles(depth):
-    for name, (got, want) in _engine_and_oracle(depth, 900 + depth).items():
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-300), name
+    got = _engine_values(depth, 900 + depth)
+    for name, want in _dense_oracles(depth, 900 + depth).items():
+        assert got[name] == pytest.approx(want, rel=1e-12, abs=1e-300), name
+
+
+@pytest.mark.parametrize("depth", range(1, 13))
+def test_engine_matches_arpack(depth, monkeypatch):
+    # every top eigenvalue behind _engine_values, against ARPACK on the very
+    # same matvec; both stop once the Ritz residual is at machine precision
+    engine = normest._top_eigenvalue
+    pairs = []
+
+    def both(n, matvec):
+        got = engine(n, matvec)
+        pairs.append((got, oracles.eigsh_top(n, matvec)))
+        return got
+
+    monkeypatch.setattr(normest, "_top_eigenvalue", both)
+    names = list(_engine_values(depth, 1200 + depth))
+    assert len(pairs) == len(names)
+    for name, (got, want) in zip(names, pairs):
+        assert abs(got - want) <= 1e-13 * want, name
 
 
 def test_engine_is_bitwise_repeatable():
@@ -191,8 +219,7 @@ def test_engine_is_bitwise_repeatable():
 
 
 def test_zero_operators_return_exact_zero():
-    # ARPACK refuses a zero operator after one apply; the engine reads that
-    # as 0.0, exactly, from the first image alone
+    # the engine reads a zero first image as 0.0, exactly, at no extra apply
     grid, mu, lam, _ = _materials(6, 71)
     c = StepFunction.constant(grid, 2.5)
     assert weighted_operator_norm(paraproduct_operator(c), mu, lam) == 0.0
@@ -202,14 +229,12 @@ def test_zero_operators_return_exact_zero():
     assert weighted_operator_norm(shift_operator(g1), w1, w1) == 0.0
 
 
-def test_nonzero_operator_costs_no_extra_apply():
-    # the engine applies T exactly as often as ARPACK asks for a matvec, and
-    # returns the same float as a direct eigsh call on the normal operator
-    import scipy.sparse.linalg as sla
-
+def test_nonzero_operator_costs_no_extra_apply(monkeypatch):
+    # the norm applies T and its transpose once per engine matvec, and no
+    # more; its square agrees with ARPACK on the same normal operator
     grid, mu, lam, b = _materials(5, 72)
     T = paraproduct_operator(b)
-    calls = {"apply": 0, "transpose": 0}
+    calls = {"apply": 0, "transpose": 0, "matvec": 0}
 
     def counted(name, fn):
         def run(v):
@@ -217,21 +242,37 @@ def test_nonzero_operator_costs_no_extra_apply():
             return fn(v)
         return run
 
+    engine = normest._top_eigenvalue
+    normal = []
+
+    def counting_engine(n, matvec):
+        normal.append(matvec)
+        return engine(n, counted("matvec", matvec))
+
+    monkeypatch.setattr(normest, "_top_eigenvalue", counting_engine)
     counting = LeafOperator(grid, counted("apply", T.apply), counted("transpose", T.transpose))
     norm = weighted_operator_norm(counting, mu, lam)
-    scale = 1.0 / np.sqrt(mu.values)
-    matvecs = []
+    assert calls["apply"] == calls["transpose"] == calls["matvec"] > 0
+    want = oracles.eigsh_top(grid.n_leaves, normal[0])
+    assert abs(norm**2 - want) <= 1e-13 * want
 
-    def normal(x):
-        matvecs.append(1)
-        return scale * T.transpose(lam.values * T.apply(scale * x.ravel()))
 
-    n = grid.n_leaves
-    op = sla.LinearOperator((n, n), matvec=normal, dtype=np.float64)
-    top = sla.eigsh(op, k=1, which="LA", tol=0, v0=np.random.default_rng(0).standard_normal(n),
-                    return_eigenvectors=False)
-    assert calls["apply"] == calls["transpose"] == len(matvecs) > 0
-    assert norm == math.sqrt(float(top[0]))
+def test_rank_one_operator_stops_at_once():
+    # x -> u (u.x): the Krylov space of any start vector is span{x0, u}, so
+    # the second residual is Gram-Schmidt noise and the 2 x 2 projected
+    # matrix already holds the eigenvalue ||u||^2.  At scales 1e-100 and
+    # 1e100 the images' squared norms would underflow or overflow unscaled.
+    for depth, scale in [(3, 1e-100), (8, 1.0), (12, 1e100)]:
+        u = np.random.default_rng(depth).standard_normal(1 << depth) * scale
+        matvecs = []
+
+        def rank_one(x):
+            matvecs.append(1)
+            return u * (u @ x)
+
+        got = normest._top_eigenvalue(len(u), rank_one)
+        assert got == pytest.approx(u @ u, rel=4 * np.finfo(float).eps)
+        assert len(matvecs) <= 2
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -244,8 +285,8 @@ def test_non_finite_matvec_raises(bad):
 
 
 # compute_norm_report(...).to_dict() for one seeded D=8 triple, every float
-# as float.hex, recorded before the operators became array kernels: the
-# kernels do the same applies in the same order, so not one bit may move.
+# as float.hex, recorded from the thick-restart Lanczos engine.  The report is
+# deterministic, so not one bit may move without a stated reason.
 _PINNED_D8_REPORT = {
     "a2_lambda": "0x1.b4d4d4dffe061p+0",
     "a2_mu": "0x1.8766bd553978bp+0",
@@ -256,18 +297,18 @@ _PINNED_D8_REPORT = {
     "bmo.bmo_rho": "0x1.18b7682203cc5p-1",
     "bmo.bmo_rho_l1": "0x1.504c95913b235p-1",
     "bmo.neccon": "0x1.64099d147a515p-1",
-    "norm_commutator": "0x1.8331849088937p+0",
-    "norm_paraproduct": "0x1.dbcb8c726124cp-1",
-    "norm_paraproduct_adjoint": "0x1.dbcb8c726124ap-1",
-    "norm_shift_lambda": "0x1.eea664626a34cp+0",
-    "norm_shift_mu": "0x1.c8e6694704267p+0",
-    "ratios.adjoint_over_bloom_b2_dual": "0x1.4da25bc4c2198p+0",
+    "norm_commutator": "0x1.833184908893bp+0",
+    "norm_paraproduct": "0x1.dbcb8c726124dp-1",
+    "norm_paraproduct_adjoint": "0x1.dbcb8c726124bp-1",
+    "norm_shift_lambda": "0x1.eea664626a34dp+0",
+    "norm_shift_mu": "0x1.c8e6694704270p+0",
+    "ratios.adjoint_over_bloom_b2_dual": "0x1.4da25bc4c2199p+0",
     "ratios.bloom_b2_over_paraproduct": "0x1.a362d7c19b88bp-1",
-    "ratios.bmo_rho_over_commutator": "0x1.73339ae6fe4fbp-2",
-    "ratios.commutator_over_bmo_rho": "0x1.611a18f0a0aa7p+1",
+    "ratios.bmo_rho_over_commutator": "0x1.73339ae6fe4f8p-2",
+    "ratios.commutator_over_bmo_rho": "0x1.611a18f0a0aaap+1",
     "ratios.l2form_over_bloom_b2": "0x1.05e518a0713b7p+0",
-    "ratios.paraproduct_over_bloom_b2": "0x1.38887315fc716p+0",
-    "ratios.shift_mu_norm_over_sqrt_a2": "0x1.71836576723a0p+0",
+    "ratios.paraproduct_over_bloom_b2": "0x1.38887315fc717p+0",
+    "ratios.shift_mu_norm_over_sqrt_a2": "0x1.71836576723a7p+0",
 }
 
 

@@ -175,6 +175,25 @@ def test_six_term_expansion_reproduces_commutator():
             assert terms.residual() <= 1e-12 * scale
 
 
+def test_expansion_analyses_b_once_for_its_four_b_terms(monkeypatch):
+    # 2 strict-mode checks, Sh f, the commutator's stacked shift pass, one
+    # Pi_b plan shared by the four b-terms, its 2 transposes, 2 outer
+    # shifts, the Pi_{Sh f} and Pi_f plans and Sh(Pi_f b): 12.  One plan per
+    # b-term (four, not one) made it 15.
+    from dyadbloom import operators
+
+    calls = []
+
+    def counted(values, depth):
+        calls.append(depth)
+        return analyze_leaves(values, depth)
+
+    b, f = _pair(8, 31)
+    monkeypatch.setattr(operators, "analyze_leaves", counted)
+    expansion_terms(b, f)
+    assert len(calls) == 12
+
+
 def test_expansion_signs_are_the_unique_working_ones():
     # negating the first four terms breaks the identity by an O(1) amount,
     # so a sign regression cannot hide inside the tolerance
