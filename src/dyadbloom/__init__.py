@@ -77,7 +77,6 @@ from .stopping import (
     square_sum_factory,
     three_condition_factory,
     threshold_factory,
-    unstopped_intervals,
 )
 from .suites import Assertion, Finding, SuiteResult, run_suite
 from .weights import (

@@ -84,10 +84,7 @@ def _bloom_b2_scan(b: StepFunction, mu: Weight, lam: Weight) -> _SupResult:
     depth = b.grid.depth
     mu_inv = mu.inverse
     csq = _coeff_squares(b)
-    per_level = [
-        csq[k] * mu_inv.averages_at_level(k) ** 2 * lam.averages_at_level(k)
-        for k in range(depth)
-    ]
+    per_level = [c * m**2 * w for c, m, w in zip(csq, mu_inv.averages, lam.averages)]
     sums = _subtree_sums(per_level)
     ratios = [sums[k] / mu_inv.level_masses[k] for k in range(depth)]
     value, where = _sup_over_levels(ratios)

@@ -289,10 +289,7 @@ def paraproduct_carleson_sequence(
     depth = b.grid.depth
     mu_inv = mu.inverse
     _, cb = analyze_leaves(b.values, depth)
-    vals = [
-        cb[k] ** 2 * mu_inv.averages_at_level(k) ** 2 * lam.averages_at_level(k)
-        for k in range(depth)
-    ]
+    vals = [c**2 * m**2 * w for c, m, w in zip(cb, mu_inv.averages, lam.averages)]
     return CarlesonSequence(b.grid, vals, mu_inv)
 
 
@@ -306,10 +303,7 @@ def adjoint_paraproduct_carleson_sequence(
     depth = b.grid.depth
     mu_inv = mu.inverse
     _, cb = analyze_leaves(b.values, depth)
-    vals = [
-        cb[k] ** 2 * lam.averages_at_level(k) ** 2 * mu_inv.averages_at_level(k)
-        for k in range(depth)
-    ]
+    vals = [c**2 * w**2 * m for c, w, m in zip(cb, lam.averages, mu_inv.averages)]
     return CarlesonSequence(b.grid, vals, lam)
 
 
@@ -355,10 +349,7 @@ def necessity_restriction_ratios(
     mu_inv = mu.inverse
     _, cb = analyze_leaves(b.values, depth)
     sums = _subtree_sums(
-        [
-            cb[k] ** 2 * mu_inv.averages_at_level(k) ** 2 * lam.averages_at_level(k)
-            for k in range(depth)
-        ]
+        [c**2 * m**2 * w for c, m, w in zip(cb, mu_inv.averages, lam.averages)]
     )
 
     def siblings(a: np.ndarray) -> np.ndarray:

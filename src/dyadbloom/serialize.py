@@ -91,11 +91,15 @@ def _parse_leaf_file(path: str | Path) -> tuple[str, StepFunction]:
     for key in ("depth", "values"):
         if key not in doc:
             raise ConfigError(f"{path}: missing field {key!r}")
+    depth, values = doc["depth"], doc["values"]
+    # type(), not isinstance(): JSON true and false load as bool, an int subclass
+    if type(depth) is not int:
+        raise ConfigError(f"{path}: depth must be a JSON integer, got {depth!r}")
+    if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
+        raise ConfigError(f"{path}: values must be a list of JSON numbers")
     try:
-        depth = int(doc["depth"])
-        grid = DyadicGrid(depth)
-        f = StepFunction(grid, doc["values"])
-    except (TypeError, ValueError) as e:
+        f = StepFunction(DyadicGrid(depth), values)
+    except (TypeError, ValueError, OverflowError) as e:  # overflow: a huge JSON integer
         raise ConfigError(f"{path}: {e}") from e
     return str(doc.get("type", "")), f
 

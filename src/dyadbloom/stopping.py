@@ -1,41 +1,47 @@
 """Stopping times, packing constants, and corona decompositions.
 
-A stopping family under a root I0 is the collection of maximal dyadic
-intervals strictly inside I0 where a predicate first fires; descent never
-continues below a member.  Predicates come from factories anchored at the
-root (factory(root) -> predicate), so corona generations re-anchor
-automatically when members become the next roots.
+A stopping family under a set of disjoint roots is the collection of maximal
+dyadic intervals strictly inside some root where a predicate first fires;
+descent never continues below a member.  Corona generation g+1 is the family
+under all members of generation g, so the corona costs one scan per
+generation, and a single family is the one-root case.
 
-A predicate answers for a whole level at once: predicate(k) returns a bool
-array over the root's level-k descendants, left to right (2^(k - level(I0))
-entries), or a scalar, which stands for the same answer everywhere on the
-level.  The scan walks levels top-down with a mask of the positions already
-inside a member, so its cost is a few array operations per level and no
-Python work per interval.
+Roots and members are `Intervals`, (level, position) arrays ordered by left
+endpoint.  factory(roots) anchors every root at once, in arrays indexed by
+root, and returns predicate(k, owner): owner[j] is the index of the root the
+level-k position j lies strictly inside, or -1 outside every root or inside
+a member already found, and the predicate answers for all 2^k positions
+through anchor[owner], as a bool array or one scalar (answers where owner is
+-1 are ignored).  The scan walks levels top-down with a few array operations
+per level and no Python work per root or per interval.
 
-The unstopped collection for a family consists of the root together with
-every interval inside it that is not contained in any member; each unstopped
-interval therefore fails the predicate (the root vacuously), which is what
-coefficient-sum estimates over the unstopped collection rely on.
+The unstopped collection is the roots together with every interval inside
+them contained in no member, read off the scan's owner arrays; each one below
+a root fails the predicate, which coefficient-sum estimates over it rely on.
+Sums over members add left to right from 0, as Python's sum does: np.cumsum
+for one sequence, a column pass for per-root sums, never a pairwise
+reduction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .bmo import _coeff_squares
 from .errors import PackingSearchError
-from .grid import DyadicGrid, DyadicInterval, StepFunction, analyze_leaves
-from .weights import Weight
+from .grid import DyadicGrid, DyadicInterval, StepFunction
+from .weights import Weight, rho_weight
 
 __all__ = [
+    "Intervals",
     "StoppingFamily",
     "maximal_stopping_intervals",
-    "unstopped_intervals",
     "packing_ratio",
+    "ordered_sum",
     "deviation_factory",
     "threshold_factory",
     "three_condition_factory",
@@ -45,76 +51,117 @@ __all__ = [
     "corona_generations",
 ]
 
-Predicate = Callable[[int], "np.ndarray | bool"]
-PredicateFactory = Callable[[DyadicInterval], Predicate]
+Predicate = Callable[[int, np.ndarray], "np.ndarray | bool"]
+PredicateFactory = Callable[["Intervals"], Predicate]
 
 
-@dataclass(frozen=True)
+def ordered_sum(values: np.ndarray) -> float:
+    """Python's sum of values, left to right from 0, as one np.cumsum."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class Intervals:
+    """Disjoint dyadic intervals as (level, position) arrays, by left endpoint."""
+
+    levels: np.ndarray
+    positions: np.ndarray
+
+    @classmethod
+    def of(cls, *ivs: DyadicInterval) -> "Intervals":
+        return cls(np.array([iv.level for iv in ivs], dtype=np.intp),
+                   np.array([iv.position for iv in ivs], dtype=np.intp))
+
+    def gather(self, rows: Sequence[np.ndarray]) -> np.ndarray:
+        """rows[level][position] per interval (rows: Weight.averages, ...)."""
+        out = np.empty(self.levels.size)
+        for k in set(self.levels.tolist()):
+            at = self.levels == k
+            out[at] = rows[k][self.positions[at]]
+        return out
+
+
+def _root_sums(owners: np.ndarray, values: np.ndarray, n_roots: int) -> np.ndarray:
+    """Per root r, values[owners == r] (grouped by owner) added left to right
+    from 0: column c adds every root's c-th value, roots longest first, and
+    the longest root's tail, once it is the only one left, is one cumsum."""
+    if n_roots == 1:
+        return np.array([ordered_sum(values)])
+    counts = np.bincount(owners, minlength=n_roots)
+    starts = np.cumsum(counts) - counts
+    order = np.argsort(-counts)
+    longest = -counts[order]
+    sums = np.zeros(n_roots)
+    c = 0
+    while (n := int(np.searchsorted(longest, -c))) > 1:
+        rows = order[:n]
+        sums[rows] += values[starts[rows] + c]
+        c += 1
+    r = order[0]
+    tail = values[starts[r] + c : starts[r] + counts[r]]
+    sums[r] = ordered_sum(np.concatenate(([sums[r]], tail)))
+    return sums
+
+
+@dataclass(frozen=True, eq=False)
 class StoppingFamily:
-    """Maximal stopping intervals under one root."""
+    """Maximal stopping intervals under a root set: member i lies inside
+    root owners[i].  unstopped[k] masks the level-k positions of the roots
+    and of the intervals inside them in no member, levels in order (a level
+    missing from it has none)."""
 
     grid: DyadicGrid
-    root: DyadicInterval
-    members: tuple[DyadicInterval, ...]
-    generation: int = 1
+    roots: Intervals
+    members: Intervals
+    owners: np.ndarray
+    unstopped: dict[int, np.ndarray]
 
-    def member_mass(self, w: Weight) -> float:
-        return float(sum(w.mass(s) for s in self.members))
-
-
-def _descendants(root: DyadicInterval, k: int) -> slice:
-    """Positions of root's level-k descendants within level k."""
-    shift = k - root.level
-    return slice(root.position << shift, (root.position + 1) << shift)
+    def member_masses(self, w: Weight) -> np.ndarray:
+        """Per root, the w-masses of its members added left to right."""
+        masses = self.members.gather(w.level_masses)
+        return _root_sums(self.owners, masses, self.roots.levels.size)
 
 
 def maximal_stopping_intervals(
-    grid: DyadicGrid,
-    root: DyadicInterval,
-    predicate: Predicate,
-    generation: int = 1,
+    grid: DyadicGrid, roots: Intervals | DyadicInterval, factory: PredicateFactory
 ) -> StoppingFamily:
-    """Maximal intervals strictly inside root where predicate holds, by a
-    top-down level-mask scan; descent stops at each member, and the scan
-    ends once every position is inside a member.  Left-to-right order."""
-    members: list[DyadicInterval] = []
-    blocked = np.zeros(1, dtype=bool)
-    for k in range(root.level + 1, grid.depth + 1):
-        blocked = np.repeat(blocked, 2)
-        hit = np.asarray(predicate(k)) & ~blocked
-        if not hit.any():
-            continue
-        start = _descendants(root, k).start
-        members.extend(DyadicInterval(k, start + int(j)) for j in np.flatnonzero(hit))
-        blocked |= hit
-        if blocked.all():
+    """Maximal intervals strictly inside each root where factory(roots)
+    holds, by one top-down level scan over the whole root set; descent stops
+    at each member, and the scan ends once no position is left inside a
+    root.  Members are ordered by left endpoint, so grouped by root."""
+    if isinstance(roots, DyadicInterval):
+        roots = Intervals.of(roots)
+    depth = grid.depth
+    predicate = factory(roots)
+    starting = {k: np.flatnonzero(roots.levels == k) for k in set(roots.levels.tolist())}
+    top, bottom = min(starting), max(starting)
+    owner = np.full(1 << top, -1, dtype=np.intp)
+    found = [np.empty(0, dtype=np.intp)] * 3  # levels, positions, owners
+    unstopped: dict[int, np.ndarray] = {}
+    for k in range(top, depth + 1):
+        hits = 0
+        if k > top:
+            owner = owner.repeat(2)
+            j = ((owner >= 0) & predicate(k, owner)).nonzero()[0]
+            if hits := j.size:
+                found += [np.full(hits, k), j, owner[j]]
+                owner[j] = -1
+        if k in starting:
+            owner[roots.positions[starting[k]]] = starting[k]
+        unstopped[k] = live = owner >= 0
+        # only a hit empties live, and no root starts below bottom
+        if hits and k >= bottom and not live.any():
             break
+    levels, positions, owners = (np.concatenate(found[i::3]) for i in range(3))
     # disjoint, so left endpoint orders them; integer shift keeps it exact
-    members.sort(key=lambda s: s.position << (grid.depth - s.level))
-    return StoppingFamily(grid, root, tuple(members), generation)
-
-
-def unstopped_intervals(family: StoppingFamily) -> Iterator[DyadicInterval]:
-    """The root plus every interval inside it not contained in a member,
-    level-major within the depth-first order of the scan."""
-    grid = family.grid
-    member_set = set(family.members)
-    out: list[DyadicInterval] = []
-    stack = [family.root]
-    while stack:
-        iv = stack.pop()
-        if iv in member_set:
-            continue
-        out.append(iv)
-        if iv.level < grid.depth:
-            stack.extend([iv.right, iv.left])
-    out.sort()
-    yield from out
+    order = np.argsort(positions << (depth - levels))
+    members = Intervals(levels[order], positions[order])
+    return StoppingFamily(grid, roots, members, owners[order], unstopped)
 
 
 def packing_ratio(family: StoppingFamily, w: Weight) -> float:
-    """sum of w-masses of the members divided by the w-mass of the root."""
-    return family.member_mass(w) / w.mass(family.root)
+    """Largest over the roots of member w-mass / root w-mass."""
+    return float((family.member_masses(w) / family.roots.gather(w.level_masses)).max())
 
 
 def deviation_factory(
@@ -128,17 +175,17 @@ def deviation_factory(
     if C <= 1.0:
         raise ValueError(f"deviation constant must exceed 1, got {C}")
 
-    def factory(root: DyadicInterval) -> Predicate:
-        anchors = [w.average(root) for w in ws]
+    def factory(roots: Intervals) -> Predicate:
+        anchors = [roots.gather(w.averages) for w in ws]
+        bands = [(w, C * a, a / C) for w, a in zip(ws, anchors)]
 
-        def predicate(k: int) -> np.ndarray:
-            sl = _descendants(root, k)
-            fires = np.zeros(sl.stop - sl.start, dtype=bool)
-            for w, a in zip(ws, anchors):
-                v = w.averages_at_level(k)[sl]
-                fires |= v > C * a
+        def predicate(k: int, owner: np.ndarray) -> np.ndarray:
+            fires = False
+            for w, hi, lo in bands:
+                v = w.averages_at_level(k)
+                fires = fires | (v > hi[owner])
                 if two_sided:
-                    fires |= v < a / C
+                    fires = fires | (v < lo[owner])
             return fires
 
         return predicate
@@ -149,44 +196,36 @@ def deviation_factory(
 def threshold_factory(w: Weight, factor: float = 4.0) -> PredicateFactory:
     """Stop where <w>_I >= factor * <w>_I0 (one-sided)."""
 
-    def factory(root: DyadicInterval) -> Predicate:
-        anchor = w.average(root)
-
-        def predicate(k: int) -> np.ndarray:
-            return w.averages_at_level(k)[_descendants(root, k)] >= factor * anchor
-
-        return predicate
+    def factory(roots: Intervals) -> Predicate:
+        threshold = factor * roots.gather(w.averages)
+        return lambda k, owner: w.averages_at_level(k) >= threshold[owner]
 
     return factory
 
 
-def _path_sum_table(b: StepFunction, root: DyadicInterval) -> dict[int, np.ndarray]:
-    """table[k][j - j0*2^(k-k0)] = sum of bhat(I')^2/|I'| over the path
-    root >= I' >= I_{k,j}, for intervals inside root.  Level D rows extend the
-    level D-1 values (leaves carry no coefficient of their own)."""
-    grid = b.grid
-    depth = grid.depth
-    _, coeffs = analyze_leaves(b.values, depth)
-    q = [coeffs[k] ** 2 * (2.0**k) for k in range(depth)]
-    table: dict[int, np.ndarray] = {}
-    prev = None
-    for k in range(root.level, depth + 1):
-        sl = _descendants(root, k)
-        own = q[k][sl] if k < depth else np.zeros(sl.stop - sl.start)
-        if prev is None:
-            table[k] = own
-        else:
-            table[k] = own + np.repeat(prev, 2)
-        prev = table[k]
-    return table
+def _scaled_squares(b: StepFunction) -> list[np.ndarray]:
+    """bhat(I)^2/|I| per level k = 0..D; the leaves carry no coefficient."""
+    q = [c * (2.0**k) for k, c in enumerate(_coeff_squares(b))]
+    return q + [np.zeros(b.grid.n_leaves)]
+
+
+def _path_sums(q: list[np.ndarray], roots: Intervals) -> dict[int, np.ndarray]:
+    """rows[k][j] = sum of q over the path from the root containing I_{k,j}
+    down to it, root first, for every level from the top root down (values
+    outside the roots mean nothing)."""
+    levels = set(roots.levels.tolist())
+    top = min(levels)
+    rows = {top: q[top]}
+    for k in range(top + 1, len(q)):
+        rows[k] = q[k] + rows[k - 1].repeat(2)
+        if k in levels:  # a root's own row starts afresh
+            at = roots.positions[roots.levels == k]
+            rows[k][at] = q[k][at]
+    return rows
 
 
 def three_condition_factory(
-    mu: Weight,
-    lam: Weight,
-    b: StepFunction,
-    C: float,
-    C_b: float,
+    mu: Weight, lam: Weight, b: StepFunction, C: float, C_b: float
 ) -> PredicateFactory:
     """Stop at the maximal S inside I0 where any of the following holds:
 
@@ -199,23 +238,23 @@ def three_condition_factory(
     Lebesgue packing sum |S| <= 2|I0|/C; (3) is controlled only by
     John-Nirenberg-type behavior and its packing is recorded, not derived.
     """
-    from .weights import rho_weight
-
     mu_inv = mu.inverse
     rho = rho_weight(mu, lam)
+    q = _scaled_squares(b)
 
-    def factory(root: DyadicInterval) -> Predicate:
-        a_mu = mu_inv.average(root)
-        a_rho = rho.average(root)
-        table = _path_sum_table(b, root)
-        threshold = (C_b * a_rho) ** 2
+    def factory(roots: Intervals) -> Predicate:
+        hi_mu = C * roots.gather(mu_inv.averages)
+        a_rho = roots.gather(rho.averages)
+        hi_rho = C * a_rho
+        # float_power is libm pow, as Python's ** on a float (a square is not)
+        threshold = np.float_power(C_b * a_rho, 2.0)
+        rows = _path_sums(q, roots)
 
-        def predicate(k: int) -> np.ndarray:
-            sl = _descendants(root, k)
+        def predicate(k: int, owner: np.ndarray) -> np.ndarray:
             return (
-                (mu_inv.averages_at_level(k)[sl] > C * a_mu)
-                | (rho.averages_at_level(k)[sl] > C * a_rho)
-                | (table[k] > threshold)
+                (mu_inv.averages_at_level(k) > hi_mu[owner])
+                | (rho.averages_at_level(k) > hi_rho[owner])
+                | (rows[k] > threshold[owner])
             )
 
         return predicate
@@ -228,16 +267,12 @@ def square_sum_factory(
 ) -> PredicateFactory:
     """Stop where the root-to-I path sum of bhat^2/|I'| first exceeds
     C * b2_value^2 * <rho>_I0^2 (b2_value is a Bloom-functional size for b)."""
+    q = _scaled_squares(b)
 
-    def factory(root: DyadicInterval) -> Predicate:
-        a_rho = rho.average(root)
-        table = _path_sum_table(b, root)
-        threshold = C * (b2_value * a_rho) ** 2
-
-        def predicate(k: int) -> np.ndarray:
-            return table[k] >= threshold
-
-        return predicate
+    def factory(roots: Intervals) -> Predicate:
+        threshold = C * np.float_power(b2_value * roots.gather(rho.averages), 2.0)
+        rows = _path_sums(q, roots)
+        return lambda k, owner: rows[k] >= threshold[owner]
 
     return factory
 
@@ -271,8 +306,7 @@ def minimal_packing_constant(
     candidates = _constant_grid(grid_factor, c_max)
 
     def ratio_at(c: float) -> float:
-        fam = maximal_stopping_intervals(grid, root, factory_of_c(c)(root))
-        return packing_ratio(fam, w)
+        return packing_ratio(maximal_stopping_intervals(grid, root, factory_of_c(c)), w)
 
     best = ratio_at(candidates[-1])
     if best > target:
@@ -293,24 +327,18 @@ def minimal_packing_constant(
 
 
 def corona_generations(
-    grid: DyadicGrid,
-    root: DyadicInterval,
-    factory: PredicateFactory,
-    max_generations: int = 32,
-) -> list[list[StoppingFamily]]:
-    """Iterate stopping families: generation g+1 roots are generation g
-    members.  Stops after an empty generation (always recorded) or at the cap.
-    Element i of the result is generation i+1."""
-    generations: list[list[StoppingFamily]] = []
-    roots = [root]
-    for g in range(1, max_generations + 1):
-        fams = [
-            maximal_stopping_intervals(grid, r, factory(r), generation=g)
-            for r in roots
-        ]
-        generations.append(fams)
-        roots = [s for fam in fams for s in fam.members]
-        if not roots:
+    grid: DyadicGrid, root: DyadicInterval, factory: PredicateFactory, max_generations: int = 32
+) -> list[StoppingFamily]:
+    """Iterate stopping families: generation g+1 is one scan under all the
+    members of generation g.  Stops after an empty generation (always
+    recorded) or at the cap.  Element i of the result is generation i+1."""
+    generations: list[StoppingFamily] = []
+    roots: Intervals | DyadicInterval = root
+    for _ in range(max_generations):
+        fam = maximal_stopping_intervals(grid, roots, factory)
+        generations.append(fam)
+        roots = fam.members
+        if not roots.levels.size:
             break
     return generations
 
@@ -338,17 +366,10 @@ def minimal_corona_constant(
         )
     idx = candidates.index(min(c for c in candidates if c >= start * (1 - 1e-12)))
 
-    def corona_ok(c: float) -> bool:
+    for c in candidates[idx:]:
         gens = corona_generations(grid, root, factory_of_c(c), max_generations)
-        for fams in gens:
-            for fam in fams:
-                if fam.members and packing_ratio(fam, w) > target:
-                    return False
-        return True
-
-    for i in range(idx, len(candidates)):
-        if corona_ok(candidates[i]):
-            return candidates[i]
+        if all(packing_ratio(fam, w) <= target for fam in gens):
+            return c
     best = candidates[-1]
     raise PackingSearchError(
         f"no constant up to {best:.6g} packs every corona root to {target}",

@@ -78,11 +78,11 @@ from .stopping import (
     maximal_stopping_intervals,
     minimal_corona_constant,
     minimal_packing_constant,
+    ordered_sum,
     packing_ratio,
     square_sum_factory,
     three_condition_factory,
     threshold_factory,
-    unstopped_intervals,
 )
 from .weights import Weight, a2_characteristic, generate, rho_weight
 
@@ -563,7 +563,7 @@ def _check_stopping(rec: Record, td: TrialData) -> None:
         grid, root, lambda C: deviation_factory(lam, C), lam, target=0.5
     ))
     if c is not None:
-        fam = maximal_stopping_intervals(grid, root, deviation_factory(lam, c)(root))
+        fam = maximal_stopping_intervals(grid, root, deviation_factory(lam, c))
         rec.residual("deviation_packing_at_target", packing_ratio(fam, lam) - 0.5)
         rec.sample("deviation_constant", c)
     # corona decay at the corona-wide constant, scanned up from c (without
@@ -574,14 +574,14 @@ def _check_stopping(rec: Record, td: TrialData) -> None:
     if cc is not None:
         gens = corona_generations(grid, root, deviation_factory(lam, cc))
         total_root = lam.mass(root)
-        for i, fams in enumerate(gens):
-            gen_mass = sum(f.member_mass(lam) for f in fams)
+        for i, gen in enumerate(gens):
             allowed = 0.5 ** (i + 1) * total_root
+            gen_mass = ordered_sum(gen.member_masses(lam))
             rec.residual("corona_geometric_decay", gen_mass - allowed * (1 + 1e-12))
         rec.sample("corona_constant", cc)
     # (c) one-sided factor-4 threshold: definitional Lebesgue packing
-    fam4 = maximal_stopping_intervals(grid, root, threshold_factory(mu_inv, 4.0)(root))
-    leb = sum(s.length for s in fam4.members)
+    fam4 = maximal_stopping_intervals(grid, root, threshold_factory(mu_inv, 4.0))
+    leb = ordered_sum(np.ldexp(1.0, -fam4.members.levels))
     rec.residual("factor4_lebesgue_packing_quarter", leb - 0.25 * (1 + 1e-12))
     # unstopped coefficient sum under combined two-weight deviation
     b2 = bloom_b2(b, mu, lam)
@@ -592,15 +592,13 @@ def _check_stopping(rec: Record, td: TrialData) -> None:
             target=0.5,
         ))
     if c_both is not None:
-        fam_both = maximal_stopping_intervals(
-            grid, root, deviation_factory([mu_inv, lam], c_both)(root)
-        )
-        spec_b = haar_analyze(b)
-        coeff_sum = sum(
-            spec_b.coeff(iv) ** 2
-            for iv in unstopped_intervals(fam_both)
-            if iv.level < grid.depth
-        )
+        fam = maximal_stopping_intervals(grid, root, deviation_factory([mu_inv, lam], c_both))
+        coeffs = haar_analyze(b).level_coeffs
+        # float_power is libm pow, as Python's ** on a float (a square is not)
+        coeff_sum = ordered_sum(np.concatenate([
+            np.float_power(coeffs[k][free], 2.0)
+            for k, free in fam.unstopped.items() if k < grid.depth
+        ]))
         base = b2**2 * 1.0 / (mu_inv.average(root) * lam.average(root))
         bound = c_both**3 * base
         rec.residual(
@@ -609,27 +607,15 @@ def _check_stopping(rec: Record, td: TrialData) -> None:
         )
         rec.sample("unstopped_coeff_sum_over_base", coeff_sum / base)
     # (b) three-condition stopping with C = 2, C_b = 1
-    fam3 = maximal_stopping_intervals(
-        grid, root, three_condition_factory(mu, lam, b, 2.0, 1.0)(root)
-    )
-    a_mu = mu_inv.average(root)
-    a_rho = rho.average(root)
-    leb1 = sum(s.length for s in fam3.members if mu_inv.average(s) > 2.0 * a_mu)
-    leb2 = sum(
-        s.length
-        for s in fam3.members
-        if mu_inv.average(s) <= 2.0 * a_mu and rho.average(s) > 2.0 * a_rho
-    )
+    fam3 = maximal_stopping_intervals(grid, root, three_condition_factory(mu, lam, b, 2.0, 1.0))
+    lengths = np.ldexp(1.0, -fam3.members.levels)
+    over_mu = fam3.members.gather(mu_inv.averages) > 2.0 * mu_inv.average(root)
+    over_rho = fam3.members.gather(rho.averages) > 2.0 * rho.average(root)
+    leb1 = ordered_sum(lengths[over_mu])
+    leb2 = ordered_sum(lengths[~over_mu & over_rho])
     rec.residual("three_cond_weight_packing_half", leb1 - 0.5 * (1 + 1e-12))
     rec.residual("three_cond_rho_packing_half", leb2 - 0.5 * (1 + 1e-12))
-    rec.sample(
-        "three_cond_path_sum_packing",
-        sum(
-            s.length
-            for s in fam3.members
-            if mu_inv.average(s) <= 2.0 * a_mu and rho.average(s) <= 2.0 * a_rho
-        ),
-    )
+    rec.sample("three_cond_path_sum_packing", ordered_sum(lengths[~over_mu & ~over_rho]))
     # (d) square-sum stopping: minimal constant in rho-mass
     if b2 > 0:
         csq = search("square-sum", lambda: minimal_packing_constant(

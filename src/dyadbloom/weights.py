@@ -69,9 +69,17 @@ class Weight:
         """<w>_I = w(I) / |I|."""
         return float(self.level_masses[iv.level][iv.position]) * (2.0**iv.level)
 
+    @cached_property
+    def averages(self) -> tuple[np.ndarray, ...]:
+        """averages[k][j] = <w>_I at the level-k interval j, computed once, read-only."""
+        out = tuple(m * (2.0**k) for k, m in enumerate(self.level_masses))
+        for a in out:
+            a.setflags(write=False)
+        return out
+
     def averages_at_level(self, k: int) -> np.ndarray:
         """Array of <w>_I over all level-k intervals."""
-        return self.level_masses[k] * (2.0**k)
+        return self.averages[k]
 
     def expectation(self, f: StepFunction, iv: DyadicInterval) -> float:
         """Weighted average E^w_I(f) = (1/w(I)) * integral of f w over I."""
@@ -103,14 +111,7 @@ def a2_characteristic(w: Weight) -> float:
     runs over every level including the leaves (where the product is exactly 1
     for step weights, so leaves never dominate but are included for form).
     """
-    inv = w.inverse
-    best = 1.0
-    for k in range(w.grid.depth + 1):
-        prod = w.averages_at_level(k) * inv.averages_at_level(k)
-        m = float(prod.max())
-        if m > best:
-            best = m
-    return best
+    return max(1.0, *(float((a * b).max()) for a, b in zip(w.averages, w.inverse.averages)))
 
 
 def rho_weight(mu: Weight, lam: Weight) -> Weight:

@@ -492,6 +492,23 @@ def stopping_scan_oracle(depth, root, fires):
     return tuple(members)
 
 
+def unstopped_oracle(depth, root, members):
+    """The root plus every interval inside it not contained in a member, by
+    a depth-first walk that descends no further below a member; sorted
+    level-major."""
+    member_set = set(members)
+    out = []
+    stack = [root]
+    while stack:
+        k, j = stack.pop()
+        if (k, j) in member_set:
+            continue
+        out.append((k, j))
+        if k < depth:
+            stack.extend([(k + 1, 2 * j + 1), (k + 1, 2 * j)])
+    return sorted(out)
+
+
 def deviation_predicate(weights, C, two_sided, depth, root):
     """Any weight's average leaves [<w>_root / C, C <w>_root] (upper side
     only when one-sided)."""

@@ -18,6 +18,7 @@ import pytest
 
 from dyadbloom.cli import SWEEP_COLUMNS, main
 from dyadbloom.config import SUITE_NAMES
+from dyadbloom.errors import ConfigError
 from dyadbloom.grid import DyadicGrid, DyadicInterval, StepFunction, haar_function
 from dyadbloom.serialize import load_step_function, load_weight, save_step_function, write_json
 
@@ -65,6 +66,23 @@ def test_gen_symbol_kinds(tmp_path):
         doc = json.loads(out.read_text())
         assert doc["type"] == "symbol"
         load_step_function(out)
+
+
+@pytest.mark.parametrize(
+    "depth, values",
+    [(True, [0.0, 1.0]), (2.0, [0.0, 1.0, -1.0, 2.0]), ("2", [0.0, 1.0, -1.0, 2.0]),
+     (2, [True, False, True, False]), (2, ["0", "1", "-1", "2"]), (2, [0, 10**400, -1, 2])],
+    ids=["depth-true", "depth-float", "depth-string", "bool-leaves", "string-leaves",
+         "huge-integer-leaf"],
+)
+def test_leaf_file_needs_integer_depth_and_number_leaves(tmp_path, depth, values):
+    # each of these but the last reads as a valid file of depth int(depth)
+    # where leaves and depth pass through Python's int() and numpy's float
+    # conversion; a JSON integer too large for a float raised OverflowError
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"type": "symbol", "depth": depth, "values": values}))
+    with pytest.raises(ConfigError):
+        load_step_function(path)
 
 
 def test_gen_requires_paired_a2_flags(tmp_path, capsys):
@@ -169,6 +187,17 @@ def _symbol_doc(leaves):
     return json.dumps({"type": "symbol", "depth": 2, "values": leaves})
 
 
+# leaves that are not JSON numbers and depths that are not JSON integers are
+# rejected, even where Python could convert them
+_REJECTED_SYMBOL_FILES = [
+    _symbol_doc(["0", "1", "-1", "2"]),
+    _symbol_doc([True, False, True, False]),
+    json.dumps({"type": "symbol", "depth": "2", "values": [0.0, 1.0, -1.0, 2.0]}),
+    json.dumps({"type": "symbol", "depth": 2.7, "values": [0.0, 1.0, -1.0, 2.0]}),
+    json.dumps({"type": "symbol", "depth": True, "values": [0.0, 1.0]}),
+]
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -180,8 +209,8 @@ def _symbol_doc(leaves):
         "null",
         "",
         _symbol_doc([0.0, 1.0, -1.0]),  # wrong length for depth 2
-        _symbol_doc(["0", "1", "-1", "2"]),
         _symbol_doc(["0", "one", "-1", "2"]),
+        *_REJECTED_SYMBOL_FILES,
     ],
 )
 def test_norms_symbol_file_fuzz_exits_cleanly(tmp_path, capsys, text):
@@ -191,7 +220,10 @@ def test_norms_symbol_file_fuzz_exits_cleanly(tmp_path, capsys, text):
     out = tmp_path / "rep.json"
     code = main(["norms", "--mu", str(one), "--lambda", str(one),
                  "--symbol", str(bad), "--out", str(out)])
-    _assert_clean_norms_exit(code, capsys.readouterr().err, out)
+    err = capsys.readouterr().err
+    if text in _REJECTED_SYMBOL_FILES:
+        assert code == 2 and err.startswith("error: ")
+    _assert_clean_norms_exit(code, err, out)
 
 
 def _assert_clean_norms_exit(code, err, out):

@@ -3,8 +3,8 @@
 Worked examples are enumerated by hand at depth 2 (six proper subintervals);
 structural invariants (disjointness, maximality, the unstopped partition) are
 checked against brute-force subtree walks at moderate depth, and the
-level-mask scan with every factory against the depth-first per-interval scan
-in oracles.py.
+root-set level scan with every factory against the depth-first per-interval
+scan and unstopped walk in oracles.py, root by root.
 """
 
 import math
@@ -18,19 +18,22 @@ import oracles
 from dyadbloom.errors import PackingSearchError
 from dyadbloom.grid import DyadicGrid, DyadicInterval, StepFunction, haar_function
 from dyadbloom.bmo import bloom_b2
+from dyadbloom.config import ExperimentConfig
 from dyadbloom.stopping import (
+    Intervals,
     StoppingFamily,
     corona_generations,
     deviation_factory,
     maximal_stopping_intervals,
     minimal_corona_constant,
     minimal_packing_constant,
+    ordered_sum,
     packing_ratio,
     square_sum_factory,
     three_condition_factory,
     threshold_factory,
-    unstopped_intervals,
 )
+from dyadbloom.suites import run_suite
 from dyadbloom.weights import EnsembleSpec, Weight, generate, rho_weight
 
 
@@ -53,24 +56,41 @@ def _path_sum(b: StepFunction, root: DyadicInterval, iv: DyadicInterval) -> floa
     return total
 
 
-def _fires(pred, root: DyadicInterval, iv: DyadicInterval) -> bool:
-    """A level predicate's answer at one interval below root."""
-    shift = iv.level - root.level
-    row = np.broadcast_to(pred(iv.level), (1 << shift,))
-    return bool(row[iv.position - (root.position << shift)])
+def _fires(factory, root: DyadicInterval, iv: DyadicInterval) -> bool:
+    """A factory's answer, anchored at root, at one interval below root."""
+    owner = np.zeros(1 << iv.level, dtype=np.intp)
+    row = np.broadcast_to(factory(Intervals.of(root))(iv.level, owner), owner.shape)
+    return bool(row[iv.position])
+
+
+def _members(fam: StoppingFamily) -> tuple[DyadicInterval, ...]:
+    m = fam.members
+    return tuple(DyadicInterval(int(k), int(j)) for k, j in zip(m.levels, m.positions))
+
+
+def _unstopped(fam: StoppingFamily) -> list[DyadicInterval]:
+    return [DyadicInterval(k, int(j)) for k, m in fam.unstopped.items() for j in np.flatnonzero(m)]
+
+
+def _family(grid, root, *members) -> StoppingFamily:
+    owners = np.zeros(len(members), np.intp)
+    return StoppingFamily(grid, Intervals.of(root), Intervals.of(*members), owners, {})
+
+
+NEVER = lambda roots: (lambda k, owner: False)  # noqa: E731
+ALWAYS = lambda roots: (lambda k, owner: True)  # noqa: E731
 
 
 def test_false_predicate_gives_empty_family(grid4):
-    fam = maximal_stopping_intervals(grid4, grid4.root, lambda k: False)
-    assert fam.members == ()
-    assert list(unstopped_intervals(fam)) == sorted(_subtree(grid4.root, 4))
+    fam = maximal_stopping_intervals(grid4, grid4.root, NEVER)
+    assert _members(fam) == ()
+    assert _unstopped(fam) == sorted(_subtree(grid4.root, 4))
 
 
 def test_constant_weight_never_deviates(unit_weight):
     one = unit_weight(5)
-    pred = deviation_factory(one, 2.0)(one.grid.root)
-    fam = maximal_stopping_intervals(one.grid, one.grid.root, pred)
-    assert fam.members == ()
+    fam = maximal_stopping_intervals(one.grid, one.grid.root, deviation_factory(one, 2.0))
+    assert _members(fam) == ()
 
 
 def test_worked_example_single_member(weight_4411):
@@ -79,59 +99,62 @@ def test_worked_example_single_member(weight_4411):
     # are shadowed by maximality
     lam = weight_4411
     root = lam.grid.root
-    pred = lambda k: lam.averages_at_level(k) > 1.2 * lam.average(root)  # noqa: E731
-    fam = maximal_stopping_intervals(lam.grid, root, pred)
-    assert fam.members == (DyadicInterval(1, 0),)
-    hits = [iv for iv in _subtree(root, 2) if iv != root and _fires(pred, root, iv)]
+    factory = lambda roots: (  # noqa: E731
+        lambda k, owner: lam.averages_at_level(k) > 1.2 * lam.average(root)
+    )
+    fam = maximal_stopping_intervals(lam.grid, root, factory)
+    assert _members(fam) == (DyadicInterval(1, 0),)
+    hits = [iv for iv in _subtree(root, 2) if iv != root and _fires(factory, root, iv)]
     assert hits == [DyadicInterval(1, 0), DyadicInterval(2, 0), DyadicInterval(2, 1)]
 
 
 def test_members_disjoint_maximal_and_satisfying(random_positive):
     w = random_positive(6, seed=31)
     grid = w.grid
-    pred = deviation_factory(w, 1.3)(grid.root)
-    fam = maximal_stopping_intervals(grid, grid.root, pred)
-    assert fam.members
-    for s in fam.members:
-        assert _fires(pred, grid.root, s)
+    factory = deviation_factory(w, 1.3)
+    fam = maximal_stopping_intervals(grid, grid.root, factory)
+    members = _members(fam)
+    assert members
+    for s in members:
+        assert _fires(factory, grid.root, s)
         assert s.level >= 1
         # no strict ancestor below the root satisfies the predicate
         iv = s
         while iv.level > 1:
             iv = iv.parent
-            assert not _fires(pred, grid.root, iv)
-    for a, b in zip(fam.members, fam.members[1:]):
+            assert not _fires(factory, grid.root, iv)
+    for a, b in zip(members, members[1:]):
         assert a.endpoints[1] <= b.endpoints[0]  # sorted and disjoint
 
 
 def test_unstopped_partition_accounts_for_every_interval(random_positive):
     w = random_positive(5, seed=7)
     grid = w.grid
-    pred = deviation_factory(w, 1.2)(grid.root)
-    fam = maximal_stopping_intervals(grid, grid.root, pred)
-    free = list(unstopped_intervals(fam))
+    factory = deviation_factory(w, 1.2)
+    fam = maximal_stopping_intervals(grid, grid.root, factory)
+    free = _unstopped(fam)
     assert grid.root in free
-    covered = len(free) + sum(len(_subtree(s, grid.depth)) for s in fam.members)
+    covered = len(free) + sum(len(_subtree(s, grid.depth)) for s in _members(fam))
     assert covered == len(_subtree(grid.root, grid.depth))
     for iv in free:
         if iv != grid.root:
-            assert not _fires(pred, grid.root, iv)
+            assert not _fires(factory, grid.root, iv)
 
 
 def test_packing_ratio_empty_family_is_zero(grid4, unit_weight):
-    fam = maximal_stopping_intervals(grid4, grid4.root, lambda k: False)
+    fam = maximal_stopping_intervals(grid4, grid4.root, NEVER)
     assert packing_ratio(fam, unit_weight(4)) == 0.0
 
 
 def test_packing_ratio_lebesgue_half(grid2, unit_weight):
-    fam = StoppingFamily(grid2, grid2.root, (DyadicInterval(1, 0),))
+    fam = _family(grid2, grid2.root, DyadicInterval(1, 0))
     assert packing_ratio(fam, unit_weight(2)) == 0.5
 
 
 def test_packing_ratio_worked_example(weight_4411):
     # (4 * 1/2) / 2.5 = 0.8
     lam = weight_4411
-    fam = StoppingFamily(lam.grid, lam.grid.root, (DyadicInterval(1, 0),))
+    fam = _family(lam.grid, lam.grid.root, DyadicInterval(1, 0))
     assert packing_ratio(fam, lam) == pytest.approx(0.8, abs=1e-15)
 
 
@@ -146,13 +169,13 @@ def test_deviation_factory_one_sided(weight_4411):
     lam = weight_4411
     root = lam.grid.root
     two = maximal_stopping_intervals(
-        lam.grid, root, deviation_factory(lam, 1.3, two_sided=True)(root)
+        lam.grid, root, deviation_factory(lam, 1.3, two_sided=True)
     )
     one = maximal_stopping_intervals(
-        lam.grid, root, deviation_factory(lam, 1.3, two_sided=False)(root)
+        lam.grid, root, deviation_factory(lam, 1.3, two_sided=False)
     )
-    assert two.members == (DyadicInterval(1, 0), DyadicInterval(1, 1))
-    assert one.members == (DyadicInterval(1, 0),)
+    assert _members(two) == (DyadicInterval(1, 0), DyadicInterval(1, 1))
+    assert _members(one) == (DyadicInterval(1, 0),)
 
 
 def test_minimal_packing_constant_trivial(unit_weight):
@@ -174,9 +197,7 @@ def test_minimal_packing_constant_worked_example(weight_4411):
     assert c == pytest.approx(1.1**5, rel=1e-12)
 
     def ratio_at(cand: float) -> float:
-        fam = maximal_stopping_intervals(
-            grid, grid.root, deviation_factory(lam, cand)(grid.root)
-        )
+        fam = maximal_stopping_intervals(grid, grid.root, deviation_factory(lam, cand))
         return packing_ratio(fam, lam)
 
     cands = [1.1**k for k in range(1, 12)]
@@ -187,20 +208,19 @@ def test_minimal_packing_constant_worked_example(weight_4411):
 
 def test_packing_search_error_carries_ratio(grid2, unit_weight):
     one = unit_weight(2)
-    always = lambda C: (lambda root: (lambda k: True))  # noqa: E731
     with pytest.raises(PackingSearchError) as exc:
         minimal_packing_constant(
-            one.grid, one.grid.root, always, one, target=0.5, c_max=4.0
+            one.grid, one.grid.root, lambda C: ALWAYS, one, target=0.5, c_max=4.0
         )
     assert exc.value.min_ratio == pytest.approx(1.0, abs=1e-15)
 
 
 def test_corona_trivial_generations(unit_weight):
     one = unit_weight(4)
-    gens = corona_generations(one.grid, one.grid.root, lambda root: (lambda k: False))
-    assert len(gens) == 1 and gens[0][0].members == ()
+    gens = corona_generations(one.grid, one.grid.root, NEVER)
+    assert len(gens) == 1 and _members(gens[0]) == ()
     gens = corona_generations(one.grid, one.grid.root, deviation_factory(one, 1.5))
-    assert len(gens) == 1 and gens[0][0].members == ()
+    assert len(gens) == 1 and _members(gens[0]) == ()
 
 
 def test_corona_generation_indices_and_reanchoring(weight_4411):
@@ -209,9 +229,9 @@ def test_corona_generation_indices_and_reanchoring(weight_4411):
     lam = weight_4411
     c = 1.1**5
     gens = corona_generations(lam.grid, lam.grid.root, deviation_factory(lam, c))
-    assert [f.generation for fams in gens for f in fams] == [1, 2]
-    assert gens[0][0].members == (DyadicInterval(1, 1),)
-    assert gens[1][0].members == ()
+    assert len(gens) == 2
+    assert _members(gens[0]) == (DyadicInterval(1, 1),)
+    assert _members(gens[1]) == ()
 
 
 def test_corona_geometric_decay_cascade():
@@ -230,8 +250,8 @@ def test_corona_geometric_decay_cascade():
     ) == cc
     gens = corona_generations(grid, grid.root, deviation_factory(lam, cc))
     total = lam.mass(grid.root)
-    for g, fams in enumerate(gens, start=1):
-        mass = sum(f.member_mass(lam) for f in fams)
+    for g, gen in enumerate(gens, start=1):
+        mass = ordered_sum(gen.member_masses(lam))
         assert mass <= 0.5**g * total * (1 + 1e-12)
 
 
@@ -241,12 +261,10 @@ def test_threshold_factory_lebesgue_packing(random_positive):
     for seed in (3, 4, 5):
         w = random_positive(6, seed=seed)
         grid = w.grid
-        fam = maximal_stopping_intervals(
-            grid, grid.root, threshold_factory(w, 4.0)(grid.root)
-        )
-        leb = sum(s.length for s in fam.members)
+        fam = maximal_stopping_intervals(grid, grid.root, threshold_factory(w, 4.0))
+        leb = sum(s.length for s in _members(fam))
         assert leb <= 0.25 + 1e-15
-        for s in fam.members:
+        for s in _members(fam):
             assert w.average(s) >= 4.0 * w.average(grid.root)
 
 
@@ -259,25 +277,26 @@ def test_three_condition_packing_and_unstopped_path_sums(random_positive):
     mu_inv = mu.inverse
     rho = rho_weight(mu, lam)
     fam = maximal_stopping_intervals(
-        grid, grid.root, three_condition_factory(mu, lam, b, 2.0, 1.0)(grid.root)
+        grid, grid.root, three_condition_factory(mu, lam, b, 2.0, 1.0)
     )
+    members = _members(fam)
     a_mu = mu_inv.average(grid.root)
     a_rho = rho.average(grid.root)
     # conditions (1) and (2) pack to <= 1/C = 1/2 definitionally
-    leb1 = sum(s.length for s in fam.members if mu_inv.average(s) > 2.0 * a_mu)
-    leb2 = sum(s.length for s in fam.members if rho.average(s) > 2.0 * a_rho)
+    leb1 = sum(s.length for s in members if mu_inv.average(s) > 2.0 * a_mu)
+    leb2 = sum(s.length for s in members if rho.average(s) > 2.0 * a_rho)
     assert leb1 <= 0.5 + 1e-15
     assert leb2 <= 0.5 + 1e-15
     # every member fires at least one condition; every unstopped interval
     # fails all three, so its root-to-I path sum stays under the threshold
     thr = a_rho**2
-    for s in fam.members:
+    for s in members:
         assert (
             mu_inv.average(s) > 2.0 * a_mu
             or rho.average(s) > 2.0 * a_rho
             or _path_sum(b, grid.root, s) > thr
         )
-    for iv in unstopped_intervals(fam):
+    for iv in _unstopped(fam):
         if iv != grid.root:
             assert _path_sum(b, grid.root, iv) <= thr * (1 + 1e-12)
 
@@ -296,12 +315,10 @@ def test_unstopped_coefficient_sum_bound(random_positive):
     c = minimal_packing_constant(
         grid, grid.root, lambda C: deviation_factory([mu_inv, lam], C), mu_inv
     )
-    fam = maximal_stopping_intervals(
-        grid, grid.root, deviation_factory([mu_inv, lam], c)(grid.root)
-    )
+    fam = maximal_stopping_intervals(grid, grid.root, deviation_factory([mu_inv, lam], c))
     coeff_sum = sum(
         oracles.coeff(b.values, 6, iv.level, iv.position) ** 2
-        for iv in unstopped_intervals(fam)
+        for iv in _unstopped(fam)
         if iv.level < grid.depth
     )
     base = b2**2 / (mu_inv.average(grid.root) * lam.average(grid.root))
@@ -313,31 +330,26 @@ def test_square_sum_factory_worked_example(grid2, unit_weight):
     b = haar_function(grid2, DyadicInterval(0, 0))
     # path sum through the root is exactly 1 everywhere below it
     for C, expect in ((0.5, 2), (1.0, 2), (1.5, 0)):
-        fam = maximal_stopping_intervals(
-            grid2, grid2.root, square_sum_factory(b, one, C, 1.0)(grid2.root)
-        )
-        assert len(fam.members) == expect
+        fam = maximal_stopping_intervals(grid2, grid2.root, square_sum_factory(b, one, C, 1.0))
+        assert fam.members.levels.size == expect
         if expect:
-            assert fam.members == (DyadicInterval(1, 0), DyadicInterval(1, 1))
+            assert _members(fam) == (DyadicInterval(1, 0), DyadicInterval(1, 1))
 
 
 def test_minimal_corona_constant_search_failure(grid2, unit_weight):
     one = unit_weight(2)
-    always = lambda C: (lambda root: (lambda k: True))  # noqa: E731
     with pytest.raises(PackingSearchError):
         minimal_corona_constant(
-            one.grid, one.grid.root, always, one, target=0.5, c_max=4.0
+            one.grid, one.grid.root, lambda C: ALWAYS, one, target=0.5, c_max=4.0
         )
 
 
 def test_member_mass_matches_oracle(weight_4411):
-    fam = StoppingFamily(
-        weight_4411.grid,
-        weight_4411.grid.root,
-        (DyadicInterval(2, 0), DyadicInterval(1, 1)),
+    fam = _family(
+        weight_4411.grid, weight_4411.grid.root, DyadicInterval(2, 0), DyadicInterval(1, 1)
     )
     # masses 4/4 and (1+1)/4
-    assert fam.member_mass(weight_4411) == pytest.approx(1.5, abs=1e-15)
+    assert fam.member_masses(weight_4411)[0] == pytest.approx(1.5, abs=1e-15)
 
 
 FACTORY_KINDS = ("deviation", "threshold", "three-condition", "square-sum")
@@ -393,6 +405,182 @@ def test_level_mask_scan_matches_depth_first_oracle(depth, data):
     roots = [(0, 0), (level, position), (depth - 1, last >> 1), (depth, last)]
     for r in roots:
         root = DyadicInterval(*r)
-        fam = maximal_stopping_intervals(grid, root, factory(root))
-        got = tuple((s.level, s.position) for s in fam.members)
+        fam = maximal_stopping_intervals(grid, root, factory)
+        got = tuple((s.level, s.position) for s in _members(fam))
         assert got == oracles.stopping_scan_oracle(depth, r, oracle(r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(depth=st.integers(2, 10), data=st.data())
+def test_corona_scan_matches_oracle_root_by_root(depth, data):
+    # every generation of the root-set scan against the depth-first oracle
+    # run under each root in turn; the unstopped set against the oracle walk;
+    # packing ratios and generation masses against Python's sum over the same
+    # masses in left-endpoint order, bit for bit
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    kind = data.draw(st.sampled_from(["cascade", "two-value"]), label="weights")
+    # two-value leaves 1 and 4 keep every average (rho's too) exact, so the
+    # oracle's leaf sums and the package's pyramids agree on ties
+    mu, lam = (
+        generate(EnsembleSpec(kind=kind, depth=depth, seed=seed + i, delta=0.6))
+        for i in range(2)
+    )
+    b = StepFunction(mu.grid, np.random.default_rng(seed).standard_normal(1 << depth))
+    grid = mu.grid
+    factory_kind = data.draw(
+        st.sampled_from(["deviation", "deviation2", "threshold", "three-condition",
+                         "square-sum"]),
+        label="factory",
+    )
+    if factory_kind in ("deviation", "deviation2"):
+        ws = [lam] if factory_kind == "deviation" else [mu.inverse, lam]
+        C = data.draw(st.floats(1.01, 3.0), label="C")
+        factory = deviation_factory(ws, C)
+        oracle = lambda r: oracles.deviation_predicate(  # noqa: E731
+            [w.values for w in ws], C, True, depth, r
+        )
+    elif factory_kind == "threshold":
+        factor = data.draw(st.floats(1.01, 4.0), label="factor")
+        factory = threshold_factory(lam, factor)
+        oracle = lambda r: oracles.threshold_predicate(  # noqa: E731
+            lam.values, factor, depth, r
+        )
+    elif factory_kind == "three-condition":
+        C = data.draw(st.floats(1.01, 4.0), label="C")
+        C_b = data.draw(st.floats(0.1, 3.0), label="C_b")
+        factory = three_condition_factory(mu, lam, b, C, C_b)
+        oracle = lambda r: oracles.three_condition_predicate(  # noqa: E731
+            mu.values, lam.values, b.values, C, C_b, depth, r
+        )
+    else:
+        C = data.draw(st.floats(0.05, 10.0), label="C")
+        rho = rho_weight(mu, lam)
+        factory = square_sum_factory(b, rho, C, 1.0)
+        oracle = lambda r: oracles.square_sum_predicate(  # noqa: E731
+            b.values, rho.values, C, 1.0, depth, r
+        )
+    n_gens = data.draw(st.integers(1, 3), label="generations")
+    gens = corona_generations(grid, grid.root, factory, max_generations=n_gens)
+    roots = [(0, 0)]
+    for g, gen in enumerate(gens, start=1):
+        assert list(zip(gen.roots.levels, gen.roots.positions)) == roots
+        per_root = [oracles.stopping_scan_oracle(depth, r, oracle(r)) for r in roots]
+        want = [(m, i) for i, ms in enumerate(per_root) for m in ms]
+        got = list(zip(zip(gen.members.levels, gen.members.positions), gen.owners))
+        assert got == want
+        got_free = sorted((iv.level, iv.position) for iv in _unstopped(gen))
+        want_free = sorted(
+            iv for r, ms in zip(roots, per_root)
+            for iv in oracles.unstopped_oracle(depth, r, ms)
+        )
+        assert got_free == want_free
+        sums = [sum(lam.mass(DyadicInterval(*m)) for m in ms) for ms in per_root]
+        ratios = [s / lam.mass(DyadicInterval(*r)) for s, r in zip(sums, roots)]
+        assert gen.member_masses(lam).tolist() == sums
+        assert packing_ratio(gen, lam) == max(ratios)
+        assert ordered_sum(gen.member_masses(lam)) == sum(sums)
+        roots = [m for ms in per_root for m in ms]
+        if not roots:
+            assert g == len(gens)
+            break
+    else:
+        assert len(gens) == n_gens
+
+
+# recorded from run_suite("stopping", ...) with seed 2026: float.hex of every
+# measured statistic and every assertion worst
+_PINNED_STOPPING = {
+    (8, 5): {
+        "corona_constant.max": "0x1.2dd13add43095p+1",
+        "corona_constant.mean": "0x1.095ab532025a2p+1",
+        "corona_constant.min": "0x1.c585058dde7acp+0",
+        "deviation_constant.max": "0x1.2dd13add43095p+1",
+        "deviation_constant.mean": "0x1.095ab532025a2p+1",
+        "deviation_constant.min": "0x1.c585058dde7acp+0",
+        "square_sum_constant.max": "0x1.199999999999ap+0",
+        "square_sum_constant.mean": "0x1.199999999999ap+0",
+        "square_sum_constant.min": "0x1.199999999999ap+0",
+        "three_cond_path_sum_packing.max": "0x0.0p+0",
+        "three_cond_path_sum_packing.mean": "0x0.0p+0",
+        "three_cond_path_sum_packing.min": "0x0.0p+0",
+        "unstopped_coeff_sum_over_base.max": "0x1.9da917c60e46fp-1",
+        "unstopped_coeff_sum_over_base.mean": "0x1.1fb01091995d2p-1",
+        "unstopped_coeff_sum_over_base.min": "0x1.3189ebacf2b19p-2",
+        "worst.corona_geometric_decay": "-0x1.dc95080fcb1e0p-7",
+        "worst.deviation_packing_at_target": "-0x1.dc95080f84be0p-7",
+        "worst.factor4_lebesgue_packing_quarter": "-0x1.f000000002330p-3",
+        "worst.packing_searches_succeed": "0x0.0p+0",
+        "worst.three_cond_rho_packing_half": "-0x1.7800000002330p-2",
+        "worst.three_cond_weight_packing_half": "-0x1.5400000002330p-2",
+        "worst.unstopped_coeff_sum_within_C_cubed": "-0x1.e84b30e173d32p-1",
+    },
+    (10, 4): {
+        "corona_constant.max": "0x1.2dd13add43095p+1",
+        "corona_constant.mean": "0x1.19dcc8f4b7330p+1",
+        "corona_constant.min": "0x1.f2df1fb5a7ed8p+0",
+        "deviation_constant.max": "0x1.2dd13add43095p+1",
+        "deviation_constant.mean": "0x1.19dcc8f4b7330p+1",
+        "deviation_constant.min": "0x1.f2df1fb5a7ed8p+0",
+        "square_sum_constant.max": "0x1.199999999999ap+0",
+        "square_sum_constant.mean": "0x1.199999999999ap+0",
+        "square_sum_constant.min": "0x1.199999999999ap+0",
+        "three_cond_path_sum_packing.max": "0x0.0p+0",
+        "three_cond_path_sum_packing.mean": "0x0.0p+0",
+        "three_cond_path_sum_packing.min": "0x0.0p+0",
+        "unstopped_coeff_sum_over_base.max": "0x1.adbe355149377p-2",
+        "unstopped_coeff_sum_over_base.mean": "0x1.46f7ae2ab9b0fp-2",
+        "unstopped_coeff_sum_over_base.min": "0x1.975d655936a00p-3",
+        "worst.corona_geometric_decay": "-0x1.7cdeb362fb0c0p-7",
+        "worst.deviation_packing_at_target": "-0x1.7cdeb362b4ac0p-7",
+        "worst.factor4_lebesgue_packing_quarter": "-0x1.dc00000002330p-3",
+        "worst.packing_searches_succeed": "0x0.0p+0",
+        "worst.three_cond_rho_packing_half": "-0x1.6d00000002330p-2",
+        "worst.three_cond_weight_packing_half": "-0x1.3d00000002330p-2",
+        "worst.unstopped_coeff_sum_within_C_cubed": "-0x1.f6bf927c88a05p-1",
+    },
+}
+
+
+@pytest.mark.parametrize("depth, trials", sorted(_PINNED_STOPPING))
+def test_stopping_suite_is_bitwise_pinned(depth, trials):
+    res = run_suite("stopping", ExperimentConfig(depth=depth, trials=trials, seed=2026))
+    got = {
+        f"{name}.{k}": v.hex()
+        for name, stats in res.measured.items()
+        for k, v in stats.items()
+        if isinstance(v, float)
+    }
+    got |= {f"worst.{a.name}": a.worst.hex() for a in res.assertions}
+    assert got == _PINNED_STOPPING[depth, trials]
+
+
+def test_stopping_suite_at_depth_16_scans_once_per_generation(monkeypatch):
+    # one trial above the configured cap: the suite passes, and every corona
+    # (one per constant tried, plus the suite's own) costs one root-set scan
+    # per generation, not one per root
+    import dyadbloom.config as config
+    import dyadbloom.stopping as stopping
+    import dyadbloom.suites as suites
+
+    monkeypatch.setattr(config, "MAX_DEPTH", 16)
+    scans = []
+    coronas = []
+    scan, corona = stopping.maximal_stopping_intervals, stopping.corona_generations
+
+    def counted_scan(*args, **kwargs):
+        scans.append(None)
+        return scan(*args, **kwargs)
+
+    def counted_corona(*args, **kwargs):
+        before = len(scans)
+        gens = corona(*args, **kwargs)
+        coronas.append((len(scans) - before, len(gens)))
+        return gens
+
+    monkeypatch.setattr(stopping, "maximal_stopping_intervals", counted_scan)
+    monkeypatch.setattr(stopping, "corona_generations", counted_corona)
+    monkeypatch.setattr(suites, "corona_generations", counted_corona)
+    res = run_suite("stopping", ExperimentConfig(depth=16, trials=1))
+    assert res.passed
+    assert len(coronas) >= 2
+    assert all(n == g for n, g in coronas), coronas
