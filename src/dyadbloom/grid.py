@@ -47,6 +47,7 @@ __all__ = [
     "synthesize_leaves",
     "level_masses",
     "accumulate_levels",
+    "stack_rows",
     "haar_analyze",
     "haar_synthesize",
     "haar_function",
@@ -338,13 +339,16 @@ def synthesize_leaves(mean, coeffs: Sequence[np.ndarray], depth: int) -> np.ndar
     values are bit for bit those of that full-width pass.  For inputs whose
     deepest nonzero level is k0, the result is constant on level-(k0+1)
     blocks with bitwise-identical values inside each block, which
-    downstream exactness checks rely on.
+    downstream exactness checks rely on.  A scalar mean serves a whole
+    stack: it is spread over the coefficients' leading axes.
     """
     mean = np.asarray(mean, dtype=np.float64)
     v = mean[..., None]
+    if not mean.shape and len(coeffs) and np.ndim(coeffs[0]) > 1:
+        v = np.full(np.shape(coeffs[0])[:-1] + (1,), mean)
     for k, c in enumerate(coeffs):
         s = np.asarray(c, dtype=np.float64) * math.sqrt(2**k)
-        w = np.empty(mean.shape + (2 << k,))
+        w = np.empty(v.shape[:-1] + (2 << k,))
         np.subtract(v, s, out=w[..., 0::2])
         np.add(v, s, out=w[..., 1::2])
         v = w
@@ -362,6 +366,13 @@ def accumulate_levels(terms: Sequence[np.ndarray], depth: int) -> np.ndarray:
     for t in terms:
         v = np.repeat(v, t.shape[-1] // v.shape[-1], axis=-1) + t
     return np.repeat(v, (1 << depth) // v.shape[-1], axis=-1)
+
+
+def stack_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays on a new leading axis, or the one array itself: a one-row
+    stack stays unstacked, where each numpy call costs least.  Every pass
+    here is elementwise, so a row's values are the same either way."""
+    return np.asarray(arrays[0]) if len(arrays) == 1 else np.stack(arrays)
 
 
 def level_masses(values: np.ndarray, depth: int) -> list[np.ndarray]:

@@ -16,7 +16,7 @@ Best constants of the quadratic inequalities x'Ax <= C x'Gx met here have a
 diagonal G, so C = lambda_max(G^{-1/2} A G^{-1/2}), with A applied through
 the analysis and level_masses pyramids.
 
-Every top eigenvalue comes from _top_eigenvalue, a numpy thick-restart
+Every top eigenvalue comes from _top_eigenvalues, a numpy thick-restart
 Lanczos on the symmetric operator with full reorthogonalisation, started
 from one fixed seeded random vector, so repeated calls return bitwise-equal
 floats.  The start vector is random, not constant, because constants lie in
@@ -25,6 +25,13 @@ value theta has residual at most eps * theta.  theta is then a lower bound
 on the top eigenvalue up to rounding; nothing bounds it from above.  Each
 matvec output is checked for finiteness once, and a zero operator is
 recognised from the first image, at no extra apply.
+
+The engine runs in lockstep: independent problems share one stacked matvec
+per step and keep everything else per row, so each row returns bitwise what
+it returns alone.  The plural solvers (weighted_operator_norms,
+ppott_best_constants, carleson_embedding_checks) take one symbol and
+weight (pair) per row; the verification suites solve a group of trials
+this way, and compute_norm_report its two shift norms.
 
 The Carleson block ties the coefficient functionals to embedding constants:
 carleson_constant does the definitional bottom-up scan, while
@@ -40,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,6 +59,7 @@ from .grid import (
     accumulate_levels,
     analyze_leaves,
     level_masses,
+    stack_rows,
     synthesize_leaves,
 )
 from .operators import (
@@ -65,12 +73,16 @@ from .operators import (
 from .weights import Weight, a2_characteristic, rho_weight
 
 __all__ = [
+    "TopEigen",
     "weighted_operator_norm",
+    "weighted_operator_norms",
     "ppott_best_constant",
+    "ppott_best_constants",
     "CarlesonSequence",
     "carleson_constant",
     "CarlesonEmbeddingReport",
     "carleson_embedding_check",
+    "carleson_embedding_checks",
     "paraproduct_carleson_sequence",
     "adjoint_paraproduct_carleson_sequence",
     "necessity_restriction_ratios",
@@ -89,19 +101,55 @@ _KEEP = 10
 _MAX_RESTARTS = 1000
 _ROTATE_COLUMNS = 4096
 _EPS = float(np.finfo(np.float64).eps)
+# Leaves per lockstep solve: rows x 2^D stays within this.  While 2^D is
+# small a stacked step costs about what one row's step does (Python overhead
+# per pyramid level), so stacking pays until the arithmetic on the stack
+# dominates: measured, 8192 leaves still gain at every depth up to 12, while
+# two rows at D=13 cost more than two solves.  So D >= 13 solves one row at
+# a time, and reach and peak memory at depth are those of single solves.
+_LOCKSTEP_LEAVES = 1 << 13
 
 
-def _top_eigenvalue(n: int, matvec: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Largest eigenvalue of a symmetric positive semidefinite n x n operator.
+def _lockstep_chunks(rows: Sequence, n: int) -> list:
+    """rows in consecutive chunks of at most _LOCKSTEP_LEAVES // n (at least
+    one): the rows worth solving in one lockstep solve at length n."""
+    width = max(1, _LOCKSTEP_LEAVES // n)
+    return [rows[i : i + width] for i in range(0, len(rows), width)]
 
-    Thick-restart Lanczos from one fixed seeded random start vector, so
-    repeated calls return bitwise-equal floats.  Each new vector is
-    reorthogonalised against the whole basis by two passes of classical
-    Gram-Schmidt, whose coefficients fill the projected matrix.  A full basis
-    of 20 vectors restarts from its top 10 Ritz vectors, so at most 21
-    vectors of length n are held.  Images are scaled by the power of two that
-    puts the first image's largest entry in [1/2, 1): exact, and it keeps
-    squared norms from overflowing or underflowing.
+
+class TopEigen(NamedTuple):
+    """One row's top Ritz value, the matvecs it took, and the residual
+    |beta s_m| of that Ritz pair (0.0 for a zero operator)."""
+
+    value: float
+    matvecs: int
+    residual: float
+
+
+def _top_eigenvalues(
+    n: int, matvec: Callable[[np.ndarray], np.ndarray], rows: int
+) -> list[TopEigen]:
+    """Largest eigenvalue of each of `rows` symmetric positive semidefinite
+    n x n operators, applied together: matvec maps a (rows, n) stack to the
+    stack of images, row r of the input to row r of the output.  One row is
+    passed unstacked, as a vector of length n (see grid.stack_rows).
+
+    Each row runs its own thick-restart Lanczos from one fixed seeded random
+    start vector; the rows only share the matvec, one stacked apply per
+    step.  Every other quantity is the row's own (scaling, Gram-Schmidt,
+    projected matrix, restart, stop test, restart cap), computed with the
+    same operations as a one-row solve, so each row returns bitwise the
+    result it returns when solved alone, and repeated calls return
+    bitwise-equal floats.  A row that has stopped rides along on a zero
+    vector until the last row stops; its images are not read.
+
+    Per row: each new vector is reorthogonalised against the whole basis by
+    two passes of classical Gram-Schmidt, whose coefficients fill the
+    projected matrix.  A full basis of 20 vectors restarts from its top 10
+    Ritz vectors, so at most 21 vectors of length n are held.  Images are
+    scaled by the power of two that puts the first image's largest entry in
+    [1/2, 1): exact, and it keeps squared norms from overflowing or
+    underflowing.
 
     The top Ritz value theta is returned once its residual |beta s_m| (beta
     the next residual norm, s_m the last entry of theta's eigenvector in the
@@ -110,71 +158,125 @@ def _top_eigenvalue(n: int, matvec: Callable[[np.ndarray], np.ndarray]) -> float
     scaling.  theta is a lower bound up to rounding; nothing bounds it from
     above.
 
-    A non-finite image raises ValueError.  A zero first image returns 0.0 (a
-    random start vector lies in the kernel of a nonzero operator with
-    probability zero).  A residual at the rounding level of the Gram-Schmidt
-    passes, or a basis spanning all n dimensions, means the basis is
-    invariant: the top eigenvalue of the projected matrix is returned at
-    once.  No convergence within the restart cap raises DyadBloomError.
+    A non-finite image raises ValueError (a stopped row's zero input has a
+    zero image under the library's linear kernels).  A zero first
+    image gives 0.0 (a random start vector lies in the kernel of a nonzero
+    operator with probability zero).  A residual at the rounding level of
+    the Gram-Schmidt passes, or a basis spanning all n dimensions, means the
+    basis is invariant: the top eigenvalue of the projected matrix is taken
+    at once.  A row not converged within the restart cap raises
+    DyadBloomError.
     """
     m = min(_BASIS, n)
-    basis = np.empty((m + 1, n))
-    proj = np.zeros((m, m))
+    basis = np.zeros((rows, m + 1, n))
+    proj = np.zeros((rows, m, m))
     start = np.random.default_rng(0).standard_normal(n)
-    basis[0] = start / math.sqrt(start @ start)
-    shift = None
+    basis[:, 0] = start / math.sqrt(start @ start)
+    shifts = [0] * rows
+    betas = [0.0] * rows
+    out: list[TopEigen] = [None] * rows  # type: ignore[list-item]
+    live = list(range(rows))
+    steps = 0
+
+    def stop(r: int, top: float, residual: float) -> None:
+        out[r] = TopEigen(max(float(np.ldexp(top, -shifts[r])), 0.0), steps,
+                          float(np.ldexp(residual, -shifts[r])))
+        live.remove(r)
+        if live:  # ride along on a zero vector
+            basis[r] = 0.0
+
     j = 0
     for _ in range(_MAX_RESTARTS):
         while j < m:
-            w = matvec(basis[j])
-            if not np.isfinite(w).all():
+            images = matvec(basis[:, j] if rows > 1 else basis[0, j]).reshape(rows, n)
+            steps += 1
+            if not np.isfinite(images).all():
                 raise ValueError("operator image is not finite")
-            if shift is None:
-                peak = float(np.abs(w).max())
-                if peak == 0.0:
-                    return 0.0
-                shift = -math.frexp(peak)[1]
-            w = np.ldexp(w, shift)
-            image_norm = math.sqrt(w @ w)
-            v = basis[: j + 1]
-            h = v @ w
-            w -= h @ v
-            c = v @ w
-            w -= c @ v
-            h += c
-            proj[: j + 1, j] = h
-            beta = math.sqrt(w @ w)
+            for r in live[:]:
+                w = images[r]
+                if steps == 1:
+                    peak = float(np.abs(w).max())
+                    if peak == 0.0:
+                        stop(r, 0.0, 0.0)
+                        continue
+                    shifts[r] = -math.frexp(peak)[1]
+                w = np.ldexp(w, shifts[r])
+                image_norm = math.sqrt(w @ w)
+                v = basis[r, : j + 1]
+                h = v @ w
+                w -= h @ v
+                c = v @ w
+                w -= c @ v
+                h += c
+                proj[r, : j + 1, j] = h
+                beta = betas[r] = math.sqrt(w @ w)
+                if j + 1 == n or beta <= (j + 1) * _EPS * image_norm:
+                    block = proj[r, : j + 1, : j + 1]
+                    s_m = np.linalg.eigh(block, UPLO="U")[1][-1, -1]
+                    stop(r, np.linalg.eigvalsh(block, UPLO="U")[-1], abs(beta * s_m))
+                else:
+                    basis[r, j + 1] = w / beta
+            if not live:
+                return out
             j += 1
-            if j == n or beta <= j * _EPS * image_norm:
-                top = np.linalg.eigvalsh(proj[:j, :j], UPLO="U")[-1]
-                return max(float(np.ldexp(top, -shift)), 0.0)
-            basis[j] = w / beta
-        theta, s = np.linalg.eigh(proj, UPLO="U")
-        if abs(beta * s[-1, -1]) <= _EPS * abs(theta[-1]):
-            return max(float(np.ldexp(theta[-1], -shift)), 0.0)
-        ritz = s[:, -_KEEP:].T
-        for lo in range(0, n, _ROTATE_COLUMNS):
-            cols = slice(lo, lo + _ROTATE_COLUMNS)
-            basis[:_KEEP, cols] = ritz @ basis[:m, cols]
-        basis[_KEEP] = basis[m]
-        proj[:] = 0.0
-        proj[range(_KEEP), range(_KEEP)] = theta[-_KEEP:]
+        for r in live[:]:
+            theta, s = np.linalg.eigh(proj[r], UPLO="U")
+            residual = abs(betas[r] * s[-1, -1])
+            if residual <= _EPS * abs(theta[-1]):
+                stop(r, theta[-1], residual)
+                continue
+            ritz = s[:, -_KEEP:].T
+            for lo in range(0, n, _ROTATE_COLUMNS):
+                cols = slice(lo, lo + _ROTATE_COLUMNS)
+                basis[r, :_KEEP, cols] = ritz @ basis[r, :m, cols]
+            basis[r, _KEEP] = basis[r, m]
+            proj[r] = 0.0
+            proj[r, range(_KEEP), range(_KEEP)] = theta[-_KEEP:]
+        if not live:
+            return out
         j = _KEEP
     raise DyadBloomError(f"Lanczos did not converge in {_MAX_RESTARTS} restarts")
 
 
-def weighted_operator_norm(T: LeafOperator, mu: Weight, lam: Weight) -> float:
-    """|| T : L^2(mu) -> L^2(lambda) ||, the square root of lambda_max(W'W)."""
+def weighted_operator_norms(
+    T: LeafOperator, mus: Sequence[Weight], lams: Sequence[Weight]
+) -> list[TopEigen]:
+    """|| T_r : L^2(mu_r) -> L^2(lambda_r) || for each row r, as one
+    lockstep solve: T is a plan of one operator or of one symbol per row
+    (operators.py), and each row's value is the square root of
+    lambda_max(W_r'W_r), bitwise what that row gives alone.  matvecs and
+    residual are those of W_r'W_r's top Ritz pair."""
     grid = T.grid
-    if grid != mu.grid or grid != lam.grid:
+    if any(w.grid != grid for w in (*mus, *lams)):
         raise ValueError("operator and weights must share one grid")
-    scale = 1.0 / np.sqrt(mu.values)
-    lam_vals = lam.values
+    scale = 1.0 / np.sqrt(stack_rows([mu.values for mu in mus]))
+    lam_vals = stack_rows([lam.values for lam in lams])
 
     def normal(x: np.ndarray) -> np.ndarray:
         return scale * T.transpose(lam_vals * T.apply(scale * x))
 
-    return math.sqrt(_top_eigenvalue(grid.n_leaves, normal))
+    return [e._replace(value=math.sqrt(e.value))
+            for e in _top_eigenvalues(grid.n_leaves, normal, len(mus))]
+
+
+def weighted_operator_norm(T: LeafOperator, mu: Weight, lam: Weight) -> float:
+    """|| T : L^2(mu) -> L^2(lambda) ||, the square root of lambda_max(W'W)."""
+    return weighted_operator_norms(T, [mu], [lam])[0].value
+
+
+def ppott_best_constants(ws: Sequence[Weight]) -> list[TopEigen]:
+    """ppott_best_constant of each weight, as one lockstep solve."""
+    grid = ws[0].grid
+    depth = grid.depth
+    root_w = np.sqrt(stack_rows([w.values for w in ws]))
+    inv_avgs = [1.0 / stack_rows([w.averages_at_level(k) for w in ws]) for k in range(depth)]
+
+    def form(y: np.ndarray) -> np.ndarray:
+        _, c = analyze_leaves(root_w * y, depth)
+        scaled = [c[k] * inv_avgs[k] for k in range(depth)]
+        return root_w * synthesize_leaves(0.0, scaled, depth)
+
+    return _top_eigenvalues(grid.n_leaves, form, len(ws))
 
 
 def ppott_best_constant(w: Weight) -> float:
@@ -186,16 +288,7 @@ def ppott_best_constant(w: Weight) -> float:
     of y -> sqrt(w) * synthesis(analysis(sqrt(w) y) / <w>_I).  Bounded below
     by 1/[w]_{A2} and equals 1 exactly when w is constant.
     """
-    depth = w.grid.depth
-    root_w = np.sqrt(w.values)
-    inv_avgs = [1.0 / w.averages_at_level(k) for k in range(depth)]
-
-    def form(y: np.ndarray) -> np.ndarray:
-        _, c = analyze_leaves(root_w * y, depth)
-        scaled = [c[k] * inv_avgs[k] for k in range(depth)]
-        return root_w * synthesize_leaves(np.asarray(0.0), scaled, depth)
-
-    return _top_eigenvalue(w.grid.n_leaves, form)
+    return ppott_best_constants([w])[0].value
 
 
 class CarlesonSequence:
@@ -253,6 +346,28 @@ class CarlesonEmbeddingReport:
         }
 
 
+def carleson_embedding_checks(seqs: Sequence[CarlesonSequence]) -> list[CarlesonEmbeddingReport]:
+    """carleson_embedding_check of each sequence, as one lockstep solve (a
+    zero sequence is a zero operator: its row stops at its first image)."""
+    grid = seqs[0].grid
+    depth = grid.depth
+    root_w = np.sqrt(stack_rows([seq.weight.values for seq in seqs]))
+    level_weights = [stack_rows([seq.level_values[k] / seq.weight.level_masses[k] ** 2
+                               for seq in seqs]) for k in range(depth)]
+
+    def form(y: np.ndarray) -> np.ndarray:
+        masses = level_masses(root_w * y, depth)
+        terms = [level_weights[k] * masses[k] for k in range(depth)]
+        return root_w * accumulate_levels(terms, depth)
+
+    reports = []
+    for seq, top in zip(seqs, _top_eigenvalues(grid.n_leaves, form, len(seqs))):
+        car = carleson_constant(seq)
+        ratio = top.value / car if car > 0 else math.nan
+        reports.append(CarlesonEmbeddingReport(car, top.value, ratio))
+    return reports
+
+
 def carleson_embedding_check(seq: CarlesonSequence) -> CarlesonEmbeddingReport:
     """Best constant C* of sum_I a_I E^w_I(phi)^2 <= C* ||phi||^2_{L^2(w)},
     reported against the Carleson constant.
@@ -262,20 +377,7 @@ def carleson_embedding_check(seq: CarlesonSequence) -> CarlesonEmbeddingReport:
     classical dyadic embedding theorem pins C* within [carleson,
     4*carleson]; callers assert that window.
     """
-    w = seq.weight
-    depth = seq.grid.depth
-    root_w = np.sqrt(w.values)
-    level_weights = [a / m**2 for a, m in zip(seq.level_values, w.level_masses)]
-
-    def form(y: np.ndarray) -> np.ndarray:
-        masses = level_masses(root_w * y, depth)
-        terms = [level_weights[k] * masses[k] for k in range(depth)]
-        return root_w * accumulate_levels(terms, depth)
-
-    best = _top_eigenvalue(seq.grid.n_leaves, form)
-    car = carleson_constant(seq)
-    ratio = best / car if car > 0 else math.nan
-    return CarlesonEmbeddingReport(carleson=car, best_embedding=best, ratio=ratio)
+    return carleson_embedding_checks([seq])[0]
 
 
 def paraproduct_carleson_sequence(
@@ -409,6 +511,7 @@ class NormReport:
     norm_commutator: float
     shift_truncated: bool
     ratios: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -424,6 +527,7 @@ class NormReport:
             "norm_commutator": self.norm_commutator,
             "shift_truncated": self.shift_truncated,
             "ratios": dict(self.ratios),
+            "diagnostics": {k: dict(v) for k, v in self.diagnostics.items()},
         }
 
 
@@ -442,19 +546,26 @@ def compute_norm_report(
 
     Norms use the raw symbol; shift_truncated records whether b (or any shift
     input) carries level-(D-1) content that the shift drops structurally.
+    The two shift norms are one two-row lockstep solve up to D=12.
+    diagnostics holds, per norm, the Lanczos matvecs and the final Ritz
+    residual of W'W.
     """
     grid = b.grid
     rho = rho_weight(mu, lam)
     a2_mu = a2_characteristic(mu)
     rep = bmo_report(b, mu, lam)
-    sh = shift_operator(grid)
-    norm_pi = weighted_operator_norm(paraproduct_operator(b), mu, lam)
-    norm_pi_adj = weighted_operator_norm(
-        paraproduct_adjoint_operator(b), lam.inverse, mu.inverse
+    solves = dict(zip(
+        ("norm_paraproduct", "norm_paraproduct_adjoint", "norm_shift_mu",
+         "norm_shift_lambda", "norm_commutator"),
+        [*weighted_operator_norms(paraproduct_operator(b), [mu], [lam]),
+         *weighted_operator_norms(paraproduct_adjoint_operator(b), [lam.inverse], [mu.inverse]),
+         *(e for ws in _lockstep_chunks([mu, lam], grid.n_leaves)
+           for e in weighted_operator_norms(shift_operator(grid), ws, ws)),
+         *weighted_operator_norms(commutator_operator(b), [mu], [lam])],
+    ))
+    norm_pi, norm_pi_adj, norm_sh_mu, norm_sh_lam, norm_comm = (
+        e.value for e in solves.values()
     )
-    norm_sh_mu = weighted_operator_norm(sh, mu, mu)
-    norm_sh_lam = weighted_operator_norm(sh, lam, lam)
-    norm_comm = weighted_operator_norm(commutator_operator(b), mu, lam)
     ratios = {
         "commutator_over_bmo_rho": _safe_ratio(norm_comm, rep.bmo_rho),
         "bmo_rho_over_commutator": _safe_ratio(rep.bmo_rho, norm_comm),
@@ -470,11 +581,9 @@ def compute_norm_report(
         a2_lambda=a2_characteristic(lam),
         a2_rho=a2_characteristic(rho),
         bmo=rep,
-        norm_paraproduct=norm_pi,
-        norm_paraproduct_adjoint=norm_pi_adj,
-        norm_shift_mu=norm_sh_mu,
-        norm_shift_lambda=norm_sh_lam,
-        norm_commutator=norm_comm,
+        **{k: e.value for k, e in solves.items()},
         shift_truncated=not is_admissible(b),
         ratios=ratios,
+        diagnostics={k: {"matvecs": e.matvecs, "ritz_residual": e.residual}
+                     for k, e in solves.items()},
     )

@@ -15,7 +15,10 @@ Each operator has one implementation, a LeafOperator of array kernels
 built once per symbol (b is analysed when the plan is built, not per apply).
 The norm engine runs on the plans; paraproduct, paraproduct_adjoint,
 haar_shift, shift_adjoint and commutator_shift wrap the same kernels for
-StepFunctions, so the suites and the engine share every operator.
+StepFunctions, so the suites and the engine share every operator.  A plan
+may also be built for a sequence of symbols on one grid: it then applies
+symbol r to row r of a (rows, 2^D) stack, so one plan serves the lockstep
+solves of a whole group of trials.
 
 Admissibility.  Sh maps a level-k coefficient to level k+1, so level-(D-1)
 input coefficients have no representation at depth D.  Functions whose
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from .grid import (
     accumulate_levels,
     analyze_leaves,
     level_masses,
+    stack_rows,
     synthesize_leaves,
 )
 
@@ -74,18 +78,36 @@ __all__ = [
 class LeafOperator(NamedTuple):
     """A linear map on the leaf values of one grid, with its transpose under
     the unweighted L^2 pairing <u, v> = mean(u v).  apply and transpose are
-    array kernels (2^D leaf values in, a new array out) that check no
-    finiteness; the StepFunction wrappers and the norm engine do that."""
+    array kernels (2^D leaf values on the last axis in, a new array out)
+    that check no finiteness; the StepFunction wrappers and the norm engine
+    do that.  Every kernel takes leading axes: it acts on each row of a
+    stack, bit for bit as on that row alone, since every pass is
+    elementwise.  A plan built from stacked symbols broadcasts its symbol
+    rows against those axes."""
 
     grid: DyadicGrid
     apply: Callable[[np.ndarray], np.ndarray]
     transpose: Callable[[np.ndarray], np.ndarray]
 
 
-def paraproduct_operator(b: StepFunction) -> LeafOperator:
-    """Pi_b with transpose Pi*_b; b is analysed once, here."""
-    depth = b.grid.depth
-    _, cb = analyze_leaves(b.values, depth)
+Symbols = StepFunction | Sequence[StepFunction]
+
+
+def _symbol_rows(b: Symbols, values=lambda s: s.values) -> tuple[DyadicGrid, np.ndarray]:
+    # the grid and values(s) of each symbol s, stacked by stack_rows
+    if isinstance(b, StepFunction):
+        b = [b]
+    for s in b[1:]:
+        _check_same_grid(b[0], s)
+    return b[0].grid, stack_rows([values(s) for s in b])
+
+
+def paraproduct_operator(b: Symbols) -> LeafOperator:
+    """Pi_b with transpose Pi*_b; b (one symbol or a stack) is analysed
+    once, here."""
+    grid, bv = _symbol_rows(b)
+    depth = grid.depth
+    _, cb = analyze_leaves(bv, depth)
 
     def apply(f: np.ndarray) -> np.ndarray:
         masses = level_masses(f, depth)
@@ -96,10 +118,10 @@ def paraproduct_operator(b: StepFunction) -> LeafOperator:
         _, cg = analyze_leaves(g, depth)
         return accumulate_levels([cb[k] * cg[k] * (1 << k) for k in range(depth)], depth)
 
-    return LeafOperator(b.grid, apply, transpose)
+    return LeafOperator(grid, apply, transpose)
 
 
-def paraproduct_adjoint_operator(b: StepFunction) -> LeafOperator:
+def paraproduct_adjoint_operator(b: Symbols) -> LeafOperator:
     """Pi*_b with transpose Pi_b."""
     grid, apply, transpose = paraproduct_operator(b)
     return LeafOperator(grid, transpose, apply)
@@ -110,8 +132,7 @@ def shift_operator(grid: DyadicGrid) -> LeafOperator:
 
     The coefficient of Sh^T g on a level-k interval I, k <= D-2, is
     (ghat(I_-) - ghat(I_+)) / sqrt(2); the mean, the level-0 coefficient of
-    g and the level-(D-1) coefficient of the image are all zero.  Both
-    kernels also take a stack of vectors on the last axis.
+    g and the level-(D-1) coefficient of the image are all zero.
     """
     depth = grid.depth
 
@@ -143,13 +164,13 @@ def _commutator_plan(grid: DyadicGrid, bv: np.ndarray) -> LeafOperator:
     return LeafOperator(grid, apply, transpose)
 
 
-def commutator_operator(b: StepFunction) -> LeafOperator:
+def commutator_operator(b: Symbols) -> LeafOperator:
     """[b, Sh] with transpose Sh^T b - b Sh^T (truncate mode).
 
-    The symbol is centred first: [b, Sh] = [b - <b>, Sh], and the centred
+    Each symbol is centred first: [b, Sh] = [b - <b>, Sh], and the centred
     form makes a constant symbol give exactly zero.
     """
-    return _commutator_plan(b.grid, b.values - b.integral())
+    return _commutator_plan(*_symbol_rows(b, lambda s: s.values - s.integral()))
 
 
 def _top_level_max(coeffs: list[np.ndarray]) -> float:

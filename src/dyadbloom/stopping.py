@@ -46,6 +46,7 @@ __all__ = [
     "threshold_factory",
     "three_condition_factory",
     "square_sum_factory",
+    "square_sum_factories",
     "minimal_packing_constant",
     "minimal_corona_constant",
     "corona_generations",
@@ -262,19 +263,30 @@ def three_condition_factory(
     return factory
 
 
+def square_sum_factories(
+    b: StepFunction, rho: Weight, b2_value: float
+) -> Callable[[float], PredicateFactory]:
+    """C -> square_sum_factory(b, rho, C, b2_value), with b analysed once:
+    the factory_of_c of a packing search over C."""
+    q = _scaled_squares(b)
+
+    def factory_of_c(C: float) -> PredicateFactory:
+        def factory(roots: Intervals) -> Predicate:
+            threshold = C * np.float_power(b2_value * roots.gather(rho.averages), 2.0)
+            rows = _path_sums(q, roots)
+            return lambda k, owner: rows[k] >= threshold[owner]
+
+        return factory
+
+    return factory_of_c
+
+
 def square_sum_factory(
     b: StepFunction, rho: Weight, C: float, b2_value: float
 ) -> PredicateFactory:
     """Stop where the root-to-I path sum of bhat^2/|I'| first exceeds
     C * b2_value^2 * <rho>_I0^2 (b2_value is a Bloom-functional size for b)."""
-    q = _scaled_squares(b)
-
-    def factory(roots: Intervals) -> Predicate:
-        threshold = C * np.float_power(b2_value * roots.gather(rho.averages), 2.0)
-        rows = _path_sums(q, roots)
-        return lambda k, owner: rows[k] >= threshold[owner]
-
-    return factory
+    return square_sum_factories(b, rho, b2_value)(C)
 
 
 def _constant_grid(grid_factor: float, c_max: float) -> list[float]:

@@ -15,6 +15,17 @@ the assertions.  A gate is either (name, tolerance[, detail]), asserting the
 worst residual reported under that name, or a callable of the Record for a
 check that is not per trial.
 
+Eigenvalue solves run in lockstep groups.  A suite whose check needs top
+eigenvalues (weighted norms, best constants, embedding constants) declares
+them per trial in Suite.solves; run_suite draws the trials of a group, puts
+each declared problem of every trial in the group into one stacked solve
+(normest's lockstep Lanczos, one matvec per step for the whole group), and
+then runs the checks in trial order with those values.  normest's width cap
+bounds rows x 2^D per solve at 2^13 leaves, so a group holds 2^13 / 2^D
+trials, and at D >= 13 every solve has one row, as before.  Each row of a
+lockstep solve returns bitwise what it returns alone, so a trial's values
+do not depend on its group, and the output does not depend on the width.
+
 Per-trial materials: mu and lambda from the config's weight recipes, the
 symbol b projected onto admissible levels (<= D-2) so commutator identities
 and functionals see the same symbol, and Gaussian test functions f, g from
@@ -51,13 +62,15 @@ from .grid import (
     level_masses,
 )
 from .normest import (
+    _lockstep_chunks,
     adjoint_paraproduct_carleson_sequence,
     carleson_constant,
-    carleson_embedding_check,
+    carleson_embedding_checks,
     necessity_test_function_bound,
     paraproduct_carleson_sequence,
     ppott_best_constant,
-    weighted_operator_norm,
+    ppott_best_constants,
+    weighted_operator_norms,
 )
 from .operators import (
     commutator_operator,
@@ -80,7 +93,7 @@ from .stopping import (
     minimal_packing_constant,
     ordered_sum,
     packing_ratio,
-    square_sum_factory,
+    square_sum_factories,
     three_condition_factory,
     threshold_factory,
 )
@@ -207,14 +220,23 @@ class Record:
         return Assertion(name, value <= tol, value, tol, detail)
 
 
+Solved = dict[str, list]
+
+
 @dataclass(frozen=True)
 class Suite:
-    """A per-trial check and the ordered gates that become the assertions."""
+    """A per-trial check and the ordered gates that become the assertions.
 
-    check: Callable[[Record, TrialData], None]
+    solves declares a trial's eigenproblems as {name: (solver, rows)}; a
+    solver maps the rows of a whole group to one value per row.
+    The check then receives {name: that trial's values, in row order}.
+    """
+
+    check: Callable[[Record, TrialData, Solved], None]
     gates: tuple
     samples: tuple[str, ...] = ()
     counts: tuple[str, ...] = ()
+    solves: Callable[[TrialData], dict[str, tuple[Callable, list]]] = lambda td: {}
 
 
 @dataclass
@@ -283,7 +305,7 @@ def _worked_example_assertions() -> list[Assertion]:
     ]
 
 
-def _check_identities(rec: Record, td: TrialData) -> None:
+def _check_identities(rec: Record, td: TrialData, solved: Solved) -> None:
     grid = td.b.grid
     # round trip and Parseval on a full-spectrum function
     spec = haar_analyze(td.f_raw)
@@ -346,7 +368,7 @@ _CHAIN_RATIOS = ("l2form_over_b2", "b2_over_l2form", "l1_over_bmo", "bmo_over_l1
                  "b2_over_bmo", "bmo_over_b2")
 
 
-def _check_equivalences(rec: Record, td: TrialData) -> None:
+def _check_equivalences(rec: Record, td: TrialData, solved: Solved) -> None:
     mu, lam, b = td.mu, td.lam, td.b
     rho = rho_weight(mu, lam)
     # A2 sandwich 1 <= <mu>_I <mu^{-1}>_I <= [mu]_{A2}, every interval
@@ -425,12 +447,25 @@ def lower_bound_finding(
     )
 
 
-def _check_paraproduct_bounds(rec: Record, td: TrialData) -> None:
+def _norms(plan: Callable) -> Callable[[list], list[float]]:
+    """Solver of weighted norms of one operator kind over rows
+    (symbol, mu, lambda): one plan for all the rows' symbols."""
+    def solve(rows: list) -> list[float]:
+        bs, mus, lams = zip(*rows)
+        return [e.value for e in weighted_operator_norms(plan(bs), mus, lams)]
+    return solve
+
+
+def _paraproduct_solves(td: TrialData) -> dict:
+    return {
+        "paraproduct": (_norms(paraproduct_operator), [(td.b, td.mu, td.lam)]),
+        "adjoint": (_norms(paraproduct_adjoint_operator), [(td.b, td.lam.inverse, td.mu.inverse)]),
+    }
+
+
+def _check_paraproduct_bounds(rec: Record, td: TrialData, solved: Solved) -> None:
     mu, lam, b = td.mu, td.lam, td.b
-    n_pi = weighted_operator_norm(paraproduct_operator(b), mu, lam)
-    n_adj = weighted_operator_norm(
-        paraproduct_adjoint_operator(b), lam.inverse, mu.inverse
-    )
+    (n_pi,), (n_adj,) = solved["paraproduct"], solved["adjoint"]
     b2 = bloom_b2(b, mu, lam)
     b2d = bloom_b2_dual(b, mu, lam)
     rec.residual("norm_duality_transpose", _rel(abs(n_pi - n_adj), n_pi, n_adj))
@@ -459,7 +494,7 @@ def _check_paraproduct_bounds(rec: Record, td: TrialData) -> None:
 # --------------------------------------------------------- commutator-bounds
 
 
-def _check_commutator_bounds(rec: Record, td: TrialData) -> None:
+def _check_commutator_bounds(rec: Record, td: TrialData, solved: Solved) -> None:
     mu, lam, b = td.mu, td.lam, td.b
     rho = rho_weight(mu, lam)
     M = commutator_operator(b)
@@ -485,7 +520,7 @@ def _check_commutator_bounds(rec: Record, td: TrialData) -> None:
         ip1 = float((T.apply(f.values) * g.values).mean())
         ip2 = float((f.values * T.transpose(g.values)).mean())
         rec.residual("adjoint_consistency", _rel(abs(ip1 - ip2), ip1, ip2))
-    n_comm = weighted_operator_norm(M, mu, lam)
+    (n_comm,) = solved["commutator"]
     bmo = bmo_rho(b, rho)
     rec.sample("norm_commutator", n_comm)
     rec.sample("bmo_rho", bmo)
@@ -493,13 +528,24 @@ def _check_commutator_bounds(rec: Record, td: TrialData) -> None:
         rec.sample("norm_over_bmo_rho", n_comm / bmo)
 
 
+def _commutator_solves(td: TrialData) -> dict:
+    return {"commutator": (_norms(commutator_operator), [(td.b, td.mu, td.lam)])}
+
+
 # ------------------------------------------------------------------ carleson
 
 
-def _check_carleson(rec: Record, td: TrialData) -> None:
+def _carleson_solves(td: TrialData) -> dict:
+    # a zero sequence is a zero operator; its row stops at its first image
+    # and the check ignores it
+    seq = paraproduct_carleson_sequence(td.b, td.mu, td.lam)
+    return {"embedding": (carleson_embedding_checks, [seq])}
+
+
+def _check_carleson(rec: Record, td: TrialData, solved: Solved) -> None:
     mu, lam, b = td.mu, td.lam, td.b
-    seq = paraproduct_carleson_sequence(b, mu, lam)
-    car = carleson_constant(seq)
+    (rep,) = solved["embedding"]
+    car = rep.carleson
     b2 = bloom_b2(b, mu, lam)
     rec.residual("carleson_equals_bloom_b2_sq", _rel(abs(car - b2**2), b2**2))
     seq_d = adjoint_paraproduct_carleson_sequence(b, mu, lam)
@@ -509,7 +555,6 @@ def _check_carleson(rec: Record, td: TrialData) -> None:
         "carleson_dual_equals_bloom_b2_dual_sq", _rel(abs(car_d - b2d**2), b2d**2)
     )
     if car > 0:
-        rep = carleson_embedding_check(seq)
         rec.residual(
             "embedding_at_least_carleson",
             (rep.carleson - rep.best_embedding) / rep.carleson,
@@ -524,9 +569,16 @@ def _check_carleson(rec: Record, td: TrialData) -> None:
 # --------------------------------------------------------------------- ppott
 
 
-def _check_ppott(rec: Record, td: TrialData) -> None:
-    for w in (td.mu, td.lam):
-        c_star = ppott_best_constant(w)
+def _ppott_constants(ws: list[Weight]) -> list[float]:
+    return [e.value for e in ppott_best_constants(ws)]
+
+
+def _ppott_solves(td: TrialData) -> dict:
+    return {"best_constant": (_ppott_constants, [td.mu, td.lam])}
+
+
+def _check_ppott(rec: Record, td: TrialData, solved: Solved) -> None:
+    for w, c_star in zip((td.mu, td.lam), solved["best_constant"]):
         a2 = a2_characteristic(w)
         # witness f = w * sign(h_I) on I gives ratio exactly 1, so C* >= 1
         rec.residual("best_constant_at_least_one", 1.0 - c_star)
@@ -544,7 +596,7 @@ def _constant_weight_assertions(rec: Record) -> list[Assertion]:
 # ------------------------------------------------------------------ stopping
 
 
-def _check_stopping(rec: Record, td: TrialData) -> None:
+def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
     mu, lam, b = td.mu, td.lam, td.b
     grid = b.grid
     root = grid.root
@@ -619,7 +671,7 @@ def _check_stopping(rec: Record, td: TrialData) -> None:
     # (d) square-sum stopping: minimal constant in rho-mass
     if b2 > 0:
         csq = search("square-sum", lambda: minimal_packing_constant(
-            grid, root, lambda C: square_sum_factory(b, rho, C, b2), rho, target=0.5
+            grid, root, square_sum_factories(b, rho, b2), rho, target=0.5
         ))
         if csq is not None:
             rec.sample("square_sum_constant", csq)
@@ -650,7 +702,7 @@ def _mu_normalized_oscillation(b: StepFunction, mu: Weight, lam: Weight) -> floa
     return best
 
 
-def _check_neccon_chain(rec: Record, td: TrialData) -> None:
+def _check_neccon_chain(rec: Record, td: TrialData, solved: Solved) -> None:
     mu, lam, b = td.mu, td.lam, td.b
     rho = rho_weight(mu, lam)
     nec = neccon_functional(b, mu, lam)
@@ -665,7 +717,7 @@ def _check_neccon_chain(rec: Record, td: TrialData) -> None:
         rec.sample("neccon_over_bmo_rho", nec / bmo)
     if b2 > 0:
         rec.sample("neccon_over_bloom_b2", nec / b2)
-    n_comm = weighted_operator_norm(commutator_operator(b), mu, lam)
+    (n_comm,) = solved["commutator"]
     if n_comm > 0:
         rec.sample("neccon_over_commutator_norm", nec / n_comm)
 
@@ -707,6 +759,7 @@ SUITES = {
             "necessity_test_function_bound",
         ),
         counts=("lower_bound_violations", "lower_bound_violations_dual"),
+        solves=_paraproduct_solves,
     ),
     "commutator-bounds": Suite(
         _check_commutator_bounds,
@@ -716,6 +769,7 @@ SUITES = {
             ("adjoint_consistency", 1e-12),
         ),
         samples=("norm_over_bmo_rho", "norm_commutator", "bmo_rho"),
+        solves=_commutator_solves,
     ),
     "carleson": Suite(
         _check_carleson,
@@ -726,11 +780,13 @@ SUITES = {
             ("embedding_at_most_4x_carleson", 1e-9),
         ),
         samples=("embedding_over_carleson",),
+        solves=_carleson_solves,
     ),
     "ppott": Suite(
         _check_ppott,
         (_constant_weight_assertions, ("best_constant_at_least_one", 1e-9)),
         samples=("best_constant", "best_constant_over_a2"),
+        solves=_ppott_solves,
     ),
     "stopping": Suite(
         _check_stopping,
@@ -762,8 +818,24 @@ SUITES = {
             "neccon_over_bloom_b2",
             "neccon_over_commutator_norm",
         ),
+        solves=_commutator_solves,
     ),
 }
+
+
+def _solve_group(suite: Suite, group: list[TrialData]) -> list[Solved]:
+    """Each trial's declared eigenproblems, every problem solved for the
+    whole group in as few lockstep solves as the width cap allows."""
+    n = group[0].b.grid.n_leaves
+    declared = [suite.solves(td) for td in group]
+    out: list[Solved] = [{} for _ in group]
+    for key, (solver, _) in declared[0].items():
+        rows = [d[key][1] for d in declared]
+        flat = [row for trial_rows in rows for row in trial_rows]
+        values = iter([v for chunk in _lockstep_chunks(flat, n) for v in solver(chunk)])
+        for solved, trial_rows in zip(out, rows):
+            solved[key] = [next(values) for _ in trial_rows]
+    return out
 
 
 def run_suite(name: str, cfg: ExperimentConfig) -> SuiteResult:
@@ -771,9 +843,11 @@ def run_suite(name: str, cfg: ExperimentConfig) -> SuiteResult:
         raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     suite = SUITES[name]
     rec = Record(name, cfg, suite.samples, suite.counts)
-    for t in range(cfg.trials):
-        rec.trial = t
-        suite.check(rec, make_trial(cfg, t))
+    for trials in _lockstep_chunks(range(cfg.trials), 1 << cfg.depth):
+        group = [make_trial(cfg, t) for t in trials]
+        for td, solved in zip(group, _solve_group(suite, group)):
+            rec.trial = td.index
+            suite.check(rec, td, solved)
     res = SuiteResult(name, cfg.to_dict(), findings=rec.findings)
     for gate in suite.gates:
         res.assertions.extend(gate(rec) if callable(gate) else [rec.assertion(*gate)])

@@ -186,15 +186,15 @@ def test_engine_matches_dense_oracles(depth):
 def test_engine_matches_arpack(depth, monkeypatch):
     # every top eigenvalue behind _engine_values, against ARPACK on the very
     # same matvec; both stop once the Ritz residual is at machine precision
-    engine = normest._top_eigenvalue
+    engine = normest._top_eigenvalues
     pairs = []
 
-    def both(n, matvec):
-        got = engine(n, matvec)
-        pairs.append((got, oracles.eigsh_top(n, matvec)))
-        return got
+    def both(n, matvec, rows):
+        (got,) = engine(n, matvec, rows)  # each quantity is a one-row solve
+        pairs.append((got.value, oracles.eigsh_top(n, matvec)))
+        return [got]
 
-    monkeypatch.setattr(normest, "_top_eigenvalue", both)
+    monkeypatch.setattr(normest, "_top_eigenvalues", both)
     names = list(_engine_values(depth, 1200 + depth))
     assert len(pairs) == len(names)
     for name, (got, want) in zip(names, pairs):
@@ -242,14 +242,14 @@ def test_nonzero_operator_costs_no_extra_apply(monkeypatch):
             return fn(v)
         return run
 
-    engine = normest._top_eigenvalue
+    engine = normest._top_eigenvalues
     normal = []
 
-    def counting_engine(n, matvec):
+    def counting_engine(n, matvec, rows):
         normal.append(matvec)
-        return engine(n, counted("matvec", matvec))
+        return engine(n, counted("matvec", matvec), rows)
 
-    monkeypatch.setattr(normest, "_top_eigenvalue", counting_engine)
+    monkeypatch.setattr(normest, "_top_eigenvalues", counting_engine)
     counting = LeafOperator(grid, counted("apply", T.apply), counted("transpose", T.transpose))
     norm = weighted_operator_norm(counting, mu, lam)
     assert calls["apply"] == calls["transpose"] == calls["matvec"] > 0
@@ -270,9 +270,136 @@ def test_rank_one_operator_stops_at_once():
             matvecs.append(1)
             return u * (u @ x)
 
-        got = normest._top_eigenvalue(len(u), rank_one)
-        assert got == pytest.approx(u @ u, rel=4 * np.finfo(float).eps)
-        assert len(matvecs) <= 2
+        (got,) = normest._top_eigenvalues(len(u), rank_one, 1)
+        assert got.value == pytest.approx(u @ u, rel=4 * np.finfo(float).eps)
+        assert len(matvecs) == got.matvecs <= 2
+
+
+def _alone(n, ops):
+    """Each operator of ops solved as a one-row problem."""
+    return [normest._top_eigenvalues(n, op, 1)[0] for op in ops]
+
+
+def _stacked(n, ops):
+    """All of ops as one lockstep problem, row r applying ops[r]."""
+    return normest._top_eigenvalues(
+        n, lambda x: np.stack([op(row) for op, row in zip(ops, x)]), len(ops)
+    )
+
+
+def test_lockstep_rows_equal_rows_alone_on_synthetic_operators():
+    # a zero row (stops at its first image), a rank-one row (second step),
+    # a diagonal with a clustered top (many restarts) and a plain diagonal,
+    # stacked in two orders: every row's value, matvec count and residual
+    # are those of the row solved alone
+    n = 256
+    r = np.random.default_rng(31)
+    u = r.standard_normal(n)
+    ops = [
+        lambda x: 0.0 * x,
+        lambda x: u * (u @ x),
+        lambda x: np.sqrt(np.linspace(0.1, 1.0, n)) * x,
+        lambda x: np.arange(n) ** 4.0 * x,
+    ]
+    alone = _alone(n, ops)
+    assert alone[0] == (0.0, 1, 0.0)
+    assert alone[1].matvecs <= 2
+    assert len({e.matvecs for e in alone}) == 4  # the rows retire at different steps
+    assert _stacked(n, ops) == alone
+    assert _stacked(n, ops[::-1]) == alone[::-1]
+
+
+def _depth8_rows(count, seed):
+    # count (b, mu, lam) triples of the default ensembles
+    from dyadbloom import EnsembleSpec, generate
+
+    return [
+        (project_admissible(generate(EnsembleSpec(kind="log-symbol", depth=8, seed=seed + 3 * i + 2,
+                                                  delta=0.3))),
+         generate(EnsembleSpec(kind="cascade", depth=8, seed=seed + 3 * i, delta=0.4)),
+         generate(EnsembleSpec(kind="cascade", depth=8, seed=seed + 3 * i + 1, delta=0.4)))
+        for i in range(count)
+    ]
+
+
+def test_lockstep_rows_equal_rows_alone_on_real_plans():
+    rows = _depth8_rows(4, 40)
+    bs, mus, lams = zip(*rows)
+    zero = StepFunction.zero(bs[0].grid)
+    for plan in (paraproduct_operator, paraproduct_adjoint_operator, commutator_operator):
+        stacked = normest.weighted_operator_norms(plan([*bs, zero]), [*mus, mus[0]],
+                                                  [*lams, lams[0]])
+        alone = [normest.weighted_operator_norms(plan(b), [mu], [lam])[0]
+                 for b, mu, lam in rows]
+        assert stacked[:4] == alone
+        assert stacked[4] == (0.0, 1, 0.0)
+    assert normest.ppott_best_constants(mus) == [
+        normest.ppott_best_constants([w])[0] for w in mus
+    ]
+    seqs = [paraproduct_carleson_sequence(zero, mus[0], lams[0])]
+    seqs += [paraproduct_carleson_sequence(b, mu, lam) for b, mu, lam in rows]
+    assert normest.carleson_embedding_checks(seqs)[1:] == [
+        carleson_embedding_check(q) for q in seqs[1:]
+    ]
+    assert normest.carleson_embedding_checks(seqs)[0].best_embedding == 0.0
+
+
+def test_paraproduct_suite_makes_one_normal_apply_per_lockstep_step(monkeypatch):
+    # 5 trials at D=8 form one group: the paraproduct norms of all five are
+    # one solve, whose stacked normal runs once per step, as many steps as
+    # the slowest row needs, not the sum of the rows' counts
+    from dyadbloom.config import ExperimentConfig
+    from dyadbloom.suites import run_suite
+
+    engine = normest._top_eigenvalues
+    solves = []
+
+    def counting(n, matvec, rows):
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return matvec(x)
+
+        got = engine(n, counted, rows)
+        solves.append((rows, calls[0], [e.matvecs for e in got]))
+        return got
+
+    monkeypatch.setattr(normest, "_top_eigenvalues", counting)
+    cfg = ExperimentConfig.from_dict({**ExperimentConfig().to_dict(), "trials": 5})
+    run_suite("paraproduct-bounds", cfg)
+    assert [rows for rows, _, _ in solves] == [5, 5]
+    for _, calls, per_row in solves:
+        assert calls == max(per_row) < sum(per_row)
+
+
+@pytest.mark.parametrize("depth, shift_rows, ppott_rows", [(12, [2], [2, 2]), (13, [1, 1], [1] * 4)])
+def test_width_cap_bounds_rows_times_leaves(depth, shift_rows, ppott_rows, monkeypatch):
+    # a lockstep solve holds at most 2^13 leaves: the two shift norms of a
+    # report share a solve at D=12, and two ppott trials (a mu and a lambda
+    # row each) make two two-row solves; at D=13 every solve has one row,
+    # as before lockstep solves existed (the last 1 is the constant-weight
+    # assertion's own solve)
+    from dyadbloom.config import ExperimentConfig
+    from dyadbloom.suites import run_suite
+
+    engine = normest._top_eigenvalues
+    seen = []
+
+    def recording(n, matvec, rows):
+        seen.append(rows)
+        return engine(n, matvec, rows)
+
+    monkeypatch.setattr(normest, "_top_eigenvalues", recording)
+    _, mu, lam, b = _materials(depth, 7)
+    compute_norm_report(b, mu, lam)
+    assert seen == [1, 1, *shift_rows, 1]
+    seen.clear()
+    cfg = ExperimentConfig.from_dict(
+        {**ExperimentConfig().to_dict(), "depth": depth, "trials": 2}
+    )
+    run_suite("ppott", cfg)
+    assert seen == [*ppott_rows, 1]
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -312,6 +439,15 @@ _PINNED_D8_REPORT = {
 }
 
 
+_PINNED_D8_DIAGNOSTICS = {
+    "norm_paraproduct": (30, "0x1.2b1359402d700p-59"),
+    "norm_paraproduct_adjoint": (20, "0x1.a6c5f213e2043p-54"),
+    "norm_shift_mu": (40, "0x1.0be54dacbb861p-59"),
+    "norm_shift_lambda": (30, "0x1.4a17dec88de5bp-51"),
+    "norm_commutator": (30, "0x1.c7d3769cb02b8p-57"),
+}
+
+
 def test_norm_report_is_bitwise_pinned():
     from dyadbloom import EnsembleSpec, generate
 
@@ -323,6 +459,12 @@ def test_norm_report_is_bitwise_pinned():
     for prefix, part in (("", d), ("bmo.", d["bmo"]), ("ratios.", d["ratios"])):
         got.update({prefix + k: v.hex() for k, v in part.items() if isinstance(v, float)})
     assert got == _PINNED_D8_REPORT
+    # per norm: the Lanczos matvecs and the final Ritz residual of W'W, at
+    # most eps times the top Ritz value (the norm squared)
+    diagnostics = {k: (v["matvecs"], v["ritz_residual"].hex()) for k, v in d["diagnostics"].items()}
+    assert diagnostics == _PINNED_D8_DIAGNOSTICS
+    for name, v in d["diagnostics"].items():
+        assert v["ritz_residual"] <= np.finfo(float).eps * d[name] ** 2
 
 
 @pytest.mark.parametrize("depth", [1, 2, 8])
@@ -525,6 +667,7 @@ def test_norm_report_end_to_end():
         "norm_commutator",
         "shift_truncated",
         "ratios",
+        "diagnostics",
     ):
         assert key in d
     assert d["depth"] == 4

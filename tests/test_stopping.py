@@ -584,3 +584,28 @@ def test_stopping_suite_at_depth_16_scans_once_per_generation(monkeypatch):
     assert res.passed
     assert len(coronas) >= 2
     assert all(n == g for n, g in coronas), coronas
+
+
+def test_stopping_trial_analyses_b_once_per_square_sum_search(monkeypatch):
+    # one default D=8 stopping trial: make_trial projects b, f and g (3),
+    # bloom_b2, the unstopped coefficient sum and the three-condition
+    # factory analyse b once each (3), and the square-sum search once (1),
+    # not once per candidate constant it tries
+    import sys
+
+    from dyadbloom import grid as grid_module
+
+    calls = []
+    original = grid_module.analyze_leaves
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dyadbloom") and getattr(module, "analyze_leaves", None) is original:
+            monkeypatch.setattr(module, "analyze_leaves", counting)
+    cfg = ExperimentConfig.from_dict({**ExperimentConfig().to_dict(), "trials": 1})
+    res = run_suite("stopping", cfg)
+    assert res.measured["square_sum_constant"]["n"] == 1
+    assert len(calls) == 7
