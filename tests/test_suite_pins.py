@@ -1,4 +1,5 @@
-"""Bitwise pins of the solve-bearing suites.
+"""Bitwise pins of the solve-bearing suites and of equivalences, which reads
+every BMO functional.
 
 Every float a suite reports (each measured statistic, each assertion's worst
 value, each finding's numbers) is compared as float.hex against
@@ -19,7 +20,9 @@ from dyadbloom.config import ExperimentConfig
 from dyadbloom.suites import run_suite
 
 PINS = pathlib.Path(__file__).with_name("suite_pins.json")
-SUITES = ("paraproduct-bounds", "commutator-bounds", "carleson", "ppott", "neccon-chain")
+SUITES = (
+    "equivalences", "paraproduct-bounds", "commutator-bounds", "carleson", "ppott", "neccon-chain"
+)
 CONFIGS = ((8, 5, 2026), (10, 4, 2026), (6, 37, 7))
 
 
