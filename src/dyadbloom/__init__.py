@@ -42,12 +42,9 @@ from .normest import (
     NormReport,
     adjoint_paraproduct_carleson_sequence,
     carleson_constant,
-    carleson_embedding_check,
     compute_norm_report,
     necessity_test_function_bound,
     paraproduct_carleson_sequence,
-    ppott_best_constant,
-    weighted_operator_norm,
 )
 from .operators import (
     ExpansionTerms,

@@ -18,12 +18,22 @@ general lambda the Haar system is not orthogonal in L^2(lambda), the
 off-diagonal terms survive, and the ratio of the two routes is a measured
 quantity controlled by the square-function constants of lambda, recorded by
 the suites rather than assumed.
+
+Two kinds of supremum carry the functionals here and normest's Carleson
+block, each written once.  _carleson_terms(b, squared, linear) builds
+a_I = bhat(I)^2 <squared>_I^2 <linear>_I and _carleson_sup(a, w) takes the
+sup of its subtree sums over w's level masses (bloom_b2, bloom_b2_dual, the
+Carleson sequences and constant, the necessity sums).  _oscillation_masses(b,
+w) integrates (b - <b>_I)^2 w over every interval of levels 0..D-1 (bmo_rho
+with w = 1, neccon_functional with w = lambda).  _sqrt_sup roots a sup of
+squares.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -62,6 +72,11 @@ def _sup_over_levels(per_level: list[np.ndarray]) -> _SupResult:
     return _SupResult(best, where)
 
 
+def _sqrt_sup(sup: _SupResult) -> _SupResult:
+    # a functional defined as the root of a supremum of squares
+    return _SupResult(math.sqrt(max(sup.value, 0.0)), sup.argmax)
+
+
 def _subtree_sums(per_level: list[np.ndarray]) -> list[np.ndarray]:
     # sums[k][j] = sum of per_level over all intervals contained in I_{k,j}
     # (inclusive), by a bottom-up pass.
@@ -75,20 +90,21 @@ def _subtree_sums(per_level: list[np.ndarray]) -> list[np.ndarray]:
     return sums
 
 
-def _coeff_squares(b: StepFunction) -> list[np.ndarray]:
+def _carleson_terms(b: StepFunction, squared: Weight, linear: Weight) -> list[np.ndarray]:
+    # a_I = bhat(I)^2 <squared>_I^2 <linear>_I on coefficient levels 0..D-1
     _, coeffs = analyze_leaves(b.values, b.grid.depth)
-    return [c**2 for c in coeffs]
+    return [c**2 * s**2 * t for c, s, t in zip(coeffs, squared.averages, linear.averages)]
+
+
+def _carleson_sup(per_level: Sequence[np.ndarray], w: Weight) -> _SupResult:
+    # sup_J (1/w(J)) sum_{I subset= J} a_I over coefficient levels 0..D-1
+    sums = _subtree_sums(per_level)
+    return _sup_over_levels([sums[k] / w.level_masses[k] for k in range(len(sums))])
 
 
 def _bloom_b2_scan(b: StepFunction, mu: Weight, lam: Weight) -> _SupResult:
-    depth = b.grid.depth
     mu_inv = mu.inverse
-    csq = _coeff_squares(b)
-    per_level = [c * m**2 * w for c, m, w in zip(csq, mu_inv.averages, lam.averages)]
-    sums = _subtree_sums(per_level)
-    ratios = [sums[k] / mu_inv.level_masses[k] for k in range(depth)]
-    value, where = _sup_over_levels(ratios)
-    return _SupResult(math.sqrt(max(value, 0.0)), where)
+    return _sqrt_sup(_carleson_sup(_carleson_terms(b, mu_inv, lam), mu_inv))
 
 
 def bloom_b2(b: StepFunction, mu: Weight, lam: Weight) -> float:
@@ -127,8 +143,7 @@ def _bloom_l2form_scan(b: StepFunction, mu: Weight, lam: Weight) -> _SupResult:
             v = np.stack((v - s, v + s), axis=-1).reshape(1 << k, -1)
         energy = (v**2 * lam_vals.reshape(1 << k, -1)).sum(axis=1) * leaf_w
         per_level.append(energy / mu_inv.level_masses[k])
-    value, where = _sup_over_levels(per_level)
-    return _SupResult(math.sqrt(max(value, 0.0)), where)
+    return _sqrt_sup(_sup_over_levels(per_level))
 
 
 def bloom_b2_l2form(b: StepFunction, mu: Weight, lam: Weight) -> float:
@@ -147,27 +162,26 @@ def bloom_b2_l2form(b: StepFunction, mu: Weight, lam: Weight) -> float:
     return _bloom_l2form_scan(b, mu, lam).value
 
 
-def _oscillation_masses(b: StepFunction) -> list[np.ndarray]:
-    # osc[k][j] = integral over I_{k,j} of (b - <b>_I)^2, computed by
-    # subtracting the interval average from the leaves before squaring;
-    # a constant symbol then gives exactly zero instead of cancellation dust.
+def _oscillation_masses(b: StepFunction, w: Weight | None = None) -> list[np.ndarray]:
+    # osc[k][j] = integral over I_{k,j} of (b - <b>_I)^2 w (w = 1 when None)
+    # on levels 0..D-1, computed by subtracting the interval average from the
+    # leaves before squaring; a constant symbol then gives exactly zero
+    # instead of cancellation dust.
     depth = b.grid.depth
     n = b.grid.n_leaves
     mb = level_masses(b.values, depth)
     out = []
-    for k in range(depth + 1):
-        avg = np.repeat(mb[k] * (2.0**k), n >> k)
-        dev2 = (b.values - avg) ** 2
+    for k in range(depth):
+        dev2 = (b.values - np.repeat(mb[k] * (2.0**k), n >> k)) ** 2
+        if w is not None:
+            dev2 = dev2 * w.values
         out.append(dev2.reshape(1 << k, -1).sum(axis=1) / n)
     return out
 
 
 def _bmo_rho_scan(b: StepFunction, rho: Weight) -> _SupResult:
-    depth = b.grid.depth
     osc = _oscillation_masses(b)
-    ratios = [osc[k] / rho.level_masses[k] for k in range(depth)]
-    value, where = _sup_over_levels(ratios)
-    return _SupResult(math.sqrt(max(value, 0.0)), where)
+    return _sqrt_sup(_sup_over_levels([osc[k] / rho.level_masses[k] for k in range(len(osc))]))
 
 
 def bmo_rho(b: StepFunction, rho: Weight) -> float:
@@ -180,23 +194,17 @@ def bmo_rho(b: StepFunction, rho: Weight) -> float:
 
 def _bmo_rho_l1_scan(b: StepFunction, rho: Weight) -> _SupResult:
     depth = b.grid.depth
-    grid = b.grid
-    n = grid.n_leaves
-    csq = _coeff_squares(b)
-    # leaf-resolved square-function layers: layer[k] = bhat^2/|I| spread over I
-    layers = np.zeros((depth, n))
-    for k in range(depth):
-        layers[k] = np.repeat(csq[k] * (1 << k), n >> k)
-    # suffix[k] = sum of layers k..D-1: the square function restricted to
-    # intervals at levels >= k, i.e. those contained in a level-k interval.
-    suffix = np.zeros((depth, n))
-    suffix[depth - 1] = layers[depth - 1]
-    for k in range(depth - 2, -1, -1):
-        suffix[k] = layers[k] + suffix[k + 1]
-    per_level = []
-    for k in range(depth):
-        integrals = np.sqrt(suffix[k]).reshape(1 << k, -1).sum(axis=1) * grid.leaf_width
-        per_level.append(integrals / rho.level_masses[k])
+    n = b.grid.n_leaves
+    _, coeffs = analyze_leaves(b.values, depth)
+    # Bottom-up, suffix becomes the square function restricted to intervals
+    # at levels >= k (those contained in a level-k interval): the running sum
+    # of the leaf-resolved layers bhat(I)^2/|I| 1_I of levels D-1 down to k.
+    suffix = np.zeros(n)
+    per_level = [None] * depth  # type: ignore[list-item]
+    for k in range(depth - 1, -1, -1):
+        suffix = np.repeat(coeffs[k] ** 2 * (1 << k), n >> k) + suffix
+        integrals = np.sqrt(suffix).reshape(1 << k, -1).sum(axis=1) * b.grid.leaf_width
+        per_level[k] = integrals / rho.level_masses[k]
     value, where = _sup_over_levels(per_level)
     return _SupResult(max(value, 0.0), where)
 
@@ -210,19 +218,11 @@ def bmo_rho_l1(b: StepFunction, rho: Weight) -> float:
 
 
 def _neccon_scan(b: StepFunction, mu: Weight, lam: Weight) -> _SupResult:
-    depth = b.grid.depth
-    n = b.grid.n_leaves
     mu_inv = mu.inverse
-    mb = level_masses(b.values, depth)
-    per_level = []
-    for k in range(depth):
-        # int_I (b - <b>_I)^2 lam, leaves first so constants vanish exactly
-        avg = np.repeat(mb[k] * (2.0**k), n >> k)
-        dev2l = (b.values - avg) ** 2 * lam.values
-        osc = dev2l.reshape(1 << k, -1).sum(axis=1) / n
-        per_level.append(mu_inv.level_masses[k] * (4.0**k) * osc)
-    value, where = _sup_over_levels(per_level)
-    return _SupResult(math.sqrt(max(value, 0.0)), where)
+    osc = _oscillation_masses(b, lam)
+    return _sqrt_sup(_sup_over_levels(
+        [mu_inv.level_masses[k] * (4.0**k) * osc[k] for k in range(len(osc))]
+    ))
 
 
 def neccon_functional(b: StepFunction, mu: Weight, lam: Weight) -> float:
@@ -251,43 +251,25 @@ class BmoReport:
     argmax: dict
 
     def to_dict(self) -> dict:
-        d = {
-            "bloom_b2": self.bloom_b2,
-            "bloom_b2_dual": self.bloom_b2_dual,
-            "bloom_b2_l2form": self.bloom_b2_l2form,
-            "bmo_rho": self.bmo_rho,
-            "bmo_rho_l1": self.bmo_rho_l1,
-            "neccon": self.neccon,
+        return {
+            **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "argmax"},
             "argmax": {
                 name: {"level": iv.level, "position": iv.position}
                 for name, iv in self.argmax.items()
             },
         }
-        return d
 
 
 def bmo_report(b: StepFunction, mu: Weight, lam: Weight) -> BmoReport:
     """Evaluate every functional of b for the pair (mu, lambda)."""
     rho = rho_weight(mu, lam)
-    r_b2 = _bloom_b2_scan(b, mu, lam)
-    r_dual = _bloom_b2_scan(b, lam.inverse, mu.inverse)
-    r_l2 = _bloom_l2form_scan(b, mu, lam)
-    r_bmo = _bmo_rho_scan(b, rho)
-    r_l1 = _bmo_rho_l1_scan(b, rho)
-    r_nec = _neccon_scan(b, mu, lam)
-    return BmoReport(
-        bloom_b2=r_b2.value,
-        bloom_b2_dual=r_dual.value,
-        bloom_b2_l2form=r_l2.value,
-        bmo_rho=r_bmo.value,
-        bmo_rho_l1=r_l1.value,
-        neccon=r_nec.value,
-        argmax={
-            "bloom_b2": r_b2.argmax,
-            "bloom_b2_dual": r_dual.argmax,
-            "bloom_b2_l2form": r_l2.argmax,
-            "bmo_rho": r_bmo.argmax,
-            "bmo_rho_l1": r_l1.argmax,
-            "neccon": r_nec.argmax,
-        },
-    )
+    scans = {
+        "bloom_b2": _bloom_b2_scan(b, mu, lam),
+        "bloom_b2_dual": _bloom_b2_scan(b, lam.inverse, mu.inverse),
+        "bloom_b2_l2form": _bloom_l2form_scan(b, mu, lam),
+        "bmo_rho": _bmo_rho_scan(b, rho),
+        "bmo_rho_l1": _bmo_rho_l1_scan(b, rho),
+        "neccon": _neccon_scan(b, mu, lam),
+    }
+    return BmoReport(**{name: r.value for name, r in scans.items()},
+                     argmax={name: r.argmax for name, r in scans.items()})

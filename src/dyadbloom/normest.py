@@ -28,19 +28,23 @@ recognised from the first image, at no extra apply.
 
 The engine runs in lockstep: independent problems share one stacked matvec
 per step and keep everything else per row, so each row returns bitwise what
-it returns alone.  The plural solvers (weighted_operator_norms,
+it returns alone.  The solvers (weighted_operator_norms,
 ppott_best_constants, carleson_embedding_checks) take one symbol and
-weight (pair) per row; the verification suites solve a group of trials
-this way, and compute_norm_report its two shift norms.
+weight (pair) per row, and one problem is a one-row call; the verification
+suites solve a group of trials this way, and compute_norm_report its two
+shift norms.
 
-The Carleson block ties the coefficient functionals to embedding constants:
-carleson_constant does the definitional bottom-up scan, while
-carleson_embedding_check independently finds the best constant C* of
+The Carleson block ties the coefficient functionals to embedding constants.
+The sequences, carleson_constant and the necessity sums are bmo.py's
+Carleson kernels (_carleson_terms, _carleson_sup, _subtree_sums), the ones
+behind bloom_b2 and bloom_b2_dual, so carleson_constant of a paraproduct
+sequence is bloom_b2^2 by construction; tests hold both to brute-force
+oracles.  carleson_embedding_checks solves for the best constant C* of
 
-    sum_I a_I E^w_I(phi)^2 <= C* ||phi||^2_{L^2(w)}
+    sum_I a_I E^w_I(phi)^2 <= C* ||phi||^2_{L^2(w)},
 
-and verifies carleson <= C* <= 4 * carleson (the classical dyadic embedding
-factor).
+which the classical dyadic embedding theorem pins within [carleson,
+4 * carleson].
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bmo import BmoReport, _subtree_sums, bmo_report
+from .bmo import BmoReport, _carleson_sup, _carleson_terms, _subtree_sums, bmo_report
 from .errors import DyadBloomError
 from .grid import (
     DyadicGrid,
@@ -74,14 +78,11 @@ from .weights import Weight, a2_characteristic, rho_weight
 
 __all__ = [
     "TopEigen",
-    "weighted_operator_norm",
     "weighted_operator_norms",
-    "ppott_best_constant",
     "ppott_best_constants",
     "CarlesonSequence",
     "carleson_constant",
     "CarlesonEmbeddingReport",
-    "carleson_embedding_check",
     "carleson_embedding_checks",
     "paraproduct_carleson_sequence",
     "adjoint_paraproduct_carleson_sequence",
@@ -245,7 +246,8 @@ def weighted_operator_norms(
     lockstep solve: T is a plan of one operator or of one symbol per row
     (operators.py), and each row's value is the square root of
     lambda_max(W_r'W_r), bitwise what that row gives alone.  matvecs and
-    residual are those of W_r'W_r's top Ritz pair."""
+    residual are those of W_r'W_r's top Ritz pair.  One norm is the one-row
+    call weighted_operator_norms(T, [mu], [lam])[0].value."""
     grid = T.grid
     if any(w.grid != grid for w in (*mus, *lams)):
         raise ValueError("operator and weights must share one grid")
@@ -259,13 +261,16 @@ def weighted_operator_norms(
             for e in _top_eigenvalues(grid.n_leaves, normal, len(mus))]
 
 
-def weighted_operator_norm(T: LeafOperator, mu: Weight, lam: Weight) -> float:
-    """|| T : L^2(mu) -> L^2(lambda) ||, the square root of lambda_max(W'W)."""
-    return weighted_operator_norms(T, [mu], [lam])[0].value
-
-
 def ppott_best_constants(ws: Sequence[Weight]) -> list[TopEigen]:
-    """ppott_best_constant of each weight, as one lockstep solve."""
+    """Best constant C of the weighted coefficient-energy inequality
+
+        sum_I fhat(I)^2 / <w>_I  <=  C ||f||^2_{L^2(w^{-1})}
+
+    for each weight w, as one lockstep solve.  With f = sqrt(w) y the right
+    side is ||y||^2, so C is the top eigenvalue of
+    y -> sqrt(w) * synthesis(analysis(sqrt(w) y) / <w>_I).  Bounded below by
+    1/[w]_{A2} and equals 1 exactly when w is constant.
+    """
     grid = ws[0].grid
     depth = grid.depth
     root_w = np.sqrt(stack_rows([w.values for w in ws]))
@@ -277,18 +282,6 @@ def ppott_best_constants(ws: Sequence[Weight]) -> list[TopEigen]:
         return root_w * synthesize_leaves(0.0, scaled, depth)
 
     return _top_eigenvalues(grid.n_leaves, form, len(ws))
-
-
-def ppott_best_constant(w: Weight) -> float:
-    """Best constant C of the weighted coefficient-energy inequality
-
-        sum_I fhat(I)^2 / <w>_I  <=  C ||f||^2_{L^2(w^{-1})}.
-
-    With f = sqrt(w) y the right side is ||y||^2, so C is the top eigenvalue
-    of y -> sqrt(w) * synthesis(analysis(sqrt(w) y) / <w>_I).  Bounded below
-    by 1/[w]_{A2} and equals 1 exactly when w is constant.
-    """
-    return ppott_best_constants([w])[0].value
 
 
 class CarlesonSequence:
@@ -317,19 +310,9 @@ class CarlesonSequence:
 
 
 def carleson_constant(seq: CarlesonSequence) -> float:
-    """sup_J (1/w(J)) sum_{I subset= J} a_I over coefficient levels, by a
-    bottom-up subtree-sum pass."""
-    depth = seq.grid.depth
-    sums = [None] * depth  # type: ignore[list-item]
-    acc = seq.level_values[depth - 1].copy()
-    sums[depth - 1] = acc
-    for k in range(depth - 2, -1, -1):
-        acc = seq.level_values[k] + acc.reshape(-1, 2).sum(axis=1)
-        sums[k] = acc
-    best = 0.0
-    for k in range(depth):
-        best = max(best, float((sums[k] / seq.weight.level_masses[k]).max()))
-    return best
+    """sup_J (1/w(J)) sum_{I subset= J} a_I over coefficient levels, by
+    bmo.py's bottom-up subtree-sum pass."""
+    return _carleson_sup(seq.level_values, seq.weight).value
 
 
 @dataclass(frozen=True)
@@ -347,8 +330,16 @@ class CarlesonEmbeddingReport:
 
 
 def carleson_embedding_checks(seqs: Sequence[CarlesonSequence]) -> list[CarlesonEmbeddingReport]:
-    """carleson_embedding_check of each sequence, as one lockstep solve (a
-    zero sequence is a zero operator: its row stops at its first image)."""
+    """Best constant C* of sum_I a_I E^w_I(phi)^2 <= C* ||phi||^2_{L^2(w)}
+    for each sequence, reported against its Carleson constant, as one
+    lockstep solve (a zero sequence is a zero operator: its row stops at its
+    first image).
+
+    With phi = y / sqrt(w 2^{-D}) the right side is ||y||^2, so C* is the top
+    eigenvalue of y -> sqrt(w) sum_I a_I E^w_I(y / sqrt(w)) 1_I / w(I).  The
+    classical dyadic embedding theorem pins C* within [carleson,
+    4*carleson]; callers assert that window.
+    """
     grid = seqs[0].grid
     depth = grid.depth
     root_w = np.sqrt(stack_rows([seq.weight.values for seq in seqs]))
@@ -368,31 +359,16 @@ def carleson_embedding_checks(seqs: Sequence[CarlesonSequence]) -> list[Carleson
     return reports
 
 
-def carleson_embedding_check(seq: CarlesonSequence) -> CarlesonEmbeddingReport:
-    """Best constant C* of sum_I a_I E^w_I(phi)^2 <= C* ||phi||^2_{L^2(w)},
-    reported against the Carleson constant.
-
-    With phi = y / sqrt(w 2^{-D}) the right side is ||y||^2, so C* is the top
-    eigenvalue of y -> sqrt(w) sum_I a_I E^w_I(y / sqrt(w)) 1_I / w(I).  The
-    classical dyadic embedding theorem pins C* within [carleson,
-    4*carleson]; callers assert that window.
-    """
-    return carleson_embedding_checks([seq])[0]
-
-
 def paraproduct_carleson_sequence(
     b: StepFunction, mu: Weight, lam: Weight
 ) -> CarlesonSequence:
     """a_I = bhat(I)^2 <mu^{-1}>_I^2 <lambda>_I, tested against mu^{-1}.
 
-    Its Carleson constant is bloom_b2(b, mu, lambda)^2 by definition; the two
-    code paths cross-validate each other.
+    Its Carleson constant is bloom_b2(b, mu, lambda)^2: both are one kernel
+    of bmo.py.
     """
-    depth = b.grid.depth
     mu_inv = mu.inverse
-    _, cb = analyze_leaves(b.values, depth)
-    vals = [c**2 * m**2 * w for c, m, w in zip(cb, mu_inv.averages, lam.averages)]
-    return CarlesonSequence(b.grid, vals, mu_inv)
+    return CarlesonSequence(b.grid, _carleson_terms(b, mu_inv, lam), mu_inv)
 
 
 def adjoint_paraproduct_carleson_sequence(
@@ -402,11 +378,7 @@ def adjoint_paraproduct_carleson_sequence(
 
     Carleson constant equals bloom_b2_dual(b, mu, lambda)^2.
     """
-    depth = b.grid.depth
-    mu_inv = mu.inverse
-    _, cb = analyze_leaves(b.values, depth)
-    vals = [c**2 * w**2 * m for c, w, m in zip(cb, lam.averages, mu_inv.averages)]
-    return CarlesonSequence(b.grid, vals, lam)
+    return CarlesonSequence(b.grid, _carleson_terms(b, lam, mu.inverse), lam)
 
 
 def necessity_restriction_ratios(
@@ -450,9 +422,7 @@ def necessity_restriction_ratios(
     n = b.grid.n_leaves
     mu_inv = mu.inverse
     _, cb = analyze_leaves(b.values, depth)
-    sums = _subtree_sums(
-        [c**2 * m**2 * w for c, m, w in zip(cb, mu_inv.averages, lam.averages)]
-    )
+    sums = _subtree_sums(_carleson_terms(b, mu_inv, lam))
 
     def siblings(a: np.ndarray) -> np.ndarray:
         return a.reshape(-1, 2)[:, ::-1].ravel()

@@ -178,9 +178,9 @@ def _top_level_max(coeffs: list[np.ndarray]) -> float:
     return float(np.abs(coeffs[-1]).max(initial=0.0))
 
 
-def is_admissible(f: StepFunction, atol: float = 0.0) -> bool:
-    """True when f's spectrum is supported on levels <= D-2 (within atol)."""
-    return _top_level_max(analyze_leaves(f.values, f.grid.depth)[1]) <= atol
+def is_admissible(f: StepFunction) -> bool:
+    """True when f's spectrum is supported on levels <= D-2."""
+    return _top_level_max(analyze_leaves(f.values, f.grid.depth)[1]) == 0.0
 
 
 def project_admissible(f: StepFunction) -> StepFunction:
@@ -190,9 +190,9 @@ def project_admissible(f: StepFunction) -> StepFunction:
     return StepFunction(f.grid, synthesize_leaves(mean, keep, f.grid.depth))
 
 
-def _check_admissible(coeffs: list[np.ndarray], depth: int, what: str, atol: float):
+def _check_admissible(coeffs: list[np.ndarray], depth: int, what: str):
     worst = _top_level_max(coeffs)
-    if worst > atol:
+    if worst > 0.0:
         raise InadmissibleLevelError(
             f"{what} has a nonzero Haar coefficient at level {depth - 1} "
             f"(max |coeff| = {worst:.3e}); the shift cannot represent its image "
@@ -203,10 +203,10 @@ def _check_admissible(coeffs: list[np.ndarray], depth: int, what: str, atol: flo
         )
 
 
-def _check_both_admissible(b: StepFunction, f: StepFunction, what: str, atol: float):
+def _check_both_admissible(b: StepFunction, f: StepFunction, what: str):
     depth = b.grid.depth
-    _check_admissible(analyze_leaves(b.values, depth)[1], depth, f"{what} symbol b", atol)
-    _check_admissible(analyze_leaves(f.values, depth)[1], depth, f"{what} argument f", atol)
+    _check_admissible(analyze_leaves(b.values, depth)[1], depth, f"{what} symbol b")
+    _check_admissible(analyze_leaves(f.values, depth)[1], depth, f"{what} argument f")
 
 
 def paraproduct(b: StepFunction, f: StepFunction) -> StepFunction:
@@ -249,30 +249,20 @@ def _shift_values(coeffs: list[np.ndarray], depth: int) -> np.ndarray:
     return _quarter_pyramid(scaled, depth, _SHIFT_SIGNS, coeffs[0].shape[:-1])
 
 
-def haar_shift(
-    f: StepFunction,
-    mode: str = "strict",
-    atol: float = 0.0,
-    return_flag: bool = False,
-):
+def haar_shift(f: StepFunction, mode: str = "strict") -> StepFunction:
     """Apply the dyadic shift Sh: h_I -> (h_{I_-} - h_{I_+}) / sqrt(2).
 
     Constants map to 0.  mode="strict" raises InadmissibleLevelError when f
-    has level-(D-1) coefficients above atol; mode="truncate" zeroes them.
-    With return_flag=True, returns (result, truncated) where truncated records
-    whether anything was dropped.
+    has nonzero level-(D-1) coefficients; mode="truncate" zeroes them
+    (is_admissible tells whether anything is dropped).
     """
     if mode not in ("strict", "truncate"):
         raise ValueError(f"mode must be 'strict' or 'truncate', got {mode!r}")
     depth = f.grid.depth
     _, coeffs = analyze_leaves(f.values, depth)
-    truncated = _top_level_max(coeffs) > atol
-    if truncated and mode == "strict":
-        _check_admissible(coeffs, depth, "shift input", atol)
-    result = StepFunction(f.grid, _shift_values(coeffs, depth))
-    if return_flag:
-        return result, truncated
-    return result
+    if mode == "strict":
+        _check_admissible(coeffs, depth, "shift input")
+    return StepFunction(f.grid, _shift_values(coeffs, depth))
 
 
 def shift_adjoint(f: StepFunction) -> StepFunction:
@@ -281,9 +271,7 @@ def shift_adjoint(f: StepFunction) -> StepFunction:
     return StepFunction(f.grid, shift_operator(f.grid).transpose(f.values))
 
 
-def commutator_shift(
-    b: StepFunction, f: StepFunction, mode: str = "strict", atol: float = 0.0
-) -> StepFunction:
+def commutator_shift(b: StepFunction, f: StepFunction, mode: str = "strict") -> StepFunction:
     """[b, Sh] f = b * Sh(f) - Sh(b * f).
 
     In strict mode both b and f must be admissible; the product b*f is then
@@ -293,12 +281,12 @@ def commutator_shift(
     """
     _check_same_grid(b, f)
     if mode == "strict":
-        _check_both_admissible(b, f, "commutator", atol)
+        _check_both_admissible(b, f, "commutator")
     return StepFunction(b.grid, _commutator_plan(b.grid, b.values).apply(f.values))
 
 
 def remainder_closed_form(
-    b: StepFunction, f: StepFunction, mode: str = "strict", atol: float = 0.0
+    b: StepFunction, f: StepFunction, mode: str = "strict"
 ) -> StepFunction:
     """Closed form of the expansion remainder Pi_{Sh f} b - Sh(Pi_f b):
 
@@ -312,8 +300,8 @@ def remainder_closed_form(
     _, cb = analyze_leaves(b.values, depth)
     _, cf = analyze_leaves(f.values, depth)
     if mode == "strict":
-        _check_admissible(cb, depth, "remainder symbol b", atol)
-        _check_admissible(cf, depth, "remainder argument f", atol)
+        _check_admissible(cb, depth, "remainder symbol b")
+        _check_admissible(cf, depth, "remainder argument f")
     scaled = [cb[k] * cf[k] * (1 << k) for k in range(max(depth - 1, 0))]
     return StepFunction(b.grid, _quarter_pyramid(scaled, depth, _REMAINDER_SIGNS))
 
@@ -372,9 +360,7 @@ class ExpansionTerms:
         return self.pi_shf_b - self.sh_pi_f_b
 
 
-def expansion_terms(
-    b: StepFunction, f: StepFunction, mode: str = "strict", atol: float = 0.0
-) -> ExpansionTerms:
+def expansion_terms(b: StepFunction, f: StepFunction, mode: str = "strict") -> ExpansionTerms:
     """Compute all six expansion terms and the direct commutator.
 
     For admissible b and f every intermediate is admissible where a shift is
@@ -383,7 +369,7 @@ def expansion_terms(
     so its spectrum also stays within levels <= D-2.
     """
     if mode == "strict":
-        _check_both_admissible(b, f, "expansion", atol)
+        _check_both_admissible(b, f, "expansion")
     grid = b.grid
     shf = haar_shift(f, mode="truncate")
     pi_b = paraproduct_operator(b)

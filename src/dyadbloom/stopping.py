@@ -31,9 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bmo import _coeff_squares
 from .errors import PackingSearchError
-from .grid import DyadicGrid, DyadicInterval, StepFunction
+from .grid import DyadicGrid, DyadicInterval, StepFunction, analyze_leaves
 from .weights import Weight, rho_weight
 
 __all__ = [
@@ -206,7 +205,8 @@ def threshold_factory(w: Weight, factor: float = 4.0) -> PredicateFactory:
 
 def _scaled_squares(b: StepFunction) -> list[np.ndarray]:
     """bhat(I)^2/|I| per level k = 0..D; the leaves carry no coefficient."""
-    q = [c * (2.0**k) for k, c in enumerate(_coeff_squares(b))]
+    _, coeffs = analyze_leaves(b.values, b.grid.depth)
+    q = [c**2 * (2.0**k) for k, c in enumerate(coeffs)]
     return q + [np.zeros(b.grid.n_leaves)]
 
 
@@ -339,20 +339,21 @@ def minimal_packing_constant(
 
 
 def corona_generations(
-    grid: DyadicGrid, root: DyadicInterval, factory: PredicateFactory, max_generations: int = 32
+    grid: DyadicGrid, root: DyadicInterval, factory: PredicateFactory
 ) -> list[StoppingFamily]:
     """Iterate stopping families: generation g+1 is one scan under all the
-    members of generation g.  Stops after an empty generation (always
-    recorded) or at the cap.  Element i of the result is generation i+1."""
+    members of generation g.  Stops after the first empty generation (always
+    recorded): members lie strictly below their roots, so generation g lies
+    at level >= g and generation D+1 is empty at the latest.  Element i of
+    the result is generation i+1."""
     generations: list[StoppingFamily] = []
     roots: Intervals | DyadicInterval = root
-    for _ in range(max_generations):
+    while True:
         fam = maximal_stopping_intervals(grid, roots, factory)
         generations.append(fam)
         roots = fam.members
         if not roots.levels.size:
-            break
-    return generations
+            return generations
 
 
 def minimal_corona_constant(
@@ -363,7 +364,6 @@ def minimal_corona_constant(
     target: float = 0.5,
     grid_factor: float = 1.1,
     c_max: float = float(1 << 20),
-    max_generations: int = 64,
     start: float | None = None,
 ) -> float:
     """Smallest grid constant whose packing target holds at EVERY corona root
@@ -379,7 +379,7 @@ def minimal_corona_constant(
     idx = candidates.index(min(c for c in candidates if c >= start * (1 - 1e-12)))
 
     for c in candidates[idx:]:
-        gens = corona_generations(grid, root, factory_of_c(c), max_generations)
+        gens = corona_generations(grid, root, factory_of_c(c))
         if all(packing_ratio(fam, w) <= target for fam in gens):
             return c
     best = candidates[-1]

@@ -68,7 +68,6 @@ from .normest import (
     carleson_embedding_checks,
     necessity_test_function_bound,
     paraproduct_carleson_sequence,
-    ppott_best_constant,
     ppott_best_constants,
     weighted_operator_norms,
 )
@@ -588,7 +587,7 @@ def _check_ppott(rec: Record, td: TrialData, solved: Solved) -> None:
 
 def _constant_weight_assertions(rec: Record) -> list[Assertion]:
     const = Weight(StepFunction.constant(DyadicGrid(rec.cfg.depth), 1.0))
-    err = abs(ppott_best_constant(const) - 1.0)
+    err = abs(_ppott_constants([const])[0] - 1.0)
     return [Assertion("constant_weight_best_constant_one", err <= 1e-9, err, 1e-9,
                       "coefficient energy inequality is Parseval at w == 1")]
 

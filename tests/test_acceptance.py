@@ -34,13 +34,13 @@ from dyadbloom.grid import (
 from dyadbloom.normest import (
     adjoint_paraproduct_carleson_sequence,
     carleson_constant,
-    carleson_embedding_check,
+    carleson_embedding_checks,
     commutator_operator,
     paraproduct_adjoint_operator,
     paraproduct_carleson_sequence,
     paraproduct_operator,
     shift_operator,
-    weighted_operator_norm,
+    weighted_operator_norms,
 )
 from dyadbloom.operators import (
     commutator_shift,
@@ -92,7 +92,7 @@ def _ensemble_stats(name: str) -> tuple[float, float, int]:
                 continue  # constant projected symbol: spread undefined
             used += 1
             spread = max(spread, max(funcs) / min(funcs))
-            r = weighted_operator_norm(commutator_operator(td.b), td.mu, td.lam)
+            r = weighted_operator_norms(commutator_operator(td.b), [td.mu], [td.lam])[0].value
             ratio = r / funcs[2]
             band = max(band, ratio, 1.0 / ratio)
         _ENSEMBLE_STATS[name] = (spread, band, used)
@@ -227,10 +227,10 @@ def test_criterion_05_adjointness_and_norm_duality():
         rhs = float((f.values * paraproduct_adjoint(b, g).values).mean())
         scale = max(1.0, abs(lhs))
         worst_adj = max(worst_adj, abs(lhs - rhs) / scale)
-        n1 = weighted_operator_norm(paraproduct_operator(b), td.mu, td.lam)
-        n2 = weighted_operator_norm(
-            paraproduct_adjoint_operator(b), td.lam.inverse, td.mu.inverse
-        )
+        n1 = weighted_operator_norms(paraproduct_operator(b), [td.mu], [td.lam])[0].value
+        n2 = weighted_operator_norms(
+            paraproduct_adjoint_operator(b), [td.lam.inverse], [td.mu.inverse]
+        )[0].value
         worst_dual = max(worst_dual, abs(n1 - n2) / max(n1, 1e-30))
     ok = worst_adj <= 1e-9 and worst_dual <= 1e-9
     _record(
@@ -262,7 +262,7 @@ def test_criterion_06_carleson_inequalities():
             seq_d = adjoint_paraproduct_carleson_sequence(b, mu, lam)
             car_d = carleson_constant(seq_d)
             worst_car = max(worst_car, (car_d - b2d**2) / b2d**2)
-            rep = carleson_embedding_check(seq)
+            rep = carleson_embedding_checks([seq])[0]
             worst_embed = max(
                 worst_embed, (rep.best_embedding - 4.0 * rep.carleson) / rep.carleson
             )
@@ -369,11 +369,11 @@ def test_criterion_11_shift_bounds():
         ns = float(np.sqrt((haar_shift(f).values ** 2).mean()))
         worst_iso = max(worst_iso, abs(ns / nf - 1.0))
     one = Weight(StepFunction.constant(grid, 1.0))
-    sigma = weighted_operator_norm(shift_operator(grid), one, one)
+    sigma = weighted_operator_norms(shift_operator(grid), [one], [one])[0].value
     worst_sweep = 0.0
     for alpha in np.linspace(-0.9, 0.9, 19):
         w = generate(EnsembleSpec(kind="power", depth=8, alpha=float(alpha)))
-        norm = weighted_operator_norm(shift_operator(grid), w, w)
+        norm = weighted_operator_norms(shift_operator(grid), [w], [w])[0].value
         worst_sweep = max(worst_sweep, norm / a2_characteristic(w))
     ok = worst_iso <= 1e-12 and abs(sigma - 1.0) <= 1e-12 and worst_sweep <= ALPHA_SWEEP_BOUND
     _record(

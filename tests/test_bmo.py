@@ -55,18 +55,29 @@ def test_unit_weight_functionals_of_root_haar(unit_weight):
     assert neccon_functional(b, one, one) == pytest.approx(1.0, rel=1e-14)
 
 
-def test_bloom_b2_matches_oracle():
-    for seed in range(4):
-        mu, lam, b = _triple(4, 50 + seed)
-        want = oracles.bloom_oracle(b.values, mu.values, lam.values, 4)
-        assert bloom_b2(b, mu, lam) == pytest.approx(want, rel=1e-12)
+# every depth up to 6 and every ensemble, the extreme one with leaf values
+# across 1e-8..1e8 and whole subtrees of b without a coefficient
+over_ensembles = pytest.mark.parametrize(
+    "depth, kind", [(d, k) for d in range(1, 7) for k in ensembles.KINDS]
+)
 
 
-def test_bloom_b2_dual_matches_oracle():
-    for seed in range(4):
-        mu, lam, b = _triple(4, 60 + seed)
-        want = oracles.bloom_dual_oracle(b.values, mu.values, lam.values, 4)
-        assert bloom_b2_dual(b, mu, lam) == pytest.approx(want, rel=1e-12)
+def _ensemble_triple(depth, kind, base):
+    return ensembles.triple(depth, kind, base + 10 * depth + ensembles.KINDS.index(kind))
+
+
+@over_ensembles
+def test_bloom_b2_matches_oracle(depth, kind):
+    b, mu, lam = _ensemble_triple(depth, kind, 1400)
+    want = oracles.bloom_oracle(b.values, mu.values, lam.values, depth)
+    assert bloom_b2(b, mu, lam) == pytest.approx(want, rel=1e-12)
+
+
+@over_ensembles
+def test_bloom_b2_dual_matches_oracle(depth, kind):
+    b, mu, lam = _ensemble_triple(depth, kind, 1500)
+    want = oracles.bloom_dual_oracle(b.values, mu.values, lam.values, depth)
+    assert bloom_b2_dual(b, mu, lam) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("depth", range(1, 7))
@@ -115,27 +126,27 @@ def test_bloom_routes_differ_for_generic_lambda():
     assert abs(a - c) / a > 1e-3
 
 
-def test_bmo_rho_matches_oracle():
-    for seed in range(4):
-        mu, lam, b = _triple(4, 90 + seed)
-        rho = rho_weight(mu, lam)
-        want = oracles.bmo_rho_oracle(b.values, rho.values, 4)
-        assert bmo_rho(b, rho) == pytest.approx(want, rel=1e-12)
+@over_ensembles
+def test_bmo_rho_matches_oracle(depth, kind):
+    b, mu, lam = _ensemble_triple(depth, kind, 1600)
+    rho = rho_weight(mu, lam)
+    want = oracles.bmo_rho_oracle(b.values, rho.values, depth)
+    assert bmo_rho(b, rho) == pytest.approx(want, rel=1e-12)
 
 
-def test_bmo_rho_l1_matches_oracle():
-    for seed in range(3):
-        mu, lam, b = _triple(4, 100 + seed)
-        rho = rho_weight(mu, lam)
-        want = oracles.bmo_rho_l1_oracle(b.values, rho.values, 4)
-        assert bmo_rho_l1(b, rho) == pytest.approx(want, rel=1e-12)
+@over_ensembles
+def test_bmo_rho_l1_matches_oracle(depth, kind):
+    b, mu, lam = _ensemble_triple(depth, kind, 1700)
+    rho = rho_weight(mu, lam)
+    want = oracles.bmo_rho_l1_oracle(b.values, rho.values, depth)
+    assert bmo_rho_l1(b, rho) == pytest.approx(want, rel=1e-12)
 
 
-def test_neccon_matches_oracle():
-    for seed in range(4):
-        mu, lam, b = _triple(4, 110 + seed)
-        want = oracles.neccon_oracle(b.values, mu.values, lam.values, 4)
-        assert neccon_functional(b, mu, lam) == pytest.approx(want, rel=1e-12)
+@over_ensembles
+def test_neccon_matches_oracle(depth, kind):
+    b, mu, lam = _ensemble_triple(depth, kind, 1800)
+    want = oracles.neccon_oracle(b.values, mu.values, lam.values, depth)
+    assert neccon_functional(b, mu, lam) == pytest.approx(want, rel=1e-12)
 
 
 def test_zero_symbol_gives_zero_everything():

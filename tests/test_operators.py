@@ -117,15 +117,14 @@ def test_shift_strict_mode_rejects_deepest_level():
 
 
 def test_shift_truncate_mode_flags_and_projects():
+    # is_admissible says whether truncate mode drops anything
     grid = DyadicGrid(3)
     bad = haar_function(grid, DyadicInterval(2, 1))
-    out, truncated = haar_shift(bad, mode="truncate", return_flag=True)
-    assert truncated
-    assert np.all(out.values == 0.0)
+    assert not is_admissible(bad)
+    assert np.all(haar_shift(bad, mode="truncate").values == 0.0)
     good = haar_function(grid, grid.root)
-    out2, flag2 = haar_shift(good, mode="truncate", return_flag=True)
-    assert not flag2
-    np.testing.assert_array_equal(out2.values, haar_shift(good).values)
+    assert is_admissible(good)
+    np.testing.assert_array_equal(haar_shift(good, mode="truncate").values, haar_shift(good).values)
 
 
 def test_admissibility_projection():

@@ -460,7 +460,7 @@ def test_corona_scan_matches_oracle_root_by_root(depth, data):
             b.values, rho.values, C, 1.0, depth, r
         )
     n_gens = data.draw(st.integers(1, 3), label="generations")
-    gens = corona_generations(grid, grid.root, factory, max_generations=n_gens)
+    gens = corona_generations(grid, grid.root, factory)[:n_gens]
     roots = [(0, 0)]
     for g, gen in enumerate(gens, start=1):
         assert list(zip(gen.roots.levels, gen.roots.positions)) == roots
