@@ -60,7 +60,6 @@ from .operators import (
     paraproduct_operator,
     project_admissible,
     remainder_closed_form,
-    shift_adjoint,
     shift_operator,
 )
 from .stopping import (
@@ -71,11 +70,11 @@ from .stopping import (
     minimal_corona_constant,
     minimal_packing_constant,
     packing_ratio,
-    square_sum_factory,
+    square_sum_factories,
     three_condition_factory,
     threshold_factory,
 )
-from .suites import Assertion, Finding, SuiteResult, run_suite
+from .suites import Assertion, Finding, SuiteResult, run_suites
 from .weights import (
     EnsembleSpec,
     Weight,

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import DyadicInterval, StepFunction, analyze_leaves, level_masses
+from .grid import DyadicInterval, StepFunction, analyze_leaves, level_masses, square_layers
 from .weights import Weight, rho_weight
 
 __all__ = [
@@ -195,14 +195,14 @@ def bmo_rho(b: StepFunction, rho: Weight) -> float:
 def _bmo_rho_l1_scan(b: StepFunction, rho: Weight) -> _SupResult:
     depth = b.grid.depth
     n = b.grid.n_leaves
-    _, coeffs = analyze_leaves(b.values, depth)
+    layers = square_layers(b.values, depth)
     # Bottom-up, suffix becomes the square function restricted to intervals
     # at levels >= k (those contained in a level-k interval): the running sum
     # of the leaf-resolved layers bhat(I)^2/|I| 1_I of levels D-1 down to k.
     suffix = np.zeros(n)
     per_level = [None] * depth  # type: ignore[list-item]
     for k in range(depth - 1, -1, -1):
-        suffix = np.repeat(coeffs[k] ** 2 * (1 << k), n >> k) + suffix
+        suffix = np.repeat(layers[k], n >> k) + suffix
         integrals = np.sqrt(suffix).reshape(1 << k, -1).sum(axis=1) * b.grid.leaf_width
         per_level[k] = integrals / rho.level_masses[k]
     value, where = _sup_over_levels(per_level)

@@ -33,7 +33,7 @@ from .serialize import (
     save_step_function,
     write_json,
 )
-from .suites import run_suite
+from .suites import run_suites
 from .weights import EnsembleSpec, Weight, a2_characteristic, generate
 
 __all__ = ["main", "build_parser", "sweep_rows", "SWEEP_COLUMNS"]
@@ -219,8 +219,8 @@ def _cmd_verify(args) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     all_passed = True
-    for name in cfg.suites:
-        result = run_suite(name, cfg)
+    for result in run_suites(cfg.suites, cfg):
+        name = result.suite
         for a in result.assertions:
             status = "PASS" if a.passed else "FAIL"
             print(

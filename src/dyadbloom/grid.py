@@ -52,6 +52,7 @@ __all__ = [
     "haar_synthesize",
     "haar_function",
     "indicator",
+    "square_layers",
     "square_function",
 ]
 
@@ -199,9 +200,6 @@ class StepFunction:
     def average_on(self, iv: DyadicInterval) -> float:
         return float(self.values[self.grid.leaf_slice(iv)].mean())
 
-    def integral_on(self, iv: DyadicInterval) -> float:
-        return float(self.values[self.grid.leaf_slice(iv)].sum()) * self.grid.leaf_width
-
     def __add__(self, other):
         if isinstance(other, StepFunction):
             _check_same_grid(self, other)
@@ -281,21 +279,6 @@ class HaarSpectrum:
     def coeff_energy(self) -> float:
         """Sum of squared coefficients (Parseval complement of the mean)."""
         return float(sum((arr**2).sum() for arr in self.level_coeffs))
-
-    def max_nonzero_level(self, atol: float = 0.0) -> int:
-        """Deepest level with a coefficient of magnitude > atol, or -1."""
-        for k in range(self.grid.depth - 1, -1, -1):
-            if np.abs(self.level_coeffs[k]).max(initial=0.0) > atol:
-                return k
-        return -1
-
-    def truncated(self, max_level: int) -> "HaarSpectrum":
-        """Copy with every level above max_level zeroed."""
-        coeffs = [
-            arr if k <= max_level else np.zeros_like(arr)
-            for k, arr in enumerate(self.level_coeffs)
-        ]
-        return HaarSpectrum(self.grid, self.mean, coeffs)
 
     def __repr__(self):
         return f"HaarSpectrum(depth={self.grid.depth}, mean={self.mean!r})"
@@ -427,9 +410,14 @@ def indicator(grid: DyadicGrid, iv: DyadicInterval) -> StepFunction:
     return StepFunction(grid, vals)
 
 
+def square_layers(values: np.ndarray, depth: int) -> list[np.ndarray]:
+    """The square function's layers fhat(I)^2 / |I|, entry k over the level-k
+    intervals, k = 0..depth-1, on the last axis."""
+    _, coeffs = analyze_leaves(values, depth)
+    return [c**2 * 2.0**k for k, c in enumerate(coeffs)]
+
+
 def square_function(f: StepFunction) -> StepFunction:
     """Dyadic square function Sf = (sum over I of fhat(I)^2 |I|^{-1} 1_I)^{1/2}."""
-    _, coeffs = analyze_leaves(f.values, f.grid.depth)
-    terms = [c**2 * (1 << k) for k, c in enumerate(coeffs)]
-    acc = accumulate_levels(terms, f.grid.depth)
+    acc = accumulate_levels(square_layers(f.values, f.grid.depth), f.grid.depth)
     return StepFunction(f.grid, np.sqrt(acc))

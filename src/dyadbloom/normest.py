@@ -315,18 +315,10 @@ def carleson_constant(seq: CarlesonSequence) -> float:
     return _carleson_sup(seq.level_values, seq.weight).value
 
 
-@dataclass(frozen=True)
-class CarlesonEmbeddingReport:
+class CarlesonEmbeddingReport(NamedTuple):
     carleson: float
     best_embedding: float
     ratio: float
-
-    def to_dict(self) -> dict:
-        return {
-            "carleson": self.carleson,
-            "best_embedding": self.best_embedding,
-            "ratio": self.ratio,
-        }
 
 
 def carleson_embedding_checks(seqs: Sequence[CarlesonSequence]) -> list[CarlesonEmbeddingReport]:

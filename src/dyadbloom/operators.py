@@ -9,16 +9,16 @@ Operators act on step functions of one grid.  With bhat(I) = <b, h_I> and
 
 (sums over coefficient levels 0..D-1).  The pair (Pi_b, Pi*_b) is an
 unweighted-adjoint pair, and Sh is an isometry on mean-free functions whose
-spectrum avoids the deepest level; shift_adjoint is its transpose.
+spectrum avoids the deepest level; its plan carries the transpose.
 
 Each operator has one implementation, a LeafOperator of array kernels
 built once per symbol (b is analysed when the plan is built, not per apply).
 The norm engine runs on the plans; paraproduct, paraproduct_adjoint,
-haar_shift, shift_adjoint and commutator_shift wrap the same kernels for
-StepFunctions, so the suites and the engine share every operator.  A plan
-may also be built for a sequence of symbols on one grid: it then applies
-symbol r to row r of a (rows, 2^D) stack, so one plan serves the lockstep
-solves of a whole group of trials.
+haar_shift and commutator_shift wrap the same kernels for StepFunctions, so
+the suites and the engine share every operator.  A plan may also be built
+for a sequence of symbols on one grid: it then applies symbol r to row r of
+a (rows, 2^D) stack, so one plan serves the lockstep solves of a whole group
+of trials.
 
 Admissibility.  Sh maps a level-k coefficient to level k+1, so level-(D-1)
 input coefficients have no representation at depth D.  Functions whose
@@ -67,7 +67,6 @@ __all__ = [
     "paraproduct",
     "paraproduct_adjoint",
     "haar_shift",
-    "shift_adjoint",
     "commutator_shift",
     "remainder_closed_form",
     "ExpansionTerms",
@@ -263,12 +262,6 @@ def haar_shift(f: StepFunction, mode: str = "strict") -> StepFunction:
     if mode == "strict":
         _check_admissible(coeffs, depth, "shift input")
     return StepFunction(f.grid, _shift_values(coeffs, depth))
-
-
-def shift_adjoint(f: StepFunction) -> StepFunction:
-    """Transpose of the (truncating) shift under the unweighted L^2 pairing;
-    see shift_operator."""
-    return StepFunction(f.grid, shift_operator(f.grid).transpose(f.values))
 
 
 def commutator_shift(b: StepFunction, f: StepFunction, mode: str = "strict") -> StepFunction:

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PackingSearchError
-from .grid import DyadicGrid, DyadicInterval, StepFunction, analyze_leaves
+from .grid import DyadicGrid, DyadicInterval, StepFunction, square_layers
 from .weights import Weight, rho_weight
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "deviation_factory",
     "threshold_factory",
     "three_condition_factory",
-    "square_sum_factory",
     "square_sum_factories",
     "minimal_packing_constant",
     "minimal_corona_constant",
@@ -205,9 +204,7 @@ def threshold_factory(w: Weight, factor: float = 4.0) -> PredicateFactory:
 
 def _scaled_squares(b: StepFunction) -> list[np.ndarray]:
     """bhat(I)^2/|I| per level k = 0..D; the leaves carry no coefficient."""
-    _, coeffs = analyze_leaves(b.values, b.grid.depth)
-    q = [c**2 * (2.0**k) for k, c in enumerate(coeffs)]
-    return q + [np.zeros(b.grid.n_leaves)]
+    return square_layers(b.values, b.grid.depth) + [np.zeros(b.grid.n_leaves)]
 
 
 def _path_sums(q: list[np.ndarray], roots: Intervals) -> dict[int, np.ndarray]:
@@ -266,8 +263,10 @@ def three_condition_factory(
 def square_sum_factories(
     b: StepFunction, rho: Weight, b2_value: float
 ) -> Callable[[float], PredicateFactory]:
-    """C -> square_sum_factory(b, rho, C, b2_value), with b analysed once:
-    the factory_of_c of a packing search over C."""
+    """C -> the factory that stops where the root-to-I path sum of
+    bhat^2/|I'| first exceeds C * b2_value^2 * <rho>_I0^2 (b2_value is a
+    Bloom-functional size for b), with b analysed once: the factory_of_c of
+    a packing search over C."""
     q = _scaled_squares(b)
 
     def factory_of_c(C: float) -> PredicateFactory:
@@ -279,14 +278,6 @@ def square_sum_factories(
         return factory
 
     return factory_of_c
-
-
-def square_sum_factory(
-    b: StepFunction, rho: Weight, C: float, b2_value: float
-) -> PredicateFactory:
-    """Stop where the root-to-I path sum of bhat^2/|I'| first exceeds
-    C * b2_value^2 * <rho>_I0^2 (b2_value is a Bloom-functional size for b)."""
-    return square_sum_factories(b, rho, b2_value)(C)
 
 
 def _constant_grid(grid_factor: float, c_max: float) -> list[float]:

@@ -1,7 +1,7 @@
 """Randomized verification suites over seeded ensembles.
 
-One runner, run_suite, draws cfg.trials seeded trials and returns a
-SuiteResult holding
+One pass, run_suites, draws cfg.trials seeded trials and returns one
+SuiteResult per selected suite, each holding
 
   * hard assertions -- exact identities and constant-1 inequalities only;
     any failure flips the suite (and the CLI exit code) to failing;
@@ -10,34 +10,40 @@ SuiteResult holding
     acceptance tests freeze pilot values separately).
 
 Each suite is a Suite: a per-trial check that reports residuals, samples,
-counts and findings to the run's Record, and an ordered gate list that fixes
+counts and findings to its own Record, and an ordered gate list that fixes
 the assertions.  A gate is either (name, tolerance[, detail]), asserting the
 worst residual reported under that name, or a callable of the Record for a
 check that is not per trial.
 
-Eigenvalue solves run in lockstep groups.  A suite whose check needs top
-eigenvalues (weighted norms, best constants, embedding constants) declares
-them per trial in Suite.solves; run_suite draws the trials of a group, puts
-each declared problem of every trial in the group into one stacked solve
-(normest's lockstep Lanczos, one matvec per step for the whole group), and
-then runs the checks in trial order with those values.  normest's width cap
+Trials are the outer loop and suites the inner one: each trial is drawn
+once and every selected suite checks it, in suite order, reporting to its
+own Record, so a suite's result does not depend on which others ran.
+
+Eigenvalue solves run in lockstep groups.  SOLVES names every eigenproblem
+a check may read (weighted norms, best constants, embedding constants) with
+its solver and the rows one trial contributes; Suite.solves lists the names
+a suite reads.  For each group of trials, run_suites solves the union of the
+selected suites' names once, each as one stacked solve (normest's lockstep
+Lanczos, one matvec per step for the whole group).  normest's width cap
 bounds rows x 2^D per solve at 2^13 leaves, so a group holds 2^13 / 2^D
-trials, and at D >= 13 every solve has one row, as before.  Each row of a
-lockstep solve returns bitwise what it returns alone, so a trial's values
-do not depend on its group, and the output does not depend on the width.
+trials, and at D >= 13 every solve has one row.  Each row of a lockstep
+solve returns bitwise what it returns alone, so a trial's values do not
+depend on its group, and the output does not depend on the width.
 
 Per-trial materials: mu and lambda from the config's weight recipes, the
 symbol b projected onto admissible levels (<= D-2) so commutator identities
 and functionals see the same symbol, and Gaussian test functions f, g from
 the trial's function stream (f, g admissible; raw variants keep all levels
-for identities that need no admissibility).
+for identities that need no admissibility).  The Bloom weight rho is built
+when a check first reads it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +66,7 @@ from .grid import (
     haar_function,
     haar_synthesize,
     level_masses,
+    square_layers,
 )
 from .normest import (
     _lockstep_chunks,
@@ -107,7 +114,8 @@ __all__ = [
     "TrialData",
     "lower_bound_finding",
     "make_trial",
-    "run_suite",
+    "run_suites",
+    "SOLVES",
     "SUITES",
 ]
 
@@ -180,7 +188,7 @@ def _rel(diff: float, *scales: float) -> float:
 class Record:
     """What one suite's checks report over its trials.
 
-    run_suite sets ``trial`` before each trial's check.  ``samples`` and
+    run_suites sets ``trial`` before each trial's check.  ``samples`` and
     ``counts`` hold the names the suite declares, so a name no trial reaches
     still appears in ``measured``.  ``failures`` lists (trial, label, detail)
     for checks that could not run.
@@ -226,16 +234,15 @@ Solved = dict[str, list]
 class Suite:
     """A per-trial check and the ordered gates that become the assertions.
 
-    solves declares a trial's eigenproblems as {name: (solver, rows)}; a
-    solver maps the rows of a whole group to one value per row.
-    The check then receives {name: that trial's values, in row order}.
+    solves names the SOLVES entries the check reads; the check receives
+    {name: that trial's values, in row order}.
     """
 
     check: Callable[[Record, TrialData, Solved], None]
     gates: tuple
     samples: tuple[str, ...] = ()
     counts: tuple[str, ...] = ()
-    solves: Callable[[TrialData], dict[str, tuple[Callable, list]]] = lambda td: {}
+    solves: tuple[str, ...] = ()
 
 
 @dataclass
@@ -249,6 +256,10 @@ class TrialData:
     g: StepFunction
     f_raw: StepFunction
     g_raw: StepFunction
+
+    @cached_property
+    def rho(self) -> Weight:
+        return rho_weight(self.mu, self.lam)
 
 
 def make_trial(cfg: ExperimentConfig, t: int) -> TrialData:
@@ -348,8 +359,7 @@ def _check_identities(rec: Record, td: TrialData, solved: Solved) -> None:
         "remainder_closed_form",
         _rel(float(np.abs(rem.values - terms.remainder().values).max()), scale),
     )
-    _, cr = analyze_leaves(rem.values, grid.depth)
-    sq = accumulate_levels([c**2 * (1 << k) for k, c in enumerate(cr)], grid.depth)
+    sq = accumulate_levels(square_layers(rem.values, grid.depth), grid.depth)
     measured_energy = float((sq * td.lam.values).mean())
     _, cb = analyze_leaves(td.b.values, grid.depth)
     _, cf = analyze_leaves(td.f.values, grid.depth)
@@ -369,7 +379,6 @@ _CHAIN_RATIOS = ("l2form_over_b2", "b2_over_l2form", "l1_over_bmo", "bmo_over_l1
 
 def _check_equivalences(rec: Record, td: TrialData, solved: Solved) -> None:
     mu, lam, b = td.mu, td.lam, td.b
-    rho = rho_weight(mu, lam)
     # A2 sandwich 1 <= <mu>_I <mu^{-1}>_I <= [mu]_{A2}, every interval
     for w in (mu, lam):
         a2 = a2_characteristic(w)
@@ -382,8 +391,8 @@ def _check_equivalences(rec: Record, td: TrialData, solved: Solved) -> None:
     rec.sample("a2_lambda", a2_characteristic(lam))
     b2 = bloom_b2(b, mu, lam)
     l2f = bloom_b2_l2form(b, mu, lam)
-    bmo = bmo_rho(b, rho)
-    l1 = bmo_rho_l1(b, rho)
+    bmo = bmo_rho(b, td.rho)
+    l1 = bmo_rho_l1(b, td.rho)
     if min(b2, l2f, bmo, l1) > 0.0:
         r = (l2f / b2, b2 / l2f, l1 / bmo, bmo / l1, b2 / bmo, bmo / b2)
         for k, v in zip(_CHAIN_RATIOS, r):
@@ -399,8 +408,8 @@ def _degenerate_assertions(rec: Record) -> list[Assertion]:
         bloom_b2(zero, td0.mu, td0.lam),
         bloom_b2_dual(zero, td0.mu, td0.lam),
         bloom_b2_l2form(zero, td0.mu, td0.lam),
-        bmo_rho(zero, rho_weight(td0.mu, td0.lam)),
-        bmo_rho_l1(zero, rho_weight(td0.mu, td0.lam)),
+        bmo_rho(zero, td0.rho),
+        bmo_rho_l1(zero, td0.rho),
         neccon_functional(zero, td0.mu, td0.lam),
     ]
     a2 = a2_characteristic(Weight(StepFunction.constant(DyadicGrid(rec.cfg.depth), 3.0)))
@@ -455,13 +464,6 @@ def _norms(plan: Callable) -> Callable[[list], list[float]]:
     return solve
 
 
-def _paraproduct_solves(td: TrialData) -> dict:
-    return {
-        "paraproduct": (_norms(paraproduct_operator), [(td.b, td.mu, td.lam)]),
-        "adjoint": (_norms(paraproduct_adjoint_operator), [(td.b, td.lam.inverse, td.mu.inverse)]),
-    }
-
-
 def _check_paraproduct_bounds(rec: Record, td: TrialData, solved: Solved) -> None:
     mu, lam, b = td.mu, td.lam, td.b
     (n_pi,), (n_adj,) = solved["paraproduct"], solved["adjoint"]
@@ -494,8 +496,7 @@ def _check_paraproduct_bounds(rec: Record, td: TrialData, solved: Solved) -> Non
 
 
 def _check_commutator_bounds(rec: Record, td: TrialData, solved: Solved) -> None:
-    mu, lam, b = td.mu, td.lam, td.b
-    rho = rho_weight(mu, lam)
+    b = td.b
     M = commutator_operator(b)
     # the norm engine's apply vs the six-term paraproduct route
     via_engine = M.apply(td.f.values)
@@ -520,25 +521,14 @@ def _check_commutator_bounds(rec: Record, td: TrialData, solved: Solved) -> None
         ip2 = float((f.values * T.transpose(g.values)).mean())
         rec.residual("adjoint_consistency", _rel(abs(ip1 - ip2), ip1, ip2))
     (n_comm,) = solved["commutator"]
-    bmo = bmo_rho(b, rho)
+    bmo = bmo_rho(b, td.rho)
     rec.sample("norm_commutator", n_comm)
     rec.sample("bmo_rho", bmo)
     if bmo > 0:
         rec.sample("norm_over_bmo_rho", n_comm / bmo)
 
 
-def _commutator_solves(td: TrialData) -> dict:
-    return {"commutator": (_norms(commutator_operator), [(td.b, td.mu, td.lam)])}
-
-
 # ------------------------------------------------------------------ carleson
-
-
-def _carleson_solves(td: TrialData) -> dict:
-    # a zero sequence is a zero operator; its row stops at its first image
-    # and the check ignores it
-    seq = paraproduct_carleson_sequence(td.b, td.mu, td.lam)
-    return {"embedding": (carleson_embedding_checks, [seq])}
 
 
 def _check_carleson(rec: Record, td: TrialData, solved: Solved) -> None:
@@ -572,10 +562,6 @@ def _ppott_constants(ws: list[Weight]) -> list[float]:
     return [e.value for e in ppott_best_constants(ws)]
 
 
-def _ppott_solves(td: TrialData) -> dict:
-    return {"best_constant": (_ppott_constants, [td.mu, td.lam])}
-
-
 def _check_ppott(rec: Record, td: TrialData, solved: Solved) -> None:
     for w, c_star in zip((td.mu, td.lam), solved["best_constant"]):
         a2 = a2_characteristic(w)
@@ -600,7 +586,7 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
     grid = b.grid
     root = grid.root
     mu_inv = mu.inverse
-    rho = rho_weight(mu, lam)
+    rho = td.rho
 
     def search(label, fn):
         try:
@@ -703,14 +689,13 @@ def _mu_normalized_oscillation(b: StepFunction, mu: Weight, lam: Weight) -> floa
 
 def _check_neccon_chain(rec: Record, td: TrialData, solved: Solved) -> None:
     mu, lam, b = td.mu, td.lam, td.b
-    rho = rho_weight(mu, lam)
     nec = neccon_functional(b, mu, lam)
     base = _mu_normalized_oscillation(b, mu, lam)
     a2 = a2_characteristic(mu)
     # sandwich chain: base <= neccon^2 <= [mu]_{A2} * base, definitional
     rec.residual("neccon_at_least_mu_oscillation", _rel(base - nec**2, base))
     rec.residual("neccon_within_a2_of_oscillation", _rel(nec**2 - a2 * base, a2 * base))
-    bmo = bmo_rho(b, rho)
+    bmo = bmo_rho(b, td.rho)
     b2 = bloom_b2(b, mu, lam)
     if bmo > 0:
         rec.sample("neccon_over_bmo_rho", nec / bmo)
@@ -720,6 +705,19 @@ def _check_neccon_chain(rec: Record, td: TrialData, solved: Solved) -> None:
     if n_comm > 0:
         rec.sample("neccon_over_commutator_norm", nec / n_comm)
 
+
+# name -> (solver, rows of one trial); a solver maps the rows of a whole
+# group to one value per row.  A zero Carleson sequence is a zero operator:
+# its row stops at its first image and the check ignores it.
+SOLVES: dict[str, tuple[Callable[[list], list], Callable[[TrialData], list]]] = {
+    "paraproduct": (_norms(paraproduct_operator), lambda td: [(td.b, td.mu, td.lam)]),
+    "adjoint": (_norms(paraproduct_adjoint_operator),
+                lambda td: [(td.b, td.lam.inverse, td.mu.inverse)]),
+    "commutator": (_norms(commutator_operator), lambda td: [(td.b, td.mu, td.lam)]),
+    "embedding": (carleson_embedding_checks,
+                  lambda td: [paraproduct_carleson_sequence(td.b, td.mu, td.lam)]),
+    "best_constant": (_ppott_constants, lambda td: [td.mu, td.lam]),
+}
 
 SUITES = {
     "identities": Suite(
@@ -758,7 +756,7 @@ SUITES = {
             "necessity_test_function_bound",
         ),
         counts=("lower_bound_violations", "lower_bound_violations_dual"),
-        solves=_paraproduct_solves,
+        solves=("paraproduct", "adjoint"),
     ),
     "commutator-bounds": Suite(
         _check_commutator_bounds,
@@ -768,7 +766,7 @@ SUITES = {
             ("adjoint_consistency", 1e-12),
         ),
         samples=("norm_over_bmo_rho", "norm_commutator", "bmo_rho"),
-        solves=_commutator_solves,
+        solves=("commutator",),
     ),
     "carleson": Suite(
         _check_carleson,
@@ -779,13 +777,13 @@ SUITES = {
             ("embedding_at_most_4x_carleson", 1e-9),
         ),
         samples=("embedding_over_carleson",),
-        solves=_carleson_solves,
+        solves=("embedding",),
     ),
     "ppott": Suite(
         _check_ppott,
         (_constant_weight_assertions, ("best_constant_at_least_one", 1e-9)),
         samples=("best_constant", "best_constant_over_a2"),
-        solves=_ppott_solves,
+        solves=("best_constant",),
     ),
     "stopping": Suite(
         _check_stopping,
@@ -817,38 +815,45 @@ SUITES = {
             "neccon_over_bloom_b2",
             "neccon_over_commutator_norm",
         ),
-        solves=_commutator_solves,
+        solves=("commutator",),
     ),
 }
 
 
-def _solve_group(suite: Suite, group: list[TrialData]) -> list[Solved]:
-    """Each trial's declared eigenproblems, every problem solved for the
-    whole group in as few lockstep solves as the width cap allows."""
+def _solve_group(names: Sequence[str], group: list[TrialData]) -> list[Solved]:
+    """Each trial's values of the named eigenproblems, every problem solved
+    for the whole group in as few lockstep solves as the width cap allows."""
     n = group[0].b.grid.n_leaves
-    declared = [suite.solves(td) for td in group]
     out: list[Solved] = [{} for _ in group]
-    for key, (solver, _) in declared[0].items():
-        rows = [d[key][1] for d in declared]
+    for name in names:
+        solver, rows_of = SOLVES[name]
+        rows = [rows_of(td) for td in group]
         flat = [row for trial_rows in rows for row in trial_rows]
         values = iter([v for chunk in _lockstep_chunks(flat, n) for v in solver(chunk)])
         for solved, trial_rows in zip(out, rows):
-            solved[key] = [next(values) for _ in trial_rows]
+            solved[name] = [next(values) for _ in trial_rows]
     return out
 
 
-def run_suite(name: str, cfg: ExperimentConfig) -> SuiteResult:
-    if name not in SUITES:
-        raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    suite = SUITES[name]
-    rec = Record(name, cfg, suite.samples, suite.counts)
+def run_suites(names: Sequence[str], cfg: ExperimentConfig) -> list[SuiteResult]:
+    """One result per named suite, in order, from one pass over the trials."""
+    for name in names:
+        if name not in SUITES:
+            raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    suites = [SUITES[name] for name in names]
+    recs = [Record(name, cfg, s.samples, s.counts) for name, s in zip(names, suites)]
+    solves = list(dict.fromkeys(key for s in suites for key in s.solves))
     for trials in _lockstep_chunks(range(cfg.trials), 1 << cfg.depth):
         group = [make_trial(cfg, t) for t in trials]
-        for td, solved in zip(group, _solve_group(suite, group)):
-            rec.trial = td.index
-            suite.check(rec, td, solved)
-    res = SuiteResult(name, cfg.to_dict(), findings=rec.findings)
-    for gate in suite.gates:
-        res.assertions.extend(gate(rec) if callable(gate) else [rec.assertion(*gate)])
-    res.measured = {k: _stats(v) for k, v in rec.samples.items()} | rec.counts
-    return res
+        for td, solved in zip(group, _solve_group(solves, group)):
+            for suite, rec in zip(suites, recs):
+                rec.trial = td.index
+                suite.check(rec, td, solved)
+    results = []
+    for suite, rec in zip(suites, recs):
+        res = SuiteResult(rec.suite, cfg.to_dict(), findings=rec.findings)
+        for gate in suite.gates:
+            res.assertions.extend(gate(rec) if callable(gate) else [rec.assertion(*gate)])
+        res.measured = {k: _stats(v) for k, v in rec.samples.items()} | rec.counts
+        results.append(res)
+    return results

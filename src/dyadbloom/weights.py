@@ -8,7 +8,6 @@ function bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -80,20 +79,6 @@ class Weight:
     def averages_at_level(self, k: int) -> np.ndarray:
         """Array of <w>_I over all level-k intervals."""
         return self.averages[k]
-
-    def expectation(self, f: StepFunction, iv: DyadicInterval) -> float:
-        """Weighted average E^w_I(f) = (1/w(I)) * integral of f w over I."""
-        sl = self.grid.leaf_slice(iv)
-        num = float((f.values[sl] * self.values[sl]).sum()) * self.grid.leaf_width
-        return num / self.mass(iv)
-
-    def weighted_inner(self, f: StepFunction, g: StepFunction) -> float:
-        """Integral of f * g * w."""
-        return float((f.values * g.values * self.values).mean())
-
-    def weighted_l2(self, f: StepFunction) -> float:
-        """L^2(w) norm of f."""
-        return math.sqrt(float((f.values**2 * self.values).mean()))
 
     @cached_property
     def inverse(self) -> "Weight":

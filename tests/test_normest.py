@@ -30,7 +30,6 @@ from dyadbloom import (
     paraproduct_carleson_sequence,
     paraproduct_operator,
     project_admissible,
-    shift_adjoint,
     shift_operator,
 )
 from dyadbloom import normest
@@ -84,11 +83,11 @@ def test_shift_kernels_take_stacks_bitwise():
             assert np.array_equal(row, kernel(v))
 
 
-def test_shift_adjoint_coefficients():
+def test_shift_transpose_coefficients():
     # the coefficient of Sh^T f on I is (fhat(I_-) - fhat(I_+)) / sqrt(2)
     grid = DyadicGrid(5)
     f = StepFunction(grid, np.random.default_rng(3).standard_normal(32))
-    g = shift_adjoint(f).values
+    g = shift_operator(grid).transpose(f.values)
     for k in range(4):
         for j in range(1 << k):
             want = (oracles.coeff(f.values, 5, k + 1, 2 * j)
@@ -350,7 +349,7 @@ def test_paraproduct_suite_makes_one_normal_apply_per_lockstep_step(monkeypatch)
     # one solve, whose stacked normal runs once per step, as many steps as
     # the slowest row needs, not the sum of the rows' counts
     from dyadbloom.config import ExperimentConfig
-    from dyadbloom.suites import run_suite
+    from dyadbloom.suites import run_suites
 
     engine = normest._top_eigenvalues
     solves = []
@@ -368,7 +367,7 @@ def test_paraproduct_suite_makes_one_normal_apply_per_lockstep_step(monkeypatch)
 
     monkeypatch.setattr(normest, "_top_eigenvalues", counting)
     cfg = ExperimentConfig.from_dict({**ExperimentConfig().to_dict(), "trials": 5})
-    run_suite("paraproduct-bounds", cfg)
+    run_suites(["paraproduct-bounds"], cfg)
     assert [rows for rows, _, _ in solves] == [5, 5]
     for _, calls, per_row in solves:
         assert calls == max(per_row) < sum(per_row)
@@ -382,7 +381,7 @@ def test_width_cap_bounds_rows_times_leaves(depth, shift_rows, ppott_rows, monke
     # as before lockstep solves existed (the last 1 is the constant-weight
     # assertion's own solve)
     from dyadbloom.config import ExperimentConfig
-    from dyadbloom.suites import run_suite
+    from dyadbloom.suites import run_suites
 
     engine = normest._top_eigenvalues
     seen = []
@@ -399,7 +398,7 @@ def test_width_cap_bounds_rows_times_leaves(depth, shift_rows, ppott_rows, monke
     cfg = ExperimentConfig.from_dict(
         {**ExperimentConfig().to_dict(), "depth": depth, "trials": 2}
     )
-    run_suite("ppott", cfg)
+    run_suites(["ppott"], cfg)
     assert seen == [*ppott_rows, 1]
 
 

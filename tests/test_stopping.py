@@ -29,11 +29,11 @@ from dyadbloom.stopping import (
     minimal_packing_constant,
     ordered_sum,
     packing_ratio,
-    square_sum_factory,
+    square_sum_factories,
     three_condition_factory,
     threshold_factory,
 )
-from dyadbloom.suites import run_suite
+from dyadbloom.suites import run_suites
 from dyadbloom.weights import EnsembleSpec, Weight, generate, rho_weight
 
 
@@ -330,7 +330,7 @@ def test_square_sum_factory_worked_example(grid2, unit_weight):
     b = haar_function(grid2, DyadicInterval(0, 0))
     # path sum through the root is exactly 1 everywhere below it
     for C, expect in ((0.5, 2), (1.0, 2), (1.5, 0)):
-        fam = maximal_stopping_intervals(grid2, grid2.root, square_sum_factory(b, one, C, 1.0))
+        fam = maximal_stopping_intervals(grid2, grid2.root, square_sum_factories(b, one, 1.0)(C))
         assert fam.members.levels.size == expect
         if expect:
             assert _members(fam) == (DyadicInterval(1, 0), DyadicInterval(1, 1))
@@ -397,7 +397,7 @@ def test_level_mask_scan_matches_depth_first_oracle(depth, data):
         C = data.draw(st.floats(0.05, 10.0), label="C")
         b2 = data.draw(st.floats(0.1, 3.0), label="b2 value")
         rho = rho_weight(mu, lam)
-        factory = square_sum_factory(b, rho, C, b2)
+        factory = square_sum_factories(b, rho, b2)(C)
         oracle = lambda r: oracles.square_sum_predicate(  # noqa: E731
             b.values, rho.values, C, b2, depth, r
         )
@@ -455,7 +455,7 @@ def test_corona_scan_matches_oracle_root_by_root(depth, data):
     else:
         C = data.draw(st.floats(0.05, 10.0), label="C")
         rho = rho_weight(mu, lam)
-        factory = square_sum_factory(b, rho, C, 1.0)
+        factory = square_sum_factories(b, rho, 1.0)(C)
         oracle = lambda r: oracles.square_sum_predicate(  # noqa: E731
             b.values, rho.values, C, 1.0, depth, r
         )
@@ -487,7 +487,7 @@ def test_corona_scan_matches_oracle_root_by_root(depth, data):
         assert len(gens) == n_gens
 
 
-# recorded from run_suite("stopping", ...) with seed 2026: float.hex of every
+# recorded from run_suites(["stopping"], ...) with seed 2026: float.hex of every
 # measured statistic and every assertion worst
 _PINNED_STOPPING = {
     (8, 5): {
@@ -543,7 +543,7 @@ _PINNED_STOPPING = {
 
 @pytest.mark.parametrize("depth, trials", sorted(_PINNED_STOPPING))
 def test_stopping_suite_is_bitwise_pinned(depth, trials):
-    res = run_suite("stopping", ExperimentConfig(depth=depth, trials=trials, seed=2026))
+    (res,) = run_suites(["stopping"], ExperimentConfig(depth=depth, trials=trials, seed=2026))
     got = {
         f"{name}.{k}": v.hex()
         for name, stats in res.measured.items()
@@ -580,7 +580,7 @@ def test_stopping_suite_at_depth_16_scans_once_per_generation(monkeypatch):
     monkeypatch.setattr(stopping, "maximal_stopping_intervals", counted_scan)
     monkeypatch.setattr(stopping, "corona_generations", counted_corona)
     monkeypatch.setattr(suites, "corona_generations", counted_corona)
-    res = run_suite("stopping", ExperimentConfig(depth=16, trials=1))
+    (res,) = run_suites(["stopping"], ExperimentConfig(depth=16, trials=1))
     assert res.passed
     assert len(coronas) >= 2
     assert all(n == g for n, g in coronas), coronas
@@ -606,6 +606,6 @@ def test_stopping_trial_analyses_b_once_per_square_sum_search(monkeypatch):
         if name.startswith("dyadbloom") and getattr(module, "analyze_leaves", None) is original:
             monkeypatch.setattr(module, "analyze_leaves", counting)
     cfg = ExperimentConfig.from_dict({**ExperimentConfig().to_dict(), "trials": 1})
-    res = run_suite("stopping", cfg)
+    (res,) = run_suites(["stopping"], cfg)
     assert res.measured["square_sum_constant"]["n"] == 1
     assert len(calls) == 7

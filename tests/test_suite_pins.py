@@ -5,7 +5,9 @@ Every float a suite reports (each measured statistic, each assertion's worst
 value, each finding's numbers) is compared as float.hex against
 suite_pins.json.  The configs cover a full lockstep group at D=8 and D=10 and
 a run whose last group is partial (37 trials at D=6), so a trial's values
-must not depend on the group it is solved in.
+must not depend on the group it is solved in.  Each config is also run as
+one joint pass over all eight suites, held to the same pins, so a suite's
+values must not depend on which other suites share its pass.
 
 To re-record after a change that is meant to move floats (and say so in
 CHANGES.md):  PYTHONPATH=src python tests/test_suite_pins.py
@@ -16,8 +18,8 @@ import pathlib
 
 import pytest
 
-from dyadbloom.config import ExperimentConfig
-from dyadbloom.suites import run_suite
+from dyadbloom.config import SUITE_NAMES, ExperimentConfig
+from dyadbloom.suites import SuiteResult, run_suites
 
 PINS = pathlib.Path(__file__).with_name("suite_pins.json")
 SUITES = (
@@ -30,11 +32,13 @@ def _hex(v):
     return v.hex() if isinstance(v, float) else v
 
 
-def suite_floats(name: str, depth: int, trials: int, seed: int) -> dict:
-    cfg = ExperimentConfig.from_dict(
+def _config(depth: int, trials: int, seed: int) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(
         {**ExperimentConfig().to_dict(), "depth": depth, "trials": trials, "seed": seed}
     )
-    res = run_suite(name, cfg)
+
+
+def result_floats(res: SuiteResult) -> dict:
     out = {}
     for key, stats in res.measured.items():
         if isinstance(stats, dict):
@@ -48,6 +52,10 @@ def suite_floats(name: str, depth: int, trials: int, seed: int) -> dict:
     return out
 
 
+def suite_floats(name: str, depth: int, trials: int, seed: int) -> dict:
+    return result_floats(run_suites([name], _config(depth, trials, seed))[0])
+
+
 def _key(name, depth, trials, seed):
     return f"{name} D={depth} trials={trials} seed={seed}"
 
@@ -57,6 +65,16 @@ def _key(name, depth, trials, seed):
 def test_suite_floats_are_pinned(name, config):
     pins = json.loads(PINS.read_text(encoding="utf-8"))
     assert suite_floats(name, *config) == pins[_key(name, *config)]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: "D{}x{}s{}".format(*c))
+def test_joint_pass_matches_the_pins(config):
+    pins = json.loads(PINS.read_text(encoding="utf-8"))
+    results = run_suites(SUITE_NAMES, _config(*config))
+    assert [res.suite for res in results] == list(SUITE_NAMES)
+    for res in results:
+        if res.suite in SUITES:
+            assert result_floats(res) == pins[_key(res.suite, *config)], res.suite
 
 
 if __name__ == "__main__":

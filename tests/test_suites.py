@@ -11,7 +11,8 @@ import math
 import pytest
 
 from dyadbloom.config import SUITE_NAMES, ExperimentConfig
-from dyadbloom.suites import SUITES, Record, run_suite
+from dyadbloom import suites
+from dyadbloom.suites import SOLVES, SUITES, Record, run_suites
 
 CONTRACT = {
     "identities": (
@@ -97,10 +98,14 @@ def test_suite_registry_matches_config_names():
     assert tuple(CONTRACT) == SUITE_NAMES
 
 
+def test_every_solve_is_named_and_every_name_solved():
+    assert {name for suite in SUITES.values() for name in suite.solves} == set(SOLVES)
+
+
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_suite_assertions_and_measured_keys(name):
     cfg = ExperimentConfig.from_dict({"depth": 4, "trials": 2})
-    result = run_suite(name, cfg)
+    (result,) = run_suites([name], cfg)
     gates, measured = CONTRACT[name]
     assert [(a.name, a.tolerance) for a in result.assertions] == gates
     assert set(result.measured) == measured
@@ -117,8 +122,7 @@ def test_constant_symbol_passes_with_unreached_gates():
         "unstopped_coeff_sum_within_C_cubed",
     }
     seen = set()
-    for name in SUITE_NAMES:
-        result = run_suite(name, cfg)
+    for name, result in zip(SUITE_NAMES, run_suites(SUITE_NAMES, cfg)):
         assert result.passed, name
         for a in result.assertions:
             if a.name in unreached:
@@ -138,3 +142,28 @@ def test_nan_residual_fails_its_gate(residuals):
     assert math.isnan(a.worst)
     nan_trial = next(t for t, v in enumerate(residuals) if math.isnan(v))
     assert a.detail == f"worst at trial {nan_trial}"
+
+
+def test_joint_pass_draws_each_trial_once_and_solves_once(monkeypatch):
+    # D=8 x 5 trials is one lockstep group: three generate calls per trial,
+    # three more for equivalences' degenerate-symbol check on trial 0, and
+    # one commutator solve, which commutator-bounds and neccon-chain share
+    generated, solved = [], []
+    generate = suites.generate
+
+    def counting_generate(spec):
+        generated.append(spec)
+        return generate(spec)
+
+    solver, rows_of = SOLVES["commutator"]
+
+    def counting_solver(rows):
+        solved.append(len(rows))
+        return solver(rows)
+
+    monkeypatch.setattr(suites, "generate", counting_generate)
+    monkeypatch.setitem(SOLVES, "commutator", (counting_solver, rows_of))
+    results = run_suites(SUITE_NAMES, ExperimentConfig.from_dict({"depth": 8, "trials": 5}))
+    assert all(res.passed for res in results)
+    assert len(generated) == 3 * 5 + 3
+    assert solved == [5]

@@ -1,6 +1,5 @@
 """Weights, A2 characteristics, and the random ensembles."""
 
-import math
 
 import numpy as np
 import pytest
@@ -78,19 +77,6 @@ def test_rho_weight_is_sqrt_ratio(random_positive):
     lam = random_positive(3, seed=2)
     rho = rho_weight(mu, lam)
     np.testing.assert_allclose(rho.values, np.sqrt(mu.values / lam.values), rtol=1e-15)
-
-
-def test_weighted_expectation_and_inner(random_positive, rng):
-    w = random_positive(4, seed=9)
-    f = StepFunction(w.grid, rng.standard_normal(16))
-    g = StepFunction(w.grid, rng.standard_normal(16))
-    want_inner = float((f.values * g.values * w.values).mean())
-    assert w.weighted_inner(f, g) == pytest.approx(want_inner, rel=1e-14)
-    assert w.weighted_l2(f) == pytest.approx(math.sqrt((f.values**2 * w.values).mean()), rel=1e-14)
-    iv = DyadicInterval(1, 1)
-    sl = oracles.leaf_slice(4, 1, 1)
-    want_exp = float((f.values[sl] * w.values[sl]).sum()) / float(w.values[sl].sum())
-    assert w.expectation(f, iv) == pytest.approx(want_exp, rel=1e-14)
 
 
 # ------------------------------------------------------------------ ensembles
