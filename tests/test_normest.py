@@ -459,6 +459,15 @@ def test_norm_report_is_bitwise_pinned():
     for prefix, part in (("", d), ("bmo.", d["bmo"]), ("ratios.", d["ratios"])):
         got.update({prefix + k: v.hex() for k, v in part.items() if isinstance(v, float)})
     assert got == _PINNED_D8_REPORT
+    assert (d["depth"], d["shift_truncated"]) == (8, True)
+    assert d["bmo"]["argmax"] == {
+        "bloom_b2": {"level": 5, "position": 30},
+        "bloom_b2_dual": {"level": 6, "position": 60},
+        "bloom_b2_l2form": {"level": 5, "position": 30},
+        "bmo_rho": {"level": 0, "position": 0},
+        "bmo_rho_l1": {"level": 7, "position": 120},
+        "neccon": {"level": 5, "position": 30},
+    }
     # per norm: the Lanczos matvecs and the final Ritz residual of W'W, at
     # most eps times the top Ritz value (the norm squared)
     diagnostics = {k: (v["matvecs"], v["ritz_residual"].hex()) for k, v in d["diagnostics"].items()}
