@@ -29,11 +29,8 @@ from .errors import (
 from .grid import (
     DyadicGrid,
     DyadicInterval,
-    HaarSpectrum,
     StepFunction,
-    haar_analyze,
     haar_function,
-    haar_synthesize,
     indicator,
     square_function,
 )

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -130,7 +130,7 @@ def _bloom_l2form_scan(b: StepFunction, mu: Weight, lam: Weight) -> _SupResult:
     mu_inv = mu.inverse
     _, coeffs = analyze_leaves(b.values, depth)
     scaled = [
-        (coeffs[m] * mu_inv.averages_at_level(m)) * math.sqrt(2**m)
+        (coeffs[m] * mu_inv.averages[m]) * math.sqrt(2**m)
         for m in range(depth)
     ]
     lam_vals = lam.values
@@ -251,13 +251,7 @@ class BmoReport:
     argmax: dict
 
     def to_dict(self) -> dict:
-        return {
-            **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "argmax"},
-            "argmax": {
-                name: {"level": iv.level, "position": iv.position}
-                for name, iv in self.argmax.items()
-            },
-        }
+        return asdict(self)
 
 
 def bmo_report(b: StepFunction, mu: Weight, lam: Weight) -> BmoReport:

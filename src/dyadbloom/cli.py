@@ -306,24 +306,14 @@ def sweep_rows(base: ExperimentConfig, parameter: str, values) -> list[dict]:
         cfg = _sweep_config(base, parameter, float(v))
         td = make_trial(cfg, 0)
         rep = compute_norm_report(td.b, td.mu, td.lam)
-        rows.append(
-            {
-                "parameter": parameter,
-                "value": float(v),
-                "depth": rep.depth,
-                "a2_mu": rep.a2_mu,
-                "a2_lambda": rep.a2_lambda,
-                "a2_rho": rep.a2_rho,
-                "bloom_b2": rep.bmo.bloom_b2,
-                "bloom_b2_dual": rep.bmo.bloom_b2_dual,
-                "bmo_rho": rep.bmo.bmo_rho,
-                "neccon": rep.bmo.neccon,
-                "norm_paraproduct": rep.norm_paraproduct,
-                "norm_shift_mu": rep.norm_shift_mu,
-                "norm_commutator": rep.norm_commutator,
-                "shift_mu_norm_over_a2_mu": rep.norm_shift_mu / rep.a2_mu,
-            }
-        )
+        cells = {
+            **rep.to_dict(),
+            **rep.bmo.to_dict(),
+            "parameter": parameter,
+            "value": float(v),
+            "shift_mu_norm_over_a2_mu": rep.norm_shift_mu / rep.a2_mu,
+        }
+        rows.append({c: cells[c] for c in SWEEP_COLUMNS})
     return rows
 
 

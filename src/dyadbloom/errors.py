@@ -10,7 +10,7 @@ class GridMismatchError(DyadBloomError):
 
 
 class InadmissibleLevelError(DyadBloomError):
-    """A strict-mode operator met nonzero coefficients at an unrepresentable level.
+    """A shift-based operator met nonzero coefficients at an unrepresentable level.
 
     Attributes
     ----------

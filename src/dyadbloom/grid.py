@@ -42,14 +42,11 @@ __all__ = [
     "DyadicInterval",
     "DyadicGrid",
     "StepFunction",
-    "HaarSpectrum",
     "analyze_leaves",
     "synthesize_leaves",
     "level_masses",
     "accumulate_levels",
     "stack_rows",
-    "haar_analyze",
-    "haar_synthesize",
     "haar_function",
     "indicator",
     "square_layers",
@@ -235,55 +232,6 @@ class StepFunction:
         return f"StepFunction(depth={self.grid.depth}, n={self.grid.n_leaves})"
 
 
-class HaarSpectrum:
-    """Mean plus Haar coefficients of a step function.
-
-    level_coeffs[k] holds the coefficients of all level-k intervals in position
-    order, for 0 <= k < D.  Arrays are read-only.
-    """
-
-    __slots__ = ("grid", "mean", "level_coeffs")
-
-    def __init__(self, grid: DyadicGrid, mean: float, level_coeffs: Sequence[np.ndarray]):
-        if len(level_coeffs) != grid.depth:
-            raise ValueError(
-                f"expected {grid.depth} coefficient levels, got {len(level_coeffs)}"
-            )
-        frozen = []
-        for k, arr in enumerate(level_coeffs):
-            a = np.array(arr, dtype=np.float64)
-            if a.shape != (1 << k,):
-                raise ValueError(f"level {k} must have {1 << k} coefficients")
-            a.setflags(write=False)
-            frozen.append(a)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "mean", float(mean))
-        object.__setattr__(self, "level_coeffs", tuple(frozen))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HaarSpectrum is immutable")
-
-    def coeff(self, iv: DyadicInterval) -> float:
-        if iv.level >= self.grid.depth:
-            raise ValueError(
-                f"no Haar coefficient at level {iv.level} on a depth-{self.grid.depth} grid"
-            )
-        return float(self.level_coeffs[iv.level][iv.position])
-
-    def items(self) -> Iterator[tuple[DyadicInterval, float]]:
-        """(interval, coefficient) pairs in level-major order."""
-        for k, arr in enumerate(self.level_coeffs):
-            for j in range(arr.shape[0]):
-                yield DyadicInterval(k, j), float(arr[j])
-
-    def coeff_energy(self) -> float:
-        """Sum of squared coefficients (Parseval complement of the mean)."""
-        return float(sum((arr**2).sum() for arr in self.level_coeffs))
-
-    def __repr__(self):
-        return f"HaarSpectrum(depth={self.grid.depth}, mean={self.mean!r})"
-
-
 def analyze_leaves(values: np.ndarray, depth: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Haar analysis on the last axis of a (..., 2^depth) array.
 
@@ -373,20 +321,6 @@ def level_masses(values: np.ndarray, depth: int) -> list[np.ndarray]:
         m = m[..., 0::2] + m[..., 1::2]
         out[k] = m
     return out
-
-
-def haar_analyze(f: StepFunction) -> HaarSpectrum:
-    """Haar transform of a step function."""
-    mean, coeffs = analyze_leaves(f.values, f.grid.depth)
-    return HaarSpectrum(f.grid, float(mean), coeffs)
-
-
-def haar_synthesize(spectrum: HaarSpectrum) -> StepFunction:
-    """Step function with the given mean and Haar coefficients."""
-    vals = synthesize_leaves(
-        np.asarray(spectrum.mean), spectrum.level_coeffs, spectrum.grid.depth
-    )
-    return StepFunction(spectrum.grid, vals)
 
 
 def haar_function(grid: DyadicGrid, iv: DyadicInterval) -> StepFunction:

@@ -50,7 +50,7 @@ which the classical dyadic embedding theorem pins within [carleson,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -274,7 +274,7 @@ def ppott_best_constants(ws: Sequence[Weight]) -> list[TopEigen]:
     grid = ws[0].grid
     depth = grid.depth
     root_w = np.sqrt(stack_rows([w.values for w in ws]))
-    inv_avgs = [1.0 / stack_rows([w.averages_at_level(k) for w in ws]) for k in range(depth)]
+    inv_avgs = [1.0 / stack_rows([w.averages[k] for w in ws]) for k in range(depth)]
 
     def form(y: np.ndarray) -> np.ndarray:
         _, c = analyze_leaves(root_w * y, depth)
@@ -433,7 +433,7 @@ def necessity_restriction_ratios(
     local = np.zeros(n)
     out: list[np.ndarray] = [None] * depth  # type: ignore[list-item]
     for k in range(depth - 1, -1, -1):
-        scaled = cb[k] * mu_inv.averages_at_level(k) * math.sqrt(2**k)
+        scaled = cb[k] * mu_inv.averages[k] * math.sqrt(2**k)
         blocks = local.reshape(1 << k, 2, n >> (k + 1))
         blocks[:, 0, :] -= scaled[:, None]
         blocks[:, 1, :] += scaled[:, None]
@@ -476,21 +476,7 @@ class NormReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "a2_mu": self.a2_mu,
-            "a2_lambda": self.a2_lambda,
-            "a2_rho": self.a2_rho,
-            "bmo": self.bmo.to_dict(),
-            "norm_paraproduct": self.norm_paraproduct,
-            "norm_paraproduct_adjoint": self.norm_paraproduct_adjoint,
-            "norm_shift_mu": self.norm_shift_mu,
-            "norm_shift_lambda": self.norm_shift_lambda,
-            "norm_commutator": self.norm_commutator,
-            "shift_truncated": self.shift_truncated,
-            "ratios": dict(self.ratios),
-            "diagnostics": {k: dict(v) for k, v in self.diagnostics.items()},
-        }
+        return asdict(self)
 
 
 def _safe_ratio(num: float, den: float) -> float:

@@ -14,18 +14,18 @@ spectrum avoids the deepest level; its plan carries the transpose.
 Each operator has one implementation, a LeafOperator of array kernels
 built once per symbol (b is analysed when the plan is built, not per apply).
 The norm engine runs on the plans; paraproduct, paraproduct_adjoint,
-haar_shift and commutator_shift wrap the same kernels for StepFunctions, so
-the suites and the engine share every operator.  A plan may also be built
-for a sequence of symbols on one grid: it then applies symbol r to row r of
-a (rows, 2^D) stack, so one plan serves the lockstep solves of a whole group
-of trials.
+haar_shift, commutator_shift and expansion_terms wrap the same kernels for
+StepFunctions, so the suites and the engine share every operator.  A plan
+may also be built for a sequence of symbols on one grid: it then applies
+symbol r to row r of a (rows, 2^D) stack, so one plan serves the lockstep
+solves of a whole group of trials.
 
 Admissibility.  Sh maps a level-k coefficient to level k+1, so level-(D-1)
 input coefficients have no representation at depth D.  Functions whose
-spectrum is supported on levels <= D-2 are called admissible; mode="strict"
-(the default) raises InadmissibleLevelError when the input is not, and
-mode="truncate" drops the offending level and reports a flag.  The plans
-always truncate.
+spectrum is supported on levels <= D-2 are called admissible.  The
+StepFunction functions that apply the shift raise InadmissibleLevelError
+when an input is not; the plans are the one route that truncates, dropping
+the offending level (is_admissible tells whether anything is dropped).
 
 Exactness.  Sh and the expansion remainder are computed by quarter patterns:
 the image of the I-term of f is coefficient * |I|^{-1} times the sign pattern
@@ -127,7 +127,7 @@ def paraproduct_adjoint_operator(b: Symbols) -> LeafOperator:
 
 
 def shift_operator(grid: DyadicGrid) -> LeafOperator:
-    """The shift with its deepest input level dropped (truncate mode).
+    """The shift with its deepest input level dropped.
 
     The coefficient of Sh^T g on a level-k interval I, k <= D-2, is
     (ghat(I_-) - ghat(I_+)) / sqrt(2); the mean, the level-0 coefficient of
@@ -164,7 +164,8 @@ def _commutator_plan(grid: DyadicGrid, bv: np.ndarray) -> LeafOperator:
 
 
 def commutator_operator(b: Symbols) -> LeafOperator:
-    """[b, Sh] with transpose Sh^T b - b Sh^T (truncate mode).
+    """[b, Sh] with transpose Sh^T b - b Sh^T, deepest shift input level
+    dropped.
 
     Each symbol is centred first: [b, Sh] = [b - <b>, Sh], and the centred
     form makes a constant symbol give exactly zero.
@@ -196,13 +197,14 @@ def _check_admissible(coeffs: list[np.ndarray], depth: int, what: str):
             f"{what} has a nonzero Haar coefficient at level {depth - 1} "
             f"(max |coeff| = {worst:.3e}); the shift cannot represent its image "
             f"at depth {depth}. Project to levels <= {depth - 2} or use "
-            f"mode='truncate'.",
+            f"the operator plans, which truncate.",
             level=depth - 1,
             max_abs=worst,
         )
 
 
 def _check_both_admissible(b: StepFunction, f: StepFunction, what: str):
+    _check_same_grid(b, f)
     depth = b.grid.depth
     _check_admissible(analyze_leaves(b.values, depth)[1], depth, f"{what} symbol b")
     _check_admissible(analyze_leaves(f.values, depth)[1], depth, f"{what} argument f")
@@ -248,53 +250,44 @@ def _shift_values(coeffs: list[np.ndarray], depth: int) -> np.ndarray:
     return _quarter_pyramid(scaled, depth, _SHIFT_SIGNS, coeffs[0].shape[:-1])
 
 
-def haar_shift(f: StepFunction, mode: str = "strict") -> StepFunction:
+def haar_shift(f: StepFunction) -> StepFunction:
     """Apply the dyadic shift Sh: h_I -> (h_{I_-} - h_{I_+}) / sqrt(2).
 
-    Constants map to 0.  mode="strict" raises InadmissibleLevelError when f
-    has nonzero level-(D-1) coefficients; mode="truncate" zeroes them
-    (is_admissible tells whether anything is dropped).
+    Constants map to 0.  Raises InadmissibleLevelError when f has nonzero
+    level-(D-1) coefficients; shift_operator drops them instead.
     """
-    if mode not in ("strict", "truncate"):
-        raise ValueError(f"mode must be 'strict' or 'truncate', got {mode!r}")
     depth = f.grid.depth
     _, coeffs = analyze_leaves(f.values, depth)
-    if mode == "strict":
-        _check_admissible(coeffs, depth, "shift input")
+    _check_admissible(coeffs, depth, "shift input")
     return StepFunction(f.grid, _shift_values(coeffs, depth))
 
 
-def commutator_shift(b: StepFunction, f: StepFunction, mode: str = "strict") -> StepFunction:
+def commutator_shift(b: StepFunction, f: StepFunction) -> StepFunction:
     """[b, Sh] f = b * Sh(f) - Sh(b * f).
 
-    In strict mode both b and f must be admissible; the product b*f is then
-    admissible automatically (it is constant on level-(D-1) blocks, with
-    bitwise-equal sibling leaves, so its top coefficients vanish exactly) and
-    no truncation can occur anywhere in the formula.
+    Both b and f must be admissible; the product b*f is then admissible
+    automatically (it is constant on level-(D-1) blocks, with bitwise-equal
+    sibling leaves, so its top coefficients vanish exactly) and no
+    truncation can occur anywhere in the formula.
     """
-    _check_same_grid(b, f)
-    if mode == "strict":
-        _check_both_admissible(b, f, "commutator")
+    _check_both_admissible(b, f, "commutator")
     return StepFunction(b.grid, _commutator_plan(b.grid, b.values).apply(f.values))
 
 
-def remainder_closed_form(
-    b: StepFunction, f: StepFunction, mode: str = "strict"
-) -> StepFunction:
+def remainder_closed_form(b: StepFunction, f: StepFunction) -> StepFunction:
     """Closed form of the expansion remainder Pi_{Sh f} b - Sh(Pi_f b):
 
         sum_I bhat(I) fhat(I) |I|^{-1} * (+1, -1, +1, -1 on the quarters of I),
 
     equivalently -(1/sqrt(2)) sum_I bhat(I) fhat(I) |I|^{-1/2} (h_{I_-} + h_{I_+}).
-    Levels run over 0..D-2 (the shift drops the deepest level either way; in
-    strict mode that level must be zero to begin with).
+    Levels run over 0..D-2, and b and f must be admissible: the deepest
+    level must be zero to begin with.
     """
     depth = b.grid.depth
     _, cb = analyze_leaves(b.values, depth)
     _, cf = analyze_leaves(f.values, depth)
-    if mode == "strict":
-        _check_admissible(cb, depth, "remainder symbol b")
-        _check_admissible(cf, depth, "remainder argument f")
+    _check_admissible(cb, depth, "remainder symbol b")
+    _check_admissible(cf, depth, "remainder argument f")
     scaled = [cb[k] * cf[k] * (1 << k) for k in range(max(depth - 1, 0))]
     return StepFunction(b.grid, _quarter_pyramid(scaled, depth, _REMAINDER_SIGNS))
 
@@ -353,29 +346,30 @@ class ExpansionTerms:
         return self.pi_shf_b - self.sh_pi_f_b
 
 
-def expansion_terms(b: StepFunction, f: StepFunction, mode: str = "strict") -> ExpansionTerms:
+def expansion_terms(b: StepFunction, f: StepFunction) -> ExpansionTerms:
     """Compute all six expansion terms and the direct commutator.
 
-    For admissible b and f every intermediate is admissible where a shift is
-    applied: Pi_b f and Pi_f b inherit b's and f's coefficient support, and
-    Pi*_b f is constant on the (level of I)-blocks of its deepest active I,
-    so its spectrum also stays within levels <= D-2.
+    b and f must be admissible.  Every intermediate is then admissible where
+    a shift is applied, so the plans' shift drops nothing: Pi_b f and Pi_f b
+    inherit b's and f's coefficient support, and Pi*_b f is constant on the
+    (level of I)-blocks of its deepest active I, so its spectrum also stays
+    within levels <= D-2.
     """
-    if mode == "strict":
-        _check_both_admissible(b, f, "expansion")
+    _check_both_admissible(b, f, "expansion")
     grid = b.grid
-    shf = haar_shift(f, mode="truncate")
+    shift = shift_operator(grid).apply
     pi_b = paraproduct_operator(b)
+    shf = StepFunction(grid, shift(f.values))
 
-    def sh(values: np.ndarray) -> StepFunction:
-        return haar_shift(StepFunction(grid, values), mode="truncate")
+    def step(values: np.ndarray) -> StepFunction:
+        return StepFunction(grid, values)
 
     return ExpansionTerms(
-        commutator=commutator_shift(b, f, mode="truncate"),
-        pi_b_shf=StepFunction(grid, pi_b.apply(shf.values)),
-        sh_pi_b_f=sh(pi_b.apply(f.values)),
-        pi_b_star_shf=StepFunction(grid, pi_b.transpose(shf.values)),
-        sh_pi_b_star_f=sh(pi_b.transpose(f.values)),
+        commutator=step(_commutator_plan(grid, b.values).apply(f.values)),
+        pi_b_shf=step(pi_b.apply(shf.values)),
+        sh_pi_b_f=step(shift(pi_b.apply(f.values))),
+        pi_b_star_shf=step(pi_b.transpose(shf.values)),
+        sh_pi_b_star_f=step(shift(pi_b.transpose(f.values))),
         pi_shf_b=paraproduct(shf, b),
-        sh_pi_f_b=haar_shift(paraproduct(f, b), mode="truncate"),
+        sh_pi_f_b=step(shift(paraproduct(f, b).values)),
     )

@@ -48,10 +48,18 @@ __all__ = [
     "minimal_packing_constant",
     "minimal_corona_constant",
     "corona_generations",
+    "PACKING_TARGET",
 ]
 
 Predicate = Callable[[int, np.ndarray], "np.ndarray | bool"]
 PredicateFactory = Callable[["Intervals"], Predicate]
+
+# The packing searches find the smallest constant on the geometric grid
+# {_GRID_FACTOR^k : k >= 1, up to _C_MAX} whose family packs to at most
+# PACKING_TARGET in w-mass.
+PACKING_TARGET = 0.5
+_GRID_FACTOR = 1.1
+_C_MAX = float(1 << 20)
 
 
 def ordered_sum(values: np.ndarray) -> float:
@@ -163,11 +171,9 @@ def packing_ratio(family: StoppingFamily, w: Weight) -> float:
     return float((family.member_masses(w) / family.roots.gather(w.level_masses)).max())
 
 
-def deviation_factory(
-    weights: Weight | Sequence[Weight], C: float, two_sided: bool = True
-) -> PredicateFactory:
+def deviation_factory(weights: Weight | Sequence[Weight], C: float) -> PredicateFactory:
     """Stop where any listed weight's average deviates from its root average:
-    <w>_I > C <w>_I0, or (two_sided) <w>_I < <w>_I0 / C."""
+    <w>_I > C <w>_I0 or <w>_I < <w>_I0 / C."""
     if isinstance(weights, Weight):
         weights = [weights]
     ws = list(weights)
@@ -181,10 +187,8 @@ def deviation_factory(
         def predicate(k: int, owner: np.ndarray) -> np.ndarray:
             fires = False
             for w, hi, lo in bands:
-                v = w.averages_at_level(k)
-                fires = fires | (v > hi[owner])
-                if two_sided:
-                    fires = fires | (v < lo[owner])
+                v = w.averages[k]
+                fires = fires | (v > hi[owner]) | (v < lo[owner])
             return fires
 
         return predicate
@@ -197,7 +201,7 @@ def threshold_factory(w: Weight, factor: float = 4.0) -> PredicateFactory:
 
     def factory(roots: Intervals) -> Predicate:
         threshold = factor * roots.gather(w.averages)
-        return lambda k, owner: w.averages_at_level(k) >= threshold[owner]
+        return lambda k, owner: w.averages[k] >= threshold[owner]
 
     return factory
 
@@ -250,8 +254,8 @@ def three_condition_factory(
 
         def predicate(k: int, owner: np.ndarray) -> np.ndarray:
             return (
-                (mu_inv.averages_at_level(k) > hi_mu[owner])
-                | (rho.averages_at_level(k) > hi_rho[owner])
+                (mu_inv.averages[k] > hi_mu[owner])
+                | (rho.averages[k] > hi_rho[owner])
                 | (rows[k] > threshold[owner])
             )
 
@@ -280,12 +284,12 @@ def square_sum_factories(
     return factory_of_c
 
 
-def _constant_grid(grid_factor: float, c_max: float) -> list[float]:
+def _constant_grid() -> list[float]:
     out = []
-    c = grid_factor
-    while c <= c_max:
+    c = _GRID_FACTOR
+    while c <= _C_MAX:
         out.append(c)
-        c *= grid_factor
+        c *= _GRID_FACTOR
     return out
 
 
@@ -294,35 +298,32 @@ def minimal_packing_constant(
     root: DyadicInterval,
     factory_of_c: Callable[[float], PredicateFactory],
     w: Weight,
-    target: float = 0.5,
-    grid_factor: float = 1.1,
-    c_max: float = float(1 << 20),
 ) -> float:
-    """Smallest constant on the geometric grid {grid_factor^k : k >= 1} whose
-    stopping family packs to at most `target` in w-mass.
+    """Smallest constant on the geometric grid whose stopping family packs
+    to at most PACKING_TARGET in w-mass.
 
     Packing is monotone nonincreasing in C for the factories above (members at
     larger C nest inside members at smaller C), so binary search over the grid
     is valid.  Raises PackingSearchError carrying the best achieved ratio when
     even the largest constant fails.
     """
-    candidates = _constant_grid(grid_factor, c_max)
+    candidates = _constant_grid()
 
     def ratio_at(c: float) -> float:
         return packing_ratio(maximal_stopping_intervals(grid, root, factory_of_c(c)), w)
 
     best = ratio_at(candidates[-1])
-    if best > target:
+    if best > PACKING_TARGET:
         raise PackingSearchError(
             f"no constant up to {candidates[-1]:.6g} reaches packing target "
-            f"{target}; best achieved ratio {best:.6g}",
+            f"{PACKING_TARGET}; best achieved ratio {best:.6g}",
             min_ratio=best,
         )
     lo, hi = 0, len(candidates) - 1
     # invariant: candidates[hi] succeeds
     while lo < hi:
         mid = (lo + hi) // 2
-        if ratio_at(candidates[mid]) <= target:
+        if ratio_at(candidates[mid]) <= PACKING_TARGET:
             hi = mid
         else:
             lo = mid + 1
@@ -352,9 +353,6 @@ def minimal_corona_constant(
     root: DyadicInterval,
     factory_of_c: Callable[[float], PredicateFactory],
     w: Weight,
-    target: float = 0.5,
-    grid_factor: float = 1.1,
-    c_max: float = float(1 << 20),
     start: float | None = None,
 ) -> float:
     """Smallest grid constant whose packing target holds at EVERY corona root
@@ -362,19 +360,17 @@ def minimal_corona_constant(
     reason as minimal_packing_constant; scanned upward from that constant.
     A caller that already has minimal_packing_constant's result for the same
     arguments passes it as start, and the search is not run again."""
-    candidates = _constant_grid(grid_factor, c_max)
+    candidates = _constant_grid()
     if start is None:
-        start = minimal_packing_constant(
-            grid, root, factory_of_c, w, target, grid_factor, c_max
-        )
+        start = minimal_packing_constant(grid, root, factory_of_c, w)
     idx = candidates.index(min(c for c in candidates if c >= start * (1 - 1e-12)))
 
     for c in candidates[idx:]:
         gens = corona_generations(grid, root, factory_of_c(c))
-        if all(packing_ratio(fam, w) <= target for fam in gens):
+        if all(packing_ratio(fam, w) <= PACKING_TARGET for fam in gens):
             return c
     best = candidates[-1]
     raise PackingSearchError(
-        f"no constant up to {best:.6g} packs every corona root to {target}",
+        f"no constant up to {best:.6g} packs every corona root to {PACKING_TARGET}",
         min_ratio=math.nan,
     )

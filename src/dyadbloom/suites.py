@@ -62,11 +62,10 @@ from .grid import (
     StepFunction,
     accumulate_levels,
     analyze_leaves,
-    haar_analyze,
     haar_function,
-    haar_synthesize,
     level_masses,
     square_layers,
+    synthesize_leaves,
 )
 from .normest import (
     _lockstep_chunks,
@@ -92,6 +91,7 @@ from .operators import (
     shift_operator,
 )
 from .stopping import (
+    PACKING_TARGET,
     corona_generations,
     deviation_factory,
     maximal_stopping_intervals,
@@ -188,10 +188,11 @@ def _rel(diff: float, *scales: float) -> float:
 class Record:
     """What one suite's checks report over its trials.
 
-    run_suites sets ``trial`` before each trial's check.  ``samples`` and
-    ``counts`` hold the names the suite declares, so a name no trial reaches
-    still appears in ``measured``.  ``failures`` lists (trial, label, detail)
-    for checks that could not run.
+    run_suites sets ``trial`` before each trial's check and keeps trial 0
+    as ``first`` for the gates.  ``samples`` and ``counts`` hold the names
+    the suite declares, so a name no trial reaches still appears in
+    ``measured``.  ``failures`` lists (trial, label, detail) for checks that
+    could not run.
     """
 
     def __init__(self, suite: str, cfg: ExperimentConfig,
@@ -199,6 +200,7 @@ class Record:
         self.suite = suite
         self.cfg = cfg
         self.trial = -1
+        self.first: TrialData | None = None
         self.worst: dict[str, tuple[float, int]] = {}
         self.samples: dict[str, list[float]] = {k: [] for k in samples}
         self.counts: dict[str, int] = dict.fromkeys(counts, 0)
@@ -318,11 +320,11 @@ def _worked_example_assertions() -> list[Assertion]:
 def _check_identities(rec: Record, td: TrialData, solved: Solved) -> None:
     grid = td.b.grid
     # round trip and Parseval on a full-spectrum function
-    spec = haar_analyze(td.f_raw)
-    back = haar_synthesize(spec)
-    rec.residual("haar_round_trip", float(np.abs(back.values - td.f_raw.values).max()))
+    mean, coeffs = analyze_leaves(td.f_raw.values, grid.depth)
+    back = synthesize_leaves(mean, coeffs, grid.depth)
+    rec.residual("haar_round_trip", float(np.abs(back - td.f_raw.values).max()))
     energy = float((td.f_raw.values**2).mean())
-    parseval = spec.mean**2 + spec.coeff_energy()
+    parseval = float(mean) ** 2 + float(sum((c**2).sum() for c in coeffs))
     rec.residual("parseval", _rel(abs(energy - parseval), energy))
     # product decomposition holds for arbitrary b, g
     b, g = td.b_raw, td.g_raw
@@ -364,7 +366,7 @@ def _check_identities(rec: Record, td: TrialData, solved: Solved) -> None:
     _, cb = analyze_leaves(td.b.values, grid.depth)
     _, cf = analyze_leaves(td.f.values, grid.depth)
     predicted = sum(
-        float((cb[k] ** 2 * cf[k] ** 2 * (1 << k) * td.lam.averages_at_level(k)).sum())
+        float((cb[k] ** 2 * cf[k] ** 2 * (1 << k) * td.lam.averages[k]).sum())
         for k in range(grid.depth - 1)
     )
     rec.residual("remainder_energy_identity",
@@ -384,7 +386,7 @@ def _check_equivalences(rec: Record, td: TrialData, solved: Solved) -> None:
         a2 = a2_characteristic(w)
         inv = w.inverse
         for k in range(w.grid.depth + 1):
-            prod = w.averages_at_level(k) * inv.averages_at_level(k)
+            prod = w.averages[k] * inv.averages[k]
             rec.residual("a2_sandwich_lower", float((1.0 - prod).max()))
             rec.residual("a2_sandwich_upper", float((prod - a2).max()))
     rec.sample("a2_mu", a2_characteristic(mu))
@@ -402,7 +404,7 @@ def _check_equivalences(rec: Record, td: TrialData, solved: Solved) -> None:
 
 def _degenerate_assertions(rec: Record) -> list[Assertion]:
     # degenerate symbol: every functional vanishes exactly
-    td0 = make_trial(rec.cfg, 0)
+    td0 = rec.first
     zero = StepFunction.zero(td0.b.grid)
     vals = [
         bloom_b2(zero, td0.mu, td0.lam),
@@ -597,22 +599,22 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
 
     # (a) two-sided lambda deviation: minimal constant and its packing
     c = search("deviation", lambda: minimal_packing_constant(
-        grid, root, lambda C: deviation_factory(lam, C), lam, target=0.5
+        grid, root, lambda C: deviation_factory(lam, C), lam
     ))
     if c is not None:
         fam = maximal_stopping_intervals(grid, root, deviation_factory(lam, c))
-        rec.residual("deviation_packing_at_target", packing_ratio(fam, lam) - 0.5)
+        rec.residual("deviation_packing_at_target", packing_ratio(fam, lam) - PACKING_TARGET)
         rec.sample("deviation_constant", c)
     # corona decay at the corona-wide constant, scanned up from c (without
     # c the search reruns and records its own failure)
     cc = search("corona", lambda: minimal_corona_constant(
-        grid, root, lambda C: deviation_factory(lam, C), lam, target=0.5, start=c
+        grid, root, lambda C: deviation_factory(lam, C), lam, start=c
     ))
     if cc is not None:
         gens = corona_generations(grid, root, deviation_factory(lam, cc))
         total_root = lam.mass(root)
         for i, gen in enumerate(gens):
-            allowed = 0.5 ** (i + 1) * total_root
+            allowed = PACKING_TARGET ** (i + 1) * total_root
             gen_mass = ordered_sum(gen.member_masses(lam))
             rec.residual("corona_geometric_decay", gen_mass - allowed * (1 + 1e-12))
         rec.sample("corona_constant", cc)
@@ -625,12 +627,11 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
     c_both = None
     if b2 > 0:
         c_both = search("two-weight deviation", lambda: minimal_packing_constant(
-            grid, root, lambda C: deviation_factory([mu_inv, lam], C), mu_inv,
-            target=0.5,
+            grid, root, lambda C: deviation_factory([mu_inv, lam], C), mu_inv
         ))
     if c_both is not None:
         fam = maximal_stopping_intervals(grid, root, deviation_factory([mu_inv, lam], c_both))
-        coeffs = haar_analyze(b).level_coeffs
+        _, coeffs = analyze_leaves(b.values, grid.depth)
         # float_power is libm pow, as Python's ** on a float (a square is not)
         coeff_sum = ordered_sum(np.concatenate([
             np.float_power(coeffs[k][free], 2.0)
@@ -656,7 +657,7 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
     # (d) square-sum stopping: minimal constant in rho-mass
     if b2 > 0:
         csq = search("square-sum", lambda: minimal_packing_constant(
-            grid, root, square_sum_factories(b, rho, b2), rho, target=0.5
+            grid, root, square_sum_factories(b, rho, b2), rho
         ))
         if csq is not None:
             rec.sample("square_sum_constant", csq)
@@ -845,6 +846,9 @@ def run_suites(names: Sequence[str], cfg: ExperimentConfig) -> list[SuiteResult]
     solves = list(dict.fromkeys(key for s in suites for key in s.solves))
     for trials in _lockstep_chunks(range(cfg.trials), 1 << cfg.depth):
         group = [make_trial(cfg, t) for t in trials]
+        if trials[0] == 0:
+            for rec in recs:
+                rec.first = group[0]
         for td, solved in zip(group, _solve_group(solves, group)):
             for suite, rec in zip(suites, recs):
                 rec.trial = td.index

@@ -76,10 +76,6 @@ class Weight:
             a.setflags(write=False)
         return out
 
-    def averages_at_level(self, k: int) -> np.ndarray:
-        """Array of <w>_I over all level-k intervals."""
-        return self.averages[k]
-
     @cached_property
     def inverse(self) -> "Weight":
         """The weight 1/w (cached)."""

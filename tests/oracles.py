@@ -509,15 +509,14 @@ def unstopped_oracle(depth, root, members):
     return sorted(out)
 
 
-def deviation_predicate(weights, C, two_sided, depth, root):
-    """Any weight's average leaves [<w>_root / C, C <w>_root] (upper side
-    only when one-sided)."""
+def deviation_predicate(weights, C, depth, root):
+    """Any weight's average leaves [<w>_root / C, C <w>_root]."""
     anchors = [average_on(w, depth, *root) for w in weights]
 
     def fires(k, j):
         for w, a in zip(weights, anchors):
             v = average_on(w, depth, k, j)
-            if v > C * a or (two_sided and v < a / C):
+            if v > C * a or v < a / C:
                 return True
         return False
 

@@ -199,7 +199,7 @@ def test_criterion_04_remainder_closed_form():
             _, cf = analyze_leaves(f.values, depth)
             predicted = sum(
                 float(
-                    (cb[k] ** 2 * cf[k] ** 2 * (1 << k) * lam.averages_at_level(k)).sum()
+                    (cb[k] ** 2 * cf[k] ** 2 * (1 << k) * lam.averages[k]).sum()
                 )
                 for k in range(depth - 1)
             )

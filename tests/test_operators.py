@@ -19,6 +19,7 @@ from dyadbloom import (
     paraproduct_adjoint,
     project_admissible,
     remainder_closed_form,
+    shift_operator,
 )
 from dyadbloom.grid import analyze_leaves
 
@@ -107,7 +108,7 @@ def test_shift_is_isometry_on_admissible_mean_free():
         assert haar_shift(f0).l2_norm() == pytest.approx(f0.l2_norm(), rel=1e-13)
 
 
-def test_shift_strict_mode_rejects_deepest_level():
+def test_shift_rejects_deepest_level():
     grid = DyadicGrid(3)
     bad = haar_function(grid, DyadicInterval(2, 1))
     with pytest.raises(InadmissibleLevelError) as exc:
@@ -116,15 +117,16 @@ def test_shift_strict_mode_rejects_deepest_level():
     assert exc.value.max_abs > 0
 
 
-def test_shift_truncate_mode_flags_and_projects():
-    # is_admissible says whether truncate mode drops anything
+def test_shift_plan_truncates_what_is_admissible_flags():
+    # is_admissible says whether the plan's shift drops anything
     grid = DyadicGrid(3)
+    shift = shift_operator(grid).apply
     bad = haar_function(grid, DyadicInterval(2, 1))
     assert not is_admissible(bad)
-    assert np.all(haar_shift(bad, mode="truncate").values == 0.0)
+    assert np.all(shift(bad.values) == 0.0)
     good = haar_function(grid, grid.root)
     assert is_admissible(good)
-    np.testing.assert_array_equal(haar_shift(good, mode="truncate").values, haar_shift(good).values)
+    np.testing.assert_array_equal(shift(good.values), haar_shift(good).values)
 
 
 def test_admissibility_projection():
@@ -145,9 +147,9 @@ def test_commutator_definition():
     # [b, T]f = b(Tf) - T(bf), checked against the direct composition
     for seed in range(4):
         b, f = _pair(5, 600 + seed)
-        direct = b * haar_shift(f) - haar_shift(b * f, mode="truncate")
+        direct = b.values * haar_shift(f).values - shift_operator(b.grid).apply((b * f).values)
         got = commutator_shift(b, f)
-        np.testing.assert_allclose(got.values, direct.values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.values, direct, rtol=0, atol=1e-12)
 
 
 def test_commutator_worked_example(grid2):
@@ -175,7 +177,7 @@ def test_six_term_expansion_reproduces_commutator():
 
 
 def test_expansion_analyses_b_once_for_its_four_b_terms(monkeypatch):
-    # 2 strict-mode checks, Sh f, the commutator's stacked shift pass, one
+    # 2 admissibility checks, Sh f, the commutator's stacked shift pass, one
     # Pi_b plan shared by the four b-terms, its 2 transposes, 2 outer
     # shifts, the Pi_{Sh f} and Pi_f plans and Sh(Pi_f b): 12.  One plan per
     # b-term (four, not one) made it 15.
@@ -249,15 +251,17 @@ def test_remainder_energy_identity():
     _, cb = analyze_leaves(b.values, depth)
     _, cf = analyze_leaves(f.values, depth)
     predicted = sum(
-        float((cb[k] ** 2 * cf[k] ** 2 * (1 << k) * lam.averages_at_level(k)).sum())
+        float((cb[k] ** 2 * cf[k] ** 2 * (1 << k) * lam.averages[k]).sum())
         for k in range(depth - 1)
     )
     assert measured == pytest.approx(predicted, rel=1e-11)
 
 
-def test_expansion_strict_mode_requires_admissible_inputs():
+def test_expansion_requires_admissible_inputs():
     b, f = _pair(4, 13, admissible=False)
     with pytest.raises(InadmissibleLevelError):
         expansion_terms(b, f)
     with pytest.raises(InadmissibleLevelError):
         commutator_shift(b, f)
+    with pytest.raises(InadmissibleLevelError):
+        remainder_closed_form(b, f)

@@ -100,7 +100,7 @@ def test_worked_example_single_member(weight_4411):
     lam = weight_4411
     root = lam.grid.root
     factory = lambda roots: (  # noqa: E731
-        lambda k, owner: lam.averages_at_level(k) > 1.2 * lam.average(root)
+        lambda k, owner: lam.averages[k] > 1.2 * lam.average(root)
     )
     fam = maximal_stopping_intervals(lam.grid, root, factory)
     assert _members(fam) == (DyadicInterval(1, 0),)
@@ -165,17 +165,10 @@ def test_deviation_factory_rejects_small_constant(unit_weight):
             deviation_factory(w, c)
 
 
-def test_deviation_factory_one_sided(weight_4411):
+def test_deviation_factory_stops_on_both_sides(weight_4411):
     lam = weight_4411
-    root = lam.grid.root
-    two = maximal_stopping_intervals(
-        lam.grid, root, deviation_factory(lam, 1.3, two_sided=True)
-    )
-    one = maximal_stopping_intervals(
-        lam.grid, root, deviation_factory(lam, 1.3, two_sided=False)
-    )
-    assert _members(two) == (DyadicInterval(1, 0), DyadicInterval(1, 1))
-    assert _members(one) == (DyadicInterval(1, 0),)
+    fam = maximal_stopping_intervals(lam.grid, lam.grid.root, deviation_factory(lam, 1.3))
+    assert _members(fam) == (DyadicInterval(1, 0), DyadicInterval(1, 1))
 
 
 def test_minimal_packing_constant_trivial(unit_weight):
@@ -192,7 +185,7 @@ def test_minimal_packing_constant_worked_example(weight_4411):
     lam = weight_4411
     grid = lam.grid
     c = minimal_packing_constant(
-        grid, grid.root, lambda C: deviation_factory(lam, C), lam, target=0.5
+        grid, grid.root, lambda C: deviation_factory(lam, C), lam
     )
     assert c == pytest.approx(1.1**5, rel=1e-12)
 
@@ -210,7 +203,7 @@ def test_packing_search_error_carries_ratio(grid2, unit_weight):
     one = unit_weight(2)
     with pytest.raises(PackingSearchError) as exc:
         minimal_packing_constant(
-            one.grid, one.grid.root, lambda C: ALWAYS, one, target=0.5, c_max=4.0
+            one.grid, one.grid.root, lambda C: ALWAYS, one
         )
     assert exc.value.min_ratio == pytest.approx(1.0, abs=1e-15)
 
@@ -237,16 +230,12 @@ def test_corona_generation_indices_and_reanchoring(weight_4411):
 def test_corona_geometric_decay_cascade():
     lam = generate(EnsembleSpec(kind="cascade", depth=10, seed=5, delta=0.6))
     grid = lam.grid
-    cc = minimal_corona_constant(
-        grid, grid.root, lambda C: deviation_factory(lam, C), lam, target=0.5
-    )
-    cp = minimal_packing_constant(
-        grid, grid.root, lambda C: deviation_factory(lam, C), lam, target=0.5
-    )
+    cc = minimal_corona_constant(grid, grid.root, lambda C: deviation_factory(lam, C), lam)
+    cp = minimal_packing_constant(grid, grid.root, lambda C: deviation_factory(lam, C), lam)
     assert cc >= cp * (1 - 1e-12)
     # handing the packing constant in skips that search, same result
     assert minimal_corona_constant(
-        grid, grid.root, lambda C: deviation_factory(lam, C), lam, target=0.5, start=cp
+        grid, grid.root, lambda C: deviation_factory(lam, C), lam, start=cp
     ) == cc
     gens = corona_generations(grid, grid.root, deviation_factory(lam, cc))
     total = lam.mass(grid.root)
@@ -339,9 +328,7 @@ def test_square_sum_factory_worked_example(grid2, unit_weight):
 def test_minimal_corona_constant_search_failure(grid2, unit_weight):
     one = unit_weight(2)
     with pytest.raises(PackingSearchError):
-        minimal_corona_constant(
-            one.grid, one.grid.root, lambda C: ALWAYS, one, target=0.5, c_max=4.0
-        )
+        minimal_corona_constant(one.grid, one.grid.root, lambda C: ALWAYS, one)
 
 
 def test_member_mass_matches_oracle(weight_4411):
@@ -375,10 +362,9 @@ def test_level_mask_scan_matches_depth_first_oracle(depth, data):
     if kind == "deviation":
         ws = data.draw(st.sampled_from([[lam], [mu.inverse, lam]]), label="weights")
         C = data.draw(st.floats(1.01, 4.0), label="C")
-        two_sided = data.draw(st.booleans(), label="two-sided")
-        factory = deviation_factory(ws, C, two_sided=two_sided)
+        factory = deviation_factory(ws, C)
         oracle = lambda r: oracles.deviation_predicate(  # noqa: E731
-            [w.values for w in ws], C, two_sided, depth, r
+            [w.values for w in ws], C, depth, r
         )
     elif kind == "threshold":
         factor = data.draw(st.floats(0.5, 4.0), label="factor")
@@ -437,7 +423,7 @@ def test_corona_scan_matches_oracle_root_by_root(depth, data):
         C = data.draw(st.floats(1.01, 3.0), label="C")
         factory = deviation_factory(ws, C)
         oracle = lambda r: oracles.deviation_predicate(  # noqa: E731
-            [w.values for w in ws], C, True, depth, r
+            [w.values for w in ws], C, depth, r
         )
     elif factory_kind == "threshold":
         factor = data.draw(st.floats(1.01, 4.0), label="factor")

@@ -145,8 +145,8 @@ def test_nan_residual_fails_its_gate(residuals):
 
 
 def test_joint_pass_draws_each_trial_once_and_solves_once(monkeypatch):
-    # D=8 x 5 trials is one lockstep group: three generate calls per trial,
-    # three more for equivalences' degenerate-symbol check on trial 0, and
+    # D=8 x 5 trials is one lockstep group: three generate calls per trial
+    # (equivalences' degenerate-symbol check reuses the pass's trial 0) and
     # one commutator solve, which commutator-bounds and neccon-chain share
     generated, solved = [], []
     generate = suites.generate
@@ -165,5 +165,5 @@ def test_joint_pass_draws_each_trial_once_and_solves_once(monkeypatch):
     monkeypatch.setitem(SOLVES, "commutator", (counting_solver, rows_of))
     results = run_suites(SUITE_NAMES, ExperimentConfig.from_dict({"depth": 8, "trials": 5}))
     assert all(res.passed for res in results)
-    assert len(generated) == 3 * 5 + 3
+    assert len(generated) == 3 * 5
     assert solved == [5]
