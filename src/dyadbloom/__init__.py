@@ -31,8 +31,6 @@ from .grid import (
     DyadicInterval,
     StepFunction,
     haar_function,
-    indicator,
-    square_function,
 )
 from .normest import (
     CarlesonSequence,

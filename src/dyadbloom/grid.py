@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,9 +48,7 @@ __all__ = [
     "accumulate_levels",
     "stack_rows",
     "haar_function",
-    "indicator",
     "square_layers",
-    "square_function",
 ]
 
 
@@ -81,23 +79,6 @@ class DyadicInterval:
     def right(self) -> "DyadicInterval":
         return DyadicInterval(self.level + 1, 2 * self.position + 1)
 
-    @property
-    def parent(self) -> "DyadicInterval":
-        if self.level == 0:
-            raise ValueError("the root interval has no parent")
-        return DyadicInterval(self.level - 1, self.position // 2)
-
-    @property
-    def endpoints(self) -> tuple[float, float]:
-        w = 2.0 ** (-self.level)
-        return (self.position * w, (self.position + 1) * w)
-
-    def contains(self, other: "DyadicInterval") -> bool:
-        """Dyadic containment: other is a subinterval of (or equal to) self."""
-        if other.level < self.level:
-            return False
-        return (other.position >> (other.level - self.level)) == self.position
-
 
 ROOT = DyadicInterval(0, 0)
 
@@ -125,17 +106,6 @@ class DyadicGrid:
     @property
     def root(self) -> DyadicInterval:
         return ROOT
-
-    def intervals(self, max_level: int | None = None) -> Iterator[DyadicInterval]:
-        """All intervals in level-major order, levels 0..max_level (default D)."""
-        top = self.depth if max_level is None else max_level
-        for k in range(top + 1):
-            for j in range(1 << k):
-                yield DyadicInterval(k, j)
-
-    def coeff_intervals(self) -> Iterator[DyadicInterval]:
-        """Intervals carrying a Haar coefficient: levels 0..D-1."""
-        return self.intervals(self.depth - 1)
 
     def leaf_slice(self, iv: DyadicInterval) -> slice:
         """Range of leaf indices covered by iv."""
@@ -337,21 +307,8 @@ def haar_function(grid: DyadicGrid, iv: DyadicInterval) -> StepFunction:
     return StepFunction(grid, vals)
 
 
-def indicator(grid: DyadicGrid, iv: DyadicInterval) -> StepFunction:
-    """The indicator 1_I as a step function."""
-    vals = np.zeros(grid.n_leaves)
-    vals[grid.leaf_slice(iv)] = 1.0
-    return StepFunction(grid, vals)
-
-
 def square_layers(values: np.ndarray, depth: int) -> list[np.ndarray]:
     """The square function's layers fhat(I)^2 / |I|, entry k over the level-k
     intervals, k = 0..depth-1, on the last axis."""
     _, coeffs = analyze_leaves(values, depth)
     return [c**2 * 2.0**k for k, c in enumerate(coeffs)]
-
-
-def square_function(f: StepFunction) -> StepFunction:
-    """Dyadic square function Sf = (sum over I of fhat(I)^2 |I|^{-1} 1_I)^{1/2}."""
-    acc = accumulate_levels(square_layers(f.values, f.grid.depth), f.grid.depth)
-    return StepFunction(f.grid, np.sqrt(acc))

@@ -32,7 +32,10 @@ it returns alone.  The solvers (weighted_operator_norms,
 ppott_best_constants, carleson_embedding_checks) take one symbol and
 weight (pair) per row, and one problem is a one-row call; the verification
 suites solve a group of trials this way, and compute_norm_report its two
-shift norms.
+shift norms.  A report makes three solves (paraproduct, shifts,
+commutator): ||Pi*_b|| = ||Pi_b|| by transposition, so the adjoint's value
+and diagnostics are the paraproduct's solve; the paraproduct-bounds suite
+solves both routes and checks that duality.
 
 The Carleson block ties the coefficient functionals to embedding constants.
 The sequences, carleson_constant and the necessity sums are bmo.py's
@@ -70,7 +73,6 @@ from .operators import (
     LeafOperator,
     commutator_operator,
     is_admissible,
-    paraproduct_adjoint_operator,
     paraproduct_operator,
     shift_operator,
 )
@@ -95,11 +97,12 @@ __all__ = [
 
 # Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000):
 # ARPACK's default basis size for one eigenvalue, the Ritz vectors a restart
-# keeps, the restart cap, and the leaf columns a restart rotates at a time so
-# that it needs no second basis.
+# keeps, the restart cap per leaf (ARPACK's default maxiter is 10 n restart
+# cycles), and the leaf columns a restart rotates at a time so that it needs
+# no second basis.
 _BASIS = 20
 _KEEP = 10
-_MAX_RESTARTS = 1000
+_RESTARTS_PER_LEAF = 10
 _ROTATE_COLUMNS = 4096
 _EPS = float(np.finfo(np.float64).eps)
 # Leaves per lockstep solve: rows x 2^D stays within this.  While 2^D is
@@ -165,8 +168,8 @@ def _top_eigenvalues(
     operator with probability zero).  A residual at the rounding level of
     the Gram-Schmidt passes, or a basis spanning all n dimensions, means the
     basis is invariant: the top eigenvalue of the projected matrix is taken
-    at once.  A row not converged within the restart cap raises
-    DyadBloomError.
+    at once.  A row not converged within the restart cap, ARPACK's default
+    of 10 n restart cycles, raises DyadBloomError.
     """
     m = min(_BASIS, n)
     basis = np.zeros((rows, m + 1, n))
@@ -187,7 +190,8 @@ def _top_eigenvalues(
             basis[r] = 0.0
 
     j = 0
-    for _ in range(_MAX_RESTARTS):
+    cap = _RESTARTS_PER_LEAF * n
+    for _ in range(cap):
         while j < m:
             images = matvec(basis[:, j] if rows > 1 else basis[0, j]).reshape(rows, n)
             steps += 1
@@ -236,7 +240,10 @@ def _top_eigenvalues(
         if not live:
             return out
         j = _KEEP
-    raise DyadBloomError(f"Lanczos did not converge in {_MAX_RESTARTS} restarts")
+    raise DyadBloomError(
+        f"Lanczos did not converge within its restart cap of {cap} restarts"
+        f" ({_RESTARTS_PER_LEAF} n, n = {n})"
+    )
 
 
 def weighted_operator_norms(
@@ -494,34 +501,38 @@ def compute_norm_report(
 
     Norms use the raw symbol; shift_truncated records whether b (or any shift
     input) carries level-(D-1) content that the shift drops structurally.
-    The two shift norms are one two-row lockstep solve up to D=12.
-    diagnostics holds, per norm, the Lanczos matvecs and the final Ritz
-    residual of W'W.
+    A report makes three solves: the paraproduct, the two shift norms as one
+    two-row lockstep solve up to D=12, and the commutator.  The adjoint
+    paraproduct is not solved: the weighted matrix of
+    Pi*_b : L^2(lambda^{-1}) -> L^2(mu^{-1}) is the transpose of that of
+    Pi_b : L^2(mu) -> L^2(lambda), so ||Pi*_b|| = ||Pi_b|| (the
+    paraproduct-bounds suite solves both routes and checks this), and its
+    value and diagnostics are the paraproduct's solve.  diagnostics holds,
+    per norm, the Lanczos matvecs and the final Ritz residual of W'W.
     """
     grid = b.grid
     rho = rho_weight(mu, lam)
     a2_mu = a2_characteristic(mu)
     rep = bmo_report(b, mu, lam)
-    solves = dict(zip(
-        ("norm_paraproduct", "norm_paraproduct_adjoint", "norm_shift_mu",
-         "norm_shift_lambda", "norm_commutator"),
-        [*weighted_operator_norms(paraproduct_operator(b), [mu], [lam]),
-         *weighted_operator_norms(paraproduct_adjoint_operator(b), [lam.inverse], [mu.inverse]),
-         *(e for ws in _lockstep_chunks([mu, lam], grid.n_leaves)
-           for e in weighted_operator_norms(shift_operator(grid), ws, ws)),
-         *weighted_operator_norms(commutator_operator(b), [mu], [lam])],
-    ))
-    norm_pi, norm_pi_adj, norm_sh_mu, norm_sh_lam, norm_comm = (
-        e.value for e in solves.values()
-    )
+    (para,) = weighted_operator_norms(paraproduct_operator(b), [mu], [lam])
+    sh_mu, sh_lam = (e for ws in _lockstep_chunks([mu, lam], grid.n_leaves)
+                     for e in weighted_operator_norms(shift_operator(grid), ws, ws))
+    (comm,) = weighted_operator_norms(commutator_operator(b), [mu], [lam])
+    solves = {
+        "norm_paraproduct": para,
+        "norm_paraproduct_adjoint": para,
+        "norm_shift_mu": sh_mu,
+        "norm_shift_lambda": sh_lam,
+        "norm_commutator": comm,
+    }
     ratios = {
-        "commutator_over_bmo_rho": _safe_ratio(norm_comm, rep.bmo_rho),
-        "bmo_rho_over_commutator": _safe_ratio(rep.bmo_rho, norm_comm),
-        "paraproduct_over_bloom_b2": _safe_ratio(norm_pi, rep.bloom_b2),
-        "bloom_b2_over_paraproduct": _safe_ratio(rep.bloom_b2, norm_pi),
-        "adjoint_over_bloom_b2_dual": _safe_ratio(norm_pi_adj, rep.bloom_b2_dual),
+        "commutator_over_bmo_rho": _safe_ratio(comm.value, rep.bmo_rho),
+        "bmo_rho_over_commutator": _safe_ratio(rep.bmo_rho, comm.value),
+        "paraproduct_over_bloom_b2": _safe_ratio(para.value, rep.bloom_b2),
+        "bloom_b2_over_paraproduct": _safe_ratio(rep.bloom_b2, para.value),
+        "adjoint_over_bloom_b2_dual": _safe_ratio(para.value, rep.bloom_b2_dual),
         "l2form_over_bloom_b2": _safe_ratio(rep.bloom_b2_l2form, rep.bloom_b2),
-        "shift_mu_norm_over_sqrt_a2": _safe_ratio(norm_sh_mu, math.sqrt(a2_mu)),
+        "shift_mu_norm_over_sqrt_a2": _safe_ratio(sh_mu.value, math.sqrt(a2_mu)),
     }
     return NormReport(
         depth=grid.depth,

@@ -95,7 +95,8 @@ def _parse_leaf_file(path: str | Path) -> tuple[str, StepFunction]:
     # type(), not isinstance(): JSON true and false load as bool, an int subclass
     if type(depth) is not int:
         raise ConfigError(f"{path}: depth must be a JSON integer, got {depth!r}")
-    if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
+    # one C-level pass over the leaves: the set of their exact types
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
         raise ConfigError(f"{path}: values must be a list of JSON numbers")
     try:
         f = StepFunction(DyadicGrid(depth), values)

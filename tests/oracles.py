@@ -35,6 +35,11 @@ def contained(k, j, K, J):
     return k >= K and (j >> (k - K)) == J
 
 
+def parent(k, j):
+    """(level, position) of the parent of the level-k interval j, k >= 1."""
+    return k - 1, j >> 1
+
+
 def haar_leaves(depth, k, j):
     """Leaf values of h_I for I at (level k, position j): the normalization
     is |I|^{-1/2} = 2^{k/2}, negative on the left half."""
@@ -62,6 +67,15 @@ def integral(values):
 
 def coeff(values, depth, k, j):
     return integral(values * haar_leaves(depth, k, j))
+
+
+def square_function_leaves(values, depth):
+    """Leaf values of Sf = (sum over I of fhat(I)^2 |I|^{-1} 1_I)^{1/2}, one
+    interval at a time."""
+    acc = np.zeros(1 << depth)
+    for k, j in all_intervals(depth, depth - 1):
+        acc += coeff(values, depth, k, j) ** 2 * 2.0**k * indicator_leaves(depth, k, j)
+    return np.sqrt(acc)
 
 
 def average_on(values, depth, k, j):

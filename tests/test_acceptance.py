@@ -35,21 +35,21 @@ from dyadbloom.normest import (
     adjoint_paraproduct_carleson_sequence,
     carleson_constant,
     carleson_embedding_checks,
-    commutator_operator,
-    paraproduct_adjoint_operator,
     paraproduct_carleson_sequence,
-    paraproduct_operator,
-    shift_operator,
     weighted_operator_norms,
 )
 from dyadbloom.operators import (
+    commutator_operator,
     commutator_shift,
     expansion_terms,
     haar_shift,
     paraproduct,
     paraproduct_adjoint,
+    paraproduct_adjoint_operator,
+    paraproduct_operator,
     project_admissible,
     remainder_closed_form,
+    shift_operator,
 )
 from dyadbloom.suites import make_trial, run_suites
 from dyadbloom.weights import EnsembleSpec, Weight, a2_characteristic, generate, rho_weight
@@ -114,7 +114,8 @@ def test_criterion_01_haar_algebra():
         worst = max(worst, abs(energy - float(f @ f) / grid.n_leaves))
     for depth in range(1, 13):
         grid = DyadicGrid(depth)
-        H = np.array([haar_function(grid, iv).values for iv in grid.coeff_intervals()])
+        H = np.array([haar_function(grid, DyadicInterval(k, j)).values
+                      for k in range(depth) for j in range(1 << k)])
         G = (H @ H.T) / grid.n_leaves
         worst = max(worst, float(np.abs(G - np.eye(G.shape[0])).max()))
     elapsed = time.perf_counter() - t0

@@ -85,6 +85,17 @@ def test_leaf_file_needs_integer_depth_and_number_leaves(tmp_path, depth, values
         load_step_function(path)
 
 
+@pytest.mark.parametrize("leaf", [True, "1", None, [1.0]], ids=["bool", "string", "null", "list"])
+def test_leaf_file_rejects_a_non_number_leaf_by_name(tmp_path, leaf):
+    # one bad leaf among numbers is enough, and every kind reads the same
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"type": "symbol", "depth": 2, "values": [0, 1.5, leaf, 2]}))
+    with pytest.raises(ConfigError, match="values must be a list of JSON numbers"):
+        load_step_function(path)
+    path.write_text(json.dumps({"type": "symbol", "depth": 2, "values": [0, 1.5, -1, 2]}))
+    assert load_step_function(path).values.tolist() == [0.0, 1.5, -1.0, 2.0]
+
+
 def test_gen_requires_paired_a2_flags(tmp_path, capsys):
     out = tmp_path / "w.json"
     code = main(["gen", "--kind", "cascade", "--depth", "4",

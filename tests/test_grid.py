@@ -14,8 +14,6 @@ from dyadbloom import (
     GridMismatchError,
     StepFunction,
     haar_function,
-    indicator,
-    square_function,
 )
 from dyadbloom.grid import (
     accumulate_levels,
@@ -33,11 +31,9 @@ def test_interval_geometry():
     assert root.left == DyadicInterval(1, 0)
     assert root.right == DyadicInterval(1, 1)
     iv = DyadicInterval(3, 5)
-    assert iv.parent == DyadicInterval(2, 2)
-    assert iv.endpoints == (5 / 8, 6 / 8)
-    assert iv.parent.contains(iv)
-    assert not iv.contains(iv.parent)
-    assert iv.contains(iv)
+    assert DyadicGrid(3).leaf_slice(iv) == slice(5, 6)
+    assert DyadicGrid(4).leaf_slice(iv.left) == slice(10, 11)
+    assert DyadicGrid(4).leaf_slice(iv.right) == slice(11, 12)
 
 
 def test_interval_validation():
@@ -45,8 +41,6 @@ def test_interval_validation():
         DyadicInterval(-1, 0)
     with pytest.raises(ValueError):
         DyadicInterval(2, 4)
-    with pytest.raises(ValueError):
-        DyadicInterval(0, 0).parent
 
 
 def test_interval_ordering_is_level_major():
@@ -61,9 +55,7 @@ def test_interval_ordering_is_level_major():
 def test_grid_enumeration(grid4):
     assert grid4.n_leaves == 16
     assert grid4.leaf_width == 1 / 16
-    coeff = list(grid4.coeff_intervals())
-    assert len(coeff) == 15
-    assert coeff[0] == grid4.root
+    assert grid4.root == DyadicInterval(0, 0)
     # leaf_slice agrees with the arithmetic one
     for k, j in oracles.all_intervals(4):
         assert grid4.leaf_slice(DyadicInterval(k, j)) == oracles.leaf_slice(4, k, j)
@@ -113,12 +105,6 @@ def test_haar_function_matches_oracle():
         for k, j in oracles.all_intervals(depth, depth - 1):
             got = haar_function(grid, DyadicInterval(k, j)).values
             np.testing.assert_array_equal(got, oracles.haar_leaves(depth, k, j))
-
-
-def test_indicator_matches_oracle(grid4):
-    for k, j in oracles.all_intervals(4):
-        got = indicator(grid4, DyadicInterval(k, j)).values
-        np.testing.assert_array_equal(got, oracles.indicator_leaves(4, k, j))
 
 
 def test_analysis_matches_dot_product_oracle(rng):
@@ -266,34 +252,40 @@ def test_haar_matrix_rows_are_haar_functions():
         grid = DyadicGrid(depth)
         H = oracles.haar_matrix(depth)
         assert H.shape == (grid.n_leaves - 1, grid.n_leaves)
-        for row, iv in zip(H, grid.coeff_intervals()):
-            np.testing.assert_array_equal(row, haar_function(grid, iv).values)
+        for row, (k, j) in zip(H, oracles.all_intervals(depth, depth - 1)):
+            np.testing.assert_array_equal(row, haar_function(grid, DyadicInterval(k, j)).values)
 
 
 def test_haar_matrix_orthonormality():
     for depth in (1, 2, 3, 5):
         grid = DyadicGrid(depth)
-        H = np.array([haar_function(grid, iv).values for iv in grid.coeff_intervals()])
+        H = np.array([haar_function(grid, DyadicInterval(k, j)).values
+                      for k, j in oracles.all_intervals(depth, depth - 1)])
         gram = (H @ H.T) / grid.n_leaves
         np.testing.assert_allclose(gram, np.eye(grid.n_leaves - 1), rtol=0, atol=1e-13)
 
 
+def _square_function(values, depth):
+    """S f from the package's layers, spread over the leaves as the
+    identities suite does."""
+    return np.sqrt(accumulate_levels(square_layers(values, depth), depth))
+
+
 def test_square_function_worked_example(grid2):
     # f = h_{[0,1/2)}: S f = sqrt(f-hat^2 / |I|) = sqrt(2) on [0,1/2)
-    f = haar_function(grid2, DyadicInterval(1, 0))
-    sf = square_function(f)
-    np.testing.assert_allclose(
-        sf.values, [math.sqrt(2), math.sqrt(2), 0.0, 0.0], rtol=0, atol=1e-15
-    )
+    f = haar_function(grid2, DyadicInterval(1, 0)).values
+    want = [math.sqrt(2), math.sqrt(2), 0.0, 0.0]
+    np.testing.assert_allclose(_square_function(f, 2), want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(oracles.square_function_leaves(f, 2), want, rtol=0, atol=1e-15)
 
 
 def test_square_function_l2_matches_coeff_energy(rng):
-    grid = DyadicGrid(5)
-    f = StepFunction(grid, rng.standard_normal(grid.n_leaves))
-    _, coeffs = analyze_leaves(f.values, 5)
-    sf = square_function(f)
+    f = rng.standard_normal(32)
+    _, coeffs = analyze_leaves(f, 5)
+    sf = _square_function(f, 5)
+    np.testing.assert_allclose(sf, oracles.square_function_leaves(f, 5), rtol=1e-13, atol=0)
     energy = float(sum((c**2).sum() for c in coeffs))
-    assert float((sf.values**2).mean()) == pytest.approx(energy, rel=1e-13)
+    assert float((sf**2).mean()) == pytest.approx(energy, rel=1e-13)
 
 
 def test_square_layers_match_coefficient_oracle(rng):

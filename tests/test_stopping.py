@@ -119,12 +119,12 @@ def test_members_disjoint_maximal_and_satisfying(random_positive):
         assert _fires(factory, grid.root, s)
         assert s.level >= 1
         # no strict ancestor below the root satisfies the predicate
-        iv = s
-        while iv.level > 1:
-            iv = iv.parent
-            assert not _fires(factory, grid.root, iv)
+        k, j = s.level, s.position
+        while k > 1:
+            k, j = oracles.parent(k, j)
+            assert not _fires(factory, grid.root, DyadicInterval(k, j))
     for a, b in zip(members, members[1:]):
-        assert a.endpoints[1] <= b.endpoints[0]  # sorted and disjoint
+        assert grid.leaf_slice(a).stop <= grid.leaf_slice(b).start  # sorted and disjoint
 
 
 def test_unstopped_partition_accounts_for_every_interval(random_positive):
