@@ -1,5 +1,6 @@
-"""Bitwise pins of the solve-bearing suites and of equivalences, which reads
-every BMO functional.
+"""Bitwise pins of the solve-bearing suites, of equivalences, which reads
+every BMO functional, and of identities, which checks the exact operator
+identities.
 
 Every float a suite reports (each measured statistic, each assertion's worst
 value, each finding's numbers) is compared as float.hex against
@@ -23,7 +24,8 @@ from dyadbloom.suites import SuiteResult, run_suites
 
 PINS = pathlib.Path(__file__).with_name("suite_pins.json")
 SUITES = (
-    "equivalences", "paraproduct-bounds", "commutator-bounds", "carleson", "ppott", "neccon-chain"
+    "identities", "equivalences", "paraproduct-bounds", "commutator-bounds", "carleson", "ppott",
+    "neccon-chain",
 )
 CONFIGS = ((8, 5, 2026), (10, 4, 2026), (6, 37, 7))
 
