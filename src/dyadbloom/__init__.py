@@ -45,12 +45,8 @@ from .operators import (
     ExpansionTerms,
     LeafOperator,
     commutator_operator,
-    commutator_shift,
     expansion_terms,
-    haar_shift,
     is_admissible,
-    paraproduct,
-    paraproduct_adjoint,
     paraproduct_adjoint_operator,
     paraproduct_operator,
     project_admissible,

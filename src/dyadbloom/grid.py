@@ -2,7 +2,9 @@
 
 The grid of depth D consists of the dyadic intervals I = [j 2^{-k}, (j+1) 2^{-k})
 for levels 0 <= k <= D; level-D intervals are the leaves.  A step function is
-constant on leaves and is stored as its vector of 2^D leaf values.  Integrals
+constant on leaves: a StepFunction is its vector of 2^D leaf values,
+checked finite and read-only, and nothing more.  Arithmetic happens on leaf
+arrays; the operator plans in operators.py map arrays to arrays.  Integrals
 are exact leaf sums scaled by 2^{-D}, so every identity in this module is a
 finite linear-algebra statement.
 
@@ -68,10 +70,6 @@ class DyadicInterval:
             )
 
     @property
-    def length(self) -> float:
-        return 2.0 ** (-self.level)
-
-    @property
     def left(self) -> "DyadicInterval":
         return DyadicInterval(self.level + 1, 2 * self.position)
 
@@ -125,9 +123,10 @@ def _check_same_grid(a, b):
 class StepFunction:
     """A real step function on [0,1), constant on the leaves of its grid.
 
-    Values are stored as a read-only float64 array of length 2^D.  Arithmetic
-    operators combine functions on the same grid pointwise; mixing grids raises
-    GridMismatchError.
+    Values are stored as a read-only float64 array of length 2^D, checked
+    finite.  It carries no arithmetic: operators and functionals read its
+    values, and those that take two step functions raise GridMismatchError
+    when their grids differ.
     """
 
     __slots__ = ("grid", "values")
@@ -159,44 +158,6 @@ class StepFunction:
     def integral(self) -> float:
         """Exact integral over [0,1): mean of the leaf values."""
         return float(self.values.mean())
-
-    def l2_norm(self) -> float:
-        """Unweighted L^2 norm."""
-        return math.sqrt(float((self.values**2).mean()))
-
-    def average_on(self, iv: DyadicInterval) -> float:
-        return float(self.values[self.grid.leaf_slice(iv)].mean())
-
-    def __add__(self, other):
-        if isinstance(other, StepFunction):
-            _check_same_grid(self, other)
-            return StepFunction(self.grid, self.values + other.values)
-        return StepFunction(self.grid, self.values + float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, StepFunction):
-            _check_same_grid(self, other)
-            return StepFunction(self.grid, self.values - other.values)
-        return StepFunction(self.grid, self.values - float(other))
-
-    def __rsub__(self, other):
-        return StepFunction(self.grid, float(other) - self.values)
-
-    def __mul__(self, other):
-        if isinstance(other, StepFunction):
-            _check_same_grid(self, other)
-            return StepFunction(self.grid, self.values * other.values)
-        return StepFunction(self.grid, self.values * float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return StepFunction(self.grid, self.values / float(scalar))
-
-    def __neg__(self):
-        return StepFunction(self.grid, -self.values)
 
     def __repr__(self):
         return f"StepFunction(depth={self.grid.depth}, n={self.grid.n_leaves})"

@@ -11,21 +11,22 @@ Operators act on step functions of one grid.  With bhat(I) = <b, h_I> and
 unweighted-adjoint pair, and Sh is an isometry on mean-free functions whose
 spectrum avoids the deepest level; its plan carries the transpose.
 
-Each operator has one implementation, a LeafOperator of array kernels
-built once per symbol (b is analysed when the plan is built, not per apply).
-The norm engine runs on the plans; paraproduct, paraproduct_adjoint,
-haar_shift, commutator_shift and expansion_terms wrap the same kernels for
-StepFunctions, so the suites and the engine share every operator.  A plan
-may also be built for a sequence of symbols on one grid: it then applies
-symbol r to row r of a (rows, 2^D) stack, so one plan serves the lockstep
-solves of a whole group of trials.
+Each operator has one API, a LeafOperator of array kernels on leaf arrays,
+built once per symbol (b is analysed when the plan is built, not per apply)
+by paraproduct_operator, paraproduct_adjoint_operator, shift_operator or
+commutator_operator.  The suites and the norm engine share these plans.  A
+plan may also be built for a sequence of symbols on one grid: it then
+applies symbol r to row r of a (rows, 2^D) stack, so one plan serves the
+lockstep solves of a whole group of trials.
 
 Admissibility.  Sh maps a level-k coefficient to level k+1, so level-(D-1)
 input coefficients have no representation at depth D.  Functions whose
-spectrum is supported on levels <= D-2 are called admissible.  The
-StepFunction functions that apply the shift raise InadmissibleLevelError
-when an input is not; the plans are the one route that truncates, dropping
-the offending level (is_admissible tells whether anything is dropped).
+spectrum is supported on levels <= D-2 are called admissible.  The plans
+truncate, dropping the offending level (is_admissible tells whether anything
+is dropped).  The identity functions expansion_terms and
+remainder_closed_form are the strict entry points: admissibility is the
+identities' precondition, so they raise InadmissibleLevelError when an
+input is not admissible, and return leaf arrays.
 
 Exactness.  Sh and the expansion remainder are computed by quarter patterns:
 the image of the I-term of f is coefficient * |I|^{-1} times the sign pattern
@@ -64,10 +65,6 @@ __all__ = [
     "commutator_operator",
     "is_admissible",
     "project_admissible",
-    "paraproduct",
-    "paraproduct_adjoint",
-    "haar_shift",
-    "commutator_shift",
     "remainder_closed_form",
     "ExpansionTerms",
     "expansion_terms",
@@ -78,8 +75,8 @@ class LeafOperator(NamedTuple):
     """A linear map on the leaf values of one grid, with its transpose under
     the unweighted L^2 pairing <u, v> = mean(u v).  apply and transpose are
     array kernels (2^D leaf values on the last axis in, a new array out)
-    that check no finiteness; the StepFunction wrappers and the norm engine
-    do that.  Every kernel takes leading axes: it acts on each row of a
+    that check no finiteness; their callers (the norm engine, the suites'
+    StepFunction inputs) do that.  Every kernel takes leading axes: it acts on each row of a
     stack, bit for bit as on that row alone, since every pass is
     elementwise.  A plan built from stacked symbols broadcasts its symbol
     rows against those axes."""
@@ -203,23 +200,15 @@ def _check_admissible(coeffs: list[np.ndarray], depth: int, what: str):
         )
 
 
-def _check_both_admissible(b: StepFunction, f: StepFunction, what: str):
+def _admissible_coeffs(b: StepFunction, f: StepFunction, what: str):
+    # the Haar coefficients of b and f, each checked admissible
     _check_same_grid(b, f)
     depth = b.grid.depth
-    _check_admissible(analyze_leaves(b.values, depth)[1], depth, f"{what} symbol b")
-    _check_admissible(analyze_leaves(f.values, depth)[1], depth, f"{what} argument f")
-
-
-def paraproduct(b: StepFunction, f: StepFunction) -> StepFunction:
-    """Pi_b f = sum_I bhat(I) <f>_I h_I.  Output has mean 0."""
-    _check_same_grid(b, f)
-    return StepFunction(b.grid, paraproduct_operator(b).apply(f.values))
-
-
-def paraproduct_adjoint(b: StepFunction, f: StepFunction) -> StepFunction:
-    """Pi*_b f = sum_I bhat(I) fhat(I) 1_I / |I|, the unweighted adjoint of Pi_b."""
-    _check_same_grid(b, f)
-    return StepFunction(b.grid, paraproduct_operator(b).transpose(f.values))
+    _, cb = analyze_leaves(b.values, depth)
+    _check_admissible(cb, depth, f"{what} symbol b")
+    _, cf = analyze_leaves(f.values, depth)
+    _check_admissible(cf, depth, f"{what} argument f")
+    return cb, cf
 
 
 _SHIFT_SIGNS = (np.subtract, np.add, np.add, np.subtract)
@@ -250,31 +239,7 @@ def _shift_values(coeffs: list[np.ndarray], depth: int) -> np.ndarray:
     return _quarter_pyramid(scaled, depth, _SHIFT_SIGNS, coeffs[0].shape[:-1])
 
 
-def haar_shift(f: StepFunction) -> StepFunction:
-    """Apply the dyadic shift Sh: h_I -> (h_{I_-} - h_{I_+}) / sqrt(2).
-
-    Constants map to 0.  Raises InadmissibleLevelError when f has nonzero
-    level-(D-1) coefficients; shift_operator drops them instead.
-    """
-    depth = f.grid.depth
-    _, coeffs = analyze_leaves(f.values, depth)
-    _check_admissible(coeffs, depth, "shift input")
-    return StepFunction(f.grid, _shift_values(coeffs, depth))
-
-
-def commutator_shift(b: StepFunction, f: StepFunction) -> StepFunction:
-    """[b, Sh] f = b * Sh(f) - Sh(b * f).
-
-    Both b and f must be admissible; the product b*f is then admissible
-    automatically (it is constant on level-(D-1) blocks, with bitwise-equal
-    sibling leaves, so its top coefficients vanish exactly) and no
-    truncation can occur anywhere in the formula.
-    """
-    _check_both_admissible(b, f, "commutator")
-    return StepFunction(b.grid, _commutator_plan(b.grid, b.values).apply(f.values))
-
-
-def remainder_closed_form(b: StepFunction, f: StepFunction) -> StepFunction:
+def remainder_closed_form(b: StepFunction, f: StepFunction) -> np.ndarray:
     """Closed form of the expansion remainder Pi_{Sh f} b - Sh(Pi_f b):
 
         sum_I bhat(I) fhat(I) |I|^{-1} * (+1, -1, +1, -1 on the quarters of I),
@@ -284,17 +249,14 @@ def remainder_closed_form(b: StepFunction, f: StepFunction) -> StepFunction:
     level must be zero to begin with.
     """
     depth = b.grid.depth
-    _, cb = analyze_leaves(b.values, depth)
-    _, cf = analyze_leaves(f.values, depth)
-    _check_admissible(cb, depth, "remainder symbol b")
-    _check_admissible(cf, depth, "remainder argument f")
+    cb, cf = _admissible_coeffs(b, f, "remainder")
     scaled = [cb[k] * cf[k] * (1 << k) for k in range(max(depth - 1, 0))]
-    return StepFunction(b.grid, _quarter_pyramid(scaled, depth, _REMAINDER_SIGNS))
+    return _quarter_pyramid(scaled, depth, _REMAINDER_SIGNS)
 
 
 @dataclass(frozen=True)
 class ExpansionTerms:
-    """The six terms of the exact commutator expansion
+    """The six terms of the exact commutator expansion, as leaf arrays,
 
         [b, Sh] f = Pi_b(Sh f) - Sh(Pi_b f)
                   + Pi*_b(Sh f) - Sh(Pi*_b f)
@@ -306,15 +268,15 @@ class ExpansionTerms:
     order one).
     """
 
-    commutator: StepFunction
-    pi_b_shf: StepFunction
-    sh_pi_b_f: StepFunction
-    pi_b_star_shf: StepFunction
-    sh_pi_b_star_f: StepFunction
-    pi_shf_b: StepFunction
-    sh_pi_f_b: StepFunction
+    commutator: np.ndarray
+    pi_b_shf: np.ndarray
+    sh_pi_b_f: np.ndarray
+    pi_b_star_shf: np.ndarray
+    sh_pi_b_star_f: np.ndarray
+    pi_shf_b: np.ndarray
+    sh_pi_f_b: np.ndarray
 
-    def signed_sum(self) -> StepFunction:
+    def signed_sum(self) -> np.ndarray:
         return (
             self.pi_b_shf
             - self.sh_pi_b_f
@@ -324,7 +286,7 @@ class ExpansionTerms:
             - self.sh_pi_f_b
         )
 
-    def sign_flipped_sum(self) -> StepFunction:
+    def sign_flipped_sum(self) -> np.ndarray:
         return (
             self.sh_pi_b_f
             - self.pi_b_shf
@@ -335,14 +297,12 @@ class ExpansionTerms:
         )
 
     def residual(self) -> float:
-        diff = self.signed_sum() - self.commutator
-        return float(np.abs(diff.values).max())
+        return float(np.abs(self.signed_sum() - self.commutator).max())
 
     def sign_flipped_residual(self) -> float:
-        diff = self.sign_flipped_sum() - self.commutator
-        return float(np.abs(diff.values).max())
+        return float(np.abs(self.sign_flipped_sum() - self.commutator).max())
 
-    def remainder(self) -> StepFunction:
+    def remainder(self) -> np.ndarray:
         return self.pi_shf_b - self.sh_pi_f_b
 
 
@@ -355,21 +315,17 @@ def expansion_terms(b: StepFunction, f: StepFunction) -> ExpansionTerms:
     (level of I)-blocks of its deepest active I, so its spectrum also stays
     within levels <= D-2.
     """
-    _check_both_admissible(b, f, "expansion")
+    _admissible_coeffs(b, f, "expansion")
     grid = b.grid
     shift = shift_operator(grid).apply
     pi_b = paraproduct_operator(b)
-    shf = StepFunction(grid, shift(f.values))
-
-    def step(values: np.ndarray) -> StepFunction:
-        return StepFunction(grid, values)
-
+    shf = shift(f.values)
     return ExpansionTerms(
-        commutator=step(_commutator_plan(grid, b.values).apply(f.values)),
-        pi_b_shf=step(pi_b.apply(shf.values)),
-        sh_pi_b_f=step(shift(pi_b.apply(f.values))),
-        pi_b_star_shf=step(pi_b.transpose(shf.values)),
-        sh_pi_b_star_f=step(shift(pi_b.transpose(f.values))),
-        pi_shf_b=paraproduct(shf, b),
-        sh_pi_f_b=step(shift(paraproduct(f, b).values)),
+        commutator=_commutator_plan(grid, b.values).apply(f.values),
+        pi_b_shf=pi_b.apply(shf),
+        sh_pi_b_f=shift(pi_b.apply(f.values)),
+        pi_b_star_shf=pi_b.transpose(shf),
+        sh_pi_b_star_f=shift(pi_b.transpose(f.values)),
+        pi_shf_b=paraproduct_operator(StepFunction(grid, shf)).apply(b.values),
+        sh_pi_f_b=shift(paraproduct_operator(f).apply(b.values)),
     )

@@ -82,6 +82,16 @@ def average_on(values, depth, k, j):
     return float(np.asarray(values)[leaf_slice(depth, k, j)].mean())
 
 
+def interval_average(f, iv):
+    """<f>_I of a step function f over a DyadicInterval iv."""
+    return average_on(f.values, f.grid.depth, iv.level, iv.position)
+
+
+def interval_length(iv):
+    """|I| of a DyadicInterval iv."""
+    return 2.0 ** (-iv.level)
+
+
 def mass_on(values, depth, k, j):
     sl = leaf_slice(depth, k, j)
     return float(np.asarray(values)[sl].sum()) / (1 << depth)

@@ -40,11 +40,7 @@ from dyadbloom.normest import (
 )
 from dyadbloom.operators import (
     commutator_operator,
-    commutator_shift,
     expansion_terms,
-    haar_shift,
-    paraproduct,
-    paraproduct_adjoint,
     paraproduct_adjoint_operator,
     paraproduct_operator,
     project_admissible,
@@ -135,12 +131,13 @@ def test_criterion_02_product_decomposition():
         for _ in range(100):
             b = _random_admissible(grid, rng)
             g = _random_admissible(grid, rng)
-            lhs = (b * g).values
+            pi_b = paraproduct_operator(b)
+            lhs = b.values * g.values
             rhs = (
                 b.integral() * g.integral()
-                + paraproduct(b, g).values
-                + paraproduct(g, b).values
-                + paraproduct_adjoint(b, g).values
+                + pi_b.apply(g.values)
+                + paraproduct_operator(g).apply(b.values)
+                + pi_b.transpose(g.values)
             )
             worst = max(worst, float(np.abs(lhs - rhs).max()))
     ok = worst <= 1e-11
@@ -163,8 +160,8 @@ def test_criterion_03_expansion_identity():
             worst = max(worst, expansion_terms(b, f).residual())
     grid2 = DyadicGrid(2)
     h = haar_function(grid2, DyadicInterval(0, 0))
-    comm = commutator_shift(h, h)
-    exact = bool(np.array_equal(comm.values, np.array([1.0, -1.0, 1.0, -1.0])))
+    comm = expansion_terms(h, h).commutator
+    exact = bool(np.array_equal(comm, np.array([1.0, -1.0, 1.0, -1.0])))
     ok = worst <= 1e-11 and exact
     _record(
         3, ok,
@@ -181,17 +178,20 @@ def test_criterion_04_remainder_closed_form():
     for depth in range(4, 9):
         grid = DyadicGrid(depth)
         n = grid.n_leaves
+        shift = shift_operator(grid).apply
         for _ in range(100):
             b = _random_admissible(grid, rng)
             f = _random_admissible(grid, rng)
             terms = expansion_terms(b, f)
             rem = remainder_closed_form(b, f)
-            two_term = paraproduct(haar_shift(f), b) - haar_shift(paraproduct(f, b))
-            worst = max(worst, float(np.abs(rem.values - two_term.values).max()))
+            shf = StepFunction(grid, shift(f.values))
+            two_term = (paraproduct_operator(shf).apply(b.values)
+                        - shift(paraproduct_operator(f).apply(b.values)))
+            worst = max(worst, float(np.abs(rem - two_term).max()))
             lam = generate(
                 EnsembleSpec(kind="cascade", depth=depth, seed=int(rng.integers(1 << 31)))
             )
-            _, cr = analyze_leaves(rem.values, depth)
+            _, cr = analyze_leaves(rem, depth)
             sq = np.zeros(n)
             for k in range(depth):
                 sq += np.repeat(cr[k] ** 2 * (1 << k), n >> k)
@@ -224,8 +224,9 @@ def test_criterion_05_adjointness_and_norm_duality():
     for t in range(cfg.trials):
         td = make_trial(cfg, t)
         b, f, g = td.b, td.f, td.g
-        lhs = float((paraproduct(b, f).values * g.values).mean())
-        rhs = float((f.values * paraproduct_adjoint(b, g).values).mean())
+        pi_b = paraproduct_operator(b)
+        lhs = float((pi_b.apply(f.values) * g.values).mean())
+        rhs = float((f.values * pi_b.transpose(g.values)).mean())
         scale = max(1.0, abs(lhs))
         worst_adj = max(worst_adj, abs(lhs - rhs) / scale)
         n1 = weighted_operator_norms(paraproduct_operator(b), [td.mu], [td.lam])[0].value
@@ -367,7 +368,7 @@ def test_criterion_11_shift_bounds():
         coeffs.append(np.zeros(1 << (grid.depth - 1)))
         f = StepFunction(grid, synthesize_leaves(np.asarray(0.0), coeffs, grid.depth))
         nf = float(np.sqrt((f.values**2).mean()))
-        ns = float(np.sqrt((haar_shift(f).values ** 2).mean()))
+        ns = float(np.sqrt((shift_operator(grid).apply(f.values) ** 2).mean()))
         worst_iso = max(worst_iso, abs(ns / nf - 1.0))
     one = Weight(StepFunction.constant(grid, 1.0))
     sigma = weighted_operator_norms(shift_operator(grid), [one], [one])[0].value

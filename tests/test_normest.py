@@ -22,8 +22,6 @@ from dyadbloom import (
     compute_norm_report,
     haar_function,
     necessity_test_function_bound,
-    paraproduct,
-    paraproduct_adjoint,
     paraproduct_adjoint_operator,
     paraproduct_carleson_sequence,
     paraproduct_operator,
@@ -761,8 +759,8 @@ def test_indicator_average_identity(grid4):
     f = StepFunction(grid4, r.standard_normal(16))
     iv = DyadicInterval(2, 1)
     chi = oracles.indicator_leaves(4, iv.level, iv.position)
-    assert float((f.values * chi).mean()) / iv.length == pytest.approx(
-        f.average_on(iv), rel=1e-14
+    assert float((f.values * chi).mean()) / oracles.interval_length(iv) == pytest.approx(
+        oracles.interval_average(f, iv), rel=1e-14
     )
 
 

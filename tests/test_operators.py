@@ -10,13 +10,12 @@ from dyadbloom import (
     InadmissibleLevelError,
     StepFunction,
     Weight,
-    commutator_shift,
+    commutator_operator,
     expansion_terms,
     haar_function,
-    haar_shift,
     is_admissible,
-    paraproduct,
-    paraproduct_adjoint,
+    paraproduct_adjoint_operator,
+    paraproduct_operator,
     project_admissible,
     remainder_closed_form,
     shift_operator,
@@ -34,11 +33,15 @@ def _pair(depth, seed, admissible=True):
     return b, f
 
 
+def _l2(values):
+    return float(np.sqrt((values**2).mean()))
+
+
 def test_paraproduct_matches_oracle():
     for seed in range(4):
         b, f = _pair(4, 200 + seed, admissible=False)
         want = oracles.paraproduct_oracle(b.values, f.values, 4)
-        got = paraproduct(b, f).values
+        got = paraproduct_operator(b).apply(f.values)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
@@ -46,13 +49,13 @@ def test_paraproduct_adjoint_matches_oracle():
     for seed in range(4):
         b, f = _pair(4, 210 + seed, admissible=False)
         want = oracles.paraproduct_adjoint_oracle(b.values, f.values, 4)
-        got = paraproduct_adjoint(b, f).values
+        got = paraproduct_adjoint_operator(b).apply(f.values)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_paraproduct_output_is_mean_free():
     b, f = _pair(6, 3, admissible=False)
-    assert abs(paraproduct(b, f).integral()) <= 1e-15
+    assert abs(float(paraproduct_operator(b).apply(f.values).mean())) <= 1e-15
 
 
 def test_adjointness_in_plain_l2():
@@ -63,8 +66,9 @@ def test_adjointness_in_plain_l2():
         b = StepFunction(grid, r.standard_normal(grid.n_leaves))
         f = StepFunction(grid, r.standard_normal(grid.n_leaves))
         g = StepFunction(grid, r.standard_normal(grid.n_leaves))
-        lhs = float((paraproduct(b, f).values * g.values).mean())
-        rhs = float((f.values * paraproduct_adjoint(b, g).values).mean())
+        pi_b = paraproduct_operator(b)
+        lhs = float((pi_b.apply(f.values) * g.values).mean())
+        rhs = float((f.values * pi_b.transpose(g.values)).mean())
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
 
@@ -72,12 +76,12 @@ def test_product_decomposition_is_an_identity():
     # b g = <b><g> + Pi_b g + Pi_g b + Pi*_b g for arbitrary step functions
     for seed in range(5):
         b, g = _pair(5, 300 + seed, admissible=False)
-        lhs = (b * g).values
+        lhs = b.values * g.values
         rhs = (
             b.integral() * g.integral()
-            + paraproduct(b, g).values
-            + paraproduct(g, b).values
-            + paraproduct_adjoint(b, g).values
+            + paraproduct_operator(b).apply(g.values)
+            + paraproduct_operator(g).apply(b.values)
+            + paraproduct_operator(b).transpose(g.values)
         )
         scale = max(1.0, float(np.abs(lhs).max()))
         assert np.abs(lhs - rhs).max() <= 1e-12 * scale
@@ -87,34 +91,36 @@ def test_shift_matches_spectrum_oracle():
     for seed in range(4):
         _, f = _pair(5, 400 + seed)
         want = oracles.shift_oracle(f.values, 5)
-        got = haar_shift(f).values
+        got = shift_operator(f.grid).apply(f.values)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_shift_of_root_haar_is_quarter_pattern(grid2):
     h = haar_function(grid2, grid2.root)
-    np.testing.assert_array_equal(haar_shift(h).values, [-1.0, 1.0, 1.0, -1.0])
+    np.testing.assert_array_equal(shift_operator(grid2).apply(h.values), [-1.0, 1.0, 1.0, -1.0])
 
 
 def test_shift_kills_constants(grid4):
     c = StepFunction.constant(grid4, 5.5)
-    assert np.all(haar_shift(c).values == 0.0)
+    assert np.all(shift_operator(grid4).apply(c.values) == 0.0)
 
 
 def test_shift_is_isometry_on_admissible_mean_free():
     for seed in range(5):
         _, f = _pair(6, 500 + seed)
-        f0 = f - f.integral()
-        assert haar_shift(f0).l2_norm() == pytest.approx(f0.l2_norm(), rel=1e-13)
+        f0 = f.values - f.integral()
+        assert _l2(shift_operator(f.grid).apply(f0)) == pytest.approx(_l2(f0), rel=1e-13)
 
 
-def test_shift_rejects_deepest_level():
+def test_identities_reject_deepest_level():
     grid = DyadicGrid(3)
+    good = haar_function(grid, grid.root)
     bad = haar_function(grid, DyadicInterval(2, 1))
-    with pytest.raises(InadmissibleLevelError) as exc:
-        haar_shift(bad)
-    assert exc.value.level == 2
-    assert exc.value.max_abs > 0
+    for identity in (expansion_terms, remainder_closed_form):
+        with pytest.raises(InadmissibleLevelError) as exc:
+            identity(good, bad)
+        assert exc.value.level == 2
+        assert exc.value.max_abs > 0
 
 
 def test_shift_plan_truncates_what_is_admissible_flags():
@@ -126,7 +132,8 @@ def test_shift_plan_truncates_what_is_admissible_flags():
     assert np.all(shift(bad.values) == 0.0)
     good = haar_function(grid, grid.root)
     assert is_admissible(good)
-    np.testing.assert_array_equal(shift(good.values), haar_shift(good).values)
+    want = oracles.shift_values_reference(analyze_leaves(good.values, 3)[1], 3)
+    np.testing.assert_array_equal(shift(good.values), want)
 
 
 def test_admissibility_projection():
@@ -147,24 +154,30 @@ def test_commutator_definition():
     # [b, T]f = b(Tf) - T(bf), checked against the direct composition
     for seed in range(4):
         b, f = _pair(5, 600 + seed)
-        direct = b.values * haar_shift(f).values - shift_operator(b.grid).apply((b * f).values)
-        got = commutator_shift(b, f)
-        np.testing.assert_allclose(got.values, direct, rtol=0, atol=1e-12)
+        shift = shift_operator(b.grid).apply
+        direct = b.values * shift(f.values) - shift(b.values * f.values)
+        got = commutator_operator(b).apply(f.values)
+        np.testing.assert_allclose(got, direct, rtol=0, atol=1e-12)
 
 
 def test_commutator_worked_example(grid2):
     h = haar_function(grid2, grid2.root)
-    np.testing.assert_array_equal(commutator_shift(h, h).values, [1.0, -1.0, 1.0, -1.0])
+    want = [1.0, -1.0, 1.0, -1.0]
+    np.testing.assert_array_equal(commutator_operator(h).apply(h.values), want)
+    np.testing.assert_array_equal(expansion_terms(h, h).commutator, want)
 
 
 def test_constant_symbol_commutes(grid4):
     _, f = _pair(4, 11)
-    # power-of-two constant: both compositions stay exact, commutator is 0.0
+    # the uncentred commutator b Sh f - Sh(b f) of expansion_terms.
+    # Power-of-two constant: both compositions stay exact, commutator is 0.0
     c2 = StepFunction.constant(grid4, 2.0)
-    assert np.all(commutator_shift(c2, f).values == 0.0)
+    assert np.all(expansion_terms(c2, f).commutator == 0.0)
     # generic constant: the two compositions round in different orders
     c = StepFunction.constant(grid4, 2.5)
-    assert np.abs(commutator_shift(c, f).values).max() <= 1e-14
+    assert np.abs(expansion_terms(c, f).commutator).max() <= 1e-14
+    # the plan centres its symbol, so every constant gives exactly 0.0
+    assert np.all(commutator_operator(c).apply(f.values) == 0.0)
 
 
 def test_six_term_expansion_reproduces_commutator():
@@ -172,7 +185,7 @@ def test_six_term_expansion_reproduces_commutator():
         for seed in range(3):
             b, f = _pair(depth, 700 + seed)
             terms = expansion_terms(b, f)
-            scale = max(1.0, float(np.abs(terms.commutator.values).max()))
+            scale = max(1.0, float(np.abs(terms.commutator).max()))
             assert terms.residual() <= 1e-12 * scale
 
 
@@ -200,7 +213,7 @@ def test_expansion_signs_are_the_unique_working_ones():
     # so a sign regression cannot hide inside the tolerance
     b, f = _pair(5, 909)
     terms = expansion_terms(b, f)
-    scale = max(1.0, float(np.abs(terms.commutator.values).max()))
+    scale = max(1.0, float(np.abs(terms.commutator).max()))
     assert terms.sign_flipped_residual() > 0.05 * scale
 
 
@@ -209,7 +222,7 @@ def test_remainder_closed_form_equals_two_term_difference():
         b, f = _pair(5, 800 + seed)
         terms = expansion_terms(b, f)
         rem = remainder_closed_form(b, f)
-        assert np.abs(rem.values - terms.remainder().values).max() <= 1e-12
+        assert np.abs(rem - terms.remainder()).max() <= 1e-12
 
 
 def test_remainder_quarter_pattern_oracle():
@@ -229,7 +242,7 @@ def test_remainder_quarter_pattern_oracle():
             want[base + width : base + 2 * width] -= s
             want[base + 2 * width : base + 3 * width] += s
             want[base + 3 * width : base + 4 * width] -= s
-    got = remainder_closed_form(b, f).values
+    got = remainder_closed_form(b, f)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
@@ -242,7 +255,7 @@ def test_remainder_energy_identity():
     lam = Weight(StepFunction(grid, np.exp(r.uniform(-1, 1, grid.n_leaves))))
     b, f = _pair(depth, 81)
     rem = remainder_closed_form(b, f)
-    _, cr = analyze_leaves(rem.values, depth)
+    _, cr = analyze_leaves(rem, depth)
     n = grid.n_leaves
     sq = np.zeros(n)
     for k in range(depth):
@@ -261,7 +274,5 @@ def test_expansion_requires_admissible_inputs():
     b, f = _pair(4, 13, admissible=False)
     with pytest.raises(InadmissibleLevelError):
         expansion_terms(b, f)
-    with pytest.raises(InadmissibleLevelError):
-        commutator_shift(b, f)
     with pytest.raises(InadmissibleLevelError):
         remainder_closed_form(b, f)

@@ -251,7 +251,7 @@ def test_threshold_factory_lebesgue_packing(random_positive):
         w = random_positive(6, seed=seed)
         grid = w.grid
         fam = maximal_stopping_intervals(grid, grid.root, threshold_factory(w, 4.0))
-        leb = sum(s.length for s in _members(fam))
+        leb = sum(oracles.interval_length(s) for s in _members(fam))
         assert leb <= 0.25 + 1e-15
         for s in _members(fam):
             assert w.average(s) >= 4.0 * w.average(grid.root)
@@ -272,8 +272,8 @@ def test_three_condition_packing_and_unstopped_path_sums(random_positive):
     a_mu = mu_inv.average(grid.root)
     a_rho = rho.average(grid.root)
     # conditions (1) and (2) pack to <= 1/C = 1/2 definitionally
-    leb1 = sum(s.length for s in members if mu_inv.average(s) > 2.0 * a_mu)
-    leb2 = sum(s.length for s in members if rho.average(s) > 2.0 * a_rho)
+    leb1 = sum(oracles.interval_length(s) for s in members if mu_inv.average(s) > 2.0 * a_mu)
+    leb2 = sum(oracles.interval_length(s) for s in members if rho.average(s) > 2.0 * a_rho)
     assert leb1 <= 0.5 + 1e-15
     assert leb2 <= 0.5 + 1e-15
     # every member fires at least one condition; every unstopped interval
