@@ -257,6 +257,8 @@ def _parse_range(text: str) -> np.ndarray:
         raise ConfigError(f"--range must be start:end:count numbers: {e}") from e
     if count < 1:
         raise ConfigError(f"--range count must be >= 1, got {count}")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ConfigError(f"--range ends must be finite, got {text!r}")
     return np.linspace(start, end, count)
 
 
@@ -337,39 +339,46 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    # every file is read before anything prints, so a malformed one leaves
+    # only its error line
+    lines: list[str] = []
     csv_rows = []
     any_fail = False
-    for path in args.results:
-        doc = read_json(path)
-        if not isinstance(doc, dict) or "suite" not in doc:
-            raise ConfigError(f"{path}: not a suite result file")
-        suite = doc["suite"]
-        passed = bool(doc.get("passed", False))
-        any_fail = any_fail or not passed
-        print(f"{path}: suite {suite} {'PASS' if passed else 'FAIL'}")
-        for a in doc.get("assertions", []):
-            print(
-                f"  {'PASS' if a['passed'] else 'FAIL'} {a['name']:<40} "
-                f"worst {a['worst']:.3e} tol {a['tolerance']:.3e}"
-            )
-        for fd in doc.get("findings", []):
-            print(f"  FINDING {fd['name']} trial={fd['trial']}: {fd['message']}")
-        for metric, stats in sorted(doc.get("measured", {}).items()):
-            if isinstance(stats, dict) and "n" in stats:
-                if stats["n"]:
-                    print(
-                        f"  measured {metric:<36} n={stats['n']} "
-                        f"min={stats['min']:.6g} max={stats['max']:.6g} "
-                        f"mean={stats['mean']:.6g}"
-                    )
-                    csv_rows.append(
-                        [path, suite, metric, stats["n"],
-                         repr(stats["min"]), repr(stats["max"]), repr(stats["mean"])]
-                    )
+    try:
+        for path in args.results:
+            doc = read_json(path)
+            if not isinstance(doc, dict) or "suite" not in doc:
+                raise ConfigError(f"{path}: not a suite result file")
+            suite = doc["suite"]
+            passed = bool(doc.get("passed", False))
+            any_fail = any_fail or not passed
+            lines.append(f"{path}: suite {suite} {'PASS' if passed else 'FAIL'}")
+            for a in doc.get("assertions", []):
+                lines.append(
+                    f"  {'PASS' if a['passed'] else 'FAIL'} {a['name']:<40} "
+                    f"worst {a['worst']:.3e} tol {a['tolerance']:.3e}"
+                )
+            for fd in doc.get("findings", []):
+                lines.append(f"  FINDING {fd['name']} trial={fd['trial']}: {fd['message']}")
+            for metric, stats in sorted(doc.get("measured", {}).items()):
+                if isinstance(stats, dict) and "n" in stats:
+                    if stats["n"]:
+                        lines.append(
+                            f"  measured {metric:<36} n={stats['n']} "
+                            f"min={stats['min']:.6g} max={stats['max']:.6g} "
+                            f"mean={stats['mean']:.6g}"
+                        )
+                        csv_rows.append(
+                            [path, suite, metric, stats["n"],
+                             repr(stats["min"]), repr(stats["max"]), repr(stats["mean"])]
+                        )
+                    else:
+                        lines.append(f"  measured {metric:<36} (no samples)")
                 else:
-                    print(f"  measured {metric:<36} (no samples)")
-            else:
-                print(f"  measured {metric:<36} {stats}")
+                    lines.append(f"  measured {metric:<36} {stats}")
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise ConfigError(f"{path}: malformed suite result file ({e!r})") from e
+    print("\n".join(lines))
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -98,6 +98,10 @@ class ExperimentConfig:
                     f"role {role_name!r} must not pin depth or seed; the runner "
                     f"derives them from the config"
                 )
+            try:
+                EnsembleSpec.from_dict({**d, "depth": self.depth})
+            except ConfigError as e:
+                raise ConfigError(f"role {role_name!r}: {e}") from e
 
     def role_spec(self, role_dict: dict, trial: int, role: int) -> EnsembleSpec:
         return EnsembleSpec.from_dict(
@@ -136,15 +140,17 @@ class ExperimentConfig:
         if extra:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
         kw = {}
-        for name in ("depth", "seed", "trials"):
-            if name in d:
-                kw[name] = int(d[name])
+        try:
+            for name in ("depth", "seed", "trials"):
+                if name in d:
+                    kw[name] = int(d[name])
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"depth, seed and trials must be integers: {e}") from e
         if "suites" in d:
+            if not isinstance(d["suites"], (list, tuple)):
+                raise ConfigError(f"suites must be a list of names, got {d['suites']!r}")
             kw["suites"] = tuple(d["suites"])
-        if "mu" in d:
-            kw["mu"] = dict(d["mu"])
-        if "lambda" in d:
-            kw["lam"] = dict(d["lambda"])
-        if "symbol" in d:
-            kw["symbol"] = dict(d["symbol"])
+        for role, key in (("mu", "mu"), ("lambda", "lam"), ("symbol", "symbol")):
+            if role in d:
+                kw[key] = dict(d[role]) if isinstance(d[role], dict) else d[role]
         return cls(**kw)

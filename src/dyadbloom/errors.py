@@ -10,7 +10,7 @@ class GridMismatchError(DyadBloomError):
 
 
 class InadmissibleLevelError(DyadBloomError):
-    """A shift-based operator met nonzero coefficients at an unrepresentable level.
+    """A strict identity met nonzero coefficients at a level the shift cannot represent.
 
     Attributes
     ----------

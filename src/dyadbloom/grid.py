@@ -40,6 +40,8 @@ import numpy as np
 
 from .errors import GridMismatchError
 
+MAX_GRID_DEPTH = 24  # leaf storage: 2^24 float64 leaves are 128 MiB
+
 __all__ = [
     "DyadicInterval",
     "DyadicGrid",
@@ -90,7 +92,7 @@ class DyadicGrid:
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.depth > 24:
+        if self.depth > MAX_GRID_DEPTH:
             raise ValueError(f"depth {self.depth} is too large for leaf storage")
 
     @property
@@ -125,8 +127,8 @@ class StepFunction:
 
     Values are stored as a read-only float64 array of length 2^D, checked
     finite.  It carries no arithmetic: operators and functionals read its
-    values, and those that take two step functions raise GridMismatchError
-    when their grids differ.
+    values.  A plan built from several symbols, and the identities of
+    operators.py, raise GridMismatchError when the grids differ.
     """
 
     __slots__ = ("grid", "values")
@@ -150,10 +152,6 @@ class StepFunction:
     @classmethod
     def constant(cls, grid: DyadicGrid, value: float) -> "StepFunction":
         return cls(grid, np.full(grid.n_leaves, float(value)))
-
-    @classmethod
-    def zero(cls, grid: DyadicGrid) -> "StepFunction":
-        return cls.constant(grid, 0.0)
 
     def integral(self) -> float:
         """Exact integral over [0,1): mean of the leaf values."""

@@ -75,10 +75,10 @@ class LeafOperator(NamedTuple):
     """A linear map on the leaf values of one grid, with its transpose under
     the unweighted L^2 pairing <u, v> = mean(u v).  apply and transpose are
     array kernels (2^D leaf values on the last axis in, a new array out)
-    that check no finiteness; their callers (the norm engine, the suites'
-    StepFunction inputs) do that.  Every kernel takes leading axes: it acts on each row of a
-    stack, bit for bit as on that row alone, since every pass is
-    elementwise.  A plan built from stacked symbols broadcasts its symbol
+    that check no finiteness: the norm engine checks its vectors, and a
+    StepFunction is checked when it is built.  Every kernel takes leading
+    axes: it acts on each row of a stack, bit for bit as on that row alone,
+    since every pass is elementwise.  A plan built from stacked symbols broadcasts its symbol
     rows against those axes."""
 
     grid: DyadicGrid
@@ -187,28 +187,25 @@ def project_admissible(f: StepFunction) -> StepFunction:
     return StepFunction(f.grid, synthesize_leaves(mean, keep, f.grid.depth))
 
 
-def _check_admissible(coeffs: list[np.ndarray], depth: int, what: str):
-    worst = _top_level_max(coeffs)
-    if worst > 0.0:
-        raise InadmissibleLevelError(
-            f"{what} has a nonzero Haar coefficient at level {depth - 1} "
-            f"(max |coeff| = {worst:.3e}); the shift cannot represent its image "
-            f"at depth {depth}. Project to levels <= {depth - 2} or use "
-            f"the operator plans, which truncate.",
-            level=depth - 1,
-            max_abs=worst,
-        )
-
-
 def _admissible_coeffs(b: StepFunction, f: StepFunction, what: str):
     # the Haar coefficients of b and f, each checked admissible
     _check_same_grid(b, f)
     depth = b.grid.depth
-    _, cb = analyze_leaves(b.values, depth)
-    _check_admissible(cb, depth, f"{what} symbol b")
-    _, cf = analyze_leaves(f.values, depth)
-    _check_admissible(cf, depth, f"{what} argument f")
-    return cb, cf
+    out = []
+    for name, s in (("symbol b", b), ("argument f", f)):
+        coeffs = analyze_leaves(s.values, depth)[1]
+        worst = _top_level_max(coeffs)
+        if worst > 0.0:
+            raise InadmissibleLevelError(
+                f"{what} {name} has a nonzero Haar coefficient at level {depth - 1} "
+                f"(max |coeff| = {worst:.3e}); the shift cannot represent its image "
+                f"at depth {depth}. Project to levels <= {depth - 2} or use "
+                f"the operator plans, which truncate.",
+                level=depth - 1,
+                max_abs=worst,
+            )
+        out.append(coeffs)
+    return out
 
 
 _SHIFT_SIGNS = (np.subtract, np.add, np.add, np.subtract)

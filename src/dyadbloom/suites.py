@@ -398,7 +398,7 @@ def _check_equivalences(rec: Record, td: TrialData, solved: Solved) -> None:
 def _degenerate_assertions(rec: Record) -> list[Assertion]:
     # degenerate symbol: every functional vanishes exactly
     td0 = rec.first
-    zero = StepFunction.zero(td0.b.grid)
+    zero = StepFunction.constant(td0.b.grid, 0.0)
     vals = [
         bloom_b2(zero, td0.mu, td0.lam),
         bloom_b2_dual(zero, td0.mu, td0.lam),

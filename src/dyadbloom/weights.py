@@ -8,13 +8,15 @@ function bit for bit.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, EnsembleTargetError
-from .grid import DyadicGrid, DyadicInterval, StepFunction, level_masses
+from .grid import MAX_GRID_DEPTH, DyadicGrid, DyadicInterval, StepFunction, level_masses
 
 __all__ = [
     "Weight",
@@ -137,8 +139,15 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in WEIGHT_KINDS + SYMBOL_KINDS:
             raise ConfigError(f"unknown ensemble kind {self.kind!r}")
-        if self.depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {self.depth}")
+        if not 1 <= self.depth <= MAX_GRID_DEPTH:
+            raise ConfigError(f"depth must be in [1, {MAX_GRID_DEPTH}], got {self.depth}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("alpha", "delta", "sparsity", "center"):
+            _check_finite(name, getattr(self, name))
+        if not isinstance(self.values, tuple):
+            raise ConfigError(f"values must be a list of numbers, got {self.values!r}")
+        _check_finite("values", *self.values)
         if self.kind == "power" and not -1.0 < self.alpha < 1.0:
             raise ConfigError(f"power exponent must be in (-1, 1), got {self.alpha}")
         if self.kind in ("cascade", "log-symbol") and not 0.0 < self.delta < 1.0:
@@ -154,6 +163,7 @@ class EnsembleSpec:
             if self.kind in SYMBOL_KINDS:
                 raise ConfigError("a2_range applies only to weight kinds")
             lo, hi = self.a2_range
+            _check_finite("a2_range", lo, hi)
             if not (1.0 <= lo <= hi):
                 raise ConfigError(f"a2_range must satisfy 1 <= lo <= hi, got {self.a2_range}")
 
@@ -193,14 +203,20 @@ class EnsembleSpec:
         kw["depth"] = int(kw["depth"])
         if "seed" in kw:
             kw["seed"] = int(kw["seed"])
-        if "values" in kw:
-            kw["values"] = tuple(float(v) for v in kw["values"])
-        if "a2_range" in kw and kw["a2_range"] is not None:
+        if isinstance(kw.get("values"), list):
+            kw["values"] = tuple(kw["values"])
+        if kw.get("a2_range") is not None:
             r = kw["a2_range"]
-            if len(r) != 2:
+            if not isinstance(r, list) or len(r) != 2:
                 raise ConfigError("a2_range must be a [lo, hi] pair")
-            kw["a2_range"] = (float(r[0]), float(r[1]))
+            kw["a2_range"] = tuple(r)
         return cls(**kw)
+
+
+def _check_finite(name: str, *vs) -> None:
+    for v in vs:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            raise ConfigError(f"{name} must be a finite number, got {v!r}")
 
 
 def _power_leaf_averages(depth: int, alpha: float, center: float) -> np.ndarray:

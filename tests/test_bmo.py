@@ -151,7 +151,7 @@ def test_neccon_matches_oracle(depth, kind):
 
 def test_zero_symbol_gives_zero_everything():
     mu, lam, _ = _triple(4, 0)
-    zero = StepFunction.zero(mu.grid)
+    zero = StepFunction.constant(mu.grid, 0.0)
     rho = rho_weight(mu, lam)
     assert bloom_b2(zero, mu, lam) == 0.0
     assert bloom_b2_dual(zero, mu, lam) == 0.0

@@ -476,6 +476,53 @@ def test_report_rejects_non_suite_file(tmp_path, capsys):
     assert "not a suite result" in capsys.readouterr().err
 
 
+_GEN = ["gen", "--depth", "4"]
+_ROLE_CASES = {
+    "alpha-string": {"kind": "power", "alpha": "0.5"},
+    "center-string": {"kind": "power", "center": "x"},
+    "delta-null": {"kind": "cascade", "delta": None},
+    "values-scalar": {"kind": "two-value", "values": 5},
+    "values-nan-string": {"kind": "two-value", "values": [1, "nan"]},
+}
+_RESULT_CASES = {
+    "assertion-without-passed": {
+        "suite": "identities", "passed": True,
+        "assertions": [{"name": "a", "worst": 0.0, "tolerance": 0.0}],
+    },
+    "stats-without-min": {
+        "suite": "identities", "passed": True, "measured": {"m": {"n": 2}},
+    },
+}
+
+
+@pytest.mark.parametrize("case", [
+    "gen-values-inf", "gen-values-nan", "gen-center-nan", "gen-depth-25",
+    *(f"role-{k}" for k in _ROLE_CASES), "sweep-range-nan",
+    *(f"report-{k}" for k in _RESULT_CASES),
+])
+def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, case):
+    out = str(tmp_path / "out")
+    if case.startswith("role-"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 1, "depth": 4, "mu": _ROLE_CASES[case[5:]]}))
+        argv = ["verify", "--suite", "identities", "--config", str(cfg)]
+    elif case.startswith("report-"):
+        result = tmp_path / "suite.json"
+        write_json(result, _RESULT_CASES[case[7:]])
+        argv = ["report", "--results", str(result)]
+    else:
+        argv = {
+            "gen-values-inf": [*_GEN, "--kind", "two-value", "--values", "1,inf"],
+            "gen-values-nan": [*_GEN, "--kind", "two-value", "--values", "1,nan"],
+            "gen-center-nan": [*_GEN, "--kind", "power", "--center", "nan"],
+            "gen-depth-25": ["gen", "--kind", "cascade", "--depth", "25"],
+            "sweep-range-nan": ["sweep", "--parameter", "depth", "--range", "nan:nan:1"],
+        }[case] + ["--out", out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_norms_loads_no_scipy(tmp_path):
     # numpy is the only runtime dependency: a full norms report imports no
     # scipy module

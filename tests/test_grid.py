@@ -96,7 +96,7 @@ def test_step_function_rejects_nonfinite(grid2):
 
 
 def test_step_function_values_read_only(grid2):
-    f = StepFunction.zero(grid2)
+    f = StepFunction.constant(grid2, 0.0)
     with pytest.raises(ValueError):
         f.values[0] = 1.0
 

@@ -321,7 +321,7 @@ def _depth8_rows(count, seed):
 def test_lockstep_rows_equal_rows_alone_on_real_plans():
     rows = _depth8_rows(4, 40)
     bs, mus, lams = zip(*rows)
-    zero = StepFunction.zero(bs[0].grid)
+    zero = StepFunction.constant(bs[0].grid, 0.0)
     for plan in (paraproduct_operator, paraproduct_adjoint_operator, commutator_operator):
         stacked = normest.weighted_operator_norms(plan([*bs, zero]), [*mus, mus[0]],
                                                   [*lams, lams[0]])
