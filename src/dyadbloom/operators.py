@@ -78,8 +78,8 @@ class LeafOperator(NamedTuple):
     that check no finiteness: the norm engine checks its vectors, and a
     StepFunction is checked when it is built.  Every kernel takes leading
     axes: it acts on each row of a stack, bit for bit as on that row alone,
-    since every pass is elementwise.  A plan built from stacked symbols broadcasts its symbol
-    rows against those axes."""
+    since every pass is elementwise.  A plan built from stacked symbols
+    broadcasts its symbol rows against those axes."""
 
     grid: DyadicGrid
     apply: Callable[[np.ndarray], np.ndarray]

@@ -148,6 +148,9 @@ class EnsembleSpec:
         if not isinstance(self.values, tuple):
             raise ConfigError(f"values must be a list of numbers, got {self.values!r}")
         _check_finite("values", *self.values)
+        retries = self.max_retries
+        if isinstance(retries, bool) or not isinstance(retries, numbers.Integral):
+            raise ConfigError(f"max_retries must be an integer, got {retries!r}")
         if self.kind == "power" and not -1.0 < self.alpha < 1.0:
             raise ConfigError(f"power exponent must be in (-1, 1), got {self.alpha}")
         if self.kind in ("cascade", "log-symbol") and not 0.0 < self.delta < 1.0:

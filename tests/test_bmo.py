@@ -216,4 +216,5 @@ def test_functional_scaling_is_linear_in_symbol():
         lambda s: bmo_rho_l1(s, rho),
         lambda s: neccon_functional(s, mu, lam),
     ):
-        assert func(StepFunction(b.grid, 3.0 * b.values)) == pytest.approx(3.0 * func(b), rel=1e-12)
+        b3 = StepFunction(b.grid, 3.0 * b.values)
+        assert func(b3) == pytest.approx(3.0 * func(b), rel=1e-12)

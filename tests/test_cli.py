@@ -483,6 +483,7 @@ _ROLE_CASES = {
     "delta-null": {"kind": "cascade", "delta": None},
     "values-scalar": {"kind": "two-value", "values": 5},
     "values-nan-string": {"kind": "two-value", "values": [1, "nan"]},
+    "max-retries-string": {"kind": "cascade", "max_retries": "x", "a2_range": [1, 16]},
 }
 _RESULT_CASES = {
     "assertion-without-passed": {
