@@ -6,6 +6,7 @@ reruns of the same arguments.
 """
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -58,6 +59,28 @@ def test_gen_is_byte_deterministic(tmp_path):
     b = _gen(tmp_path, "b.json")
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().endswith("\n")
+
+
+# sha256 of `gen --depth 6 --seed 5 --alpha 0.3 --out F` per kind, and of a
+# cascade whose --a2-min 1.5 --a2-max 1.6 rejects the first draw
+_GEN_DIGESTS = {
+    "constant": "2ec6bdcec1424368f4c5b05d0256419611afaf816b7ad1c9e58e92549e5c104a",
+    "two-value": "6e00a6ba77831b3bb2c5cb3362d5c0cbb2230bb89e1fdb48a42bf399650961d1",
+    "power": "c606c4b12961bdb79750755e5e87cec9cd60ad20f41b8352754a87584cebdcb6",
+    "cascade": "a6d4afbf15230a764f24cd50f69098e1528aa002210b67d686eb57763a8de4b4",
+    "log-symbol": "5ae971e8403d85ccc9cbf265e883c2959d84d0c6c325c699eebbfd87a3fc2310",
+    "haar-sparse-symbol": "4240f944822dd730bf036f749cc4b64d5b83859204a649beaab33588b7070ee3",
+    "cascade-a2-range": "7cd6f4385d7e512b3bd8903e5de411e8cc161cd6ed5a7127531280f0781ef6e1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GEN_DIGESTS))
+def test_gen_output_bytes_are_pinned(tmp_path, case):
+    over = {"kind": case, "depth": 6, "seed": 5, "alpha": 0.3}
+    if case == "cascade-a2-range":
+        over.update(kind="cascade", a2_min=1.5, a2_max=1.6)
+    out = _gen(tmp_path, "f.json", **over)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GEN_DIGESTS[case]
 
 
 def test_gen_symbol_kinds(tmp_path):
