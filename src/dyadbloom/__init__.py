@@ -1,6 +1,7 @@
 """dyadbloom: a desk-scale testbed for two-weight dyadic Haar analysis.
 
-Step functions on the dyadic grid of [0,1), Haar transforms, A2 weights,
+Step functions on the dyadic grid of [0,1), held as read-only float64 arrays
+of leaf values whose length gives the depth, Haar transforms, A2 weights,
 Bloom-type BMO functionals, paraproducts, the dyadic shift, commutators and
 their exact six-term expansion, weighted operator norms, Carleson embedding
 checks, and stopping-time/corona constructions -- with randomized seeded
@@ -26,12 +27,7 @@ from .errors import (
     InadmissibleLevelError,
     PackingSearchError,
 )
-from .grid import (
-    DyadicGrid,
-    DyadicInterval,
-    StepFunction,
-    haar_function,
-)
+from .grid import ROOT, DyadicInterval, depth_of, haar_function, leaf_values, same_depth
 from .normest import (
     CarlesonSequence,
     NormReport,

@@ -24,9 +24,10 @@ block, each written once.  _carleson_terms(b, squared, linear) builds
 a_I = bhat(I)^2 <squared>_I^2 <linear>_I and _carleson_sup(a, w) takes the
 sup of its subtree sums over w's level masses (bloom_b2, bloom_b2_dual, the
 Carleson sequences and constant, the necessity sums).  _oscillation_masses(b,
-w) integrates (b - <b>_I)^2 w over every interval of levels 0..D-1 (bmo_rho
-with w = 1, neccon_functional with w = lambda).  _sqrt_sup roots a sup of
-squares.
+depth, w) integrates (b - <b>_I)^2 w over every interval of levels 0..D-1
+(bmo_rho with w = 1, neccon_functional with w = lambda).  _sqrt_sup roots a
+sup of squares.  b is a leaf array, and each scan checks once that b and
+its weights share a depth (grid.same_depth): GridMismatchError if not.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import DyadicInterval, StepFunction, analyze_leaves, level_masses, square_layers
+from .grid import DyadicInterval, analyze_leaves, level_masses, same_depth, square_layers
 from .weights import Weight, rho_weight
 
 __all__ = [
@@ -90,9 +91,9 @@ def _subtree_sums(per_level: list[np.ndarray]) -> list[np.ndarray]:
     return sums
 
 
-def _carleson_terms(b: StepFunction, squared: Weight, linear: Weight) -> list[np.ndarray]:
+def _carleson_terms(b: np.ndarray, squared: Weight, linear: Weight) -> list[np.ndarray]:
     # a_I = bhat(I)^2 <squared>_I^2 <linear>_I on coefficient levels 0..D-1
-    _, coeffs = analyze_leaves(b.values, b.grid.depth)
+    _, coeffs = analyze_leaves(b, same_depth(b, squared.values, linear.values))
     return [c**2 * s**2 * t for c, s, t in zip(coeffs, squared.averages, linear.averages)]
 
 
@@ -102,17 +103,17 @@ def _carleson_sup(per_level: Sequence[np.ndarray], w: Weight) -> _SupResult:
     return _sup_over_levels([sums[k] / w.level_masses[k] for k in range(len(sums))])
 
 
-def _bloom_b2_scan(b: StepFunction, mu: Weight, lam: Weight) -> _SupResult:
+def _bloom_b2_scan(b: np.ndarray, mu: Weight, lam: Weight) -> _SupResult:
     mu_inv = mu.inverse
     return _sqrt_sup(_carleson_sup(_carleson_terms(b, mu_inv, lam), mu_inv))
 
 
-def bloom_b2(b: StepFunction, mu: Weight, lam: Weight) -> float:
+def bloom_b2(b: np.ndarray, mu: Weight, lam: Weight) -> float:
     """Coefficient-form Bloom functional (see module docstring)."""
     return _bloom_b2_scan(b, mu, lam).value
 
 
-def bloom_b2_dual(b: StepFunction, mu: Weight, lam: Weight) -> float:
+def bloom_b2_dual(b: np.ndarray, mu: Weight, lam: Weight) -> float:
     """The dual functional: bloom_b2 with (mu, lambda) -> (lambda^{-1}, mu^{-1}).
 
     Expanded, its square is sup_K (1/lambda(K)) sum_{I subset= K}
@@ -121,20 +122,20 @@ def bloom_b2_dual(b: StepFunction, mu: Weight, lam: Weight) -> float:
     return _bloom_b2_scan(b, lam.inverse, mu.inverse).value
 
 
-def _bloom_l2form_scan(b: StepFunction, mu: Weight, lam: Weight) -> _SupResult:
+def _bloom_l2form_scan(b: np.ndarray, mu: Weight, lam: Weight) -> _SupResult:
     # For each top level k, the localized syntheses of all level-k intervals
     # K at once: row K of v starts at 0 and level m >= k splits every entry
     # into (v - s, v + s) with s = bhat(I) <mu^{-1}>_I 2^{m/2}, so each leaf
     # sees the additions of a per-K synthesis in the same order.
-    depth = b.grid.depth
+    depth = same_depth(b, mu.values, lam.values)
     mu_inv = mu.inverse
-    _, coeffs = analyze_leaves(b.values, depth)
+    _, coeffs = analyze_leaves(b, depth)
     scaled = [
         (coeffs[m] * mu_inv.averages[m]) * math.sqrt(2**m)
         for m in range(depth)
     ]
     lam_vals = lam.values
-    leaf_w = b.grid.leaf_width
+    leaf_w = 2.0**-depth
     per_level = []
     for k in range(depth):
         v = np.zeros((1 << k, 1))
@@ -146,7 +147,7 @@ def _bloom_l2form_scan(b: StepFunction, mu: Weight, lam: Weight) -> _SupResult:
     return _sqrt_sup(_sup_over_levels(per_level))
 
 
-def bloom_b2_l2form(b: StepFunction, mu: Weight, lam: Weight) -> float:
+def bloom_b2_l2form(b: np.ndarray, mu: Weight, lam: Weight) -> float:
     """Localized L^2(lambda)-norm form of the Bloom functional:
 
         sup_K (1/mu^{-1}(K)^{1/2}) || sum_{I subset= K} bhat(I) <mu^{-1}>_I h_I ||_{L^2(lambda)}.
@@ -162,29 +163,28 @@ def bloom_b2_l2form(b: StepFunction, mu: Weight, lam: Weight) -> float:
     return _bloom_l2form_scan(b, mu, lam).value
 
 
-def _oscillation_masses(b: StepFunction, w: Weight | None = None) -> list[np.ndarray]:
+def _oscillation_masses(b: np.ndarray, depth: int, w: Weight | None = None) -> list[np.ndarray]:
     # osc[k][j] = integral over I_{k,j} of (b - <b>_I)^2 w (w = 1 when None)
     # on levels 0..D-1, computed by subtracting the interval average from the
     # leaves before squaring; a constant symbol then gives exactly zero
     # instead of cancellation dust.
-    depth = b.grid.depth
-    n = b.grid.n_leaves
-    mb = level_masses(b.values, depth)
+    n = 1 << depth
+    mb = level_masses(b, depth)
     out = []
     for k in range(depth):
-        dev2 = (b.values - np.repeat(mb[k] * (2.0**k), n >> k)) ** 2
+        dev2 = (b - np.repeat(mb[k] * (2.0**k), n >> k)) ** 2
         if w is not None:
             dev2 = dev2 * w.values
         out.append(dev2.reshape(1 << k, -1).sum(axis=1) / n)
     return out
 
 
-def _bmo_rho_scan(b: StepFunction, rho: Weight) -> _SupResult:
-    osc = _oscillation_masses(b)
+def _bmo_rho_scan(b: np.ndarray, rho: Weight) -> _SupResult:
+    osc = _oscillation_masses(b, same_depth(b, rho.values))
     return _sqrt_sup(_sup_over_levels([osc[k] / rho.level_masses[k] for k in range(len(osc))]))
 
 
-def bmo_rho(b: StepFunction, rho: Weight) -> float:
+def bmo_rho(b: np.ndarray, rho: Weight) -> float:
     """Weighted BMO norm: sup_I ( (1/rho(I)) int_I (b - <b>_I)^2 dx )^{1/2}.
 
     The sup runs over levels 0..D-1; on leaves the oscillation is exactly 0.
@@ -192,10 +192,10 @@ def bmo_rho(b: StepFunction, rho: Weight) -> float:
     return _bmo_rho_scan(b, rho).value
 
 
-def _bmo_rho_l1_scan(b: StepFunction, rho: Weight) -> _SupResult:
-    depth = b.grid.depth
-    n = b.grid.n_leaves
-    layers = square_layers(b.values, depth)
+def _bmo_rho_l1_scan(b: np.ndarray, rho: Weight) -> _SupResult:
+    depth = same_depth(b, rho.values)
+    n = 1 << depth
+    layers = square_layers(b, depth)
     # Bottom-up, suffix becomes the square function restricted to intervals
     # at levels >= k (those contained in a level-k interval): the running sum
     # of the leaf-resolved layers bhat(I)^2/|I| 1_I of levels D-1 down to k.
@@ -203,13 +203,13 @@ def _bmo_rho_l1_scan(b: StepFunction, rho: Weight) -> _SupResult:
     per_level = [None] * depth  # type: ignore[list-item]
     for k in range(depth - 1, -1, -1):
         suffix = np.repeat(layers[k], n >> k) + suffix
-        integrals = np.sqrt(suffix).reshape(1 << k, -1).sum(axis=1) * b.grid.leaf_width
+        integrals = np.sqrt(suffix).reshape(1 << k, -1).sum(axis=1) * 2.0**-depth
         per_level[k] = integrals / rho.level_masses[k]
     value, where = _sup_over_levels(per_level)
     return _SupResult(max(value, 0.0), where)
 
 
-def bmo_rho_l1(b: StepFunction, rho: Weight) -> float:
+def bmo_rho_l1(b: np.ndarray, rho: Weight) -> float:
     """L^1-normalized square-function BMO:
 
         sup_{I0} (1/rho(I0)) int_{I0} ( sum_{I subset= I0} bhat(I)^2 |I|^{-1} 1_I )^{1/2} dx.
@@ -217,15 +217,15 @@ def bmo_rho_l1(b: StepFunction, rho: Weight) -> float:
     return _bmo_rho_l1_scan(b, rho).value
 
 
-def _neccon_scan(b: StepFunction, mu: Weight, lam: Weight) -> _SupResult:
+def _neccon_scan(b: np.ndarray, mu: Weight, lam: Weight) -> _SupResult:
     mu_inv = mu.inverse
-    osc = _oscillation_masses(b, lam)
+    osc = _oscillation_masses(b, same_depth(b, mu.values, lam.values), lam)
     return _sqrt_sup(_sup_over_levels(
         [mu_inv.level_masses[k] * (4.0**k) * osc[k] for k in range(len(osc))]
     ))
 
 
-def neccon_functional(b: StepFunction, mu: Weight, lam: Weight) -> float:
+def neccon_functional(b: np.ndarray, mu: Weight, lam: Weight) -> float:
     """Lower-bound functional:
 
         sup_I ( (mu^{-1}(I) / |I|^2) int_I (b - <b>_I)^2 lambda dx )^{1/2}.
@@ -254,7 +254,7 @@ class BmoReport:
         return asdict(self)
 
 
-def bmo_report(b: StepFunction, mu: Weight, lam: Weight) -> BmoReport:
+def bmo_report(b: np.ndarray, mu: Weight, lam: Weight) -> BmoReport:
     """Evaluate every functional of b for the pair (mu, lambda)."""
     rho = rho_weight(mu, lam)
     scans = {

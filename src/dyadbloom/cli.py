@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import SUITE_NAMES, ExperimentConfig
-from .errors import ConfigError, DyadBloomError, EnsembleTargetError
+from .errors import ConfigError, DyadBloomError, EnsembleTargetError, GridMismatchError
+from .grid import depth_of, same_depth
 from .normest import NormReport, compute_norm_report
 from .serialize import (
     load_step_function,
@@ -124,7 +125,7 @@ def _cmd_gen(args) -> int:
     )
     obj = generate(spec)
     if isinstance(obj, Weight):
-        save_step_function(args.out, obj.base, "weight", spec.to_dict())
+        save_step_function(args.out, obj.values, "weight", spec.to_dict())
         print(
             f"wrote weight kind={spec.kind} depth={spec.depth} seed={spec.seed} "
             f"a2={a2_characteristic(obj)!r} -> {args.out}"
@@ -164,12 +165,14 @@ def _cmd_norms(args) -> int:
     mu = load_weight(args.mu)
     lam = load_weight(args.lam)
     b = load_step_function(args.symbol)
-    depths = {args.mu: mu.grid.depth, args.lam: lam.grid.depth, args.symbol: b.grid.depth}
-    if len(set(depths.values())) != 1:
+    try:
+        same_depth(mu.values, lam.values, b)
+    except GridMismatchError as e:
+        depths = {args.mu: mu.depth, args.lam: lam.depth, args.symbol: depth_of(b)}
         raise ConfigError(
             "depth mismatch across files: "
             + ", ".join(f"{p} has depth {d}" for p, d in depths.items())
-        )
+        ) from e
     # Finite inputs can still overflow (a leaf near 1e308 squares to inf);
     # ratios are exempt, as NaN there marks a zero denominator.
     with np.errstate(over="ignore", invalid="ignore"):

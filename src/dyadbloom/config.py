@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .weights import SYMBOL_KINDS, WEIGHT_KINDS, EnsembleSpec
+from .weights import SYMBOL_KINDS, WEIGHT_KINDS, EnsembleSpec, integer_field
 
 __all__ = [
     "SUITE_NAMES",
@@ -139,13 +139,8 @@ class ExperimentConfig:
         extra = set(d) - known
         if extra:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
-        kw = {}
-        try:
-            for name in ("depth", "seed", "trials"):
-                if name in d:
-                    kw[name] = int(d[name])
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"depth, seed and trials must be integers: {e}") from e
+        kw = {name: integer_field(name, d[name]) for name in ("depth", "seed", "trials")
+              if name in d}
         if "suites" in d:
             if not isinstance(d["suites"], (list, tuple)):
                 raise ConfigError(f"suites must be a list of names, got {d['suites']!r}")

@@ -1,12 +1,15 @@
-"""Finite dyadic grid on [0,1): intervals, step functions, exact Haar algebra.
+"""Finite dyadic grid on [0,1): intervals, leaf data, exact Haar algebra.
 
 The grid of depth D consists of the dyadic intervals I = [j 2^{-k}, (j+1) 2^{-k})
 for levels 0 <= k <= D; level-D intervals are the leaves.  A step function is
-constant on leaves: a StepFunction is its vector of 2^D leaf values,
-checked finite and read-only, and nothing more.  Arithmetic happens on leaf
-arrays; the operator plans in operators.py map arrays to arrays.  Integrals
-are exact leaf sums scaled by 2^{-D}, so every identity in this module is a
-finite linear-algebra statement.
+constant on leaves, and is held as its float64 array of 2^D leaf values: the
+depth is read off the length (depth_of), and nothing else ties a symbol and
+two weights together.  Data entering the library (files, generated
+ensembles, weights) passes leaf_values, which checks the shape, the depth
+bound and finiteness and marks the array read-only; same_depth is the one
+check that several arrays share a grid.  The operator plans in operators.py
+map arrays to arrays.  Integrals are exact leaf sums scaled by 2^{-D}, so
+every identity in this module is a finite linear-algebra statement.
 
 The Haar function of an interval I with children I_- (left) and I_+ (right) is
 
@@ -44,8 +47,10 @@ MAX_GRID_DEPTH = 24  # leaf storage: 2^24 float64 leaves are 128 MiB
 
 __all__ = [
     "DyadicInterval",
-    "DyadicGrid",
-    "StepFunction",
+    "ROOT",
+    "leaf_values",
+    "depth_of",
+    "same_depth",
     "analyze_leaves",
     "synthesize_leaves",
     "level_masses",
@@ -83,82 +88,44 @@ class DyadicInterval:
 ROOT = DyadicInterval(0, 0)
 
 
-@dataclass(frozen=True)
-class DyadicGrid:
-    """Dyadic grid of depth D >= 1 on [0,1)."""
-
-    depth: int
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.depth > MAX_GRID_DEPTH:
-            raise ValueError(f"depth {self.depth} is too large for leaf storage")
-
-    @property
-    def n_leaves(self) -> int:
-        return 1 << self.depth
-
-    @property
-    def leaf_width(self) -> float:
-        return 2.0 ** (-self.depth)
-
-    @property
-    def root(self) -> DyadicInterval:
-        return ROOT
-
-    def leaf_slice(self, iv: DyadicInterval) -> slice:
-        """Range of leaf indices covered by iv."""
-        if iv.level > self.depth:
-            raise ValueError(f"interval level {iv.level} exceeds depth {self.depth}")
-        shift = self.depth - iv.level
-        return slice(iv.position << shift, (iv.position + 1) << shift)
-
-
-def _check_same_grid(a, b):
-    if a.grid != b.grid:
-        raise GridMismatchError(
-            f"objects live on different grids: depth {a.grid.depth} vs {b.grid.depth}"
+def leaf_values(values, depth: int | None = None) -> np.ndarray:
+    """Checked leaf data: a read-only float64 copy of values, of shape
+    (2^depth,) with 1 <= depth <= MAX_GRID_DEPTH and every entry finite.
+    depth defaults to the one the length gives."""
+    arr = np.array(values, dtype=np.float64)
+    if depth is None:
+        depth = depth_of(arr) if arr.ndim == 1 and arr.size else 0
+    if not 1 <= depth <= MAX_GRID_DEPTH:
+        raise ValueError(f"depth must be in [1, {MAX_GRID_DEPTH}], got {depth}")
+    if arr.shape != (1 << depth,):
+        raise ValueError(
+            f"expected {1 << depth} leaf values for depth {depth}, got shape {arr.shape}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("leaf values must be finite")
+    arr.setflags(write=False)
+    return arr
 
 
-class StepFunction:
-    """A real step function on [0,1), constant on the leaves of its grid.
+def depth_of(a: np.ndarray) -> int:
+    """The depth D of leaf data with 2^D entries on its last axis."""
+    return np.shape(a)[-1].bit_length() - 1
 
-    Values are stored as a read-only float64 array of length 2^D, checked
-    finite.  It carries no arithmetic: operators and functionals read its
-    values.  A plan built from several symbols, and the identities of
-    operators.py, raise GridMismatchError when the grids differ.
+
+def same_depth(*arrays: np.ndarray, depth: int | None = None) -> int:
+    """The one depth of the leaf arrays (and of depth, when given).
+
+    The single place a depth mismatch is detected: GridMismatchError when
+    the depths differ.
     """
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid: DyadicGrid, values):
-        arr = np.array(values, dtype=np.float64)
-        if arr.shape != (grid.n_leaves,):
-            raise ValueError(
-                f"expected {grid.n_leaves} leaf values for depth {grid.depth}, "
-                f"got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("leaf values must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StepFunction is immutable")
-
-    @classmethod
-    def constant(cls, grid: DyadicGrid, value: float) -> "StepFunction":
-        return cls(grid, np.full(grid.n_leaves, float(value)))
-
-    def integral(self) -> float:
-        """Exact integral over [0,1): mean of the leaf values."""
-        return float(self.values.mean())
-
-    def __repr__(self):
-        return f"StepFunction(depth={self.grid.depth}, n={self.grid.n_leaves})"
+    depths = {depth_of(a) for a in arrays}
+    if depth is not None:
+        depths.add(depth)
+    if len(depths) != 1:
+        raise GridMismatchError(
+            f"objects live on different grids: depths {sorted(depths)}"
+        )
+    return depths.pop()
 
 
 def analyze_leaves(values: np.ndarray, depth: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -252,18 +219,20 @@ def level_masses(values: np.ndarray, depth: int) -> list[np.ndarray]:
     return out
 
 
-def haar_function(grid: DyadicGrid, iv: DyadicInterval) -> StepFunction:
-    """The Haar function h_I as a step function: -|I|^{-1/2} on the left child,
-    +|I|^{-1/2} on the right child, 0 outside I."""
-    if iv.level >= grid.depth:
+def haar_function(depth: int, iv: DyadicInterval) -> np.ndarray:
+    """The leaf values of the Haar function h_I: -|I|^{-1/2} on the left
+    child, +|I|^{-1/2} on the right child, 0 outside I."""
+    if iv.level >= depth:
         raise ValueError(
-            f"h_I needs level < depth; got level {iv.level} at depth {grid.depth}"
+            f"h_I needs level < depth; got level {iv.level} at depth {depth}"
         )
-    vals = np.zeros(grid.n_leaves)
+    vals = np.zeros(1 << depth)
+    half = 1 << (depth - iv.level - 1)  # leaves per child
+    left = 2 * iv.position * half
     scale = math.sqrt(2**iv.level)
-    vals[grid.leaf_slice(iv.left)] = -scale
-    vals[grid.leaf_slice(iv.right)] = scale
-    return StepFunction(grid, vals)
+    vals[left : left + half] = -scale
+    vals[left + half : left + 2 * half] = scale
+    return vals
 
 
 def square_layers(values: np.ndarray, depth: int) -> list[np.ndarray]:

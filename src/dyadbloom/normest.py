@@ -3,8 +3,9 @@
 Every operator is used only through its plan in operators.py: a
 LeafOperator whose apply and its transpose under the unweighted pairing
 <u, v> = mean(u v) are O(2^D) array kernels, built once per symbol and
-shared with the verification suites; nothing here builds an n x n array or
-wraps a Lanczos vector in a StepFunction.  The pairing's leaf width 2^{-D}
+shared with the verification suites; nothing here builds an n x n array.
+Symbols are leaf arrays and weights carry theirs; every solver checks once
+that they share a depth (grid.same_depth).  The pairing's leaf width 2^{-D}
 cancels between domain and codomain, so
 
     || T : L^2(mu) -> L^2(lambda) ||^2 = lambda_max(W'W),
@@ -61,11 +62,10 @@ import numpy as np
 from .bmo import BmoReport, _carleson_sup, _carleson_terms, _subtree_sums, bmo_report
 from .errors import DyadBloomError
 from .grid import (
-    DyadicGrid,
-    StepFunction,
     accumulate_levels,
     analyze_leaves,
     level_masses,
+    same_depth,
     stack_rows,
     synthesize_leaves,
 )
@@ -255,9 +255,7 @@ def weighted_operator_norms(
     lambda_max(W_r'W_r), bitwise what that row gives alone.  matvecs and
     residual are those of W_r'W_r's top Ritz pair.  One norm is the one-row
     call weighted_operator_norms(T, [mu], [lam])[0].value."""
-    grid = T.grid
-    if any(w.grid != grid for w in (*mus, *lams)):
-        raise ValueError("operator and weights must share one grid")
+    depth = same_depth(*(w.values for w in (*mus, *lams)), depth=T.depth)
     scale = 1.0 / np.sqrt(stack_rows([mu.values for mu in mus]))
     lam_vals = stack_rows([lam.values for lam in lams])
 
@@ -265,7 +263,7 @@ def weighted_operator_norms(
         return scale * T.transpose(lam_vals * T.apply(scale * x))
 
     return [e._replace(value=math.sqrt(e.value))
-            for e in _top_eigenvalues(grid.n_leaves, normal, len(mus))]
+            for e in _top_eigenvalues(1 << depth, normal, len(mus))]
 
 
 def ppott_best_constants(ws: Sequence[Weight]) -> list[TopEigen]:
@@ -278,8 +276,7 @@ def ppott_best_constants(ws: Sequence[Weight]) -> list[TopEigen]:
     y -> sqrt(w) * synthesis(analysis(sqrt(w) y) / <w>_I).  Bounded below by
     1/[w]_{A2} and equals 1 exactly when w is constant.
     """
-    grid = ws[0].grid
-    depth = grid.depth
+    depth = same_depth(*(w.values for w in ws))
     root_w = np.sqrt(stack_rows([w.values for w in ws]))
     inv_avgs = [1.0 / stack_rows([w.averages[k] for w in ws]) for k in range(depth)]
 
@@ -288,20 +285,17 @@ def ppott_best_constants(ws: Sequence[Weight]) -> list[TopEigen]:
         scaled = [c[k] * inv_avgs[k] for k in range(depth)]
         return root_w * synthesize_leaves(0.0, scaled, depth)
 
-    return _top_eigenvalues(grid.n_leaves, form, len(ws))
+    return _top_eigenvalues(1 << depth, form, len(ws))
 
 
 class CarlesonSequence:
     """Nonnegative numbers a_I on coefficient levels 0..D-1, tested against a
-    weight w."""
+    weight w of depth D: the sequence's depth is its number of levels."""
 
-    __slots__ = ("grid", "level_values", "weight")
+    __slots__ = ("level_values", "weight")
 
-    def __init__(self, grid: DyadicGrid, level_values, weight: Weight):
-        if weight.grid != grid:
-            raise ValueError("sequence and weight must share one grid")
-        if len(level_values) != grid.depth:
-            raise ValueError(f"expected {grid.depth} levels, got {len(level_values)}")
+    def __init__(self, level_values, weight: Weight):
+        same_depth(weight.values, depth=len(level_values))
         frozen = []
         for k, arr in enumerate(level_values):
             a = np.array(arr, dtype=np.float64)
@@ -311,7 +305,6 @@ class CarlesonSequence:
                 raise ValueError("Carleson sequence entries must be finite and >= 0")
             a.setflags(write=False)
             frozen.append(a)
-        self.grid = grid
         self.level_values = tuple(frozen)
         self.weight = weight
 
@@ -339,8 +332,7 @@ def carleson_embedding_checks(seqs: Sequence[CarlesonSequence]) -> list[Carleson
     classical dyadic embedding theorem pins C* within [carleson,
     4*carleson]; callers assert that window.
     """
-    grid = seqs[0].grid
-    depth = grid.depth
+    depth = same_depth(*(seq.weight.values for seq in seqs))
     root_w = np.sqrt(stack_rows([seq.weight.values for seq in seqs]))
     level_weights = [stack_rows([seq.level_values[k] / seq.weight.level_masses[k] ** 2
                                for seq in seqs]) for k in range(depth)]
@@ -351,7 +343,7 @@ def carleson_embedding_checks(seqs: Sequence[CarlesonSequence]) -> list[Carleson
         return root_w * accumulate_levels(terms, depth)
 
     reports = []
-    for seq, top in zip(seqs, _top_eigenvalues(grid.n_leaves, form, len(seqs))):
+    for seq, top in zip(seqs, _top_eigenvalues(1 << depth, form, len(seqs))):
         car = carleson_constant(seq)
         ratio = top.value / car if car > 0 else math.nan
         reports.append(CarlesonEmbeddingReport(car, top.value, ratio))
@@ -359,7 +351,7 @@ def carleson_embedding_checks(seqs: Sequence[CarlesonSequence]) -> list[Carleson
 
 
 def paraproduct_carleson_sequence(
-    b: StepFunction, mu: Weight, lam: Weight
+    b: np.ndarray, mu: Weight, lam: Weight
 ) -> CarlesonSequence:
     """a_I = bhat(I)^2 <mu^{-1}>_I^2 <lambda>_I, tested against mu^{-1}.
 
@@ -367,21 +359,21 @@ def paraproduct_carleson_sequence(
     of bmo.py.
     """
     mu_inv = mu.inverse
-    return CarlesonSequence(b.grid, _carleson_terms(b, mu_inv, lam), mu_inv)
+    return CarlesonSequence(_carleson_terms(b, mu_inv, lam), mu_inv)
 
 
 def adjoint_paraproduct_carleson_sequence(
-    b: StepFunction, mu: Weight, lam: Weight
+    b: np.ndarray, mu: Weight, lam: Weight
 ) -> CarlesonSequence:
     """a_I = bhat(I)^2 <lambda>_I^2 <mu^{-1}>_I, tested against lambda.
 
     Carleson constant equals bloom_b2_dual(b, mu, lambda)^2.
     """
-    return CarlesonSequence(b.grid, _carleson_terms(b, lam, mu.inverse), lam)
+    return CarlesonSequence(_carleson_terms(b, lam, mu.inverse), lam)
 
 
 def necessity_restriction_ratios(
-    b: StepFunction, mu: Weight, lam: Weight
+    b: np.ndarray, mu: Weight, lam: Weight
 ) -> list[np.ndarray]:
     """Per-interval ratios behind the test-function lower bound.
 
@@ -417,10 +409,10 @@ def necessity_restriction_ratios(
     (L_k + mu^{-1}(K) P(K))^2 lambda plus mu^{-1}(K)^2 R(K), with
     R(child) = R(parent) + P(sibling)^2 lambda(sibling) and R(root) = 0.
     """
-    depth = b.grid.depth
-    n = b.grid.n_leaves
+    depth = same_depth(b, mu.values, lam.values)
+    n = 1 << depth
     mu_inv = mu.inverse
-    _, cb = analyze_leaves(b.values, depth)
+    _, cb = analyze_leaves(b, depth)
     sums = _subtree_sums(_carleson_terms(b, mu_inv, lam))
 
     def siblings(a: np.ndarray) -> np.ndarray:
@@ -456,7 +448,7 @@ def necessity_restriction_ratios(
     return out
 
 
-def necessity_test_function_bound(b: StepFunction, mu: Weight, lam: Weight) -> float:
+def necessity_test_function_bound(b: np.ndarray, mu: Weight, lam: Weight) -> float:
     """Max over K of the restriction ratio above (0 when b has no active
     coefficients at all)."""
     ratios = necessity_restriction_ratios(b, mu, lam)
@@ -493,7 +485,7 @@ def _safe_ratio(num: float, den: float) -> float:
 
 
 def compute_norm_report(
-    b: StepFunction,
+    b: np.ndarray,
     mu: Weight,
     lam: Weight,
 ) -> NormReport:
@@ -510,13 +502,13 @@ def compute_norm_report(
     value and diagnostics are the paraproduct's solve.  diagnostics holds,
     per norm, the Lanczos matvecs and the final Ritz residual of W'W.
     """
-    grid = b.grid
+    depth = same_depth(b, mu.values, lam.values)
     rho = rho_weight(mu, lam)
     a2_mu = a2_characteristic(mu)
     rep = bmo_report(b, mu, lam)
     (para,) = weighted_operator_norms(paraproduct_operator(b), [mu], [lam])
-    sh_mu, sh_lam = (e for ws in _lockstep_chunks([mu, lam], grid.n_leaves)
-                     for e in weighted_operator_norms(shift_operator(grid), ws, ws))
+    sh_mu, sh_lam = (e for ws in _lockstep_chunks([mu, lam], 1 << depth)
+                     for e in weighted_operator_norms(shift_operator(depth), ws, ws))
     (comm,) = weighted_operator_norms(commutator_operator(b), [mu], [lam])
     solves = {
         "norm_paraproduct": para,
@@ -535,7 +527,7 @@ def compute_norm_report(
         "shift_mu_norm_over_sqrt_a2": _safe_ratio(sh_mu.value, math.sqrt(a2_mu)),
     }
     return NormReport(
-        depth=grid.depth,
+        depth=depth,
         a2_mu=a2_mu,
         a2_lambda=a2_characteristic(lam),
         a2_rho=a2_characteristic(rho),

@@ -1,7 +1,7 @@
 """Paraproducts, the dyadic shift, the commutator, and its exact expansion.
 
-Operators act on step functions of one grid.  With bhat(I) = <b, h_I> and
-<f>_I the plain average,
+Operators act on leaf arrays, the 2^D leaf values of step functions on the
+depth-D grid.  With bhat(I) = <b, h_I> and <f>_I the plain average,
 
     paraproduct:          Pi_b f        = sum_I bhat(I) <f>_I h_I
     adjoint paraproduct:  Pi*_b f       = sum_I bhat(I) fhat(I) 1_I / |I|
@@ -15,9 +15,10 @@ Each operator has one API, a LeafOperator of array kernels on leaf arrays,
 built once per symbol (b is analysed when the plan is built, not per apply)
 by paraproduct_operator, paraproduct_adjoint_operator, shift_operator or
 commutator_operator.  The suites and the norm engine share these plans.  A
-plan may also be built for a sequence of symbols on one grid: it then
-applies symbol r to row r of a (rows, 2^D) stack, so one plan serves the
-lockstep solves of a whole group of trials.
+plan carries its depth, not a grid.  It may also be built for a sequence of
+symbols of one depth (grid.same_depth): it then applies symbol r to row r
+of a (rows, 2^D) stack, so one plan serves the lockstep solves of a whole
+group of trials.
 
 Admissibility.  Sh maps a level-k coefficient to level k+1, so level-(D-1)
 input coefficients have no representation at depth D.  Functions whose
@@ -47,12 +48,11 @@ import numpy as np
 
 from .errors import InadmissibleLevelError
 from .grid import (
-    DyadicGrid,
-    StepFunction,
-    _check_same_grid,
     accumulate_levels,
     analyze_leaves,
+    depth_of,
     level_masses,
+    same_depth,
     stack_rows,
     synthesize_leaves,
 )
@@ -72,37 +72,34 @@ __all__ = [
 
 
 class LeafOperator(NamedTuple):
-    """A linear map on the leaf values of one grid, with its transpose under
-    the unweighted L^2 pairing <u, v> = mean(u v).  apply and transpose are
-    array kernels (2^D leaf values on the last axis in, a new array out)
-    that check no finiteness: the norm engine checks its vectors, and a
-    StepFunction is checked when it is built.  Every kernel takes leading
-    axes: it acts on each row of a stack, bit for bit as on that row alone,
-    since every pass is elementwise.  A plan built from stacked symbols
-    broadcasts its symbol rows against those axes."""
+    """A linear map on the leaf values of the depth-D grid, with its
+    transpose under the unweighted L^2 pairing <u, v> = mean(u v).  apply
+    and transpose are array kernels (2^D leaf values on the last axis in, a
+    new array out) that check no finiteness: the norm engine checks its
+    vectors, and leaf data is checked where it enters (grid.leaf_values).
+    Every kernel takes leading axes: it acts on each row of a stack, bit for
+    bit as on that row alone, since every pass is elementwise.  A plan built
+    from stacked symbols broadcasts its symbol rows against those axes."""
 
-    grid: DyadicGrid
+    depth: int
     apply: Callable[[np.ndarray], np.ndarray]
     transpose: Callable[[np.ndarray], np.ndarray]
 
 
-Symbols = StepFunction | Sequence[StepFunction]
+Symbols = np.ndarray | Sequence[np.ndarray]
 
 
-def _symbol_rows(b: Symbols, values=lambda s: s.values) -> tuple[DyadicGrid, np.ndarray]:
-    # the grid and values(s) of each symbol s, stacked by stack_rows
-    if isinstance(b, StepFunction):
+def _symbol_rows(b: Symbols, values=lambda s: s) -> tuple[int, np.ndarray]:
+    # the common depth and values(s) of each symbol s, stacked by stack_rows
+    if isinstance(b, np.ndarray):
         b = [b]
-    for s in b[1:]:
-        _check_same_grid(b[0], s)
-    return b[0].grid, stack_rows([values(s) for s in b])
+    return same_depth(*b), stack_rows([values(s) for s in b])
 
 
 def paraproduct_operator(b: Symbols) -> LeafOperator:
-    """Pi_b with transpose Pi*_b; b (one symbol or a stack) is analysed
-    once, here."""
-    grid, bv = _symbol_rows(b)
-    depth = grid.depth
+    """Pi_b with transpose Pi*_b; b (one symbol's leaf array or a sequence
+    of them) is analysed once, here."""
+    depth, bv = _symbol_rows(b)
     _, cb = analyze_leaves(bv, depth)
 
     def apply(f: np.ndarray) -> np.ndarray:
@@ -114,23 +111,22 @@ def paraproduct_operator(b: Symbols) -> LeafOperator:
         _, cg = analyze_leaves(g, depth)
         return accumulate_levels([cb[k] * cg[k] * (1 << k) for k in range(depth)], depth)
 
-    return LeafOperator(grid, apply, transpose)
+    return LeafOperator(depth, apply, transpose)
 
 
 def paraproduct_adjoint_operator(b: Symbols) -> LeafOperator:
     """Pi*_b with transpose Pi_b."""
-    grid, apply, transpose = paraproduct_operator(b)
-    return LeafOperator(grid, transpose, apply)
+    depth, apply, transpose = paraproduct_operator(b)
+    return LeafOperator(depth, transpose, apply)
 
 
-def shift_operator(grid: DyadicGrid) -> LeafOperator:
+def shift_operator(depth: int) -> LeafOperator:
     """The shift with its deepest input level dropped.
 
     The coefficient of Sh^T g on a level-k interval I, k <= D-2, is
     (ghat(I_-) - ghat(I_+)) / sqrt(2); the mean, the level-0 coefficient of
     g and the level-(D-1) coefficient of the image are all zero.
     """
-    depth = grid.depth
 
     def apply(f: np.ndarray) -> np.ndarray:
         return _shift_values(analyze_leaves(f, depth)[1], depth)
@@ -141,13 +137,13 @@ def shift_operator(grid: DyadicGrid) -> LeafOperator:
                for k in range(depth - 1)]
         return synthesize_leaves(np.zeros(g.shape[:-1]), out, depth)
 
-    return LeafOperator(grid, apply, transpose)
+    return LeafOperator(depth, apply, transpose)
 
 
-def _commutator_plan(grid: DyadicGrid, bv: np.ndarray) -> LeafOperator:
+def _commutator_plan(depth: int, bv: np.ndarray) -> LeafOperator:
     # [b, Sh] f = b Sh(f) - Sh(b f), transpose Sh^T(b g) - b Sh^T(g); each
     # pair of shift passes runs as one pass over a (2, 2^D) stack.
-    _, sh, sh_t = shift_operator(grid)
+    _, sh, sh_t = shift_operator(depth)
 
     def apply(f: np.ndarray) -> np.ndarray:
         sh_f, sh_bf = sh(np.stack((f, bv * f)))
@@ -157,7 +153,7 @@ def _commutator_plan(grid: DyadicGrid, bv: np.ndarray) -> LeafOperator:
         sh_t_bg, sh_t_g = sh_t(np.stack((bv * g, g)))
         return sh_t_bg - bv * sh_t_g
 
-    return LeafOperator(grid, apply, transpose)
+    return LeafOperator(depth, apply, transpose)
 
 
 def commutator_operator(b: Symbols) -> LeafOperator:
@@ -167,7 +163,7 @@ def commutator_operator(b: Symbols) -> LeafOperator:
     Each symbol is centred first: [b, Sh] = [b - <b>, Sh], and the centred
     form makes a constant symbol give exactly zero.
     """
-    return _commutator_plan(*_symbol_rows(b, lambda s: s.values - s.integral()))
+    return _commutator_plan(*_symbol_rows(b, lambda s: s - s.mean()))
 
 
 def _top_level_max(coeffs: list[np.ndarray]) -> float:
@@ -175,25 +171,24 @@ def _top_level_max(coeffs: list[np.ndarray]) -> float:
     return float(np.abs(coeffs[-1]).max(initial=0.0))
 
 
-def is_admissible(f: StepFunction) -> bool:
+def is_admissible(f: np.ndarray) -> bool:
     """True when f's spectrum is supported on levels <= D-2."""
-    return _top_level_max(analyze_leaves(f.values, f.grid.depth)[1]) == 0.0
+    return _top_level_max(analyze_leaves(f, depth_of(f))[1]) == 0.0
 
 
-def project_admissible(f: StepFunction) -> StepFunction:
+def project_admissible(f: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the admissible subspace (levels <= D-2)."""
-    mean, coeffs = analyze_leaves(f.values, f.grid.depth)
-    keep = coeffs[: max(f.grid.depth - 1, 0)]
-    return StepFunction(f.grid, synthesize_leaves(mean, keep, f.grid.depth))
+    depth = depth_of(f)
+    mean, coeffs = analyze_leaves(f, depth)
+    return synthesize_leaves(mean, coeffs[: max(depth - 1, 0)], depth)
 
 
-def _admissible_coeffs(b: StepFunction, f: StepFunction, what: str):
+def _admissible_coeffs(b: np.ndarray, f: np.ndarray, what: str):
     # the Haar coefficients of b and f, each checked admissible
-    _check_same_grid(b, f)
-    depth = b.grid.depth
+    depth = same_depth(b, f)
     out = []
     for name, s in (("symbol b", b), ("argument f", f)):
-        coeffs = analyze_leaves(s.values, depth)[1]
+        coeffs = analyze_leaves(s, depth)[1]
         worst = _top_level_max(coeffs)
         if worst > 0.0:
             raise InadmissibleLevelError(
@@ -236,7 +231,7 @@ def _shift_values(coeffs: list[np.ndarray], depth: int) -> np.ndarray:
     return _quarter_pyramid(scaled, depth, _SHIFT_SIGNS, coeffs[0].shape[:-1])
 
 
-def remainder_closed_form(b: StepFunction, f: StepFunction) -> np.ndarray:
+def remainder_closed_form(b: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Closed form of the expansion remainder Pi_{Sh f} b - Sh(Pi_f b):
 
         sum_I bhat(I) fhat(I) |I|^{-1} * (+1, -1, +1, -1 on the quarters of I),
@@ -245,8 +240,8 @@ def remainder_closed_form(b: StepFunction, f: StepFunction) -> np.ndarray:
     Levels run over 0..D-2, and b and f must be admissible: the deepest
     level must be zero to begin with.
     """
-    depth = b.grid.depth
     cb, cf = _admissible_coeffs(b, f, "remainder")
+    depth = len(cb)
     scaled = [cb[k] * cf[k] * (1 << k) for k in range(max(depth - 1, 0))]
     return _quarter_pyramid(scaled, depth, _REMAINDER_SIGNS)
 
@@ -303,7 +298,7 @@ class ExpansionTerms:
         return self.pi_shf_b - self.sh_pi_f_b
 
 
-def expansion_terms(b: StepFunction, f: StepFunction) -> ExpansionTerms:
+def expansion_terms(b: np.ndarray, f: np.ndarray) -> ExpansionTerms:
     """Compute all six expansion terms and the direct commutator.
 
     b and f must be admissible.  Every intermediate is then admissible where
@@ -312,17 +307,16 @@ def expansion_terms(b: StepFunction, f: StepFunction) -> ExpansionTerms:
     (level of I)-blocks of its deepest active I, so its spectrum also stays
     within levels <= D-2.
     """
-    _admissible_coeffs(b, f, "expansion")
-    grid = b.grid
-    shift = shift_operator(grid).apply
+    depth = len(_admissible_coeffs(b, f, "expansion")[0])
+    shift = shift_operator(depth).apply
     pi_b = paraproduct_operator(b)
-    shf = shift(f.values)
+    shf = shift(f)
     return ExpansionTerms(
-        commutator=_commutator_plan(grid, b.values).apply(f.values),
+        commutator=_commutator_plan(depth, b).apply(f),
         pi_b_shf=pi_b.apply(shf),
-        sh_pi_b_f=shift(pi_b.apply(f.values)),
+        sh_pi_b_f=shift(pi_b.apply(f)),
         pi_b_star_shf=pi_b.transpose(shf),
-        sh_pi_b_star_f=shift(pi_b.transpose(f.values)),
-        pi_shf_b=paraproduct_operator(StepFunction(grid, shf)).apply(b.values),
-        sh_pi_f_b=shift(paraproduct_operator(f).apply(b.values)),
+        sh_pi_b_star_f=shift(pi_b.transpose(f)),
+        pi_shf_b=paraproduct_operator(shf).apply(b),
+        sh_pi_f_b=shift(paraproduct_operator(f).apply(b)),
     )

@@ -1,4 +1,4 @@
-"""Canonical JSON helpers and step-function/weight file I/O.
+"""Canonical JSON helpers and leaf-value (symbol and weight) file I/O.
 
 Output determinism contract: same inputs produce byte-identical files.  That
 means sorted keys, fixed separators, eager conversion of numpy scalars and
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .grid import DyadicGrid, StepFunction
+from .grid import depth_of, leaf_values
 from .weights import Weight
 
 __all__ = [
@@ -71,20 +71,22 @@ def read_json(path: str | Path):
         raise ConfigError(f"{p} is not valid JSON: {e}") from e
 
 
-def save_step_function(path: str | Path, f: StepFunction, role: str, spec: dict | None = None) -> None:
+def save_step_function(path: str | Path, values: np.ndarray, role: str,
+                       spec: dict | None = None) -> None:
     """Write a leaf-value file.  role is "weight" or "symbol" (documentation of
     intent; load_weight enforces positivity regardless)."""
     doc = {
         "type": role,
-        "depth": f.grid.depth,
-        "values": f.values,
+        "depth": depth_of(values),
+        "values": values,
     }
     if spec is not None:
         doc["spec"] = spec
     write_json(path, doc)
 
 
-def _parse_leaf_file(path: str | Path) -> tuple[str, StepFunction]:
+def load_step_function(path: str | Path) -> np.ndarray:
+    """The checked leaf values (grid.leaf_values) of a leaf-value file."""
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object with depth and values")
@@ -99,20 +101,13 @@ def _parse_leaf_file(path: str | Path) -> tuple[str, StepFunction]:
     if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
         raise ConfigError(f"{path}: values must be a list of JSON numbers")
     try:
-        f = StepFunction(DyadicGrid(depth), values)
+        return leaf_values(values, depth)
     except (TypeError, ValueError, OverflowError) as e:  # overflow: a huge JSON integer
         raise ConfigError(f"{path}: {e}") from e
-    return str(doc.get("type", "")), f
-
-
-def load_step_function(path: str | Path) -> StepFunction:
-    _, f = _parse_leaf_file(path)
-    return f
 
 
 def load_weight(path: str | Path) -> Weight:
-    _, f = _parse_leaf_file(path)
     try:
-        return Weight(f)
+        return Weight(load_step_function(path))
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from e

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PackingSearchError
-from .grid import DyadicGrid, DyadicInterval, StepFunction, square_layers
+from .grid import DyadicInterval, depth_of, square_layers
 from .weights import Weight, rho_weight
 
 __all__ = [
@@ -117,7 +117,6 @@ class StoppingFamily:
     and of the intervals inside them in no member, levels in order (a level
     missing from it has none)."""
 
-    grid: DyadicGrid
     roots: Intervals
     members: Intervals
     owners: np.ndarray
@@ -130,15 +129,15 @@ class StoppingFamily:
 
 
 def maximal_stopping_intervals(
-    grid: DyadicGrid, roots: Intervals | DyadicInterval, factory: PredicateFactory
+    depth: int, roots: Intervals | DyadicInterval, factory: PredicateFactory
 ) -> StoppingFamily:
-    """Maximal intervals strictly inside each root where factory(roots)
-    holds, by one top-down level scan over the whole root set; descent stops
+    """Maximal intervals of the depth-D grid strictly inside each root where
+    factory(roots) holds, by one top-down level scan over the whole root
+    set; descent stops
     at each member, and the scan ends once no position is left inside a
     root.  Members are ordered by left endpoint, so grouped by root."""
     if isinstance(roots, DyadicInterval):
         roots = Intervals.of(roots)
-    depth = grid.depth
     predicate = factory(roots)
     starting = {k: np.flatnonzero(roots.levels == k) for k in set(roots.levels.tolist())}
     top, bottom = min(starting), max(starting)
@@ -163,7 +162,7 @@ def maximal_stopping_intervals(
     # disjoint, so left endpoint orders them; integer shift keeps it exact
     order = np.argsort(positions << (depth - levels))
     members = Intervals(levels[order], positions[order])
-    return StoppingFamily(grid, roots, members, owners[order], unstopped)
+    return StoppingFamily(roots, members, owners[order], unstopped)
 
 
 def packing_ratio(family: StoppingFamily, w: Weight) -> float:
@@ -206,9 +205,9 @@ def threshold_factory(w: Weight, factor: float = 4.0) -> PredicateFactory:
     return factory
 
 
-def _scaled_squares(b: StepFunction) -> list[np.ndarray]:
+def _scaled_squares(b: np.ndarray) -> list[np.ndarray]:
     """bhat(I)^2/|I| per level k = 0..D; the leaves carry no coefficient."""
-    return square_layers(b.values, b.grid.depth) + [np.zeros(b.grid.n_leaves)]
+    return square_layers(b, depth_of(b)) + [np.zeros(b.size)]
 
 
 def _path_sums(q: list[np.ndarray], roots: Intervals) -> dict[int, np.ndarray]:
@@ -227,7 +226,7 @@ def _path_sums(q: list[np.ndarray], roots: Intervals) -> dict[int, np.ndarray]:
 
 
 def three_condition_factory(
-    mu: Weight, lam: Weight, b: StepFunction, C: float, C_b: float
+    mu: Weight, lam: Weight, b: np.ndarray, C: float, C_b: float
 ) -> PredicateFactory:
     """Stop at the maximal S inside I0 where any of the following holds:
 
@@ -265,7 +264,7 @@ def three_condition_factory(
 
 
 def square_sum_factories(
-    b: StepFunction, rho: Weight, b2_value: float
+    b: np.ndarray, rho: Weight, b2_value: float
 ) -> Callable[[float], PredicateFactory]:
     """C -> the factory that stops where the root-to-I path sum of
     bhat^2/|I'| first exceeds C * b2_value^2 * <rho>_I0^2 (b2_value is a
@@ -294,7 +293,7 @@ def _constant_grid() -> list[float]:
 
 
 def minimal_packing_constant(
-    grid: DyadicGrid,
+    depth: int,
     root: DyadicInterval,
     factory_of_c: Callable[[float], PredicateFactory],
     w: Weight,
@@ -310,7 +309,7 @@ def minimal_packing_constant(
     candidates = _constant_grid()
 
     def ratio_at(c: float) -> float:
-        return packing_ratio(maximal_stopping_intervals(grid, root, factory_of_c(c)), w)
+        return packing_ratio(maximal_stopping_intervals(depth, root, factory_of_c(c)), w)
 
     best = ratio_at(candidates[-1])
     if best > PACKING_TARGET:
@@ -331,7 +330,7 @@ def minimal_packing_constant(
 
 
 def corona_generations(
-    grid: DyadicGrid, root: DyadicInterval, factory: PredicateFactory
+    depth: int, root: DyadicInterval, factory: PredicateFactory
 ) -> list[StoppingFamily]:
     """Iterate stopping families: generation g+1 is one scan under all the
     members of generation g.  Stops after the first empty generation (always
@@ -341,7 +340,7 @@ def corona_generations(
     generations: list[StoppingFamily] = []
     roots: Intervals | DyadicInterval = root
     while True:
-        fam = maximal_stopping_intervals(grid, roots, factory)
+        fam = maximal_stopping_intervals(depth, roots, factory)
         generations.append(fam)
         roots = fam.members
         if not roots.levels.size:
@@ -349,7 +348,7 @@ def corona_generations(
 
 
 def minimal_corona_constant(
-    grid: DyadicGrid,
+    depth: int,
     root: DyadicInterval,
     factory_of_c: Callable[[float], PredicateFactory],
     w: Weight,
@@ -362,11 +361,11 @@ def minimal_corona_constant(
     arguments passes it as start, and the search is not run again."""
     candidates = _constant_grid()
     if start is None:
-        start = minimal_packing_constant(grid, root, factory_of_c, w)
+        start = minimal_packing_constant(depth, root, factory_of_c, w)
     idx = candidates.index(min(c for c in candidates if c >= start * (1 - 1e-12)))
 
     for c in candidates[idx:]:
-        gens = corona_generations(grid, root, factory_of_c(c))
+        gens = corona_generations(depth, root, factory_of_c(c))
         if all(packing_ratio(fam, w) <= PACKING_TARGET for fam in gens):
             return c
     best = candidates[-1]

@@ -58,8 +58,7 @@ from .bmo import (
 from .config import ExperimentConfig
 from .errors import ConfigError, PackingSearchError
 from .grid import (
-    DyadicGrid,
-    StepFunction,
+    ROOT,
     accumulate_levels,
     analyze_leaves,
     haar_function,
@@ -248,12 +247,12 @@ class TrialData:
     index: int
     mu: Weight
     lam: Weight
-    b: StepFunction
-    b_raw: StepFunction
-    f: StepFunction
-    g: StepFunction
-    f_raw: StepFunction
-    g_raw: StepFunction
+    b: np.ndarray
+    b_raw: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
+    f_raw: np.ndarray
+    g_raw: np.ndarray
 
     @cached_property
     def rho(self) -> Weight:
@@ -264,11 +263,10 @@ def make_trial(cfg: ExperimentConfig, t: int) -> TrialData:
     mu = generate(cfg.mu_spec(t))
     lam = generate(cfg.lambda_spec(t))
     sym = generate(cfg.symbol_spec(t))
-    b_raw = sym.base if isinstance(sym, Weight) else sym
-    grid = DyadicGrid(cfg.depth)
+    b_raw = sym.values if isinstance(sym, Weight) else sym
     rng = np.random.default_rng(cfg.func_seed(t))
-    f_raw = StepFunction(grid, rng.standard_normal(grid.n_leaves))
-    g_raw = StepFunction(grid, rng.standard_normal(grid.n_leaves))
+    f_raw = rng.standard_normal(1 << cfg.depth)
+    g_raw = rng.standard_normal(1 << cfg.depth)
     return TrialData(
         index=t,
         mu=mu,
@@ -292,9 +290,8 @@ def _worked_example_assertions() -> list[Assertion]:
     # compared bitwise.  The six-term sum synthesizes two of its terms from
     # Haar coefficients, which costs one ulp on (1/sqrt(2))*sqrt(2); those
     # comparisons are held to 1e-12 instead.
-    grid = DyadicGrid(2)
-    h_root = haar_function(grid, grid.root)
-    shifted = shift_operator(grid).apply(h_root.values)
+    h_root = haar_function(2, ROOT)
+    shifted = shift_operator(2).apply(h_root)
     ok_shift = np.array_equal(shifted, np.array([-1.0, 1.0, 1.0, -1.0]))
     six = expansion_terms(h_root, h_root)
     ok_comm = np.array_equal(six.commutator, np.array([1.0, -1.0, 1.0, -1.0]))
@@ -313,22 +310,22 @@ def _worked_example_assertions() -> list[Assertion]:
 
 
 def _check_identities(rec: Record, td: TrialData, solved: Solved) -> None:
-    grid = td.b.grid
+    depth = rec.cfg.depth
     # round trip and Parseval on a full-spectrum function
-    mean, coeffs = analyze_leaves(td.f_raw.values, grid.depth)
-    back = synthesize_leaves(mean, coeffs, grid.depth)
-    rec.residual("haar_round_trip", float(np.abs(back - td.f_raw.values).max()))
-    energy = float((td.f_raw.values**2).mean())
+    mean, coeffs = analyze_leaves(td.f_raw, depth)
+    back = synthesize_leaves(mean, coeffs, depth)
+    rec.residual("haar_round_trip", float(np.abs(back - td.f_raw).max()))
+    energy = float((td.f_raw**2).mean())
     parseval = float(mean) ** 2 + float(sum((c**2).sum() for c in coeffs))
     rec.residual("parseval", _rel(abs(energy - parseval), energy))
     # product decomposition holds for arbitrary b, g
-    b, g = td.b_raw.values, td.g_raw.values
-    pi_b = paraproduct_operator(td.b_raw)
+    b, g = td.b_raw, td.g_raw
+    pi_b = paraproduct_operator(b)
     lhs = b * g
     rhs = (
-        td.b_raw.integral() * td.g_raw.integral()
+        b.mean() * g.mean()
         + pi_b.apply(g)
-        + paraproduct_operator(td.g_raw).apply(b)
+        + paraproduct_operator(g).apply(b)
         + pi_b.transpose(g)
     )
     rec.residual(
@@ -336,13 +333,13 @@ def _check_identities(rec: Record, td: TrialData, solved: Solved) -> None:
         _rel(float(np.abs(lhs - rhs).max()), float(np.abs(lhs).max())),
     )
     # unweighted adjointness <Pi_b f, g> = <f, Pi*_b g>
-    ip1 = float((pi_b.apply(td.f_raw.values) * g).mean())
-    ip2 = float((td.f_raw.values * pi_b.transpose(g)).mean())
+    ip1 = float((pi_b.apply(td.f_raw) * g).mean())
+    ip2 = float((td.f_raw * pi_b.transpose(g)).mean())
     rec.residual("paraproduct_adjointness", _rel(abs(ip1 - ip2), ip1, ip2))
     # shift isometry on admissible mean-free input
-    g0 = td.g.values - td.g.integral()
+    g0 = td.g - td.g.mean()
     norm0 = math.sqrt(float((g0**2).mean()))
-    norm1 = math.sqrt(float((shift_operator(grid).apply(g0) ** 2).mean()))
+    norm1 = math.sqrt(float((shift_operator(depth).apply(g0) ** 2).mean()))
     rec.residual("shift_isometry_admissible", _rel(abs(norm1 - norm0), norm0))
     # six-term expansion, remainder closed form, remainder energy
     terms = expansion_terms(td.b, td.f)
@@ -354,13 +351,13 @@ def _check_identities(rec: Record, td: TrialData, solved: Solved) -> None:
         "remainder_closed_form",
         _rel(float(np.abs(rem - terms.remainder()).max()), scale),
     )
-    sq = accumulate_levels(square_layers(rem, grid.depth), grid.depth)
+    sq = accumulate_levels(square_layers(rem, depth), depth)
     measured_energy = float((sq * td.lam.values).mean())
-    _, cb = analyze_leaves(td.b.values, grid.depth)
-    _, cf = analyze_leaves(td.f.values, grid.depth)
+    _, cb = analyze_leaves(td.b, depth)
+    _, cf = analyze_leaves(td.f, depth)
     predicted = sum(
         float((cb[k] ** 2 * cf[k] ** 2 * (1 << k) * td.lam.averages[k]).sum())
-        for k in range(grid.depth - 1)
+        for k in range(depth - 1)
     )
     rec.residual("remainder_energy_identity",
                  _rel(abs(measured_energy - predicted), measured_energy))
@@ -378,7 +375,7 @@ def _check_equivalences(rec: Record, td: TrialData, solved: Solved) -> None:
     for w in (mu, lam):
         a2 = a2_characteristic(w)
         inv = w.inverse
-        for k in range(w.grid.depth + 1):
+        for k in range(w.depth + 1):
             prod = w.averages[k] * inv.averages[k]
             rec.residual("a2_sandwich_lower", float((1.0 - prod).max()))
             rec.residual("a2_sandwich_upper", float((prod - a2).max()))
@@ -398,7 +395,7 @@ def _check_equivalences(rec: Record, td: TrialData, solved: Solved) -> None:
 def _degenerate_assertions(rec: Record) -> list[Assertion]:
     # degenerate symbol: every functional vanishes exactly
     td0 = rec.first
-    zero = StepFunction.constant(td0.b.grid, 0.0)
+    zero = np.zeros(1 << rec.cfg.depth)
     vals = [
         bloom_b2(zero, td0.mu, td0.lam),
         bloom_b2_dual(zero, td0.mu, td0.lam),
@@ -407,7 +404,7 @@ def _degenerate_assertions(rec: Record) -> list[Assertion]:
         bmo_rho_l1(zero, td0.rho),
         neccon_functional(zero, td0.mu, td0.lam),
     ]
-    a2 = a2_characteristic(Weight(StepFunction.constant(DyadicGrid(rec.cfg.depth), 3.0)))
+    a2 = a2_characteristic(Weight(np.full(1 << rec.cfg.depth, 3.0)))
     return [
         Assertion("zero_symbol_zero_functionals", max(vals) == 0.0, max(vals), 0.0,
                   "all six functionals of b == 0"),
@@ -494,7 +491,7 @@ def _check_commutator_bounds(rec: Record, td: TrialData, solved: Solved) -> None
     b = td.b
     M = commutator_operator(b)
     # the norm engine's apply vs the six-term paraproduct route
-    via_engine = M.apply(td.f.values)
+    via_engine = M.apply(td.f)
     via_expansion = expansion_terms(b, td.f).signed_sum()
     rec.residual(
         "commutator_apply_matches_expansion",
@@ -502,18 +499,18 @@ def _check_commutator_bounds(rec: Record, td: TrialData, solved: Solved) -> None
              float(np.abs(via_expansion).max())),
     )
     # a constant symbol commutes exactly
-    c = StepFunction.constant(b.grid, 2.5)
+    c = np.full(b.size, 2.5)
     rec.residual(
         "constant_symbol_commutes",
-        float(np.abs(commutator_operator(c).apply(td.f.values)).max()),
+        float(np.abs(commutator_operator(c).apply(td.f)).max()),
     )
     # <T f, g> = <f, T' g> for every transpose the engine uses; the raw
     # functions keep level-(D-1) content, which the shift truncates
     f, g = td.f_raw, td.g_raw
     for T in (paraproduct_operator(b), paraproduct_adjoint_operator(b),
-              shift_operator(b.grid), M):
-        ip1 = float((T.apply(f.values) * g.values).mean())
-        ip2 = float((f.values * T.transpose(g.values)).mean())
+              shift_operator(rec.cfg.depth), M):
+        ip1 = float((T.apply(f) * g).mean())
+        ip2 = float((f * T.transpose(g)).mean())
         rec.residual("adjoint_consistency", _rel(abs(ip1 - ip2), ip1, ip2))
     (n_comm,) = solved["commutator"]
     bmo = bmo_rho(b, td.rho)
@@ -567,7 +564,7 @@ def _check_ppott(rec: Record, td: TrialData, solved: Solved) -> None:
 
 
 def _constant_weight_assertions(rec: Record) -> list[Assertion]:
-    const = Weight(StepFunction.constant(DyadicGrid(rec.cfg.depth), 1.0))
+    const = Weight(np.ones(1 << rec.cfg.depth))
     err = abs(_ppott_constants([const])[0] - 1.0)
     return [Assertion("constant_weight_best_constant_one", err <= 1e-9, err, 1e-9,
                       "coefficient energy inequality is Parseval at w == 1")]
@@ -578,8 +575,7 @@ def _constant_weight_assertions(rec: Record) -> list[Assertion]:
 
 def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
     mu, lam, b = td.mu, td.lam, td.b
-    grid = b.grid
-    root = grid.root
+    depth, root = rec.cfg.depth, ROOT
     mu_inv = mu.inverse
     rho = td.rho
 
@@ -592,19 +588,19 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
 
     # (a) two-sided lambda deviation: minimal constant and its packing
     c = search("deviation", lambda: minimal_packing_constant(
-        grid, root, lambda C: deviation_factory(lam, C), lam
+        depth, root, lambda C: deviation_factory(lam, C), lam
     ))
     if c is not None:
-        fam = maximal_stopping_intervals(grid, root, deviation_factory(lam, c))
+        fam = maximal_stopping_intervals(depth, root, deviation_factory(lam, c))
         rec.residual("deviation_packing_at_target", packing_ratio(fam, lam) - PACKING_TARGET)
         rec.sample("deviation_constant", c)
     # corona decay at the corona-wide constant, scanned up from c (without
     # c the search reruns and records its own failure)
     cc = search("corona", lambda: minimal_corona_constant(
-        grid, root, lambda C: deviation_factory(lam, C), lam, start=c
+        depth, root, lambda C: deviation_factory(lam, C), lam, start=c
     ))
     if cc is not None:
-        gens = corona_generations(grid, root, deviation_factory(lam, cc))
+        gens = corona_generations(depth, root, deviation_factory(lam, cc))
         total_root = lam.mass(root)
         for i, gen in enumerate(gens):
             allowed = PACKING_TARGET ** (i + 1) * total_root
@@ -612,7 +608,7 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
             rec.residual("corona_geometric_decay", gen_mass - allowed * (1 + 1e-12))
         rec.sample("corona_constant", cc)
     # (c) one-sided factor-4 threshold: definitional Lebesgue packing
-    fam4 = maximal_stopping_intervals(grid, root, threshold_factory(mu_inv, 4.0))
+    fam4 = maximal_stopping_intervals(depth, root, threshold_factory(mu_inv, 4.0))
     leb = ordered_sum(np.ldexp(1.0, -fam4.members.levels))
     rec.residual("factor4_lebesgue_packing_quarter", leb - 0.25 * (1 + 1e-12))
     # unstopped coefficient sum under combined two-weight deviation
@@ -620,15 +616,15 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
     c_both = None
     if b2 > 0:
         c_both = search("two-weight deviation", lambda: minimal_packing_constant(
-            grid, root, lambda C: deviation_factory([mu_inv, lam], C), mu_inv
+            depth, root, lambda C: deviation_factory([mu_inv, lam], C), mu_inv
         ))
     if c_both is not None:
-        fam = maximal_stopping_intervals(grid, root, deviation_factory([mu_inv, lam], c_both))
-        _, coeffs = analyze_leaves(b.values, grid.depth)
+        fam = maximal_stopping_intervals(depth, root, deviation_factory([mu_inv, lam], c_both))
+        _, coeffs = analyze_leaves(b, depth)
         # float_power is libm pow, as Python's ** on a float (a square is not)
         coeff_sum = ordered_sum(np.concatenate([
             np.float_power(coeffs[k][free], 2.0)
-            for k, free in fam.unstopped.items() if k < grid.depth
+            for k, free in fam.unstopped.items() if k < depth
         ]))
         base = b2**2 * 1.0 / (mu_inv.average(root) * lam.average(root))
         bound = c_both**3 * base
@@ -638,7 +634,7 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
         )
         rec.sample("unstopped_coeff_sum_over_base", coeff_sum / base)
     # (b) three-condition stopping with C = 2, C_b = 1
-    fam3 = maximal_stopping_intervals(grid, root, three_condition_factory(mu, lam, b, 2.0, 1.0))
+    fam3 = maximal_stopping_intervals(depth, root, three_condition_factory(mu, lam, b, 2.0, 1.0))
     lengths = np.ldexp(1.0, -fam3.members.levels)
     over_mu = fam3.members.gather(mu_inv.averages) > 2.0 * mu_inv.average(root)
     over_rho = fam3.members.gather(rho.averages) > 2.0 * rho.average(root)
@@ -650,7 +646,7 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
     # (d) square-sum stopping: minimal constant in rho-mass
     if b2 > 0:
         csq = search("square-sum", lambda: minimal_packing_constant(
-            grid, root, square_sum_factories(b, rho, b2), rho
+            depth, root, square_sum_factories(b, rho, b2), rho
         ))
         if csq is not None:
             rec.sample("square_sum_constant", csq)
@@ -666,12 +662,12 @@ def _packing_assertions(rec: Record) -> list[Assertion]:
 # --------------------------------------------------------------- neccon-chain
 
 
-def _mu_normalized_oscillation(b: StepFunction, mu: Weight, lam: Weight) -> float:
+def _mu_normalized_oscillation(b: np.ndarray, mu: Weight, lam: Weight) -> float:
     """sup_I (1/mu(I)) int_I (b - <b>_I)^2 lambda dx."""
-    depth = b.grid.depth
-    mb = level_masses(b.values, depth)
-    mbl = level_masses(b.values * lam.values, depth)
-    mb2l = level_masses(b.values**2 * lam.values, depth)
+    depth = mu.depth
+    mb = level_masses(b, depth)
+    mbl = level_masses(b * lam.values, depth)
+    mb2l = level_masses(b**2 * lam.values, depth)
     ml = lam.level_masses
     best = 0.0
     for k in range(depth):
@@ -817,7 +813,7 @@ SUITES = {
 def _solve_group(names: Sequence[str], group: list[TrialData]) -> list[Solved]:
     """Each trial's values of the named eigenproblems, every problem solved
     for the whole group in as few lockstep solves as the width cap allows."""
-    n = group[0].b.grid.n_leaves
+    n = group[0].b.size
     out: list[Solved] = [{} for _ in group]
     for name in names:
         solver, rows_of = SOLVES[name]

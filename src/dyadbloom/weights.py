@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, EnsembleTargetError
-from .grid import MAX_GRID_DEPTH, DyadicGrid, DyadicInterval, StepFunction, level_masses
+from .grid import MAX_GRID_DEPTH, DyadicInterval, depth_of, leaf_values, level_masses, same_depth
 
 __all__ = [
     "Weight",
@@ -32,31 +32,25 @@ __all__ = [
 class Weight:
     """A strictly positive step function with cached interval masses.
 
-    level_masses[k][j] is the integral of the weight over the level-k interval
-    at position j, for 0 <= k <= D.
+    values are its checked leaf values (grid.leaf_values) and depth their
+    depth.  level_masses[k][j] is the integral of the weight over the level-k
+    interval at position j, for 0 <= k <= D.
     """
 
-    __slots__ = ("base", "level_masses", "__dict__")
+    __slots__ = ("values", "depth", "level_masses", "__dict__")
 
-    def __init__(self, base: StepFunction):
-        if np.any(base.values <= 0.0):
+    def __init__(self, values):
+        values = leaf_values(values)
+        if np.any(values <= 0.0):
             raise ValueError("weights must be strictly positive on every leaf")
         with np.errstate(over="ignore"):
-            if not np.isfinite(1.0 / base.values).all():
+            if not np.isfinite(1.0 / values).all():
                 raise ValueError("weight leaves must have finite reciprocals (not subnormal)")
-        masses = level_masses(base.values, base.grid.depth)
-        for m in masses:
+        self.values = values
+        self.depth = depth_of(values)
+        self.level_masses = tuple(level_masses(values, self.depth))
+        for m in self.level_masses:
             m.setflags(write=False)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "level_masses", tuple(masses))
-
-    @property
-    def grid(self) -> DyadicGrid:
-        return self.base.grid
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.base.values
 
     @property
     def total_mass(self) -> float:
@@ -81,10 +75,10 @@ class Weight:
     @cached_property
     def inverse(self) -> "Weight":
         """The weight 1/w (cached)."""
-        return Weight(StepFunction(self.grid, 1.0 / self.values))
+        return Weight(1.0 / self.values)
 
     def __repr__(self):
-        return f"Weight(depth={self.grid.depth}, total_mass={self.total_mass!r})"
+        return f"Weight(depth={self.depth}, total_mass={self.total_mass!r})"
 
 
 def a2_characteristic(w: Weight) -> float:
@@ -99,9 +93,8 @@ def a2_characteristic(w: Weight) -> float:
 
 def rho_weight(mu: Weight, lam: Weight) -> Weight:
     """The Bloom weight rho = (mu / lambda)^{1/2}."""
-    if mu.grid != lam.grid:
-        raise ValueError("mu and lambda must live on the same grid")
-    return Weight(StepFunction(mu.grid, np.sqrt(mu.values / lam.values)))
+    same_depth(mu.values, lam.values)
+    return Weight(np.sqrt(mu.values / lam.values))
 
 
 WEIGHT_KINDS = ("constant", "two-value", "power", "cascade")
@@ -203,9 +196,9 @@ class EnsembleSpec:
         if extra:
             raise ConfigError(f"unknown ensemble spec fields: {sorted(extra)}")
         kw = dict(d)
-        kw["depth"] = int(kw["depth"])
+        kw["depth"] = integer_field("depth", kw["depth"])
         if "seed" in kw:
-            kw["seed"] = int(kw["seed"])
+            kw["seed"] = integer_field("seed", kw["seed"])
         if isinstance(kw.get("values"), list):
             kw["values"] = tuple(kw["values"])
         if kw.get("a2_range") is not None:
@@ -214,6 +207,16 @@ class EnsembleSpec:
                 raise ConfigError("a2_range must be a [lo, hi] pair")
             kw["a2_range"] = tuple(r)
         return cls(**kw)
+
+
+def integer_field(name: str, v) -> int:
+    """An integer field read from JSON, as an int: a float counts only with
+    an integral value (4.0), and a string or a bool never (ConfigError)."""
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {v!r}")
+    return v
 
 
 def _check_finite(name: str, *vs) -> None:
@@ -272,28 +275,27 @@ def _sparse_symbol_values(spec: EnsembleSpec, rng: np.random.Generator) -> np.nd
 
 
 def _generate_once(spec: EnsembleSpec, rng: np.random.Generator):
-    grid = DyadicGrid(spec.depth)
+    n = 1 << spec.depth
     if spec.kind == "constant":
-        return Weight(StepFunction.constant(grid, spec.values[0]))
+        return Weight(np.full(n, float(spec.values[0])))
     if spec.kind == "two-value":
-        vals = rng.choice(np.asarray(spec.values, dtype=np.float64), size=grid.n_leaves)
-        return Weight(StepFunction(grid, vals))
+        return Weight(rng.choice(np.asarray(spec.values, dtype=np.float64), size=n))
     if spec.kind == "power":
-        return Weight(StepFunction(grid, _power_leaf_averages(spec.depth, spec.alpha, spec.center)))
+        return Weight(_power_leaf_averages(spec.depth, spec.alpha, spec.center))
     if spec.kind == "cascade":
-        return Weight(StepFunction(grid, _cascade_values(spec.depth, spec.delta, rng)))
+        return Weight(_cascade_values(spec.depth, spec.delta, rng))
     if spec.kind == "log-symbol":
-        w = _cascade_values(spec.depth, spec.delta, rng)
-        return StepFunction(grid, np.log(w))
+        return leaf_values(np.log(_cascade_values(spec.depth, spec.delta, rng)))
     if spec.kind == "haar-sparse-symbol":
-        return StepFunction(grid, _sparse_symbol_values(spec, rng))
+        return leaf_values(_sparse_symbol_values(spec, rng))
     raise ConfigError(f"unknown ensemble kind {spec.kind!r}")
 
 
 def generate(spec: EnsembleSpec):
     """Generate the weight or symbol described by spec, deterministically.
 
-    Returns a Weight for weight kinds and a StepFunction for symbol kinds.
+    Returns a Weight for weight kinds and, for symbol kinds, the symbol's
+    checked leaf values (grid.leaf_values).
     With a2_range set, regenerates from the same stream until the A2
     characteristic lands in range, up to max_retries attempts.
     """

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dyadbloom import DyadicGrid, StepFunction, Weight
+from dyadbloom import Weight
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -15,19 +15,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture
-def grid2():
-    return DyadicGrid(2)
-
-
-@pytest.fixture
-def grid4():
-    return DyadicGrid(4)
-
-
-@pytest.fixture
 def unit_weight():
     def make(depth):
-        return Weight(StepFunction.constant(DyadicGrid(depth), 1.0))
+        return Weight(np.ones(1 << depth))
 
     return make
 
@@ -35,13 +25,13 @@ def unit_weight():
 @pytest.fixture
 def weight_13():
     # leaves (1, 3) at depth 1: [w]_{A2} = 4/3 by hand
-    return Weight(StepFunction(DyadicGrid(1), np.array([1.0, 3.0])))
+    return Weight(np.array([1.0, 3.0]))
 
 
 @pytest.fixture
 def weight_4411():
     # leaves (4, 4, 1, 1) at depth 2: [w]_{A2} = 25/16 by hand
-    return Weight(StepFunction(DyadicGrid(2), np.array([4.0, 4.0, 1.0, 1.0])))
+    return Weight(np.array([4.0, 4.0, 1.0, 1.0]))
 
 
 @pytest.fixture
@@ -54,6 +44,6 @@ def random_positive():
     def make(depth, seed, low=0.25, high=4.0):
         r = np.random.default_rng(seed)
         vals = np.exp(r.uniform(np.log(low), np.log(high), 1 << depth))
-        return Weight(StepFunction(DyadicGrid(depth), vals))
+        return Weight(vals)
 
     return make

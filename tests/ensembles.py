@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from dyadbloom import DyadicGrid, EnsembleSpec, StepFunction, Weight, generate
+from dyadbloom import EnsembleSpec, Weight, generate, leaf_values
 
 KINDS = ("smooth", "extreme", "sparse")
 
@@ -13,8 +13,7 @@ def triple(depth, ensemble, seed):
     whole subtrees carry no coefficient; or cascade weights with a sparse
     Haar symbol."""
     r = np.random.default_rng(seed)
-    grid = DyadicGrid(depth)
-    n = grid.n_leaves
+    n = 1 << depth
     if ensemble == "smooth":
         mu_v, lam_v = np.exp(r.uniform(-1, 1, (2, n)))
         b_v = r.standard_normal(n)
@@ -30,6 +29,5 @@ def triple(depth, ensemble, seed):
         lam_v = generate(EnsembleSpec(kind="cascade", depth=depth, seed=seed + 1)).values
         b_v = generate(
             EnsembleSpec(kind="haar-sparse-symbol", depth=depth, seed=seed, sparsity=0.1)
-        ).values
-    weights = (Weight(StepFunction(grid, v)) for v in (mu_v, lam_v))
-    return StepFunction(grid, b_v), *weights
+        )
+    return leaf_values(b_v), Weight(mu_v), Weight(lam_v)

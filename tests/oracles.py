@@ -83,8 +83,8 @@ def average_on(values, depth, k, j):
 
 
 def interval_average(f, iv):
-    """<f>_I of a step function f over a DyadicInterval iv."""
-    return average_on(f.values, f.grid.depth, iv.level, iv.position)
+    """<f>_I of a step function's leaf values f over a DyadicInterval iv."""
+    return average_on(f, len(f).bit_length() - 1, iv.level, iv.position)
 
 
 def interval_length(iv):

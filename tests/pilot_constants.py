@@ -92,7 +92,6 @@ def _regenerate():
     import numpy as np
 
     import oracles
-    from dyadbloom.grid import DyadicGrid
     from dyadbloom.suites import make_trial
     from dyadbloom.weights import EnsembleSpec, a2_characteristic, generate
 
@@ -105,7 +104,7 @@ def _regenerate():
         used = 0
         for t in range(cfg.trials):
             td = make_trial(cfg, t)
-            bv, muv, lamv = td.b.values, td.mu.values, td.lam.values
+            bv, muv, lamv = td.b, td.mu.values, td.lam.values
             rhov = np.sqrt(muv / lamv)
             funcs = [
                 oracles.bloom_oracle(bv, muv, lamv, PILOT_DEPTH),
@@ -127,8 +126,7 @@ def _regenerate():
         assert used >= cfg.trials // 2, f"{name}: too many degenerate trials"
         k_ens[name] = spread
         k_prime[name] = band
-    grid = DyadicGrid(8)
-    sh = oracles.shift_matrix(grid.depth)
+    sh = oracles.shift_matrix(8)
     worst = 0.0
     for alpha in np.linspace(-0.9, 0.9, 19):
         w = generate(EnsembleSpec(kind="power", depth=8, alpha=float(alpha)))

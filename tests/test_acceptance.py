@@ -11,9 +11,7 @@ and do not fail the criterion.
 import time
 
 import numpy as np
-import pytest
 
-import pilot_constants
 from conftest import ACCEPTANCE_LINES
 from pilot_constants import ALPHA_SWEEP_BOUND, ENSEMBLES, K_ENS, K_PRIME, _config
 from dyadbloom.bmo import (
@@ -24,9 +22,7 @@ from dyadbloom.bmo import (
     neccon_functional,
 )
 from dyadbloom.grid import (
-    DyadicGrid,
     DyadicInterval,
-    StepFunction,
     analyze_leaves,
     haar_function,
     synthesize_leaves,
@@ -61,8 +57,8 @@ def _record(num: int, ok: bool, label: str, detail: str, sub: list[str] = ()):
     assert ok, line
 
 
-def _random_admissible(grid: DyadicGrid, rng) -> StepFunction:
-    return project_admissible(StepFunction(grid, rng.standard_normal(grid.n_leaves)))
+def _random_admissible(depth: int, rng) -> np.ndarray:
+    return project_admissible(rng.standard_normal(1 << depth))
 
 
 # one shared pass over each ensemble feeds criteria 8 and 9
@@ -101,18 +97,16 @@ def test_criterion_01_haar_algebra():
     rng = np.random.default_rng(11001)
     for i in range(1000):
         depth = 1 + i % 12
-        grid = DyadicGrid(depth)
-        f = rng.standard_normal(grid.n_leaves)
+        f = rng.standard_normal(1 << depth)
         mean, coeffs = analyze_leaves(f, depth)
         back = synthesize_leaves(mean, coeffs, depth)
         worst = max(worst, float(np.abs(back - f).max()))
         energy = float(mean**2) + sum(float((c**2).sum()) for c in coeffs)
-        worst = max(worst, abs(energy - float(f @ f) / grid.n_leaves))
+        worst = max(worst, abs(energy - float(f @ f) / (1 << depth)))
     for depth in range(1, 13):
-        grid = DyadicGrid(depth)
-        H = np.array([haar_function(grid, DyadicInterval(k, j)).values
+        H = np.array([haar_function(depth, DyadicInterval(k, j))
                       for k in range(depth) for j in range(1 << k)])
-        G = (H @ H.T) / grid.n_leaves
+        G = (H @ H.T) / (1 << depth)
         worst = max(worst, float(np.abs(G - np.eye(G.shape[0])).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 10.0
@@ -127,17 +121,16 @@ def test_criterion_02_product_decomposition():
     worst = 0.0
     rng = np.random.default_rng(11002)
     for depth in range(4, 9):
-        grid = DyadicGrid(depth)
         for _ in range(100):
-            b = _random_admissible(grid, rng)
-            g = _random_admissible(grid, rng)
+            b = _random_admissible(depth, rng)
+            g = _random_admissible(depth, rng)
             pi_b = paraproduct_operator(b)
-            lhs = b.values * g.values
+            lhs = b * g
             rhs = (
-                b.integral() * g.integral()
-                + pi_b.apply(g.values)
-                + paraproduct_operator(g).apply(b.values)
-                + pi_b.transpose(g.values)
+                b.mean() * g.mean()
+                + pi_b.apply(g)
+                + paraproduct_operator(g).apply(b)
+                + pi_b.transpose(g)
             )
             worst = max(worst, float(np.abs(lhs - rhs).max()))
     ok = worst <= 1e-11
@@ -153,13 +146,11 @@ def test_criterion_03_expansion_identity():
     worst = 0.0
     rng = np.random.default_rng(11003)
     for depth in range(4, 9):
-        grid = DyadicGrid(depth)
         for _ in range(200):
-            b = _random_admissible(grid, rng)
-            f = _random_admissible(grid, rng)
+            b = _random_admissible(depth, rng)
+            f = _random_admissible(depth, rng)
             worst = max(worst, expansion_terms(b, f).residual())
-    grid2 = DyadicGrid(2)
-    h = haar_function(grid2, DyadicInterval(0, 0))
+    h = haar_function(2, DyadicInterval(0, 0))
     comm = expansion_terms(h, h).commutator
     exact = bool(np.array_equal(comm, np.array([1.0, -1.0, 1.0, -1.0])))
     ok = worst <= 1e-11 and exact
@@ -176,17 +167,16 @@ def test_criterion_04_remainder_closed_form():
     worst_energy = 0.0
     rng = np.random.default_rng(11004)
     for depth in range(4, 9):
-        grid = DyadicGrid(depth)
-        n = grid.n_leaves
-        shift = shift_operator(grid).apply
+        n = 1 << depth
+        shift = shift_operator(depth).apply
         for _ in range(100):
-            b = _random_admissible(grid, rng)
-            f = _random_admissible(grid, rng)
+            b = _random_admissible(depth, rng)
+            f = _random_admissible(depth, rng)
             terms = expansion_terms(b, f)
             rem = remainder_closed_form(b, f)
-            shf = StepFunction(grid, shift(f.values))
-            two_term = (paraproduct_operator(shf).apply(b.values)
-                        - shift(paraproduct_operator(f).apply(b.values)))
+            shf = shift(f)
+            two_term = (paraproduct_operator(shf).apply(b)
+                        - shift(paraproduct_operator(f).apply(b)))
             worst = max(worst, float(np.abs(rem - two_term).max()))
             lam = generate(
                 EnsembleSpec(kind="cascade", depth=depth, seed=int(rng.integers(1 << 31)))
@@ -196,8 +186,8 @@ def test_criterion_04_remainder_closed_form():
             for k in range(depth):
                 sq += np.repeat(cr[k] ** 2 * (1 << k), n >> k)
             measured = float((sq * lam.values).mean())
-            _, cb = analyze_leaves(b.values, depth)
-            _, cf = analyze_leaves(f.values, depth)
+            _, cb = analyze_leaves(b, depth)
+            _, cf = analyze_leaves(f, depth)
             predicted = sum(
                 float(
                     (cb[k] ** 2 * cf[k] ** 2 * (1 << k) * lam.averages[k]).sum()
@@ -225,8 +215,8 @@ def test_criterion_05_adjointness_and_norm_duality():
         td = make_trial(cfg, t)
         b, f, g = td.b, td.f, td.g
         pi_b = paraproduct_operator(b)
-        lhs = float((pi_b.apply(f.values) * g.values).mean())
-        rhs = float((f.values * pi_b.transpose(g.values)).mean())
+        lhs = float((pi_b.apply(f) * g).mean())
+        rhs = float((f * pi_b.transpose(g)).mean())
         scale = max(1.0, abs(lhs))
         worst_adj = max(worst_adj, abs(lhs - rhs) / scale)
         n1 = weighted_operator_norms(paraproduct_operator(b), [td.mu], [td.lam])[0].value
@@ -360,22 +350,22 @@ def test_criterion_10_stopping_machinery():
 
 
 def test_criterion_11_shift_bounds():
-    grid = DyadicGrid(8)
+    depth = 8
     rng = np.random.default_rng(11011)
     worst_iso = 0.0
     for _ in range(200):
-        coeffs = [rng.standard_normal(1 << k) for k in range(grid.depth - 1)]
-        coeffs.append(np.zeros(1 << (grid.depth - 1)))
-        f = StepFunction(grid, synthesize_leaves(np.asarray(0.0), coeffs, grid.depth))
-        nf = float(np.sqrt((f.values**2).mean()))
-        ns = float(np.sqrt((shift_operator(grid).apply(f.values) ** 2).mean()))
+        coeffs = [rng.standard_normal(1 << k) for k in range(depth - 1)]
+        coeffs.append(np.zeros(1 << (depth - 1)))
+        f = synthesize_leaves(np.asarray(0.0), coeffs, depth)
+        nf = float(np.sqrt((f**2).mean()))
+        ns = float(np.sqrt((shift_operator(depth).apply(f) ** 2).mean()))
         worst_iso = max(worst_iso, abs(ns / nf - 1.0))
-    one = Weight(StepFunction.constant(grid, 1.0))
-    sigma = weighted_operator_norms(shift_operator(grid), [one], [one])[0].value
+    one = Weight(np.ones(1 << depth))
+    sigma = weighted_operator_norms(shift_operator(depth), [one], [one])[0].value
     worst_sweep = 0.0
     for alpha in np.linspace(-0.9, 0.9, 19):
         w = generate(EnsembleSpec(kind="power", depth=8, alpha=float(alpha)))
-        norm = weighted_operator_norms(shift_operator(grid), [w], [w])[0].value
+        norm = weighted_operator_norms(shift_operator(depth), [w], [w])[0].value
         worst_sweep = max(worst_sweep, norm / a2_characteristic(w))
     ok = worst_iso <= 1e-12 and abs(sigma - 1.0) <= 1e-12 and worst_sweep <= ALPHA_SWEEP_BOUND
     _record(

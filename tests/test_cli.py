@@ -20,7 +20,7 @@ import pytest
 from dyadbloom.cli import SWEEP_COLUMNS, main
 from dyadbloom.config import SUITE_NAMES
 from dyadbloom.errors import ConfigError
-from dyadbloom.grid import DyadicGrid, DyadicInterval, StepFunction, haar_function
+from dyadbloom.grid import leaf_values
 from dyadbloom.serialize import load_step_function, load_weight, save_step_function, write_json
 
 
@@ -36,9 +36,8 @@ def _gen(tmp_path, name, **over):
 
 
 def _save(tmp_path, name, values, role="weight"):
-    grid = DyadicGrid(int(np.log2(len(values))))
     path = tmp_path / name
-    save_step_function(path, StepFunction(grid, np.asarray(values, float)), role)
+    save_step_function(path, leaf_values(values), role)
     return path
 
 
@@ -94,14 +93,17 @@ def test_gen_symbol_kinds(tmp_path):
 @pytest.mark.parametrize(
     "depth, values",
     [(True, [0.0, 1.0]), (2.0, [0.0, 1.0, -1.0, 2.0]), ("2", [0.0, 1.0, -1.0, 2.0]),
-     (2, [True, False, True, False]), (2, ["0", "1", "-1", "2"]), (2, [0, 10**400, -1, 2])],
+     (2, [True, False, True, False]), (2, ["0", "1", "-1", "2"]), (2, [0, 10**400, -1, 2]),
+     (0, [0.0, 1.0]), (25, [0.0, 1.0])],
     ids=["depth-true", "depth-float", "depth-string", "bool-leaves", "string-leaves",
-         "huge-integer-leaf"],
+         "huge-integer-leaf", "depth-0", "depth-25"],
 )
 def test_leaf_file_needs_integer_depth_and_number_leaves(tmp_path, depth, values):
-    # each of these but the last reads as a valid file of depth int(depth)
-    # where leaves and depth pass through Python's int() and numpy's float
-    # conversion; a JSON integer too large for a float raised OverflowError
+    # the first five would read as a valid file of depth int(depth) where
+    # leaves and depth passed through Python's int() and numpy's float
+    # conversion; a JSON integer too large for a float raised OverflowError;
+    # a depth outside [1, 24] fails on the number alone, before any leaf
+    # count is compared
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"type": "symbol", "depth": depth, "values": values}))
     with pytest.raises(ConfigError):
@@ -116,7 +118,7 @@ def test_leaf_file_rejects_a_non_number_leaf_by_name(tmp_path, leaf):
     with pytest.raises(ConfigError, match="values must be a list of JSON numbers"):
         load_step_function(path)
     path.write_text(json.dumps({"type": "symbol", "depth": 2, "values": [0, 1.5, -1, 2]}))
-    assert load_step_function(path).values.tolist() == [0.0, 1.5, -1.0, 2.0]
+    assert load_step_function(path).tolist() == [0.0, 1.5, -1.0, 2.0]
 
 
 def test_gen_requires_paired_a2_flags(tmp_path, capsys):
@@ -508,6 +510,13 @@ _ROLE_CASES = {
     "values-nan-string": {"kind": "two-value", "values": [1, "nan"]},
     "max-retries-string": {"kind": "cascade", "max_retries": "x", "a2_range": [1, 16]},
 }
+_CONFIG_CASES = {
+    "depth-4.5": {"depth": 4.5},
+    "depth-true": {"depth": True},
+    "trials-string": {"trials": "1"},
+    "trials-1.9": {"trials": 1.9},
+    "seed-2.7": {"seed": 2.7},
+}
 _RESULT_CASES = {
     "assertion-without-passed": {
         "suite": "identities", "passed": True,
@@ -521,14 +530,17 @@ _RESULT_CASES = {
 
 @pytest.mark.parametrize("case", [
     "gen-values-inf", "gen-values-nan", "gen-center-nan", "gen-depth-25",
-    *(f"role-{k}" for k in _ROLE_CASES), "sweep-range-nan",
+    *(f"role-{k}" for k in _ROLE_CASES), *(f"config-{k}" for k in _CONFIG_CASES),
+    "sweep-range-nan",
     *(f"report-{k}" for k in _RESULT_CASES),
 ])
 def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, case):
     out = str(tmp_path / "out")
-    if case.startswith("role-"):
+    if case.startswith(("role-", "config-")):
+        fields = ({"mu": _ROLE_CASES[case[5:]]} if case.startswith("role-")
+                  else _CONFIG_CASES[case[7:]])
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"trials": 1, "depth": 4, "mu": _ROLE_CASES[case[5:]]}))
+        cfg.write_text(json.dumps({"trials": 1, "depth": 4, **fields}))
         argv = ["verify", "--suite", "identities", "--config", str(cfg)]
     elif case.startswith("report-"):
         result = tmp_path / "suite.json"

@@ -1,4 +1,4 @@
-"""Grid, step functions, and the Haar transform against explicit oracles."""
+"""Grid, leaf data, and the Haar transform against explicit oracles."""
 
 import math
 
@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 import oracles
 from dyadbloom import (
-    DyadicGrid,
+    ROOT,
     DyadicInterval,
     GridMismatchError,
-    StepFunction,
+    depth_of,
     haar_function,
+    leaf_values,
+    same_depth,
 )
 from dyadbloom.grid import (
     accumulate_levels,
@@ -36,9 +38,8 @@ def test_interval_geometry():
     assert root.left == DyadicInterval(1, 0)
     assert root.right == DyadicInterval(1, 1)
     iv = DyadicInterval(3, 5)
-    assert DyadicGrid(3).leaf_slice(iv) == slice(5, 6)
-    assert DyadicGrid(4).leaf_slice(iv.left) == slice(10, 11)
-    assert DyadicGrid(4).leaf_slice(iv.right) == slice(11, 12)
+    assert iv.left == DyadicInterval(4, 10)
+    assert iv.right == DyadicInterval(4, 11)
 
 
 def test_interval_validation():
@@ -57,75 +58,88 @@ def test_interval_ordering_is_level_major():
     ]
 
 
-def test_grid_enumeration(grid4):
-    assert grid4.n_leaves == 16
-    assert grid4.leaf_width == 1 / 16
-    assert grid4.root == DyadicInterval(0, 0)
-    # leaf_slice agrees with the arithmetic one
-    for k, j in oracles.all_intervals(4):
-        assert grid4.leaf_slice(DyadicInterval(k, j)) == oracles.leaf_slice(4, k, j)
+def test_grid_enumeration():
+    assert depth_of(np.zeros(16)) == 4
+    assert depth_of(np.zeros((3, 16))) == 4
+    assert ROOT == DyadicInterval(0, 0)
+    # h_I lives on the leaves of the arithmetic leaf_slice
+    for k, j in oracles.all_intervals(3):
+        support = np.flatnonzero(haar_function(4, DyadicInterval(k, j)))
+        sl = oracles.leaf_slice(4, k, j)
+        assert (support[0], support[-1] + 1) == (sl.start, sl.stop)
 
 
 def test_grid_depth_bounds():
-    with pytest.raises(ValueError):
-        DyadicGrid(0)
-    with pytest.raises(ValueError):
-        DyadicGrid(25)
+    with pytest.raises(ValueError, match="depth must be in"):
+        leaf_values([0.0, 1.0], 0)
+    with pytest.raises(ValueError, match="depth must be in"):
+        leaf_values([0.0, 1.0], 25)
+    with pytest.raises(ValueError, match="depth must be in"):
+        leaf_values([])
+    assert depth_of(leaf_values([0.0, 1.0], 1)) == 1
 
 
-def test_step_function_integral_and_interval_average(grid2):
-    f = StepFunction(grid2, np.array([1.0, 2.0, 3.0, 4.0]))
-    assert f.integral() == 2.5
+def test_step_function_integral_and_interval_average():
+    f = leaf_values([1.0, 2.0, 3.0, 4.0])
+    assert f.mean() == 2.5
     assert oracles.interval_average(f, DyadicInterval(1, 1)) == 3.5
 
 
 def test_step_function_rejects_other_grid():
-    b4 = StepFunction(DyadicGrid(4), np.ones(16))
-    b5 = StepFunction(DyadicGrid(5), np.ones(32))
+    b4, b5 = np.ones(16), np.ones(32)
+    assert same_depth(b4, np.zeros(16), depth=4) == 4
+    with pytest.raises(GridMismatchError):
+        same_depth(b4, b5)
+    with pytest.raises(GridMismatchError):
+        same_depth(b4, depth=5)
     with pytest.raises(GridMismatchError):
         paraproduct_operator([b4, b5])
     with pytest.raises(GridMismatchError):
         expansion_terms(b4, b5)
 
 
-def test_step_function_rejects_nonfinite(grid2):
-    with pytest.raises(ValueError):
-        StepFunction(grid2, np.array([1.0, np.nan, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        StepFunction(grid2, np.array([1.0, np.inf, 0.0, 0.0]))
+def test_leaf_values_reject_nonfinite_and_wrong_shape():
+    with pytest.raises(ValueError, match="finite"):
+        leaf_values(np.array([1.0, np.nan, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        leaf_values(np.array([1.0, np.inf, 0.0, 0.0]))
+    for values, depth in (([1.0, 2.0, 3.0], None), (np.ones(4), 3), (np.ones((2, 4)), 2)):
+        with pytest.raises(ValueError, match="leaf values for depth"):
+            leaf_values(values, depth)
 
 
-def test_step_function_values_read_only(grid2):
-    f = StepFunction.constant(grid2, 0.0)
+def test_leaf_values_are_read_only():
+    raw = np.zeros(4)
+    f = leaf_values(raw)
+    assert f.dtype == np.float64 and not f.flags.writeable
     with pytest.raises(ValueError):
-        f.values[0] = 1.0
+        f[0] = 1.0
+    raw[0] = 1.0  # a copy: the caller's array does not reach it
+    assert f[0] == 0.0
 
 
 def test_haar_function_matches_oracle():
     for depth in (2, 3, 4):
-        grid = DyadicGrid(depth)
         for k, j in oracles.all_intervals(depth, depth - 1):
-            got = haar_function(grid, DyadicInterval(k, j)).values
+            got = haar_function(depth, DyadicInterval(k, j))
             np.testing.assert_array_equal(got, oracles.haar_leaves(depth, k, j))
 
 
 def test_analysis_matches_dot_product_oracle(rng):
     depth = 4
-    grid = DyadicGrid(depth)
-    f = StepFunction(grid, rng.standard_normal(grid.n_leaves))
-    mean, coeffs = analyze_leaves(f.values, depth)
-    assert mean == pytest.approx(oracles.integral(f.values), abs=1e-15)
+    f = leaf_values(rng.standard_normal(1 << depth))
+    mean, coeffs = analyze_leaves(f, depth)
+    assert mean == pytest.approx(oracles.integral(f), abs=1e-15)
     for k, j in oracles.all_intervals(depth, depth - 1):
-        want = oracles.coeff(f.values, depth, k, j)
+        want = oracles.coeff(f, depth, k, j)
         assert coeffs[k][j] == pytest.approx(want, abs=1e-13)
 
 
 def test_synthesis_matches_superposition_oracle(rng):
     depth = 3
-    grid = DyadicGrid(depth)
     mean = 0.7
     coeffs = [rng.standard_normal(1 << k) for k in range(depth)]
-    manual = np.full(grid.n_leaves, mean)
+    manual = np.full(1 << depth, mean)
     for k in range(depth):
         for j in range(1 << k):
             manual += coeffs[k][j] * oracles.haar_leaves(depth, k, j)
@@ -133,26 +147,25 @@ def test_synthesis_matches_superposition_oracle(rng):
     np.testing.assert_allclose(got, manual, rtol=0, atol=1e-13)
 
 
-def test_round_trip_exact_cases(grid4):
+def test_round_trip_exact_cases():
     # constants and even-level Haar atoms only touch exactly representable
     # scalings (odd levels put sqrt(2) into the coefficients)
     for f in (
-        StepFunction.constant(grid4, 0.375),
-        haar_function(grid4, grid4.root),
-        haar_function(grid4, DyadicInterval(2, 1)),
+        np.full(16, 0.375),
+        haar_function(4, ROOT),
+        haar_function(4, DyadicInterval(2, 1)),
     ):
-        back = synthesize_leaves(*analyze_leaves(f.values, 4), 4)
-        np.testing.assert_array_equal(back, f.values)
+        back = synthesize_leaves(*analyze_leaves(f, 4), 4)
+        np.testing.assert_array_equal(back, f)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=8, max_size=8))
-def test_round_trip_property(leaf_values):
-    grid = DyadicGrid(3)
-    f = StepFunction(grid, np.array(leaf_values))
-    back = synthesize_leaves(*analyze_leaves(f.values, 3), 3)
-    scale = max(1.0, float(np.abs(f.values).max()))
-    assert np.abs(back - f.values).max() <= 1e-12 * scale
+def test_round_trip_property(leaves):
+    f = leaf_values(leaves)
+    back = synthesize_leaves(*analyze_leaves(f, 3), 3)
+    scale = max(1.0, float(np.abs(f).max()))
+    assert np.abs(back - f).max() <= 1e-12 * scale
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,13 +174,9 @@ def test_round_trip_property(leaf_values):
     st.lists(st.floats(-50, 50, allow_nan=False), min_size=16, max_size=16),
 )
 def test_analysis_is_linear(xs, ys):
-    grid = DyadicGrid(4)
-    f = StepFunction(grid, np.array(xs))
-    g = StepFunction(grid, np.array(ys))
-    (mf, cf), (mg, cg), (ms, cs) = (
-        analyze_leaves(h, 4) for h in (f.values, g.values, f.values + g.values)
-    )
-    scale = max(1.0, float(np.abs(f.values).max()), float(np.abs(g.values).max()))
+    f, g = leaf_values(xs), leaf_values(ys)
+    (mf, cf), (mg, cg), (ms, cs) = (analyze_leaves(h, 4) for h in (f, g, f + g))
+    scale = max(1.0, float(np.abs(f).max()), float(np.abs(g).max()))
     assert abs(ms - mf - mg) <= 1e-12 * scale
     for k in range(4):
         diff = cs[k] - cf[k] - cg[k]
@@ -176,10 +185,9 @@ def test_analysis_is_linear(xs, ys):
 
 def test_parseval(rng):
     for depth in (1, 3, 5, 8):
-        grid = DyadicGrid(depth)
-        f = StepFunction(grid, rng.standard_normal(grid.n_leaves))
-        mean, coeffs = analyze_leaves(f.values, depth)
-        energy = float((f.values**2).mean())
+        f = leaf_values(rng.standard_normal(1 << depth))
+        mean, coeffs = analyze_leaves(f, depth)
+        energy = float((f**2).mean())
         parseval = float(mean) ** 2 + float(sum((c**2).sum() for c in coeffs))
         assert parseval == pytest.approx(energy, rel=1e-13)
 
@@ -240,33 +248,31 @@ def test_pyramids_equal_full_width_kernels(depth, batch, exponents, kept, seed):
         accumulate_levels(terms, depth), oracles.accumulate_levels_reference(terms, depth)
     )
     if batch == () and depth >= 1:
-        f = StepFunction(DyadicGrid(depth), x)
-        g = StepFunction(f.grid, r.standard_normal(n))
-        got = shift_operator(f.grid).apply(x)
+        got = shift_operator(depth).apply(x)
         assert np.array_equal(got, oracles.shift_values_reference(coeffs, depth))
-        fa, ga = project_admissible(f), project_admissible(g)
+        fa, ga = project_admissible(x), project_admissible(r.standard_normal(n))
         got = remainder_closed_form(fa, ga)
-        _, cx = oracles.analyze_leaves_reference(fa.values, depth)
-        _, cy = oracles.analyze_leaves_reference(ga.values, depth)
+        _, cx = oracles.analyze_leaves_reference(fa, depth)
+        _, cy = oracles.analyze_leaves_reference(ga, depth)
         assert np.array_equal(got, oracles.remainder_values_reference(cx, cy, depth))
 
 
 def test_haar_matrix_rows_are_haar_functions():
     for depth in (1, 2, 4):
-        grid = DyadicGrid(depth)
+        n = 1 << depth
         H = oracles.haar_matrix(depth)
-        assert H.shape == (grid.n_leaves - 1, grid.n_leaves)
+        assert H.shape == (n - 1, n)
         for row, (k, j) in zip(H, oracles.all_intervals(depth, depth - 1)):
-            np.testing.assert_array_equal(row, haar_function(grid, DyadicInterval(k, j)).values)
+            np.testing.assert_array_equal(row, haar_function(depth, DyadicInterval(k, j)))
 
 
 def test_haar_matrix_orthonormality():
     for depth in (1, 2, 3, 5):
-        grid = DyadicGrid(depth)
-        H = np.array([haar_function(grid, DyadicInterval(k, j)).values
+        n = 1 << depth
+        H = np.array([haar_function(depth, DyadicInterval(k, j))
                       for k, j in oracles.all_intervals(depth, depth - 1)])
-        gram = (H @ H.T) / grid.n_leaves
-        np.testing.assert_allclose(gram, np.eye(grid.n_leaves - 1), rtol=0, atol=1e-13)
+        gram = (H @ H.T) / n
+        np.testing.assert_allclose(gram, np.eye(n - 1), rtol=0, atol=1e-13)
 
 
 def _square_function(values, depth):
@@ -275,9 +281,9 @@ def _square_function(values, depth):
     return np.sqrt(accumulate_levels(square_layers(values, depth), depth))
 
 
-def test_square_function_worked_example(grid2):
+def test_square_function_worked_example():
     # f = h_{[0,1/2)}: S f = sqrt(f-hat^2 / |I|) = sqrt(2) on [0,1/2)
-    f = haar_function(grid2, DyadicInterval(1, 0)).values
+    f = haar_function(2, DyadicInterval(1, 0))
     want = [math.sqrt(2), math.sqrt(2), 0.0, 0.0]
     np.testing.assert_allclose(_square_function(f, 2), want, rtol=0, atol=1e-15)
     np.testing.assert_allclose(oracles.square_function_leaves(f, 2), want, rtol=0, atol=1e-15)

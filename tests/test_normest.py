@@ -10,22 +10,29 @@ import ensembles
 import oracles
 from dyadbloom import (
     CarlesonSequence,
-    DyadicGrid,
     DyadicInterval,
+    EnsembleSpec,
+    GridMismatchError,
     LeafOperator,
-    StepFunction,
     Weight,
     bloom_b2,
     bloom_b2_dual,
+    bloom_b2_l2form,
+    bmo_report,
+    bmo_rho,
+    bmo_rho_l1,
     carleson_constant,
     commutator_operator,
     compute_norm_report,
+    generate,
     haar_function,
+    neccon_functional,
     necessity_test_function_bound,
     paraproduct_adjoint_operator,
     paraproduct_carleson_sequence,
     paraproduct_operator,
     project_admissible,
+    rho_weight,
     shift_operator,
 )
 from dyadbloom import DyadBloomError, normest
@@ -45,21 +52,20 @@ def _norm(T, mu, lam):
 
 def _materials(depth, seed):
     r = np.random.default_rng(seed)
-    grid = DyadicGrid(depth)
-    mu = Weight(StepFunction(grid, np.exp(r.uniform(-1, 1, grid.n_leaves))))
-    lam = Weight(StepFunction(grid, np.exp(r.uniform(-1, 1, grid.n_leaves))))
-    b = project_admissible(StepFunction(grid, r.standard_normal(grid.n_leaves)))
-    return grid, mu, lam, b
+    mu = Weight(np.exp(r.uniform(-1, 1, 1 << depth)))
+    lam = Weight(np.exp(r.uniform(-1, 1, 1 << depth)))
+    b = project_admissible(r.standard_normal(1 << depth))
+    return mu, lam, b
 
 
 def test_closed_form_matrices_match_column_oracle():
-    grid, _, _, b = _materials(4, 21)
-    d = grid.depth
+    _, _, b = _materials(4, 21)
+    d = 4
     pairs = [
-        (oracles.paraproduct_matrix(b.values, d), paraproduct_operator(b)),
-        (oracles.paraproduct_adjoint_matrix(b.values, d), paraproduct_adjoint_operator(b)),
-        (oracles.shift_matrix(d), shift_operator(grid)),
-        (oracles.commutator_matrix(b.values, d), commutator_operator(b)),
+        (oracles.paraproduct_matrix(b, d), paraproduct_operator(b)),
+        (oracles.paraproduct_adjoint_matrix(b, d), paraproduct_adjoint_operator(b)),
+        (oracles.shift_matrix(d), shift_operator(d)),
+        (oracles.commutator_matrix(b, d), commutator_operator(b)),
     ]
     for closed, T in pairs:
         applied = oracles.operator_matrix(T.apply, d)
@@ -71,7 +77,7 @@ def test_closed_form_matrices_match_column_oracle():
 def test_shift_kernels_take_stacks_bitwise():
     # the commutator runs its two shift passes as one (2, 2^D) stack, so
     # each row must be bit for bit the single-vector result
-    S = shift_operator(DyadicGrid(6))
+    S = shift_operator(6)
     x = np.random.default_rng(5).standard_normal((2, 64))
     for kernel in (S.apply, S.transpose):
         stacked = kernel(x)
@@ -81,13 +87,12 @@ def test_shift_kernels_take_stacks_bitwise():
 
 def test_shift_transpose_coefficients():
     # the coefficient of Sh^T f on I is (fhat(I_-) - fhat(I_+)) / sqrt(2)
-    grid = DyadicGrid(5)
-    f = StepFunction(grid, np.random.default_rng(3).standard_normal(32))
-    g = shift_operator(grid).transpose(f.values)
+    f = np.random.default_rng(3).standard_normal(32)
+    g = shift_operator(5).transpose(f)
     for k in range(4):
         for j in range(1 << k):
-            want = (oracles.coeff(f.values, 5, k + 1, 2 * j)
-                    - oracles.coeff(f.values, 5, k + 1, 2 * j + 1)) / math.sqrt(2.0)
+            want = (oracles.coeff(f, 5, k + 1, 2 * j)
+                    - oracles.coeff(f, 5, k + 1, 2 * j + 1)) / math.sqrt(2.0)
             assert oracles.coeff(g, 5, k, j) == pytest.approx(want, abs=1e-13)
     for j in range(16):
         assert oracles.coeff(g, 5, 4, j) == pytest.approx(0.0, abs=1e-13)
@@ -95,34 +100,33 @@ def test_shift_transpose_coefficients():
 
 
 def test_matrix_reproduces_function_on_random_vectors():
-    grid, _, _, b = _materials(5, 33)
+    _, _, b = _materials(5, 33)
     r = np.random.default_rng(34)
-    M = oracles.commutator_matrix(b.values, grid.depth)
+    M = oracles.commutator_matrix(b, 5)
     for _ in range(10):
-        f = StepFunction(grid, r.standard_normal(grid.n_leaves))
-        via_matrix = M @ f.values
-        via_ops = commutator_operator(b).apply(f.values)
+        f = r.standard_normal(32)
+        via_matrix = M @ f
+        via_ops = commutator_operator(b).apply(f)
         scale = max(1.0, float(np.abs(via_ops).max()))
         assert np.abs(via_matrix - via_ops).max() <= 1e-11 * scale
 
 
 def test_weighted_norm_of_diagonal_operator():
     # T = diag(d) maps L^2(mu) -> L^2(lam) with norm max |d_i| sqrt(lam_i/mu_i)
-    grid = DyadicGrid(3)
     r = np.random.default_rng(4)
     d = r.uniform(-2, 2, 8)
-    mu = Weight(StepFunction(grid, r.uniform(0.5, 2.0, 8)))
-    lam = Weight(StepFunction(grid, r.uniform(0.5, 2.0, 8)))
+    mu = Weight(r.uniform(0.5, 2.0, 8))
+    lam = Weight(r.uniform(0.5, 2.0, 8))
     diag = lambda f: d * f  # noqa: E731
-    T = LeafOperator(grid, diag, diag)
+    T = LeafOperator(3, diag, diag)
     want = float(np.max(np.abs(d) * np.sqrt(lam.values / mu.values)))
     assert _norm(T, mu, lam) == pytest.approx(want, rel=1e-13)
 
 
 def test_weighted_norm_matches_scaled_svd_oracle():
-    grid, mu, lam, b = _materials(4, 55)
+    mu, lam, b = _materials(4, 55)
     want = oracles.weighted_norm_oracle(
-        oracles.paraproduct_matrix(b.values, grid.depth), mu.values, lam.values
+        oracles.paraproduct_matrix(b, 4), mu.values, lam.values
     )
     assert _norm(paraproduct_operator(b), mu, lam) == pytest.approx(want, rel=1e-12)
 
@@ -131,14 +135,14 @@ def _engine_values(depth, seed):
     """Each engine quantity of one random triple: the five norms from a raw
     symbol, ppott on mu, and the Carleson embedding of the admissible
     symbol's paraproduct sequence.  Each makes one _top_eigenvalue call."""
-    grid, mu, lam, b_adm = _materials(depth, seed)
-    b = StepFunction(grid, np.random.default_rng(seed + 1).standard_normal(grid.n_leaves))
+    mu, lam, b_adm = _materials(depth, seed)
+    b = np.random.default_rng(seed + 1).standard_normal(1 << depth)
     seq = paraproduct_carleson_sequence(b_adm, mu, lam)
     return {
         "paraproduct": _norm(paraproduct_operator(b), mu, lam),
         "paraproduct_adjoint": _norm(paraproduct_adjoint_operator(b), lam.inverse, mu.inverse),
-        "shift_mu": _norm(shift_operator(grid), mu, mu),
-        "shift_lambda": _norm(shift_operator(grid), lam, lam),
+        "shift_mu": _norm(shift_operator(depth), mu, mu),
+        "shift_lambda": _norm(shift_operator(depth), lam, lam),
         "commutator": _norm(commutator_operator(b), mu, lam),
         "ppott": ppott_best_constants([mu])[0].value,
         "carleson_embedding": carleson_embedding_checks([seq])[0].best_embedding,
@@ -147,8 +151,8 @@ def _engine_values(depth, seed):
 
 def _dense_oracles(depth, seed):
     """The dense oracle value of each quantity in _engine_values."""
-    grid, mu, lam, b_adm = _materials(depth, seed)
-    bv = np.random.default_rng(seed + 1).standard_normal(grid.n_leaves)
+    mu, lam, b_adm = _materials(depth, seed)
+    bv = np.random.default_rng(seed + 1).standard_normal(1 << depth)
     muv, lamv = mu.values, lam.values
     sh = oracles.shift_matrix(depth)
     seq = paraproduct_carleson_sequence(b_adm, mu, lam)
@@ -198,14 +202,14 @@ def test_engine_matches_arpack(depth, monkeypatch):
 
 
 def test_engine_is_bitwise_repeatable():
-    grid, mu, lam, b = _materials(8, 950)
+    mu, lam, b = _materials(8, 950)
     seq = paraproduct_carleson_sequence(b, mu, lam)
 
     def run():
         return (
             _norm(paraproduct_operator(b), mu, lam),
             _norm(paraproduct_adjoint_operator(b), lam.inverse, mu.inverse),
-            _norm(shift_operator(grid), mu, mu),
+            _norm(shift_operator(8), mu, mu),
             _norm(commutator_operator(b), mu, lam),
             ppott_best_constants([lam])[0].value,
             carleson_embedding_checks([seq])[0].best_embedding,
@@ -216,19 +220,18 @@ def test_engine_is_bitwise_repeatable():
 
 def test_zero_operators_return_exact_zero():
     # the engine reads a zero first image as 0.0, exactly, at no extra apply
-    grid, mu, lam, _ = _materials(6, 71)
-    c = StepFunction.constant(grid, 2.5)
+    mu, lam, _ = _materials(6, 71)
+    c = np.full(64, 2.5)
     assert _norm(paraproduct_operator(c), mu, lam) == 0.0
     assert _norm(commutator_operator(c), mu, lam) == 0.0
-    g1 = DyadicGrid(1)
-    w1 = Weight(StepFunction(g1, [0.5, 3.0]))
-    assert _norm(shift_operator(g1), w1, w1) == 0.0
+    w1 = Weight([0.5, 3.0])
+    assert _norm(shift_operator(1), w1, w1) == 0.0
 
 
 def test_nonzero_operator_costs_no_extra_apply(monkeypatch):
     # the norm applies T and its transpose once per engine matvec, and no
     # more; its square agrees with ARPACK on the same normal operator
-    grid, mu, lam, b = _materials(5, 72)
+    mu, lam, b = _materials(5, 72)
     T = paraproduct_operator(b)
     calls = {"apply": 0, "transpose": 0, "matvec": 0}
 
@@ -246,10 +249,10 @@ def test_nonzero_operator_costs_no_extra_apply(monkeypatch):
         return engine(n, counted("matvec", matvec), rows)
 
     monkeypatch.setattr(normest, "_top_eigenvalues", counting_engine)
-    counting = LeafOperator(grid, counted("apply", T.apply), counted("transpose", T.transpose))
+    counting = LeafOperator(5, counted("apply", T.apply), counted("transpose", T.transpose))
     norm = _norm(counting, mu, lam)
     assert calls["apply"] == calls["transpose"] == calls["matvec"] > 0
-    want = oracles.eigsh_top(grid.n_leaves, normal[0])
+    want = oracles.eigsh_top(32, normal[0])
     assert abs(norm**2 - want) <= 1e-13 * want
 
 
@@ -321,7 +324,7 @@ def _depth8_rows(count, seed):
 def test_lockstep_rows_equal_rows_alone_on_real_plans():
     rows = _depth8_rows(4, 40)
     bs, mus, lams = zip(*rows)
-    zero = StepFunction.constant(bs[0].grid, 0.0)
+    zero = np.zeros(256)
     for plan in (paraproduct_operator, paraproduct_adjoint_operator, commutator_operator):
         stacked = normest.weighted_operator_norms(plan([*bs, zero]), [*mus, mus[0]],
                                                   [*lams, lams[0]])
@@ -388,7 +391,7 @@ def test_width_cap_bounds_rows_times_leaves(depth, shift_rows, ppott_rows, monke
         return engine(n, matvec, rows)
 
     monkeypatch.setattr(normest, "_top_eigenvalues", recording)
-    _, mu, lam, b = _materials(depth, 7)
+    mu, lam, b = _materials(depth, 7)
     compute_norm_report(b, mu, lam)
     assert seen == [1, *shift_rows, 1]
     seen.clear()
@@ -401,9 +404,8 @@ def test_width_cap_bounds_rows_times_leaves(depth, shift_rows, ppott_rows, monke
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_matvec_raises(bad):
-    grid = DyadicGrid(3)
-    one = Weight(StepFunction.constant(grid, 1.0))
-    T = LeafOperator(grid, lambda f: np.full(8, bad), lambda g: np.asarray(g, float).copy())
+    one = Weight(np.ones(8))
+    T = LeafOperator(3, lambda f: np.full(8, bad), lambda g: np.asarray(g, float).copy())
     with pytest.raises(ValueError, match="not finite"):
         _norm(T, one, one)
 
@@ -491,11 +493,11 @@ def test_norm_report_is_bitwise_pinned():
 def test_report_adjoint_norm_matches_dense_adjoint(depth):
     # the report takes ||Pi*_b|| from the paraproduct's solve (duality), so
     # it is held here to the SVD of the dense adjoint matrix, not to itself
-    grid, mu, lam, _ = _materials(depth, 1000 + depth)
-    b = StepFunction(grid, np.random.default_rng(1100 + depth).standard_normal(grid.n_leaves))
+    mu, lam, _ = _materials(depth, 1000 + depth)
+    b = np.random.default_rng(1100 + depth).standard_normal(1 << depth)
     rep = compute_norm_report(b, mu, lam)
     want = oracles.weighted_norm_oracle(
-        oracles.paraproduct_adjoint_matrix(b.values, depth), 1.0 / lam.values, 1.0 / mu.values
+        oracles.paraproduct_adjoint_matrix(b, depth), 1.0 / lam.values, 1.0 / mu.values
     )
     assert rep.norm_paraproduct_adjoint == pytest.approx(want, rel=1e-12)
     assert rep.norm_paraproduct_adjoint == rep.norm_paraproduct
@@ -529,11 +531,10 @@ def test_restart_cap_is_ten_restarts_per_leaf():
 
 @pytest.mark.parametrize("depth", [1, 2, 8])
 def test_constant_symbol_report_has_zero_symbol_norms(depth):
-    grid = DyadicGrid(depth)
     r = np.random.default_rng(960 + depth)
-    mu = Weight(StepFunction(grid, np.exp(r.uniform(-1, 1, grid.n_leaves))))
-    lam = Weight(StepFunction(grid, np.exp(r.uniform(-1, 1, grid.n_leaves))))
-    rep = compute_norm_report(StepFunction.constant(grid, 2.5), mu, lam)
+    mu = Weight(np.exp(r.uniform(-1, 1, 1 << depth)))
+    lam = Weight(np.exp(r.uniform(-1, 1, 1 << depth)))
+    rep = compute_norm_report(np.full(1 << depth, 2.5), mu, lam)
     assert rep.norm_paraproduct == 0.0
     assert rep.norm_paraproduct_adjoint == 0.0
     assert rep.norm_commutator == 0.0
@@ -547,8 +548,8 @@ def test_constant_symbol_report_has_zero_symbol_norms(depth):
 
 
 def test_power_iteration_agrees_with_dense():
-    grid, mu, lam, b = _materials(5, 66)
-    M = oracles.commutator_matrix(b.values, 5)
+    mu, lam, b = _materials(5, 66)
+    M = oracles.commutator_matrix(b, 5)
     W = np.sqrt(lam.values)[:, None] * M / np.sqrt(mu.values)[None, :]
     powr = oracles.power_iteration_norm(W, tol=1e-9).norm
     assert powr == pytest.approx(oracles.weighted_norm_oracle(M, mu.values, lam.values), rel=1e-7)
@@ -569,18 +570,17 @@ def test_power_iteration_bracket_contains_sigma_max():
 
 def test_norm_duality_between_paraproduct_and_adjoint():
     # ||Pi_b : L^2(mu) -> L^2(lam)|| = ||Pi*_b : L^2(lam^{-1}) -> L^2(mu^{-1})||
-    grid, mu, lam, b = _materials(5, 88)
+    mu, lam, b = _materials(5, 88)
     n1 = _norm(paraproduct_operator(b), mu, lam)
     n2 = _norm(paraproduct_adjoint_operator(b), lam.inverse, mu.inverse)
     assert n1 == pytest.approx(n2, rel=1e-12)
 
 
 def test_shift_matrix_is_truncated_and_norm_one():
-    grid = DyadicGrid(5)
-    one = Weight(StepFunction.constant(grid, 1.0))
-    S = shift_operator(grid)
-    deepest = haar_function(grid, DyadicInterval(4, 3))
-    assert not np.any(S.apply(deepest.values))
+    one = Weight(np.ones(32))
+    S = shift_operator(5)
+    deepest = haar_function(5, DyadicInterval(4, 3))
+    assert not np.any(S.apply(deepest))
     assert _norm(S, one, one) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -605,7 +605,7 @@ def test_best_quadratic_constant_rejects_bad_inputs():
 
 
 def test_ppott_constant_weight_gives_one():
-    w = Weight(StepFunction.constant(DyadicGrid(4), 3.0))
+    w = Weight(np.full(16, 3.0))
     assert ppott_best_constants([w])[0].value == pytest.approx(1.0, rel=1e-12)
 
 
@@ -613,12 +613,12 @@ def test_ppott_witness_lower_bound():
     # f = w sign(h_I) on I makes the single-I term equal the right side, so
     # the best constant is always >= 1
     for seed in range(4):
-        _, mu, _, _ = _materials(4, 400 + seed)
+        mu, _, _ = _materials(4, 400 + seed)
         assert ppott_best_constants([mu])[0].value >= 1.0 - 1e-12
 
 
 def test_ppott_forms_shapes_and_symmetry():
-    _, mu, _, _ = _materials(3, 5)
+    mu, _, _ = _materials(3, 5)
     A, G = oracles.ppott_forms(mu.values, 3)
     assert A.shape == (8, 8) and G.shape == (8, 8)
     np.testing.assert_allclose(A, A.T, rtol=0, atol=1e-15)
@@ -626,19 +626,17 @@ def test_ppott_forms_shapes_and_symmetry():
 
 def test_carleson_constant_matches_oracle():
     r = np.random.default_rng(12)
-    grid = DyadicGrid(4)
-    w = Weight(StepFunction(grid, np.exp(r.uniform(-1, 1, 16))))
+    w = Weight(np.exp(r.uniform(-1, 1, 16)))
     vals = [r.uniform(0.0, 1.0, 1 << k) for k in range(4)]
-    seq = CarlesonSequence(grid, vals, w)
+    seq = CarlesonSequence(vals, w)
     want = oracles.carleson_oracle(vals, w.values, 4)
     assert carleson_constant(seq) == pytest.approx(want, rel=1e-13)
 
 
 def test_carleson_single_root_mass_example():
-    grid = DyadicGrid(3)
-    one = Weight(StepFunction.constant(grid, 1.0))
+    one = Weight(np.ones(8))
     vals = [np.array([1.0])] + [np.zeros(1 << k) for k in range(1, 3)]
-    seq = CarlesonSequence(grid, vals, one)
+    seq = CarlesonSequence(vals, one)
     assert carleson_constant(seq) == 1.0
     rep = carleson_embedding_checks([seq])[0]
     # phi = 1 achieves E^w_root(phi)^2 = ||phi||^2, so C* = 1 exactly
@@ -647,14 +645,53 @@ def test_carleson_single_root_mass_example():
 
 
 def test_carleson_sequence_validation():
-    grid = DyadicGrid(3)
-    one = Weight(StepFunction.constant(grid, 1.0))
+    one = Weight(np.ones(8))
     with pytest.raises(ValueError):
-        CarlesonSequence(grid, [np.array([-1.0]), np.zeros(2), np.zeros(4)], one)
+        CarlesonSequence([np.array([-1.0]), np.zeros(2), np.zeros(4)], one)
+    # two levels against a depth-3 weight: the depths differ
+    with pytest.raises(GridMismatchError):
+        CarlesonSequence([np.array([1.0]), np.zeros(2)], one)
     with pytest.raises(ValueError):
-        CarlesonSequence(grid, [np.array([1.0]), np.zeros(2)], one)
-    with pytest.raises(ValueError):
-        CarlesonSequence(grid, [np.array([1.0, 2.0]), np.zeros(2), np.zeros(4)], one)
+        CarlesonSequence([np.array([1.0, 2.0]), np.zeros(2), np.zeros(4)], one)
+
+
+# every entry point that reads a symbol and weights together, given a
+# depth-4 symbol and depth-6 weights (or weights of depths 4 and 6)
+_MISMATCHED = {
+    "bloom_b2": bloom_b2,
+    "bloom_b2_dual": bloom_b2_dual,
+    "bloom_b2_l2form": bloom_b2_l2form,
+    "bmo_rho": lambda b, mu, lam: bmo_rho(b, rho_weight(mu, lam)),
+    "bmo_rho_l1": lambda b, mu, lam: bmo_rho_l1(b, rho_weight(mu, lam)),
+    "neccon_functional": neccon_functional,
+    "bmo_report": bmo_report,
+    "necessity_test_function_bound": necessity_test_function_bound,
+    "compute_norm_report": compute_norm_report,
+    "rho_weight": lambda b, mu, lam: rho_weight(Weight(np.exp(b)), lam),
+    "weighted_operator_norms": lambda b, mu, lam: weighted_operator_norms(
+        paraproduct_operator(b), [mu], [lam]),
+    "weighted_operator_norms-rows": lambda b, mu, lam: weighted_operator_norms(
+        shift_operator(6), [mu, Weight(np.exp(b))], [lam, lam]),
+    "ppott_best_constants": lambda b, mu, lam: ppott_best_constants(
+        [Weight(np.exp(b)), mu]),
+    "paraproduct_carleson_sequence": paraproduct_carleson_sequence,
+    "adjoint_paraproduct_carleson_sequence": adjoint_paraproduct_carleson_sequence,
+    "CarlesonSequence": lambda b, mu, lam: CarlesonSequence(
+        [np.zeros(1 << k) for k in range(4)], mu),
+    "carleson_embedding_checks": lambda b, mu, lam: carleson_embedding_checks([
+        CarlesonSequence([np.zeros(1 << k) for k in range(w.depth)], w)
+        for w in (Weight(np.exp(b)), mu)
+    ]),
+    "paraproduct_operator-rows": lambda b, mu, lam: paraproduct_operator([b, mu.values]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MISMATCHED))
+def test_mismatched_depths_raise_grid_mismatch(name):
+    b = generate(EnsembleSpec(kind="log-symbol", depth=4, seed=1))
+    mu, lam = (generate(EnsembleSpec(kind="cascade", depth=6, seed=s)) for s in (2, 3))
+    with pytest.raises(GridMismatchError, match=r"depths \[4, 6\]"):
+        _MISMATCHED[name](b, mu, lam)
 
 
 @pytest.mark.parametrize("kind", ensembles.KINDS)
@@ -670,7 +707,7 @@ def test_paraproduct_sequence_carleson_equals_bloom_squared(depth, kind):
         (adjoint_paraproduct_carleson_sequence(b, mu, lam), bloom_b2_dual,
          oracles.bloom_dual_oracle),
     ):
-        want = oracle(b.values, mu.values, lam.values, depth) ** 2
+        want = oracle(b, mu.values, lam.values, depth) ** 2
         assert carleson_constant(seq) == pytest.approx(want, rel=1e-12)
         assert oracles.carleson_oracle(seq.level_values, seq.weight.values, depth) == (
             pytest.approx(want, rel=1e-12)
@@ -680,7 +717,7 @@ def test_paraproduct_sequence_carleson_equals_bloom_squared(depth, kind):
 
 def test_embedding_constant_sits_in_the_classical_window():
     for seed in range(4):
-        _, mu, lam, b = _materials(4, 600 + seed)
+        mu, lam, b = _materials(4, 600 + seed)
         seq = paraproduct_carleson_sequence(b, mu, lam)
         rep = carleson_embedding_checks([seq])[0]
         if rep.carleson > 0:
@@ -692,13 +729,13 @@ def test_necessity_single_scale_ratio_is_one(unit_weight):
     # b = h_root with mu = lam = 1: no coarser intervals exist, so the
     # restricted sum and the test-function image coincide at the root
     one = unit_weight(3)
-    b = haar_function(one.grid, DyadicInterval(0, 0))
+    b = haar_function(3, DyadicInterval(0, 0))
     assert necessity_test_function_bound(b, one, one) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_necessity_constant_symbol_reports_zero(unit_weight):
     one = unit_weight(3)
-    const = StepFunction.constant(one.grid, 2.0)
+    const = np.full(8, 2.0)
     assert necessity_test_function_bound(const, one, one) == 0.0
 
 
@@ -709,7 +746,7 @@ def test_necessity_ratios_match_per_interval_oracle(depth):
         b, mu, lam = ensembles.triple(depth, ensemble, 900 + 10 * depth + i)
         got = necessity_restriction_ratios(b, mu, lam)
         want = oracles.necessity_restriction_ratios_oracle(
-            b.values, mu.values, lam.values, depth
+            b, mu.values, lam.values, depth
         )
         assert [r.shape for r in got] == [r.shape for r in want]
         for g, w in zip(got, want):
@@ -721,7 +758,7 @@ def test_necessity_ratios_match_per_interval_oracle(depth):
 
 
 def test_norm_report_end_to_end():
-    _, mu, lam, b = _materials(4, 700)
+    mu, lam, b = _materials(4, 700)
     rep = compute_norm_report(b, mu, lam)
     d = rep.to_dict()
     for key in (
@@ -747,19 +784,19 @@ def test_norm_report_end_to_end():
         rep.norm_commutator / rep.bmo.bmo_rho, rel=1e-12
     )
     assert not rep.shift_truncated  # b was projected to admissible levels
-    raw = StepFunction(mu.grid, np.random.default_rng(1).standard_normal(16))
+    raw = np.random.default_rng(1).standard_normal(16)
     rep_raw = compute_norm_report(raw, mu, lam)
     assert rep_raw.shift_truncated
 
 
-def test_indicator_average_identity(grid4):
+def test_indicator_average_identity():
     # averaging against an indicator recovers interval averages; guards the
     # expectation_matrix oracle behind the embedding check
     r = np.random.default_rng(9)
-    f = StepFunction(grid4, r.standard_normal(16))
+    f = r.standard_normal(16)
     iv = DyadicInterval(2, 1)
     chi = oracles.indicator_leaves(4, iv.level, iv.position)
-    assert float((f.values * chi).mean()) / oracles.interval_length(iv) == pytest.approx(
+    assert float((f * chi).mean()) / oracles.interval_length(iv) == pytest.approx(
         oracles.interval_average(f, iv), rel=1e-14
     )
 

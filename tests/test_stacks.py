@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadbloom import DyadicGrid, StepFunction, Weight
+from dyadbloom import Weight
 from dyadbloom import normest
 from dyadbloom.normest import (
     TopEigen,
@@ -54,15 +54,14 @@ def _assert_rows(stacked, alone, x):
        decades=st.floats(0.0, 8.0), seed=st.integers(0, 2**32 - 1))
 def test_stacked_kernels_and_forms_equal_rows_alone(depth, rows, decades, seed):
     rng = np.random.default_rng(seed)
-    grid = DyadicGrid(depth)
-    n = grid.n_leaves
+    n = 1 << depth
 
     def leaves():
         return 10.0 ** rng.uniform(-decades, decades, n)
 
-    mus = [Weight(StepFunction(grid, leaves())) for _ in range(rows)]
-    lams = [Weight(StepFunction(grid, leaves())) for _ in range(rows)]
-    bs = [StepFunction(grid, rng.standard_normal(n) * leaves()) for _ in range(rows)]
+    mus = [Weight(leaves()) for _ in range(rows)]
+    lams = [Weight(leaves()) for _ in range(rows)]
+    bs = [rng.standard_normal(n) * leaves() for _ in range(rows)]
     x = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-decades, decades, (rows, n))
 
     for plan in PLANS:
@@ -77,7 +76,7 @@ def test_stacked_kernels_and_forms_equal_rows_alone(depth, rows, decades, seed):
              for r in range(rows)],
             x,
         )
-    shift = shift_operator(grid)
+    shift = shift_operator(depth)
     for kernel in (shift.apply, shift.transpose):
         out = kernel(x)
         for r in range(rows):

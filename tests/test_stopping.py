@@ -7,8 +7,6 @@ root-set level scan with every factory against the depth-first per-interval
 scan and unstopped walk in oracles.py, root by root.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from dyadbloom.errors import PackingSearchError
-from dyadbloom.grid import DyadicGrid, DyadicInterval, StepFunction, haar_function
+from dyadbloom.grid import ROOT, DyadicInterval, depth_of, haar_function
 from dyadbloom.bmo import bloom_b2
 from dyadbloom.config import ExperimentConfig
 from dyadbloom.stopping import (
@@ -46,13 +44,13 @@ def _subtree(root: DyadicInterval, depth: int) -> list[DyadicInterval]:
     return out
 
 
-def _path_sum(b: StepFunction, root: DyadicInterval, iv: DyadicInterval) -> float:
+def _path_sum(b: np.ndarray, root: DyadicInterval, iv: DyadicInterval) -> float:
     # sum of coeff(I')^2/|I'| over root >= I' >= iv, leaves carrying none
-    depth = b.grid.depth
+    depth = depth_of(b)
     total = 0.0
     for k in range(root.level, min(iv.level, depth - 1) + 1):
         j = iv.position >> (iv.level - k)
-        total += oracles.coeff(b.values, depth, k, j) ** 2 * (1 << k)
+        total += oracles.coeff(b, depth, k, j) ** 2 * (1 << k)
     return total
 
 
@@ -72,24 +70,24 @@ def _unstopped(fam: StoppingFamily) -> list[DyadicInterval]:
     return [DyadicInterval(k, int(j)) for k, m in fam.unstopped.items() for j in np.flatnonzero(m)]
 
 
-def _family(grid, root, *members) -> StoppingFamily:
+def _family(root, *members) -> StoppingFamily:
     owners = np.zeros(len(members), np.intp)
-    return StoppingFamily(grid, Intervals.of(root), Intervals.of(*members), owners, {})
+    return StoppingFamily(Intervals.of(root), Intervals.of(*members), owners, {})
 
 
 NEVER = lambda roots: (lambda k, owner: False)  # noqa: E731
 ALWAYS = lambda roots: (lambda k, owner: True)  # noqa: E731
 
 
-def test_false_predicate_gives_empty_family(grid4):
-    fam = maximal_stopping_intervals(grid4, grid4.root, NEVER)
+def test_false_predicate_gives_empty_family():
+    fam = maximal_stopping_intervals(4, ROOT, NEVER)
     assert _members(fam) == ()
-    assert _unstopped(fam) == sorted(_subtree(grid4.root, 4))
+    assert _unstopped(fam) == sorted(_subtree(ROOT, 4))
 
 
 def test_constant_weight_never_deviates(unit_weight):
     one = unit_weight(5)
-    fam = maximal_stopping_intervals(one.grid, one.grid.root, deviation_factory(one, 2.0))
+    fam = maximal_stopping_intervals(one.depth, ROOT, deviation_factory(one, 2.0))
     assert _members(fam) == ()
 
 
@@ -98,11 +96,11 @@ def test_worked_example_single_member(weight_4411):
     # subintervals only [0,1/2) (average 4) exceeds it, and its two leaves
     # are shadowed by maximality
     lam = weight_4411
-    root = lam.grid.root
+    root = ROOT
     factory = lambda roots: (  # noqa: E731
         lambda k, owner: lam.averages[k] > 1.2 * lam.average(root)
     )
-    fam = maximal_stopping_intervals(lam.grid, root, factory)
+    fam = maximal_stopping_intervals(lam.depth, root, factory)
     assert _members(fam) == (DyadicInterval(1, 0),)
     hits = [iv for iv in _subtree(root, 2) if iv != root and _fires(factory, root, iv)]
     assert hits == [DyadicInterval(1, 0), DyadicInterval(2, 0), DyadicInterval(2, 1)]
@@ -110,51 +108,53 @@ def test_worked_example_single_member(weight_4411):
 
 def test_members_disjoint_maximal_and_satisfying(random_positive):
     w = random_positive(6, seed=31)
-    grid = w.grid
+    depth = w.depth
     factory = deviation_factory(w, 1.3)
-    fam = maximal_stopping_intervals(grid, grid.root, factory)
+    fam = maximal_stopping_intervals(depth, ROOT, factory)
     members = _members(fam)
     assert members
     for s in members:
-        assert _fires(factory, grid.root, s)
+        assert _fires(factory, ROOT, s)
         assert s.level >= 1
         # no strict ancestor below the root satisfies the predicate
         k, j = s.level, s.position
         while k > 1:
             k, j = oracles.parent(k, j)
-            assert not _fires(factory, grid.root, DyadicInterval(k, j))
+            assert not _fires(factory, ROOT, DyadicInterval(k, j))
     for a, b in zip(members, members[1:]):
-        assert grid.leaf_slice(a).stop <= grid.leaf_slice(b).start  # sorted and disjoint
+        # sorted and disjoint
+        assert (oracles.leaf_slice(depth, a.level, a.position).stop
+                <= oracles.leaf_slice(depth, b.level, b.position).start)
 
 
 def test_unstopped_partition_accounts_for_every_interval(random_positive):
     w = random_positive(5, seed=7)
-    grid = w.grid
+    depth = w.depth
     factory = deviation_factory(w, 1.2)
-    fam = maximal_stopping_intervals(grid, grid.root, factory)
+    fam = maximal_stopping_intervals(depth, ROOT, factory)
     free = _unstopped(fam)
-    assert grid.root in free
-    covered = len(free) + sum(len(_subtree(s, grid.depth)) for s in _members(fam))
-    assert covered == len(_subtree(grid.root, grid.depth))
+    assert ROOT in free
+    covered = len(free) + sum(len(_subtree(s, depth)) for s in _members(fam))
+    assert covered == len(_subtree(ROOT, depth))
     for iv in free:
-        if iv != grid.root:
-            assert not _fires(factory, grid.root, iv)
+        if iv != ROOT:
+            assert not _fires(factory, ROOT, iv)
 
 
-def test_packing_ratio_empty_family_is_zero(grid4, unit_weight):
-    fam = maximal_stopping_intervals(grid4, grid4.root, NEVER)
+def test_packing_ratio_empty_family_is_zero(unit_weight):
+    fam = maximal_stopping_intervals(4, ROOT, NEVER)
     assert packing_ratio(fam, unit_weight(4)) == 0.0
 
 
-def test_packing_ratio_lebesgue_half(grid2, unit_weight):
-    fam = _family(grid2, grid2.root, DyadicInterval(1, 0))
+def test_packing_ratio_lebesgue_half(unit_weight):
+    fam = _family(ROOT, DyadicInterval(1, 0))
     assert packing_ratio(fam, unit_weight(2)) == 0.5
 
 
 def test_packing_ratio_worked_example(weight_4411):
     # (4 * 1/2) / 2.5 = 0.8
     lam = weight_4411
-    fam = _family(lam.grid, lam.grid.root, DyadicInterval(1, 0))
+    fam = _family(ROOT, DyadicInterval(1, 0))
     assert packing_ratio(fam, lam) == pytest.approx(0.8, abs=1e-15)
 
 
@@ -167,14 +167,14 @@ def test_deviation_factory_rejects_small_constant(unit_weight):
 
 def test_deviation_factory_stops_on_both_sides(weight_4411):
     lam = weight_4411
-    fam = maximal_stopping_intervals(lam.grid, lam.grid.root, deviation_factory(lam, 1.3))
+    fam = maximal_stopping_intervals(lam.depth, ROOT, deviation_factory(lam, 1.3))
     assert _members(fam) == (DyadicInterval(1, 0), DyadicInterval(1, 1))
 
 
 def test_minimal_packing_constant_trivial(unit_weight):
     one = unit_weight(3)
     c = minimal_packing_constant(
-        one.grid, one.grid.root, lambda C: deviation_factory(one, C), one
+        one.depth, ROOT, lambda C: deviation_factory(one, C), one
     )
     assert c == pytest.approx(1.1, rel=1e-12)
 
@@ -183,14 +183,14 @@ def test_minimal_packing_constant_worked_example(weight_4411):
     # exhaustive over the geometric grid: 4 > 2.5*C fails first at C = 1.1^5
     # and the low side 1 < 2.5/C keeps only [1/2,1), packing 0.2
     lam = weight_4411
-    grid = lam.grid
+    depth = lam.depth
     c = minimal_packing_constant(
-        grid, grid.root, lambda C: deviation_factory(lam, C), lam
+        depth, ROOT, lambda C: deviation_factory(lam, C), lam
     )
     assert c == pytest.approx(1.1**5, rel=1e-12)
 
     def ratio_at(cand: float) -> float:
-        fam = maximal_stopping_intervals(grid, grid.root, deviation_factory(lam, cand))
+        fam = maximal_stopping_intervals(depth, ROOT, deviation_factory(lam, cand))
         return packing_ratio(fam, lam)
 
     cands = [1.1**k for k in range(1, 12)]
@@ -199,20 +199,20 @@ def test_minimal_packing_constant_worked_example(weight_4411):
     assert ratio_at(c) == pytest.approx(0.2, abs=1e-15)
 
 
-def test_packing_search_error_carries_ratio(grid2, unit_weight):
+def test_packing_search_error_carries_ratio(unit_weight):
     one = unit_weight(2)
     with pytest.raises(PackingSearchError) as exc:
         minimal_packing_constant(
-            one.grid, one.grid.root, lambda C: ALWAYS, one
+            one.depth, ROOT, lambda C: ALWAYS, one
         )
     assert exc.value.min_ratio == pytest.approx(1.0, abs=1e-15)
 
 
 def test_corona_trivial_generations(unit_weight):
     one = unit_weight(4)
-    gens = corona_generations(one.grid, one.grid.root, NEVER)
+    gens = corona_generations(one.depth, ROOT, NEVER)
     assert len(gens) == 1 and _members(gens[0]) == ()
-    gens = corona_generations(one.grid, one.grid.root, deviation_factory(one, 1.5))
+    gens = corona_generations(one.depth, ROOT, deviation_factory(one, 1.5))
     assert len(gens) == 1 and _members(gens[0]) == ()
 
 
@@ -221,7 +221,7 @@ def test_corona_generation_indices_and_reanchoring(weight_4411):
     # is flat, so generation 2 is empty
     lam = weight_4411
     c = 1.1**5
-    gens = corona_generations(lam.grid, lam.grid.root, deviation_factory(lam, c))
+    gens = corona_generations(lam.depth, ROOT, deviation_factory(lam, c))
     assert len(gens) == 2
     assert _members(gens[0]) == (DyadicInterval(1, 1),)
     assert _members(gens[1]) == ()
@@ -229,16 +229,16 @@ def test_corona_generation_indices_and_reanchoring(weight_4411):
 
 def test_corona_geometric_decay_cascade():
     lam = generate(EnsembleSpec(kind="cascade", depth=10, seed=5, delta=0.6))
-    grid = lam.grid
-    cc = minimal_corona_constant(grid, grid.root, lambda C: deviation_factory(lam, C), lam)
-    cp = minimal_packing_constant(grid, grid.root, lambda C: deviation_factory(lam, C), lam)
+    depth = lam.depth
+    cc = minimal_corona_constant(depth, ROOT, lambda C: deviation_factory(lam, C), lam)
+    cp = minimal_packing_constant(depth, ROOT, lambda C: deviation_factory(lam, C), lam)
     assert cc >= cp * (1 - 1e-12)
     # handing the packing constant in skips that search, same result
     assert minimal_corona_constant(
-        grid, grid.root, lambda C: deviation_factory(lam, C), lam, start=cp
+        depth, ROOT, lambda C: deviation_factory(lam, C), lam, start=cp
     ) == cc
-    gens = corona_generations(grid, grid.root, deviation_factory(lam, cc))
-    total = lam.mass(grid.root)
+    gens = corona_generations(depth, ROOT, deviation_factory(lam, cc))
+    total = lam.mass(ROOT)
     for g, gen in enumerate(gens, start=1):
         mass = ordered_sum(gen.member_masses(lam))
         assert mass <= 0.5**g * total * (1 + 1e-12)
@@ -249,28 +249,28 @@ def test_threshold_factory_lebesgue_packing(random_positive):
     # in Lebesgue measure
     for seed in (3, 4, 5):
         w = random_positive(6, seed=seed)
-        grid = w.grid
-        fam = maximal_stopping_intervals(grid, grid.root, threshold_factory(w, 4.0))
+        depth = w.depth
+        fam = maximal_stopping_intervals(depth, ROOT, threshold_factory(w, 4.0))
         leb = sum(oracles.interval_length(s) for s in _members(fam))
         assert leb <= 0.25 + 1e-15
         for s in _members(fam):
-            assert w.average(s) >= 4.0 * w.average(grid.root)
+            assert w.average(s) >= 4.0 * w.average(ROOT)
 
 
 def test_three_condition_packing_and_unstopped_path_sums(random_positive):
     rng = np.random.default_rng(42)
     mu = random_positive(5, seed=50)
     lam = random_positive(5, seed=51)
-    grid = mu.grid
-    b = StepFunction(grid, rng.standard_normal(grid.n_leaves))
+    depth = mu.depth
+    b = rng.standard_normal(1 << depth)
     mu_inv = mu.inverse
     rho = rho_weight(mu, lam)
     fam = maximal_stopping_intervals(
-        grid, grid.root, three_condition_factory(mu, lam, b, 2.0, 1.0)
+        depth, ROOT, three_condition_factory(mu, lam, b, 2.0, 1.0)
     )
     members = _members(fam)
-    a_mu = mu_inv.average(grid.root)
-    a_rho = rho.average(grid.root)
+    a_mu = mu_inv.average(ROOT)
+    a_rho = rho.average(ROOT)
     # conditions (1) and (2) pack to <= 1/C = 1/2 definitionally
     leb1 = sum(oracles.interval_length(s) for s in members if mu_inv.average(s) > 2.0 * a_mu)
     leb2 = sum(oracles.interval_length(s) for s in members if rho.average(s) > 2.0 * a_rho)
@@ -283,11 +283,11 @@ def test_three_condition_packing_and_unstopped_path_sums(random_positive):
         assert (
             mu_inv.average(s) > 2.0 * a_mu
             or rho.average(s) > 2.0 * a_rho
-            or _path_sum(b, grid.root, s) > thr
+            or _path_sum(b, ROOT, s) > thr
         )
     for iv in _unstopped(fam):
-        if iv != grid.root:
-            assert _path_sum(b, grid.root, iv) <= thr * (1 + 1e-12)
+        if iv != ROOT:
+            assert _path_sum(b, ROOT, iv) <= thr * (1 + 1e-12)
 
 
 def test_unstopped_coefficient_sum_bound(random_positive):
@@ -297,44 +297,42 @@ def test_unstopped_coefficient_sum_bound(random_positive):
     rng = np.random.default_rng(77)
     mu = random_positive(6, seed=60)
     lam = random_positive(6, seed=61)
-    grid = mu.grid
-    b = StepFunction(grid, rng.standard_normal(grid.n_leaves))
+    depth = mu.depth
+    b = rng.standard_normal(1 << depth)
     mu_inv = mu.inverse
     b2 = bloom_b2(b, mu, lam)
     c = minimal_packing_constant(
-        grid, grid.root, lambda C: deviation_factory([mu_inv, lam], C), mu_inv
+        depth, ROOT, lambda C: deviation_factory([mu_inv, lam], C), mu_inv
     )
-    fam = maximal_stopping_intervals(grid, grid.root, deviation_factory([mu_inv, lam], c))
+    fam = maximal_stopping_intervals(depth, ROOT, deviation_factory([mu_inv, lam], c))
     coeff_sum = sum(
-        oracles.coeff(b.values, 6, iv.level, iv.position) ** 2
+        oracles.coeff(b, 6, iv.level, iv.position) ** 2
         for iv in _unstopped(fam)
-        if iv.level < grid.depth
+        if iv.level < depth
     )
-    base = b2**2 / (mu_inv.average(grid.root) * lam.average(grid.root))
+    base = b2**2 / (mu_inv.average(ROOT) * lam.average(ROOT))
     assert coeff_sum <= c**3 * base * (1 + 1e-9)
 
 
-def test_square_sum_factory_worked_example(grid2, unit_weight):
+def test_square_sum_factory_worked_example(unit_weight):
     one = unit_weight(2)
-    b = haar_function(grid2, DyadicInterval(0, 0))
+    b = haar_function(2, DyadicInterval(0, 0))
     # path sum through the root is exactly 1 everywhere below it
     for C, expect in ((0.5, 2), (1.0, 2), (1.5, 0)):
-        fam = maximal_stopping_intervals(grid2, grid2.root, square_sum_factories(b, one, 1.0)(C))
+        fam = maximal_stopping_intervals(2, ROOT, square_sum_factories(b, one, 1.0)(C))
         assert fam.members.levels.size == expect
         if expect:
             assert _members(fam) == (DyadicInterval(1, 0), DyadicInterval(1, 1))
 
 
-def test_minimal_corona_constant_search_failure(grid2, unit_weight):
+def test_minimal_corona_constant_search_failure(unit_weight):
     one = unit_weight(2)
     with pytest.raises(PackingSearchError):
-        minimal_corona_constant(one.grid, one.grid.root, lambda C: ALWAYS, one)
+        minimal_corona_constant(one.depth, ROOT, lambda C: ALWAYS, one)
 
 
 def test_member_mass_matches_oracle(weight_4411):
-    fam = _family(
-        weight_4411.grid, weight_4411.grid.root, DyadicInterval(2, 0), DyadicInterval(1, 1)
-    )
+    fam = _family(ROOT, DyadicInterval(2, 0), DyadicInterval(1, 1))
     # masses 4/4 and (1+1)/4
     assert fam.member_masses(weight_4411)[0] == pytest.approx(1.5, abs=1e-15)
 
@@ -353,12 +351,8 @@ def test_level_mask_scan_matches_depth_first_oracle(depth, data):
     kind = data.draw(st.sampled_from(FACTORY_KINDS), label="factory")
     spread = data.draw(st.floats(0.1, 3.0), label="log spread")
     rng = np.random.default_rng(seed)
-    grid = DyadicGrid(depth)
-    mu, lam = (
-        Weight(StepFunction(grid, np.exp(rng.uniform(-spread, spread, grid.n_leaves))))
-        for _ in range(2)
-    )
-    b = StepFunction(grid, rng.standard_normal(grid.n_leaves))
+    mu, lam = (Weight(np.exp(rng.uniform(-spread, spread, 1 << depth))) for _ in range(2))
+    b = rng.standard_normal(1 << depth)
     if kind == "deviation":
         ws = data.draw(st.sampled_from([[lam], [mu.inverse, lam]]), label="weights")
         C = data.draw(st.floats(1.01, 4.0), label="C")
@@ -377,7 +371,7 @@ def test_level_mask_scan_matches_depth_first_oracle(depth, data):
         C_b = data.draw(st.floats(0.1, 3.0), label="C_b")
         factory = three_condition_factory(mu, lam, b, C, C_b)
         oracle = lambda r: oracles.three_condition_predicate(  # noqa: E731
-            mu.values, lam.values, b.values, C, C_b, depth, r
+            mu.values, lam.values, b, C, C_b, depth, r
         )
     else:
         C = data.draw(st.floats(0.05, 10.0), label="C")
@@ -385,13 +379,13 @@ def test_level_mask_scan_matches_depth_first_oracle(depth, data):
         rho = rho_weight(mu, lam)
         factory = square_sum_factories(b, rho, b2)(C)
         oracle = lambda r: oracles.square_sum_predicate(  # noqa: E731
-            b.values, rho.values, C, b2, depth, r
+            b, rho.values, C, b2, depth, r
         )
     last = int(rng.integers(1 << depth))
     roots = [(0, 0), (level, position), (depth - 1, last >> 1), (depth, last)]
     for r in roots:
         root = DyadicInterval(*r)
-        fam = maximal_stopping_intervals(grid, root, factory)
+        fam = maximal_stopping_intervals(depth, root, factory)
         got = tuple((s.level, s.position) for s in _members(fam))
         assert got == oracles.stopping_scan_oracle(depth, r, oracle(r))
 
@@ -411,8 +405,7 @@ def test_corona_scan_matches_oracle_root_by_root(depth, data):
         generate(EnsembleSpec(kind=kind, depth=depth, seed=seed + i, delta=0.6))
         for i in range(2)
     )
-    b = StepFunction(mu.grid, np.random.default_rng(seed).standard_normal(1 << depth))
-    grid = mu.grid
+    b = np.random.default_rng(seed).standard_normal(1 << depth)
     factory_kind = data.draw(
         st.sampled_from(["deviation", "deviation2", "threshold", "three-condition",
                          "square-sum"]),
@@ -436,17 +429,17 @@ def test_corona_scan_matches_oracle_root_by_root(depth, data):
         C_b = data.draw(st.floats(0.1, 3.0), label="C_b")
         factory = three_condition_factory(mu, lam, b, C, C_b)
         oracle = lambda r: oracles.three_condition_predicate(  # noqa: E731
-            mu.values, lam.values, b.values, C, C_b, depth, r
+            mu.values, lam.values, b, C, C_b, depth, r
         )
     else:
         C = data.draw(st.floats(0.05, 10.0), label="C")
         rho = rho_weight(mu, lam)
         factory = square_sum_factories(b, rho, 1.0)(C)
         oracle = lambda r: oracles.square_sum_predicate(  # noqa: E731
-            b.values, rho.values, C, 1.0, depth, r
+            b, rho.values, C, 1.0, depth, r
         )
     n_gens = data.draw(st.integers(1, 3), label="generations")
-    gens = corona_generations(grid, grid.root, factory)[:n_gens]
+    gens = corona_generations(depth, ROOT, factory)[:n_gens]
     roots = [(0, 0)]
     for g, gen in enumerate(gens, start=1):
         assert list(zip(gen.roots.levels, gen.roots.positions)) == roots

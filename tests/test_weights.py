@@ -8,11 +8,10 @@ from scipy.integrate import quad
 import oracles
 from dyadbloom import (
     ConfigError,
-    DyadicGrid,
     DyadicInterval,
     EnsembleSpec,
     EnsembleTargetError,
-    StepFunction,
+    GridMismatchError,
     Weight,
     a2_characteristic,
     generate,
@@ -20,11 +19,16 @@ from dyadbloom import (
 )
 
 
-def test_weight_requires_positive_values(grid2):
+def test_weight_requires_positive_values():
     with pytest.raises(ValueError):
-        Weight(StepFunction(grid2, np.array([1.0, -1.0, 1.0, 1.0])))
+        Weight(np.array([1.0, -1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
-        Weight(StepFunction(grid2, np.array([1.0, 0.0, 1.0, 1.0])))
+        Weight(np.array([1.0, 0.0, 1.0, 1.0]))
+    # leaf_values' checks come first
+    with pytest.raises(ValueError, match="finite"):
+        Weight(np.array([1.0, np.inf, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="leaf values for depth"):
+        Weight(np.ones(3))
 
 
 def test_interval_mass_and_average_match_slices(random_positive):
@@ -48,7 +52,7 @@ def test_a2_of_4411_weight(weight_4411):
 
 
 def test_a2_constant_weight_is_exactly_one(unit_weight):
-    w = Weight(StepFunction.constant(DyadicGrid(5), 7.25))
+    w = Weight(np.full(32, 7.25))
     assert a2_characteristic(w) == 1.0
     assert a2_characteristic(unit_weight(3)) == 1.0
 
@@ -77,6 +81,9 @@ def test_rho_weight_is_sqrt_ratio(random_positive):
     lam = random_positive(3, seed=2)
     rho = rho_weight(mu, lam)
     np.testing.assert_allclose(rho.values, np.sqrt(mu.values / lam.values), rtol=1e-15)
+    assert rho.depth == 3
+    with pytest.raises(GridMismatchError):
+        rho_weight(mu, random_positive(4, seed=2))
 
 
 # ------------------------------------------------------------------ ensembles
@@ -90,17 +97,17 @@ def test_every_kind_generates_valid_output():
         assert np.all(out.values > 0)
     for kind in ("log-symbol", "haar-sparse-symbol"):
         out = generate(EnsembleSpec(kind=kind, depth=4, seed=5))
-        assert isinstance(out, StepFunction)
-        assert np.all(np.isfinite(out.values))
+        assert out.shape == (16,) and not out.flags.writeable
+        assert np.all(np.isfinite(out))
 
 
 def test_generation_is_deterministic():
     for kind in ("two-value", "cascade", "log-symbol", "haar-sparse-symbol"):
         a = generate(EnsembleSpec(kind=kind, depth=5, seed=42))
         b = generate(EnsembleSpec(kind=kind, depth=5, seed=42))
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(getattr(a, "values", a), getattr(b, "values", b))
         c = generate(EnsembleSpec(kind=kind, depth=5, seed=43))
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(getattr(a, "values", a), getattr(c, "values", c))
 
 
 def test_constant_kind_ignores_randomness():
@@ -152,7 +159,7 @@ def test_cascade_parent_masses_preserved_by_each_split():
 def test_log_symbol_is_log_of_cascade():
     sym = generate(EnsembleSpec(kind="log-symbol", depth=4, seed=8, delta=0.3))
     cas = generate(EnsembleSpec(kind="cascade", depth=4, seed=8, delta=0.3))
-    np.testing.assert_allclose(sym.values, np.log(cas.values), rtol=1e-15)
+    np.testing.assert_allclose(sym, np.log(cas.values), rtol=1e-15)
 
 
 def test_sparse_symbol_has_scaled_coefficients_and_zero_mean():
@@ -160,8 +167,8 @@ def test_sparse_symbol_has_scaled_coefficients_and_zero_mean():
 
     spec = EnsembleSpec(kind="haar-sparse-symbol", depth=6, seed=3, sparsity=0.05)
     sym = generate(spec)
-    assert abs(sym.integral()) <= 1e-14
-    mean, coeffs = analyze_leaves(sym.values, 6)
+    assert abs(sym.mean()) <= 1e-14
+    mean, coeffs = analyze_leaves(sym, 6)
     total = sum(int(np.count_nonzero(np.abs(c) > 1e-13)) for c in coeffs)
     assert total >= 1
     # nonzero coefficients carry the 2^{-k/2} normalization: a standard
@@ -176,7 +183,7 @@ def test_sparse_symbol_forces_at_least_one_interval():
     # sparsity so small that every mask would be empty without the forcing
     spec = EnsembleSpec(kind="haar-sparse-symbol", depth=3, seed=1, sparsity=1e-9)
     sym = generate(spec)
-    assert float(np.abs(sym.values).max()) > 0.0
+    assert float(np.abs(sym).max()) > 0.0
 
 
 def test_a2_range_rejection_sampling():
