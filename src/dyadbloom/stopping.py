@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PackingSearchError
-from .grid import DyadicInterval, depth_of, square_layers
+from .grid import DyadicInterval, same_depth, square_layers
 from .weights import Weight, rho_weight
 
 __all__ = [
@@ -205,9 +205,11 @@ def threshold_factory(w: Weight, factor: float = 4.0) -> PredicateFactory:
     return factory
 
 
-def _scaled_squares(b: np.ndarray) -> list[np.ndarray]:
-    """bhat(I)^2/|I| per level k = 0..D; the leaves carry no coefficient."""
-    return square_layers(b, depth_of(b)) + [np.zeros(b.size)]
+def _scaled_squares(b: np.ndarray, w: Weight) -> list[np.ndarray]:
+    """bhat(I)^2/|I| per level k = 0..D of a symbol on w's grid; the leaves
+    carry no coefficient."""
+    depth = same_depth(b, w.values)
+    return square_layers(b, depth) + [np.zeros(1 << depth)]
 
 
 def _path_sums(q: list[np.ndarray], roots: Intervals) -> dict[int, np.ndarray]:
@@ -241,7 +243,7 @@ def three_condition_factory(
     """
     mu_inv = mu.inverse
     rho = rho_weight(mu, lam)
-    q = _scaled_squares(b)
+    q = _scaled_squares(b, rho)
 
     def factory(roots: Intervals) -> Predicate:
         hi_mu = C * roots.gather(mu_inv.averages)
@@ -270,7 +272,7 @@ def square_sum_factories(
     bhat^2/|I'| first exceeds C * b2_value^2 * <rho>_I0^2 (b2_value is a
     Bloom-functional size for b), with b analysed once: the factory_of_c of
     a packing search over C."""
-    q = _scaled_squares(b)
+    q = _scaled_squares(b, rho)
 
     def factory_of_c(C: float) -> PredicateFactory:
         def factory(roots: Intervals) -> Predicate:

@@ -43,6 +43,7 @@ from dyadbloom.normest import (
     ppott_best_constants,
     weighted_operator_norms,
 )
+from dyadbloom.stopping import square_sum_factories, three_condition_factory
 
 
 def _norm(T, mu, lam):
@@ -683,6 +684,8 @@ _MISMATCHED = {
         for w in (Weight(np.exp(b)), mu)
     ]),
     "paraproduct_operator-rows": lambda b, mu, lam: paraproduct_operator([b, mu.values]),
+    "three_condition_factory": lambda b, mu, lam: three_condition_factory(mu, lam, b, 2.0, 1.0),
+    "square_sum_factories": lambda b, mu, lam: square_sum_factories(b, rho_weight(mu, lam), 1.0),
 }
 
 
