@@ -133,9 +133,9 @@ def maximal_stopping_intervals(
 ) -> StoppingFamily:
     """Maximal intervals of the depth-D grid strictly inside each root where
     factory(roots) holds, by one top-down level scan over the whole root
-    set; descent stops
-    at each member, and the scan ends once no position is left inside a
-    root.  Members are ordered by left endpoint, so grouped by root."""
+    set; descent stops at each member, and the scan ends once no position is
+    left inside a root.  Members are ordered by left endpoint, so grouped by
+    root."""
     if isinstance(roots, DyadicInterval):
         roots = Intervals.of(roots)
     predicate = factory(roots)
