@@ -1,6 +1,6 @@
-"""Bitwise pins of the solve-bearing suites, of equivalences, which reads
-every BMO functional, and of identities, which checks the exact operator
-identities.
+"""Bitwise pins of all eight suites: the solve-bearing ones, equivalences,
+which reads every BMO functional, identities, which checks the exact
+operator identities, and stopping, which runs every packing search.
 
 Every float a suite reports (each measured statistic, each assertion's worst
 value, each finding's numbers) is compared as float.hex against
@@ -25,7 +25,7 @@ from dyadbloom.suites import SuiteResult, run_suites
 PINS = pathlib.Path(__file__).with_name("suite_pins.json")
 SUITES = (
     "identities", "equivalences", "paraproduct-bounds", "commutator-bounds", "carleson", "ppott",
-    "neccon-chain",
+    "stopping", "neccon-chain",
 )
 CONFIGS = ((8, 5, 2026), (10, 4, 2026), (6, 37, 7))
 
