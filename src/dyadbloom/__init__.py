@@ -51,6 +51,7 @@ from .operators import (
 )
 from .stopping import (
     StoppingFamily,
+    StoppingRule,
     corona_generations,
     deviation_factory,
     maximal_stopping_intervals,

@@ -23,10 +23,10 @@ Two kinds of supremum carry the functionals here and normest's Carleson
 block, each written once.  _carleson_terms(b, squared, linear) builds
 a_I = bhat(I)^2 <squared>_I^2 <linear>_I and _carleson_sup(a, w) takes the
 sup of its subtree sums over w's level masses (bloom_b2, bloom_b2_dual, the
-Carleson sequences and constant, the necessity sums).  _oscillation_masses(b,
-depth, w) integrates (b - <b>_I)^2 w over every interval of levels 0..D-1
-(bmo_rho with w = 1, neccon_functional with w = lambda).  _sqrt_sup roots a
-sup of squares.  b is a leaf array, and each scan checks once that b and
+Carleson sequences and constant, the necessity sums).
+_oscillation_masses(b, w) integrates (b - <b>_I)^2 w over every interval of
+levels 0..D-1 (bmo_rho with w = 1, neccon_functional with w = lambda).
+_sqrt_sup roots a sup of squares.  b is a leaf array, and each scan checks once that b and
 its weights share a depth (grid.same_depth): GridMismatchError if not.
 """
 
@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import DyadicInterval, analyze_leaves, level_masses, same_depth, square_layers
+from .grid import DyadicInterval, analyze_leaves, depth_of, level_masses, same_depth, square_layers
 from .weights import Weight, rho_weight
 
 __all__ = [
@@ -93,7 +93,8 @@ def _subtree_sums(per_level: list[np.ndarray]) -> list[np.ndarray]:
 
 def _carleson_terms(b: np.ndarray, squared: Weight, linear: Weight) -> list[np.ndarray]:
     # a_I = bhat(I)^2 <squared>_I^2 <linear>_I on coefficient levels 0..D-1
-    _, coeffs = analyze_leaves(b, same_depth(b, squared.values, linear.values))
+    same_depth(b, squared.values, linear.values)
+    _, coeffs = analyze_leaves(b)
     return [c**2 * s**2 * t for c, s, t in zip(coeffs, squared.averages, linear.averages)]
 
 
@@ -129,7 +130,7 @@ def _bloom_l2form_scan(b: np.ndarray, mu: Weight, lam: Weight) -> _SupResult:
     # sees the additions of a per-K synthesis in the same order.
     depth = same_depth(b, mu.values, lam.values)
     mu_inv = mu.inverse
-    _, coeffs = analyze_leaves(b, depth)
+    _, coeffs = analyze_leaves(b)
     scaled = [
         (coeffs[m] * mu_inv.averages[m]) * math.sqrt(2**m)
         for m in range(depth)
@@ -163,13 +164,14 @@ def bloom_b2_l2form(b: np.ndarray, mu: Weight, lam: Weight) -> float:
     return _bloom_l2form_scan(b, mu, lam).value
 
 
-def _oscillation_masses(b: np.ndarray, depth: int, w: Weight | None = None) -> list[np.ndarray]:
+def _oscillation_masses(b: np.ndarray, w: Weight | None = None) -> list[np.ndarray]:
     # osc[k][j] = integral over I_{k,j} of (b - <b>_I)^2 w (w = 1 when None)
     # on levels 0..D-1, computed by subtracting the interval average from the
     # leaves before squaring; a constant symbol then gives exactly zero
     # instead of cancellation dust.
+    depth = depth_of(b)
     n = 1 << depth
-    mb = level_masses(b, depth)
+    mb = level_masses(b)
     out = []
     for k in range(depth):
         dev2 = (b - np.repeat(mb[k] * (2.0**k), n >> k)) ** 2
@@ -180,7 +182,8 @@ def _oscillation_masses(b: np.ndarray, depth: int, w: Weight | None = None) -> l
 
 
 def _bmo_rho_scan(b: np.ndarray, rho: Weight) -> _SupResult:
-    osc = _oscillation_masses(b, same_depth(b, rho.values))
+    same_depth(b, rho.values)
+    osc = _oscillation_masses(b)
     return _sqrt_sup(_sup_over_levels([osc[k] / rho.level_masses[k] for k in range(len(osc))]))
 
 
@@ -195,7 +198,7 @@ def bmo_rho(b: np.ndarray, rho: Weight) -> float:
 def _bmo_rho_l1_scan(b: np.ndarray, rho: Weight) -> _SupResult:
     depth = same_depth(b, rho.values)
     n = 1 << depth
-    layers = square_layers(b, depth)
+    layers = square_layers(b)
     # Bottom-up, suffix becomes the square function restricted to intervals
     # at levels >= k (those contained in a level-k interval): the running sum
     # of the leaf-resolved layers bhat(I)^2/|I| 1_I of levels D-1 down to k.
@@ -219,7 +222,8 @@ def bmo_rho_l1(b: np.ndarray, rho: Weight) -> float:
 
 def _neccon_scan(b: np.ndarray, mu: Weight, lam: Weight) -> _SupResult:
     mu_inv = mu.inverse
-    osc = _oscillation_masses(b, same_depth(b, mu.values, lam.values), lam)
+    same_depth(b, mu.values, lam.values)
+    osc = _oscillation_masses(b, lam)
     return _sqrt_sup(_sup_over_levels(
         [mu_inv.level_masses[k] * (4.0**k) * osc[k] for k in range(len(osc))]
     ))

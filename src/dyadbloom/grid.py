@@ -3,13 +3,16 @@
 The grid of depth D consists of the dyadic intervals I = [j 2^{-k}, (j+1) 2^{-k})
 for levels 0 <= k <= D; level-D intervals are the leaves.  A step function is
 constant on leaves, and is held as its float64 array of 2^D leaf values: the
-depth is read off the length (depth_of), and nothing else ties a symbol and
-two weights together.  Data entering the library (files, generated
-ensembles, weights) passes leaf_values, which checks the shape, the depth
-bound and finiteness and marks the array read-only; same_depth is the one
-check that several arrays share a grid.  The operator plans in operators.py
-map arrays to arrays.  Integrals are exact leaf sums scaled by 2^{-D}, so
-every identity in this module is a finite linear-algebra statement.
+depth is read off the length (depth_of, which rejects a length that is not a
+power of two), and nothing else ties a symbol and two weights together.  So
+the passes below take no depth beside an array of leaves; only
+synthesize_leaves and accumulate_levels, which build leaves from levels, are
+told it.  Data entering the library (files, generated ensembles, weights)
+passes leaf_values, which checks the shape, the depth bound and finiteness
+and marks the array read-only; same_depth is the one check that several
+arrays share a grid.  The operator plans in operators.py map arrays to
+arrays.  Integrals are exact leaf sums scaled by 2^{-D}, so every identity
+in this module is a finite linear-algebra statement.
 
 The Haar function of an interval I with children I_- (left) and I_+ (right) is
 
@@ -76,14 +79,6 @@ class DyadicInterval:
                 f"position must be in [0, 2^{self.level}), got {self.position}"
             )
 
-    @property
-    def left(self) -> "DyadicInterval":
-        return DyadicInterval(self.level + 1, 2 * self.position)
-
-    @property
-    def right(self) -> "DyadicInterval":
-        return DyadicInterval(self.level + 1, 2 * self.position + 1)
-
 
 ROOT = DyadicInterval(0, 0)
 
@@ -94,7 +89,7 @@ def leaf_values(values, depth: int | None = None) -> np.ndarray:
     depth defaults to the one the length gives."""
     arr = np.array(values, dtype=np.float64)
     if depth is None:
-        depth = depth_of(arr) if arr.ndim == 1 and arr.size else 0
+        depth = max(arr.size.bit_length() - 1, 0) if arr.ndim == 1 else 0
     if not 1 <= depth <= MAX_GRID_DEPTH:
         raise ValueError(f"depth must be in [1, {MAX_GRID_DEPTH}], got {depth}")
     if arr.shape != (1 << depth,):
@@ -108,8 +103,12 @@ def leaf_values(values, depth: int | None = None) -> np.ndarray:
 
 
 def depth_of(a: np.ndarray) -> int:
-    """The depth D of leaf data with 2^D entries on its last axis."""
-    return np.shape(a)[-1].bit_length() - 1
+    """The depth D of leaf data with 2^D entries on its last axis;
+    ValueError when that length is not a power of two."""
+    n = np.shape(a)[-1]
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"leaf data needs 2^D entries on its last axis, got {n}")
+    return n.bit_length() - 1
 
 
 def same_depth(*arrays: np.ndarray, depth: int | None = None) -> int:
@@ -128,7 +127,7 @@ def same_depth(*arrays: np.ndarray, depth: int | None = None) -> int:
     return depths.pop()
 
 
-def analyze_leaves(values: np.ndarray, depth: int) -> tuple[np.ndarray, list[np.ndarray]]:
+def analyze_leaves(values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Haar analysis on the last axis of a (..., 2^depth) array.
 
     Returns (mean, coeffs) with mean of shape (...) and coeffs[k] of shape
@@ -139,9 +138,7 @@ def analyze_leaves(values: np.ndarray, depth: int) -> tuple[np.ndarray, list[np.
     parent mass is m_- + m_+, one addition, as in level_masses.
     """
     values = np.asarray(values, dtype=np.float64)
-    n = 1 << depth
-    if values.shape[-1] != n:
-        raise ValueError(f"last axis must have length {n}, got {values.shape[-1]}")
+    depth = depth_of(values)
     masses = values * (2.0 ** (-depth))
     coeffs: list[np.ndarray] = [None] * depth  # type: ignore[list-item]
     for k in range(depth - 1, -1, -1):
@@ -202,7 +199,7 @@ def stack_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return np.asarray(arrays[0]) if len(arrays) == 1 else np.stack(arrays)
 
 
-def level_masses(values: np.ndarray, depth: int) -> list[np.ndarray]:
+def level_masses(values: np.ndarray) -> list[np.ndarray]:
     """Masses (integrals) of every interval, by level, on the last axis.
 
     Returns a list of depth+1 arrays; entry k has shape (..., 2^k) and holds
@@ -210,6 +207,7 @@ def level_masses(values: np.ndarray, depth: int) -> list[np.ndarray]:
     equals the sum of its children exactly (same additions, same order).
     """
     values = np.asarray(values, dtype=np.float64)
+    depth = depth_of(values)
     out = [None] * (depth + 1)  # type: ignore[list-item]
     m = values * (2.0 ** (-depth))
     out[depth] = m
@@ -235,8 +233,8 @@ def haar_function(depth: int, iv: DyadicInterval) -> np.ndarray:
     return vals
 
 
-def square_layers(values: np.ndarray, depth: int) -> list[np.ndarray]:
+def square_layers(values: np.ndarray) -> list[np.ndarray]:
     """The square function's layers fhat(I)^2 / |I|, entry k over the level-k
     intervals, k = 0..depth-1, on the last axis."""
-    _, coeffs = analyze_leaves(values, depth)
+    _, coeffs = analyze_leaves(values)
     return [c**2 * 2.0**k for k, c in enumerate(coeffs)]

@@ -281,7 +281,7 @@ def ppott_best_constants(ws: Sequence[Weight]) -> list[TopEigen]:
     inv_avgs = [1.0 / stack_rows([w.averages[k] for w in ws]) for k in range(depth)]
 
     def form(y: np.ndarray) -> np.ndarray:
-        _, c = analyze_leaves(root_w * y, depth)
+        _, c = analyze_leaves(root_w * y)
         scaled = [c[k] * inv_avgs[k] for k in range(depth)]
         return root_w * synthesize_leaves(0.0, scaled, depth)
 
@@ -338,7 +338,7 @@ def carleson_embedding_checks(seqs: Sequence[CarlesonSequence]) -> list[Carleson
                                for seq in seqs]) for k in range(depth)]
 
     def form(y: np.ndarray) -> np.ndarray:
-        masses = level_masses(root_w * y, depth)
+        masses = level_masses(root_w * y)
         terms = [level_weights[k] * masses[k] for k in range(depth)]
         return root_w * accumulate_levels(terms, depth)
 
@@ -412,7 +412,7 @@ def necessity_restriction_ratios(
     depth = same_depth(b, mu.values, lam.values)
     n = 1 << depth
     mu_inv = mu.inverse
-    _, cb = analyze_leaves(b, depth)
+    _, cb = analyze_leaves(b)
     sums = _subtree_sums(_carleson_terms(b, mu_inv, lam))
 
     def siblings(a: np.ndarray) -> np.ndarray:

@@ -50,7 +50,6 @@ from .errors import InadmissibleLevelError
 from .grid import (
     accumulate_levels,
     analyze_leaves,
-    depth_of,
     level_masses,
     same_depth,
     stack_rows,
@@ -75,8 +74,9 @@ class LeafOperator(NamedTuple):
     """A linear map on the leaf values of the depth-D grid, with its
     transpose under the unweighted L^2 pairing <u, v> = mean(u v).  apply
     and transpose are array kernels (2^D leaf values on the last axis in, a
-    new array out) that check no finiteness: the norm engine checks its
-    vectors, and leaf data is checked where it enters (grid.leaf_values).
+    new array out; another depth raises GridMismatchError) that check no
+    finiteness: the norm engine checks its vectors, and leaf data is checked
+    where it enters (grid.leaf_values).
     Every kernel takes leading axes: it acts on each row of a stack, bit for
     bit as on that row alone, since every pass is elementwise.  A plan built
     from stacked symbols broadcasts its symbol rows against those axes."""
@@ -100,15 +100,17 @@ def paraproduct_operator(b: Symbols) -> LeafOperator:
     """Pi_b with transpose Pi*_b; b (one symbol's leaf array or a sequence
     of them) is analysed once, here."""
     depth, bv = _symbol_rows(b)
-    _, cb = analyze_leaves(bv, depth)
+    _, cb = analyze_leaves(bv)
 
     def apply(f: np.ndarray) -> np.ndarray:
-        masses = level_masses(f, depth)
+        same_depth(f, depth=depth)
+        masses = level_masses(f)
         out = [cb[k] * (masses[k] * (2.0**k)) for k in range(depth)]
         return synthesize_leaves(0.0, out, depth)
 
     def transpose(g: np.ndarray) -> np.ndarray:
-        _, cg = analyze_leaves(g, depth)
+        same_depth(g, depth=depth)
+        _, cg = analyze_leaves(g)
         return accumulate_levels([cb[k] * cg[k] * (1 << k) for k in range(depth)], depth)
 
     return LeafOperator(depth, apply, transpose)
@@ -129,10 +131,12 @@ def shift_operator(depth: int) -> LeafOperator:
     """
 
     def apply(f: np.ndarray) -> np.ndarray:
-        return _shift_values(analyze_leaves(f, depth)[1], depth)
+        same_depth(f, depth=depth)
+        return _shift_values(analyze_leaves(f)[1], depth)
 
     def transpose(g: np.ndarray) -> np.ndarray:
-        _, cg = analyze_leaves(g, depth)
+        same_depth(g, depth=depth)
+        _, cg = analyze_leaves(g)
         out = [(cg[k + 1][..., 0::2] - cg[k + 1][..., 1::2]) / math.sqrt(2.0)
                for k in range(depth - 1)]
         return synthesize_leaves(np.zeros(g.shape[:-1]), out, depth)
@@ -173,14 +177,13 @@ def _top_level_max(coeffs: list[np.ndarray]) -> float:
 
 def is_admissible(f: np.ndarray) -> bool:
     """True when f's spectrum is supported on levels <= D-2."""
-    return _top_level_max(analyze_leaves(f, depth_of(f))[1]) == 0.0
+    return _top_level_max(analyze_leaves(f)[1]) == 0.0
 
 
 def project_admissible(f: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the admissible subspace (levels <= D-2)."""
-    depth = depth_of(f)
-    mean, coeffs = analyze_leaves(f, depth)
-    return synthesize_leaves(mean, coeffs[: max(depth - 1, 0)], depth)
+    mean, coeffs = analyze_leaves(f)
+    return synthesize_leaves(mean, coeffs[: max(len(coeffs) - 1, 0)], len(coeffs))
 
 
 def _admissible_coeffs(b: np.ndarray, f: np.ndarray, what: str):
@@ -188,7 +191,7 @@ def _admissible_coeffs(b: np.ndarray, f: np.ndarray, what: str):
     depth = same_depth(b, f)
     out = []
     for name, s in (("symbol b", b), ("argument f", f)):
-        coeffs = analyze_leaves(s, depth)[1]
+        coeffs = analyze_leaves(s)[1]
         worst = _top_level_max(coeffs)
         if worst > 0.0:
             raise InadmissibleLevelError(

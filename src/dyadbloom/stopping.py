@@ -7,13 +7,18 @@ under all members of generation g, so the corona costs one scan per
 generation, and a single family is the one-root case.
 
 Roots and members are `Intervals`, (level, position) arrays ordered by left
-endpoint.  factory(roots) anchors every root at once, in arrays indexed by
-root, and returns predicate(k, owner): owner[j] is the index of the root the
-level-k position j lies strictly inside, or -1 outside every root or inside
-a member already found, and the predicate answers for all 2^k positions
+endpoint.  A StoppingRule(depth, anchor) carries the depth of the grid it
+scans, which each factory below reads off its own arrays (grid.same_depth).
+anchor(roots) anchors every root at once, in arrays indexed by root, and
+returns predicate(k, owner): owner[j] is the index of the root the level-k
+position j lies strictly inside, or -1 outside every root or inside a
+member already found, and the predicate answers for all 2^k positions
 through anchor[owner], as a bool array or one scalar (answers where owner is
 -1 are ignored).  The scan walks levels top-down with a few array operations
-per level and no Python work per root or per interval.
+per level and no Python work per root or per interval.  A family keeps its
+rule's depth, and reading its masses from a weight of another depth raises
+GridMismatchError; so do roots below the rule's grid.  The searches and the
+corona start at the root [0,1).
 
 The unstopped collection is the roots together with every interval inside
 them contained in no member, read off the scan's owner arrays; each one below
@@ -27,16 +32,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import PackingSearchError
-from .grid import DyadicInterval, same_depth, square_layers
+from .errors import GridMismatchError, PackingSearchError
+from .grid import ROOT, DyadicInterval, same_depth, square_layers
 from .weights import Weight, rho_weight
 
 __all__ = [
     "Intervals",
+    "StoppingRule",
     "StoppingFamily",
     "maximal_stopping_intervals",
     "packing_ratio",
@@ -52,7 +58,6 @@ __all__ = [
 ]
 
 Predicate = Callable[[int, np.ndarray], "np.ndarray | bool"]
-PredicateFactory = Callable[["Intervals"], Predicate]
 
 # The packing searches find the smallest constant on the geometric grid
 # {_GRID_FACTOR^k : k >= 1, up to _C_MAX} whose family packs to at most
@@ -110,13 +115,22 @@ def _root_sums(owners: np.ndarray, values: np.ndarray, n_roots: int) -> np.ndarr
     return sums
 
 
+class StoppingRule(NamedTuple):
+    """A stopping predicate on the depth-D grid: anchor(roots) -> predicate
+    (see the module docstring)."""
+
+    depth: int
+    anchor: Callable[[Intervals], Predicate]
+
+
 @dataclass(frozen=True, eq=False)
 class StoppingFamily:
-    """Maximal stopping intervals under a root set: member i lies inside
-    root owners[i].  unstopped[k] masks the level-k positions of the roots
-    and of the intervals inside them in no member, levels in order (a level
-    missing from it has none)."""
+    """Maximal stopping intervals under a root set on the depth-D grid:
+    member i lies inside root owners[i].  unstopped[k] masks the level-k
+    positions of the roots and of the intervals inside them in no member,
+    levels in order (a level missing from it has none)."""
 
+    depth: int
     roots: Intervals
     members: Intervals
     owners: np.ndarray
@@ -124,23 +138,27 @@ class StoppingFamily:
 
     def member_masses(self, w: Weight) -> np.ndarray:
         """Per root, the w-masses of its members added left to right."""
+        same_depth(w.values, depth=self.depth)
         masses = self.members.gather(w.level_masses)
         return _root_sums(self.owners, masses, self.roots.levels.size)
 
 
 def maximal_stopping_intervals(
-    depth: int, roots: Intervals | DyadicInterval, factory: PredicateFactory
+    roots: Intervals | DyadicInterval, rule: StoppingRule
 ) -> StoppingFamily:
-    """Maximal intervals of the depth-D grid strictly inside each root where
-    factory(roots) holds, by one top-down level scan over the whole root
-    set; descent stops at each member, and the scan ends once no position is
-    left inside a root.  Members are ordered by left endpoint, so grouped by
-    root."""
+    """Maximal intervals of the rule's grid strictly inside each root where
+    rule.anchor(roots) holds, by one top-down level scan over the whole
+    root set; descent stops at each member, and the scan ends once no
+    position is left inside a root.  Members are ordered by left endpoint,
+    so grouped by root."""
     if isinstance(roots, DyadicInterval):
         roots = Intervals.of(roots)
-    predicate = factory(roots)
+    depth = rule.depth
     starting = {k: np.flatnonzero(roots.levels == k) for k in set(roots.levels.tolist())}
     top, bottom = min(starting), max(starting)
+    if bottom > depth:
+        raise GridMismatchError(f"a root at level {bottom} lies below the depth-{depth} grid")
+    predicate = rule.anchor(roots)
     owner = np.full(1 << top, -1, dtype=np.intp)
     found = [np.empty(0, dtype=np.intp)] * 3  # levels, positions, owners
     unstopped: dict[int, np.ndarray] = {}
@@ -162,7 +180,7 @@ def maximal_stopping_intervals(
     # disjoint, so left endpoint orders them; integer shift keeps it exact
     order = np.argsort(positions << (depth - levels))
     members = Intervals(levels[order], positions[order])
-    return StoppingFamily(roots, members, owners[order], unstopped)
+    return StoppingFamily(depth, roots, members, owners[order], unstopped)
 
 
 def packing_ratio(family: StoppingFamily, w: Weight) -> float:
@@ -170,7 +188,7 @@ def packing_ratio(family: StoppingFamily, w: Weight) -> float:
     return float((family.member_masses(w) / family.roots.gather(w.level_masses)).max())
 
 
-def deviation_factory(weights: Weight | Sequence[Weight], C: float) -> PredicateFactory:
+def deviation_factory(weights: Weight | Sequence[Weight], C: float) -> StoppingRule:
     """Stop where any listed weight's average deviates from its root average:
     <w>_I > C <w>_I0 or <w>_I < <w>_I0 / C."""
     if isinstance(weights, Weight):
@@ -179,7 +197,7 @@ def deviation_factory(weights: Weight | Sequence[Weight], C: float) -> Predicate
     if C <= 1.0:
         raise ValueError(f"deviation constant must exceed 1, got {C}")
 
-    def factory(roots: Intervals) -> Predicate:
+    def anchor(roots: Intervals) -> Predicate:
         anchors = [roots.gather(w.averages) for w in ws]
         bands = [(w, C * a, a / C) for w, a in zip(ws, anchors)]
 
@@ -192,24 +210,24 @@ def deviation_factory(weights: Weight | Sequence[Weight], C: float) -> Predicate
 
         return predicate
 
-    return factory
+    return StoppingRule(same_depth(*(w.values for w in ws)), anchor)
 
 
-def threshold_factory(w: Weight, factor: float = 4.0) -> PredicateFactory:
+def threshold_factory(w: Weight, factor: float = 4.0) -> StoppingRule:
     """Stop where <w>_I >= factor * <w>_I0 (one-sided)."""
 
-    def factory(roots: Intervals) -> Predicate:
+    def anchor(roots: Intervals) -> Predicate:
         threshold = factor * roots.gather(w.averages)
         return lambda k, owner: w.averages[k] >= threshold[owner]
 
-    return factory
+    return StoppingRule(w.depth, anchor)
 
 
 def _scaled_squares(b: np.ndarray, w: Weight) -> list[np.ndarray]:
     """bhat(I)^2/|I| per level k = 0..D of a symbol on w's grid; the leaves
     carry no coefficient."""
     depth = same_depth(b, w.values)
-    return square_layers(b, depth) + [np.zeros(1 << depth)]
+    return square_layers(b) + [np.zeros(1 << depth)]
 
 
 def _path_sums(q: list[np.ndarray], roots: Intervals) -> dict[int, np.ndarray]:
@@ -229,7 +247,7 @@ def _path_sums(q: list[np.ndarray], roots: Intervals) -> dict[int, np.ndarray]:
 
 def three_condition_factory(
     mu: Weight, lam: Weight, b: np.ndarray, C: float, C_b: float
-) -> PredicateFactory:
+) -> StoppingRule:
     """Stop at the maximal S inside I0 where any of the following holds:
 
       (1) <mu^{-1}>_S  >  C * <mu^{-1}>_I0
@@ -245,7 +263,7 @@ def three_condition_factory(
     rho = rho_weight(mu, lam)
     q = _scaled_squares(b, rho)
 
-    def factory(roots: Intervals) -> Predicate:
+    def anchor(roots: Intervals) -> Predicate:
         hi_mu = C * roots.gather(mu_inv.averages)
         a_rho = roots.gather(rho.averages)
         hi_rho = C * a_rho
@@ -262,27 +280,27 @@ def three_condition_factory(
 
         return predicate
 
-    return factory
+    return StoppingRule(len(q) - 1, anchor)
 
 
 def square_sum_factories(
     b: np.ndarray, rho: Weight, b2_value: float
-) -> Callable[[float], PredicateFactory]:
-    """C -> the factory that stops where the root-to-I path sum of
+) -> Callable[[float], StoppingRule]:
+    """C -> the rule that stops where the root-to-I path sum of
     bhat^2/|I'| first exceeds C * b2_value^2 * <rho>_I0^2 (b2_value is a
-    Bloom-functional size for b), with b analysed once: the factory_of_c of
+    Bloom-functional size for b), with b analysed once: the rule_of_c of
     a packing search over C."""
     q = _scaled_squares(b, rho)
 
-    def factory_of_c(C: float) -> PredicateFactory:
-        def factory(roots: Intervals) -> Predicate:
+    def rule_of_c(C: float) -> StoppingRule:
+        def anchor(roots: Intervals) -> Predicate:
             threshold = C * np.float_power(b2_value * roots.gather(rho.averages), 2.0)
             rows = _path_sums(q, roots)
             return lambda k, owner: rows[k] >= threshold[owner]
 
-        return factory
+        return StoppingRule(len(q) - 1, anchor)
 
-    return factory_of_c
+    return rule_of_c
 
 
 def _constant_grid() -> list[float]:
@@ -294,14 +312,9 @@ def _constant_grid() -> list[float]:
     return out
 
 
-def minimal_packing_constant(
-    depth: int,
-    root: DyadicInterval,
-    factory_of_c: Callable[[float], PredicateFactory],
-    w: Weight,
-) -> float:
-    """Smallest constant on the geometric grid whose stopping family packs
-    to at most PACKING_TARGET in w-mass.
+def minimal_packing_constant(rule_of_c: Callable[[float], StoppingRule], w: Weight) -> float:
+    """Smallest constant on the geometric grid whose stopping family under
+    the root packs to at most PACKING_TARGET in w-mass.
 
     Packing is monotone nonincreasing in C for the factories above (members at
     larger C nest inside members at smaller C), so binary search over the grid
@@ -311,7 +324,7 @@ def minimal_packing_constant(
     candidates = _constant_grid()
 
     def ratio_at(c: float) -> float:
-        return packing_ratio(maximal_stopping_intervals(depth, root, factory_of_c(c)), w)
+        return packing_ratio(maximal_stopping_intervals(ROOT, rule_of_c(c)), w)
 
     best = ratio_at(candidates[-1])
     if best > PACKING_TARGET:
@@ -331,18 +344,16 @@ def minimal_packing_constant(
     return candidates[hi]
 
 
-def corona_generations(
-    depth: int, root: DyadicInterval, factory: PredicateFactory
-) -> list[StoppingFamily]:
-    """Iterate stopping families: generation g+1 is one scan under all the
-    members of generation g.  Stops after the first empty generation (always
-    recorded): members lie strictly below their roots, so generation g lies
-    at level >= g and generation D+1 is empty at the latest.  Element i of
-    the result is generation i+1."""
+def corona_generations(rule: StoppingRule) -> list[StoppingFamily]:
+    """Iterate stopping families from the root: generation g+1 is one scan
+    under all the members of generation g.  Stops after the first empty
+    generation (always recorded): members lie strictly below their roots, so
+    generation g lies at level >= g and generation D+1 is empty at the
+    latest.  Element i of the result is generation i+1."""
     generations: list[StoppingFamily] = []
-    roots: Intervals | DyadicInterval = root
+    roots: Intervals | DyadicInterval = ROOT
     while True:
-        fam = maximal_stopping_intervals(depth, roots, factory)
+        fam = maximal_stopping_intervals(roots, rule)
         generations.append(fam)
         roots = fam.members
         if not roots.levels.size:
@@ -350,11 +361,7 @@ def corona_generations(
 
 
 def minimal_corona_constant(
-    depth: int,
-    root: DyadicInterval,
-    factory_of_c: Callable[[float], PredicateFactory],
-    w: Weight,
-    start: float | None = None,
+    rule_of_c: Callable[[float], StoppingRule], w: Weight, start: float | None = None
 ) -> float:
     """Smallest grid constant whose packing target holds at EVERY corona root
     (so generation masses decay geometrically).  Monotone in C for the same
@@ -363,11 +370,11 @@ def minimal_corona_constant(
     arguments passes it as start, and the search is not run again."""
     candidates = _constant_grid()
     if start is None:
-        start = minimal_packing_constant(depth, root, factory_of_c, w)
+        start = minimal_packing_constant(rule_of_c, w)
     idx = candidates.index(min(c for c in candidates if c >= start * (1 - 1e-12)))
 
     for c in candidates[idx:]:
-        gens = corona_generations(depth, root, factory_of_c(c))
+        gens = corona_generations(rule_of_c(c))
         if all(packing_ratio(fam, w) <= PACKING_TARGET for fam in gens):
             return c
     best = candidates[-1]

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -312,7 +312,7 @@ def _worked_example_assertions() -> list[Assertion]:
 def _check_identities(rec: Record, td: TrialData, solved: Solved) -> None:
     depth = rec.cfg.depth
     # round trip and Parseval on a full-spectrum function
-    mean, coeffs = analyze_leaves(td.f_raw, depth)
+    mean, coeffs = analyze_leaves(td.f_raw)
     back = synthesize_leaves(mean, coeffs, depth)
     rec.residual("haar_round_trip", float(np.abs(back - td.f_raw).max()))
     energy = float((td.f_raw**2).mean())
@@ -351,10 +351,10 @@ def _check_identities(rec: Record, td: TrialData, solved: Solved) -> None:
         "remainder_closed_form",
         _rel(float(np.abs(rem - terms.remainder()).max()), scale),
     )
-    sq = accumulate_levels(square_layers(rem, depth), depth)
+    sq = accumulate_levels(square_layers(rem), depth)
     measured_energy = float((sq * td.lam.values).mean())
-    _, cb = analyze_leaves(td.b, depth)
-    _, cf = analyze_leaves(td.f, depth)
+    _, cb = analyze_leaves(td.b)
+    _, cf = analyze_leaves(td.f)
     predicted = sum(
         float((cb[k] ** 2 * cf[k] ** 2 * (1 << k) * td.lam.averages[k]).sum())
         for k in range(depth - 1)
@@ -575,7 +575,6 @@ def _constant_weight_assertions(rec: Record) -> list[Assertion]:
 
 def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
     mu, lam, b = td.mu, td.lam, td.b
-    depth, root = rec.cfg.depth, ROOT
     mu_inv = mu.inverse
     rho = td.rho
 
@@ -586,47 +585,42 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
             rec.failures.append((rec.trial, label, e.min_ratio))
             return None
 
+    # C -> the deviation rules of lambda and of (mu^{-1}, lambda)
+    by_lam, by_both = partial(deviation_factory, lam), partial(deviation_factory, [mu_inv, lam])
     # (a) two-sided lambda deviation: minimal constant and its packing
-    c = search("deviation", lambda: minimal_packing_constant(
-        depth, root, lambda C: deviation_factory(lam, C), lam
-    ))
+    c = search("deviation", lambda: minimal_packing_constant(by_lam, lam))
     if c is not None:
-        fam = maximal_stopping_intervals(depth, root, deviation_factory(lam, c))
+        fam = maximal_stopping_intervals(ROOT, by_lam(c))
         rec.residual("deviation_packing_at_target", packing_ratio(fam, lam) - PACKING_TARGET)
         rec.sample("deviation_constant", c)
     # corona decay at the corona-wide constant, scanned up from c (without
     # c the search reruns and records its own failure)
-    cc = search("corona", lambda: minimal_corona_constant(
-        depth, root, lambda C: deviation_factory(lam, C), lam, start=c
-    ))
+    cc = search("corona", lambda: minimal_corona_constant(by_lam, lam, start=c))
     if cc is not None:
-        gens = corona_generations(depth, root, deviation_factory(lam, cc))
-        total_root = lam.mass(root)
+        gens = corona_generations(by_lam(cc))
         for i, gen in enumerate(gens):
-            allowed = PACKING_TARGET ** (i + 1) * total_root
+            allowed = PACKING_TARGET ** (i + 1) * lam.total_mass
             gen_mass = ordered_sum(gen.member_masses(lam))
             rec.residual("corona_geometric_decay", gen_mass - allowed * (1 + 1e-12))
         rec.sample("corona_constant", cc)
     # (c) one-sided factor-4 threshold: definitional Lebesgue packing
-    fam4 = maximal_stopping_intervals(depth, root, threshold_factory(mu_inv, 4.0))
+    fam4 = maximal_stopping_intervals(ROOT, threshold_factory(mu_inv, 4.0))
     leb = ordered_sum(np.ldexp(1.0, -fam4.members.levels))
     rec.residual("factor4_lebesgue_packing_quarter", leb - 0.25 * (1 + 1e-12))
     # unstopped coefficient sum under combined two-weight deviation
     b2 = bloom_b2(b, mu, lam)
     c_both = None
     if b2 > 0:
-        c_both = search("two-weight deviation", lambda: minimal_packing_constant(
-            depth, root, lambda C: deviation_factory([mu_inv, lam], C), mu_inv
-        ))
+        c_both = search("two-weight deviation", lambda: minimal_packing_constant(by_both, mu_inv))
     if c_both is not None:
-        fam = maximal_stopping_intervals(depth, root, deviation_factory([mu_inv, lam], c_both))
-        _, coeffs = analyze_leaves(b, depth)
+        fam = maximal_stopping_intervals(ROOT, by_both(c_both))
+        _, coeffs = analyze_leaves(b)
         # float_power is libm pow, as Python's ** on a float (a square is not)
         coeff_sum = ordered_sum(np.concatenate([
             np.float_power(coeffs[k][free], 2.0)
-            for k, free in fam.unstopped.items() if k < depth
+            for k, free in fam.unstopped.items() if k < len(coeffs)
         ]))
-        base = b2**2 * 1.0 / (mu_inv.average(root) * lam.average(root))
+        base = b2**2 * 1.0 / (mu_inv.total_mass * lam.total_mass)
         bound = c_both**3 * base
         rec.residual(
             "unstopped_coeff_sum_within_C_cubed",
@@ -634,10 +628,10 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
         )
         rec.sample("unstopped_coeff_sum_over_base", coeff_sum / base)
     # (b) three-condition stopping with C = 2, C_b = 1
-    fam3 = maximal_stopping_intervals(depth, root, three_condition_factory(mu, lam, b, 2.0, 1.0))
+    fam3 = maximal_stopping_intervals(ROOT, three_condition_factory(mu, lam, b, 2.0, 1.0))
     lengths = np.ldexp(1.0, -fam3.members.levels)
-    over_mu = fam3.members.gather(mu_inv.averages) > 2.0 * mu_inv.average(root)
-    over_rho = fam3.members.gather(rho.averages) > 2.0 * rho.average(root)
+    over_mu = fam3.members.gather(mu_inv.averages) > 2.0 * mu_inv.total_mass
+    over_rho = fam3.members.gather(rho.averages) > 2.0 * rho.total_mass
     leb1 = ordered_sum(lengths[over_mu])
     leb2 = ordered_sum(lengths[~over_mu & over_rho])
     rec.residual("three_cond_weight_packing_half", leb1 - 0.5 * (1 + 1e-12))
@@ -645,9 +639,8 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
     rec.sample("three_cond_path_sum_packing", ordered_sum(lengths[~over_mu & ~over_rho]))
     # (d) square-sum stopping: minimal constant in rho-mass
     if b2 > 0:
-        csq = search("square-sum", lambda: minimal_packing_constant(
-            depth, root, square_sum_factories(b, rho, b2), rho
-        ))
+        rules = square_sum_factories(b, rho, b2)
+        csq = search("square-sum", lambda: minimal_packing_constant(rules, rho))
         if csq is not None:
             rec.sample("square_sum_constant", csq)
 
@@ -665,9 +658,9 @@ def _packing_assertions(rec: Record) -> list[Assertion]:
 def _mu_normalized_oscillation(b: np.ndarray, mu: Weight, lam: Weight) -> float:
     """sup_I (1/mu(I)) int_I (b - <b>_I)^2 lambda dx."""
     depth = mu.depth
-    mb = level_masses(b, depth)
-    mbl = level_masses(b * lam.values, depth)
-    mb2l = level_masses(b**2 * lam.values, depth)
+    mb = level_masses(b)
+    mbl = level_masses(b * lam.values)
+    mb2l = level_masses(b**2 * lam.values)
     ml = lam.level_masses
     best = 0.0
     for k in range(depth):

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, EnsembleTargetError
-from .grid import MAX_GRID_DEPTH, DyadicInterval, depth_of, leaf_values, level_masses, same_depth
+from .grid import MAX_GRID_DEPTH, depth_of, leaf_values, level_masses, same_depth
 
 __all__ = [
     "Weight",
@@ -48,21 +48,13 @@ class Weight:
                 raise ValueError("weight leaves must have finite reciprocals (not subnormal)")
         self.values = values
         self.depth = depth_of(values)
-        self.level_masses = tuple(level_masses(values, self.depth))
+        self.level_masses = tuple(level_masses(values))
         for m in self.level_masses:
             m.setflags(write=False)
 
     @property
     def total_mass(self) -> float:
         return float(self.level_masses[0][0])
-
-    def mass(self, iv: DyadicInterval) -> float:
-        """w(I), exact leaf sum."""
-        return float(self.level_masses[iv.level][iv.position])
-
-    def average(self, iv: DyadicInterval) -> float:
-        """<w>_I = w(I) / |I|."""
-        return float(self.level_masses[iv.level][iv.position]) * (2.0**iv.level)
 
     @cached_property
     def averages(self) -> tuple[np.ndarray, ...]:

@@ -98,7 +98,7 @@ def test_criterion_01_haar_algebra():
     for i in range(1000):
         depth = 1 + i % 12
         f = rng.standard_normal(1 << depth)
-        mean, coeffs = analyze_leaves(f, depth)
+        mean, coeffs = analyze_leaves(f)
         back = synthesize_leaves(mean, coeffs, depth)
         worst = max(worst, float(np.abs(back - f).max()))
         energy = float(mean**2) + sum(float((c**2).sum()) for c in coeffs)
@@ -181,13 +181,13 @@ def test_criterion_04_remainder_closed_form():
             lam = generate(
                 EnsembleSpec(kind="cascade", depth=depth, seed=int(rng.integers(1 << 31)))
             )
-            _, cr = analyze_leaves(rem, depth)
+            _, cr = analyze_leaves(rem)
             sq = np.zeros(n)
             for k in range(depth):
                 sq += np.repeat(cr[k] ** 2 * (1 << k), n >> k)
             measured = float((sq * lam.values).mean())
-            _, cb = analyze_leaves(b, depth)
-            _, cf = analyze_leaves(f, depth)
+            _, cb = analyze_leaves(b)
+            _, cf = analyze_leaves(f)
             predicted = sum(
                 float(
                     (cb[k] ** 2 * cf[k] ** 2 * (1 << k) * lam.averages[k]).sum()

@@ -34,12 +34,13 @@ from dyadbloom.operators import (
 
 
 def test_interval_geometry():
-    root = DyadicInterval(0, 0)
-    assert root.left == DyadicInterval(1, 0)
-    assert root.right == DyadicInterval(1, 1)
-    iv = DyadicInterval(3, 5)
-    assert iv.left == DyadicInterval(4, 10)
-    assert iv.right == DyadicInterval(4, 11)
+    # the children of (k, j) are (k+1, 2j) on its left half and (k+1, 2j+1)
+    # on its right half
+    for iv, left, right in (((0, 0), (1, 0), (1, 1)), ((3, 5), (4, 10), (4, 11))):
+        assert oracles.parent(*left) == iv
+        assert oracles.parent(*right) == iv
+        whole, lo, hi = (oracles.leaf_slice(5, *x) for x in (iv, left, right))
+        assert (lo.start, lo.stop, hi.stop) == (whole.start, hi.start, whole.stop)
 
 
 def test_interval_validation():
@@ -85,6 +86,21 @@ def test_step_function_integral_and_interval_average():
     assert oracles.interval_average(f, DyadicInterval(1, 1)) == 3.5
 
 
+def test_non_power_of_two_lengths_are_rejected():
+    # 48 leaves are no grid: no depth is read off them
+    x = np.ones(48)
+    for fn in (depth_of, same_depth, level_masses, analyze_leaves, square_layers):
+        with pytest.raises(ValueError, match="2\\^D entries"):
+            fn(x)
+    with pytest.raises(ValueError, match="2\\^D entries"):
+        same_depth(x, np.ones(32))
+    with pytest.raises(ValueError, match="2\\^D entries"):
+        depth_of(np.ones((2, 0)))
+    # leaf_values keeps its own message, which the CLI reports
+    with pytest.raises(ValueError, match="expected 32 leaf values for depth 5"):
+        leaf_values(x)
+
+
 def test_step_function_rejects_other_grid():
     b4, b5 = np.ones(16), np.ones(32)
     assert same_depth(b4, np.zeros(16), depth=4) == 4
@@ -128,7 +144,7 @@ def test_haar_function_matches_oracle():
 def test_analysis_matches_dot_product_oracle(rng):
     depth = 4
     f = leaf_values(rng.standard_normal(1 << depth))
-    mean, coeffs = analyze_leaves(f, depth)
+    mean, coeffs = analyze_leaves(f)
     assert mean == pytest.approx(oracles.integral(f), abs=1e-15)
     for k, j in oracles.all_intervals(depth, depth - 1):
         want = oracles.coeff(f, depth, k, j)
@@ -155,7 +171,7 @@ def test_round_trip_exact_cases():
         haar_function(4, ROOT),
         haar_function(4, DyadicInterval(2, 1)),
     ):
-        back = synthesize_leaves(*analyze_leaves(f, 4), 4)
+        back = synthesize_leaves(*analyze_leaves(f), 4)
         np.testing.assert_array_equal(back, f)
 
 
@@ -163,7 +179,7 @@ def test_round_trip_exact_cases():
 @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=8, max_size=8))
 def test_round_trip_property(leaves):
     f = leaf_values(leaves)
-    back = synthesize_leaves(*analyze_leaves(f, 3), 3)
+    back = synthesize_leaves(*analyze_leaves(f), 3)
     scale = max(1.0, float(np.abs(f).max()))
     assert np.abs(back - f).max() <= 1e-12 * scale
 
@@ -175,7 +191,7 @@ def test_round_trip_property(leaves):
 )
 def test_analysis_is_linear(xs, ys):
     f, g = leaf_values(xs), leaf_values(ys)
-    (mf, cf), (mg, cg), (ms, cs) = (analyze_leaves(h, 4) for h in (f, g, f + g))
+    (mf, cf), (mg, cg), (ms, cs) = (analyze_leaves(h) for h in (f, g, f + g))
     scale = max(1.0, float(np.abs(f).max()), float(np.abs(g).max()))
     assert abs(ms - mf - mg) <= 1e-12 * scale
     for k in range(4):
@@ -186,7 +202,7 @@ def test_analysis_is_linear(xs, ys):
 def test_parseval(rng):
     for depth in (1, 3, 5, 8):
         f = leaf_values(rng.standard_normal(1 << depth))
-        mean, coeffs = analyze_leaves(f, depth)
+        mean, coeffs = analyze_leaves(f)
         energy = float((f**2).mean())
         parseval = float(mean) ** 2 + float(sum((c**2).sum() for c in coeffs))
         assert parseval == pytest.approx(energy, rel=1e-13)
@@ -195,7 +211,7 @@ def test_parseval(rng):
 def test_level_masses_parents_are_exact_child_sums(rng):
     depth = 6
     vals = rng.standard_normal(1 << depth)
-    masses = level_masses(vals, depth)
+    masses = level_masses(vals)
     assert len(masses) == depth + 1
     for k in range(depth):
         np.testing.assert_array_equal(masses[k], masses[k + 1].reshape(-1, 2).sum(axis=1))
@@ -205,7 +221,7 @@ def test_level_masses_parents_are_exact_child_sums(rng):
 def test_analyze_synthesize_leaves_accept_short_coeff_lists(rng):
     # synthesizing from fewer levels than the depth leaves the tail zero
     depth = 4
-    mean, coeffs = analyze_leaves(rng.standard_normal(1 << depth), depth)
+    mean, coeffs = analyze_leaves(rng.standard_normal(1 << depth))
     top_only = synthesize_leaves(mean, coeffs[:2], depth)
     manual = np.full(1 << depth, mean)
     for k in range(2):
@@ -229,13 +245,13 @@ def test_pyramids_equal_full_width_kernels(depth, batch, exponents, kept, seed):
     n = 1 << depth
     lo, hi = exponents
     x = r.choice([-1.0, 1.0], batch + (n,)) * 10.0 ** r.uniform(lo, hi, batch + (n,))
-    mean, coeffs = analyze_leaves(x, depth)
+    mean, coeffs = analyze_leaves(x)
     want_mean, want_coeffs = oracles.analyze_leaves_reference(x, depth)
     assert np.array_equal(mean, want_mean)
     assert all(np.array_equal(a, b) for a, b in zip(coeffs, want_coeffs, strict=True))
     assert all(
         np.array_equal(a, b)
-        for a, b in zip(level_masses(x, depth), oracles.level_masses_reference(x, depth),
+        for a, b in zip(level_masses(x), oracles.level_masses_reference(x, depth),
                         strict=True)
     )
     short = coeffs[: round(kept * depth)]
@@ -275,24 +291,24 @@ def test_haar_matrix_orthonormality():
         np.testing.assert_allclose(gram, np.eye(n - 1), rtol=0, atol=1e-13)
 
 
-def _square_function(values, depth):
+def _square_function(values):
     """S f from the package's layers, spread over the leaves as the
     identities suite does."""
-    return np.sqrt(accumulate_levels(square_layers(values, depth), depth))
+    return np.sqrt(accumulate_levels(square_layers(values), depth_of(values)))
 
 
 def test_square_function_worked_example():
     # f = h_{[0,1/2)}: S f = sqrt(f-hat^2 / |I|) = sqrt(2) on [0,1/2)
     f = haar_function(2, DyadicInterval(1, 0))
     want = [math.sqrt(2), math.sqrt(2), 0.0, 0.0]
-    np.testing.assert_allclose(_square_function(f, 2), want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_square_function(f), want, rtol=0, atol=1e-15)
     np.testing.assert_allclose(oracles.square_function_leaves(f, 2), want, rtol=0, atol=1e-15)
 
 
 def test_square_function_l2_matches_coeff_energy(rng):
     f = rng.standard_normal(32)
-    _, coeffs = analyze_leaves(f, 5)
-    sf = _square_function(f, 5)
+    _, coeffs = analyze_leaves(f)
+    sf = _square_function(f)
     np.testing.assert_allclose(sf, oracles.square_function_leaves(f, 5), rtol=1e-13, atol=0)
     energy = float(sum((c**2).sum() for c in coeffs))
     assert float((sf**2).mean()) == pytest.approx(energy, rel=1e-13)
@@ -301,7 +317,7 @@ def test_square_function_l2_matches_coeff_energy(rng):
 def test_square_layers_match_coefficient_oracle(rng):
     # layer k holds fhat(I)^2 / |I| over the level-k intervals, row by row
     x = rng.standard_normal((2, 32))
-    layers = square_layers(x, 5)
+    layers = square_layers(x)
     assert [layer.shape for layer in layers] == [(2, 1 << k) for k in range(5)]
     for row, v in enumerate(x):
         for k, j in oracles.all_intervals(4):

@@ -9,6 +9,7 @@ import pytest
 import ensembles
 import oracles
 from dyadbloom import (
+    ROOT,
     CarlesonSequence,
     DyadicInterval,
     EnsembleSpec,
@@ -43,7 +44,16 @@ from dyadbloom.normest import (
     ppott_best_constants,
     weighted_operator_norms,
 )
-from dyadbloom.stopping import square_sum_factories, three_condition_factory
+from dyadbloom.stopping import (
+    deviation_factory,
+    maximal_stopping_intervals,
+    minimal_corona_constant,
+    minimal_packing_constant,
+    packing_ratio,
+    square_sum_factories,
+    three_condition_factory,
+    threshold_factory,
+)
 
 
 def _norm(T, mu, lam):
@@ -686,6 +696,16 @@ _MISMATCHED = {
     "paraproduct_operator-rows": lambda b, mu, lam: paraproduct_operator([b, mu.values]),
     "three_condition_factory": lambda b, mu, lam: three_condition_factory(mu, lam, b, 2.0, 1.0),
     "square_sum_factories": lambda b, mu, lam: square_sum_factories(b, rho_weight(mu, lam), 1.0),
+    # the stopping searches: a rule on b's depth-4 grid, a depth-6 weight
+    "deviation_factory": lambda b, mu, lam: deviation_factory([Weight(np.exp(b)), mu], 2.0),
+    "minimal_packing_constant": lambda b, mu, lam: minimal_packing_constant(
+        lambda C: deviation_factory(Weight(np.exp(b)), C), mu),
+    "minimal_corona_constant": lambda b, mu, lam: minimal_corona_constant(
+        lambda C: deviation_factory(Weight(np.exp(b)), C), mu),
+    "minimal_corona_constant-start": lambda b, mu, lam: minimal_corona_constant(
+        lambda C: deviation_factory(Weight(np.exp(b)), C), mu, start=1.5),
+    "packing_ratio": lambda b, mu, lam: packing_ratio(
+        maximal_stopping_intervals(ROOT, threshold_factory(Weight(np.exp(b)))), mu),
 }
 
 

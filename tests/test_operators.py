@@ -7,6 +7,7 @@ import oracles
 from dyadbloom import (
     ROOT,
     DyadicInterval,
+    GridMismatchError,
     InadmissibleLevelError,
     Weight,
     commutator_operator,
@@ -32,6 +33,17 @@ def _pair(depth, seed, admissible=True):
 
 def _l2(values):
     return float(np.sqrt((values**2).mean()))
+
+
+def test_plan_kernels_reject_another_depth():
+    # the passes read the depth off their input, so each kernel checks it
+    # against its plan's: shallower and deeper inputs both raise
+    b, _ = _pair(4, 5, admissible=False)
+    for plan in (paraproduct_operator(b), paraproduct_adjoint_operator(b), shift_operator(4)):
+        for kernel in (plan.apply, plan.transpose):
+            for n in (8, 64):
+                with pytest.raises(GridMismatchError):
+                    kernel(np.ones(n))
 
 
 def test_paraproduct_matches_oracle():
@@ -124,7 +136,7 @@ def test_shift_plan_truncates_what_is_admissible_flags():
     assert np.all(shift(bad) == 0.0)
     good = haar_function(3, ROOT)
     assert is_admissible(good)
-    want = oracles.shift_values_reference(analyze_leaves(good, 3)[1], 3)
+    want = oracles.shift_values_reference(analyze_leaves(good)[1], 3)
     np.testing.assert_array_equal(shift(good), want)
 
 
@@ -135,8 +147,8 @@ def test_admissibility_projection():
     assert is_admissible(p)
     # idempotent up to resynthesis ulps, and levels <= depth-2 are untouched
     np.testing.assert_allclose(project_admissible(p), p, rtol=0, atol=1e-14)
-    _, cb = analyze_leaves(b, 5)
-    _, cp = analyze_leaves(p, 5)
+    _, cb = analyze_leaves(b)
+    _, cp = analyze_leaves(p)
     for k in range(4):
         np.testing.assert_allclose(cp[k], cb[k], rtol=0, atol=1e-13)
     assert np.abs(cp[4]).max() <= 1e-13
@@ -190,9 +202,9 @@ def test_expansion_analyses_b_once_for_its_four_b_terms(monkeypatch):
 
     calls = []
 
-    def counted(values, depth):
-        calls.append(depth)
-        return analyze_leaves(values, depth)
+    def counted(values):
+        calls.append(values)
+        return analyze_leaves(values)
 
     b, f = _pair(8, 31)
     monkeypatch.setattr(operators, "analyze_leaves", counted)
@@ -221,8 +233,8 @@ def test_remainder_quarter_pattern_oracle():
     # Sigma bhat(I) fhat(I) |I|^{-1} (+1,-1,+1,-1) on the quarters of I
     depth = 4
     b, f = _pair(depth, 77)
-    _, cb = analyze_leaves(b, depth)
-    _, cf = analyze_leaves(f, depth)
+    _, cb = analyze_leaves(b)
+    _, cf = analyze_leaves(f)
     n = 1 << depth
     want = np.zeros(n)
     for k in range(depth - 1):
@@ -246,14 +258,14 @@ def test_remainder_energy_identity():
     lam = Weight(np.exp(r.uniform(-1, 1, 1 << depth)))
     b, f = _pair(depth, 81)
     rem = remainder_closed_form(b, f)
-    _, cr = analyze_leaves(rem, depth)
+    _, cr = analyze_leaves(rem)
     n = 1 << depth
     sq = np.zeros(n)
     for k in range(depth):
         sq += np.repeat(cr[k] ** 2 * (1 << k), n >> k)
     measured = float((sq * lam.values).mean())
-    _, cb = analyze_leaves(b, depth)
-    _, cf = analyze_leaves(f, depth)
+    _, cb = analyze_leaves(b)
+    _, cf = analyze_leaves(f)
     predicted = sum(
         float((cb[k] ** 2 * cf[k] ** 2 * (1 << k) * lam.averages[k]).sum())
         for k in range(depth - 1)

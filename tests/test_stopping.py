@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dyadbloom.errors import PackingSearchError
+from dyadbloom.errors import GridMismatchError, PackingSearchError
 from dyadbloom.grid import ROOT, DyadicInterval, depth_of, haar_function
 from dyadbloom.bmo import bloom_b2
 from dyadbloom.config import ExperimentConfig
 from dyadbloom.stopping import (
     Intervals,
     StoppingFamily,
+    StoppingRule,
     corona_generations,
     deviation_factory,
     maximal_stopping_intervals,
@@ -54,10 +55,10 @@ def _path_sum(b: np.ndarray, root: DyadicInterval, iv: DyadicInterval) -> float:
     return total
 
 
-def _fires(factory, root: DyadicInterval, iv: DyadicInterval) -> bool:
-    """A factory's answer, anchored at root, at one interval below root."""
+def _fires(rule: StoppingRule, root: DyadicInterval, iv: DyadicInterval) -> bool:
+    """A rule's answer, anchored at root, at one interval below root."""
     owner = np.zeros(1 << iv.level, dtype=np.intp)
-    row = np.broadcast_to(factory(Intervals.of(root))(iv.level, owner), owner.shape)
+    row = np.broadcast_to(rule.anchor(Intervals.of(root))(iv.level, owner), owner.shape)
     return bool(row[iv.position])
 
 
@@ -70,24 +71,25 @@ def _unstopped(fam: StoppingFamily) -> list[DyadicInterval]:
     return [DyadicInterval(k, int(j)) for k, m in fam.unstopped.items() for j in np.flatnonzero(m)]
 
 
-def _family(root, *members) -> StoppingFamily:
+def _family(depth, root, *members) -> StoppingFamily:
     owners = np.zeros(len(members), np.intp)
-    return StoppingFamily(Intervals.of(root), Intervals.of(*members), owners, {})
+    return StoppingFamily(depth, Intervals.of(root), Intervals.of(*members), owners, {})
 
 
+# anchors of rules that never and always stop
 NEVER = lambda roots: (lambda k, owner: False)  # noqa: E731
 ALWAYS = lambda roots: (lambda k, owner: True)  # noqa: E731
 
 
 def test_false_predicate_gives_empty_family():
-    fam = maximal_stopping_intervals(4, ROOT, NEVER)
+    fam = maximal_stopping_intervals(ROOT, StoppingRule(4, NEVER))
     assert _members(fam) == ()
     assert _unstopped(fam) == sorted(_subtree(ROOT, 4))
 
 
 def test_constant_weight_never_deviates(unit_weight):
     one = unit_weight(5)
-    fam = maximal_stopping_intervals(one.depth, ROOT, deviation_factory(one, 2.0))
+    fam = maximal_stopping_intervals(ROOT, deviation_factory(one, 2.0))
     assert _members(fam) == ()
 
 
@@ -97,30 +99,30 @@ def test_worked_example_single_member(weight_4411):
     # are shadowed by maximality
     lam = weight_4411
     root = ROOT
-    factory = lambda roots: (  # noqa: E731
-        lambda k, owner: lam.averages[k] > 1.2 * lam.average(root)
-    )
-    fam = maximal_stopping_intervals(lam.depth, root, factory)
+    rule = StoppingRule(lam.depth, lambda roots: (
+        lambda k, owner: lam.averages[k] > 1.2 * oracles.interval_average(lam.values, root)
+    ))
+    fam = maximal_stopping_intervals(root, rule)
     assert _members(fam) == (DyadicInterval(1, 0),)
-    hits = [iv for iv in _subtree(root, 2) if iv != root and _fires(factory, root, iv)]
+    hits = [iv for iv in _subtree(root, 2) if iv != root and _fires(rule, root, iv)]
     assert hits == [DyadicInterval(1, 0), DyadicInterval(2, 0), DyadicInterval(2, 1)]
 
 
 def test_members_disjoint_maximal_and_satisfying(random_positive):
     w = random_positive(6, seed=31)
     depth = w.depth
-    factory = deviation_factory(w, 1.3)
-    fam = maximal_stopping_intervals(depth, ROOT, factory)
+    rule = deviation_factory(w, 1.3)
+    fam = maximal_stopping_intervals(ROOT, rule)
     members = _members(fam)
     assert members
     for s in members:
-        assert _fires(factory, ROOT, s)
+        assert _fires(rule, ROOT, s)
         assert s.level >= 1
         # no strict ancestor below the root satisfies the predicate
         k, j = s.level, s.position
         while k > 1:
             k, j = oracles.parent(k, j)
-            assert not _fires(factory, ROOT, DyadicInterval(k, j))
+            assert not _fires(rule, ROOT, DyadicInterval(k, j))
     for a, b in zip(members, members[1:]):
         # sorted and disjoint
         assert (oracles.leaf_slice(depth, a.level, a.position).stop
@@ -130,31 +132,31 @@ def test_members_disjoint_maximal_and_satisfying(random_positive):
 def test_unstopped_partition_accounts_for_every_interval(random_positive):
     w = random_positive(5, seed=7)
     depth = w.depth
-    factory = deviation_factory(w, 1.2)
-    fam = maximal_stopping_intervals(depth, ROOT, factory)
+    rule = deviation_factory(w, 1.2)
+    fam = maximal_stopping_intervals(ROOT, rule)
     free = _unstopped(fam)
     assert ROOT in free
     covered = len(free) + sum(len(_subtree(s, depth)) for s in _members(fam))
     assert covered == len(_subtree(ROOT, depth))
     for iv in free:
         if iv != ROOT:
-            assert not _fires(factory, ROOT, iv)
+            assert not _fires(rule, ROOT, iv)
 
 
 def test_packing_ratio_empty_family_is_zero(unit_weight):
-    fam = maximal_stopping_intervals(4, ROOT, NEVER)
+    fam = maximal_stopping_intervals(ROOT, StoppingRule(4, NEVER))
     assert packing_ratio(fam, unit_weight(4)) == 0.0
 
 
 def test_packing_ratio_lebesgue_half(unit_weight):
-    fam = _family(ROOT, DyadicInterval(1, 0))
+    fam = _family(2, ROOT, DyadicInterval(1, 0))
     assert packing_ratio(fam, unit_weight(2)) == 0.5
 
 
 def test_packing_ratio_worked_example(weight_4411):
     # (4 * 1/2) / 2.5 = 0.8
     lam = weight_4411
-    fam = _family(ROOT, DyadicInterval(1, 0))
+    fam = _family(2, ROOT, DyadicInterval(1, 0))
     assert packing_ratio(fam, lam) == pytest.approx(0.8, abs=1e-15)
 
 
@@ -167,15 +169,13 @@ def test_deviation_factory_rejects_small_constant(unit_weight):
 
 def test_deviation_factory_stops_on_both_sides(weight_4411):
     lam = weight_4411
-    fam = maximal_stopping_intervals(lam.depth, ROOT, deviation_factory(lam, 1.3))
+    fam = maximal_stopping_intervals(ROOT, deviation_factory(lam, 1.3))
     assert _members(fam) == (DyadicInterval(1, 0), DyadicInterval(1, 1))
 
 
 def test_minimal_packing_constant_trivial(unit_weight):
     one = unit_weight(3)
-    c = minimal_packing_constant(
-        one.depth, ROOT, lambda C: deviation_factory(one, C), one
-    )
+    c = minimal_packing_constant(lambda C: deviation_factory(one, C), one)
     assert c == pytest.approx(1.1, rel=1e-12)
 
 
@@ -183,14 +183,11 @@ def test_minimal_packing_constant_worked_example(weight_4411):
     # exhaustive over the geometric grid: 4 > 2.5*C fails first at C = 1.1^5
     # and the low side 1 < 2.5/C keeps only [1/2,1), packing 0.2
     lam = weight_4411
-    depth = lam.depth
-    c = minimal_packing_constant(
-        depth, ROOT, lambda C: deviation_factory(lam, C), lam
-    )
+    c = minimal_packing_constant(lambda C: deviation_factory(lam, C), lam)
     assert c == pytest.approx(1.1**5, rel=1e-12)
 
     def ratio_at(cand: float) -> float:
-        fam = maximal_stopping_intervals(depth, ROOT, deviation_factory(lam, cand))
+        fam = maximal_stopping_intervals(ROOT, deviation_factory(lam, cand))
         return packing_ratio(fam, lam)
 
     cands = [1.1**k for k in range(1, 12)]
@@ -202,17 +199,15 @@ def test_minimal_packing_constant_worked_example(weight_4411):
 def test_packing_search_error_carries_ratio(unit_weight):
     one = unit_weight(2)
     with pytest.raises(PackingSearchError) as exc:
-        minimal_packing_constant(
-            one.depth, ROOT, lambda C: ALWAYS, one
-        )
+        minimal_packing_constant(lambda C: StoppingRule(one.depth, ALWAYS), one)
     assert exc.value.min_ratio == pytest.approx(1.0, abs=1e-15)
 
 
 def test_corona_trivial_generations(unit_weight):
     one = unit_weight(4)
-    gens = corona_generations(one.depth, ROOT, NEVER)
+    gens = corona_generations(StoppingRule(one.depth, NEVER))
     assert len(gens) == 1 and _members(gens[0]) == ()
-    gens = corona_generations(one.depth, ROOT, deviation_factory(one, 1.5))
+    gens = corona_generations(deviation_factory(one, 1.5))
     assert len(gens) == 1 and _members(gens[0]) == ()
 
 
@@ -221,7 +216,7 @@ def test_corona_generation_indices_and_reanchoring(weight_4411):
     # is flat, so generation 2 is empty
     lam = weight_4411
     c = 1.1**5
-    gens = corona_generations(lam.depth, ROOT, deviation_factory(lam, c))
+    gens = corona_generations(deviation_factory(lam, c))
     assert len(gens) == 2
     assert _members(gens[0]) == (DyadicInterval(1, 1),)
     assert _members(gens[1]) == ()
@@ -229,16 +224,15 @@ def test_corona_generation_indices_and_reanchoring(weight_4411):
 
 def test_corona_geometric_decay_cascade():
     lam = generate(EnsembleSpec(kind="cascade", depth=10, seed=5, delta=0.6))
-    depth = lam.depth
-    cc = minimal_corona_constant(depth, ROOT, lambda C: deviation_factory(lam, C), lam)
-    cp = minimal_packing_constant(depth, ROOT, lambda C: deviation_factory(lam, C), lam)
+    cc = minimal_corona_constant(lambda C: deviation_factory(lam, C), lam)
+    cp = minimal_packing_constant(lambda C: deviation_factory(lam, C), lam)
     assert cc >= cp * (1 - 1e-12)
     # handing the packing constant in skips that search, same result
     assert minimal_corona_constant(
-        depth, ROOT, lambda C: deviation_factory(lam, C), lam, start=cp
+        lambda C: deviation_factory(lam, C), lam, start=cp
     ) == cc
-    gens = corona_generations(depth, ROOT, deviation_factory(lam, cc))
-    total = lam.mass(ROOT)
+    gens = corona_generations(deviation_factory(lam, cc))
+    total = lam.total_mass
     for g, gen in enumerate(gens, start=1):
         mass = ordered_sum(gen.member_masses(lam))
         assert mass <= 0.5**g * total * (1 + 1e-12)
@@ -249,12 +243,11 @@ def test_threshold_factory_lebesgue_packing(random_positive):
     # in Lebesgue measure
     for seed in (3, 4, 5):
         w = random_positive(6, seed=seed)
-        depth = w.depth
-        fam = maximal_stopping_intervals(depth, ROOT, threshold_factory(w, 4.0))
+        fam = maximal_stopping_intervals(ROOT, threshold_factory(w, 4.0))
         leb = sum(oracles.interval_length(s) for s in _members(fam))
         assert leb <= 0.25 + 1e-15
         for s in _members(fam):
-            assert w.average(s) >= 4.0 * w.average(ROOT)
+            assert oracles.interval_average(w.values, s) >= 4.0 * w.total_mass
 
 
 def test_three_condition_packing_and_unstopped_path_sums(random_positive):
@@ -265,26 +258,22 @@ def test_three_condition_packing_and_unstopped_path_sums(random_positive):
     b = rng.standard_normal(1 << depth)
     mu_inv = mu.inverse
     rho = rho_weight(mu, lam)
-    fam = maximal_stopping_intervals(
-        depth, ROOT, three_condition_factory(mu, lam, b, 2.0, 1.0)
-    )
+    fam = maximal_stopping_intervals(ROOT, three_condition_factory(mu, lam, b, 2.0, 1.0))
     members = _members(fam)
-    a_mu = mu_inv.average(ROOT)
-    a_rho = rho.average(ROOT)
+    a_mu = mu_inv.total_mass
+    a_rho = rho.total_mass
     # conditions (1) and (2) pack to <= 1/C = 1/2 definitionally
-    leb1 = sum(oracles.interval_length(s) for s in members if mu_inv.average(s) > 2.0 * a_mu)
-    leb2 = sum(oracles.interval_length(s) for s in members if rho.average(s) > 2.0 * a_rho)
+    over_mu = [oracles.interval_average(mu_inv.values, s) > 2.0 * a_mu for s in members]
+    over_rho = [oracles.interval_average(rho.values, s) > 2.0 * a_rho for s in members]
+    leb1 = sum(oracles.interval_length(s) for s, o in zip(members, over_mu) if o)
+    leb2 = sum(oracles.interval_length(s) for s, o in zip(members, over_rho) if o)
     assert leb1 <= 0.5 + 1e-15
     assert leb2 <= 0.5 + 1e-15
     # every member fires at least one condition; every unstopped interval
     # fails all three, so its root-to-I path sum stays under the threshold
     thr = a_rho**2
-    for s in members:
-        assert (
-            mu_inv.average(s) > 2.0 * a_mu
-            or rho.average(s) > 2.0 * a_rho
-            or _path_sum(b, ROOT, s) > thr
-        )
+    for s, o_mu, o_rho in zip(members, over_mu, over_rho):
+        assert o_mu or o_rho or _path_sum(b, ROOT, s) > thr
     for iv in _unstopped(fam):
         if iv != ROOT:
             assert _path_sum(b, ROOT, iv) <= thr * (1 + 1e-12)
@@ -301,16 +290,14 @@ def test_unstopped_coefficient_sum_bound(random_positive):
     b = rng.standard_normal(1 << depth)
     mu_inv = mu.inverse
     b2 = bloom_b2(b, mu, lam)
-    c = minimal_packing_constant(
-        depth, ROOT, lambda C: deviation_factory([mu_inv, lam], C), mu_inv
-    )
-    fam = maximal_stopping_intervals(depth, ROOT, deviation_factory([mu_inv, lam], c))
+    c = minimal_packing_constant(lambda C: deviation_factory([mu_inv, lam], C), mu_inv)
+    fam = maximal_stopping_intervals(ROOT, deviation_factory([mu_inv, lam], c))
     coeff_sum = sum(
         oracles.coeff(b, 6, iv.level, iv.position) ** 2
         for iv in _unstopped(fam)
         if iv.level < depth
     )
-    base = b2**2 / (mu_inv.average(ROOT) * lam.average(ROOT))
+    base = b2**2 / (mu_inv.total_mass * lam.total_mass)
     assert coeff_sum <= c**3 * base * (1 + 1e-9)
 
 
@@ -319,7 +306,7 @@ def test_square_sum_factory_worked_example(unit_weight):
     b = haar_function(2, DyadicInterval(0, 0))
     # path sum through the root is exactly 1 everywhere below it
     for C, expect in ((0.5, 2), (1.0, 2), (1.5, 0)):
-        fam = maximal_stopping_intervals(2, ROOT, square_sum_factories(b, one, 1.0)(C))
+        fam = maximal_stopping_intervals(ROOT, square_sum_factories(b, one, 1.0)(C))
         assert fam.members.levels.size == expect
         if expect:
             assert _members(fam) == (DyadicInterval(1, 0), DyadicInterval(1, 1))
@@ -328,11 +315,26 @@ def test_square_sum_factory_worked_example(unit_weight):
 def test_minimal_corona_constant_search_failure(unit_weight):
     one = unit_weight(2)
     with pytest.raises(PackingSearchError):
-        minimal_corona_constant(one.depth, ROOT, lambda C: ALWAYS, one)
+        minimal_corona_constant(lambda C: StoppingRule(one.depth, ALWAYS), one)
+
+
+def test_rules_take_their_depth_from_their_arrays(weight_4411, unit_weight):
+    lam, one = weight_4411, unit_weight(2)
+    b = haar_function(2, ROOT)
+    rules = (
+        deviation_factory([lam, one], 1.5),
+        threshold_factory(lam),
+        three_condition_factory(lam, one, b, 2.0, 1.0),
+        square_sum_factories(b, one, 1.0)(1.0),
+    )
+    assert [rule.depth for rule in rules] == [2, 2, 2, 2]
+    # a root below the rule's grid has no intervals to scan
+    with pytest.raises(GridMismatchError, match="level 3"):
+        maximal_stopping_intervals(DyadicInterval(3, 0), rules[0])
 
 
 def test_member_mass_matches_oracle(weight_4411):
-    fam = _family(ROOT, DyadicInterval(2, 0), DyadicInterval(1, 1))
+    fam = _family(2, ROOT, DyadicInterval(2, 0), DyadicInterval(1, 1))
     # masses 4/4 and (1+1)/4
     assert fam.member_masses(weight_4411)[0] == pytest.approx(1.5, abs=1e-15)
 
@@ -356,20 +358,20 @@ def test_level_mask_scan_matches_depth_first_oracle(depth, data):
     if kind == "deviation":
         ws = data.draw(st.sampled_from([[lam], [mu.inverse, lam]]), label="weights")
         C = data.draw(st.floats(1.01, 4.0), label="C")
-        factory = deviation_factory(ws, C)
+        rule = deviation_factory(ws, C)
         oracle = lambda r: oracles.deviation_predicate(  # noqa: E731
             [w.values for w in ws], C, depth, r
         )
     elif kind == "threshold":
         factor = data.draw(st.floats(0.5, 4.0), label="factor")
-        factory = threshold_factory(lam, factor)
+        rule = threshold_factory(lam, factor)
         oracle = lambda r: oracles.threshold_predicate(  # noqa: E731
             lam.values, factor, depth, r
         )
     elif kind == "three-condition":
         C = data.draw(st.floats(0.5, 4.0), label="C")
         C_b = data.draw(st.floats(0.1, 3.0), label="C_b")
-        factory = three_condition_factory(mu, lam, b, C, C_b)
+        rule = three_condition_factory(mu, lam, b, C, C_b)
         oracle = lambda r: oracles.three_condition_predicate(  # noqa: E731
             mu.values, lam.values, b, C, C_b, depth, r
         )
@@ -377,7 +379,7 @@ def test_level_mask_scan_matches_depth_first_oracle(depth, data):
         C = data.draw(st.floats(0.05, 10.0), label="C")
         b2 = data.draw(st.floats(0.1, 3.0), label="b2 value")
         rho = rho_weight(mu, lam)
-        factory = square_sum_factories(b, rho, b2)(C)
+        rule = square_sum_factories(b, rho, b2)(C)
         oracle = lambda r: oracles.square_sum_predicate(  # noqa: E731
             b, rho.values, C, b2, depth, r
         )
@@ -385,7 +387,7 @@ def test_level_mask_scan_matches_depth_first_oracle(depth, data):
     roots = [(0, 0), (level, position), (depth - 1, last >> 1), (depth, last)]
     for r in roots:
         root = DyadicInterval(*r)
-        fam = maximal_stopping_intervals(depth, root, factory)
+        fam = maximal_stopping_intervals(root, rule)
         got = tuple((s.level, s.position) for s in _members(fam))
         assert got == oracles.stopping_scan_oracle(depth, r, oracle(r))
 
@@ -414,32 +416,32 @@ def test_corona_scan_matches_oracle_root_by_root(depth, data):
     if factory_kind in ("deviation", "deviation2"):
         ws = [lam] if factory_kind == "deviation" else [mu.inverse, lam]
         C = data.draw(st.floats(1.01, 3.0), label="C")
-        factory = deviation_factory(ws, C)
+        rule = deviation_factory(ws, C)
         oracle = lambda r: oracles.deviation_predicate(  # noqa: E731
             [w.values for w in ws], C, depth, r
         )
     elif factory_kind == "threshold":
         factor = data.draw(st.floats(1.01, 4.0), label="factor")
-        factory = threshold_factory(lam, factor)
+        rule = threshold_factory(lam, factor)
         oracle = lambda r: oracles.threshold_predicate(  # noqa: E731
             lam.values, factor, depth, r
         )
     elif factory_kind == "three-condition":
         C = data.draw(st.floats(1.01, 4.0), label="C")
         C_b = data.draw(st.floats(0.1, 3.0), label="C_b")
-        factory = three_condition_factory(mu, lam, b, C, C_b)
+        rule = three_condition_factory(mu, lam, b, C, C_b)
         oracle = lambda r: oracles.three_condition_predicate(  # noqa: E731
             mu.values, lam.values, b, C, C_b, depth, r
         )
     else:
         C = data.draw(st.floats(0.05, 10.0), label="C")
         rho = rho_weight(mu, lam)
-        factory = square_sum_factories(b, rho, 1.0)(C)
+        rule = square_sum_factories(b, rho, 1.0)(C)
         oracle = lambda r: oracles.square_sum_predicate(  # noqa: E731
             b, rho.values, C, 1.0, depth, r
         )
     n_gens = data.draw(st.integers(1, 3), label="generations")
-    gens = corona_generations(depth, ROOT, factory)[:n_gens]
+    gens = corona_generations(rule)[:n_gens]
     roots = [(0, 0)]
     for g, gen in enumerate(gens, start=1):
         assert list(zip(gen.roots.levels, gen.roots.positions)) == roots
@@ -453,8 +455,8 @@ def test_corona_scan_matches_oracle_root_by_root(depth, data):
             for iv in oracles.unstopped_oracle(depth, r, ms)
         )
         assert got_free == want_free
-        sums = [sum(lam.mass(DyadicInterval(*m)) for m in ms) for ms in per_root]
-        ratios = [s / lam.mass(DyadicInterval(*r)) for s, r in zip(sums, roots)]
+        sums = [sum(float(lam.level_masses[k][j]) for k, j in ms) for ms in per_root]
+        ratios = [s / float(lam.level_masses[k][j]) for s, (k, j) in zip(sums, roots)]
         assert gen.member_masses(lam).tolist() == sums
         assert packing_ratio(gen, lam) == max(ratios)
         assert ordered_sum(gen.member_masses(lam)) == sum(sums)

@@ -34,10 +34,11 @@ def test_weight_requires_positive_values():
 def test_interval_mass_and_average_match_slices(random_positive):
     w = random_positive(4, seed=7)
     for k, j in oracles.all_intervals(4):
-        iv = DyadicInterval(k, j)
-        assert w.mass(iv) == pytest.approx(oracles.mass_on(w.values, 4, k, j), rel=1e-14)
-        assert w.average(iv) == pytest.approx(
-            oracles.average_on(w.values, 4, k, j), rel=1e-14
+        assert w.level_masses[k][j] == pytest.approx(
+            oracles.mass_on(w.values, 4, k, j), rel=1e-14
+        )
+        assert w.averages[k][j] == pytest.approx(
+            oracles.interval_average(w.values, DyadicInterval(k, j)), rel=1e-14
         )
 
 
@@ -168,7 +169,7 @@ def test_sparse_symbol_has_scaled_coefficients_and_zero_mean():
     spec = EnsembleSpec(kind="haar-sparse-symbol", depth=6, seed=3, sparsity=0.05)
     sym = generate(spec)
     assert abs(sym.mean()) <= 1e-14
-    mean, coeffs = analyze_leaves(sym, 6)
+    mean, coeffs = analyze_leaves(sym)
     total = sum(int(np.count_nonzero(np.abs(c) > 1e-13)) for c in coeffs)
     assert total >= 1
     # nonzero coefficients carry the 2^{-k/2} normalization: a standard
