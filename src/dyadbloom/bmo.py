@@ -25,7 +25,8 @@ a_I = bhat(I)^2 <squared>_I^2 <linear>_I and _carleson_sup(a, w) takes the
 sup of its subtree sums over w's level masses (bloom_b2, bloom_b2_dual, the
 Carleson sequences and constant, the necessity sums).
 _oscillation_masses(b, w) integrates (b - <b>_I)^2 w over every interval of
-levels 0..D-1 (bmo_rho with w = 1, neccon_functional with w = lambda).
+levels 0..D-1 (bmo_rho with w = 1, neccon_functional and the neccon-chain
+suite's mu-normalised oscillation with w = lambda).
 _sqrt_sup roots a sup of squares.  b is a leaf array, and each scan checks once that b and
 its weights share a depth (grid.same_depth): GridMismatchError if not.
 """

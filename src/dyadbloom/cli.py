@@ -34,7 +34,7 @@ from .serialize import (
     save_step_function,
     write_json,
 )
-from .suites import run_suites
+from .suites import make_trial, run_suites
 from .weights import EnsembleSpec, Weight, a2_characteristic, generate
 
 __all__ = ["main", "build_parser", "sweep_rows", "SWEEP_COLUMNS"]
@@ -222,7 +222,7 @@ def _cmd_verify(args) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     all_passed = True
-    for result in run_suites(cfg.suites, cfg):
+    for result in run_suites(cfg):
         name = result.suite
         for a in result.assertions:
             status = "PASS" if a.passed else "FAIL"
@@ -304,8 +304,6 @@ def _sweep_config(base: ExperimentConfig, parameter: str, value: float) -> Exper
 
 def sweep_rows(base: ExperimentConfig, parameter: str, values) -> list[dict]:
     """One norm report per parameter value, on trial-0 materials."""
-    from .suites import make_trial
-
     rows = []
     for v in values:
         cfg = _sweep_config(base, parameter, float(v))

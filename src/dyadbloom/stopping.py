@@ -24,7 +24,7 @@ The unstopped collection is the roots together with every interval inside
 them contained in no member, read off the scan's owner arrays; each one below
 a root fails the predicate, which coefficient-sum estimates over it rely on.
 Sums over members add left to right from 0, as Python's sum does: np.cumsum
-for one sequence, a column pass for per-root sums, never a pairwise
+for one sequence, a weighted np.bincount for per-root sums, never a pairwise
 reduction.
 """
 
@@ -93,28 +93,6 @@ class Intervals:
         return out
 
 
-def _root_sums(owners: np.ndarray, values: np.ndarray, n_roots: int) -> np.ndarray:
-    """Per root r, values[owners == r] (grouped by owner) added left to right
-    from 0: column c adds every root's c-th value, roots longest first, and
-    the longest root's tail, once it is the only one left, is one cumsum."""
-    if n_roots == 1:
-        return np.array([ordered_sum(values)])
-    counts = np.bincount(owners, minlength=n_roots)
-    starts = np.cumsum(counts) - counts
-    order = np.argsort(-counts)
-    longest = -counts[order]
-    sums = np.zeros(n_roots)
-    c = 0
-    while (n := int(np.searchsorted(longest, -c))) > 1:
-        rows = order[:n]
-        sums[rows] += values[starts[rows] + c]
-        c += 1
-    r = order[0]
-    tail = values[starts[r] + c : starts[r] + counts[r]]
-    sums[r] = ordered_sum(np.concatenate(([sums[r]], tail)))
-    return sums
-
-
 class StoppingRule(NamedTuple):
     """A stopping predicate on the depth-D grid: anchor(roots) -> predicate
     (see the module docstring)."""
@@ -137,10 +115,11 @@ class StoppingFamily:
     unstopped: dict[int, np.ndarray]
 
     def member_masses(self, w: Weight) -> np.ndarray:
-        """Per root, the w-masses of its members added left to right."""
+        """Per root, the w-masses of its members added left to right from 0:
+        a weighted np.bincount adds each bin's values in input order."""
         same_depth(w.values, depth=self.depth)
         masses = self.members.gather(w.level_masses)
-        return _root_sums(self.owners, masses, self.roots.levels.size)
+        return np.bincount(self.owners, masses, self.roots.levels.size)
 
 
 def maximal_stopping_intervals(

@@ -1,7 +1,7 @@
 """Randomized verification suites over seeded ensembles.
 
-One pass, run_suites, draws cfg.trials seeded trials and returns one
-SuiteResult per selected suite, each holding
+One pass, run_suites(cfg), draws cfg.trials seeded trials and returns one
+SuiteResult per suite of cfg.suites, in that order, each holding
 
   * hard assertions -- exact identities and constant-1 inequalities only;
     any failure flips the suite (and the CLI exit code) to failing;
@@ -17,7 +17,8 @@ check that is not per trial.
 
 Trials are the outer loop and suites the inner one: each trial is drawn
 once and every selected suite checks it, in suite order, reporting to its
-own Record, so a suite's result does not depend on which others ran.
+own Record, so a suite's assertions and measurements do not depend on which
+others ran.
 
 Eigenvalue solves run in lockstep groups.  SOLVES names every eigenproblem
 a check may read (weighted norms, best constants, embedding constants) with
@@ -48,6 +49,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .bmo import (
+    _oscillation_masses,
     bloom_b2,
     bloom_b2_dual,
     bloom_b2_l2form,
@@ -56,13 +58,12 @@ from .bmo import (
     neccon_functional,
 )
 from .config import ExperimentConfig
-from .errors import ConfigError, PackingSearchError
+from .errors import PackingSearchError
 from .grid import (
     ROOT,
     accumulate_levels,
     analyze_leaves,
     haar_function,
-    level_masses,
     square_layers,
     synthesize_leaves,
 )
@@ -123,9 +124,6 @@ class Assertion:
     tolerance: float
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -142,9 +140,6 @@ class Finding:
     trial: int
     message: str
     data: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -655,25 +650,12 @@ def _packing_assertions(rec: Record) -> list[Assertion]:
 # --------------------------------------------------------------- neccon-chain
 
 
-def _mu_normalized_oscillation(b: np.ndarray, mu: Weight, lam: Weight) -> float:
-    """sup_I (1/mu(I)) int_I (b - <b>_I)^2 lambda dx."""
-    depth = mu.depth
-    mb = level_masses(b)
-    mbl = level_masses(b * lam.values)
-    mb2l = level_masses(b**2 * lam.values)
-    ml = lam.level_masses
-    best = 0.0
-    for k in range(depth):
-        avg_b = mb[k] * (2.0**k)
-        osc = np.maximum(mb2l[k] - 2.0 * avg_b * mbl[k] + avg_b**2 * ml[k], 0.0)
-        best = max(best, float((osc / mu.level_masses[k]).max()))
-    return best
-
-
 def _check_neccon_chain(rec: Record, td: TrialData, solved: Solved) -> None:
     mu, lam, b = td.mu, td.lam, td.b
     nec = neccon_functional(b, mu, lam)
-    base = _mu_normalized_oscillation(b, mu, lam)
+    # sup_I (1/mu(I)) int_I (b - <b>_I)^2 lambda dx
+    osc = _oscillation_masses(b, lam)
+    base = max(float((osc[k] / mu.level_masses[k]).max()) for k in range(len(osc)))
     a2 = a2_characteristic(mu)
     # sandwich chain: base <= neccon^2 <= [mu]_{A2} * base, definitional
     rec.residual("neccon_at_least_mu_oscillation", _rel(base - nec**2, base))
@@ -818,13 +800,11 @@ def _solve_group(names: Sequence[str], group: list[TrialData]) -> list[Solved]:
     return out
 
 
-def run_suites(names: Sequence[str], cfg: ExperimentConfig) -> list[SuiteResult]:
-    """One result per named suite, in order, from one pass over the trials."""
-    for name in names:
-        if name not in SUITES:
-            raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    suites = [SUITES[name] for name in names]
-    recs = [Record(name, cfg, s.samples, s.counts) for name, s in zip(names, suites)]
+def run_suites(cfg: ExperimentConfig) -> list[SuiteResult]:
+    """One result per suite of cfg.suites, in order, from one pass over the
+    trials."""
+    suites = [SUITES[name] for name in cfg.suites]
+    recs = [Record(name, cfg, s.samples, s.counts) for name, s in zip(cfg.suites, suites)]
     solves = list(dict.fromkeys(key for s in suites for key in s.solves))
     for trials in _lockstep_chunks(range(cfg.trials), 1 << cfg.depth):
         group = [make_trial(cfg, t) for t in trials]

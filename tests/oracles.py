@@ -150,12 +150,17 @@ def bloom_l2form_oracle(b, mu, lam, depth):
     return math.sqrt(best)
 
 
-def bmo_rho_oracle(b, rho, depth):
+def oscillation_oracle(b, w, depth, k, j):
+    """int over I_{k,j} of (b - <b>_I)^2 w dx (w = 1 when None)."""
     b = np.asarray(b)
+    dev2 = (b - average_on(b, depth, k, j)) ** 2
+    return mass_on(dev2 if w is None else dev2 * np.asarray(w), depth, k, j)
+
+
+def bmo_rho_oracle(b, rho, depth):
     best = 0.0
     for k, j in all_intervals(depth, depth - 1):
-        avg = average_on(b, depth, k, j)
-        osc = mass_on((b - avg) ** 2, depth, k, j)
+        osc = oscillation_oracle(b, None, depth, k, j)
         best = max(best, osc / mass_on(rho, depth, k, j))
     return math.sqrt(best)
 
@@ -177,13 +182,10 @@ def bmo_rho_l1_oracle(b, rho, depth):
 
 
 def neccon_oracle(b, mu, lam, depth):
-    b = np.asarray(b)
-    lam = np.asarray(lam)
     mu_inv = 1.0 / np.asarray(mu)
     best = 0.0
     for k, j in all_intervals(depth, depth - 1):
-        avg = average_on(b, depth, k, j)
-        osc = mass_on((b - avg) ** 2 * lam, depth, k, j)
+        osc = oscillation_oracle(b, lam, depth, k, j)
         length = 2.0 ** (-k)
         best = max(best, mass_on(mu_inv, depth, k, j) / length**2 * osc)
     return math.sqrt(best)

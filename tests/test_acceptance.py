@@ -9,6 +9,7 @@ and do not fail the criterion.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -274,7 +275,7 @@ def test_criterion_07_lower_bounds_audited():
     duality_ok = True
     for name in ENSEMBLES:
         cfg = _config(name, depth=8, trials=100)
-        (result,) = run_suites(["paraproduct-bounds"], cfg)
+        (result,) = run_suites(replace(cfg, suites=("paraproduct-bounds",)))
         audited += cfg.trials
         duality_ok = duality_ok and result.passed
         for fd in result.findings:
@@ -335,7 +336,7 @@ def test_criterion_10_stopping_machinery():
     worst_k = 0.0
     for name in ENSEMBLES:
         cfg = _config(name, depth=8, trials=20)
-        (result,) = run_suites(["stopping"], cfg)
+        (result,) = run_suites(replace(cfg, suites=("stopping",)))
         ok = ok and result.passed
         stats = result.measured["unstopped_coeff_sum_over_base"]
         if stats["n"]:

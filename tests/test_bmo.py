@@ -14,6 +14,7 @@ from dyadbloom import (
     bloom_b2,
     bloom_b2_dual,
     bloom_b2_l2form,
+    bmo,
     bmo_report,
     bmo_rho,
     bmo_rho_l1,
@@ -135,6 +136,20 @@ def test_bmo_rho_l1_matches_oracle(depth, kind):
     rho = rho_weight(mu, lam)
     want = oracles.bmo_rho_l1_oracle(b, rho.values, depth)
     assert bmo_rho_l1(b, rho) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["w=1", "w=lambda"])
+@pytest.mark.parametrize("depth", range(2, 9))
+def test_oscillation_masses_match_per_interval_oracle(depth, weighted):
+    # the one oscillation kernel behind bmo_rho, neccon_functional and the
+    # neccon-chain suite, interval by interval
+    mu, lam, b = _triple(depth, 1900 + depth)
+    osc = bmo._oscillation_masses(b, lam if weighted else None)
+    w = lam.values if weighted else None
+    assert [level.shape for level in osc] == [(1 << k,) for k in range(depth)]
+    for k, j in oracles.all_intervals(depth, depth - 1):
+        want = oracles.oscillation_oracle(b, w, depth, k, j)
+        assert osc[k][j] == pytest.approx(want, rel=1e-12), (k, j)
 
 
 @over_ensembles

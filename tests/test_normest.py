@@ -376,8 +376,7 @@ def test_paraproduct_suite_makes_one_normal_apply_per_lockstep_step(monkeypatch)
         return got
 
     monkeypatch.setattr(normest, "_top_eigenvalues", counting)
-    cfg = ExperimentConfig.from_dict({**ExperimentConfig().to_dict(), "trials": 5})
-    run_suites(["paraproduct-bounds"], cfg)
+    run_suites(ExperimentConfig(trials=5, suites=("paraproduct-bounds",)))
     assert [rows for rows, _, _ in solves] == [5, 5]
     for _, calls, per_row in solves:
         assert calls == max(per_row) < sum(per_row)
@@ -406,10 +405,7 @@ def test_width_cap_bounds_rows_times_leaves(depth, shift_rows, ppott_rows, monke
     compute_norm_report(b, mu, lam)
     assert seen == [1, *shift_rows, 1]
     seen.clear()
-    cfg = ExperimentConfig.from_dict(
-        {**ExperimentConfig().to_dict(), "depth": depth, "trials": 2}
-    )
-    run_suites(["ppott"], cfg)
+    run_suites(ExperimentConfig(depth=depth, trials=2, suites=("ppott",)))
     assert seen == [*ppott_rows, 1]
 
 

@@ -468,73 +468,6 @@ def test_corona_scan_matches_oracle_root_by_root(depth, data):
         assert len(gens) == n_gens
 
 
-# recorded from run_suites(["stopping"], ...) with seed 2026: float.hex of every
-# measured statistic and every assertion worst
-_PINNED_STOPPING = {
-    (8, 5): {
-        "corona_constant.max": "0x1.2dd13add43095p+1",
-        "corona_constant.mean": "0x1.095ab532025a2p+1",
-        "corona_constant.min": "0x1.c585058dde7acp+0",
-        "deviation_constant.max": "0x1.2dd13add43095p+1",
-        "deviation_constant.mean": "0x1.095ab532025a2p+1",
-        "deviation_constant.min": "0x1.c585058dde7acp+0",
-        "square_sum_constant.max": "0x1.199999999999ap+0",
-        "square_sum_constant.mean": "0x1.199999999999ap+0",
-        "square_sum_constant.min": "0x1.199999999999ap+0",
-        "three_cond_path_sum_packing.max": "0x0.0p+0",
-        "three_cond_path_sum_packing.mean": "0x0.0p+0",
-        "three_cond_path_sum_packing.min": "0x0.0p+0",
-        "unstopped_coeff_sum_over_base.max": "0x1.9da917c60e46fp-1",
-        "unstopped_coeff_sum_over_base.mean": "0x1.1fb01091995d2p-1",
-        "unstopped_coeff_sum_over_base.min": "0x1.3189ebacf2b19p-2",
-        "worst.corona_geometric_decay": "-0x1.dc95080fcb1e0p-7",
-        "worst.deviation_packing_at_target": "-0x1.dc95080f84be0p-7",
-        "worst.factor4_lebesgue_packing_quarter": "-0x1.f000000002330p-3",
-        "worst.packing_searches_succeed": "0x0.0p+0",
-        "worst.three_cond_rho_packing_half": "-0x1.7800000002330p-2",
-        "worst.three_cond_weight_packing_half": "-0x1.5400000002330p-2",
-        "worst.unstopped_coeff_sum_within_C_cubed": "-0x1.e84b30e173d32p-1",
-    },
-    (10, 4): {
-        "corona_constant.max": "0x1.2dd13add43095p+1",
-        "corona_constant.mean": "0x1.19dcc8f4b7330p+1",
-        "corona_constant.min": "0x1.f2df1fb5a7ed8p+0",
-        "deviation_constant.max": "0x1.2dd13add43095p+1",
-        "deviation_constant.mean": "0x1.19dcc8f4b7330p+1",
-        "deviation_constant.min": "0x1.f2df1fb5a7ed8p+0",
-        "square_sum_constant.max": "0x1.199999999999ap+0",
-        "square_sum_constant.mean": "0x1.199999999999ap+0",
-        "square_sum_constant.min": "0x1.199999999999ap+0",
-        "three_cond_path_sum_packing.max": "0x0.0p+0",
-        "three_cond_path_sum_packing.mean": "0x0.0p+0",
-        "three_cond_path_sum_packing.min": "0x0.0p+0",
-        "unstopped_coeff_sum_over_base.max": "0x1.adbe355149377p-2",
-        "unstopped_coeff_sum_over_base.mean": "0x1.46f7ae2ab9b0fp-2",
-        "unstopped_coeff_sum_over_base.min": "0x1.975d655936a00p-3",
-        "worst.corona_geometric_decay": "-0x1.7cdeb362fb0c0p-7",
-        "worst.deviation_packing_at_target": "-0x1.7cdeb362b4ac0p-7",
-        "worst.factor4_lebesgue_packing_quarter": "-0x1.dc00000002330p-3",
-        "worst.packing_searches_succeed": "0x0.0p+0",
-        "worst.three_cond_rho_packing_half": "-0x1.6d00000002330p-2",
-        "worst.three_cond_weight_packing_half": "-0x1.3d00000002330p-2",
-        "worst.unstopped_coeff_sum_within_C_cubed": "-0x1.f6bf927c88a05p-1",
-    },
-}
-
-
-@pytest.mark.parametrize("depth, trials", sorted(_PINNED_STOPPING))
-def test_stopping_suite_is_bitwise_pinned(depth, trials):
-    (res,) = run_suites(["stopping"], ExperimentConfig(depth=depth, trials=trials, seed=2026))
-    got = {
-        f"{name}.{k}": v.hex()
-        for name, stats in res.measured.items()
-        for k, v in stats.items()
-        if isinstance(v, float)
-    }
-    got |= {f"worst.{a.name}": a.worst.hex() for a in res.assertions}
-    assert got == _PINNED_STOPPING[depth, trials]
-
-
 def test_stopping_suite_at_depth_16_scans_once_per_generation(monkeypatch):
     # one trial above the configured cap: the suite passes, and every corona
     # (one per constant tried, plus the suite's own) costs one root-set scan
@@ -561,7 +494,7 @@ def test_stopping_suite_at_depth_16_scans_once_per_generation(monkeypatch):
     monkeypatch.setattr(stopping, "maximal_stopping_intervals", counted_scan)
     monkeypatch.setattr(stopping, "corona_generations", counted_corona)
     monkeypatch.setattr(suites, "corona_generations", counted_corona)
-    (res,) = run_suites(["stopping"], ExperimentConfig(depth=16, trials=1))
+    (res,) = run_suites(ExperimentConfig(depth=16, trials=1, suites=("stopping",)))
     assert res.passed
     assert len(coronas) >= 2
     assert all(n == g for n, g in coronas), coronas
@@ -586,7 +519,6 @@ def test_stopping_trial_analyses_b_once_per_square_sum_search(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("dyadbloom") and getattr(module, "analyze_leaves", None) is original:
             monkeypatch.setattr(module, "analyze_leaves", counting)
-    cfg = ExperimentConfig.from_dict({**ExperimentConfig().to_dict(), "trials": 1})
-    (res,) = run_suites(["stopping"], cfg)
+    (res,) = run_suites(ExperimentConfig(trials=1, suites=("stopping",)))
     assert res.measured["square_sum_constant"]["n"] == 1
     assert len(calls) == 7

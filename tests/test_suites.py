@@ -104,8 +104,8 @@ def test_every_solve_is_named_and_every_name_solved():
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_suite_assertions_and_measured_keys(name):
-    cfg = ExperimentConfig.from_dict({"depth": 4, "trials": 2})
-    (result,) = run_suites([name], cfg)
+    (result,) = run_suites(ExperimentConfig.from_dict({"depth": 4, "trials": 2, "suites": [name]}))
+    assert result.config["suites"] == [name]
     gates, measured = CONTRACT[name]
     assert [(a.name, a.tolerance) for a in result.assertions] == gates
     assert set(result.measured) == measured
@@ -122,7 +122,7 @@ def test_constant_symbol_passes_with_unreached_gates():
         "unstopped_coeff_sum_within_C_cubed",
     }
     seen = set()
-    for name, result in zip(SUITE_NAMES, run_suites(SUITE_NAMES, cfg)):
+    for name, result in zip(SUITE_NAMES, run_suites(cfg)):
         assert result.passed, name
         for a in result.assertions:
             if a.name in unreached:
@@ -163,7 +163,8 @@ def test_joint_pass_draws_each_trial_once_and_solves_once(monkeypatch):
 
     monkeypatch.setattr(suites, "generate", counting_generate)
     monkeypatch.setitem(SOLVES, "commutator", (counting_solver, rows_of))
-    results = run_suites(SUITE_NAMES, ExperimentConfig.from_dict({"depth": 8, "trials": 5}))
+    results = run_suites(ExperimentConfig.from_dict({"depth": 8, "trials": 5}))
     assert all(res.passed for res in results)
+    assert all(res.config["suites"] == list(SUITE_NAMES) for res in results)
     assert len(generated) == 3 * 5
     assert solved == [5]
