@@ -35,7 +35,15 @@ from .serialize import (
     write_json,
 )
 from .suites import make_trial, run_suites
-from .weights import EnsembleSpec, Weight, a2_characteristic, generate
+from .weights import (
+    KIND_FIELDS,
+    SYMBOL_KINDS,
+    WEIGHT_KINDS,
+    EnsembleSpec,
+    Weight,
+    a2_characteristic,
+    generate,
+)
 
 __all__ = ["main", "build_parser", "sweep_rows", "SWEEP_COLUMNS"]
 
@@ -49,9 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a weight or symbol file")
-    g.add_argument("--kind", required=True,
-                   choices=["constant", "two-value", "power", "cascade",
-                            "log-symbol", "haar-sparse-symbol"])
+    g.add_argument("--kind", required=True, choices=WEIGHT_KINDS + SYMBOL_KINDS)
     g.add_argument("--depth", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--alpha", type=float, default=0.0)
@@ -289,7 +295,7 @@ def _sweep_config(base: ExperimentConfig, parameter: str, value: float) -> Exper
         d["mu"] = {"kind": "power", "alpha": float(value)}
     elif parameter == "delta":
         for role in ("mu", "lambda", "symbol"):
-            if d[role]["kind"] in ("cascade", "log-symbol"):
+            if "delta" in KIND_FIELDS[d[role]["kind"]]:
                 d[role] = {**d[role], "delta": float(value)}
     elif parameter == "sparsity":
         if d["symbol"]["kind"] != "haar-sparse-symbol":
@@ -403,6 +409,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (ConfigError, EnsembleTargetError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: the input needs more memory than this machine has", file=sys.stderr)
         return 2
     except DyadBloomError as e:
         print(f"error: {e}", file=sys.stderr)

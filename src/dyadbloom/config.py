@@ -3,7 +3,8 @@
 A config pins depth, master seed, trial count, suite list, and one ensemble
 recipe per role (mu, lambda, symbol).  Per-trial, per-role streams are derived
 as SeedSequence((master XOR trial, role)), which keeps roles and trials
-independent without the off-by-one collisions of additive schemes.
+independent without the off-by-one collisions of additive schemes;
+specs(trial) gives a trial's three seeded recipes.
 """
 
 from __future__ import annotations
@@ -103,22 +104,14 @@ class ExperimentConfig:
             except ConfigError as e:
                 raise ConfigError(f"role {role_name!r}: {e}") from e
 
-    def role_spec(self, role_dict: dict, trial: int, role: int) -> EnsembleSpec:
-        return EnsembleSpec.from_dict(
-            {**role_dict, "depth": self.depth, "seed": derive_seed(self.seed, trial, role)}
+    def specs(self, trial: int) -> tuple[EnsembleSpec, EnsembleSpec, EnsembleSpec]:
+        """The trial's (mu, lambda, symbol) recipes, each seeded from its role's stream."""
+        roles = ((self.mu, ROLE_MU), (self.lam, ROLE_LAMBDA), (self.symbol, ROLE_SYMBOL))
+        return tuple(
+            EnsembleSpec.from_dict(
+                {**d, "depth": self.depth, "seed": derive_seed(self.seed, trial, role)})
+            for d, role in roles
         )
-
-    def mu_spec(self, trial: int) -> EnsembleSpec:
-        return self.role_spec(self.mu, trial, ROLE_MU)
-
-    def lambda_spec(self, trial: int) -> EnsembleSpec:
-        return self.role_spec(self.lam, trial, ROLE_LAMBDA)
-
-    def symbol_spec(self, trial: int) -> EnsembleSpec:
-        return self.role_spec(self.symbol, trial, ROLE_SYMBOL)
-
-    def func_seed(self, trial: int) -> int:
-        return derive_seed(self.seed, trial, ROLE_FUNC)
 
     def to_dict(self) -> dict:
         return {

@@ -53,11 +53,12 @@ from .bmo import (
     bloom_b2,
     bloom_b2_dual,
     bloom_b2_l2form,
+    bmo_report,
     bmo_rho,
     bmo_rho_l1,
     neccon_functional,
 )
-from .config import ExperimentConfig
+from .config import ROLE_FUNC, ExperimentConfig, derive_seed
 from .errors import PackingSearchError
 from .grid import (
     ROOT,
@@ -108,7 +109,6 @@ __all__ = [
     "Suite",
     "SuiteResult",
     "TrialData",
-    "lower_bound_finding",
     "make_trial",
     "run_suites",
     "SOLVES",
@@ -255,11 +255,9 @@ class TrialData:
 
 
 def make_trial(cfg: ExperimentConfig, t: int) -> TrialData:
-    mu = generate(cfg.mu_spec(t))
-    lam = generate(cfg.lambda_spec(t))
-    sym = generate(cfg.symbol_spec(t))
+    mu, lam, sym = (generate(spec) for spec in cfg.specs(t))
     b_raw = sym.values if isinstance(sym, Weight) else sym
-    rng = np.random.default_rng(cfg.func_seed(t))
+    rng = np.random.default_rng(derive_seed(cfg.seed, t, ROLE_FUNC))
     f_raw = rng.standard_normal(1 << cfg.depth)
     g_raw = rng.standard_normal(1 << cfg.depth)
     return TrialData(
@@ -367,15 +365,14 @@ _CHAIN_RATIOS = ("l2form_over_b2", "b2_over_l2form", "l1_over_bmo", "bmo_over_l1
 def _check_equivalences(rec: Record, td: TrialData, solved: Solved) -> None:
     mu, lam, b = td.mu, td.lam, td.b
     # A2 sandwich 1 <= <mu>_I <mu^{-1}>_I <= [mu]_{A2}, every interval
-    for w in (mu, lam):
+    for w, name in ((mu, "a2_mu"), (lam, "a2_lambda")):
         a2 = a2_characteristic(w)
+        rec.sample(name, a2)
         inv = w.inverse
         for k in range(w.depth + 1):
             prod = w.averages[k] * inv.averages[k]
             rec.residual("a2_sandwich_lower", float((1.0 - prod).max()))
             rec.residual("a2_sandwich_upper", float((prod - a2).max()))
-    rec.sample("a2_mu", a2_characteristic(mu))
-    rec.sample("a2_lambda", a2_characteristic(lam))
     b2 = bloom_b2(b, mu, lam)
     l2f = bloom_b2_l2form(b, mu, lam)
     bmo = bmo_rho(b, td.rho)
@@ -389,16 +386,8 @@ def _check_equivalences(rec: Record, td: TrialData, solved: Solved) -> None:
 
 def _degenerate_assertions(rec: Record) -> list[Assertion]:
     # degenerate symbol: every functional vanishes exactly
-    td0 = rec.first
-    zero = np.zeros(1 << rec.cfg.depth)
-    vals = [
-        bloom_b2(zero, td0.mu, td0.lam),
-        bloom_b2_dual(zero, td0.mu, td0.lam),
-        bloom_b2_l2form(zero, td0.mu, td0.lam),
-        bmo_rho(zero, td0.rho),
-        bmo_rho_l1(zero, td0.rho),
-        neccon_functional(zero, td0.mu, td0.lam),
-    ]
+    rep = bmo_report(np.zeros(1 << rec.cfg.depth), rec.first.mu, rec.first.lam)
+    vals = [getattr(rep, name) for name in rep.argmax]  # argmax names every functional
     a2 = a2_characteristic(Weight(np.full(1 << rec.cfg.depth, 3.0)))
     return [
         Assertion("zero_symbol_zero_functionals", max(vals) == 0.0, max(vals), 0.0,
@@ -409,37 +398,6 @@ def _degenerate_assertions(rec: Record) -> list[Assertion]:
 
 
 # --------------------------------------------------------- paraproduct-bounds
-
-
-def lower_bound_finding(
-    suite: str,
-    name: str,
-    cfg: ExperimentConfig,
-    trial: int,
-    functional: float,
-    norm: float,
-    excess: float,
-) -> Finding:
-    """Package one constant-1 lower-bound violation with its replay seeds."""
-    return Finding(
-        suite=suite,
-        name=name,
-        trial=trial,
-        message=(
-            f"functional {functional!r} exceeds operator norm {norm!r}"
-            f" by {excess:.6e} (allowance 1e-06)"
-        ),
-        data={
-            "depth": cfg.depth,
-            "master_seed": cfg.seed,
-            "mu_seed": int(cfg.mu_spec(trial).seed),
-            "lambda_seed": int(cfg.lambda_spec(trial).seed),
-            "symbol_seed": int(cfg.symbol_spec(trial).seed),
-            "functional": functional,
-            "norm": norm,
-            "excess": excess,
-        },
-    )
 
 
 def _norms(plan: Callable) -> Callable[[list], list[float]]:
@@ -469,9 +427,15 @@ def _check_paraproduct_bounds(rec: Record, td: TrialData, solved: Solved) -> Non
         rec.sample("lower_bound_excess" + side, excess)
         if excess > 1e-6:
             rec.count("lower_bound_violations" + side)
-            rec.findings.append(
-                lower_bound_finding(rec.suite, name, rec.cfg, rec.trial, val, norm, excess)
-            )
+            seeds = zip(("mu_seed", "lambda_seed", "symbol_seed"), rec.cfg.specs(rec.trial))
+            rec.findings.append(Finding(
+                rec.suite, name, rec.trial,
+                f"functional {val!r} exceeds operator norm {norm!r}"
+                f" by {excess:.6e} (allowance 1e-06)",
+                {"depth": rec.cfg.depth, "master_seed": rec.cfg.seed,
+                 **{key: spec.seed for key, spec in seeds},
+                 "functional": val, "norm": norm, "excess": excess},
+            ))
     if b2 > 0:
         rec.sample("norm_over_bloom_b2", n_pi / b2)
     rec.sample("norm_paraproduct", n_pi)

@@ -10,13 +10,20 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, EnsembleTargetError
-from .grid import MAX_GRID_DEPTH, depth_of, leaf_values, level_masses, same_depth
+from .grid import (
+    MAX_GRID_DEPTH,
+    depth_of,
+    leaf_values,
+    level_masses,
+    same_depth,
+    synthesize_leaves,
+)
 
 __all__ = [
     "Weight",
@@ -26,6 +33,7 @@ __all__ = [
     "generate",
     "WEIGHT_KINDS",
     "SYMBOL_KINDS",
+    "KIND_FIELDS",
 ]
 
 
@@ -91,6 +99,17 @@ def rho_weight(mu: Weight, lam: Weight) -> Weight:
 
 WEIGHT_KINDS = ("constant", "two-value", "power", "cascade")
 SYMBOL_KINDS = ("log-symbol", "haar-sparse-symbol")
+# the recipe fields each kind reads, besides kind, depth, seed and a2_range
+KIND_FIELDS = {
+    "constant": ("values",),
+    "two-value": ("values",),
+    "power": ("alpha", "center"),
+    "cascade": ("delta",),
+    "log-symbol": ("delta",),
+    "haar-sparse-symbol": ("sparsity",),
+}
+# draws an a2_range target gets before generate gives up
+_A2_ATTEMPTS = 64
 
 
 @dataclass(frozen=True)
@@ -106,8 +125,8 @@ class EnsembleSpec:
       haar-sparse-symbol  -- sparse Haar series, N(0,1) * |I|^{1/2} coefficients
 
     a2_range (weights only) retries generation until [w]_{A2} lands inside the
-    closed range, drawing from one rng stream; deterministic kinds get a single
-    attempt.
+    closed range, drawing up to 64 times from one rng stream; deterministic
+    kinds get a single attempt.
     """
 
     kind: str
@@ -119,7 +138,6 @@ class EnsembleSpec:
     values: tuple[float, ...] = (1.0, 4.0)
     center: float = 0.5
     a2_range: tuple[float, float] | None = None
-    max_retries: int = 64
 
     def __post_init__(self):
         if self.kind not in WEIGHT_KINDS + SYMBOL_KINDS:
@@ -133,16 +151,13 @@ class EnsembleSpec:
         if not isinstance(self.values, tuple):
             raise ConfigError(f"values must be a list of numbers, got {self.values!r}")
         _check_finite("values", *self.values)
-        retries = self.max_retries
-        if isinstance(retries, bool) or not isinstance(retries, numbers.Integral):
-            raise ConfigError(f"max_retries must be an integer, got {retries!r}")
         if self.kind == "power" and not -1.0 < self.alpha < 1.0:
             raise ConfigError(f"power exponent must be in (-1, 1), got {self.alpha}")
-        if self.kind in ("cascade", "log-symbol") and not 0.0 < self.delta < 1.0:
+        if "delta" in KIND_FIELDS[self.kind] and not 0.0 < self.delta < 1.0:
             raise ConfigError(f"cascade delta must be in (0, 1), got {self.delta}")
         if self.kind == "haar-sparse-symbol" and not 0.0 < self.sparsity <= 1.0:
             raise ConfigError(f"sparsity must be in (0, 1], got {self.sparsity}")
-        if self.kind in ("constant", "two-value"):
+        if "values" in KIND_FIELDS[self.kind]:
             if not self.values or any(v <= 0 for v in self.values):
                 raise ConfigError("constant/two-value kinds need positive values")
             if self.kind == "two-value" and len(self.values) < 2:
@@ -156,19 +171,8 @@ class EnsembleSpec:
                 raise ConfigError(f"a2_range must satisfy 1 <= lo <= hi, got {self.a2_range}")
 
     def to_dict(self) -> dict:
-        d = {
-            "kind": self.kind,
-            "depth": self.depth,
-            "seed": self.seed,
-        }
-        if self.kind == "power":
-            d["alpha"] = self.alpha
-            d["center"] = self.center
-        if self.kind in ("cascade", "log-symbol"):
-            d["delta"] = self.delta
-        if self.kind == "haar-sparse-symbol":
-            d["sparsity"] = self.sparsity
-        if self.kind in ("constant", "two-value"):
+        d = {n: getattr(self, n) for n in ("kind", "depth", "seed", *KIND_FIELDS[self.kind])}
+        if "values" in d:
             d["values"] = list(self.values)
         if self.a2_range is not None:
             d["a2_range"] = list(self.a2_range)
@@ -180,11 +184,7 @@ class EnsembleSpec:
             raise ConfigError(f"ensemble spec must be an object, got {type(d).__name__}")
         if "kind" not in d or "depth" not in d:
             raise ConfigError("ensemble spec needs at least 'kind' and 'depth'")
-        known = {
-            "kind", "depth", "seed", "alpha", "delta", "sparsity",
-            "values", "center", "a2_range", "max_retries",
-        }
-        extra = set(d) - known
+        extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown ensemble spec fields: {sorted(extra)}")
         kw = dict(d)
@@ -242,8 +242,6 @@ def _cascade_values(depth: int, delta: float, rng: np.random.Generator) -> np.nd
 
 
 def _sparse_symbol_values(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
-    from .grid import synthesize_leaves
-
     depth = spec.depth
     coeffs = []
     any_active = False
@@ -254,15 +252,11 @@ def _sparse_symbol_values(spec: EnsembleSpec, rng: np.random.Generator) -> np.nd
         any_active = any_active or bool(mask.any())
         coeffs.append(c)
     if not any_active:
-        # force one interval so the symbol is never identically zero
-        total = (1 << depth) - 1
-        flat = int(rng.integers(total))
-        # map the flat level-major index to (level, position)
-        k = 0
-        while flat >= (1 << k):
-            flat -= 1 << k
-            k += 1
-        coeffs[k][flat] = float(rng.standard_normal()) * (2.0 ** (-k / 2.0))
+        # force one interval so the symbol is never identically zero; the
+        # level-major index f - 1 is position f - 2^k of level k = floor(log2 f)
+        f = int(rng.integers((1 << depth) - 1)) + 1
+        k = f.bit_length() - 1
+        coeffs[k][f - (1 << k)] = float(rng.standard_normal()) * (2.0 ** (-k / 2.0))
     return synthesize_leaves(np.asarray(0.0), coeffs, depth)
 
 
@@ -289,13 +283,13 @@ def generate(spec: EnsembleSpec):
     Returns a Weight for weight kinds and, for symbol kinds, the symbol's
     checked leaf values (grid.leaf_values).
     With a2_range set, regenerates from the same stream until the A2
-    characteristic lands in range, up to max_retries attempts.
+    characteristic lands in range, up to _A2_ATTEMPTS attempts.
     """
     rng = np.random.default_rng(spec.seed)
     if spec.a2_range is None:
         return _generate_once(spec, rng)
     deterministic = spec.kind in ("constant", "power")
-    attempts = 1 if deterministic else max(1, spec.max_retries)
+    attempts = 1 if deterministic else _A2_ATTEMPTS
     lo, hi = spec.a2_range
     achieved = []
     for _ in range(attempts):

@@ -17,6 +17,7 @@ import sys
 import numpy as np
 import pytest
 
+from dyadbloom import cli
 from dyadbloom.cli import SWEEP_COLUMNS, main
 from dyadbloom.config import SUITE_NAMES
 from dyadbloom.errors import ConfigError
@@ -508,7 +509,7 @@ _ROLE_CASES = {
     "delta-null": {"kind": "cascade", "delta": None},
     "values-scalar": {"kind": "two-value", "values": 5},
     "values-nan-string": {"kind": "two-value", "values": [1, "nan"]},
-    "max-retries-string": {"kind": "cascade", "max_retries": "x", "a2_range": [1, 16]},
+    "max-retries-unknown-field": {"kind": "cascade", "max_retries": 8, "a2_range": [1, 16]},
 }
 _CONFIG_CASES = {
     "depth-4.5": {"depth": 4.5},
@@ -557,6 +558,28 @@ def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, case):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("command", ["norms", "verify"])
+def test_memory_error_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, command):
+    # an input too large for this machine's memory fails like a bad input;
+    # the engines are patched to run out, so no deep file is written
+    monkeypatch.setattr(cli, "compute_norm_report", _out_of_memory)
+    monkeypatch.setattr(cli, "run_suites", _out_of_memory)
+    if command == "norms":
+        one = str(_save(tmp_path, "one.json", [1.0] * 4))
+        b = str(_save(tmp_path, "b.json", [0.0, 0.0, 1.0, -1.0], role="symbol"))
+        argv = ["norms", "--mu", one, "--lambda", one, "--symbol", b]
+    else:
+        argv = ["verify", "--depth", "2", "--trials", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "more memory" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_norms_loads_no_scipy(tmp_path):

@@ -1,5 +1,6 @@
 """Weights, A2 characteristics, and the random ensembles."""
 
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from dyadbloom import (
     generate,
     rho_weight,
 )
+from dyadbloom.grid import analyze_leaves
+from dyadbloom.weights import KIND_FIELDS, SYMBOL_KINDS, WEIGHT_KINDS
 
 
 def test_weight_requires_positive_values():
@@ -181,10 +184,24 @@ def test_sparse_symbol_has_scaled_coefficients_and_zero_mean():
 
 
 def test_sparse_symbol_forces_at_least_one_interval():
-    # sparsity so small that every mask would be empty without the forcing
-    spec = EnsembleSpec(kind="haar-sparse-symbol", depth=3, seed=1, sparsity=1e-9)
-    sym = generate(spec)
-    assert float(np.abs(sym).max()) > 0.0
+    # sparsity so small that every mask is empty, so generate forces one
+    # interval.  The oracle replays the per-level draws, then picks the
+    # forced interval from an explicit level-major list of (level, position).
+    for depth in range(1, 9):
+        level_major = [(k, j) for k in range(depth) for j in range(1 << k)]
+        for seed in range(40):
+            spec = EnsembleSpec(kind="haar-sparse-symbol", depth=depth, seed=seed,
+                                sparsity=1e-12)
+            rng = np.random.default_rng(seed)
+            for k in range(depth):
+                assert not (rng.random(1 << k) < spec.sparsity).any()
+                rng.standard_normal(1 << k)
+            k, j = level_major[int(rng.integers(len(level_major)))]
+            value = float(rng.standard_normal()) * 2.0 ** (-k / 2.0)
+            mean, coeffs = analyze_leaves(generate(spec))
+            nonzero = [(lv, int(p)) for lv, c in enumerate(coeffs) for p in np.flatnonzero(c)]
+            assert mean == 0.0 and nonzero == [(k, j)], (depth, seed)
+            assert coeffs[k][j] == pytest.approx(value, rel=1e-12)
 
 
 def test_a2_range_rejection_sampling():
@@ -200,11 +217,11 @@ def test_a2_range_failure_reports_achieved_range():
         seed=0,
         values=(1.0, 64.0),
         a2_range=(1.0, 1.0001),
-        max_retries=8,
     )
     with pytest.raises(EnsembleTargetError) as exc:
         generate(spec)
     assert "a2" in str(exc.value).lower() or "A2" in str(exc.value)
+    assert "after 64 attempt(s)" in str(exc.value)
 
 
 def test_a2_range_on_deterministic_kind_fails_after_one_attempt():
@@ -231,12 +248,32 @@ def test_spec_validation_errors():
         EnsembleSpec(kind="cascade", depth=4, a2_range=(2.0, 1.0))
 
 
+# each kind with every field it reads away from its default
+_KIND_RECIPES = (
+    {"kind": "constant", "values": (2.5,)},
+    {"kind": "two-value", "values": (1.0, 3.0, 9.0)},
+    {"kind": "power", "alpha": -0.4, "center": 0.3},
+    {"kind": "cascade", "delta": 0.25},
+    {"kind": "log-symbol", "delta": 0.35},
+    {"kind": "haar-sparse-symbol", "sparsity": 0.2},
+)
+
+
 def test_spec_dict_round_trip():
-    spec = EnsembleSpec(kind="cascade", depth=6, seed=9, delta=0.25, a2_range=(1.0, 8.0))
-    again = EnsembleSpec.from_dict(spec.to_dict())
-    assert again == spec
-    with pytest.raises(ConfigError):
-        EnsembleSpec.from_dict({"kind": "cascade", "depth": 4, "bogus": 1})
+    assert set(KIND_FIELDS) == {r["kind"] for r in _KIND_RECIPES} == set(
+        WEIGHT_KINDS + SYMBOL_KINDS)
+    cases = [(r, None) for r in _KIND_RECIPES]
+    cases += [(r, (1.0, 8.0)) for r in _KIND_RECIPES if r["kind"] in WEIGHT_KINDS]
+    for recipe, a2_range in cases:
+        spec = EnsembleSpec(depth=6, seed=9, a2_range=a2_range, **recipe)
+        d = spec.to_dict()
+        assert set(d) == {"kind", "depth", "seed", *KIND_FIELDS[spec.kind]} | (
+            {"a2_range"} if a2_range else set())
+        assert all(isinstance(d[n], list) for n in ("values", "a2_range") if n in d)
+        assert EnsembleSpec.from_dict(json.loads(json.dumps(d))) == spec
+    for field in ("bogus", "max_retries"):
+        with pytest.raises(ConfigError, match="unknown ensemble spec fields"):
+            EnsembleSpec.from_dict({"kind": "cascade", "depth": 4, field: 1})
 
 
 def test_from_dict_coerces_json_numbers():
