@@ -59,15 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a weight or symbol file")
     g.add_argument("--kind", required=True, choices=WEIGHT_KINDS + SYMBOL_KINDS)
     g.add_argument("--depth", type=int, required=True)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--alpha", type=float, default=0.0)
-    g.add_argument("--delta", type=float, default=0.4)
-    g.add_argument("--sparsity", type=float, default=0.1)
-    g.add_argument("--values", type=str, default="1,4",
-                   help="comma-separated positive values for constant/two-value")
-    g.add_argument("--center", type=float, default=0.5)
-    g.add_argument("--a2-min", type=float, default=None)
-    g.add_argument("--a2-max", type=float, default=None)
+    g.add_argument("--seed", type=int)
+    g.add_argument("--alpha", type=float)
+    g.add_argument("--delta", type=float)
+    g.add_argument("--sparsity", type=float)
+    g.add_argument("--values", help="comma-separated positive values for constant/two-value")
+    g.add_argument("--center", type=float)
+    g.add_argument("--a2-min", type=float)
+    g.add_argument("--a2-max", type=float)
     g.add_argument("--out", required=True)
 
     n = sub.add_parser("norms", help="norm/functional report for one triple")
@@ -113,22 +112,16 @@ def _parse_values(text: str) -> tuple[float, ...]:
 
 
 def _cmd_gen(args) -> int:
-    a2_range = None
     if (args.a2_min is None) != (args.a2_max is None):
         raise ConfigError("--a2-min and --a2-max must be given together")
+    # EnsembleSpec holds every recipe default; only the given flags override it
+    given = {k: getattr(args, k) for k in ("seed", "alpha", "delta", "sparsity", "center")
+             if getattr(args, k) is not None}
+    if args.values is not None:
+        given["values"] = _parse_values(args.values)
     if args.a2_min is not None:
-        a2_range = (args.a2_min, args.a2_max)
-    spec = EnsembleSpec(
-        kind=args.kind,
-        depth=args.depth,
-        seed=args.seed,
-        alpha=args.alpha,
-        delta=args.delta,
-        sparsity=args.sparsity,
-        values=_parse_values(args.values),
-        center=args.center,
-        a2_range=a2_range,
-    )
+        given["a2_range"] = (args.a2_min, args.a2_max)
+    spec = EnsembleSpec(kind=args.kind, depth=args.depth, **given)
     obj = generate(spec)
     if isinstance(obj, Weight):
         save_step_function(args.out, obj.values, "weight", spec.to_dict())
@@ -206,13 +199,8 @@ def _config_from_args(args) -> ExperimentConfig:
             raise ConfigError(f"{args.config}: {e}") from e
     else:
         cfg = ExperimentConfig()
-    overrides = {}
-    if getattr(args, "depth", None) is not None:
-        overrides["depth"] = args.depth
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        overrides["trials"] = args.trials
+    overrides = {k: getattr(args, k) for k in ("depth", "seed", "trials")
+                 if getattr(args, k, None) is not None}
     if getattr(args, "suite", None):
         overrides["suites"] = tuple(args.suite)
     if overrides:

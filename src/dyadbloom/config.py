@@ -83,6 +83,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown suite {s!r}; choose from {', '.join(SUITE_NAMES)}"
                 )
+        if not self.suites or len(set(self.suites)) != len(self.suites):
+            raise ConfigError(f"suites must name each suite once, got {list(self.suites)}")
         for role_name, d, kinds in (
             ("mu", self.mu, WEIGHT_KINDS),
             ("lambda", self.lam, WEIGHT_KINDS),

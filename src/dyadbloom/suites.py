@@ -13,7 +13,8 @@ Each suite is a Suite: a per-trial check that reports residuals, samples,
 counts and findings to its own Record, and an ordered gate list that fixes
 the assertions.  A gate is either (name, tolerance[, detail]), asserting the
 worst residual reported under that name, or a callable of the Record for a
-check that is not per trial.
+check that is not per trial.  A check samples every name on every trial, None
+where the value is undefined, so ``n`` counts the trials that define it.
 
 Trials are the outer loop and suites the inner one: each trial is drawn
 once and every selected suite checks it, in suite order, reporting to its
@@ -159,8 +160,8 @@ class SuiteResult:
         return {**asdict(self), "passed": self.passed}
 
 
-def _stats(xs: list[float]) -> dict:
-    arr = np.asarray([x for x in xs if math.isfinite(x)], dtype=np.float64)
+def _stats(xs: list[float | None]) -> dict:
+    arr = np.asarray([x for x in xs if x is not None and math.isfinite(x)], dtype=np.float64)
     if arr.size == 0:
         return {"n": 0}
     return {
@@ -179,21 +180,20 @@ class Record:
     """What one suite's checks report over its trials.
 
     run_suites sets ``trial`` before each trial's check and keeps trial 0
-    as ``first`` for the gates.  ``samples`` and ``counts`` hold the names
-    the suite declares, so a name no trial reaches still appears in
-    ``measured``.  ``failures`` lists (trial, label, detail) for checks that
-    could not run.
+    as ``first`` for the gates.  ``samples`` and ``counts`` gain a name on
+    its first report; a check reports each name on every trial, so a sample
+    no trial defines reads {"n": 0} and a count nothing hits reads 0.
+    ``failures`` lists (trial, label, detail) for checks that could not run.
     """
 
-    def __init__(self, suite: str, cfg: ExperimentConfig,
-                 samples: tuple[str, ...] = (), counts: tuple[str, ...] = ()):
+    def __init__(self, suite: str, cfg: ExperimentConfig):
         self.suite = suite
         self.cfg = cfg
         self.trial = -1
         self.first: TrialData | None = None
         self.worst: dict[str, tuple[float, int]] = {}
-        self.samples: dict[str, list[float]] = {k: [] for k in samples}
-        self.counts: dict[str, int] = dict.fromkeys(counts, 0)
+        self.samples: dict[str, list[float | None]] = {}
+        self.counts: dict[str, int] = {}
         self.findings: list[Finding] = []
         self.failures: list[tuple] = []
 
@@ -205,11 +205,11 @@ class Record:
         if old is None or (not math.isnan(old[0]) and not v <= old[0]):
             self.worst[name] = (v, self.trial)
 
-    def sample(self, name: str, v: float) -> None:
-        self.samples[name].append(v)
+    def sample(self, name: str, v: float | None) -> None:
+        self.samples.setdefault(name, []).append(v)
 
-    def count(self, name: str) -> None:
-        self.counts[name] += 1
+    def count(self, name: str, hit: bool) -> None:
+        self.counts[name] = self.counts.get(name, 0) + int(hit)
 
     def assertion(self, name: str, tol: float, extra: str = "") -> Assertion:
         value, trial = self.worst.get(name, (0.0, -1))
@@ -232,8 +232,6 @@ class Suite:
 
     check: Callable[[Record, TrialData, Solved], None]
     gates: tuple
-    samples: tuple[str, ...] = ()
-    counts: tuple[str, ...] = ()
     solves: tuple[str, ...] = ()
 
 
@@ -358,8 +356,8 @@ def _check_identities(rec: Record, td: TrialData, solved: Solved) -> None:
 
 # --------------------------------------------------------------- equivalences
 
-_CHAIN_RATIOS = ("l2form_over_b2", "b2_over_l2form", "l1_over_bmo", "bmo_over_l1",
-                 "b2_over_bmo", "bmo_over_b2")
+_CHAIN = ("l2form_over_b2", "b2_over_l2form", "l1_over_bmo", "bmo_over_l1",
+          "b2_over_bmo", "bmo_over_b2", "chain_max")
 
 
 def _check_equivalences(rec: Record, td: TrialData, solved: Solved) -> None:
@@ -377,11 +375,10 @@ def _check_equivalences(rec: Record, td: TrialData, solved: Solved) -> None:
     l2f = bloom_b2_l2form(b, mu, lam)
     bmo = bmo_rho(b, td.rho)
     l1 = bmo_rho_l1(b, td.rho)
-    if min(b2, l2f, bmo, l1) > 0.0:
-        r = (l2f / b2, b2 / l2f, l1 / bmo, bmo / l1, b2 / bmo, bmo / b2)
-        for k, v in zip(_CHAIN_RATIOS, r):
-            rec.sample(k, v)
-        rec.sample("chain_max", max(r))
+    defined = min(b2, l2f, bmo, l1) > 0.0
+    r = (l2f / b2, b2 / l2f, l1 / bmo, bmo / l1, b2 / bmo, bmo / b2) if defined else (None,) * 6
+    for k, v in zip(_CHAIN, (*r, max(r) if defined else None)):
+        rec.sample(k, v)
 
 
 def _degenerate_assertions(rec: Record) -> list[Assertion]:
@@ -425,8 +422,8 @@ def _check_paraproduct_bounds(rec: Record, td: TrialData, solved: Solved) -> Non
     ):
         excess = (val - norm) / norm if norm > 0 else 0.0
         rec.sample("lower_bound_excess" + side, excess)
+        rec.count("lower_bound_violations" + side, excess > 1e-6)
         if excess > 1e-6:
-            rec.count("lower_bound_violations" + side)
             seeds = zip(("mu_seed", "lambda_seed", "symbol_seed"), rec.cfg.specs(rec.trial))
             rec.findings.append(Finding(
                 rec.suite, name, rec.trial,
@@ -436,8 +433,7 @@ def _check_paraproduct_bounds(rec: Record, td: TrialData, solved: Solved) -> Non
                  **{key: spec.seed for key, spec in seeds},
                  "functional": val, "norm": norm, "excess": excess},
             ))
-    if b2 > 0:
-        rec.sample("norm_over_bloom_b2", n_pi / b2)
+    rec.sample("norm_over_bloom_b2", n_pi / b2 if b2 > 0 else None)
     rec.sample("norm_paraproduct", n_pi)
     rec.sample("bloom_b2", b2)
     rec.sample("necessity_test_function_bound", necessity_test_function_bound(b, mu, lam))
@@ -475,8 +471,7 @@ def _check_commutator_bounds(rec: Record, td: TrialData, solved: Solved) -> None
     bmo = bmo_rho(b, td.rho)
     rec.sample("norm_commutator", n_comm)
     rec.sample("bmo_rho", bmo)
-    if bmo > 0:
-        rec.sample("norm_over_bmo_rho", n_comm / bmo)
+    rec.sample("norm_over_bmo_rho", n_comm / bmo if bmo > 0 else None)
 
 
 # ------------------------------------------------------------------ carleson
@@ -503,7 +498,7 @@ def _check_carleson(rec: Record, td: TrialData, solved: Solved) -> None:
             "embedding_at_most_4x_carleson",
             (rep.best_embedding - 4.0 * rep.carleson) / rep.carleson,
         )
-        rec.sample("embedding_over_carleson", rep.ratio)
+    rec.sample("embedding_over_carleson", rep.ratio)
 
 
 # --------------------------------------------------------------------- ppott
@@ -551,7 +546,7 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
     if c is not None:
         fam = maximal_stopping_intervals(ROOT, by_lam(c))
         rec.residual("deviation_packing_at_target", packing_ratio(fam, lam) - PACKING_TARGET)
-        rec.sample("deviation_constant", c)
+    rec.sample("deviation_constant", c)
     # corona decay at the corona-wide constant, scanned up from c (without
     # c the search reruns and records its own failure)
     cc = search("corona", lambda: minimal_corona_constant(by_lam, lam, start=c))
@@ -561,14 +556,14 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
             allowed = PACKING_TARGET ** (i + 1) * lam.total_mass
             gen_mass = ordered_sum(gen.member_masses(lam))
             rec.residual("corona_geometric_decay", gen_mass - allowed * (1 + 1e-12))
-        rec.sample("corona_constant", cc)
+    rec.sample("corona_constant", cc)
     # (c) one-sided factor-4 threshold: definitional Lebesgue packing
     fam4 = maximal_stopping_intervals(ROOT, threshold_factory(mu_inv, 4.0))
     leb = ordered_sum(np.ldexp(1.0, -fam4.members.levels))
     rec.residual("factor4_lebesgue_packing_quarter", leb - 0.25 * (1 + 1e-12))
     # unstopped coefficient sum under combined two-weight deviation
     b2 = bloom_b2(b, mu, lam)
-    c_both = None
+    c_both = over_base = None
     if b2 > 0:
         c_both = search("two-weight deviation", lambda: minimal_packing_constant(by_both, mu_inv))
     if c_both is not None:
@@ -585,7 +580,8 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
             "unstopped_coeff_sum_within_C_cubed",
             (coeff_sum - bound * (1 + 1e-9)) / max(1.0, bound),
         )
-        rec.sample("unstopped_coeff_sum_over_base", coeff_sum / base)
+        over_base = coeff_sum / base
+    rec.sample("unstopped_coeff_sum_over_base", over_base)
     # (b) three-condition stopping with C = 2, C_b = 1
     fam3 = maximal_stopping_intervals(ROOT, three_condition_factory(mu, lam, b, 2.0, 1.0))
     lengths = np.ldexp(1.0, -fam3.members.levels)
@@ -597,11 +593,11 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
     rec.residual("three_cond_rho_packing_half", leb2 - 0.5 * (1 + 1e-12))
     rec.sample("three_cond_path_sum_packing", ordered_sum(lengths[~over_mu & ~over_rho]))
     # (d) square-sum stopping: minimal constant in rho-mass
+    csq = None
     if b2 > 0:
         rules = square_sum_factories(b, rho, b2)
         csq = search("square-sum", lambda: minimal_packing_constant(rules, rho))
-        if csq is not None:
-            rec.sample("square_sum_constant", csq)
+    rec.sample("square_sum_constant", csq)
 
 
 def _packing_assertions(rec: Record) -> list[Assertion]:
@@ -626,13 +622,10 @@ def _check_neccon_chain(rec: Record, td: TrialData, solved: Solved) -> None:
     rec.residual("neccon_within_a2_of_oscillation", _rel(nec**2 - a2 * base, a2 * base))
     bmo = bmo_rho(b, td.rho)
     b2 = bloom_b2(b, mu, lam)
-    if bmo > 0:
-        rec.sample("neccon_over_bmo_rho", nec / bmo)
-    if b2 > 0:
-        rec.sample("neccon_over_bloom_b2", nec / b2)
+    rec.sample("neccon_over_bmo_rho", nec / bmo if bmo > 0 else None)
+    rec.sample("neccon_over_bloom_b2", nec / b2 if b2 > 0 else None)
     (n_comm,) = solved["commutator"]
-    if n_comm > 0:
-        rec.sample("neccon_over_commutator_norm", nec / n_comm)
+    rec.sample("neccon_over_commutator_norm", nec / n_comm if n_comm > 0 else None)
 
 
 # name -> (solver, rows of one trial); a solver maps the rows of a whole
@@ -662,7 +655,6 @@ SUITES = {
             ("remainder_energy_identity", 1e-10),
             lambda rec: _worked_example_assertions(),
         ),
-        samples=("sign_flipped_residual",),
     ),
     "equivalences": Suite(
         _check_equivalences,
@@ -671,20 +663,10 @@ SUITES = {
             ("a2_sandwich_lower", 1e-12),
             ("a2_sandwich_upper", 1e-12),
         ),
-        samples=_CHAIN_RATIOS + ("chain_max", "a2_mu", "a2_lambda"),
     ),
     "paraproduct-bounds": Suite(
         _check_paraproduct_bounds,
         (("norm_duality_transpose", 1e-9),),
-        samples=(
-            "norm_over_bloom_b2",
-            "norm_paraproduct",
-            "bloom_b2",
-            "lower_bound_excess",
-            "lower_bound_excess_dual",
-            "necessity_test_function_bound",
-        ),
-        counts=("lower_bound_violations", "lower_bound_violations_dual"),
         solves=("paraproduct", "adjoint"),
     ),
     "commutator-bounds": Suite(
@@ -694,7 +676,6 @@ SUITES = {
             ("commutator_apply_matches_expansion", 1e-11),
             ("adjoint_consistency", 1e-12),
         ),
-        samples=("norm_over_bmo_rho", "norm_commutator", "bmo_rho"),
         solves=("commutator",),
     ),
     "carleson": Suite(
@@ -705,13 +686,11 @@ SUITES = {
             ("embedding_at_least_carleson", 1e-9),
             ("embedding_at_most_4x_carleson", 1e-9),
         ),
-        samples=("embedding_over_carleson",),
         solves=("embedding",),
     ),
     "ppott": Suite(
         _check_ppott,
         (_constant_weight_assertions, ("best_constant_at_least_one", 1e-9)),
-        samples=("best_constant", "best_constant_over_a2"),
         solves=("best_constant",),
     ),
     "stopping": Suite(
@@ -725,24 +704,12 @@ SUITES = {
             ("three_cond_weight_packing_half", 0.0),
             ("three_cond_rho_packing_half", 0.0),
         ),
-        samples=(
-            "deviation_constant",
-            "corona_constant",
-            "square_sum_constant",
-            "unstopped_coeff_sum_over_base",
-            "three_cond_path_sum_packing",
-        ),
     ),
     "neccon-chain": Suite(
         _check_neccon_chain,
         (
             ("neccon_at_least_mu_oscillation", 1e-12),
             ("neccon_within_a2_of_oscillation", 1e-12),
-        ),
-        samples=(
-            "neccon_over_bmo_rho",
-            "neccon_over_bloom_b2",
-            "neccon_over_commutator_norm",
         ),
         solves=("commutator",),
     ),
@@ -768,7 +735,7 @@ def run_suites(cfg: ExperimentConfig) -> list[SuiteResult]:
     """One result per suite of cfg.suites, in order, from one pass over the
     trials."""
     suites = [SUITES[name] for name in cfg.suites]
-    recs = [Record(name, cfg, s.samples, s.counts) for name, s in zip(cfg.suites, suites)]
+    recs = [Record(name, cfg) for name in cfg.suites]
     solves = list(dict.fromkeys(key for s in suites for key in s.solves))
     for trials in _lockstep_chunks(range(cfg.trials), 1 << cfg.depth):
         group = [make_trial(cfg, t) for t in trials]

@@ -13,10 +13,12 @@ import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dyadbloom
 from dyadbloom import cli
 from dyadbloom.cli import SWEEP_COLUMNS, main
 from dyadbloom.config import SUITE_NAMES
@@ -363,10 +365,18 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
+def _child_env(**extra):
+    # a child process imports the package under test: the directory it was
+    # imported from goes first on PYTHONPATH, so a plain checkout works too
+    src = str(Path(dyadbloom.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, **extra, "PYTHONPATH": path}
+
+
 def _run_within_one_gib(commands):
     # every BLAS thread reserves address space, so one thread keeps the
     # limit independent of the core count
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    env = _child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     return subprocess.run(
         [sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)],
         capture_output=True, text=True, timeout=300, env=env,
@@ -517,6 +527,8 @@ _CONFIG_CASES = {
     "trials-string": {"trials": "1"},
     "trials-1.9": {"trials": 1.9},
     "seed-2.7": {"seed": 2.7},
+    "suites-empty": {"suites": []},
+    "suites-repeated": {"suites": ["ppott", "ppott"]},
 }
 _RESULT_CASES = {
     "assertion-without-passed": {
@@ -532,6 +544,7 @@ _RESULT_CASES = {
 @pytest.mark.parametrize("case", [
     "gen-values-inf", "gen-values-nan", "gen-center-nan", "gen-depth-25",
     *(f"role-{k}" for k in _ROLE_CASES), *(f"config-{k}" for k in _CONFIG_CASES),
+    "verify-suite-repeated",
     "sweep-range-nan",
     *(f"report-{k}" for k in _RESULT_CASES),
 ])
@@ -553,6 +566,7 @@ def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, case):
             "gen-values-nan": [*_GEN, "--kind", "two-value", "--values", "1,nan"],
             "gen-center-nan": [*_GEN, "--kind", "power", "--center", "nan"],
             "gen-depth-25": ["gen", "--kind", "cascade", "--depth", "25"],
+            "verify-suite-repeated": ["verify", "--suite", "ppott", "--suite", "ppott"],
             "sweep-range-nan": ["sweep", "--parameter", "depth", "--range", "nan:nan:1"],
         }[case] + ["--out", out]
     assert main(argv) == 2
@@ -590,7 +604,7 @@ def test_norms_loads_no_scipy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_COMMANDS + check,
          json.dumps(_gen_and_norms(tmp_path, 4, out))],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["depth"] == 4
@@ -600,7 +614,7 @@ def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "dyadbloom.cli", "verify", "--depth", "3",
          "--trials", "1", "--suite", "identities"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=_child_env(),
     )
     assert proc.returncode == 0
     assert "verify: PASS" in proc.stdout
@@ -609,7 +623,7 @@ def test_module_entry_point_smoke():
 def test_package_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "dyadbloom", "norms", "--help"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "--symbol" in proc.stdout

@@ -121,14 +121,29 @@ def test_constant_symbol_passes_with_unreached_gates():
         "embedding_at_most_4x_carleson",
         "unstopped_coeff_sum_within_C_cubed",
     }
-    seen = set()
+    # every value with a zero denominator or a skipped search is undefined on
+    # every trial; its name still appears, with no samples
+    undefined = {
+        "l2form_over_b2", "b2_over_l2form", "l1_over_bmo", "bmo_over_l1",
+        "b2_over_bmo", "bmo_over_b2", "chain_max", "norm_over_bloom_b2",
+        "norm_over_bmo_rho", "embedding_over_carleson", "square_sum_constant",
+        "unstopped_coeff_sum_over_base", "neccon_over_bmo_rho",
+        "neccon_over_bloom_b2", "neccon_over_commutator_norm",
+    }
+    seen, empty, measured = set(), set(), {}
     for name, result in zip(SUITE_NAMES, run_suites(cfg)):
         assert result.passed, name
+        assert set(result.measured) == CONTRACT[name][1], name
+        measured.update(result.measured)
+        empty |= {k for k, v in result.measured.items() if v == {"n": 0}}
         for a in result.assertions:
             if a.name in unreached:
                 assert (a.detail, a.worst) == ("no trials", 0.0)
                 seen.add(a.name)
     assert seen == unreached
+    assert empty == undefined
+    for k in ("lower_bound_violations", "lower_bound_violations_dual"):
+        assert type(measured[k]) is int and measured[k] == 0
 
 
 @pytest.mark.parametrize("residuals", [(1e-15, math.nan, 1.0), (math.nan, 1e-15, 1.0)])
