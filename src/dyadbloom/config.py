@@ -1,10 +1,10 @@
 """Experiment configuration and deterministic seed derivation.
 
 A config pins depth, master seed, trial count, suite list, and one ensemble
-recipe per role (mu, lambda, symbol).  Per-trial, per-role streams are derived
-as SeedSequence((master XOR trial, role)), which keeps roles and trials
-independent without the off-by-one collisions of additive schemes;
-specs(trial) gives a trial's three seeded recipes.
+recipe per role (mu, lambda, symbol); specs(trial) gives a trial's three
+seeded recipes.  Streams are SeedSequence((master XOR trial, role)), so the
+roles and trials of one master seed never share a stream, but master seeds
+are not independent runs: trial t of master m is trial t ^ m ^ m' of m'.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Weighted operator norms, best constants, Carleson embedding.
 
-Every operator is used only through its plan in operators.py: a
-LeafOperator whose apply and its transpose under the unweighted pairing
-<u, v> = mean(u v) are O(2^D) array kernels, built once per symbol and
-shared with the verification suites; nothing here builds an n x n array.
-Symbols are leaf arrays and weights carry theirs; every solver checks once
-that they share a depth (grid.same_depth).  The pairing's leaf width 2^{-D}
-cancels between domain and codomain, so
+Every operator is used only through its plan in operators.py, and [b, T]
+through commutator_operator(b, T) on T's plan: a LeafOperator whose apply
+and its transpose under the unweighted pairing <u, v> = mean(u v) are
+O(2^D) array kernels, built once per symbol and shared with the
+verification suites; nothing here builds an n x n array.  Symbols are leaf
+arrays and weights carry theirs; every solver checks once that they share
+a depth (grid.same_depth).  The pairing's leaf width 2^{-D} cancels between
+domain and codomain, so
 
     || T : L^2(mu) -> L^2(lambda) ||^2 = lambda_max(W'W),
     W = diag(sqrt(lambda)) T diag(1/sqrt(mu)),
@@ -33,8 +34,8 @@ it returns alone.  The solvers (weighted_operator_norms,
 ppott_best_constants, carleson_embedding_checks) take one symbol and
 weight (pair) per row, and one problem is a one-row call; the verification
 suites solve a group of trials this way, and compute_norm_report its two
-shift norms.  A report makes three solves (paraproduct, shifts,
-commutator): ||Pi*_b|| = ||Pi_b|| by transposition, so the adjoint's value
+shift norms.  A report makes three solves (paraproduct, shifts, [b, Sh]
+on the shifts' plan): ||Pi*_b|| = ||Pi_b|| by transposition, so the adjoint's value
 and diagnostics are the paraproduct's solve; the paraproduct-bounds suite
 solves both routes and checks that duality.
 
@@ -507,9 +508,10 @@ def compute_norm_report(
     a2_mu = a2_characteristic(mu)
     rep = bmo_report(b, mu, lam)
     (para,) = weighted_operator_norms(paraproduct_operator(b), [mu], [lam])
+    shift = shift_operator(depth)
     sh_mu, sh_lam = (e for ws in _lockstep_chunks([mu, lam], 1 << depth)
-                     for e in weighted_operator_norms(shift_operator(depth), ws, ws))
-    (comm,) = weighted_operator_norms(commutator_operator(b), [mu], [lam])
+                     for e in weighted_operator_norms(shift, ws, ws))
+    (comm,) = weighted_operator_norms(commutator_operator(b, shift), [mu], [lam])
     solves = {
         "norm_paraproduct": para,
         "norm_paraproduct_adjoint": para,

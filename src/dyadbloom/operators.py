@@ -6,6 +6,7 @@ depth-D grid.  With bhat(I) = <b, h_I> and <f>_I the plain average,
     paraproduct:          Pi_b f        = sum_I bhat(I) <f>_I h_I
     adjoint paraproduct:  Pi*_b f       = sum_I bhat(I) fhat(I) 1_I / |I|
     dyadic shift:         Sh h_I        = (h_{I_-} - h_{I_+}) / sqrt(2)
+    commutator:           [b, T] f      = b Tf - T(b f), any plan T
 
 (sums over coefficient levels 0..D-1).  The pair (Pi_b, Pi*_b) is an
 unweighted-adjoint pair, and Sh is an isometry on mean-free functions whose
@@ -13,12 +14,13 @@ spectrum avoids the deepest level; its plan carries the transpose.
 
 Each operator has one API, a LeafOperator of array kernels on leaf arrays,
 built once per symbol (b is analysed when the plan is built, not per apply)
-by paraproduct_operator, paraproduct_adjoint_operator, shift_operator or
-commutator_operator.  The suites and the norm engine share these plans.  A
-plan carries its depth, not a grid.  It may also be built for a sequence of
-symbols of one depth (grid.same_depth): it then applies symbol r to row r
-of a (rows, 2^D) stack, so one plan serves the lockstep solves of a whole
-group of trials.
+by paraproduct_operator, paraproduct_adjoint_operator or shift_operator;
+commutator_operator(b, T) builds [b, T] from any of them, so no operator
+needs a commutator of its own.  The suites and the norm engine share these
+plans.  A plan carries its depth, not a grid.  It may also be built for a
+sequence of symbols of one depth (grid.same_depth): it then applies symbol
+r to row r of a (rows, 2^D) stack, so one plan serves the lockstep solves
+of a whole group of trials.
 
 Admissibility.  Sh maps a level-k coefficient to level k+1, so level-(D-1)
 input coefficients have no representation at depth D.  Functions whose
@@ -89,11 +91,11 @@ class LeafOperator(NamedTuple):
 Symbols = np.ndarray | Sequence[np.ndarray]
 
 
-def _symbol_rows(b: Symbols, values=lambda s: s) -> tuple[int, np.ndarray]:
-    # the common depth and values(s) of each symbol s, stacked by stack_rows
+def _symbol_rows(b: Symbols, values=lambda s: s, depth=None) -> tuple[int, np.ndarray]:
+    # the symbols' common depth (= depth, if given) and their stacked values(s)
     if isinstance(b, np.ndarray):
         b = [b]
-    return same_depth(*b), stack_rows([values(s) for s in b])
+    return same_depth(*b, depth=depth), stack_rows([values(s) for s in b])
 
 
 def paraproduct_operator(b: Symbols) -> LeafOperator:
@@ -144,30 +146,22 @@ def shift_operator(depth: int) -> LeafOperator:
     return LeafOperator(depth, apply, transpose)
 
 
-def _commutator_plan(depth: int, bv: np.ndarray) -> LeafOperator:
-    # [b, Sh] f = b Sh(f) - Sh(b f), transpose Sh^T(b g) - b Sh^T(g); each
-    # pair of shift passes runs as one pass over a (2, 2^D) stack.
-    _, sh, sh_t = shift_operator(depth)
+def commutator_operator(b: Symbols, T: LeafOperator) -> LeafOperator:
+    """[b, T] f = b Tf - T(b f), transpose T^T(b g) - b T^T g, for any plan T
+    of b's depth; each pair of T passes runs as one stack through T's leading
+    axes.  Each symbol is centred first, [b, T] = [b - <b>, T], so a constant
+    symbol whose computed mean is itself (2.5, say) gives exactly zero."""
+    depth, bv = _symbol_rows(b, lambda s: s - s.mean(), T.depth)
 
     def apply(f: np.ndarray) -> np.ndarray:
-        sh_f, sh_bf = sh(np.stack((f, bv * f)))
-        return bv * sh_f - sh_bf
+        t_f, t_bf = T.apply(np.stack((f, bv * f)))
+        return bv * t_f - t_bf
 
     def transpose(g: np.ndarray) -> np.ndarray:
-        sh_t_bg, sh_t_g = sh_t(np.stack((bv * g, g)))
-        return sh_t_bg - bv * sh_t_g
+        t_t_bg, t_t_g = T.transpose(np.stack((bv * g, g)))
+        return t_t_bg - bv * t_t_g
 
     return LeafOperator(depth, apply, transpose)
-
-
-def commutator_operator(b: Symbols) -> LeafOperator:
-    """[b, Sh] with transpose Sh^T b - b Sh^T, deepest shift input level
-    dropped.
-
-    Each symbol is centred first: [b, Sh] = [b - <b>, Sh], and the centred
-    form makes a constant symbol give exactly zero.
-    """
-    return _commutator_plan(*_symbol_rows(b, lambda s: s - s.mean()))
 
 
 def _top_level_max(coeffs: list[np.ndarray]) -> float:
@@ -315,7 +309,7 @@ def expansion_terms(b: np.ndarray, f: np.ndarray) -> ExpansionTerms:
     pi_b = paraproduct_operator(b)
     shf = shift(f)
     return ExpansionTerms(
-        commutator=_commutator_plan(depth, b).apply(f),
+        commutator=b * shf - shift(b * f),
         pi_b_shf=pi_b.apply(shf),
         sh_pi_b_f=shift(pi_b.apply(f)),
         pi_b_star_shf=pi_b.transpose(shf),

@@ -65,6 +65,7 @@ from .grid import (
     ROOT,
     accumulate_levels,
     analyze_leaves,
+    depth_of,
     haar_function,
     square_layers,
     synthesize_leaves,
@@ -444,7 +445,8 @@ def _check_paraproduct_bounds(rec: Record, td: TrialData, solved: Solved) -> Non
 
 def _check_commutator_bounds(rec: Record, td: TrialData, solved: Solved) -> None:
     b = td.b
-    M = commutator_operator(b)
+    shift = shift_operator(rec.cfg.depth)
+    M = commutator_operator(b, shift)
     # the norm engine's apply vs the six-term paraproduct route
     via_engine = M.apply(td.f)
     via_expansion = expansion_terms(b, td.f).signed_sum()
@@ -457,13 +459,12 @@ def _check_commutator_bounds(rec: Record, td: TrialData, solved: Solved) -> None
     c = np.full(b.size, 2.5)
     rec.residual(
         "constant_symbol_commutes",
-        float(np.abs(commutator_operator(c).apply(td.f)).max()),
+        float(np.abs(commutator_operator(c, shift).apply(td.f)).max()),
     )
     # <T f, g> = <f, T' g> for every transpose the engine uses; the raw
     # functions keep level-(D-1) content, which the shift truncates
     f, g = td.f_raw, td.g_raw
-    for T in (paraproduct_operator(b), paraproduct_adjoint_operator(b),
-              shift_operator(rec.cfg.depth), M):
+    for T in (paraproduct_operator(b), paraproduct_adjoint_operator(b), shift, M):
         ip1 = float((T.apply(f) * g).mean())
         ip2 = float((f * T.transpose(g)).mean())
         rec.residual("adjoint_consistency", _rel(abs(ip1 - ip2), ip1, ip2))
@@ -635,7 +636,8 @@ SOLVES: dict[str, tuple[Callable[[list], list], Callable[[TrialData], list]]] = 
     "paraproduct": (_norms(paraproduct_operator), lambda td: [(td.b, td.mu, td.lam)]),
     "adjoint": (_norms(paraproduct_adjoint_operator),
                 lambda td: [(td.b, td.lam.inverse, td.mu.inverse)]),
-    "commutator": (_norms(commutator_operator), lambda td: [(td.b, td.mu, td.lam)]),
+    "commutator": (_norms(lambda bs: commutator_operator(bs, shift_operator(depth_of(bs[0])))),
+                   lambda td: [(td.b, td.mu, td.lam)]),
     "embedding": (carleson_embedding_checks,
                   lambda td: [paraproduct_carleson_sequence(td.b, td.mu, td.lam)]),
     "best_constant": (_ppott_constants, lambda td: [td.mu, td.lam]),

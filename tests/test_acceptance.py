@@ -71,6 +71,7 @@ def _ensemble_stats(name: str) -> tuple[float, float, int]:
         cfg = _config(name, depth=8, trials=200)
         spread = band = 0.0
         used = 0
+        shift = shift_operator(cfg.depth)
         for t in range(cfg.trials):
             td = make_trial(cfg, t)
             rho = rho_weight(td.mu, td.lam)
@@ -85,7 +86,7 @@ def _ensemble_stats(name: str) -> tuple[float, float, int]:
                 continue  # constant projected symbol: spread undefined
             used += 1
             spread = max(spread, max(funcs) / min(funcs))
-            r = weighted_operator_norms(commutator_operator(td.b), [td.mu], [td.lam])[0].value
+            r = weighted_operator_norms(commutator_operator(td.b, shift), [td.mu], [td.lam])[0].value
             ratio = r / funcs[2]
             band = max(band, ratio, 1.0 / ratio)
         _ENSEMBLE_STATS[name] = (spread, band, used)

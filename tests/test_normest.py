@@ -76,7 +76,7 @@ def test_closed_form_matrices_match_column_oracle():
         (oracles.paraproduct_matrix(b, d), paraproduct_operator(b)),
         (oracles.paraproduct_adjoint_matrix(b, d), paraproduct_adjoint_operator(b)),
         (oracles.shift_matrix(d), shift_operator(d)),
-        (oracles.commutator_matrix(b, d), commutator_operator(b)),
+        (oracles.commutator_matrix(b, d), commutator_operator(b, shift_operator(d))),
     ]
     for closed, T in pairs:
         applied = oracles.operator_matrix(T.apply, d)
@@ -117,7 +117,7 @@ def test_matrix_reproduces_function_on_random_vectors():
     for _ in range(10):
         f = r.standard_normal(32)
         via_matrix = M @ f
-        via_ops = commutator_operator(b).apply(f)
+        via_ops = commutator_operator(b, shift_operator(5)).apply(f)
         scale = max(1.0, float(np.abs(via_ops).max()))
         assert np.abs(via_matrix - via_ops).max() <= 1e-11 * scale
 
@@ -154,7 +154,7 @@ def _engine_values(depth, seed):
         "paraproduct_adjoint": _norm(paraproduct_adjoint_operator(b), lam.inverse, mu.inverse),
         "shift_mu": _norm(shift_operator(depth), mu, mu),
         "shift_lambda": _norm(shift_operator(depth), lam, lam),
-        "commutator": _norm(commutator_operator(b), mu, lam),
+        "commutator": _norm(commutator_operator(b, shift_operator(depth)), mu, lam),
         "ppott": ppott_best_constants([mu])[0].value,
         "carleson_embedding": carleson_embedding_checks([seq])[0].best_embedding,
     }
@@ -221,7 +221,7 @@ def test_engine_is_bitwise_repeatable():
             _norm(paraproduct_operator(b), mu, lam),
             _norm(paraproduct_adjoint_operator(b), lam.inverse, mu.inverse),
             _norm(shift_operator(8), mu, mu),
-            _norm(commutator_operator(b), mu, lam),
+            _norm(commutator_operator(b, shift_operator(8)), mu, lam),
             ppott_best_constants([lam])[0].value,
             carleson_embedding_checks([seq])[0].best_embedding,
         )
@@ -234,7 +234,7 @@ def test_zero_operators_return_exact_zero():
     mu, lam, _ = _materials(6, 71)
     c = np.full(64, 2.5)
     assert _norm(paraproduct_operator(c), mu, lam) == 0.0
-    assert _norm(commutator_operator(c), mu, lam) == 0.0
+    assert _norm(commutator_operator(c, shift_operator(6)), mu, lam) == 0.0
     w1 = Weight([0.5, 3.0])
     assert _norm(shift_operator(1), w1, w1) == 0.0
 
@@ -336,7 +336,9 @@ def test_lockstep_rows_equal_rows_alone_on_real_plans():
     rows = _depth8_rows(4, 40)
     bs, mus, lams = zip(*rows)
     zero = np.zeros(256)
-    for plan in (paraproduct_operator, paraproduct_adjoint_operator, commutator_operator):
+    shift = shift_operator(8)
+    for plan in (paraproduct_operator, paraproduct_adjoint_operator,
+                 lambda b: commutator_operator(b, shift)):
         stacked = normest.weighted_operator_norms(plan([*bs, zero]), [*mus, mus[0]],
                                                   [*lams, lams[0]])
         alone = [normest.weighted_operator_norms(plan(b), [mu], [lam])[0]
@@ -560,7 +562,7 @@ def test_power_iteration_agrees_with_dense():
     W = np.sqrt(lam.values)[:, None] * M / np.sqrt(mu.values)[None, :]
     powr = oracles.power_iteration_norm(W, tol=1e-9).norm
     assert powr == pytest.approx(oracles.weighted_norm_oracle(M, mu.values, lam.values), rel=1e-7)
-    engine = _norm(commutator_operator(b), mu, lam)
+    engine = _norm(commutator_operator(b, shift_operator(5)), mu, lam)
     assert powr == pytest.approx(engine, rel=1e-7)
 
 

@@ -160,14 +160,14 @@ def test_commutator_definition():
         b, f = _pair(5, 600 + seed)
         shift = shift_operator(5).apply
         direct = b * shift(f) - shift(b * f)
-        got = commutator_operator(b).apply(f)
+        got = commutator_operator(b, shift_operator(5)).apply(f)
         np.testing.assert_allclose(got, direct, rtol=0, atol=1e-12)
 
 
 def test_commutator_worked_example():
     h = haar_function(2, ROOT)
     want = [1.0, -1.0, 1.0, -1.0]
-    np.testing.assert_array_equal(commutator_operator(h).apply(h), want)
+    np.testing.assert_array_equal(commutator_operator(h, shift_operator(2)).apply(h), want)
     np.testing.assert_array_equal(expansion_terms(h, h).commutator, want)
 
 
@@ -181,7 +181,65 @@ def test_constant_symbol_commutes():
     c = np.full(16, 2.5)
     assert np.abs(expansion_terms(c, f).commutator).max() <= 1e-14
     # the plan centres its symbol, so every constant gives exactly 0.0
-    assert np.all(commutator_operator(c).apply(f) == 0.0)
+    assert np.all(commutator_operator(c, shift_operator(4)).apply(f) == 0.0)
+
+
+def _base_plans(depth, seed):
+    # the plans a commutator is built from: Sh, Pi_c and Pi*_c
+    c = np.random.default_rng(seed).standard_normal(1 << depth)
+    return shift_operator(depth), paraproduct_operator(c), paraproduct_adjoint_operator(c)
+
+
+def _row_matrices(kernel, depth, rows):
+    # (rows, 2^D, 2^D): column j of each row's matrix is that row's image of
+    # the j-th leaf indicator, fed to the kernel as one (rows, 2^D) stack
+    return np.stack([kernel(np.tile(e, (rows, 1))) for e in np.eye(1 << depth)], axis=-1)
+
+
+def _assert_rel(got, want, rtol=1e-12):
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_commutator_of_any_plan_matches_matrix_oracle(depth):
+    # [b, T] = diag(b - <b>) M - M diag(b - <b>), M the matrix of T.apply,
+    # for one symbol and for a stacked list; the transpose is its transpose
+    r = np.random.default_rng(800 + depth)
+    bs = [r.standard_normal(1 << depth) * 10.0 ** r.uniform(-2, 2) for _ in range(3)]
+    for T in _base_plans(depth, 810 + depth):
+        M = oracles.operator_matrix(T.apply, depth)
+        want = np.stack([(b - b.mean())[:, None] * M - M * (b - b.mean())[None, :]
+                         for b in bs])
+        for b, C in zip(bs, want):
+            plan = commutator_operator(b, T)
+            _assert_rel(oracles.operator_matrix(plan.apply, depth), C)
+            _assert_rel(oracles.operator_matrix(plan.transpose, depth), C.T)
+        stacked = commutator_operator(bs, T)
+        _assert_rel(_row_matrices(stacked.apply, depth, len(bs)), want)
+        _assert_rel(_row_matrices(stacked.transpose, depth, len(bs)), want.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_constant_symbol_commutes_with_every_plan(depth):
+    # 2.5 and -0.75 are their own computed means, so the centred symbols
+    # are exactly zero and so is every commutator, stacked or alone
+    f = np.random.default_rng(820 + depth).standard_normal((2, 1 << depth))
+    consts = [np.full(1 << depth, 2.5), np.full(1 << depth, -0.75)]
+    for T in _base_plans(depth, 830 + depth):
+        for plan in (commutator_operator(consts[0], T), commutator_operator(consts, T)):
+            for kernel in (plan.apply, plan.transpose):
+                assert np.all(kernel(f) == 0.0)
+
+
+def test_commutator_rejects_a_plan_of_another_depth():
+    b = np.random.default_rng(840).standard_normal(16)
+    for T in (*_base_plans(3, 841), *_base_plans(5, 842)):
+        with pytest.raises(GridMismatchError):
+            commutator_operator(b, T)
+        with pytest.raises(GridMismatchError):
+            commutator_operator([b, b], T)
+    with pytest.raises(GridMismatchError):
+        commutator_operator([b, b[:8]], shift_operator(4))
 
 
 def test_six_term_expansion_reproduces_commutator():
@@ -194,7 +252,7 @@ def test_six_term_expansion_reproduces_commutator():
 
 
 def test_expansion_analyses_b_once_for_its_four_b_terms(monkeypatch):
-    # 2 admissibility checks, Sh f, the commutator's stacked shift pass, one
+    # 2 admissibility checks, Sh f, the commutator's Sh(b f), one
     # Pi_b plan shared by the four b-terms, its 2 transposes, 2 outer
     # shifts, the Pi_{Sh f} and Pi_f plans and Sh(Pi_f b): 12.  One plan per
     # b-term (four, not one) made it 15.

@@ -27,7 +27,14 @@ from dyadbloom.operators import (
     shift_operator,
 )
 
-PLANS = (paraproduct_operator, paraproduct_adjoint_operator, commutator_operator)
+
+def _plans(depth, c):
+    """Plan builders over a symbol list: both paraproducts, and the
+    commutators with the shift and with the paraproduct of one symbol c."""
+    shift, pi_c = shift_operator(depth), paraproduct_operator(c)
+    return (paraproduct_operator, paraproduct_adjoint_operator,
+            lambda bs: commutator_operator(bs, shift),
+            lambda bs: commutator_operator(bs, pi_c))
 
 
 def _form(solve, *args):
@@ -64,7 +71,7 @@ def test_stacked_kernels_and_forms_equal_rows_alone(depth, rows, decades, seed):
     bs = [rng.standard_normal(n) * leaves() for _ in range(rows)]
     x = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-decades, decades, (rows, n))
 
-    for plan in PLANS:
+    for plan in _plans(depth, rng.standard_normal(n) * leaves()):
         stacked, alone = plan(bs), [plan(b) for b in bs]
         for kernel in ("apply", "transpose"):
             out = getattr(stacked, kernel)(x)
