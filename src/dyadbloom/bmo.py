@@ -105,14 +105,14 @@ def _carleson_sup(per_level: Sequence[np.ndarray], w: Weight) -> _SupResult:
     return _sup_over_levels([sums[k] / w.level_masses[k] for k in range(len(sums))])
 
 
-def _bloom_b2_scan(b: np.ndarray, mu: Weight, lam: Weight) -> _SupResult:
-    mu_inv = mu.inverse
-    return _sqrt_sup(_carleson_sup(_carleson_terms(b, mu_inv, lam), mu_inv))
+def _bloom_b2_scan(b: np.ndarray, squared: Weight, linear: Weight) -> _SupResult:
+    # the root of the Carleson constant of _carleson_terms over squared
+    return _sqrt_sup(_carleson_sup(_carleson_terms(b, squared, linear), squared))
 
 
 def bloom_b2(b: np.ndarray, mu: Weight, lam: Weight) -> float:
     """Coefficient-form Bloom functional (see module docstring)."""
-    return _bloom_b2_scan(b, mu, lam).value
+    return _bloom_b2_scan(b, mu.inverse, lam).value
 
 
 def bloom_b2_dual(b: np.ndarray, mu: Weight, lam: Weight) -> float:
@@ -121,7 +121,7 @@ def bloom_b2_dual(b: np.ndarray, mu: Weight, lam: Weight) -> float:
     Expanded, its square is sup_K (1/lambda(K)) sum_{I subset= K}
     bhat(I)^2 <lambda>_I^2 <mu^{-1}>_I.
     """
-    return _bloom_b2_scan(b, lam.inverse, mu.inverse).value
+    return _bloom_b2_scan(b, lam, mu.inverse).value
 
 
 def _bloom_l2form_scan(b: np.ndarray, mu: Weight, lam: Weight) -> _SupResult:
@@ -263,8 +263,8 @@ def bmo_report(b: np.ndarray, mu: Weight, lam: Weight) -> BmoReport:
     """Evaluate every functional of b for the pair (mu, lambda)."""
     rho = rho_weight(mu, lam)
     scans = {
-        "bloom_b2": _bloom_b2_scan(b, mu, lam),
-        "bloom_b2_dual": _bloom_b2_scan(b, lam.inverse, mu.inverse),
+        "bloom_b2": _bloom_b2_scan(b, mu.inverse, lam),
+        "bloom_b2_dual": _bloom_b2_scan(b, lam, mu.inverse),
         "bloom_b2_l2form": _bloom_l2form_scan(b, mu, lam),
         "bmo_rho": _bmo_rho_scan(b, rho),
         "bmo_rho_l1": _bmo_rho_l1_scan(b, rho),

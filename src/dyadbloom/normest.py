@@ -217,9 +217,8 @@ def _top_eigenvalues(
                 proj[r, : j + 1, j] = h
                 beta = betas[r] = math.sqrt(w @ w)
                 if j + 1 == n or beta <= (j + 1) * _EPS * image_norm:
-                    block = proj[r, : j + 1, : j + 1]
-                    s_m = np.linalg.eigh(block, UPLO="U")[1][-1, -1]
-                    stop(r, np.linalg.eigvalsh(block, UPLO="U")[-1], abs(beta * s_m))
+                    theta, s = np.linalg.eigh(proj[r, : j + 1, : j + 1], UPLO="U")
+                    stop(r, theta[-1], abs(beta * s[-1, -1]))
                 else:
                     basis[r, j + 1] = w / beta
             if not live:

@@ -154,10 +154,12 @@ def commutator_operator(b: Symbols, T: LeafOperator) -> LeafOperator:
     depth, bv = _symbol_rows(b, lambda s: s - s.mean(), T.depth)
 
     def apply(f: np.ndarray) -> np.ndarray:
+        same_depth(f, depth=depth)
         t_f, t_bf = T.apply(np.stack((f, bv * f)))
         return bv * t_f - t_bf
 
     def transpose(g: np.ndarray) -> np.ndarray:
+        same_depth(g, depth=depth)
         t_t_bg, t_t_g = T.transpose(np.stack((bv * g, g)))
         return t_t_bg - bv * t_t_g
 

@@ -37,6 +37,7 @@ from dyadbloom import (
     shift_operator,
 )
 from dyadbloom import DyadBloomError, normest
+from dyadbloom.config import ExperimentConfig
 from dyadbloom.normest import (
     adjoint_paraproduct_carleson_sequence,
     carleson_embedding_checks,
@@ -54,6 +55,7 @@ from dyadbloom.stopping import (
     three_condition_factory,
     threshold_factory,
 )
+from dyadbloom.suites import make_trial, run_suites
 
 
 def _norm(T, mu, lam):
@@ -360,9 +362,6 @@ def test_paraproduct_suite_makes_one_normal_apply_per_lockstep_step(monkeypatch)
     # 5 trials at D=8 form one group: the paraproduct norms of all five are
     # one solve, whose stacked normal runs once per step, as many steps as
     # the slowest row needs, not the sum of the rows' counts
-    from dyadbloom.config import ExperimentConfig
-    from dyadbloom.suites import run_suites
-
     engine = normest._top_eigenvalues
     solves = []
 
@@ -392,9 +391,6 @@ def test_width_cap_bounds_rows_times_leaves(depth, shift_rows, ppott_rows, monke
     # row each) make two two-row solves; at D=13 every solve has one row,
     # as before lockstep solves existed (the last 1 is the constant-weight
     # assertion's own solve)
-    from dyadbloom.config import ExperimentConfig
-    from dyadbloom.suites import run_suites
-
     engine = normest._top_eigenvalues
     seen = []
 
@@ -734,6 +730,19 @@ def test_paraproduct_sequence_carleson_equals_bloom_squared(depth, kind):
             pytest.approx(want, rel=1e-12)
         )
         assert bloom(b, mu, lam) ** 2 == pytest.approx(want, rel=1e-12)
+
+
+def test_both_bloom_functionals_are_their_sequences_carleson_roots_bitwise():
+    # bloom_b2 and bloom_b2_dual read the same weights, in the same roles, as
+    # their Carleson sequences (the dual reads lambda itself, not 1/(1/lambda))
+    cfg = ExperimentConfig(depth=6, trials=37, seed=7)
+    for t in range(cfg.trials):
+        td = make_trial(cfg, t)
+        for seq, bloom in (
+            (paraproduct_carleson_sequence(td.b, td.mu, td.lam), bloom_b2),
+            (adjoint_paraproduct_carleson_sequence(td.b, td.mu, td.lam), bloom_b2_dual),
+        ):
+            assert bloom(td.b, td.mu, td.lam) == math.sqrt(carleson_constant(seq))
 
 
 def test_embedding_constant_sits_in_the_classical_window():

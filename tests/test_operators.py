@@ -39,7 +39,9 @@ def test_plan_kernels_reject_another_depth():
     # the passes read the depth off their input, so each kernel checks it
     # against its plan's: shallower and deeper inputs both raise
     b, _ = _pair(4, 5, admissible=False)
-    for plan in (paraproduct_operator(b), paraproduct_adjoint_operator(b), shift_operator(4)):
+    for plan in (paraproduct_operator(b), paraproduct_adjoint_operator(b), shift_operator(4),
+                 commutator_operator(b, shift_operator(4)),
+                 commutator_operator(b, paraproduct_operator(b))):
         for kernel in (plan.apply, plan.transpose):
             for n in (8, 64):
                 with pytest.raises(GridMismatchError):
