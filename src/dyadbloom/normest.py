@@ -34,10 +34,10 @@ it returns alone.  The solvers (weighted_operator_norms,
 ppott_best_constants, carleson_embedding_checks) take one symbol and
 weight (pair) per row, and one problem is a one-row call; the verification
 suites solve a group of trials this way, and compute_norm_report its two
-shift norms.  A report makes three solves (paraproduct, shifts, [b, Sh]
-on the shifts' plan): ||Pi*_b|| = ||Pi_b|| by transposition, so the adjoint's value
-and diagnostics are the paraproduct's solve; the paraproduct-bounds suite
-solves both routes and checks that duality.
+shift norms.  A report makes three solves (paraproduct, shifts, and
+[b, Sh] on the shifts' plan): ||Pi*_b|| = ||Pi_b|| by transposition, so
+the adjoint's value and diagnostics are the paraproduct's solve; the
+paraproduct-bounds suite solves both routes and checks that duality.
 
 The Carleson block ties the coefficient functionals to embedding constants.
 The sequences, carleson_constant and the necessity sums are bmo.py's

@@ -86,7 +86,8 @@ def _ensemble_stats(name: str) -> tuple[float, float, int]:
                 continue  # constant projected symbol: spread undefined
             used += 1
             spread = max(spread, max(funcs) / min(funcs))
-            r = weighted_operator_norms(commutator_operator(td.b, shift), [td.mu], [td.lam])[0].value
+            comm = commutator_operator(td.b, shift)
+            r = weighted_operator_norms(comm, [td.mu], [td.lam])[0].value
             ratio = r / funcs[2]
             band = max(band, ratio, 1.0 / ratio)
         _ENSEMBLE_STATS[name] = (spread, band, used)
