@@ -26,9 +26,9 @@ sup of its subtree sums over w's level masses (bloom_b2, bloom_b2_dual, the
 Carleson sequences and constant, the necessity sums).
 _oscillation_masses(b, w) integrates (b - <b>_I)^2 w over every interval of
 levels 0..D-1 (bmo_rho with w = 1, neccon_functional and the neccon-chain
-suite's mu-normalised oscillation with w = lambda).
-_sqrt_sup roots a sup of squares.  b is a leaf array, and each scan checks once that b and
-its weights share a depth (grid.same_depth): GridMismatchError if not.
+suite's mu-normalised oscillation with w = lambda).  _sqrt_sup roots a sup
+of squares.  b is a leaf array, and each scan checks once that b and its
+weights share a depth (grid.same_depth): GridMismatchError if not.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def _carleson_terms(b: np.ndarray, squared: Weight, linear: Weight) -> list[np.n
 def _carleson_sup(per_level: Sequence[np.ndarray], w: Weight) -> _SupResult:
     # sup_J (1/w(J)) sum_{I subset= J} a_I over coefficient levels 0..D-1
     sums = _subtree_sums(per_level)
-    return _sup_over_levels([sums[k] / w.level_masses[k] for k in range(len(sums))])
+    return _sup_over_levels([sums[k] / np.ldexp(w.averages[k], -k) for k in range(len(sums))])
 
 
 def _bloom_b2_scan(b: np.ndarray, squared: Weight, linear: Weight) -> _SupResult:
@@ -145,7 +145,7 @@ def _bloom_l2form_scan(b: np.ndarray, mu: Weight, lam: Weight) -> _SupResult:
             s = scaled[m].reshape(1 << k, -1)
             v = np.stack((v - s, v + s), axis=-1).reshape(1 << k, -1)
         energy = (v**2 * lam_vals.reshape(1 << k, -1)).sum(axis=1) * leaf_w
-        per_level.append(energy / mu_inv.level_masses[k])
+        per_level.append(energy / np.ldexp(mu_inv.averages[k], -k))
     return _sqrt_sup(_sup_over_levels(per_level))
 
 
@@ -185,7 +185,8 @@ def _oscillation_masses(b: np.ndarray, w: Weight | None = None) -> list[np.ndarr
 def _bmo_rho_scan(b: np.ndarray, rho: Weight) -> _SupResult:
     same_depth(b, rho.values)
     osc = _oscillation_masses(b)
-    return _sqrt_sup(_sup_over_levels([osc[k] / rho.level_masses[k] for k in range(len(osc))]))
+    return _sqrt_sup(_sup_over_levels([osc[k] / np.ldexp(rho.averages[k], -k)
+                                       for k in range(len(osc))]))
 
 
 def bmo_rho(b: np.ndarray, rho: Weight) -> float:
@@ -208,7 +209,7 @@ def _bmo_rho_l1_scan(b: np.ndarray, rho: Weight) -> _SupResult:
     for k in range(depth - 1, -1, -1):
         suffix = np.repeat(layers[k], n >> k) + suffix
         integrals = np.sqrt(suffix).reshape(1 << k, -1).sum(axis=1) * 2.0**-depth
-        per_level[k] = integrals / rho.level_masses[k]
+        per_level[k] = integrals / np.ldexp(rho.averages[k], -k)
     value, where = _sup_over_levels(per_level)
     return _SupResult(max(value, 0.0), where)
 
@@ -226,7 +227,7 @@ def _neccon_scan(b: np.ndarray, mu: Weight, lam: Weight) -> _SupResult:
     same_depth(b, mu.values, lam.values)
     osc = _oscillation_masses(b, lam)
     return _sqrt_sup(_sup_over_levels(
-        [mu_inv.level_masses[k] * (4.0**k) * osc[k] for k in range(len(osc))]
+        [np.ldexp(mu_inv.averages[k], -k) * (4.0**k) * osc[k] for k in range(len(osc))]
     ))
 
 

@@ -395,7 +395,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, EnsembleTargetError) as e:
+    except (ConfigError, EnsembleTargetError, OSError) as e:  # OSError: an unwritable output
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError:

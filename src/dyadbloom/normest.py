@@ -334,7 +334,7 @@ def carleson_embedding_checks(seqs: Sequence[CarlesonSequence]) -> list[Carleson
     """
     depth = same_depth(*(seq.weight.values for seq in seqs))
     root_w = np.sqrt(stack_rows([seq.weight.values for seq in seqs]))
-    level_weights = [stack_rows([seq.level_values[k] / seq.weight.level_masses[k] ** 2
+    level_weights = [stack_rows([seq.level_values[k] / np.ldexp(seq.weight.averages[k], -k) ** 2
                                for seq in seqs]) for k in range(depth)]
 
     def form(y: np.ndarray) -> np.ndarray:
@@ -426,7 +426,7 @@ def necessity_restriction_ratios(
         p[1::2] += step
         paths.append(p)
         outside.append(
-            np.repeat(outside[-1], 2) + siblings(p) ** 2 * siblings(lam.level_masses[k])
+            np.repeat(outside[-1], 2) + siblings(p) ** 2 * siblings(np.ldexp(lam.averages[k], -k))
         )
     lam_vals = lam.values
     local = np.zeros(n)
@@ -436,7 +436,7 @@ def necessity_restriction_ratios(
         blocks = local.reshape(1 << k, 2, n >> (k + 1))
         blocks[:, 0, :] -= scaled[:, None]
         blocks[:, 1, :] += scaled[:, None]
-        mass = mu_inv.level_masses[k]
+        mass = np.ldexp(mu_inv.averages[k], -k)
         image = local + np.repeat(mass * paths[k], n >> k)
         on_k = (image**2 * lam_vals).reshape(1 << k, -1).sum(axis=1) / n
         num = sums[k] / mass

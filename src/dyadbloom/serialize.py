@@ -41,6 +41,9 @@ def to_jsonable(obj):
         v = float(obj)
         return v if math.isfinite(v) else None
     if isinstance(obj, np.ndarray):
+        # one tolist() unless a non-finite float (-> null) or an object needs each entry
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()
         return [to_jsonable(x) for x in obj.tolist()]
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}

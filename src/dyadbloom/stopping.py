@@ -118,7 +118,7 @@ class StoppingFamily:
         """Per root, the w-masses of its members added left to right from 0:
         a weighted np.bincount adds each bin's values in input order."""
         same_depth(w.values, depth=self.depth)
-        masses = self.members.gather(w.level_masses)
+        masses = np.ldexp(self.members.gather(w.averages), -self.members.levels)
         return np.bincount(self.owners, masses, self.roots.levels.size)
 
 
@@ -164,7 +164,8 @@ def maximal_stopping_intervals(
 
 def packing_ratio(family: StoppingFamily, w: Weight) -> float:
     """Largest over the roots of member w-mass / root w-mass."""
-    return float((family.member_masses(w) / family.roots.gather(w.level_masses)).max())
+    masses = np.ldexp(family.roots.gather(w.averages), -family.roots.levels)
+    return float((family.member_masses(w) / masses).max())
 
 
 def deviation_factory(weights: Weight | Sequence[Weight], C: float) -> StoppingRule:

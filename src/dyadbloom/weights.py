@@ -1,9 +1,11 @@
-"""Weights on the dyadic grid: interval masses, A2 characteristic, ensembles.
+"""Weights on the dyadic grid: interval averages, A2 characteristic, ensembles.
 
-A weight is a strictly positive step function.  Masses of every dyadic
-interval are tabulated once by a bottom-up pyramid, so parent mass equals the
-sum of its children exactly and w([0,1)) matches the integral of the step
-function bit for bit.
+A weight is a strictly positive step function that stores one pyramid: the
+average of every dyadic interval by level, its leaf values the deepest.
+They come from grid.level_masses' bottom-up pass, so a parent's mass is the
+sum of its children's exactly.  A level-k mass is its average scaled by
+2^-k, np.ldexp(w.averages[k], -k): a power-of-two scaling is exact, so it
+is bitwise grid.level_masses(w.values)[k].
 """
 
 from __future__ import annotations
@@ -38,14 +40,14 @@ __all__ = [
 
 
 class Weight:
-    """A strictly positive step function with cached interval masses.
+    """A strictly positive step function with its interval averages.
 
     values are its checked leaf values (grid.leaf_values) and depth their
-    depth.  level_masses[k][j] is the integral of the weight over the level-k
-    interval at position j, for 0 <= k <= D.
+    depth.  averages[k][j] is <w>_I at the level-k interval at position j,
+    for 0 <= k <= D, read-only; averages[D] is values itself.
     """
 
-    __slots__ = ("values", "depth", "level_masses", "__dict__")
+    __slots__ = ("values", "depth", "averages", "__dict__")
 
     def __init__(self, values):
         values = leaf_values(values)
@@ -56,21 +58,13 @@ class Weight:
                 raise ValueError("weight leaves must have finite reciprocals (not subnormal)")
         self.values = values
         self.depth = depth_of(values)
-        self.level_masses = tuple(level_masses(values))
-        for m in self.level_masses:
-            m.setflags(write=False)
+        self.averages = (*(m * 2.0**k for k, m in enumerate(level_masses(values)[:-1])), values)
+        for a in self.averages:
+            a.setflags(write=False)
 
     @property
     def total_mass(self) -> float:
-        return float(self.level_masses[0][0])
-
-    @cached_property
-    def averages(self) -> tuple[np.ndarray, ...]:
-        """averages[k][j] = <w>_I at the level-k interval j, computed once, read-only."""
-        out = tuple(m * (2.0**k) for k, m in enumerate(self.level_masses))
-        for a in out:
-            a.setflags(write=False)
-        return out
+        return float(self.averages[0][0])
 
     @cached_property
     def inverse(self) -> "Weight":

@@ -24,7 +24,13 @@ from dyadbloom.cli import SWEEP_COLUMNS, main
 from dyadbloom.config import SUITE_NAMES
 from dyadbloom.errors import ConfigError
 from dyadbloom.grid import leaf_values
-from dyadbloom.serialize import load_step_function, load_weight, save_step_function, write_json
+from dyadbloom.serialize import (
+    dumps_canonical,
+    load_step_function,
+    load_weight,
+    save_step_function,
+    write_json,
+)
 
 
 def _gen(tmp_path, name, **over):
@@ -42,6 +48,12 @@ def _save(tmp_path, name, values, role="weight"):
     path = tmp_path / name
     save_step_function(path, leaf_values(values), role)
     return path
+
+
+def test_canonical_json_of_arrays():
+    # a finite or integer array is written whole; a non-finite entry is null
+    doc = {"f": np.array([[0.1, -2.0]]), "i": np.arange(2), "x": np.array([1.0, np.inf, np.nan])}
+    assert dumps_canonical(doc) == '{"f":[[0.1,-2.0]],"i":[0,1],"x":[1.0,null,null]}\n'
 
 
 def test_gen_writes_schema(tmp_path, capsys):
@@ -412,17 +424,15 @@ def test_norms_at_depth_14_within_one_gib(tmp_path):
         assert math.isfinite(doc[key]) and doc[key] > 0.0, key
 
 
-def test_verify_necessity_stopping_and_equivalences_at_depth_14(tmp_path):
-    # the necessity bound, the stopping scans and the localized Bloom
-    # functional work level by level, so these suites run at the deepest
-    # configurable depth in seconds
+def test_verify_every_suite_at_depth_14(tmp_path):
+    # every suite works level by level or matrix-free, so all eight run at
+    # the deepest configurable depth in seconds, under 1 GiB
     out = tmp_path / "results"
     proc = _run_within_one_gib([
-        ["verify", "--depth", "14", "--trials", "1", "--suite", "paraproduct-bounds",
-         "--suite", "stopping", "--suite", "equivalences", "--out", str(out)],
+        ["verify", "--depth", "14", "--trials", "1", "--out", str(out)],
     ])
     assert proc.returncode == 0, proc.stderr
-    for suite in ("paraproduct-bounds", "stopping", "equivalences"):
+    for suite in SUITE_NAMES:
         doc = json.loads((out / f"suite-{suite}.json").read_text())
         assert doc["config"]["depth"] == 14
         assert doc["passed"], suite
@@ -545,12 +555,21 @@ _RESULT_CASES = {
 }
 
 
+# output paths that cannot be written: under a missing directory, naming a
+# directory, or (verify --out) naming a file
+_UNWRITABLE_CASES = (
+    "gen-missing-dir", "gen-directory", "norms-missing-dir", "verify-file",
+    "sweep-missing-dir", "report-csv-missing-dir",
+)
+
+
 @pytest.mark.parametrize("case", [
     "gen-values-inf", "gen-values-nan", "gen-center-nan", "gen-depth-25",
     *(f"role-{k}" for k in _ROLE_CASES), *(f"config-{k}" for k in _CONFIG_CASES),
     "verify-suite-repeated",
     "sweep-range-nan",
     *(f"report-{k}" for k in _RESULT_CASES),
+    *(f"unwritable-{k}" for k in _UNWRITABLE_CASES),
 ])
 def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, case):
     out = str(tmp_path / "out")
@@ -564,6 +583,23 @@ def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, case):
         result = tmp_path / "suite.json"
         write_json(result, _RESULT_CASES[case[7:]])
         argv = ["report", "--results", str(result)]
+    elif case.startswith("unwritable-"):
+        missing = str(tmp_path / "missing" / "out")
+        one = str(_save(tmp_path, "one.json", [1.0] * 4))
+        sym = str(_save(tmp_path, "b.json", [0.0, 0.0, 1.0, -1.0], role="symbol"))
+        result = tmp_path / "suite.json"
+        write_json(result, {"suite": "identities", "passed": True})
+        argv = {
+            "gen-missing-dir": [*_GEN, "--kind", "cascade", "--out", missing],
+            "gen-directory": [*_GEN, "--kind", "cascade", "--out", str(tmp_path)],
+            "norms-missing-dir": ["norms", "--mu", one, "--lambda", one, "--symbol", sym,
+                                  "--out", missing],
+            "verify-file": ["verify", "--depth", "2", "--trials", "1", "--suite", "identities",
+                            "--out", one],
+            "sweep-missing-dir": ["sweep", "--parameter", "alpha", "--range", "0:0:1",
+                                  "--depth", "4", "--out", missing],
+            "report-csv-missing-dir": ["report", "--results", str(result), "--csv", missing],
+        }[case[len("unwritable-"):]]
     else:
         argv = {
             "gen-values-inf": [*_GEN, "--kind", "two-value", "--values", "1,inf"],

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from dyadbloom.errors import GridMismatchError, PackingSearchError
-from dyadbloom.grid import ROOT, DyadicInterval, depth_of, haar_function
+from dyadbloom.grid import ROOT, DyadicInterval, depth_of, haar_function, level_masses
 from dyadbloom.bmo import bloom_b2
 from dyadbloom.config import ExperimentConfig
 from dyadbloom.stopping import (
@@ -455,8 +455,9 @@ def test_corona_scan_matches_oracle_root_by_root(depth, data):
             for iv in oracles.unstopped_oracle(depth, r, ms)
         )
         assert got_free == want_free
-        sums = [sum(float(lam.level_masses[k][j]) for k, j in ms) for ms in per_root]
-        ratios = [s / float(lam.level_masses[k][j]) for s, (k, j) in zip(sums, roots)]
+        masses = level_masses(lam.values)
+        sums = [sum(float(masses[k][j]) for k, j in ms) for ms in per_root]
+        ratios = [s / float(masses[k][j]) for s, (k, j) in zip(sums, roots)]
         assert gen.member_masses(lam).tolist() == sums
         assert packing_ratio(gen, lam) == max(ratios)
         assert ordered_sum(gen.member_masses(lam)) == sum(sums)

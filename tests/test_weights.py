@@ -18,7 +18,7 @@ from dyadbloom import (
     generate,
     rho_weight,
 )
-from dyadbloom.grid import analyze_leaves
+from dyadbloom.grid import analyze_leaves, level_masses
 from dyadbloom.weights import KIND_FIELDS, SYMBOL_KINDS, WEIGHT_KINDS
 
 
@@ -37,12 +37,44 @@ def test_weight_requires_positive_values():
 def test_interval_mass_and_average_match_slices(random_positive):
     w = random_positive(4, seed=7)
     for k, j in oracles.all_intervals(4):
-        assert w.level_masses[k][j] == pytest.approx(
+        assert level_masses(w.values)[k][j] == pytest.approx(
             oracles.mass_on(w.values, 4, k, j), rel=1e-14
         )
         assert w.averages[k][j] == pytest.approx(
             oracles.interval_average(w.values, DyadicInterval(k, j)), rel=1e-14
         )
+
+
+def _pyramid_weights():
+    # random positive leaves at every depth 1..14, and leaves spanning
+    # 1e-300..1e300, where a mass of 2^-k times a tiny average stays normal
+    rng = np.random.default_rng(22)
+    for depth in range(1, 15):
+        yield Weight(rng.uniform(0.1, 10.0, 1 << depth))
+        yield Weight(10.0 ** rng.uniform(-300.0, 300.0, 1 << depth))
+
+
+def test_weight_stores_one_read_only_pyramid():
+    for w in _pyramid_weights():
+        d = w.depth
+        assert len(w.averages) == d + 1 and w.averages[d] is w.values
+        assert all(not a.flags.writeable for a in w.averages)
+        # every array it holds is in the pyramid: 2^D leaves, 2^D - 1 averages
+        held = [getattr(w, n) for n in Weight.__slots__ if n != "__dict__"]
+        held += vars(w).values()
+        arrays = {id(a): a for v in held for a in (v if isinstance(v, tuple) else (v,))
+                  if isinstance(a, np.ndarray)}
+        assert sum(a.size for a in arrays.values()) == (2 << d) - 1
+
+
+def test_scaled_averages_are_bitwise_the_level_masses():
+    # a power-of-two scaling is exact, so masses read as ldexp(average, -k)
+    # are the masses of grid.level_masses bit for bit
+    for w in _pyramid_weights():
+        for k, m in enumerate(level_masses(w.values)):
+            scaled = np.ldexp(w.averages[k], -k)
+            assert scaled.tobytes() == m.tobytes()
+        assert w.total_mass == float(level_masses(w.values)[0][0])
 
 
 def test_a2_of_two_leaf_weight_is_four_thirds(weight_13):
@@ -153,7 +185,7 @@ def test_cascade_total_mass_is_exactly_one():
 
 def test_cascade_parent_masses_preserved_by_each_split():
     w = generate(EnsembleSpec(kind="cascade", depth=5, seed=11))
-    masses = w.level_masses
+    masses = level_masses(w.values)
     for k in range(5):
         np.testing.assert_allclose(
             masses[k], masses[k + 1].reshape(-1, 2).sum(axis=1), rtol=1e-15
@@ -167,7 +199,7 @@ def test_log_symbol_is_log_of_cascade():
 
 
 def test_sparse_symbol_has_scaled_coefficients_and_zero_mean():
-    from dyadbloom.grid import analyze_leaves
+    from dyadbloom.grid import analyze_leaves, level_masses
 
     spec = EnsembleSpec(kind="haar-sparse-symbol", depth=6, seed=3, sparsity=0.05)
     sym = generate(spec)
