@@ -20,15 +20,17 @@ quantity controlled by the square-function constants of lambda, recorded by
 the suites rather than assumed.
 
 Two kinds of supremum carry the functionals here and normest's Carleson
-block, each written once.  _carleson_terms(b, squared, linear) builds
+block, each written once.  _carleson_terms(coeffs, squared, linear) builds
 a_I = bhat(I)^2 <squared>_I^2 <linear>_I and _carleson_sup(a, w) takes the
 sup of its subtree sums over w's level masses (bloom_b2, bloom_b2_dual, the
 Carleson sequences and constant, the necessity sums).
 _oscillation_masses(b, w) integrates (b - <b>_I)^2 w over every interval of
 levels 0..D-1 (bmo_rho with w = 1, neccon_functional and the neccon-chain
 suite's mu-normalised oscillation with w = lambda).  _sqrt_sup roots a sup
-of squares.  b is a leaf array, and each scan checks once that b and its
-weights share a depth (grid.same_depth): GridMismatchError if not.
+of squares.  b is a leaf array; the scans of bhat take its Haar
+coefficients, which bmo_report computes once for all six functionals.
+Each scan checks once that its inputs share a depth (grid.same_depth):
+GridMismatchError if not.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import DyadicInterval, analyze_leaves, depth_of, level_masses, same_depth, square_layers
+from .grid import DyadicInterval, analyze_leaves, depth_of, level_masses, same_depth
 from .weights import Weight, rho_weight
 
 __all__ = [
@@ -92,10 +94,9 @@ def _subtree_sums(per_level: list[np.ndarray]) -> list[np.ndarray]:
     return sums
 
 
-def _carleson_terms(b: np.ndarray, squared: Weight, linear: Weight) -> list[np.ndarray]:
+def _carleson_terms(coeffs: list[np.ndarray], squared: Weight, linear: Weight) -> list[np.ndarray]:
     # a_I = bhat(I)^2 <squared>_I^2 <linear>_I on coefficient levels 0..D-1
-    same_depth(b, squared.values, linear.values)
-    _, coeffs = analyze_leaves(b)
+    same_depth(squared.values, linear.values, depth=len(coeffs))
     return [c**2 * s**2 * t for c, s, t in zip(coeffs, squared.averages, linear.averages)]
 
 
@@ -105,14 +106,14 @@ def _carleson_sup(per_level: Sequence[np.ndarray], w: Weight) -> _SupResult:
     return _sup_over_levels([sums[k] / np.ldexp(w.averages[k], -k) for k in range(len(sums))])
 
 
-def _bloom_b2_scan(b: np.ndarray, squared: Weight, linear: Weight) -> _SupResult:
+def _bloom_b2_scan(coeffs: list[np.ndarray], squared: Weight, linear: Weight) -> _SupResult:
     # the root of the Carleson constant of _carleson_terms over squared
-    return _sqrt_sup(_carleson_sup(_carleson_terms(b, squared, linear), squared))
+    return _sqrt_sup(_carleson_sup(_carleson_terms(coeffs, squared, linear), squared))
 
 
 def bloom_b2(b: np.ndarray, mu: Weight, lam: Weight) -> float:
     """Coefficient-form Bloom functional (see module docstring)."""
-    return _bloom_b2_scan(b, mu.inverse, lam).value
+    return _bloom_b2_scan(analyze_leaves(b)[1], mu.inverse, lam).value
 
 
 def bloom_b2_dual(b: np.ndarray, mu: Weight, lam: Weight) -> float:
@@ -121,30 +122,30 @@ def bloom_b2_dual(b: np.ndarray, mu: Weight, lam: Weight) -> float:
     Expanded, its square is sup_K (1/lambda(K)) sum_{I subset= K}
     bhat(I)^2 <lambda>_I^2 <mu^{-1}>_I.
     """
-    return _bloom_b2_scan(b, lam, mu.inverse).value
+    return _bloom_b2_scan(analyze_leaves(b)[1], lam, mu.inverse).value
 
 
-def _bloom_l2form_scan(b: np.ndarray, mu: Weight, lam: Weight) -> _SupResult:
+def _bloom_l2form_scan(coeffs: list[np.ndarray], mu: Weight, lam: Weight) -> _SupResult:
     # For each top level k, the localized syntheses of all level-k intervals
-    # K at once: row K of v starts at 0 and level m >= k splits every entry
-    # into (v - s, v + s) with s = bhat(I) <mu^{-1}>_I 2^{m/2}, so each leaf
-    # sees the additions of a per-K synthesis in the same order.
-    depth = same_depth(b, mu.values, lam.values)
+    # K at once, end to end in v: each starts at 0, and level m >= k splits
+    # every entry into (v - s, v + s), s = bhat(I) <mu^{-1}>_I 2^{m/2}, so
+    # each leaf sees the additions of a per-K synthesis in the same order.
+    depth = same_depth(mu.values, lam.values, depth=len(coeffs))
     mu_inv = mu.inverse
-    _, coeffs = analyze_leaves(b)
     scaled = [
         (coeffs[m] * mu_inv.averages[m]) * math.sqrt(2**m)
         for m in range(depth)
     ]
-    lam_vals = lam.values
     leaf_w = 2.0**-depth
     per_level = []
     for k in range(depth):
-        v = np.zeros((1 << k, 1))
+        v = np.zeros(1 << k)
         for m in range(k, depth):
-            s = scaled[m].reshape(1 << k, -1)
-            v = np.stack((v - s, v + s), axis=-1).reshape(1 << k, -1)
-        energy = (v**2 * lam_vals.reshape(1 << k, -1)).sum(axis=1) * leaf_w
+            split = np.empty(2 << m)
+            np.subtract(v, scaled[m], out=split[0::2])
+            np.add(v, scaled[m], out=split[1::2])
+            v = split
+        energy = (v**2 * lam.values).reshape(1 << k, -1).sum(axis=1) * leaf_w
         per_level.append(energy / np.ldexp(mu_inv.averages[k], -k))
     return _sqrt_sup(_sup_over_levels(per_level))
 
@@ -162,7 +163,7 @@ def bloom_b2_l2form(b: np.ndarray, mu: Weight, lam: Weight) -> float:
     energies are its row sums against lambda.  Each top level costs O(2^D),
     so the whole supremum costs O(2^D D).
     """
-    return _bloom_l2form_scan(b, mu, lam).value
+    return _bloom_l2form_scan(analyze_leaves(b)[1], mu, lam).value
 
 
 def _oscillation_masses(b: np.ndarray, w: Weight | None = None) -> list[np.ndarray]:
@@ -197,17 +198,16 @@ def bmo_rho(b: np.ndarray, rho: Weight) -> float:
     return _bmo_rho_scan(b, rho).value
 
 
-def _bmo_rho_l1_scan(b: np.ndarray, rho: Weight) -> _SupResult:
-    depth = same_depth(b, rho.values)
+def _bmo_rho_l1_scan(coeffs: list[np.ndarray], rho: Weight) -> _SupResult:
+    depth = same_depth(rho.values, depth=len(coeffs))
     n = 1 << depth
-    layers = square_layers(b)
     # Bottom-up, suffix becomes the square function restricted to intervals
     # at levels >= k (those contained in a level-k interval): the running sum
     # of the leaf-resolved layers bhat(I)^2/|I| 1_I of levels D-1 down to k.
     suffix = np.zeros(n)
     per_level = [None] * depth  # type: ignore[list-item]
     for k in range(depth - 1, -1, -1):
-        suffix = np.repeat(layers[k], n >> k) + suffix
+        suffix = np.repeat(coeffs[k]**2 * 2.0**k, n >> k) + suffix
         integrals = np.sqrt(suffix).reshape(1 << k, -1).sum(axis=1) * 2.0**-depth
         per_level[k] = integrals / np.ldexp(rho.averages[k], -k)
     value, where = _sup_over_levels(per_level)
@@ -219,7 +219,7 @@ def bmo_rho_l1(b: np.ndarray, rho: Weight) -> float:
 
         sup_{I0} (1/rho(I0)) int_{I0} ( sum_{I subset= I0} bhat(I)^2 |I|^{-1} 1_I )^{1/2} dx.
     """
-    return _bmo_rho_l1_scan(b, rho).value
+    return _bmo_rho_l1_scan(analyze_leaves(b)[1], rho).value
 
 
 def _neccon_scan(b: np.ndarray, mu: Weight, lam: Weight) -> _SupResult:
@@ -261,14 +261,15 @@ class BmoReport:
 
 
 def bmo_report(b: np.ndarray, mu: Weight, lam: Weight) -> BmoReport:
-    """Evaluate every functional of b for the pair (mu, lambda)."""
+    """Evaluate every functional of b for the pair (mu, lambda), analysing b once."""
     rho = rho_weight(mu, lam)
+    _, coeffs = analyze_leaves(b)
     scans = {
-        "bloom_b2": _bloom_b2_scan(b, mu.inverse, lam),
-        "bloom_b2_dual": _bloom_b2_scan(b, lam, mu.inverse),
-        "bloom_b2_l2form": _bloom_l2form_scan(b, mu, lam),
+        "bloom_b2": _bloom_b2_scan(coeffs, mu.inverse, lam),
+        "bloom_b2_dual": _bloom_b2_scan(coeffs, lam, mu.inverse),
+        "bloom_b2_l2form": _bloom_l2form_scan(coeffs, mu, lam),
         "bmo_rho": _bmo_rho_scan(b, rho),
-        "bmo_rho_l1": _bmo_rho_l1_scan(b, rho),
+        "bmo_rho_l1": _bmo_rho_l1_scan(coeffs, rho),
         "neccon": _neccon_scan(b, mu, lam),
     }
     return BmoReport(**{name: r.value for name, r in scans.items()},

@@ -114,14 +114,14 @@ def _parse_values(text: str) -> tuple[float, ...]:
 def _cmd_gen(args) -> int:
     if (args.a2_min is None) != (args.a2_max is None):
         raise ConfigError("--a2-min and --a2-max must be given together")
-    # EnsembleSpec holds every recipe default; only the given flags override it
+    # only the given flags override EnsembleSpec's defaults; from_dict refuses unread ones
     given = {k: getattr(args, k) for k in ("seed", "alpha", "delta", "sparsity", "center")
              if getattr(args, k) is not None}
     if args.values is not None:
         given["values"] = _parse_values(args.values)
     if args.a2_min is not None:
-        given["a2_range"] = (args.a2_min, args.a2_max)
-    spec = EnsembleSpec(kind=args.kind, depth=args.depth, **given)
+        given["a2_range"] = [args.a2_min, args.a2_max]
+    spec = EnsembleSpec.from_dict({"kind": args.kind, "depth": args.depth, **given})
     obj = generate(spec)
     if isinstance(obj, Weight):
         save_step_function(args.out, obj.values, "weight", spec.to_dict())
@@ -143,12 +143,8 @@ def _print_norm_report(rep: NormReport) -> None:
     print(f"[mu]_A2               {rep.a2_mu!r}")
     print(f"[lambda]_A2           {rep.a2_lambda!r}")
     print(f"[rho]_A2              {rep.a2_rho!r}")
-    print(f"bloom_b2              {rep.bmo.bloom_b2!r}")
-    print(f"bloom_b2_dual         {rep.bmo.bloom_b2_dual!r}")
-    print(f"bloom_b2_l2form       {rep.bmo.bloom_b2_l2form!r}")
-    print(f"bmo_rho               {rep.bmo.bmo_rho!r}")
-    print(f"bmo_rho_l1            {rep.bmo.bmo_rho_l1!r}")
-    print(f"neccon                {rep.bmo.neccon!r}")
+    for name in rep.bmo.argmax:  # one key per functional, in field order
+        print(f"{name:<22}{getattr(rep.bmo, name)!r}")
     print(f"norm_paraproduct      {rep.norm_paraproduct!r}")
     print(f"norm_paraproduct_adj  {rep.norm_paraproduct_adjoint!r}")
     print(f"norm_shift_mu         {rep.norm_shift_mu!r}")
@@ -183,9 +179,10 @@ def _cmd_norms(args) -> int:
     bad = sorted(k for k, v in values.items() if isinstance(v, float) and not math.isfinite(v))
     if bad:
         raise ConfigError(f"inputs out of double-precision range: {', '.join(bad)} not finite")
+    if args.out:  # written before anything prints: an unwritable file leaves only its error
+        write_json(args.out, rep.to_dict())
     _print_norm_report(rep)
     if args.out:
-        write_json(args.out, rep.to_dict())
         print(f"wrote {args.out}")
     return 0
 
@@ -212,11 +209,13 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def _cmd_verify(args) -> int:
     cfg = _config_from_args(args)
-    out_dir = Path(args.out) if args.out else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    all_passed = True
-    for result in run_suites(cfg):
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    results = run_suites(cfg)
+    # every suite file is written before anything prints: an unwritable one leaves only its error
+    for result in results if args.out else ():
+        write_json(Path(args.out) / f"suite-{result.suite}.json", result.to_dict())
+    for result in results:
         name = result.suite
         for a in result.assertions:
             status = "PASS" if a.passed else "FAIL"
@@ -236,9 +235,7 @@ def _cmd_verify(args) -> int:
         extra = f", {len(result.findings)} findings" if result.findings else ""
         print(f"[{name}] suite {'PASS' if result.passed else 'FAIL'} "
               f"({n_pass}/{len(result.assertions)} assertions{extra})")
-        all_passed = all_passed and result.passed
-        if out_dir is not None:
-            write_json(out_dir / f"suite-{name}.json", result.to_dict())
+    all_passed = all(result.passed for result in results)
     print(f"verify: {'PASS' if all_passed else 'FAIL'} ({len(cfg.suites)} suites)")
     return 0 if all_passed else 1
 
@@ -334,8 +331,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    # every file is read before anything prints, so a malformed one leaves
-    # only its error line
+    # every file is read, and the CSV written, before anything prints, so a
+    # malformed input or an unwritable output leaves only its error line
     lines: list[str] = []
     csv_rows = []
     any_fail = False
@@ -373,13 +370,13 @@ def _cmd_report(args) -> int:
                     lines.append(f"  measured {metric:<36} {stats}")
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise ConfigError(f"{path}: malformed suite result file ({e!r})") from e
-    print("\n".join(lines))
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["file", "suite", "metric", "n", "min", "max", "mean"])
             writer.writerows(csv_rows)
-        print(f"wrote {args.csv}")
+        lines.append(f"wrote {args.csv}")
+    print("\n".join(lines))
     return 1 if any_fail else 0
 
 

@@ -359,7 +359,7 @@ def paraproduct_carleson_sequence(
     of bmo.py.
     """
     mu_inv = mu.inverse
-    return CarlesonSequence(_carleson_terms(b, mu_inv, lam), mu_inv)
+    return CarlesonSequence(_carleson_terms(analyze_leaves(b)[1], mu_inv, lam), mu_inv)
 
 
 def adjoint_paraproduct_carleson_sequence(
@@ -369,7 +369,7 @@ def adjoint_paraproduct_carleson_sequence(
 
     Carleson constant equals bloom_b2_dual(b, mu, lambda)^2.
     """
-    return CarlesonSequence(_carleson_terms(b, lam, mu.inverse), lam)
+    return CarlesonSequence(_carleson_terms(analyze_leaves(b)[1], lam, mu.inverse), lam)
 
 
 def necessity_restriction_ratios(
@@ -413,7 +413,7 @@ def necessity_restriction_ratios(
     n = 1 << depth
     mu_inv = mu.inverse
     _, cb = analyze_leaves(b)
-    sums = _subtree_sums(_carleson_terms(b, mu_inv, lam))
+    sums = _subtree_sums(_carleson_terms(cb, mu_inv, lam))
 
     def siblings(a: np.ndarray) -> np.ndarray:
         return a.reshape(-1, 2)[:, ::-1].ravel()

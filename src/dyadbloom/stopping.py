@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import GridMismatchError, PackingSearchError
 from .grid import ROOT, DyadicInterval, same_depth, square_layers
-from .weights import Weight, rho_weight
+from .weights import Weight
 
 __all__ = [
     "Intervals",
@@ -226,7 +226,7 @@ def _path_sums(q: list[np.ndarray], roots: Intervals) -> dict[int, np.ndarray]:
 
 
 def three_condition_factory(
-    mu: Weight, lam: Weight, b: np.ndarray, C: float, C_b: float
+    mu: Weight, rho: Weight, b: np.ndarray, C: float, C_b: float
 ) -> StoppingRule:
     """Stop at the maximal S inside I0 where any of the following holds:
 
@@ -235,12 +235,14 @@ def three_condition_factory(
       (3) sum over I with S subset= I subset= I0 of bhat(I)^2/|I|
             >  (C_b * <rho>_I0)^2
 
-    rho = (mu/lambda)^{1/2}.  Conditions (1) and (2) give definitional
-    Lebesgue packing sum |S| <= 2|I0|/C; (3) is controlled only by
-    John-Nirenberg-type behavior and its packing is recorded, not derived.
+    rho = (mu/lambda)^{1/2} is passed in, as square_sum_factories takes it,
+    and mu, rho and b share a depth (GridMismatchError).  Conditions (1)
+    and (2) give definitional Lebesgue packing sum |S| <= 2|I0|/C; (3) is
+    controlled only by John-Nirenberg-type behavior and its packing is
+    recorded, not derived.
     """
+    same_depth(mu.values, rho.values)
     mu_inv = mu.inverse
-    rho = rho_weight(mu, lam)
     q = _scaled_squares(b, rho)
 
     def anchor(roots: Intervals) -> Predicate:

@@ -36,8 +36,9 @@ Per-trial materials: mu and lambda from the config's weight recipes, the
 symbol b projected onto admissible levels (<= D-2) so commutator identities
 and functionals see the same symbol, and Gaussian test functions f, g from
 the trial's function stream (f, g admissible; raw variants keep all levels
-for identities that need no admissibility).  The Bloom weight rho is built
-when a check first reads it.
+for identities that need no admissibility).  The Bloom weight rho, the
+functionals of b (bmo, one bmo_report) and the six-term expansion of (b, f)
+(expansion) are built once, when a check first reads them.
 """
 
 from __future__ import annotations
@@ -49,16 +50,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .bmo import (
-    _oscillation_masses,
-    bloom_b2,
-    bloom_b2_dual,
-    bloom_b2_l2form,
-    bmo_report,
-    bmo_rho,
-    bmo_rho_l1,
-    neccon_functional,
-)
+from .bmo import BmoReport, _oscillation_masses, bmo_report
 from .config import ROLE_FUNC, ExperimentConfig, derive_seed
 from .errors import PackingSearchError
 from .grid import (
@@ -81,6 +73,7 @@ from .normest import (
     weighted_operator_norms,
 )
 from .operators import (
+    ExpansionTerms,
     commutator_operator,
     expansion_terms,
     paraproduct_adjoint_operator,
@@ -252,6 +245,14 @@ class TrialData:
     def rho(self) -> Weight:
         return rho_weight(self.mu, self.lam)
 
+    @cached_property
+    def bmo(self) -> BmoReport:
+        return bmo_report(self.b, self.mu, self.lam)
+
+    @cached_property
+    def expansion(self) -> ExpansionTerms:
+        return expansion_terms(self.b, self.f)
+
 
 def make_trial(cfg: ExperimentConfig, t: int) -> TrialData:
     mu, lam, sym = (generate(spec) for spec in cfg.specs(t))
@@ -334,7 +335,7 @@ def _check_identities(rec: Record, td: TrialData, solved: Solved) -> None:
     norm1 = math.sqrt(float((shift_operator(depth).apply(g0) ** 2).mean()))
     rec.residual("shift_isometry_admissible", _rel(abs(norm1 - norm0), norm0))
     # six-term expansion, remainder closed form, remainder energy
-    terms = expansion_terms(td.b, td.f)
+    terms = td.expansion
     scale = float(np.abs(terms.commutator).max())
     rec.residual("six_term_expansion", _rel(terms.residual(), scale))
     rec.sample("sign_flipped_residual", _rel(terms.sign_flipped_residual(), scale))
@@ -362,7 +363,7 @@ _CHAIN = ("l2form_over_b2", "b2_over_l2form", "l1_over_bmo", "bmo_over_l1",
 
 
 def _check_equivalences(rec: Record, td: TrialData, solved: Solved) -> None:
-    mu, lam, b = td.mu, td.lam, td.b
+    mu, lam = td.mu, td.lam
     # A2 sandwich 1 <= <mu>_I <mu^{-1}>_I <= [mu]_{A2}, every interval
     for w, name in ((mu, "a2_mu"), (lam, "a2_lambda")):
         a2 = a2_characteristic(w)
@@ -372,10 +373,8 @@ def _check_equivalences(rec: Record, td: TrialData, solved: Solved) -> None:
             prod = w.averages[k] * inv.averages[k]
             rec.residual("a2_sandwich_lower", float((1.0 - prod).max()))
             rec.residual("a2_sandwich_upper", float((prod - a2).max()))
-    b2 = bloom_b2(b, mu, lam)
-    l2f = bloom_b2_l2form(b, mu, lam)
-    bmo = bmo_rho(b, td.rho)
-    l1 = bmo_rho_l1(b, td.rho)
+    rep = td.bmo
+    b2, l2f, bmo, l1 = rep.bloom_b2, rep.bloom_b2_l2form, rep.bmo_rho, rep.bmo_rho_l1
     defined = min(b2, l2f, bmo, l1) > 0.0
     r = (l2f / b2, b2 / l2f, l1 / bmo, bmo / l1, b2 / bmo, bmo / b2) if defined else (None,) * 6
     for k, v in zip(_CHAIN, (*r, max(r) if defined else None)):
@@ -410,8 +409,7 @@ def _norms(plan: Callable) -> Callable[[list], list[float]]:
 def _check_paraproduct_bounds(rec: Record, td: TrialData, solved: Solved) -> None:
     mu, lam, b = td.mu, td.lam, td.b
     (n_pi,), (n_adj,) = solved["paraproduct"], solved["adjoint"]
-    b2 = bloom_b2(b, mu, lam)
-    b2d = bloom_b2_dual(b, mu, lam)
+    b2, b2d = td.bmo.bloom_b2, td.bmo.bloom_b2_dual
     rec.residual("norm_duality_transpose", _rel(abs(n_pi - n_adj), n_pi, n_adj))
     # The constant-1 lower bounds are audited, not assumed: the argument
     # behind them discards a constant-on-K term that need not help, so a
@@ -449,7 +447,7 @@ def _check_commutator_bounds(rec: Record, td: TrialData, solved: Solved) -> None
     M = commutator_operator(b, shift)
     # the norm engine's apply vs the six-term paraproduct route
     via_engine = M.apply(td.f)
-    via_expansion = expansion_terms(b, td.f).signed_sum()
+    via_expansion = td.expansion.signed_sum()
     rec.residual(
         "commutator_apply_matches_expansion",
         _rel(float(np.abs(via_engine - via_expansion).max()),
@@ -469,7 +467,7 @@ def _check_commutator_bounds(rec: Record, td: TrialData, solved: Solved) -> None
         ip2 = float((f * T.transpose(g)).mean())
         rec.residual("adjoint_consistency", _rel(abs(ip1 - ip2), ip1, ip2))
     (n_comm,) = solved["commutator"]
-    bmo = bmo_rho(b, td.rho)
+    bmo = td.bmo.bmo_rho
     rec.sample("norm_commutator", n_comm)
     rec.sample("bmo_rho", bmo)
     rec.sample("norm_over_bmo_rho", n_comm / bmo if bmo > 0 else None)
@@ -482,11 +480,10 @@ def _check_carleson(rec: Record, td: TrialData, solved: Solved) -> None:
     mu, lam, b = td.mu, td.lam, td.b
     (rep,) = solved["embedding"]
     car = rep.carleson
-    b2 = bloom_b2(b, mu, lam)
+    b2, b2d = td.bmo.bloom_b2, td.bmo.bloom_b2_dual
     rec.residual("carleson_equals_bloom_b2_sq", _rel(abs(car - b2**2), b2**2))
     seq_d = adjoint_paraproduct_carleson_sequence(b, mu, lam)
     car_d = carleson_constant(seq_d)
-    b2d = bloom_b2_dual(b, mu, lam)
     rec.residual(
         "carleson_dual_equals_bloom_b2_dual_sq", _rel(abs(car_d - b2d**2), b2d**2)
     )
@@ -563,7 +560,7 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
     leb = ordered_sum(np.ldexp(1.0, -fam4.members.levels))
     rec.residual("factor4_lebesgue_packing_quarter", leb - 0.25 * (1 + 1e-12))
     # unstopped coefficient sum under combined two-weight deviation
-    b2 = bloom_b2(b, mu, lam)
+    b2 = td.bmo.bloom_b2
     c_both = over_base = None
     if b2 > 0:
         c_both = search("two-weight deviation", lambda: minimal_packing_constant(by_both, mu_inv))
@@ -584,7 +581,7 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
         over_base = coeff_sum / base
     rec.sample("unstopped_coeff_sum_over_base", over_base)
     # (b) three-condition stopping with C = 2, C_b = 1
-    fam3 = maximal_stopping_intervals(ROOT, three_condition_factory(mu, lam, b, 2.0, 1.0))
+    fam3 = maximal_stopping_intervals(ROOT, three_condition_factory(mu, rho, b, 2.0, 1.0))
     lengths = np.ldexp(1.0, -fam3.members.levels)
     over_mu = fam3.members.gather(mu_inv.averages) > 2.0 * mu_inv.total_mass
     over_rho = fam3.members.gather(rho.averages) > 2.0 * rho.total_mass
@@ -613,7 +610,7 @@ def _packing_assertions(rec: Record) -> list[Assertion]:
 
 def _check_neccon_chain(rec: Record, td: TrialData, solved: Solved) -> None:
     mu, lam, b = td.mu, td.lam, td.b
-    nec = neccon_functional(b, mu, lam)
+    nec, bmo, b2 = td.bmo.neccon, td.bmo.bmo_rho, td.bmo.bloom_b2
     # sup_I (1/mu(I)) int_I (b - <b>_I)^2 lambda dx
     osc = _oscillation_masses(b, lam)
     base = max(float((osc[k] / np.ldexp(mu.averages[k], -k)).max()) for k in range(len(osc)))
@@ -621,8 +618,6 @@ def _check_neccon_chain(rec: Record, td: TrialData, solved: Solved) -> None:
     # sandwich chain: base <= neccon^2 <= [mu]_{A2} * base, definitional
     rec.residual("neccon_at_least_mu_oscillation", _rel(base - nec**2, base))
     rec.residual("neccon_within_a2_of_oscillation", _rel(nec**2 - a2 * base, a2 * base))
-    bmo = bmo_rho(b, td.rho)
-    b2 = bloom_b2(b, mu, lam)
     rec.sample("neccon_over_bmo_rho", nec / bmo if bmo > 0 else None)
     rec.sample("neccon_over_bloom_b2", nec / b2 if b2 > 0 else None)
     (n_comm,) = solved["commutator"]

@@ -93,7 +93,7 @@ def rho_weight(mu: Weight, lam: Weight) -> Weight:
 
 WEIGHT_KINDS = ("constant", "two-value", "power", "cascade")
 SYMBOL_KINDS = ("log-symbol", "haar-sparse-symbol")
-# the recipe fields each kind reads, besides kind, depth, seed and a2_range
+# the recipe fields each kind reads (from_dict refuses others), besides kind, depth, seed, a2_range
 KIND_FIELDS = {
     "constant": ("values",),
     "two-value": ("values",),
@@ -181,6 +181,10 @@ class EnsembleSpec:
         extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown ensemble spec fields: {sorted(extra)}")
+        if d["kind"] in WEIGHT_KINDS + SYMBOL_KINDS:
+            unread = set(d) - {"kind", "depth", "seed", "a2_range", *KIND_FIELDS[d["kind"]]}
+            if unread:
+                raise ConfigError(f"kind {d['kind']!r} does not read {sorted(unread)}")
         kw = dict(d)
         kw["depth"] = integer_field("depth", kw["depth"])
         if "seed" in kw:

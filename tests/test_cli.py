@@ -31,6 +31,7 @@ from dyadbloom.serialize import (
     save_step_function,
     write_json,
 )
+from dyadbloom.weights import KIND_FIELDS
 
 
 def _gen(tmp_path, name, **over):
@@ -75,8 +76,9 @@ def test_gen_is_byte_deterministic(tmp_path):
     assert a.read_text().endswith("\n")
 
 
-# sha256 of `gen --depth 6 --seed 5 --alpha 0.3 --out F` per kind, and of a
-# cascade whose --a2-min 1.5 --a2-max 1.6 rejects the first draw
+# sha256 of `gen --depth 6 --seed 5 --out F` per kind, with --alpha 0.3 where
+# the kind reads it (power; gen refuses it elsewhere), and of a cascade whose
+# --a2-min 1.5 --a2-max 1.6 rejects the first draw
 _GEN_DIGESTS = {
     "constant": "2ec6bdcec1424368f4c5b05d0256419611afaf816b7ad1c9e58e92549e5c104a",
     "two-value": "6e00a6ba77831b3bb2c5cb3362d5c0cbb2230bb89e1fdb48a42bf399650961d1",
@@ -90,9 +92,11 @@ _GEN_DIGESTS = {
 
 @pytest.mark.parametrize("case", sorted(_GEN_DIGESTS))
 def test_gen_output_bytes_are_pinned(tmp_path, case):
-    over = {"kind": case, "depth": 6, "seed": 5, "alpha": 0.3}
+    over = {"kind": case, "depth": 6, "seed": 5}
     if case == "cascade-a2-range":
         over.update(kind="cascade", a2_min=1.5, a2_max=1.6)
+    if "alpha" in KIND_FIELDS[over["kind"]]:
+        over["alpha"] = 0.3
     out = _gen(tmp_path, "f.json", **over)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _GEN_DIGESTS[case]
 
@@ -534,6 +538,7 @@ _ROLE_CASES = {
     "values-scalar": {"kind": "two-value", "values": 5},
     "values-nan-string": {"kind": "two-value", "values": [1, "nan"]},
     "max-retries-unknown-field": {"kind": "cascade", "max_retries": 8, "a2_range": [1, 16]},
+    "alpha-unread-by-cascade": {"kind": "cascade", "alpha": 0.5},
 }
 _CONFIG_CASES = {
     "depth-4.5": {"depth": 4.5},
@@ -556,15 +561,17 @@ _RESULT_CASES = {
 
 
 # output paths that cannot be written: under a missing directory, naming a
-# directory, or (verify --out) naming a file
+# directory, or (verify --out) naming a file or holding a directory where a
+# suite file goes
 _UNWRITABLE_CASES = (
     "gen-missing-dir", "gen-directory", "norms-missing-dir", "verify-file",
-    "sweep-missing-dir", "report-csv-missing-dir",
+    "verify-suite-file-directory", "sweep-missing-dir", "report-csv-missing-dir",
 )
 
 
 @pytest.mark.parametrize("case", [
     "gen-values-inf", "gen-values-nan", "gen-center-nan", "gen-depth-25",
+    "gen-cascade-alpha-values", "gen-power-delta",
     *(f"role-{k}" for k in _ROLE_CASES), *(f"config-{k}" for k in _CONFIG_CASES),
     "verify-suite-repeated",
     "sweep-range-nan",
@@ -589,6 +596,7 @@ def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, case):
         sym = str(_save(tmp_path, "b.json", [0.0, 0.0, 1.0, -1.0], role="symbol"))
         result = tmp_path / "suite.json"
         write_json(result, {"suite": "identities", "passed": True})
+        (tmp_path / "suites" / "suite-identities.json").mkdir(parents=True)
         argv = {
             "gen-missing-dir": [*_GEN, "--kind", "cascade", "--out", missing],
             "gen-directory": [*_GEN, "--kind", "cascade", "--out", str(tmp_path)],
@@ -596,6 +604,9 @@ def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, case):
                                   "--out", missing],
             "verify-file": ["verify", "--depth", "2", "--trials", "1", "--suite", "identities",
                             "--out", one],
+            "verify-suite-file-directory": ["verify", "--depth", "2", "--trials", "1",
+                                            "--suite", "equivalences", "--suite", "identities",
+                                            "--out", str(tmp_path / "suites")],
             "sweep-missing-dir": ["sweep", "--parameter", "alpha", "--range", "0:0:1",
                                   "--depth", "4", "--out", missing],
             "report-csv-missing-dir": ["report", "--results", str(result), "--csv", missing],
@@ -606,11 +617,15 @@ def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, case):
             "gen-values-nan": [*_GEN, "--kind", "two-value", "--values", "1,nan"],
             "gen-center-nan": [*_GEN, "--kind", "power", "--center", "nan"],
             "gen-depth-25": ["gen", "--kind", "cascade", "--depth", "25"],
+            "gen-cascade-alpha-values": [*_GEN, "--kind", "cascade", "--alpha", "0.5",
+                                         "--values", "1,2"],
+            "gen-power-delta": [*_GEN, "--kind", "power", "--delta", "0.9"],
             "verify-suite-repeated": ["verify", "--suite", "ppott", "--suite", "ppott"],
             "sweep-range-nan": ["sweep", "--parameter", "depth", "--range", "nan:nan:1"],
         }[case] + ["--out", out]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 

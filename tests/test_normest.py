@@ -688,7 +688,10 @@ _MISMATCHED = {
         for w in (Weight(np.exp(b)), mu)
     ]),
     "paraproduct_operator-rows": lambda b, mu, lam: paraproduct_operator([b, mu.values]),
-    "three_condition_factory": lambda b, mu, lam: three_condition_factory(mu, lam, b, 2.0, 1.0),
+    "three_condition_factory": lambda b, mu, lam: three_condition_factory(
+        mu, rho_weight(mu, lam), b, 2.0, 1.0),
+    "three_condition_factory-mu": lambda b, mu, lam: three_condition_factory(
+        mu, Weight(np.exp(b)), b, 2.0, 1.0),
     "square_sum_factories": lambda b, mu, lam: square_sum_factories(b, rho_weight(mu, lam), 1.0),
     # the stopping searches: a rule on b's depth-4 grid, a depth-6 weight
     "deviation_factory": lambda b, mu, lam: deviation_factory([Weight(np.exp(b)), mu], 2.0),

@@ -258,7 +258,7 @@ def test_three_condition_packing_and_unstopped_path_sums(random_positive):
     b = rng.standard_normal(1 << depth)
     mu_inv = mu.inverse
     rho = rho_weight(mu, lam)
-    fam = maximal_stopping_intervals(ROOT, three_condition_factory(mu, lam, b, 2.0, 1.0))
+    fam = maximal_stopping_intervals(ROOT, three_condition_factory(mu, rho, b, 2.0, 1.0))
     members = _members(fam)
     a_mu = mu_inv.total_mass
     a_rho = rho.total_mass
@@ -324,7 +324,7 @@ def test_rules_take_their_depth_from_their_arrays(weight_4411, unit_weight):
     rules = (
         deviation_factory([lam, one], 1.5),
         threshold_factory(lam),
-        three_condition_factory(lam, one, b, 2.0, 1.0),
+        three_condition_factory(lam, rho_weight(lam, one), b, 2.0, 1.0),
         square_sum_factories(b, one, 1.0)(1.0),
     )
     assert [rule.depth for rule in rules] == [2, 2, 2, 2]
@@ -371,7 +371,7 @@ def test_level_mask_scan_matches_depth_first_oracle(depth, data):
     elif kind == "three-condition":
         C = data.draw(st.floats(0.5, 4.0), label="C")
         C_b = data.draw(st.floats(0.1, 3.0), label="C_b")
-        rule = three_condition_factory(mu, lam, b, C, C_b)
+        rule = three_condition_factory(mu, rho_weight(mu, lam), b, C, C_b)
         oracle = lambda r: oracles.three_condition_predicate(  # noqa: E731
             mu.values, lam.values, b, C, C_b, depth, r
         )
@@ -429,7 +429,7 @@ def test_corona_scan_matches_oracle_root_by_root(depth, data):
     elif factory_kind == "three-condition":
         C = data.draw(st.floats(1.01, 4.0), label="C")
         C_b = data.draw(st.floats(0.1, 3.0), label="C_b")
-        rule = three_condition_factory(mu, lam, b, C, C_b)
+        rule = three_condition_factory(mu, rho_weight(mu, lam), b, C, C_b)
         oracle = lambda r: oracles.three_condition_predicate(  # noqa: E731
             mu.values, lam.values, b, C, C_b, depth, r
         )
@@ -503,9 +503,10 @@ def test_stopping_suite_at_depth_16_scans_once_per_generation(monkeypatch):
 
 def test_stopping_trial_analyses_b_once_per_square_sum_search(monkeypatch):
     # one default D=8 stopping trial: make_trial projects b, f and g (3),
-    # bloom_b2, the unstopped coefficient sum and the three-condition
-    # factory analyse b once each (3), and the square-sum search once (1),
-    # not once per candidate constant it tries
+    # the trial's bmo_report (all six functionals, bloom_b2 among them), the
+    # unstopped coefficient sum and the three-condition factory analyse b
+    # once each (3), and the square-sum search once (1), not once per
+    # candidate constant it tries
     import sys
 
     from dyadbloom import grid as grid_module

@@ -7,11 +7,13 @@ reading "no trials".
 """
 
 import math
+from collections import Counter
 
 import pytest
 
+from dyadbloom import bmo, suites
+from dyadbloom.bmo import bmo_report
 from dyadbloom.config import SUITE_NAMES, ExperimentConfig
-from dyadbloom import suites
 from dyadbloom.suites import SOLVES, SUITES, Record, run_suites
 
 CONTRACT = {
@@ -183,3 +185,35 @@ def test_joint_pass_draws_each_trial_once_and_solves_once(monkeypatch):
     assert all(res.config["suites"] == list(SUITE_NAMES) for res in results)
     assert len(generated) == 3 * 5
     assert solved == [5]
+
+
+def test_joint_pass_computes_each_trial_fact_once(monkeypatch):
+    # all suites at D=4 x 3 trials: each trial's functionals are one
+    # bmo_report (a primal and a dual Bloom scan, one bmo_rho scan) and its
+    # six-term expansion one expansion_terms call, whichever suites read
+    # them; equivalences' zero symbol adds one report, identities' worked
+    # example one expansion
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_bloom_b2_scan", "_bmo_rho_scan"):
+        monkeypatch.setattr(bmo, name, counted(name, getattr(bmo, name)))
+    monkeypatch.setattr(suites, "expansion_terms",
+                        counted("expansion_terms", suites.expansion_terms))
+    results = run_suites(ExperimentConfig.from_dict({"depth": 4, "trials": 3}))
+    assert all(res.passed for res in results)
+    assert calls == {"_bloom_b2_scan": 2 * 3 + 2, "_bmo_rho_scan": 3 + 1,
+                     "expansion_terms": 3 + 1}
+
+
+def test_trial_report_is_the_cached_bmo_report():
+    td = suites.make_trial(ExperimentConfig(depth=6), 1)
+    # repr round-trips every float, so equal reprs are bitwise-equal reports
+    assert repr(td.bmo) == repr(bmo_report(td.b, td.mu, td.lam))
+    assert td.bmo is td.bmo
+    assert td.expansion is td.expansion

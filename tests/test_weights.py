@@ -306,6 +306,11 @@ def test_spec_dict_round_trip():
     for field in ("bogus", "max_retries"):
         with pytest.raises(ConfigError, match="unknown ensemble spec fields"):
             EnsembleSpec.from_dict({"kind": "cascade", "depth": 4, field: 1})
+    # a known field the kind does not read is refused, not dropped
+    for recipe in ({"kind": "power", "delta": 0.9}, {"kind": "cascade", "values": [1, 2]},
+                   {"kind": "log-symbol", "center": 0.5}):
+        with pytest.raises(ConfigError, match="does not read"):
+            EnsembleSpec.from_dict({"depth": 4, **recipe})
 
 
 def test_from_dict_coerces_json_numbers():
