@@ -8,16 +8,7 @@ checks, and stopping-time/corona constructions -- with randomized seeded
 verification suites over all of it.
 """
 
-from .bmo import (
-    BmoReport,
-    bloom_b2,
-    bloom_b2_dual,
-    bloom_b2_l2form,
-    bmo_report,
-    bmo_rho,
-    bmo_rho_l1,
-    neccon_functional,
-)
+from .bmo import BmoReport
 from .config import SUITE_NAMES, ExperimentConfig, derive_seed
 from .errors import (
     ConfigError,

@@ -1,10 +1,10 @@
 """Two-weight BMO-type functionals of a symbol b.
 
-All functionals are suprema over dyadic intervals; each returns the achieved
-value, and bmo_report also records the interval achieving it (level-major
-first occurrence).  Throughout, mu and lambda are the two weights,
-rho = (mu/lambda)^{1/2} is the Bloom weight, and bhat(I) = <b, h_I> are the
-unweighted Haar coefficients of b.
+BmoReport(b, mu, lam) is the one entry: its six attributes are suprema over
+dyadic intervals, each scanned when first read and kept with the interval
+achieving it (level-major first occurrence).  Throughout, mu and lambda are
+the two weights, rho = (mu/lambda)^{1/2} is the Bloom weight, and
+bhat(I) = <b, h_I> are the unweighted Haar coefficients of b.
 
 The central quantity is the coefficient-form Bloom functional
 
@@ -25,19 +25,17 @@ a_I = bhat(I)^2 <squared>_I^2 <linear>_I and _carleson_sup(a, w) takes the
 sup of its subtree sums over w's level masses (bloom_b2, bloom_b2_dual, the
 Carleson sequences and constant, the necessity sums).
 _oscillation_masses(b, w) integrates (b - <b>_I)^2 w over every interval of
-levels 0..D-1 (bmo_rho with w = 1, neccon_functional and the neccon-chain
-suite's mu-normalised oscillation with w = lambda).  _sqrt_sup roots a sup
-of squares.  b is a leaf array; the scans of bhat take its Haar
-coefficients, which bmo_report computes once for all six functionals.
-Each scan checks once that its inputs share a depth (grid.same_depth):
-GridMismatchError if not.
+levels 0..D-1 (bmo_rho with w = 1; neccon and the neccon-chain suite's
+mu-normalised oscillation read the report's one w = lambda pass).  _sqrt_sup
+roots a sup of squares.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import asdict
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -45,16 +43,7 @@ import numpy as np
 from .grid import DyadicInterval, analyze_leaves, depth_of, level_masses, same_depth
 from .weights import Weight, rho_weight
 
-__all__ = [
-    "bloom_b2",
-    "bloom_b2_dual",
-    "bloom_b2_l2form",
-    "bmo_rho",
-    "bmo_rho_l1",
-    "neccon_functional",
-    "BmoReport",
-    "bmo_report",
-]
+__all__ = ["BmoReport"]
 
 
 class _SupResult(NamedTuple):
@@ -111,26 +100,12 @@ def _bloom_b2_scan(coeffs: list[np.ndarray], squared: Weight, linear: Weight) ->
     return _sqrt_sup(_carleson_sup(_carleson_terms(coeffs, squared, linear), squared))
 
 
-def bloom_b2(b: np.ndarray, mu: Weight, lam: Weight) -> float:
-    """Coefficient-form Bloom functional (see module docstring)."""
-    return _bloom_b2_scan(analyze_leaves(b)[1], mu.inverse, lam).value
-
-
-def bloom_b2_dual(b: np.ndarray, mu: Weight, lam: Weight) -> float:
-    """The dual functional: bloom_b2 with (mu, lambda) -> (lambda^{-1}, mu^{-1}).
-
-    Expanded, its square is sup_K (1/lambda(K)) sum_{I subset= K}
-    bhat(I)^2 <lambda>_I^2 <mu^{-1}>_I.
-    """
-    return _bloom_b2_scan(analyze_leaves(b)[1], lam, mu.inverse).value
-
-
 def _bloom_l2form_scan(coeffs: list[np.ndarray], mu: Weight, lam: Weight) -> _SupResult:
     # For each top level k, the localized syntheses of all level-k intervals
     # K at once, end to end in v: each starts at 0, and level m >= k splits
     # every entry into (v - s, v + s), s = bhat(I) <mu^{-1}>_I 2^{m/2}, so
     # each leaf sees the additions of a per-K synthesis in the same order.
-    depth = same_depth(mu.values, lam.values, depth=len(coeffs))
+    depth = len(coeffs)
     mu_inv = mu.inverse
     scaled = [
         (coeffs[m] * mu_inv.averages[m]) * math.sqrt(2**m)
@@ -148,22 +123,6 @@ def _bloom_l2form_scan(coeffs: list[np.ndarray], mu: Weight, lam: Weight) -> _Su
         energy = (v**2 * lam.values).reshape(1 << k, -1).sum(axis=1) * leaf_w
         per_level.append(energy / np.ldexp(mu_inv.averages[k], -k))
     return _sqrt_sup(_sup_over_levels(per_level))
-
-
-def bloom_b2_l2form(b: np.ndarray, mu: Weight, lam: Weight) -> float:
-    """Localized L^2(lambda)-norm form of the Bloom functional:
-
-        sup_K (1/mu^{-1}(K)^{1/2}) || sum_{I subset= K} bhat(I) <mu^{-1}>_I h_I ||_{L^2(lambda)}.
-
-    Independent route from bloom_b2: it synthesizes the localized symbol and
-    integrates, instead of summing the coefficient expansion.  The
-    syntheses of all level-k intervals K are built together as one
-    (2^k, 2^{D-k}) array by a top-down pyramid over levels k..D-1, each leaf
-    with the additions of a synthesis on K alone in the same order; the
-    energies are its row sums against lambda.  Each top level costs O(2^D),
-    so the whole supremum costs O(2^D D).
-    """
-    return _bloom_l2form_scan(analyze_leaves(b)[1], mu, lam).value
 
 
 def _oscillation_masses(b: np.ndarray, w: Weight | None = None) -> list[np.ndarray]:
@@ -184,22 +143,13 @@ def _oscillation_masses(b: np.ndarray, w: Weight | None = None) -> list[np.ndarr
 
 
 def _bmo_rho_scan(b: np.ndarray, rho: Weight) -> _SupResult:
-    same_depth(b, rho.values)
     osc = _oscillation_masses(b)
     return _sqrt_sup(_sup_over_levels([osc[k] / np.ldexp(rho.averages[k], -k)
                                        for k in range(len(osc))]))
 
 
-def bmo_rho(b: np.ndarray, rho: Weight) -> float:
-    """Weighted BMO norm: sup_I ( (1/rho(I)) int_I (b - <b>_I)^2 dx )^{1/2}.
-
-    The sup runs over levels 0..D-1; on leaves the oscillation is exactly 0.
-    """
-    return _bmo_rho_scan(b, rho).value
-
-
 def _bmo_rho_l1_scan(coeffs: list[np.ndarray], rho: Weight) -> _SupResult:
-    depth = same_depth(rho.values, depth=len(coeffs))
+    depth = len(coeffs)
     n = 1 << depth
     # Bottom-up, suffix becomes the square function restricted to intervals
     # at levels >= k (those contained in a level-k interval): the running sum
@@ -214,63 +164,88 @@ def _bmo_rho_l1_scan(coeffs: list[np.ndarray], rho: Weight) -> _SupResult:
     return _SupResult(max(value, 0.0), where)
 
 
-def bmo_rho_l1(b: np.ndarray, rho: Weight) -> float:
-    """L^1-normalized square-function BMO:
-
-        sup_{I0} (1/rho(I0)) int_{I0} ( sum_{I subset= I0} bhat(I)^2 |I|^{-1} 1_I )^{1/2} dx.
-    """
-    return _bmo_rho_l1_scan(analyze_leaves(b)[1], rho).value
-
-
-def _neccon_scan(b: np.ndarray, mu: Weight, lam: Weight) -> _SupResult:
-    mu_inv = mu.inverse
-    same_depth(b, mu.values, lam.values)
-    osc = _oscillation_masses(b, lam)
+def _neccon_scan(lam_osc: list[np.ndarray], mu_inv: Weight) -> _SupResult:
     return _sqrt_sup(_sup_over_levels(
-        [np.ldexp(mu_inv.averages[k], -k) * (4.0**k) * osc[k] for k in range(len(osc))]
+        [np.ldexp(mu_inv.averages[k], -k) * (4.0**k) * lam_osc[k] for k in range(len(lam_osc))]
     ))
 
 
-def neccon_functional(b: np.ndarray, mu: Weight, lam: Weight) -> float:
-    """Lower-bound functional:
+class _Functional:
+    """A BmoReport attribute: the value of its scan of the report, run when
+    first read and kept with its achieving interval."""
 
-        sup_I ( (mu^{-1}(I) / |I|^2) int_I (b - <b>_I)^2 lambda dx )^{1/2}.
+    def __init__(self, scan: Callable[[BmoReport], _SupResult]):
+        self.scan = scan
 
-    The sandwich |I|^2 <= mu(I) mu^{-1}(I) <= [mu]_{A2} |I|^2 (Cauchy-Schwarz
-    on the left, the A2 definition on the right) pinches the prefactor
-    mu^{-1}(I)/|I|^2 between 1/mu(I) and [mu]_{A2}/mu(I); the suites assert
-    the definitional left half of that chain.
-    """
-    return _neccon_scan(b, mu, lam).value
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, report: BmoReport | None, owner: type | None = None):
+        if report is None:
+            return self
+        if self.name not in report._scans:
+            report._scans[self.name] = self.scan(report)
+        return report._scans[self.name].value
 
 
-@dataclass(frozen=True)
 class BmoReport:
-    """All symbol functionals with their achieving intervals."""
+    """The six functionals of b for the pair (mu, lambda), each computed the
+    first time it is read and then kept.  Sups run over levels 0..D-1.
 
-    bloom_b2: float
-    bloom_b2_dual: float
-    bloom_b2_l2form: float
-    bmo_rho: float
-    bmo_rho_l1: float
-    neccon: float
-    argmax: dict
+    bloom_b2         the coefficient-form Bloom functional (module docstring).
+    bloom_b2_dual    bloom_b2 with (mu, lambda) -> (lambda^{-1}, mu^{-1}), the root of
+                     sup_K (1/lambda(K)) sum_{I subset= K} bhat(I)^2 <lambda>_I^2 <mu^{-1}>_I.
+    bloom_b2_l2form  the localized-synthesis form, an independent route from bloom_b2:
+                     sup_K (1/mu^{-1}(K)^{1/2}) || sum_{I subset= K} bhat(I) <mu^{-1}>_I h_I
+                     ||_{L^2(lambda)}, at O(2^D D) for all K together.
+    bmo_rho          the weighted BMO norm sup_I ((1/rho(I)) int_I (b - <b>_I)^2 dx)^{1/2}.
+    bmo_rho_l1       the L^1-normalized square-function BMO
+                     sup_I0 (1/rho(I0)) int_I0 (sum_{I subset= I0} bhat(I)^2 |I|^{-1} 1_I)^{1/2} dx.
+    neccon           the lower-bound functional
+                     sup_I ((mu^{-1}(I) / |I|^2) int_I (b - <b>_I)^2 lambda dx)^{1/2}.  As
+                     |I|^2 <= mu(I) mu^{-1}(I) <= [mu]_{A2} |I|^2 (Cauchy-Schwarz, then the A2
+                     definition), neccon^2 lies between sup_I (1/mu(I)) int_I (b - <b>_I)^2
+                     lambda dx and [mu]_{A2} times it; the neccon-chain suite asserts both.
+
+    The scans share b's Haar coefficients (coeffs), the Bloom weight rho and
+    lam_oscillation = _oscillation_masses(b, lambda), each built on first use.
+    The constructor checks that b, mu and lambda share a depth:
+    GridMismatchError if not.
+    """
+
+    NAMES = ("bloom_b2", "bloom_b2_dual", "bloom_b2_l2form", "bmo_rho", "bmo_rho_l1", "neccon")
+
+    bloom_b2 = _Functional(lambda r: _bloom_b2_scan(r.coeffs, r.mu.inverse, r.lam))
+    bloom_b2_dual = _Functional(lambda r: _bloom_b2_scan(r.coeffs, r.lam, r.mu.inverse))
+    bloom_b2_l2form = _Functional(lambda r: _bloom_l2form_scan(r.coeffs, r.mu, r.lam))
+    bmo_rho = _Functional(lambda r: _bmo_rho_scan(r.b, r.rho))
+    bmo_rho_l1 = _Functional(lambda r: _bmo_rho_l1_scan(r.coeffs, r.rho))
+    neccon = _Functional(lambda r: _neccon_scan(r.lam_oscillation, r.mu.inverse))
+
+    def __init__(self, b: np.ndarray, mu: Weight, lam: Weight):
+        same_depth(b, mu.values, lam.values)
+        self.b, self.mu, self.lam = b, mu, lam
+        self._scans: dict[str, _SupResult] = {}
+
+    @cached_property
+    def coeffs(self) -> list[np.ndarray]:
+        return analyze_leaves(self.b)[1]
+
+    @cached_property
+    def rho(self) -> Weight:
+        return rho_weight(self.mu, self.lam)
+
+    @cached_property
+    def lam_oscillation(self) -> list[np.ndarray]:
+        return _oscillation_masses(self.b, self.lam)
+
+    @property
+    def argmax(self) -> dict[str, DyadicInterval]:
+        """The interval achieving each functional (level-major first occurrence)."""
+        for name in self.NAMES:
+            getattr(self, name)  # runs its scan if not yet read
+        return {name: self._scans[name].argmax for name in self.NAMES}
 
     def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def bmo_report(b: np.ndarray, mu: Weight, lam: Weight) -> BmoReport:
-    """Evaluate every functional of b for the pair (mu, lambda), analysing b once."""
-    rho = rho_weight(mu, lam)
-    _, coeffs = analyze_leaves(b)
-    scans = {
-        "bloom_b2": _bloom_b2_scan(coeffs, mu.inverse, lam),
-        "bloom_b2_dual": _bloom_b2_scan(coeffs, lam, mu.inverse),
-        "bloom_b2_l2form": _bloom_l2form_scan(coeffs, mu, lam),
-        "bmo_rho": _bmo_rho_scan(b, rho),
-        "bmo_rho_l1": _bmo_rho_l1_scan(coeffs, rho),
-        "neccon": _neccon_scan(b, mu, lam),
-    }
-    return BmoReport(**{name: r.value for name, r in scans.items()},
-                     argmax={name: r.argmax for name, r in scans.items()})
+        return {**{name: getattr(self, name) for name in self.NAMES},
+                "argmax": {name: asdict(iv) for name, iv in self.argmax.items()}}

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -143,7 +145,7 @@ def _print_norm_report(rep: NormReport) -> None:
     print(f"[mu]_A2               {rep.a2_mu!r}")
     print(f"[lambda]_A2           {rep.a2_lambda!r}")
     print(f"[rho]_A2              {rep.a2_rho!r}")
-    for name in rep.bmo.argmax:  # one key per functional, in field order
+    for name in rep.bmo.NAMES:
         print(f"{name:<22}{getattr(rep.bmo, name)!r}")
     print(f"norm_paraproduct      {rep.norm_paraproduct!r}")
     print(f"norm_paraproduct_adj  {rep.norm_paraproduct_adjoint!r}")
@@ -209,12 +211,17 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def _cmd_verify(args) -> int:
     cfg = _config_from_args(args)
+    targets = {}
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
+        targets = {name: Path(args.out) / f"suite-{name}.json" for name in cfg.suites}
+        # every target is checked before any is written: a directory in the way leaves no suite file
+        if blocked := [path for path in targets.values() if path.is_dir()]:
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(blocked[0]))
     results = run_suites(cfg)
     # every suite file is written before anything prints: an unwritable one leaves only its error
-    for result in results if args.out else ():
-        write_json(Path(args.out) / f"suite-{result.suite}.json", result.to_dict())
+    for result in results if targets else ():
+        write_json(targets[result.suite], result.to_dict())
     for result in results:
         name = result.suite
         for a in result.assertions:

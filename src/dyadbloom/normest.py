@@ -42,9 +42,10 @@ paraproduct-bounds suite solves both routes and checks that duality.
 The Carleson block ties the coefficient functionals to embedding constants.
 The sequences, carleson_constant and the necessity sums are bmo.py's
 Carleson kernels (_carleson_terms, _carleson_sup, _subtree_sums), the ones
-behind bloom_b2 and bloom_b2_dual, so carleson_constant of a paraproduct
-sequence is bloom_b2^2 by construction; tests hold both to brute-force
-oracles.  carleson_embedding_checks solves for the best constant C* of
+behind BmoReport's bloom_b2 and bloom_b2_dual, so carleson_constant of a
+paraproduct sequence is bloom_b2^2 by construction; tests hold both to
+brute-force oracles.  carleson_embedding_checks solves for the best
+constant C* of
 
     sum_I a_I E^w_I(phi)^2 <= C* ||phi||^2_{L^2(w)},
 
@@ -55,12 +56,12 @@ which the classical dyadic embedding theorem pins within [carleson,
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bmo import BmoReport, _carleson_sup, _carleson_terms, _subtree_sums, bmo_report
+from .bmo import BmoReport, _carleson_sup, _carleson_terms, _subtree_sums
 from .errors import DyadBloomError
 from .grid import (
     accumulate_levels,
@@ -77,7 +78,7 @@ from .operators import (
     paraproduct_operator,
     shift_operator,
 )
-from .weights import Weight, a2_characteristic, rho_weight
+from .weights import Weight, a2_characteristic
 
 __all__ = [
     "TopEigen",
@@ -355,8 +356,8 @@ def paraproduct_carleson_sequence(
 ) -> CarlesonSequence:
     """a_I = bhat(I)^2 <mu^{-1}>_I^2 <lambda>_I, tested against mu^{-1}.
 
-    Its Carleson constant is bloom_b2(b, mu, lambda)^2: both are one kernel
-    of bmo.py.
+    Its Carleson constant is BmoReport(b, mu, lambda).bloom_b2^2: both are
+    one kernel of bmo.py.
     """
     mu_inv = mu.inverse
     return CarlesonSequence(_carleson_terms(analyze_leaves(b)[1], mu_inv, lam), mu_inv)
@@ -367,7 +368,7 @@ def adjoint_paraproduct_carleson_sequence(
 ) -> CarlesonSequence:
     """a_I = bhat(I)^2 <lambda>_I^2 <mu^{-1}>_I, tested against lambda.
 
-    Carleson constant equals bloom_b2_dual(b, mu, lambda)^2.
+    Carleson constant equals BmoReport(b, mu, lambda).bloom_b2_dual^2.
     """
     return CarlesonSequence(_carleson_terms(analyze_leaves(b)[1], lam, mu.inverse), lam)
 
@@ -475,7 +476,8 @@ class NormReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the report is no dataclass: asdict would deep-copy it, not convert it
+        return {**asdict(replace(self, bmo=None)), "bmo": self.bmo.to_dict()}
 
 
 def _safe_ratio(num: float, den: float) -> float:
@@ -503,9 +505,8 @@ def compute_norm_report(
     per norm, the Lanczos matvecs and the final Ritz residual of W'W.
     """
     depth = same_depth(b, mu.values, lam.values)
-    rho = rho_weight(mu, lam)
     a2_mu = a2_characteristic(mu)
-    rep = bmo_report(b, mu, lam)
+    rep = BmoReport(b, mu, lam)
     (para,) = weighted_operator_norms(paraproduct_operator(b), [mu], [lam])
     shift = shift_operator(depth)
     sh_mu, sh_lam = (e for ws in _lockstep_chunks([mu, lam], 1 << depth)
@@ -531,7 +532,7 @@ def compute_norm_report(
         depth=depth,
         a2_mu=a2_mu,
         a2_lambda=a2_characteristic(lam),
-        a2_rho=a2_characteristic(rho),
+        a2_rho=a2_characteristic(rep.rho),
         bmo=rep,
         **{k: e.value for k, e in solves.items()},
         shift_truncated=not is_admissible(b),

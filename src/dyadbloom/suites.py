@@ -36,9 +36,10 @@ Per-trial materials: mu and lambda from the config's weight recipes, the
 symbol b projected onto admissible levels (<= D-2) so commutator identities
 and functionals see the same symbol, and Gaussian test functions f, g from
 the trial's function stream (f, g admissible; raw variants keep all levels
-for identities that need no admissibility).  The Bloom weight rho, the
-functionals of b (bmo, one bmo_report) and the six-term expansion of (b, f)
-(expansion) are built once, when a check first reads them.
+for identities that need no admissibility).  The functionals of b (bmo, one
+BmoReport, which also holds the trial's Bloom weight rho) and the six-term
+expansion of (b, f) (expansion) are built once per trial, and each
+functional is computed when a check first reads it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .bmo import BmoReport, _oscillation_masses, bmo_report
+from .bmo import BmoReport
 from .config import ROLE_FUNC, ExperimentConfig, derive_seed
 from .errors import PackingSearchError
 from .grid import (
@@ -95,7 +96,7 @@ from .stopping import (
     three_condition_factory,
     threshold_factory,
 )
-from .weights import Weight, a2_characteristic, generate, rho_weight
+from .weights import Weight, a2_characteristic, generate
 
 __all__ = [
     "Assertion",
@@ -242,12 +243,8 @@ class TrialData:
     g_raw: np.ndarray
 
     @cached_property
-    def rho(self) -> Weight:
-        return rho_weight(self.mu, self.lam)
-
-    @cached_property
     def bmo(self) -> BmoReport:
-        return bmo_report(self.b, self.mu, self.lam)
+        return BmoReport(self.b, self.mu, self.lam)
 
     @cached_property
     def expansion(self) -> ExpansionTerms:
@@ -383,8 +380,8 @@ def _check_equivalences(rec: Record, td: TrialData, solved: Solved) -> None:
 
 def _degenerate_assertions(rec: Record) -> list[Assertion]:
     # degenerate symbol: every functional vanishes exactly
-    rep = bmo_report(np.zeros(1 << rec.cfg.depth), rec.first.mu, rec.first.lam)
-    vals = [getattr(rep, name) for name in rep.argmax]  # argmax names every functional
+    rep = BmoReport(np.zeros(1 << rec.cfg.depth), rec.first.mu, rec.first.lam)
+    vals = [getattr(rep, name) for name in BmoReport.NAMES]
     a2 = a2_characteristic(Weight(np.full(1 << rec.cfg.depth, 3.0)))
     return [
         Assertion("zero_symbol_zero_functionals", max(vals) == 0.0, max(vals), 0.0,
@@ -528,7 +525,7 @@ def _constant_weight_assertions(rec: Record) -> list[Assertion]:
 def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
     mu, lam, b = td.mu, td.lam, td.b
     mu_inv = mu.inverse
-    rho = td.rho
+    rho = td.bmo.rho
 
     def search(label, fn):
         try:
@@ -609,12 +606,11 @@ def _packing_assertions(rec: Record) -> list[Assertion]:
 
 
 def _check_neccon_chain(rec: Record, td: TrialData, solved: Solved) -> None:
-    mu, lam, b = td.mu, td.lam, td.b
     nec, bmo, b2 = td.bmo.neccon, td.bmo.bmo_rho, td.bmo.bloom_b2
     # sup_I (1/mu(I)) int_I (b - <b>_I)^2 lambda dx
-    osc = _oscillation_masses(b, lam)
-    base = max(float((osc[k] / np.ldexp(mu.averages[k], -k)).max()) for k in range(len(osc)))
-    a2 = a2_characteristic(mu)
+    osc = td.bmo.lam_oscillation
+    base = max(float((osc[k] / np.ldexp(td.mu.averages[k], -k)).max()) for k in range(len(osc)))
+    a2 = a2_characteristic(td.mu)
     # sandwich chain: base <= neccon^2 <= [mu]_{A2} * base, definitional
     rec.residual("neccon_at_least_mu_oscillation", _rel(base - nec**2, base))
     rec.residual("neccon_within_a2_of_oscillation", _rel(nec**2 - a2 * base, a2 * base))

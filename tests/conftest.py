@@ -1,9 +1,30 @@
+import sys
+
 import numpy as np
 import pytest
 
 from dyadbloom import Weight
 
 ACCEPTANCE_LINES: list[str] = []
+
+
+def count_calls(monkeypatch, module, name: str) -> list[tuple]:
+    """Wrap module.name in every dyadbloom namespace that binds it (a
+    consumer's ``from .module import name`` included) and return the list
+    that collects each call's positional arguments, in call order."""
+    original = getattr(module, name)
+    calls: list[tuple] = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is not None and mod_name.split(".")[0] == "dyadbloom":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

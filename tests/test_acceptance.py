@@ -15,13 +15,7 @@ import numpy as np
 
 from conftest import ACCEPTANCE_LINES
 from pilot_constants import ALPHA_SWEEP_BOUND, ENSEMBLES, K_ENS, K_PRIME, _config
-from dyadbloom.bmo import (
-    bloom_b2,
-    bloom_b2_dual,
-    bmo_rho,
-    bmo_rho_l1,
-    neccon_functional,
-)
+from dyadbloom.bmo import BmoReport
 from dyadbloom.grid import (
     DyadicInterval,
     analyze_leaves,
@@ -45,7 +39,7 @@ from dyadbloom.operators import (
     shift_operator,
 )
 from dyadbloom.suites import make_trial, run_suites
-from dyadbloom.weights import EnsembleSpec, Weight, a2_characteristic, generate, rho_weight
+from dyadbloom.weights import EnsembleSpec, Weight, a2_characteristic, generate
 
 
 def _record(num: int, ok: bool, label: str, detail: str, sub: list[str] = ()):
@@ -74,14 +68,8 @@ def _ensemble_stats(name: str) -> tuple[float, float, int]:
         shift = shift_operator(cfg.depth)
         for t in range(cfg.trials):
             td = make_trial(cfg, t)
-            rho = rho_weight(td.mu, td.lam)
-            funcs = [
-                bloom_b2(td.b, td.mu, td.lam),
-                bloom_b2_dual(td.b, td.mu, td.lam),
-                bmo_rho(td.b, rho),
-                bmo_rho_l1(td.b, rho),
-                neccon_functional(td.b, td.mu, td.lam),
-            ]
+            rep = BmoReport(td.b, td.mu, td.lam)
+            funcs = [rep.bloom_b2, rep.bloom_b2_dual, rep.bmo_rho, rep.bmo_rho_l1, rep.neccon]
             if max(funcs) == 0.0:
                 continue  # constant projected symbol: spread undefined
             used += 1
@@ -246,14 +234,15 @@ def test_criterion_06_carleson_inequalities():
         for t in range(cfg.trials):
             td = make_trial(cfg, t)
             b, mu, lam = td.b, td.mu, td.lam
-            b2 = bloom_b2(b, mu, lam)
+            fns = BmoReport(b, mu, lam)
+            b2 = fns.bloom_b2
             if b2 == 0.0:
                 continue
             trials_used += 1
             seq = paraproduct_carleson_sequence(b, mu, lam)
             car = carleson_constant(seq)
             worst_car = max(worst_car, (car - b2**2) / b2**2)
-            b2d = bloom_b2_dual(b, mu, lam)
+            b2d = fns.bloom_b2_dual
             seq_d = adjoint_paraproduct_carleson_sequence(b, mu, lam)
             car_d = carleson_constant(seq_d)
             worst_car = max(worst_car, (car_d - b2d**2) / b2d**2)

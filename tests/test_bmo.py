@@ -7,19 +7,14 @@ import pytest
 
 import ensembles
 import oracles
+from conftest import count_calls
 from dyadbloom import (
+    BmoReport,
     DyadicInterval,
     Weight,
     a2_characteristic,
-    bloom_b2,
-    bloom_b2_dual,
-    bloom_b2_l2form,
     bmo,
-    bmo_report,
-    bmo_rho,
-    bmo_rho_l1,
     haar_function,
-    neccon_functional,
     rho_weight,
 )
 
@@ -36,20 +31,19 @@ def test_bloom_b2_of_haar_function_is_inverse_root_length(unit_weight):
     # mu = lambda = 1: only bhat(J) = 1 survives, K = J gives |J|^{-1/2}
     one = unit_weight(3)
     for iv in (DyadicInterval(0, 0), DyadicInterval(1, 0), DyadicInterval(2, 3)):
-        b = haar_function(3, iv)
+        rep = BmoReport(haar_function(3, iv), one, one)
         want = math.sqrt(2.0**iv.level)
-        assert bloom_b2(b, one, one) == pytest.approx(want, rel=1e-14)
-        assert bloom_b2_dual(b, one, one) == pytest.approx(want, rel=1e-14)
-        assert bloom_b2_l2form(b, one, one) == pytest.approx(want, rel=1e-14)
+        assert rep.bloom_b2 == pytest.approx(want, rel=1e-14)
+        assert rep.bloom_b2_dual == pytest.approx(want, rel=1e-14)
+        assert rep.bloom_b2_l2form == pytest.approx(want, rel=1e-14)
 
 
 def test_unit_weight_functionals_of_root_haar(unit_weight):
     one = unit_weight(2)
-    b = haar_function(2, DyadicInterval(0, 0))
-    rho = rho_weight(one, one)
-    assert bmo_rho(b, rho) == pytest.approx(1.0, rel=1e-14)
-    assert bmo_rho_l1(b, rho) == pytest.approx(1.0, rel=1e-14)
-    assert neccon_functional(b, one, one) == pytest.approx(1.0, rel=1e-14)
+    rep = BmoReport(haar_function(2, DyadicInterval(0, 0)), one, one)
+    assert rep.bmo_rho == pytest.approx(1.0, rel=1e-14)
+    assert rep.bmo_rho_l1 == pytest.approx(1.0, rel=1e-14)
+    assert rep.neccon == pytest.approx(1.0, rel=1e-14)
 
 
 # every depth up to 6 and every ensemble, the extreme one with leaf values
@@ -67,14 +61,14 @@ def _ensemble_triple(depth, kind, base):
 def test_bloom_b2_matches_oracle(depth, kind):
     b, mu, lam = _ensemble_triple(depth, kind, 1400)
     want = oracles.bloom_oracle(b, mu.values, lam.values, depth)
-    assert bloom_b2(b, mu, lam) == pytest.approx(want, rel=1e-12)
+    assert BmoReport(b, mu, lam).bloom_b2 == pytest.approx(want, rel=1e-12)
 
 
 @over_ensembles
 def test_bloom_b2_dual_matches_oracle(depth, kind):
     b, mu, lam = _ensemble_triple(depth, kind, 1500)
     want = oracles.bloom_dual_oracle(b, mu.values, lam.values, depth)
-    assert bloom_b2_dual(b, mu, lam) == pytest.approx(want, rel=1e-12)
+    assert BmoReport(b, mu, lam).bloom_b2_dual == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("depth", range(1, 7))
@@ -82,7 +76,7 @@ def test_bloom_l2form_matches_oracle(depth):
     for seed in range(3):
         mu, lam, b = _triple(depth, 70 + seed)
         want = oracles.bloom_l2form_oracle(b, mu.values, lam.values, depth)
-        assert bloom_b2_l2form(b, mu, lam) == pytest.approx(want, rel=1e-12)
+        assert BmoReport(b, mu, lam).bloom_b2_l2form == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("depth", range(1, 11))
@@ -92,7 +86,7 @@ def test_l2form_level_arrays_equal_per_interval_route(depth):
     # of b vanish and the weights span 16 decades
     for i, ensemble in enumerate(ensembles.KINDS):
         b, mu, lam = ensembles.triple(depth, ensemble, 1300 + 10 * depth + i)
-        rep = bmo_report(b, mu, lam)
+        rep = BmoReport(b, mu, lam)
         where = rep.argmax["bloom_b2_l2form"]
         want = oracles.bloom_l2form_scan_reference(b, mu.values, lam.values, depth)
         assert rep.bloom_b2_l2form == want[0]
@@ -106,9 +100,8 @@ def test_bloom_routes_agree_for_constant_lambda():
     one = Weight(np.ones(32))
     for seed in range(4):
         mu, _, b = _triple(5, 80 + seed)
-        a = bloom_b2(b, mu, one)
-        c = bloom_b2_l2form(b, mu, one)
-        assert a == pytest.approx(c, rel=1e-10)
+        rep = BmoReport(b, mu, one)
+        assert rep.bloom_b2 == pytest.approx(rep.bloom_b2_l2form, rel=1e-10)
 
 
 def test_bloom_routes_differ_for_generic_lambda():
@@ -117,8 +110,8 @@ def test_bloom_routes_differ_for_generic_lambda():
     # (suprema attained at a single-interval K still coincide, so the seed
     # below is one whose argmax carries several scales)
     mu, lam, b = _triple(5, 83)
-    a = bloom_b2(b, mu, lam)
-    c = bloom_b2_l2form(b, mu, lam)
+    rep = BmoReport(b, mu, lam)
+    a, c = rep.bloom_b2, rep.bloom_b2_l2form
     assert abs(a - c) / a > 1e-3
 
 
@@ -127,7 +120,7 @@ def test_bmo_rho_matches_oracle(depth, kind):
     b, mu, lam = _ensemble_triple(depth, kind, 1600)
     rho = rho_weight(mu, lam)
     want = oracles.bmo_rho_oracle(b, rho.values, depth)
-    assert bmo_rho(b, rho) == pytest.approx(want, rel=1e-12)
+    assert BmoReport(b, mu, lam).bmo_rho == pytest.approx(want, rel=1e-12)
 
 
 @over_ensembles
@@ -135,14 +128,14 @@ def test_bmo_rho_l1_matches_oracle(depth, kind):
     b, mu, lam = _ensemble_triple(depth, kind, 1700)
     rho = rho_weight(mu, lam)
     want = oracles.bmo_rho_l1_oracle(b, rho.values, depth)
-    assert bmo_rho_l1(b, rho) == pytest.approx(want, rel=1e-12)
+    assert BmoReport(b, mu, lam).bmo_rho_l1 == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["w=1", "w=lambda"])
 @pytest.mark.parametrize("depth", range(2, 9))
 def test_oscillation_masses_match_per_interval_oracle(depth, weighted):
-    # the one oscillation kernel behind bmo_rho, neccon_functional and the
-    # neccon-chain suite, interval by interval
+    # the one oscillation kernel behind bmo_rho, neccon and the neccon-chain
+    # suite, interval by interval
     mu, lam, b = _triple(depth, 1900 + depth)
     osc = bmo._oscillation_masses(b, lam if weighted else None)
     w = lam.values if weighted else None
@@ -156,30 +149,21 @@ def test_oscillation_masses_match_per_interval_oracle(depth, weighted):
 def test_neccon_matches_oracle(depth, kind):
     b, mu, lam = _ensemble_triple(depth, kind, 1800)
     want = oracles.neccon_oracle(b, mu.values, lam.values, depth)
-    assert neccon_functional(b, mu, lam) == pytest.approx(want, rel=1e-12)
+    assert BmoReport(b, mu, lam).neccon == pytest.approx(want, rel=1e-12)
 
 
 def test_zero_symbol_gives_zero_everything():
     mu, lam, _ = _triple(4, 0)
-    zero = np.zeros(16)
-    rho = rho_weight(mu, lam)
-    assert bloom_b2(zero, mu, lam) == 0.0
-    assert bloom_b2_dual(zero, mu, lam) == 0.0
-    assert bloom_b2_l2form(zero, mu, lam) == 0.0
-    assert bmo_rho(zero, rho) == 0.0
-    assert bmo_rho_l1(zero, rho) == 0.0
-    assert neccon_functional(zero, mu, lam) == 0.0
+    rep = BmoReport(np.zeros(16), mu, lam)
+    assert [getattr(rep, name) for name in BmoReport.NAMES] == [0.0] * 6
 
 
 def test_constant_symbol_gives_zero_everything():
     # averages of a constant reproduce it exactly, so subtract-then-square
     # oscillations are bitwise zero, not small
     mu, lam, _ = _triple(3, 1)
-    const = np.full(8, 4.25)
-    rho = rho_weight(mu, lam)
-    assert bloom_b2(const, mu, lam) == 0.0
-    assert bmo_rho(const, rho) == 0.0
-    assert neccon_functional(const, mu, lam) == 0.0
+    rep = BmoReport(np.full(8, 4.25), mu, lam)
+    assert (rep.bloom_b2, rep.bmo_rho, rep.neccon) == (0.0, 0.0, 0.0)
 
 
 def test_a2_sandwich_every_interval():
@@ -198,14 +182,11 @@ def test_a2_sandwich_every_interval():
 
 def test_bmo_report_argmax_is_consistent():
     mu, lam, b = _triple(4, 7)
-    rep = bmo_report(b, mu, lam)
-    assert rep.bloom_b2 == bloom_b2(b, mu, lam)
-    assert rep.bloom_b2_dual == bloom_b2_dual(b, mu, lam)
-    assert rep.bmo_rho == bmo_rho(b, rho_weight(mu, lam))
-    assert rep.neccon == neccon_functional(b, mu, lam)
+    rep = BmoReport(b, mu, lam)
     d = rep.to_dict()
-    for key in ("bloom_b2", "bloom_b2_dual", "bloom_b2_l2form", "bmo_rho", "bmo_rho_l1", "neccon"):
-        assert key in d
+    assert list(d) == [*BmoReport.NAMES, "argmax"]
+    assert d["argmax"] == {name: {"level": iv.level, "position": iv.position}
+                           for name, iv in rep.argmax.items()}
     # the recorded argmax interval actually achieves the supremum
     arg = rep.argmax["bmo_rho"]
     rho = rho_weight(mu, lam)
@@ -218,13 +199,23 @@ def test_bmo_report_argmax_is_consistent():
 
 def test_functional_scaling_is_linear_in_symbol():
     mu, lam, b = _triple(4, 13)
-    rho = rho_weight(mu, lam)
-    for func in (
-        lambda s: bloom_b2(s, mu, lam),
-        lambda s: bloom_b2_dual(s, mu, lam),
-        lambda s: bmo_rho(s, rho),
-        lambda s: bmo_rho_l1(s, rho),
-        lambda s: neccon_functional(s, mu, lam),
-    ):
-        b3 = 3.0 * b
-        assert func(b3) == pytest.approx(3.0 * func(b), rel=1e-12)
+    rep, rep3 = BmoReport(b, mu, lam), BmoReport(3.0 * b, mu, lam)
+    for name in BmoReport.NAMES:
+        assert getattr(rep3, name) == pytest.approx(3.0 * getattr(rep, name), rel=1e-12)
+
+
+def test_each_functional_is_scanned_once_when_first_read(monkeypatch):
+    mu, lam, b = _triple(4, 17)
+    scans = count_calls(monkeypatch, bmo, "_bloom_b2_scan")
+    others = [count_calls(monkeypatch, bmo, name) for name in (
+        "_bloom_l2form_scan", "_bmo_rho_scan", "_bmo_rho_l1_scan", "_neccon_scan")]
+    rep = BmoReport(b, mu, lam)
+    assert len(scans) == 0
+    first = rep.bloom_b2
+    assert rep.bloom_b2 == first
+    assert len(scans) == 1 and not any(others)
+    # argmax and to_dict read the rest, once each, and keep the first read
+    rep.to_dict()
+    rep.argmax
+    assert len(scans) == 2 and [len(c) for c in others] == [1, 1, 1, 1]
+    assert rep.bloom_b2 == first

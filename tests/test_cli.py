@@ -627,6 +627,9 @@ def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, case):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    if case == "unwritable-verify-suite-file-directory":
+        # every target is checked before any is written
+        assert not [p for p in (tmp_path / "suites").iterdir() if p.is_file()]
 
 
 def _out_of_memory(*args, **kwargs):

@@ -15,19 +15,13 @@ from dyadbloom import (
     EnsembleSpec,
     GridMismatchError,
     LeafOperator,
+    BmoReport,
     Weight,
-    bloom_b2,
-    bloom_b2_dual,
-    bloom_b2_l2form,
-    bmo_report,
-    bmo_rho,
-    bmo_rho_l1,
     carleson_constant,
     commutator_operator,
     compute_norm_report,
     generate,
     haar_function,
-    neccon_functional,
     necessity_test_function_bound,
     paraproduct_adjoint_operator,
     paraproduct_carleson_sequence,
@@ -663,13 +657,10 @@ def test_carleson_sequence_validation():
 # every entry point that reads a symbol and weights together, given a
 # depth-4 symbol and depth-6 weights (or weights of depths 4 and 6)
 _MISMATCHED = {
-    "bloom_b2": bloom_b2,
-    "bloom_b2_dual": bloom_b2_dual,
-    "bloom_b2_l2form": bloom_b2_l2form,
-    "bmo_rho": lambda b, mu, lam: bmo_rho(b, rho_weight(mu, lam)),
-    "bmo_rho_l1": lambda b, mu, lam: bmo_rho_l1(b, rho_weight(mu, lam)),
-    "neccon_functional": neccon_functional,
-    "bmo_report": bmo_report,
+    "BmoReport": BmoReport,
+    # each functional of a mismatched report, read or not, raises
+    **{name: lambda b, mu, lam, name=name: getattr(BmoReport(b, mu, lam), name)
+       for name in BmoReport.NAMES},
     "necessity_test_function_bound": necessity_test_function_bound,
     "compute_norm_report": compute_norm_report,
     "rho_weight": lambda b, mu, lam: rho_weight(Weight(np.exp(b)), lam),
@@ -722,9 +713,10 @@ def test_paraproduct_sequence_carleson_equals_bloom_squared(depth, kind):
     # the sequence's entries through carleson_oracle, its constant through
     # bloom_oracle and bloom_dual_oracle
     b, mu, lam = ensembles.triple(depth, kind, 500 + 10 * depth + ensembles.KINDS.index(kind))
+    rep = BmoReport(b, mu, lam)
     for seq, bloom, oracle in (
-        (paraproduct_carleson_sequence(b, mu, lam), bloom_b2, oracles.bloom_oracle),
-        (adjoint_paraproduct_carleson_sequence(b, mu, lam), bloom_b2_dual,
+        (paraproduct_carleson_sequence(b, mu, lam), rep.bloom_b2, oracles.bloom_oracle),
+        (adjoint_paraproduct_carleson_sequence(b, mu, lam), rep.bloom_b2_dual,
          oracles.bloom_dual_oracle),
     ):
         want = oracle(b, mu.values, lam.values, depth) ** 2
@@ -732,7 +724,7 @@ def test_paraproduct_sequence_carleson_equals_bloom_squared(depth, kind):
         assert oracles.carleson_oracle(seq.level_values, seq.weight.values, depth) == (
             pytest.approx(want, rel=1e-12)
         )
-        assert bloom(b, mu, lam) ** 2 == pytest.approx(want, rel=1e-12)
+        assert bloom**2 == pytest.approx(want, rel=1e-12)
 
 
 def test_both_bloom_functionals_are_their_sequences_carleson_roots_bitwise():
@@ -742,10 +734,10 @@ def test_both_bloom_functionals_are_their_sequences_carleson_roots_bitwise():
     for t in range(cfg.trials):
         td = make_trial(cfg, t)
         for seq, bloom in (
-            (paraproduct_carleson_sequence(td.b, td.mu, td.lam), bloom_b2),
-            (adjoint_paraproduct_carleson_sequence(td.b, td.mu, td.lam), bloom_b2_dual),
+            (paraproduct_carleson_sequence(td.b, td.mu, td.lam), td.bmo.bloom_b2),
+            (adjoint_paraproduct_carleson_sequence(td.b, td.mu, td.lam), td.bmo.bloom_b2_dual),
         ):
-            assert bloom(td.b, td.mu, td.lam) == math.sqrt(carleson_constant(seq))
+            assert bloom == math.sqrt(carleson_constant(seq))
 
 
 def test_embedding_constant_sits_in_the_classical_window():

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import count_calls
 from dyadbloom.errors import GridMismatchError, PackingSearchError
 from dyadbloom.grid import ROOT, DyadicInterval, depth_of, haar_function, level_masses
-from dyadbloom.bmo import bloom_b2
+from dyadbloom.bmo import BmoReport
 from dyadbloom.config import ExperimentConfig
 from dyadbloom.stopping import (
     Intervals,
@@ -289,7 +290,7 @@ def test_unstopped_coefficient_sum_bound(random_positive):
     depth = mu.depth
     b = rng.standard_normal(1 << depth)
     mu_inv = mu.inverse
-    b2 = bloom_b2(b, mu, lam)
+    b2 = BmoReport(b, mu, lam).bloom_b2
     c = minimal_packing_constant(lambda C: deviation_factory([mu_inv, lam], C), mu_inv)
     fam = maximal_stopping_intervals(ROOT, deviation_factory([mu_inv, lam], c))
     coeff_sum = sum(
@@ -503,24 +504,13 @@ def test_stopping_suite_at_depth_16_scans_once_per_generation(monkeypatch):
 
 def test_stopping_trial_analyses_b_once_per_square_sum_search(monkeypatch):
     # one default D=8 stopping trial: make_trial projects b, f and g (3),
-    # the trial's bmo_report (all six functionals, bloom_b2 among them), the
-    # unstopped coefficient sum and the three-condition factory analyse b
-    # once each (3), and the square-sum search once (1), not once per
-    # candidate constant it tries
-    import sys
-
+    # the trial's BmoReport (its coefficients, read by the one functional
+    # the suite reads, bloom_b2), the unstopped coefficient sum and the
+    # three-condition factory analyse b once each (3), and the square-sum
+    # search once (1), not once per candidate constant it tries
     from dyadbloom import grid as grid_module
 
-    calls = []
-    original = grid_module.analyze_leaves
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("dyadbloom") and getattr(module, "analyze_leaves", None) is original:
-            monkeypatch.setattr(module, "analyze_leaves", counting)
+    calls = count_calls(monkeypatch, grid_module, "analyze_leaves")
     (res,) = run_suites(ExperimentConfig(trials=1, suites=("stopping",)))
     assert res.measured["square_sum_constant"]["n"] == 1
     assert len(calls) == 7

@@ -11,8 +11,9 @@ from collections import Counter
 
 import pytest
 
-from dyadbloom import bmo, suites
-from dyadbloom.bmo import bmo_report
+from conftest import count_calls
+from dyadbloom import bmo, operators, suites
+from dyadbloom.bmo import BmoReport
 from dyadbloom.config import SUITE_NAMES, ExperimentConfig
 from dyadbloom.suites import SOLVES, SUITES, Record, run_suites
 
@@ -189,31 +190,60 @@ def test_joint_pass_draws_each_trial_once_and_solves_once(monkeypatch):
 
 def test_joint_pass_computes_each_trial_fact_once(monkeypatch):
     # all suites at D=4 x 3 trials: each trial's functionals are one
-    # bmo_report (a primal and a dual Bloom scan, one bmo_rho scan) and its
-    # six-term expansion one expansion_terms call, whichever suites read
-    # them; equivalences' zero symbol adds one report, identities' worked
-    # example one expansion
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in ("_bloom_b2_scan", "_bmo_rho_scan"):
-        monkeypatch.setattr(bmo, name, counted(name, getattr(bmo, name)))
-    monkeypatch.setattr(suites, "expansion_terms",
-                        counted("expansion_terms", suites.expansion_terms))
+    # BmoReport (a primal and a dual Bloom scan, one bmo_rho scan, one Bloom
+    # weight) and its six-term expansion one expansion_terms call, whichever
+    # suites read them; equivalences' zero symbol adds one report, identities'
+    # worked example one expansion
+    calls = {name: count_calls(monkeypatch, module, name) for module, name in (
+        (bmo, "_bloom_b2_scan"), (bmo, "_bmo_rho_scan"), (bmo, "rho_weight"),
+        (operators, "expansion_terms"))}
     results = run_suites(ExperimentConfig.from_dict({"depth": 4, "trials": 3}))
     assert all(res.passed for res in results)
-    assert calls == {"_bloom_b2_scan": 2 * 3 + 2, "_bmo_rho_scan": 3 + 1,
-                     "expansion_terms": 3 + 1}
+    assert {name: len(c) for name, c in calls.items()} == {
+        "_bloom_b2_scan": 2 * 3 + 2, "_bmo_rho_scan": 3 + 1, "rho_weight": 3 + 1,
+        "expansion_terms": 3 + 1}
+
+
+_SCANS = ("_bloom_b2_scan", "_bloom_l2form_scan", "_bmo_rho_scan", "_bmo_rho_l1_scan",
+          "_neccon_scan")
+
+
+# per trial: the functional scans each suite runs, and its lambda-weighted
+# oscillation passes; equivalences adds its zero-symbol report once
+_SCANS_PER_TRIAL = {
+    "identities": ({}, 0),
+    "equivalences": ({"_bloom_b2_scan": 1, "_bloom_l2form_scan": 1, "_bmo_rho_scan": 1,
+                      "_bmo_rho_l1_scan": 1}, 0),
+    "paraproduct-bounds": ({"_bloom_b2_scan": 2}, 0),
+    "commutator-bounds": ({"_bmo_rho_scan": 1}, 0),
+    "carleson": ({"_bloom_b2_scan": 2}, 0),
+    "ppott": ({}, 0),
+    "stopping": ({"_bloom_b2_scan": 1}, 0),
+    "neccon-chain": ({"_bloom_b2_scan": 1, "_bmo_rho_scan": 1, "_neccon_scan": 1}, 1),
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_each_suite_scans_only_the_functionals_it_reads(monkeypatch, suite):
+    # a one-suite pass at D=4 x 3 trials computes the functionals its checks
+    # read and no other: each trial's report scans on first read
+    calls = {name: count_calls(monkeypatch, bmo, name) for name in _SCANS}
+    oscillations = count_calls(monkeypatch, bmo, "_oscillation_masses")
+    (res,) = run_suites(ExperimentConfig(depth=4, trials=3, suites=(suite,)))
+    assert res.passed
+    per_trial, weighted = _SCANS_PER_TRIAL[suite]
+    want = Counter({name: 3 * n for name, n in per_trial.items()})
+    want_weighted = 3 * weighted
+    if suite == "equivalences":  # its zero-symbol report reads all six
+        want.update(_SCANS + ("_bloom_b2_scan",))
+        want_weighted += 1
+    assert Counter({name: len(c) for name, c in calls.items() if c}) == want
+    assert sum(len(args) > 1 for args in oscillations) == want_weighted
 
 
 def test_trial_report_is_the_cached_bmo_report():
     td = suites.make_trial(ExperimentConfig(depth=6), 1)
-    # repr round-trips every float, so equal reprs are bitwise-equal reports
-    assert repr(td.bmo) == repr(bmo_report(td.b, td.mu, td.lam))
+    # to_dict holds every value and achieving interval of the report
+    assert td.bmo.to_dict() == BmoReport(td.b, td.mu, td.lam).to_dict()
     assert td.bmo is td.bmo
     assert td.expansion is td.expansion
