@@ -8,7 +8,7 @@ checks, and stopping-time/corona constructions -- with randomized seeded
 verification suites over all of it.
 """
 
-from .bmo import BmoReport
+from .bmo import BmoReport, CarlesonSequence
 from .config import SUITE_NAMES, ExperimentConfig, derive_seed
 from .errors import (
     ConfigError,
@@ -19,15 +19,7 @@ from .errors import (
     PackingSearchError,
 )
 from .grid import ROOT, DyadicInterval, depth_of, haar_function, leaf_values, same_depth
-from .normest import (
-    CarlesonSequence,
-    NormReport,
-    adjoint_paraproduct_carleson_sequence,
-    carleson_constant,
-    compute_norm_report,
-    necessity_test_function_bound,
-    paraproduct_carleson_sequence,
-)
+from .normest import NormReport, compute_norm_report, necessity_test_function_bound
 from .operators import (
     ExpansionTerms,
     LeafOperator,

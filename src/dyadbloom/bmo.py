@@ -19,21 +19,24 @@ off-diagonal terms survive, and the ratio of the two routes is a measured
 quantity controlled by the square-function constants of lambda, recorded by
 the suites rather than assumed.
 
-Two kinds of supremum carry the functionals here and normest's Carleson
-block, each written once.  _carleson_terms(coeffs, squared, linear) builds
-a_I = bhat(I)^2 <squared>_I^2 <linear>_I and _carleson_sup(a, w) takes the
-sup of its subtree sums over w's level masses (bloom_b2, bloom_b2_dual, the
-Carleson sequences and constant, the necessity sums).
-_oscillation_masses(b, w) integrates (b - <b>_I)^2 w over every interval of
-levels 0..D-1 (bmo_rho with w = 1; neccon and the neccon-chain suite's
-mu-normalised oscillation read the report's one w = lambda pass).  _sqrt_sup
-roots a sup of squares.
+Two kinds of supremum carry the functionals here, each written once.  A
+CarlesonSequence holds numbers a_I >= 0 on coefficient levels 0..D-1 tested
+against a weight w; its subtree sums and its Carleson constant
+sup_J (1/w(J)) sum_{I subset= J} a_I are computed on first read and kept.
+The report's two sequences, carleson and carleson_dual, are built by
+_carleson_terms(coeffs, squared, linear), a_I = bhat(I)^2 <squared>_I^2
+<linear>_I, from the report's one Haar analysis: bloom_b2 and bloom_b2_dual
+are the roots of their constants, and normest's embedding checks and
+necessity sums read the same sequences.  _oscillation_masses(b, w)
+integrates (b - <b>_I)^2 w over every interval of levels 0..D-1 (bmo_rho
+with w = 1; neccon and the neccon-chain suite's mu-normalised oscillation
+read the report's one w = lambda pass).  _sqrt_sup roots a sup of squares.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import asdict
 from functools import cached_property
 from typing import NamedTuple
@@ -43,7 +46,7 @@ import numpy as np
 from .grid import DyadicInterval, analyze_leaves, depth_of, level_masses, same_depth
 from .weights import Weight, rho_weight
 
-__all__ = ["BmoReport"]
+__all__ = ["BmoReport", "CarlesonSequence"]
 
 
 class _SupResult(NamedTuple):
@@ -89,15 +92,40 @@ def _carleson_terms(coeffs: list[np.ndarray], squared: Weight, linear: Weight) -
     return [c**2 * s**2 * t for c, s, t in zip(coeffs, squared.averages, linear.averages)]
 
 
-def _carleson_sup(per_level: Sequence[np.ndarray], w: Weight) -> _SupResult:
-    # sup_J (1/w(J)) sum_{I subset= J} a_I over coefficient levels 0..D-1
-    sums = _subtree_sums(per_level)
-    return _sup_over_levels([sums[k] / np.ldexp(w.averages[k], -k) for k in range(len(sums))])
+class CarlesonSequence:
+    """Nonnegative numbers a_I on coefficient levels 0..D-1, tested against a
+    weight w of depth D: the sequence's depth is its number of levels.  Its
+    subtree sums (sums[k][j] = sum of a_I over I subset= I_{k,j}) and its
+    Carleson constant sup_J (1/w(J)) sum_{I subset= J} a_I, with the interval
+    achieving it (level-major first occurrence), are computed on first read
+    and kept."""
 
+    def __init__(self, level_values, weight: Weight):
+        same_depth(weight.values, depth=len(level_values))
+        frozen = []
+        for k, arr in enumerate(level_values):
+            a = np.array(arr, dtype=np.float64)
+            if a.shape != (1 << k,):
+                raise ValueError(f"level {k} must have {1 << k} entries")
+            if np.any(a < 0.0) or not np.all(np.isfinite(a)):
+                raise ValueError("Carleson sequence entries must be finite and >= 0")
+            a.setflags(write=False)
+            frozen.append(a)
+        self.level_values = tuple(frozen)
+        self.weight = weight
 
-def _bloom_b2_scan(coeffs: list[np.ndarray], squared: Weight, linear: Weight) -> _SupResult:
-    # the root of the Carleson constant of _carleson_terms over squared
-    return _sqrt_sup(_carleson_sup(_carleson_terms(coeffs, squared, linear), squared))
+    @cached_property
+    def subtree_sums(self) -> list[np.ndarray]:
+        return _subtree_sums(self.level_values)
+
+    @cached_property
+    def _sup(self) -> _SupResult:
+        sums, w = self.subtree_sums, self.weight
+        return _sup_over_levels([sums[k] / np.ldexp(w.averages[k], -k) for k in range(len(sums))])
+
+    @property
+    def constant(self) -> float:
+        return self._sup.value
 
 
 def _bloom_l2form_scan(coeffs: list[np.ndarray], mu: Weight, lam: Weight) -> _SupResult:
@@ -207,16 +235,21 @@ class BmoReport:
                      definition), neccon^2 lies between sup_I (1/mu(I)) int_I (b - <b>_I)^2
                      lambda dx and [mu]_{A2} times it; the neccon-chain suite asserts both.
 
-    The scans share b's Haar coefficients (coeffs), the Bloom weight rho and
-    lam_oscillation = _oscillation_masses(b, lambda), each built on first use.
+    Two Carleson sequences (module docstring) carry the Bloom functionals:
+    carleson, a_I = bhat(I)^2 <mu^{-1}>_I^2 <lambda>_I tested against mu^{-1},
+    whose constant is bloom_b2^2, and carleson_dual, a_I = bhat(I)^2
+    <lambda>_I^2 <mu^{-1}>_I tested against lambda itself, whose constant is
+    bloom_b2_dual^2.  Scans and sequences share b's Haar coefficients
+    (coeffs), the Bloom weight rho and lam_oscillation =
+    _oscillation_masses(b, lambda), each built on first use.
     The constructor checks that b, mu and lambda share a depth:
     GridMismatchError if not.
     """
 
     NAMES = ("bloom_b2", "bloom_b2_dual", "bloom_b2_l2form", "bmo_rho", "bmo_rho_l1", "neccon")
 
-    bloom_b2 = _Functional(lambda r: _bloom_b2_scan(r.coeffs, r.mu.inverse, r.lam))
-    bloom_b2_dual = _Functional(lambda r: _bloom_b2_scan(r.coeffs, r.lam, r.mu.inverse))
+    bloom_b2 = _Functional(lambda r: _sqrt_sup(r.carleson._sup))
+    bloom_b2_dual = _Functional(lambda r: _sqrt_sup(r.carleson_dual._sup))
     bloom_b2_l2form = _Functional(lambda r: _bloom_l2form_scan(r.coeffs, r.mu, r.lam))
     bmo_rho = _Functional(lambda r: _bmo_rho_scan(r.b, r.rho))
     bmo_rho_l1 = _Functional(lambda r: _bmo_rho_l1_scan(r.coeffs, r.rho))
@@ -230,6 +263,15 @@ class BmoReport:
     @cached_property
     def coeffs(self) -> list[np.ndarray]:
         return analyze_leaves(self.b)[1]
+
+    @cached_property
+    def carleson(self) -> CarlesonSequence:
+        mu_inv = self.mu.inverse
+        return CarlesonSequence(_carleson_terms(self.coeffs, mu_inv, self.lam), mu_inv)
+
+    @cached_property
+    def carleson_dual(self) -> CarlesonSequence:
+        return CarlesonSequence(_carleson_terms(self.coeffs, self.lam, self.mu.inverse), self.lam)
 
     @cached_property
     def rho(self) -> Weight:

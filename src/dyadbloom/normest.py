@@ -40,12 +40,11 @@ the adjoint's value and diagnostics are the paraproduct's solve; the
 paraproduct-bounds suite solves both routes and checks that duality.
 
 The Carleson block ties the coefficient functionals to embedding constants.
-The sequences, carleson_constant and the necessity sums are bmo.py's
-Carleson kernels (_carleson_terms, _carleson_sup, _subtree_sums), the ones
-behind BmoReport's bloom_b2 and bloom_b2_dual, so carleson_constant of a
-paraproduct sequence is bloom_b2^2 by construction; tests hold both to
-brute-force oracles.  carleson_embedding_checks solves for the best
-constant C* of
+Its sequences are bmo.CarlesonSequence, whose constant is computed once and
+kept; BmoReport builds b's two (carleson and carleson_dual), whose
+constants are bloom_b2^2 and bloom_b2_dual^2, and the necessity sums read
+the primal one's subtree sums.  carleson_embedding_checks solves for the
+best constant C* of
 
     sum_I a_I E^w_I(phi)^2 <= C* ||phi||^2_{L^2(w)},
 
@@ -61,7 +60,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bmo import BmoReport, _carleson_sup, _carleson_terms, _subtree_sums
+from .bmo import BmoReport, CarlesonSequence
 from .errors import DyadBloomError
 from .grid import (
     accumulate_levels,
@@ -82,14 +81,11 @@ from .weights import Weight, a2_characteristic
 
 __all__ = [
     "TopEigen",
+    "lockstep_chunks",
     "weighted_operator_norms",
     "ppott_best_constants",
-    "CarlesonSequence",
-    "carleson_constant",
     "CarlesonEmbeddingReport",
     "carleson_embedding_checks",
-    "paraproduct_carleson_sequence",
-    "adjoint_paraproduct_carleson_sequence",
     "necessity_restriction_ratios",
     "necessity_test_function_bound",
     "NormReport",
@@ -116,7 +112,7 @@ _EPS = float(np.finfo(np.float64).eps)
 _LOCKSTEP_LEAVES = 1 << 13
 
 
-def _lockstep_chunks(rows: Sequence, n: int) -> list:
+def lockstep_chunks(rows: Sequence, n: int) -> list:
     """rows in consecutive chunks of at most _LOCKSTEP_LEAVES // n (at least
     one): the rows worth solving in one lockstep solve at length n."""
     width = max(1, _LOCKSTEP_LEAVES // n)
@@ -289,33 +285,6 @@ def ppott_best_constants(ws: Sequence[Weight]) -> list[TopEigen]:
     return _top_eigenvalues(1 << depth, form, len(ws))
 
 
-class CarlesonSequence:
-    """Nonnegative numbers a_I on coefficient levels 0..D-1, tested against a
-    weight w of depth D: the sequence's depth is its number of levels."""
-
-    __slots__ = ("level_values", "weight")
-
-    def __init__(self, level_values, weight: Weight):
-        same_depth(weight.values, depth=len(level_values))
-        frozen = []
-        for k, arr in enumerate(level_values):
-            a = np.array(arr, dtype=np.float64)
-            if a.shape != (1 << k,):
-                raise ValueError(f"level {k} must have {1 << k} entries")
-            if np.any(a < 0.0) or not np.all(np.isfinite(a)):
-                raise ValueError("Carleson sequence entries must be finite and >= 0")
-            a.setflags(write=False)
-            frozen.append(a)
-        self.level_values = tuple(frozen)
-        self.weight = weight
-
-
-def carleson_constant(seq: CarlesonSequence) -> float:
-    """sup_J (1/w(J)) sum_{I subset= J} a_I over coefficient levels, by
-    bmo.py's bottom-up subtree-sum pass."""
-    return _carleson_sup(seq.level_values, seq.weight).value
-
-
 class CarlesonEmbeddingReport(NamedTuple):
     carleson: float
     best_embedding: float
@@ -345,38 +314,15 @@ def carleson_embedding_checks(seqs: Sequence[CarlesonSequence]) -> list[Carleson
 
     reports = []
     for seq, top in zip(seqs, _top_eigenvalues(1 << depth, form, len(seqs))):
-        car = carleson_constant(seq)
+        car = seq.constant
         ratio = top.value / car if car > 0 else math.nan
         reports.append(CarlesonEmbeddingReport(car, top.value, ratio))
     return reports
 
 
-def paraproduct_carleson_sequence(
-    b: np.ndarray, mu: Weight, lam: Weight
-) -> CarlesonSequence:
-    """a_I = bhat(I)^2 <mu^{-1}>_I^2 <lambda>_I, tested against mu^{-1}.
-
-    Its Carleson constant is BmoReport(b, mu, lambda).bloom_b2^2: both are
-    one kernel of bmo.py.
-    """
-    mu_inv = mu.inverse
-    return CarlesonSequence(_carleson_terms(analyze_leaves(b)[1], mu_inv, lam), mu_inv)
-
-
-def adjoint_paraproduct_carleson_sequence(
-    b: np.ndarray, mu: Weight, lam: Weight
-) -> CarlesonSequence:
-    """a_I = bhat(I)^2 <lambda>_I^2 <mu^{-1}>_I, tested against lambda.
-
-    Carleson constant equals BmoReport(b, mu, lambda).bloom_b2_dual^2.
-    """
-    return CarlesonSequence(_carleson_terms(analyze_leaves(b)[1], lam, mu.inverse), lam)
-
-
-def necessity_restriction_ratios(
-    b: np.ndarray, mu: Weight, lam: Weight
-) -> list[np.ndarray]:
-    """Per-interval ratios behind the test-function lower bound.
+def necessity_restriction_ratios(rep: BmoReport) -> list[np.ndarray]:
+    """Per-interval ratios behind the test-function lower bound, for the
+    symbol and weights of rep.
 
     For each K the test function is phi_K = mu^{-1} 1_K, whose L^2(mu) norm is
     mu^{-1}(K)^{1/2}.  With
@@ -410,11 +356,10 @@ def necessity_restriction_ratios(
     (L_k + mu^{-1}(K) P(K))^2 lambda plus mu^{-1}(K)^2 R(K), with
     R(child) = R(parent) + P(sibling)^2 lambda(sibling) and R(root) = 0.
     """
-    depth = same_depth(b, mu.values, lam.values)
+    lam, cb, sums = rep.lam, rep.coeffs, rep.carleson.subtree_sums
+    depth = len(cb)
     n = 1 << depth
-    mu_inv = mu.inverse
-    _, cb = analyze_leaves(b)
-    sums = _subtree_sums(_carleson_terms(cb, mu_inv, lam))
+    mu_inv = rep.mu.inverse
 
     def siblings(a: np.ndarray) -> np.ndarray:
         return a.reshape(-1, 2)[:, ::-1].ravel()
@@ -449,10 +394,10 @@ def necessity_restriction_ratios(
     return out
 
 
-def necessity_test_function_bound(b: np.ndarray, mu: Weight, lam: Weight) -> float:
+def necessity_test_function_bound(rep: BmoReport) -> float:
     """Max over K of the restriction ratio above (0 when b has no active
     coefficients at all)."""
-    ratios = necessity_restriction_ratios(b, mu, lam)
+    ratios = necessity_restriction_ratios(rep)
     return max((float(r.max()) for r in ratios if r.size), default=0.0)
 
 
@@ -509,7 +454,7 @@ def compute_norm_report(
     rep = BmoReport(b, mu, lam)
     (para,) = weighted_operator_norms(paraproduct_operator(b), [mu], [lam])
     shift = shift_operator(depth)
-    sh_mu, sh_lam = (e for ws in _lockstep_chunks([mu, lam], 1 << depth)
+    sh_mu, sh_lam = (e for ws in lockstep_chunks([mu, lam], 1 << depth)
                      for e in weighted_operator_norms(shift, ws, ws))
     (comm,) = weighted_operator_norms(commutator_operator(b, shift), [mu], [lam])
     solves = {

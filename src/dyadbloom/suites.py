@@ -64,12 +64,9 @@ from .grid import (
     synthesize_leaves,
 )
 from .normest import (
-    _lockstep_chunks,
-    adjoint_paraproduct_carleson_sequence,
-    carleson_constant,
     carleson_embedding_checks,
+    lockstep_chunks,
     necessity_test_function_bound,
-    paraproduct_carleson_sequence,
     ppott_best_constants,
     weighted_operator_norms,
 )
@@ -343,7 +340,7 @@ def _check_identities(rec: Record, td: TrialData, solved: Solved) -> None:
     )
     sq = accumulate_levels(square_layers(rem), depth)
     measured_energy = float((sq * td.lam.values).mean())
-    _, cb = analyze_leaves(td.b)
+    cb = td.bmo.coeffs
     _, cf = analyze_leaves(td.f)
     predicted = sum(
         float((cb[k] ** 2 * cf[k] ** 2 * (1 << k) * td.lam.averages[k]).sum())
@@ -404,7 +401,6 @@ def _norms(plan: Callable) -> Callable[[list], list[float]]:
 
 
 def _check_paraproduct_bounds(rec: Record, td: TrialData, solved: Solved) -> None:
-    mu, lam, b = td.mu, td.lam, td.b
     (n_pi,), (n_adj,) = solved["paraproduct"], solved["adjoint"]
     b2, b2d = td.bmo.bloom_b2, td.bmo.bloom_b2_dual
     rec.residual("norm_duality_transpose", _rel(abs(n_pi - n_adj), n_pi, n_adj))
@@ -432,7 +428,7 @@ def _check_paraproduct_bounds(rec: Record, td: TrialData, solved: Solved) -> Non
     rec.sample("norm_over_bloom_b2", n_pi / b2 if b2 > 0 else None)
     rec.sample("norm_paraproduct", n_pi)
     rec.sample("bloom_b2", b2)
-    rec.sample("necessity_test_function_bound", necessity_test_function_bound(b, mu, lam))
+    rec.sample("necessity_test_function_bound", necessity_test_function_bound(td.bmo))
 
 
 # --------------------------------------------------------- commutator-bounds
@@ -474,13 +470,11 @@ def _check_commutator_bounds(rec: Record, td: TrialData, solved: Solved) -> None
 
 
 def _check_carleson(rec: Record, td: TrialData, solved: Solved) -> None:
-    mu, lam, b = td.mu, td.lam, td.b
     (rep,) = solved["embedding"]
     car = rep.carleson
     b2, b2d = td.bmo.bloom_b2, td.bmo.bloom_b2_dual
     rec.residual("carleson_equals_bloom_b2_sq", _rel(abs(car - b2**2), b2**2))
-    seq_d = adjoint_paraproduct_carleson_sequence(b, mu, lam)
-    car_d = carleson_constant(seq_d)
+    car_d = td.bmo.carleson_dual.constant
     rec.residual(
         "carleson_dual_equals_bloom_b2_dual_sq", _rel(abs(car_d - b2d**2), b2d**2)
     )
@@ -563,7 +557,7 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
         c_both = search("two-weight deviation", lambda: minimal_packing_constant(by_both, mu_inv))
     if c_both is not None:
         fam = maximal_stopping_intervals(ROOT, by_both(c_both))
-        _, coeffs = analyze_leaves(b)
+        coeffs = td.bmo.coeffs
         # float_power is libm pow, as Python's ** on a float (a square is not)
         coeff_sum = ordered_sum(np.concatenate([
             np.float_power(coeffs[k][free], 2.0)
@@ -629,8 +623,7 @@ SOLVES: dict[str, tuple[Callable[[list], list], Callable[[TrialData], list]]] = 
                 lambda td: [(td.b, td.lam.inverse, td.mu.inverse)]),
     "commutator": (_norms(lambda bs: commutator_operator(bs, shift_operator(depth_of(bs[0])))),
                    lambda td: [(td.b, td.mu, td.lam)]),
-    "embedding": (carleson_embedding_checks,
-                  lambda td: [paraproduct_carleson_sequence(td.b, td.mu, td.lam)]),
+    "embedding": (carleson_embedding_checks, lambda td: [td.bmo.carleson]),
     "best_constant": (_ppott_constants, lambda td: [td.mu, td.lam]),
 }
 
@@ -718,7 +711,7 @@ def _solve_group(names: Sequence[str], group: list[TrialData]) -> list[Solved]:
         solver, rows_of = SOLVES[name]
         rows = [rows_of(td) for td in group]
         flat = [row for trial_rows in rows for row in trial_rows]
-        values = iter([v for chunk in _lockstep_chunks(flat, n) for v in solver(chunk)])
+        values = iter([v for chunk in lockstep_chunks(flat, n) for v in solver(chunk)])
         for solved, trial_rows in zip(out, rows):
             solved[name] = [next(values) for _ in trial_rows]
     return out
@@ -730,7 +723,7 @@ def run_suites(cfg: ExperimentConfig) -> list[SuiteResult]:
     suites = [SUITES[name] for name in cfg.suites]
     recs = [Record(name, cfg) for name in cfg.suites]
     solves = list(dict.fromkeys(key for s in suites for key in s.solves))
-    for trials in _lockstep_chunks(range(cfg.trials), 1 << cfg.depth):
+    for trials in lockstep_chunks(range(cfg.trials), 1 << cfg.depth):
         group = [make_trial(cfg, t) for t in trials]
         if trials[0] == 0:
             for rec in recs:

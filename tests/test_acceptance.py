@@ -22,13 +22,7 @@ from dyadbloom.grid import (
     haar_function,
     synthesize_leaves,
 )
-from dyadbloom.normest import (
-    adjoint_paraproduct_carleson_sequence,
-    carleson_constant,
-    carleson_embedding_checks,
-    paraproduct_carleson_sequence,
-    weighted_operator_norms,
-)
+from dyadbloom.normest import carleson_embedding_checks, weighted_operator_norms
 from dyadbloom.operators import (
     commutator_operator,
     expansion_terms,
@@ -239,14 +233,12 @@ def test_criterion_06_carleson_inequalities():
             if b2 == 0.0:
                 continue
             trials_used += 1
-            seq = paraproduct_carleson_sequence(b, mu, lam)
-            car = carleson_constant(seq)
+            car = fns.carleson.constant
             worst_car = max(worst_car, (car - b2**2) / b2**2)
             b2d = fns.bloom_b2_dual
-            seq_d = adjoint_paraproduct_carleson_sequence(b, mu, lam)
-            car_d = carleson_constant(seq_d)
+            car_d = fns.carleson_dual.constant
             worst_car = max(worst_car, (car_d - b2d**2) / b2d**2)
-            rep = carleson_embedding_checks([seq])[0]
+            rep = carleson_embedding_checks([fns.carleson])[0]
             worst_embed = max(
                 worst_embed, (rep.best_embedding - 4.0 * rep.carleson) / rep.carleson
             )

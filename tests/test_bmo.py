@@ -205,8 +205,10 @@ def test_functional_scaling_is_linear_in_symbol():
 
 
 def test_each_functional_is_scanned_once_when_first_read(monkeypatch):
+    # the two Bloom functionals are the roots of their Carleson sequences'
+    # constants: one subtree-sum pass each
     mu, lam, b = _triple(4, 17)
-    scans = count_calls(monkeypatch, bmo, "_bloom_b2_scan")
+    scans = count_calls(monkeypatch, bmo, "_subtree_sums")
     others = [count_calls(monkeypatch, bmo, name) for name in (
         "_bloom_l2form_scan", "_bmo_rho_scan", "_bmo_rho_l1_scan", "_neccon_scan")]
     rep = BmoReport(b, mu, lam)

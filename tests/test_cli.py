@@ -21,7 +21,7 @@ import pytest
 import dyadbloom
 from dyadbloom import cli
 from dyadbloom.cli import SWEEP_COLUMNS, main
-from dyadbloom.config import SUITE_NAMES
+from dyadbloom.config import MAX_DEPTH, SUITE_NAMES
 from dyadbloom.errors import ConfigError
 from dyadbloom.grid import leaf_values
 from dyadbloom.serialize import (
@@ -428,18 +428,24 @@ def test_norms_at_depth_14_within_one_gib(tmp_path):
         assert math.isfinite(doc[key]) and doc[key] > 0.0, key
 
 
-def test_verify_every_suite_at_depth_14(tmp_path):
+def test_verify_every_suite_at_depth_16(tmp_path):
     # every suite works level by level or matrix-free, so all eight run at
-    # the deepest configurable depth in seconds, under 1 GiB
+    # D=16 in seconds, under 1 GiB (config.MAX_DEPTH is the deepest depth
+    # that passes this way; it takes half a minute)
     out = tmp_path / "results"
     proc = _run_within_one_gib([
-        ["verify", "--depth", "14", "--trials", "1", "--out", str(out)],
+        ["verify", "--depth", "16", "--trials", "1", "--out", str(out)],
     ])
     assert proc.returncode == 0, proc.stderr
     for suite in SUITE_NAMES:
         doc = json.loads((out / f"suite-{suite}.json").read_text())
-        assert doc["config"]["depth"] == 14
+        assert doc["config"]["depth"] == 16
         assert doc["passed"], suite
+
+
+def test_verify_rejects_depth_above_the_configured_cap(capsys):
+    assert main(["verify", "--depth", str(MAX_DEPTH + 1), "--trials", "1"]) == 2
+    assert f"[2, {MAX_DEPTH}]" in capsys.readouterr().err
 
 
 def test_verify_prints_findings_with_seeds(capsys):

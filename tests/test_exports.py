@@ -1,7 +1,10 @@
 """Every name a module lists in __all__ exists: a star import of each module
-fails on a name left behind after its definition is deleted."""
+fails on a name left behind after its definition is deleted.  No module
+imports a sibling's private names."""
 
+import ast
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +21,19 @@ MODULES = ["dyadbloom"] + [
 def test_star_import(module):
     exec(f"from {module} import *", {})
 
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a module's underscore names are its own: a sibling that needs one
+    # should get a public name, or the code should move to its owner
+    package = Path(dyadbloom.__file__).parent
+    private = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "dyadbloom"
+            ):
+                names = [a.name for a in node.names if a.name.startswith("_")]
+                if names:
+                    private.setdefault(path.stem, []).extend(names)
+    assert private == {}

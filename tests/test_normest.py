@@ -17,14 +17,12 @@ from dyadbloom import (
     LeafOperator,
     BmoReport,
     Weight,
-    carleson_constant,
     commutator_operator,
     compute_norm_report,
     generate,
     haar_function,
     necessity_test_function_bound,
     paraproduct_adjoint_operator,
-    paraproduct_carleson_sequence,
     paraproduct_operator,
     project_admissible,
     rho_weight,
@@ -33,7 +31,6 @@ from dyadbloom import (
 from dyadbloom import DyadBloomError, normest
 from dyadbloom.config import ExperimentConfig
 from dyadbloom.normest import (
-    adjoint_paraproduct_carleson_sequence,
     carleson_embedding_checks,
     necessity_restriction_ratios,
     ppott_best_constants,
@@ -144,7 +141,7 @@ def _engine_values(depth, seed):
     symbol's paraproduct sequence.  Each makes one _top_eigenvalue call."""
     mu, lam, b_adm = _materials(depth, seed)
     b = np.random.default_rng(seed + 1).standard_normal(1 << depth)
-    seq = paraproduct_carleson_sequence(b_adm, mu, lam)
+    seq = BmoReport(b_adm, mu, lam).carleson
     return {
         "paraproduct": _norm(paraproduct_operator(b), mu, lam),
         "paraproduct_adjoint": _norm(paraproduct_adjoint_operator(b), lam.inverse, mu.inverse),
@@ -162,7 +159,7 @@ def _dense_oracles(depth, seed):
     bv = np.random.default_rng(seed + 1).standard_normal(1 << depth)
     muv, lamv = mu.values, lam.values
     sh = oracles.shift_matrix(depth)
-    seq = paraproduct_carleson_sequence(b_adm, mu, lam)
+    seq = BmoReport(b_adm, mu, lam).carleson
     return {
         "paraproduct": oracles.weighted_norm_oracle(
             oracles.paraproduct_matrix(bv, depth), muv, lamv
@@ -210,7 +207,7 @@ def test_engine_matches_arpack(depth, monkeypatch):
 
 def test_engine_is_bitwise_repeatable():
     mu, lam, b = _materials(8, 950)
-    seq = paraproduct_carleson_sequence(b, mu, lam)
+    seq = BmoReport(b, mu, lam).carleson
 
     def run():
         return (
@@ -344,8 +341,8 @@ def test_lockstep_rows_equal_rows_alone_on_real_plans():
     assert normest.ppott_best_constants(mus) == [
         normest.ppott_best_constants([w])[0] for w in mus
     ]
-    seqs = [paraproduct_carleson_sequence(zero, mus[0], lams[0])]
-    seqs += [paraproduct_carleson_sequence(b, mu, lam) for b, mu, lam in rows]
+    seqs = [BmoReport(zero, mus[0], lams[0]).carleson]
+    seqs += [BmoReport(b, mu, lam).carleson for b, mu, lam in rows]
     assert normest.carleson_embedding_checks(seqs)[1:] == [
         carleson_embedding_checks([q])[0] for q in seqs[1:]
     ]
@@ -629,14 +626,14 @@ def test_carleson_constant_matches_oracle():
     vals = [r.uniform(0.0, 1.0, 1 << k) for k in range(4)]
     seq = CarlesonSequence(vals, w)
     want = oracles.carleson_oracle(vals, w.values, 4)
-    assert carleson_constant(seq) == pytest.approx(want, rel=1e-13)
+    assert seq.constant == pytest.approx(want, rel=1e-13)
 
 
 def test_carleson_single_root_mass_example():
     one = Weight(np.ones(8))
     vals = [np.array([1.0])] + [np.zeros(1 << k) for k in range(1, 3)]
     seq = CarlesonSequence(vals, one)
-    assert carleson_constant(seq) == 1.0
+    assert seq.constant == 1.0
     rep = carleson_embedding_checks([seq])[0]
     # phi = 1 achieves E^w_root(phi)^2 = ||phi||^2, so C* = 1 exactly
     assert rep.best_embedding == pytest.approx(1.0, rel=1e-12)
@@ -658,10 +655,12 @@ def test_carleson_sequence_validation():
 # depth-4 symbol and depth-6 weights (or weights of depths 4 and 6)
 _MISMATCHED = {
     "BmoReport": BmoReport,
-    # each functional of a mismatched report, read or not, raises
+    # each functional and Carleson sequence of a mismatched report, read or
+    # not, raises
     **{name: lambda b, mu, lam, name=name: getattr(BmoReport(b, mu, lam), name)
-       for name in BmoReport.NAMES},
-    "necessity_test_function_bound": necessity_test_function_bound,
+       for name in (*BmoReport.NAMES, "carleson", "carleson_dual")},
+    "necessity_test_function_bound": lambda b, mu, lam: necessity_test_function_bound(
+        BmoReport(b, mu, lam)),
     "compute_norm_report": compute_norm_report,
     "rho_weight": lambda b, mu, lam: rho_weight(Weight(np.exp(b)), lam),
     "weighted_operator_norms": lambda b, mu, lam: weighted_operator_norms(
@@ -670,8 +669,6 @@ _MISMATCHED = {
         shift_operator(6), [mu, Weight(np.exp(b))], [lam, lam]),
     "ppott_best_constants": lambda b, mu, lam: ppott_best_constants(
         [Weight(np.exp(b)), mu]),
-    "paraproduct_carleson_sequence": paraproduct_carleson_sequence,
-    "adjoint_paraproduct_carleson_sequence": adjoint_paraproduct_carleson_sequence,
     "CarlesonSequence": lambda b, mu, lam: CarlesonSequence(
         [np.zeros(1 << k) for k in range(4)], mu),
     "carleson_embedding_checks": lambda b, mu, lam: carleson_embedding_checks([
@@ -708,19 +705,18 @@ def test_mismatched_depths_raise_grid_mismatch(name):
 @pytest.mark.parametrize("kind", ensembles.KINDS)
 @pytest.mark.parametrize("depth", [1, 3, 5])
 def test_paraproduct_sequence_carleson_equals_bloom_squared(depth, kind):
-    # carleson_constant, the sequences and bloom_b2 share bmo.py's Carleson
-    # kernels, so each is held to the nested-loop oracles, not to the other:
-    # the sequence's entries through carleson_oracle, its constant through
-    # bloom_oracle and bloom_dual_oracle
+    # the report's sequences, their constants and bloom_b2 share bmo.py's
+    # Carleson kernels, so each is held to the nested-loop oracles, not to
+    # the other: the sequence's entries through carleson_oracle, its
+    # constant through bloom_oracle and bloom_dual_oracle
     b, mu, lam = ensembles.triple(depth, kind, 500 + 10 * depth + ensembles.KINDS.index(kind))
     rep = BmoReport(b, mu, lam)
     for seq, bloom, oracle in (
-        (paraproduct_carleson_sequence(b, mu, lam), rep.bloom_b2, oracles.bloom_oracle),
-        (adjoint_paraproduct_carleson_sequence(b, mu, lam), rep.bloom_b2_dual,
-         oracles.bloom_dual_oracle),
+        (rep.carleson, rep.bloom_b2, oracles.bloom_oracle),
+        (rep.carleson_dual, rep.bloom_b2_dual, oracles.bloom_dual_oracle),
     ):
         want = oracle(b, mu.values, lam.values, depth) ** 2
-        assert carleson_constant(seq) == pytest.approx(want, rel=1e-12)
+        assert seq.constant == pytest.approx(want, rel=1e-12)
         assert oracles.carleson_oracle(seq.level_values, seq.weight.values, depth) == (
             pytest.approx(want, rel=1e-12)
         )
@@ -728,23 +724,25 @@ def test_paraproduct_sequence_carleson_equals_bloom_squared(depth, kind):
 
 
 def test_both_bloom_functionals_are_their_sequences_carleson_roots_bitwise():
-    # bloom_b2 and bloom_b2_dual read the same weights, in the same roles, as
-    # their Carleson sequences (the dual reads lambda itself, not 1/(1/lambda))
+    # bloom_b2 and bloom_b2_dual are the roots of their Carleson sequences'
+    # constants, and each sequence is tested against its own weight (the
+    # dual against lambda itself, not 1/(1/lambda)): a sequence rebuilt from
+    # the same entries and weight gives the same constant
     cfg = ExperimentConfig(depth=6, trials=37, seed=7)
     for t in range(cfg.trials):
         td = make_trial(cfg, t)
-        for seq, bloom in (
-            (paraproduct_carleson_sequence(td.b, td.mu, td.lam), td.bmo.bloom_b2),
-            (adjoint_paraproduct_carleson_sequence(td.b, td.mu, td.lam), td.bmo.bloom_b2_dual),
+        for seq, weight, bloom in (
+            (td.bmo.carleson, td.mu.inverse, td.bmo.bloom_b2),
+            (td.bmo.carleson_dual, td.lam, td.bmo.bloom_b2_dual),
         ):
-            assert bloom == math.sqrt(carleson_constant(seq))
+            assert seq.weight is weight
+            assert bloom == math.sqrt(CarlesonSequence(seq.level_values, weight).constant)
 
 
 def test_embedding_constant_sits_in_the_classical_window():
     for seed in range(4):
         mu, lam, b = _materials(4, 600 + seed)
-        seq = paraproduct_carleson_sequence(b, mu, lam)
-        rep = carleson_embedding_checks([seq])[0]
+        rep = carleson_embedding_checks([BmoReport(b, mu, lam).carleson])[0]
         if rep.carleson > 0:
             assert rep.best_embedding >= rep.carleson * (1 - 1e-9)
             assert rep.best_embedding <= 4.0 * rep.carleson * (1 + 1e-9)
@@ -755,13 +753,13 @@ def test_necessity_single_scale_ratio_is_one(unit_weight):
     # restricted sum and the test-function image coincide at the root
     one = unit_weight(3)
     b = haar_function(3, DyadicInterval(0, 0))
-    assert necessity_test_function_bound(b, one, one) == pytest.approx(1.0, rel=1e-12)
+    assert necessity_test_function_bound(BmoReport(b, one, one)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_necessity_constant_symbol_reports_zero(unit_weight):
     one = unit_weight(3)
     const = np.full(8, 2.0)
-    assert necessity_test_function_bound(const, one, one) == 0.0
+    assert necessity_test_function_bound(BmoReport(const, one, one)) == 0.0
 
 
 @pytest.mark.parametrize("depth", range(1, 11))
@@ -769,7 +767,7 @@ def test_necessity_ratios_match_per_interval_oracle(depth):
     zero_rows = 0
     for i, ensemble in enumerate(ensembles.KINDS):
         b, mu, lam = ensembles.triple(depth, ensemble, 900 + 10 * depth + i)
-        got = necessity_restriction_ratios(b, mu, lam)
+        got = necessity_restriction_ratios(BmoReport(b, mu, lam))
         want = oracles.necessity_restriction_ratios_oracle(
             b, mu.values, lam.values, depth
         )

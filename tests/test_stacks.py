@@ -11,12 +11,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadbloom import Weight
+from dyadbloom import BmoReport, Weight
 from dyadbloom import normest
 from dyadbloom.normest import (
     TopEigen,
     carleson_embedding_checks,
-    paraproduct_carleson_sequence,
     ppott_best_constants,
     weighted_operator_norms,
 )
@@ -98,7 +97,7 @@ def test_stacked_kernels_and_forms_equal_rows_alone(depth, rows, decades, seed):
         [_form(ppott_best_constants, [w]) for w in mus],
         x,
     )
-    seqs = [paraproduct_carleson_sequence(b, mu, lam) for b, mu, lam in zip(bs, mus, lams)]
+    seqs = [BmoReport(b, mu, lam).carleson for b, mu, lam in zip(bs, mus, lams)]
     _assert_rows(
         _form(carleson_embedding_checks, seqs),
         [_form(carleson_embedding_checks, [q]) for q in seqs],

@@ -471,14 +471,12 @@ def test_corona_scan_matches_oracle_root_by_root(depth, data):
 
 
 def test_stopping_suite_at_depth_16_scans_once_per_generation(monkeypatch):
-    # one trial above the configured cap: the suite passes, and every corona
-    # (one per constant tried, plus the suite's own) costs one root-set scan
-    # per generation, not one per root
-    import dyadbloom.config as config
+    # one trial at D=16: the suite passes, and every corona (one per
+    # constant tried, plus the suite's own) costs one root-set scan per
+    # generation, not one per root
     import dyadbloom.stopping as stopping
     import dyadbloom.suites as suites
 
-    monkeypatch.setattr(config, "MAX_DEPTH", 16)
     scans = []
     coronas = []
     scan, corona = stopping.maximal_stopping_intervals, stopping.corona_generations
@@ -504,13 +502,13 @@ def test_stopping_suite_at_depth_16_scans_once_per_generation(monkeypatch):
 
 def test_stopping_trial_analyses_b_once_per_square_sum_search(monkeypatch):
     # one default D=8 stopping trial: make_trial projects b, f and g (3),
-    # the trial's BmoReport (its coefficients, read by the one functional
-    # the suite reads, bloom_b2), the unstopped coefficient sum and the
-    # three-condition factory analyse b once each (3), and the square-sum
-    # search once (1), not once per candidate constant it tries
+    # the trial's BmoReport (its coefficients, read by bloom_b2 and by the
+    # unstopped coefficient sum) and the three-condition factory analyse b
+    # once each (2), and the square-sum search once (1), not once per
+    # candidate constant it tries
     from dyadbloom import grid as grid_module
 
     calls = count_calls(monkeypatch, grid_module, "analyze_leaves")
     (res,) = run_suites(ExperimentConfig(trials=1, suites=("stopping",)))
     assert res.measured["square_sum_constant"]["n"] == 1
-    assert len(calls) == 7
+    assert len(calls) == 6

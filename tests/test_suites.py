@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from conftest import count_calls
-from dyadbloom import bmo, operators, suites
+from dyadbloom import bmo, grid, operators, suites
 from dyadbloom.bmo import BmoReport
 from dyadbloom.config import SUITE_NAMES, ExperimentConfig
 from dyadbloom.suites import SOLVES, SUITES, Record, run_suites
@@ -115,6 +115,19 @@ def test_suite_assertions_and_measured_keys(name):
     assert result.passed
 
 
+@pytest.mark.parametrize("names", [(n,) for n in SUITE_NAMES] + [SUITE_NAMES],
+                         ids=lambda n: "+".join(n))
+def test_every_gate_is_reached_on_the_default_ensembles(names):
+    # a (name, tol) gate no check reports reads "no trials" and passes, so a
+    # residual renamed on one side only would pass silently: on the default
+    # ensembles every gate of every suite, alone or together, sees a trial
+    results = run_suites(ExperimentConfig(depth=4, trials=3, suites=names))
+    vacuous = [(res.suite, a.name) for res in results for a in res.assertions
+               if "no trials" in a.detail]
+    assert vacuous == []
+    assert all(res.passed for res in results)
+
+
 def test_constant_symbol_passes_with_unreached_gates():
     cfg = ExperimentConfig.from_dict(
         {"depth": 4, "trials": 2, "symbol": {"kind": "constant"}}
@@ -190,21 +203,23 @@ def test_joint_pass_draws_each_trial_once_and_solves_once(monkeypatch):
 
 def test_joint_pass_computes_each_trial_fact_once(monkeypatch):
     # all suites at D=4 x 3 trials: each trial's functionals are one
-    # BmoReport (a primal and a dual Bloom scan, one bmo_rho scan, one Bloom
-    # weight) and its six-term expansion one expansion_terms call, whichever
+    # BmoReport (a primal and a dual Carleson constant, one bmo_rho scan, one
+    # Bloom weight) and its six-term expansion one expansion_terms call, whichever
     # suites read them; equivalences' zero symbol adds one report, identities'
     # worked example one expansion
     calls = {name: count_calls(monkeypatch, module, name) for module, name in (
-        (bmo, "_bloom_b2_scan"), (bmo, "_bmo_rho_scan"), (bmo, "rho_weight"),
+        (bmo, "_subtree_sums"), (bmo, "_bmo_rho_scan"), (bmo, "rho_weight"),
         (operators, "expansion_terms"))}
     results = run_suites(ExperimentConfig.from_dict({"depth": 4, "trials": 3}))
     assert all(res.passed for res in results)
     assert {name: len(c) for name, c in calls.items()} == {
-        "_bloom_b2_scan": 2 * 3 + 2, "_bmo_rho_scan": 3 + 1, "rho_weight": 3 + 1,
+        "_subtree_sums": 2 * 3 + 2, "_bmo_rho_scan": 3 + 1, "rho_weight": 3 + 1,
         "expansion_terms": 3 + 1}
 
 
-_SCANS = ("_bloom_b2_scan", "_bloom_l2form_scan", "_bmo_rho_scan", "_bmo_rho_l1_scan",
+# _subtree_sums runs once per Carleson sequence of the report that is read
+# (carleson behind bloom_b2, carleson_dual behind bloom_b2_dual)
+_SCANS = ("_subtree_sums", "_bloom_l2form_scan", "_bmo_rho_scan", "_bmo_rho_l1_scan",
           "_neccon_scan")
 
 
@@ -212,14 +227,14 @@ _SCANS = ("_bloom_b2_scan", "_bloom_l2form_scan", "_bmo_rho_scan", "_bmo_rho_l1_
 # oscillation passes; equivalences adds its zero-symbol report once
 _SCANS_PER_TRIAL = {
     "identities": ({}, 0),
-    "equivalences": ({"_bloom_b2_scan": 1, "_bloom_l2form_scan": 1, "_bmo_rho_scan": 1,
+    "equivalences": ({"_subtree_sums": 1, "_bloom_l2form_scan": 1, "_bmo_rho_scan": 1,
                       "_bmo_rho_l1_scan": 1}, 0),
-    "paraproduct-bounds": ({"_bloom_b2_scan": 2}, 0),
+    "paraproduct-bounds": ({"_subtree_sums": 2}, 0),
     "commutator-bounds": ({"_bmo_rho_scan": 1}, 0),
-    "carleson": ({"_bloom_b2_scan": 2}, 0),
+    "carleson": ({"_subtree_sums": 2}, 0),
     "ppott": ({}, 0),
-    "stopping": ({"_bloom_b2_scan": 1}, 0),
-    "neccon-chain": ({"_bloom_b2_scan": 1, "_bmo_rho_scan": 1, "_neccon_scan": 1}, 1),
+    "stopping": ({"_subtree_sums": 1}, 0),
+    "neccon-chain": ({"_subtree_sums": 1, "_bmo_rho_scan": 1, "_neccon_scan": 1}, 1),
 }
 
 
@@ -235,10 +250,41 @@ def test_each_suite_scans_only_the_functionals_it_reads(monkeypatch, suite):
     want = Counter({name: 3 * n for name, n in per_trial.items()})
     want_weighted = 3 * weighted
     if suite == "equivalences":  # its zero-symbol report reads all six
-        want.update(_SCANS + ("_bloom_b2_scan",))
+        want.update(_SCANS + ("_subtree_sums",))
         want_weighted += 1
     assert Counter({name: len(c) for name, c in calls.items() if c}) == want
     assert sum(len(args) > 1 for args in oscillations) == want_weighted
+
+
+# default D=8 x 20 trials: (Carleson term sets, subtree-sum passes, Haar
+# analyses of the trials' symbols) for one pass; each trial builds its two
+# sequences once and analyses its symbol once for the suites, and the
+# equivalences zero-symbol report adds two sequences
+_DEFAULT_PASS_WORK = {
+    ("carleson",): (40, 40, 20),
+    ("paraproduct-bounds",): (40, 40, 20),
+    SUITE_NAMES: (42, 42, 160),
+}
+
+
+@pytest.mark.parametrize("names", list(_DEFAULT_PASS_WORK), ids=lambda n: "+".join(n))
+def test_default_pass_builds_each_carleson_sequence_once(monkeypatch, names):
+    terms = count_calls(monkeypatch, bmo, "_carleson_terms")
+    sums = count_calls(monkeypatch, bmo, "_subtree_sums")
+    analyses = count_calls(monkeypatch, grid, "analyze_leaves")
+    symbols = []
+    make_trial = suites.make_trial
+
+    def recording_make_trial(cfg, t):
+        td = make_trial(cfg, t)
+        symbols.append(td.b)
+        return td
+
+    monkeypatch.setattr(suites, "make_trial", recording_make_trial)
+    results = run_suites(ExperimentConfig(suites=names))
+    assert all(res.passed for res in results)
+    of_symbols = sum(any(args[0] is b for b in symbols) for args in analyses)
+    assert (len(terms), len(sums), of_symbols) == _DEFAULT_PASS_WORK[names]
 
 
 def test_trial_report_is_the_cached_bmo_report():
