@@ -22,11 +22,17 @@ Every top eigenvalue comes from _top_eigenvalues, a numpy thick-restart
 Lanczos on the symmetric operator with full reorthogonalisation, started
 from one fixed seeded random vector, so repeated calls return bitwise-equal
 floats.  The start vector is random, not constant, because constants lie in
-the kernel of the shift.  It stops on ARPACK's tol=0 test: the top Ritz
-value theta has residual at most eps * theta.  theta is then a lower bound
-on the top eigenvalue up to rounding; nothing bounds it from above.  Each
-matvec output is checked for finiteness once, and a zero operator is
-recognised from the first image, at no extra apply.
+the kernel of the shift.  After every step it takes the top Ritz value
+theta, its residual r and the Ritz gap theta_1 - theta_2, and stops once
+r^2 <= eps * theta * max(gap, r): a Ritz value's error is about r^2 / gap
+(Parlett, The Symmetric Eigenvalue Problem, 1980), and where gap < r the
+test is ARPACK's tol=0 test r <= eps * theta.  Under any stop rule theta is
+a lower bound on the top eigenvalue up to rounding, and nothing bounds it
+from above.  r^2 / gap is an estimate, not a bound: by Cauchy interlacing
+theta_2 <= lambda_2, so the Ritz gap can overstate the true gap, and a top
+cluster the basis has not yet resolved can leave theta low by up to the
+cluster's width.  Each matvec output is checked for finiteness once, and a
+zero operator is recognised from the first image, at no extra apply.
 
 The engine runs in lockstep: independent problems share one stacked matvec
 per step and keep everything else per row, so each row returns bitwise what
@@ -120,12 +126,15 @@ def lockstep_chunks(rows: Sequence, n: int) -> list:
 
 
 class TopEigen(NamedTuple):
-    """One row's top Ritz value, the matvecs it took, and the residual
-    |beta s_m| of that Ritz pair (0.0 for a zero operator)."""
+    """One row's top Ritz value, the matvecs it took, the residual
+    |beta s_m| of that Ritz pair (0.0 for a zero operator), and the gap
+    theta_1 - theta_2 to the next Ritz value at the stop (0.0 for a zero or
+    one-step stop), so residual^2 / gap estimates the value's error."""
 
     value: float
     matvecs: int
     residual: float
+    gap: float
 
 
 def _top_eigenvalues(
@@ -153,12 +162,23 @@ def _top_eigenvalues(
     [1/2, 1): exact, and it keeps squared norms from overflowing or
     underflowing.
 
-    The top Ritz value theta is returned once its residual |beta s_m| (beta
-    the next residual norm, s_m the last entry of theta's eigenvector in the
-    projected matrix) is at most eps |theta|: ARPACK's tol=0 test, whose
-    eps^(2/3) floor on |theta| cannot bind once theta >= 1/2 after the
-    scaling.  theta is a lower bound up to rounding; nothing bounds it from
-    above.
+    After every step the row's (j+1) x (j+1) projected matrix is
+    diagonalised, and its top Ritz value theta is returned once
+
+        r^2 <= eps |theta| max(gap, r),
+
+    r = |beta s_m| the residual (beta the next residual norm, s_m the last
+    entry of theta's eigenvector) and gap = theta_1 - theta_2 the gap to the
+    next Ritz value (0 after one step).  r^2 / gap estimates theta's error,
+    so this stops once the estimate is at most eps |theta|; while gap < r it
+    is ARPACK's tol=0 test r <= eps |theta|, whose eps^(2/3) floor on
+    |theta| cannot bind once theta >= 1/2 after the scaling.  The estimate is
+    no bound: the Ritz gap can overstate the true gap (theta_2 <= lambda_2),
+    and a top cluster not yet resolved leaves theta low by up to its width.
+    theta is a lower bound up to rounding, which builds up over restart
+    cycles (57 eps after 110 cycles on a clustered diagonal, n = 4096);
+    nothing bounds it from above.  The last step's diagonalisation of a full
+    basis also gives its restart.
 
     A non-finite image raises ValueError (a stopped row's zero input has a
     zero image under the library's linear kernels).  A zero first
@@ -175,14 +195,15 @@ def _top_eigenvalues(
     start = np.random.default_rng(0).standard_normal(n)
     basis[:, 0] = start / math.sqrt(start @ start)
     shifts = [0] * rows
-    betas = [0.0] * rows
+    ritz: list = [None] * rows  # each row's last (theta, s), for its restart
     out: list[TopEigen] = [None] * rows  # type: ignore[list-item]
     live = list(range(rows))
     steps = 0
 
-    def stop(r: int, top: float, residual: float) -> None:
+    def stop(r: int, top: float, residual: float, gap: float) -> None:
         out[r] = TopEigen(max(float(np.ldexp(top, -shifts[r])), 0.0), steps,
-                          float(np.ldexp(residual, -shifts[r])))
+                          float(np.ldexp(residual, -shifts[r])),
+                          float(np.ldexp(gap, -shifts[r])))
         live.remove(r)
         if live:  # ride along on a zero vector
             basis[r] = 0.0
@@ -200,7 +221,7 @@ def _top_eigenvalues(
                 if steps == 1:
                     peak = float(np.abs(w).max())
                     if peak == 0.0:
-                        stop(r, 0.0, 0.0)
+                        stop(r, 0.0, 0.0, 0.0)
                         continue
                     shifts[r] = -math.frexp(peak)[1]
                 w = np.ldexp(w, shifts[r])
@@ -212,30 +233,27 @@ def _top_eigenvalues(
                 w -= c @ v
                 h += c
                 proj[r, : j + 1, j] = h
-                beta = betas[r] = math.sqrt(w @ w)
-                if j + 1 == n or beta <= (j + 1) * _EPS * image_norm:
-                    theta, s = np.linalg.eigh(proj[r, : j + 1, : j + 1], UPLO="U")
-                    stop(r, theta[-1], abs(beta * s[-1, -1]))
+                beta = math.sqrt(w @ w)
+                theta, s = ritz[r] = np.linalg.eigh(proj[r, : j + 1, : j + 1], UPLO="U")
+                residual = abs(beta * s[-1, -1])
+                gap = float(theta[-1] - theta[-2]) if j else 0.0
+                if (j + 1 == n or beta <= (j + 1) * _EPS * image_norm
+                        or residual * residual <= _EPS * abs(theta[-1]) * max(gap, residual)):
+                    stop(r, theta[-1], residual, gap)
                 else:
                     basis[r, j + 1] = w / beta
             if not live:
                 return out
             j += 1
-        for r in live[:]:
-            theta, s = np.linalg.eigh(proj[r], UPLO="U")
-            residual = abs(betas[r] * s[-1, -1])
-            if residual <= _EPS * abs(theta[-1]):
-                stop(r, theta[-1], residual)
-                continue
-            ritz = s[:, -_KEEP:].T
+        for r in live:
+            theta, s = ritz[r]
+            kept = s[:, -_KEEP:].T
             for lo in range(0, n, _ROTATE_COLUMNS):
                 cols = slice(lo, lo + _ROTATE_COLUMNS)
-                basis[r, :_KEEP, cols] = ritz @ basis[r, :m, cols]
+                basis[r, :_KEEP, cols] = kept @ basis[r, :m, cols]
             basis[r, _KEEP] = basis[r, m]
             proj[r] = 0.0
             proj[r, range(_KEEP), range(_KEEP)] = theta[-_KEEP:]
-        if not live:
-            return out
         j = _KEEP
     raise DyadBloomError(
         f"Lanczos did not converge within its restart cap of {cap} restarts"
@@ -249,9 +267,9 @@ def weighted_operator_norms(
     """|| T_r : L^2(mu_r) -> L^2(lambda_r) || for each row r, as one
     lockstep solve: T is a plan of one operator or of one symbol per row
     (operators.py), and each row's value is the square root of
-    lambda_max(W_r'W_r), bitwise what that row gives alone.  matvecs and
-    residual are those of W_r'W_r's top Ritz pair.  One norm is the one-row
-    call weighted_operator_norms(T, [mu], [lam])[0].value."""
+    lambda_max(W_r'W_r), bitwise what that row gives alone.  matvecs,
+    residual and gap are those of W_r'W_r's top Ritz pair.  One norm is the
+    one-row call weighted_operator_norms(T, [mu], [lam])[0].value."""
     depth = same_depth(*(w.values for w in (*mus, *lams)), depth=T.depth)
     scale = 1.0 / np.sqrt(stack_rows([mu.values for mu in mus]))
     lam_vals = stack_rows([lam.values for lam in lams])
@@ -447,7 +465,8 @@ def compute_norm_report(
     Pi_b : L^2(mu) -> L^2(lambda), so ||Pi*_b|| = ||Pi_b|| (the
     paraproduct-bounds suite solves both routes and checks this), and its
     value and diagnostics are the paraproduct's solve.  diagnostics holds,
-    per norm, the Lanczos matvecs and the final Ritz residual of W'W.
+    per norm, the Lanczos matvecs and the final Ritz residual r and Ritz gap
+    of W'W, so r^2 / gap estimates the error of the norm squared.
     """
     depth = same_depth(b, mu.values, lam.values)
     a2_mu = a2_characteristic(mu)
@@ -482,6 +501,6 @@ def compute_norm_report(
         **{k: e.value for k, e in solves.items()},
         shift_truncated=not is_admissible(b),
         ratios=ratios,
-        diagnostics={k: {"matvecs": e.matvecs, "ritz_residual": e.residual}
+        diagnostics={k: {"matvecs": e.matvecs, "ritz_residual": e.residual, "ritz_gap": e.gap}
                      for k, e in solves.items()},
     )

@@ -102,8 +102,11 @@ def paraproduct_operator(b: Symbols) -> LeafOperator:
     """Pi_b with transpose Pi*_b; b (one symbol's leaf array or a sequence
     of them) is analysed once, here."""
     depth, bv = _symbol_rows(b)
-    _, cb = analyze_leaves(bv)
+    return _paraproduct_plan(depth, analyze_leaves(bv)[1])
 
+
+def _paraproduct_plan(depth: int, cb: list[np.ndarray]) -> LeafOperator:
+    # Pi_b with transpose Pi*_b from the Haar coefficients cb of b
     def apply(f: np.ndarray) -> np.ndarray:
         same_depth(f, depth=depth)
         masses = level_masses(f)
@@ -306,9 +309,10 @@ def expansion_terms(b: np.ndarray, f: np.ndarray) -> ExpansionTerms:
     (level of I)-blocks of its deepest active I, so its spectrum also stays
     within levels <= D-2.
     """
-    depth = len(_admissible_coeffs(b, f, "expansion")[0])
+    cb, cf = _admissible_coeffs(b, f, "expansion")
+    depth = len(cb)
     shift = shift_operator(depth).apply
-    pi_b = paraproduct_operator(b)
+    pi_b = _paraproduct_plan(depth, cb)
     shf = shift(f)
     return ExpansionTerms(
         commutator=b * shf - shift(b * f),
@@ -317,5 +321,5 @@ def expansion_terms(b: np.ndarray, f: np.ndarray) -> ExpansionTerms:
         pi_b_star_shf=pi_b.transpose(shf),
         sh_pi_b_star_f=shift(pi_b.transpose(f)),
         pi_shf_b=paraproduct_operator(shf).apply(b),
-        sh_pi_f_b=shift(paraproduct_operator(f).apply(b)),
+        sh_pi_f_b=shift(_paraproduct_plan(depth, cf).apply(b)),
     )

@@ -189,7 +189,8 @@ def test_engine_matches_dense_oracles(depth):
 @pytest.mark.parametrize("depth", range(1, 13))
 def test_engine_matches_arpack(depth, monkeypatch):
     # every top eigenvalue behind _engine_values, against ARPACK on the very
-    # same matvec; both stop once the Ritz residual is at machine precision
+    # same matvec; ARPACK stops once the Ritz residual r is at machine
+    # precision, the engine once its error estimate r^2 / gap is
     engine = normest._top_eigenvalues
     pairs = []
 
@@ -278,6 +279,47 @@ def test_rank_one_operator_stops_at_once():
         assert len(matvecs) == got.matvecs <= 2
 
 
+def _gapped_diagonal(n, gap, bulk="dense"):
+    # eigenvalue 1 above 1 - gap (gap 0 makes 1 an exact double eigenvalue):
+    # "dense" fills [0, 1 - gap] with the other n - 1 eigenvalues evenly, so
+    # the top is resolved only after many restarts; "separated" puts n - 2 of
+    # them in [0, 1/2], so the Ritz gap is first the gap to that bulk, far
+    # wider than the true top gap
+    if bulk == "dense":
+        return np.append(np.linspace(0.0, 1.0 - gap, n - 1), 1.0)
+    return np.append(np.linspace(0.0, 0.5, n - 2), [1.0 - gap, 1.0])
+
+
+# theta can exceed lambda_1 by more than 4 eps on a dense bulk: the restarts
+# carry the kept Ritz values into the projected matrix, and its rounding
+# error builds up over the cycles, to 5 eps after 8 cycles at n = 256 with a
+# double top and 57 eps after 110 cycles at n = 4096 with gap 1e-9
+_DRIFT = {("dense", 256, 0.0): "5 eps after 8 restart cycles",
+          ("dense", 4096, 1e-9): "57 eps after 110 restart cycles"}
+
+
+@pytest.mark.parametrize("bulk, n, gap", [
+    pytest.param(bulk, n, gap, marks=[pytest.mark.xfail(strict=True, reason=_DRIFT[bulk, n, gap])]
+                 if (bulk, n, gap) in _DRIFT else [])
+    for bulk in ("separated", "dense") for n in (256, 4096)
+    for gap in (1e-1, 1e-2, 1e-4, 1e-6, 1e-9, 0.0)
+])
+def test_top_eigenvalue_on_adversarial_spectra(bulk, n, gap):
+    # the stop test reads the Ritz gap theta_1 - theta_2, which can overstate
+    # the true gap (by interlacing theta_2 <= lambda_2), so residual^2 / gap
+    # is an estimate, not a bound.  Still theta is a lower bound up to
+    # rounding, an unresolved top pair leaves it low by at most the pair's
+    # width, and a top gap of 1e-6 or more is resolved to 1e-13
+    d = _gapped_diagonal(n, gap, bulk)
+    lam1, lam2 = d[-1], d[-2]
+    (got,) = normest._top_eigenvalues(n, lambda x: d * x, 1)
+    eps = np.finfo(float).eps
+    assert got.value <= lam1 * (1 + 4 * eps)
+    assert lam1 - got.value <= max(4 * eps * lam1, lam1 - lam2)
+    if gap >= 1e-6:
+        assert got.value == pytest.approx(lam1, rel=1e-13)
+
+
 def _alone(n, ops):
     """Each operator of ops solved as a one-row problem."""
     return [normest._top_eigenvalues(n, op, 1)[0] for op in ops]
@@ -292,22 +334,28 @@ def _stacked(n, ops):
 
 def test_lockstep_rows_equal_rows_alone_on_synthetic_operators():
     # a zero row (stops at its first image), a rank-one row (second step),
-    # a diagonal with a clustered top (many restarts) and a plain diagonal,
-    # stacked in two orders: every row's value, matvec count and residual
-    # are those of the row solved alone
+    # a diagonal with a clustered top (many restarts), a plain diagonal and
+    # a diagonal with a top gap of 1e-2, stacked in two orders: every row's
+    # value, matvec count, residual and gap are those of the row solved
+    # alone, also for rows that retire in the middle of a restart cycle
     n = 256
     r = np.random.default_rng(31)
     u = r.standard_normal(n)
+    gapped = _gapped_diagonal(n, 1e-2)
     ops = [
         lambda x: 0.0 * x,
         lambda x: u * (u @ x),
         lambda x: np.sqrt(np.linspace(0.1, 1.0, n)) * x,
         lambda x: np.arange(n) ** 4.0 * x,
+        lambda x: gapped * x,
     ]
     alone = _alone(n, ops)
-    assert alone[0] == (0.0, 1, 0.0)
+    assert alone[0] == (0.0, 1, 0.0, 0.0)
     assert alone[1].matvecs <= 2
-    assert len({e.matvecs for e in alone}) == 4  # the rows retire at different steps
+    assert len({e.matvecs for e in alone}) == 5  # the rows retire at different steps
+    # past the first 20 steps a cycle runs 10 steps: at least two rows stop
+    # inside one, while the rows around them go on
+    assert sum(e.matvecs > 20 and e.matvecs % 10 != 0 for e in alone) >= 2
     assert _stacked(n, ops) == alone
     assert _stacked(n, ops[::-1]) == alone[::-1]
 
@@ -337,7 +385,7 @@ def test_lockstep_rows_equal_rows_alone_on_real_plans():
         alone = [normest.weighted_operator_norms(plan(b), [mu], [lam])[0]
                  for b, mu, lam in rows]
         assert stacked[:4] == alone
-        assert stacked[4] == (0.0, 1, 0.0)
+        assert stacked[4] == (0.0, 1, 0.0, 0.0)
     assert normest.ppott_best_constants(mus) == [
         normest.ppott_best_constants([w])[0] for w in mus
     ]
@@ -421,27 +469,27 @@ _PINNED_D8_REPORT = {
     "bmo.bmo_rho": "0x1.18b7682203cc5p-1",
     "bmo.bmo_rho_l1": "0x1.504c95913b235p-1",
     "bmo.neccon": "0x1.64099d147a515p-1",
-    "norm_commutator": "0x1.833184908893bp+0",
-    "norm_paraproduct": "0x1.dbcb8c726124dp-1",
-    "norm_paraproduct_adjoint": "0x1.dbcb8c726124dp-1",
-    "norm_shift_lambda": "0x1.eea664626a34dp+0",
-    "norm_shift_mu": "0x1.c8e6694704270p+0",
+    "norm_commutator": "0x1.8331849088937p+0",
+    "norm_paraproduct": "0x1.dbcb8c726124cp-1",
+    "norm_paraproduct_adjoint": "0x1.dbcb8c726124cp-1",
+    "norm_shift_lambda": "0x1.eea664626a34bp+0",
+    "norm_shift_mu": "0x1.c8e669470426ap+0",
     "ratios.adjoint_over_bloom_b2_dual": "0x1.4da25bc4c219ap+0",
     "ratios.bloom_b2_over_paraproduct": "0x1.a362d7c19b88bp-1",
-    "ratios.bmo_rho_over_commutator": "0x1.73339ae6fe4f8p-2",
-    "ratios.commutator_over_bmo_rho": "0x1.611a18f0a0aaap+1",
+    "ratios.bmo_rho_over_commutator": "0x1.73339ae6fe4fbp-2",
+    "ratios.commutator_over_bmo_rho": "0x1.611a18f0a0aa7p+1",
     "ratios.l2form_over_bloom_b2": "0x1.05e518a0713b7p+0",
-    "ratios.paraproduct_over_bloom_b2": "0x1.38887315fc717p+0",
-    "ratios.shift_mu_norm_over_sqrt_a2": "0x1.71836576723a7p+0",
+    "ratios.paraproduct_over_bloom_b2": "0x1.38887315fc716p+0",
+    "ratios.shift_mu_norm_over_sqrt_a2": "0x1.71836576723a2p+0",
 }
 
 
 _PINNED_D8_DIAGNOSTICS = {
-    "norm_paraproduct": (30, "0x1.2b1359402d700p-59"),
-    "norm_paraproduct_adjoint": (30, "0x1.2b1359402d700p-59"),
-    "norm_shift_mu": (40, "0x1.0be54dacbb861p-59"),
-    "norm_shift_lambda": (30, "0x1.4a17dec88de5bp-51"),
-    "norm_commutator": (30, "0x1.c7d3769cb02b8p-57"),
+    "norm_paraproduct": (13, "0x1.896d5776e5deep-30", "0x1.8b9b6c74b0f06p-2"),
+    "norm_paraproduct_adjoint": (13, "0x1.896d5776e5deep-30", "0x1.8b9b6c74b0f06p-2"),
+    "norm_shift_mu": (22, "0x1.c96b1a63162b4p-28", "0x1.dfc24dce3e350p-3"),
+    "norm_shift_lambda": (18, "0x1.4d9b0fc0fb493p-26", "0x1.cd92ad7c3d23cp-1"),
+    "norm_commutator": (16, "0x1.4d779a21e6b35p-29", "0x1.05fb893d6ca10p-2"),
 }
 
 
@@ -462,8 +510,9 @@ def _report_floats(d: dict) -> dict:
 
 
 def _report_diagnostics(d: dict) -> dict:
-    # per norm: the Lanczos matvecs and the final Ritz residual of W'W
-    return {k: (v["matvecs"], v["ritz_residual"].hex()) for k, v in d["diagnostics"].items()}
+    # per norm: the Lanczos matvecs and the final Ritz residual and gap of W'W
+    return {k: (v["matvecs"], v["ritz_residual"].hex(), v["ritz_gap"].hex())
+            for k, v in d["diagnostics"].items()}
 
 
 def test_norm_report_is_bitwise_pinned():
@@ -478,11 +527,12 @@ def test_norm_report_is_bitwise_pinned():
         "bmo_rho_l1": {"level": 7, "position": 120},
         "neccon": {"level": 5, "position": 30},
     }
-    # each final residual is at most eps times the top Ritz value (the norm
-    # squared)
+    # each solve met the stop test r^2 <= eps theta max(gap, r), theta the
+    # top Ritz value (the norm squared), r its residual and gap its Ritz gap
     assert _report_diagnostics(d) == _PINNED_D8_DIAGNOSTICS
     for name, v in d["diagnostics"].items():
-        assert v["ritz_residual"] <= np.finfo(float).eps * d[name] ** 2
+        r = v["ritz_residual"]
+        assert r * r <= np.finfo(float).eps * d[name] ** 2 * max(v["ritz_gap"], r)
 
 
 @pytest.mark.parametrize("depth", range(2, 11))
@@ -501,7 +551,7 @@ def test_report_adjoint_norm_matches_dense_adjoint(depth):
 
 def test_clustered_top_spectrum_converges_within_the_restart_cap():
     # diag(sqrt(linspace(0.1, 1, n))) clusters its top eigenvalues, so the
-    # solve needs many restarts (about 120 at D=12); its top eigenvalue is 1
+    # solve needs many restarts (about 70 at D=12); its top eigenvalue is 1
     n = 1 << 12
     d = np.sqrt(np.linspace(0.1, 1.0, n))
     (got,) = normest._top_eigenvalues(n, lambda x: d * x, 1)
@@ -509,9 +559,9 @@ def test_clustered_top_spectrum_converges_within_the_restart_cap():
 
 
 def test_restart_cap_is_ten_restarts_per_leaf():
-    # fresh noise on every call is no linear operator, so no Ritz residual
-    # ever reaches eps: the solve runs its 20 first steps, then 10 per
-    # restart, until the cap of 10 n restarts, and the error names the cap
+    # fresh noise on every call is no linear operator, so no step meets the
+    # stop test: the solve runs its 20 first steps, then 10 per restart,
+    # until the cap of 10 n restarts, and the error names the cap
     n = 32
     noise = np.random.default_rng(3)
     calls = []

@@ -252,10 +252,11 @@ def test_six_term_expansion_reproduces_commutator():
 
 
 def test_expansion_analyses_b_once_for_its_four_b_terms(monkeypatch):
-    # 2 admissibility checks, Sh f, the commutator's Sh(b f), one
-    # Pi_b plan shared by the four b-terms, its 2 transposes, 2 outer
-    # shifts, the Pi_{Sh f} and Pi_f plans and Sh(Pi_f b): 12.  One plan per
-    # b-term (four, not one) made it 15.
+    # 2 admissibility checks, whose coefficients build the Pi_b plan shared
+    # by the four b-terms and the Pi_f plan, Sh f, the commutator's Sh(b f),
+    # Pi_b's 2 transposes, 2 outer shifts, the Pi_{Sh f} plan and
+    # Sh(Pi_f b): 10.  Analysing b and f again for their plans made it 12,
+    # and one plan per b-term (four, not one) 15.
     from dyadbloom import operators
 
     calls = []
@@ -267,7 +268,7 @@ def test_expansion_analyses_b_once_for_its_four_b_terms(monkeypatch):
     b, f = _pair(8, 31)
     monkeypatch.setattr(operators, "analyze_leaves", counted)
     expansion_terms(b, f)
-    assert len(calls) == 12
+    assert len(calls) == 10
 
 
 def test_expansion_signs_are_the_unique_working_ones():

@@ -42,7 +42,7 @@ def _form(solve, *args):
 
     def capture(n, matvec, rows):
         seen.append(matvec)
-        return [TopEigen(1.0, 0, 0.0)] * rows
+        return [TopEigen(1.0, 0, 0.0, 0.0)] * rows
 
     with mock.patch.object(normest, "_top_eigenvalues", capture):
         solve(*args)

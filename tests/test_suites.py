@@ -263,7 +263,7 @@ def test_each_suite_scans_only_the_functionals_it_reads(monkeypatch, suite):
 _DEFAULT_PASS_WORK = {
     ("carleson",): (40, 40, 20),
     ("paraproduct-bounds",): (40, 40, 20),
-    SUITE_NAMES: (42, 42, 160),
+    SUITE_NAMES: (42, 42, 140),
 }
 
 
