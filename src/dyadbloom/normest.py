@@ -35,8 +35,8 @@ cluster's width.  Each matvec output is checked for finiteness once, and a
 zero operator is recognised from the first image, at no extra apply.
 
 The engine runs in lockstep: independent problems share one stacked matvec
-per step and keep everything else per row, so each row returns bitwise what
-it returns alone.  The solvers (weighted_operator_norms,
+and one stacked eigh (each matrix diagonalised on its own) per step and keep
+everything else per row, so each row returns bitwise what it returns alone.  The solvers (weighted_operator_norms,
 ppott_best_constants, carleson_embedding_checks) take one symbol and
 weight (pair) per row, and one problem is a one-row call; the verification
 suites solve a group of trials this way, and compute_norm_report its two
@@ -147,12 +147,13 @@ def _top_eigenvalues(
 
     Each row runs its own thick-restart Lanczos from one fixed seeded random
     start vector; the rows only share the matvec, one stacked apply per
-    step.  Every other quantity is the row's own (scaling, Gram-Schmidt,
-    projected matrix, restart, stop test, restart cap), computed with the
-    same operations as a one-row solve, so each row returns bitwise the
-    result it returns when solved alone, and repeated calls return
-    bitwise-equal floats.  A row that has stopped rides along on a zero
-    vector until the last row stops; its images are not read.
+    step, and one stacked eigh per step, which diagonalises each row's
+    projected matrix on its own.  Every other quantity is the row's own
+    (scaling, Gram-Schmidt, projected matrix, restart, stop test, restart
+    cap), computed with the same operations as a one-row solve, so each row
+    returns bitwise the result it returns when solved alone, and repeated
+    calls return bitwise-equal floats.  A row that has stopped rides along
+    on a zero vector until the last row stops; its images are not read.
 
     Per row: each new vector is reorthogonalised against the whole basis by
     two passes of classical Gram-Schmidt, whose coefficients fill the
@@ -216,6 +217,7 @@ def _top_eigenvalues(
             steps += 1
             if not np.isfinite(images).all():
                 raise ValueError("operator image is not finite")
+            grown = []  # (row, new residual vector, its norm, image norm)
             for r in live[:]:
                 w = images[r]
                 if steps == 1:
@@ -233,8 +235,12 @@ def _top_eigenvalues(
                 w -= c @ v
                 h += c
                 proj[r, : j + 1, j] = h
-                beta = math.sqrt(w @ w)
-                theta, s = ritz[r] = np.linalg.eigh(proj[r, : j + 1, : j + 1], UPLO="U")
+                grown.append((r, w, math.sqrt(w @ w), image_norm))
+            # one stacked eigh diagonalises each row's projected matrix on its own
+            pairs = (np.linalg.eigh(proj[[g[0] for g in grown], : j + 1, : j + 1], UPLO="U")
+                     if grown else ((), ()))
+            for (r, w, beta, image_norm), theta, s in zip(grown, *pairs):
+                ritz[r] = theta, s
                 residual = abs(beta * s[-1, -1])
                 gap = float(theta[-1] - theta[-2]) if j else 0.0
                 if (j + 1 == n or beta <= (j + 1) * _EPS * image_norm
