@@ -51,7 +51,6 @@ from .weights import (
     Weight,
     a2_characteristic,
     generate,
-    rho_weight,
 )
 
 __version__ = "0.1.0"

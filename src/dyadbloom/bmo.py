@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import DyadicInterval, analyze_leaves, depth_of, level_masses, same_depth
-from .weights import Weight, rho_weight
+from .weights import Weight
 
 __all__ = ["BmoReport", "CarlesonSequence"]
 
@@ -275,7 +275,7 @@ class BmoReport:
 
     @cached_property
     def rho(self) -> Weight:
-        return rho_weight(self.mu, self.lam)
+        return Weight(np.sqrt(self.mu.values / self.lam.values))
 
     @cached_property
     def lam_oscillation(self) -> list[np.ndarray]:

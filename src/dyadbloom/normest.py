@@ -36,14 +36,16 @@ zero operator is recognised from the first image, at no extra apply.
 
 The engine runs in lockstep: independent problems share one stacked matvec
 and one stacked eigh (each matrix diagonalised on its own) per step and keep
-everything else per row, so each row returns bitwise what it returns alone.  The solvers (weighted_operator_norms,
-ppott_best_constants, carleson_embedding_checks) take one symbol and
-weight (pair) per row, and one problem is a one-row call; the verification
-suites solve a group of trials this way, and compute_norm_report its two
-shift norms.  A report makes three solves (paraproduct, shifts, and
-[b, Sh] on the shifts' plan): ||Pi*_b|| = ||Pi_b|| by transposition, so
-the adjoint's value and diagnostics are the paraproduct's solve; the
-paraproduct-bounds suite solves both routes and checks that duality.
+everything else per row, so each row returns bitwise what it returns alone.
+The solvers (weighted_operator_norms, ppott_best_constants,
+carleson_embedding_checks) take one symbol and weight (pair) per row and
+return one TopEigen (value, matvecs, residual, gap) per row, and one
+problem is a one-row call; the verification suites solve a group of trials
+this way, and compute_norm_report its two shift norms.  A report makes
+three solves (paraproduct, shifts, and [b, Sh] on the shifts' plan):
+||Pi*_b|| = ||Pi_b|| by transposition, so the adjoint's value and
+diagnostics are the paraproduct's solve; the paraproduct-bounds suite
+solves both routes and checks that duality.
 
 The Carleson block ties the coefficient functionals to embedding constants.
 Its sequences are bmo.CarlesonSequence, whose constant is computed once and
@@ -54,8 +56,8 @@ best constant C* of
 
     sum_I a_I E^w_I(phi)^2 <= C* ||phi||^2_{L^2(w)},
 
-which the classical dyadic embedding theorem pins within [carleson,
-4 * carleson].
+which the classical dyadic embedding theorem pins within [seq.constant,
+4 * seq.constant].
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ __all__ = [
     "lockstep_chunks",
     "weighted_operator_norms",
     "ppott_best_constants",
-    "CarlesonEmbeddingReport",
     "carleson_embedding_checks",
     "necessity_restriction_ratios",
     "necessity_test_function_bound",
@@ -309,22 +310,16 @@ def ppott_best_constants(ws: Sequence[Weight]) -> list[TopEigen]:
     return _top_eigenvalues(1 << depth, form, len(ws))
 
 
-class CarlesonEmbeddingReport(NamedTuple):
-    carleson: float
-    best_embedding: float
-    ratio: float
-
-
-def carleson_embedding_checks(seqs: Sequence[CarlesonSequence]) -> list[CarlesonEmbeddingReport]:
+def carleson_embedding_checks(seqs: Sequence[CarlesonSequence]) -> list[TopEigen]:
     """Best constant C* of sum_I a_I E^w_I(phi)^2 <= C* ||phi||^2_{L^2(w)}
-    for each sequence, reported against its Carleson constant, as one
-    lockstep solve (a zero sequence is a zero operator: its row stops at its
-    first image).
+    for each sequence, as one lockstep solve: each row's value is C* (a zero
+    sequence is a zero operator: its row stops at its first image with
+    0.0).
 
     With phi = y / sqrt(w 2^{-D}) the right side is ||y||^2, so C* is the top
     eigenvalue of y -> sqrt(w) sum_I a_I E^w_I(y / sqrt(w)) 1_I / w(I).  The
-    classical dyadic embedding theorem pins C* within [carleson,
-    4*carleson]; callers assert that window.
+    classical dyadic embedding theorem pins C* within [seq.constant,
+    4 * seq.constant]; callers assert that window.
     """
     depth = same_depth(*(seq.weight.values for seq in seqs))
     root_w = np.sqrt(stack_rows([seq.weight.values for seq in seqs]))
@@ -336,12 +331,7 @@ def carleson_embedding_checks(seqs: Sequence[CarlesonSequence]) -> list[Carleson
         terms = [level_weights[k] * masses[k] for k in range(depth)]
         return root_w * accumulate_levels(terms, depth)
 
-    reports = []
-    for seq, top in zip(seqs, _top_eigenvalues(1 << depth, form, len(seqs))):
-        car = seq.constant
-        ratio = top.value / car if car > 0 else math.nan
-        reports.append(CarlesonEmbeddingReport(car, top.value, ratio))
-    return reports
+    return _top_eigenvalues(1 << depth, form, len(seqs))
 
 
 def necessity_restriction_ratios(rep: BmoReport) -> list[np.ndarray]:

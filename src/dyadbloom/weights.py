@@ -23,14 +23,12 @@ from .grid import (
     depth_of,
     leaf_values,
     level_masses,
-    same_depth,
     synthesize_leaves,
 )
 
 __all__ = [
     "Weight",
     "a2_characteristic",
-    "rho_weight",
     "EnsembleSpec",
     "generate",
     "WEIGHT_KINDS",
@@ -83,12 +81,6 @@ def a2_characteristic(w: Weight) -> float:
     for step weights, so leaves never dominate but are included for form).
     """
     return max(1.0, *(float((a * b).max()) for a, b in zip(w.averages, w.inverse.averages)))
-
-
-def rho_weight(mu: Weight, lam: Weight) -> Weight:
-    """The Bloom weight rho = (mu / lambda)^{1/2}."""
-    same_depth(mu.values, lam.values)
-    return Weight(np.sqrt(mu.values / lam.values))
 
 
 WEIGHT_KINDS = ("constant", "two-value", "power", "cascade")

@@ -11,11 +11,11 @@ from conftest import count_calls
 from dyadbloom import (
     BmoReport,
     DyadicInterval,
+    GridMismatchError,
     Weight,
     a2_characteristic,
     bmo,
     haar_function,
-    rho_weight,
 )
 
 
@@ -115,19 +115,29 @@ def test_bloom_routes_differ_for_generic_lambda():
     assert abs(a - c) / a > 1e-3
 
 
+def test_report_rho_is_sqrt_ratio(random_positive):
+    mu = random_positive(3, seed=1)
+    lam = random_positive(3, seed=2)
+    rho = BmoReport(np.zeros(8), mu, lam).rho
+    np.testing.assert_allclose(rho.values, np.sqrt(mu.values / lam.values), rtol=1e-15)
+    assert rho.depth == 3
+    with pytest.raises(GridMismatchError):
+        BmoReport(np.zeros(8), mu, random_positive(4, seed=2)).rho
+
+
 @over_ensembles
 def test_bmo_rho_matches_oracle(depth, kind):
     b, mu, lam = _ensemble_triple(depth, kind, 1600)
-    rho = rho_weight(mu, lam)
-    want = oracles.bmo_rho_oracle(b, rho.values, depth)
+    rho = np.sqrt(mu.values / lam.values)
+    want = oracles.bmo_rho_oracle(b, rho, depth)
     assert BmoReport(b, mu, lam).bmo_rho == pytest.approx(want, rel=1e-12)
 
 
 @over_ensembles
 def test_bmo_rho_l1_matches_oracle(depth, kind):
     b, mu, lam = _ensemble_triple(depth, kind, 1700)
-    rho = rho_weight(mu, lam)
-    want = oracles.bmo_rho_l1_oracle(b, rho.values, depth)
+    rho = np.sqrt(mu.values / lam.values)
+    want = oracles.bmo_rho_l1_oracle(b, rho, depth)
     assert BmoReport(b, mu, lam).bmo_rho_l1 == pytest.approx(want, rel=1e-12)
 
 
@@ -189,7 +199,7 @@ def test_bmo_report_argmax_is_consistent():
                            for name, iv in rep.argmax.items()}
     # the recorded argmax interval actually achieves the supremum
     arg = rep.argmax["bmo_rho"]
-    rho = rho_weight(mu, lam)
+    rho = rep.rho
     avg = oracles.interval_average(b, arg)
     sl = oracles.leaf_slice(4, arg.level, arg.position)
     osc = float(((b[sl] - avg) ** 2).sum()) / 16

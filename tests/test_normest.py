@@ -25,7 +25,6 @@ from dyadbloom import (
     paraproduct_adjoint_operator,
     paraproduct_operator,
     project_admissible,
-    rho_weight,
     shift_operator,
 )
 from dyadbloom import DyadBloomError, normest
@@ -149,7 +148,7 @@ def _engine_values(depth, seed):
         "shift_lambda": _norm(shift_operator(depth), lam, lam),
         "commutator": _norm(commutator_operator(b, shift_operator(depth)), mu, lam),
         "ppott": ppott_best_constants([mu])[0].value,
-        "carleson_embedding": carleson_embedding_checks([seq])[0].best_embedding,
+        "carleson_embedding": carleson_embedding_checks([seq])[0].value,
     }
 
 
@@ -217,7 +216,7 @@ def test_engine_is_bitwise_repeatable():
             _norm(shift_operator(8), mu, mu),
             _norm(commutator_operator(b, shift_operator(8)), mu, lam),
             ppott_best_constants([lam])[0].value,
-            carleson_embedding_checks([seq])[0].best_embedding,
+            carleson_embedding_checks([seq])[0].value,
         )
 
     assert run() == run()
@@ -394,7 +393,7 @@ def test_lockstep_rows_equal_rows_alone_on_real_plans():
     assert normest.carleson_embedding_checks(seqs)[1:] == [
         carleson_embedding_checks([q])[0] for q in seqs[1:]
     ]
-    assert normest.carleson_embedding_checks(seqs)[0].best_embedding == 0.0
+    assert normest.carleson_embedding_checks(seqs)[0] == (0.0, 1, 0.0, 0.0)
 
 
 def test_paraproduct_suite_makes_one_normal_apply_per_lockstep_step(monkeypatch):
@@ -684,10 +683,8 @@ def test_carleson_single_root_mass_example():
     vals = [np.array([1.0])] + [np.zeros(1 << k) for k in range(1, 3)]
     seq = CarlesonSequence(vals, one)
     assert seq.constant == 1.0
-    rep = carleson_embedding_checks([seq])[0]
     # phi = 1 achieves E^w_root(phi)^2 = ||phi||^2, so C* = 1 exactly
-    assert rep.best_embedding == pytest.approx(1.0, rel=1e-12)
-    assert rep.ratio == pytest.approx(1.0, rel=1e-12)
+    assert carleson_embedding_checks([seq])[0].value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_carleson_sequence_validation():
@@ -712,7 +709,6 @@ _MISMATCHED = {
     "necessity_test_function_bound": lambda b, mu, lam: necessity_test_function_bound(
         BmoReport(b, mu, lam)),
     "compute_norm_report": compute_norm_report,
-    "rho_weight": lambda b, mu, lam: rho_weight(Weight(np.exp(b)), lam),
     "weighted_operator_norms": lambda b, mu, lam: weighted_operator_norms(
         paraproduct_operator(b), [mu], [lam]),
     "weighted_operator_norms-rows": lambda b, mu, lam: weighted_operator_norms(
@@ -727,10 +723,11 @@ _MISMATCHED = {
     ]),
     "paraproduct_operator-rows": lambda b, mu, lam: paraproduct_operator([b, mu.values]),
     "three_condition_factory": lambda b, mu, lam: three_condition_factory(
-        mu, rho_weight(mu, lam), b, 2.0, 1.0),
+        mu, Weight(np.sqrt(mu.values / lam.values)), b, 2.0, 1.0),
     "three_condition_factory-mu": lambda b, mu, lam: three_condition_factory(
         mu, Weight(np.exp(b)), b, 2.0, 1.0),
-    "square_sum_factories": lambda b, mu, lam: square_sum_factories(b, rho_weight(mu, lam), 1.0),
+    "square_sum_factories": lambda b, mu, lam: square_sum_factories(
+        b, Weight(np.sqrt(mu.values / lam.values)), 1.0),
     # the stopping searches: a rule on b's depth-4 grid, a depth-6 weight
     "deviation_factory": lambda b, mu, lam: deviation_factory([Weight(np.exp(b)), mu], 2.0),
     "minimal_packing_constant": lambda b, mu, lam: minimal_packing_constant(
@@ -792,10 +789,11 @@ def test_both_bloom_functionals_are_their_sequences_carleson_roots_bitwise():
 def test_embedding_constant_sits_in_the_classical_window():
     for seed in range(4):
         mu, lam, b = _materials(4, 600 + seed)
-        rep = carleson_embedding_checks([BmoReport(b, mu, lam).carleson])[0]
-        if rep.carleson > 0:
-            assert rep.best_embedding >= rep.carleson * (1 - 1e-9)
-            assert rep.best_embedding <= 4.0 * rep.carleson * (1 + 1e-9)
+        seq = BmoReport(b, mu, lam).carleson
+        best = carleson_embedding_checks([seq])[0].value
+        if seq.constant > 0:
+            assert best >= seq.constant * (1 - 1e-9)
+            assert best <= 4.0 * seq.constant * (1 + 1e-9)
 
 
 def test_necessity_single_scale_ratio_is_one(unit_weight):

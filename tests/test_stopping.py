@@ -34,7 +34,7 @@ from dyadbloom.stopping import (
     threshold_factory,
 )
 from dyadbloom.suites import run_suites
-from dyadbloom.weights import EnsembleSpec, Weight, generate, rho_weight
+from dyadbloom.weights import EnsembleSpec, Weight, generate
 
 
 def _subtree(root: DyadicInterval, depth: int) -> list[DyadicInterval]:
@@ -258,7 +258,7 @@ def test_three_condition_packing_and_unstopped_path_sums(random_positive):
     depth = mu.depth
     b = rng.standard_normal(1 << depth)
     mu_inv = mu.inverse
-    rho = rho_weight(mu, lam)
+    rho = BmoReport(b, mu, lam).rho
     fam = maximal_stopping_intervals(ROOT, three_condition_factory(mu, rho, b, 2.0, 1.0))
     members = _members(fam)
     a_mu = mu_inv.total_mass
@@ -325,7 +325,7 @@ def test_rules_take_their_depth_from_their_arrays(weight_4411, unit_weight):
     rules = (
         deviation_factory([lam, one], 1.5),
         threshold_factory(lam),
-        three_condition_factory(lam, rho_weight(lam, one), b, 2.0, 1.0),
+        three_condition_factory(lam, BmoReport(b, lam, one).rho, b, 2.0, 1.0),
         square_sum_factories(b, one, 1.0)(1.0),
     )
     assert [rule.depth for rule in rules] == [2, 2, 2, 2]
@@ -372,14 +372,14 @@ def test_level_mask_scan_matches_depth_first_oracle(depth, data):
     elif kind == "three-condition":
         C = data.draw(st.floats(0.5, 4.0), label="C")
         C_b = data.draw(st.floats(0.1, 3.0), label="C_b")
-        rule = three_condition_factory(mu, rho_weight(mu, lam), b, C, C_b)
+        rule = three_condition_factory(mu, BmoReport(b, mu, lam).rho, b, C, C_b)
         oracle = lambda r: oracles.three_condition_predicate(  # noqa: E731
             mu.values, lam.values, b, C, C_b, depth, r
         )
     else:
         C = data.draw(st.floats(0.05, 10.0), label="C")
         b2 = data.draw(st.floats(0.1, 3.0), label="b2 value")
-        rho = rho_weight(mu, lam)
+        rho = BmoReport(b, mu, lam).rho
         rule = square_sum_factories(b, rho, b2)(C)
         oracle = lambda r: oracles.square_sum_predicate(  # noqa: E731
             b, rho.values, C, b2, depth, r
@@ -430,13 +430,13 @@ def test_corona_scan_matches_oracle_root_by_root(depth, data):
     elif factory_kind == "three-condition":
         C = data.draw(st.floats(1.01, 4.0), label="C")
         C_b = data.draw(st.floats(0.1, 3.0), label="C_b")
-        rule = three_condition_factory(mu, rho_weight(mu, lam), b, C, C_b)
+        rule = three_condition_factory(mu, BmoReport(b, mu, lam).rho, b, C, C_b)
         oracle = lambda r: oracles.three_condition_predicate(  # noqa: E731
             mu.values, lam.values, b, C, C_b, depth, r
         )
     else:
         C = data.draw(st.floats(0.05, 10.0), label="C")
-        rho = rho_weight(mu, lam)
+        rho = BmoReport(b, mu, lam).rho
         rule = square_sum_factories(b, rho, 1.0)(C)
         oracle = lambda r: oracles.square_sum_predicate(  # noqa: E731
             b, rho.values, C, 1.0, depth, r

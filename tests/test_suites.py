@@ -15,6 +15,7 @@ from conftest import count_calls
 from dyadbloom import bmo, grid, operators, suites
 from dyadbloom.bmo import BmoReport
 from dyadbloom.config import SUITE_NAMES, ExperimentConfig
+from dyadbloom.normest import TopEigen
 from dyadbloom.suites import SOLVES, SUITES, Record, run_suites
 
 CONTRACT = {
@@ -103,6 +104,27 @@ def test_suite_registry_matches_config_names():
 
 def test_every_solve_is_named_and_every_name_solved():
     assert {name for suite in SUITES.values() for name in suite.solves} == set(SOLVES)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVES))
+def test_every_solver_returns_one_top_eigen_per_row(name):
+    solver, rows_of = SOLVES[name]
+    rows = rows_of(suites.make_trial(ExperimentConfig(depth=4), 0))
+    out = solver(rows)
+    assert len(out) == len(rows)
+    assert all(type(e) is TopEigen for e in out)
+
+
+def test_carleson_gates_fail_when_the_subtree_sums_drift(monkeypatch):
+    # bloom_b2 and bloom_b2_dual are roots of the sups of bmo's bottom-up
+    # subtree sums; the two gates hold their squares to a level-by-level
+    # route, so a relative drift of 1e-6 in every subtree sum fails both
+    subtree_sums = bmo._subtree_sums
+    monkeypatch.setattr(bmo, "_subtree_sums",
+                        lambda per_level: [s * (1 + 1e-6) for s in subtree_sums(per_level)])
+    (res,) = run_suites(ExperimentConfig(depth=6, trials=2, suites=("carleson",)))
+    failed = {a.name for a in res.assertions if not a.passed}
+    assert {"carleson_equals_bloom_b2_sq", "carleson_dual_equals_bloom_b2_dual_sq"} <= failed
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -208,13 +230,13 @@ def test_joint_pass_computes_each_trial_fact_once(monkeypatch):
     # suites read them; equivalences' zero symbol adds one report, identities'
     # worked example one expansion
     calls = {name: count_calls(monkeypatch, module, name) for module, name in (
-        (bmo, "_subtree_sums"), (bmo, "_bmo_rho_scan"), (bmo, "rho_weight"),
-        (operators, "expansion_terms"))}
+        (bmo, "_subtree_sums"), (bmo, "_bmo_rho_scan"), (operators, "expansion_terms"))}
     results = run_suites(ExperimentConfig.from_dict({"depth": 4, "trials": 3}))
     assert all(res.passed for res in results)
     assert {name: len(c) for name, c in calls.items()} == {
-        "_subtree_sums": 2 * 3 + 2, "_bmo_rho_scan": 3 + 1, "rho_weight": 3 + 1,
-        "expansion_terms": 3 + 1}
+        "_subtree_sums": 2 * 3 + 2, "_bmo_rho_scan": 3 + 1, "expansion_terms": 3 + 1}
+    rep = suites.make_trial(ExperimentConfig(depth=4), 0).bmo
+    assert rep.rho is rep.rho
 
 
 # _subtree_sums runs once per Carleson sequence of the report that is read

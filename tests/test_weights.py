@@ -12,11 +12,9 @@ from dyadbloom import (
     DyadicInterval,
     EnsembleSpec,
     EnsembleTargetError,
-    GridMismatchError,
     Weight,
     a2_characteristic,
     generate,
-    rho_weight,
 )
 from dyadbloom.grid import analyze_leaves, level_masses
 from dyadbloom.weights import KIND_FIELDS, SYMBOL_KINDS, WEIGHT_KINDS
@@ -110,16 +108,6 @@ def test_a2_never_below_one(random_positive):
 def test_inverse_weight_is_pointwise_reciprocal(random_positive):
     w = random_positive(3, seed=3)
     np.testing.assert_allclose(w.inverse.values, 1.0 / w.values, rtol=1e-16)
-
-
-def test_rho_weight_is_sqrt_ratio(random_positive):
-    mu = random_positive(3, seed=1)
-    lam = random_positive(3, seed=2)
-    rho = rho_weight(mu, lam)
-    np.testing.assert_allclose(rho.values, np.sqrt(mu.values / lam.values), rtol=1e-15)
-    assert rho.depth == 3
-    with pytest.raises(GridMismatchError):
-        rho_weight(mu, random_positive(4, seed=2))
 
 
 # ------------------------------------------------------------------ ensembles
