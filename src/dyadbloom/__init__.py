@@ -3,7 +3,7 @@
 Step functions on the dyadic grid of [0,1), held as read-only float64 arrays
 of leaf values whose length gives the depth, Haar transforms, A2 weights,
 Bloom-type BMO functionals, paraproducts, the dyadic shift, commutators and
-their exact six-term expansion, weighted operator norms, Carleson embedding
+their exact three-piece expansion, weighted operator norms, Carleson embedding
 checks, and stopping-time/corona constructions -- with randomized seeded
 verification suites over all of it.
 """

@@ -7,6 +7,8 @@ depth-D grid.  With bhat(I) = <b, h_I> and <f>_I the plain average,
     adjoint paraproduct:  Pi*_b f       = sum_I bhat(I) fhat(I) 1_I / |I|
     dyadic shift:         Sh h_I        = (h_{I_-} - h_{I_+}) / sqrt(2)
     commutator:           [b, T] f      = b Tf - T(b f), any plan T
+    expansion:            [b, Sh] f     = [Pi_b, Sh] f + [Pi*_b, Sh] f + R_b f
+    remainder:            R_b f         = Pi_{Sh f} b - Sh(Pi_f b)
 
 (sums over coefficient levels 0..D-1).  The pair (Pi_b, Pi*_b) is an
 unweighted-adjoint pair, and Sh is an isometry on mean-free functions whose
@@ -26,12 +28,13 @@ Admissibility.  Sh maps a level-k coefficient to level k+1, so level-(D-1)
 input coefficients have no representation at depth D.  Functions whose
 spectrum is supported on levels <= D-2 are called admissible.  The plans
 truncate, dropping the offending level (is_admissible tells whether anything
-is dropped).  The identity functions expansion_terms and
-remainder_closed_form are the strict entry points: admissibility is the
-identities' precondition, so they raise InadmissibleLevelError when an
-input is not admissible, and return leaf arrays.
+is dropped).  The identity functions expansion_terms (the three pieces of
+the expansion and the direct commutator) and remainder_closed_form (R_b f)
+are the strict entry points: admissibility is the identities' precondition,
+so they raise InadmissibleLevelError when an input is not admissible, and
+return leaf arrays.
 
-Exactness.  Sh and the expansion remainder are computed by quarter patterns:
+Exactness.  Sh and the closed-form remainder are computed by quarter patterns:
 the image of the I-term of f is coefficient * |I|^{-1} times the sign pattern
 (-1, +1, +1, -1) on the four quarters of I, and the remainder term is
 bhat(I) fhat(I) |I|^{-1} times (+1, -1, +1, -1).  Both avoid any
@@ -43,7 +46,6 @@ grid passes every apply here is built from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -248,47 +250,30 @@ def remainder_closed_form(b: np.ndarray, f: np.ndarray) -> np.ndarray:
     return _quarter_pyramid(scaled, depth, _REMAINDER_SIGNS)
 
 
-@dataclass(frozen=True)
-class ExpansionTerms:
-    """The six terms of the exact commutator expansion, as leaf arrays,
+class ExpansionTerms(NamedTuple):
+    """The exact commutator expansion in its three pieces, as leaf arrays,
 
-        [b, Sh] f = Pi_b(Sh f) - Sh(Pi_b f)
-                  + Pi*_b(Sh f) - Sh(Pi*_b f)
-                  + Pi_{Sh f} b - Sh(Pi_f b),
+        [b, Sh] f = [Pi_b, Sh] f + [Pi*_b, Sh] f + R_b f,
+        paraproduct = Pi_b(Sh f) - Sh(Pi_b f),
+        adjoint     = Pi*_b(Sh f) - Sh(Pi*_b f),
+        remainder   = R_b f = Pi_{Sh f} b - Sh(Pi_f b),
 
     together with the directly computed commutator.  signed_sum assembles the
     right-hand side; residual measures the identity.  sign_flipped_sum negates
-    the first four terms (a diagnostic variant whose residual is generically
-    order one).
+    the two paraproduct pieces (a diagnostic variant whose residual is
+    generically order one).
     """
 
     commutator: np.ndarray
-    pi_b_shf: np.ndarray
-    sh_pi_b_f: np.ndarray
-    pi_b_star_shf: np.ndarray
-    sh_pi_b_star_f: np.ndarray
-    pi_shf_b: np.ndarray
-    sh_pi_f_b: np.ndarray
+    paraproduct: np.ndarray
+    adjoint: np.ndarray
+    remainder: np.ndarray
 
     def signed_sum(self) -> np.ndarray:
-        return (
-            self.pi_b_shf
-            - self.sh_pi_b_f
-            + self.pi_b_star_shf
-            - self.sh_pi_b_star_f
-            + self.pi_shf_b
-            - self.sh_pi_f_b
-        )
+        return self.paraproduct + self.adjoint + self.remainder
 
     def sign_flipped_sum(self) -> np.ndarray:
-        return (
-            self.sh_pi_b_f
-            - self.pi_b_shf
-            + self.sh_pi_b_star_f
-            - self.pi_b_star_shf
-            + self.pi_shf_b
-            - self.sh_pi_f_b
-        )
+        return self.remainder - self.paraproduct - self.adjoint
 
     def residual(self) -> float:
         return float(np.abs(self.signed_sum() - self.commutator).max())
@@ -296,12 +281,9 @@ class ExpansionTerms:
     def sign_flipped_residual(self) -> float:
         return float(np.abs(self.sign_flipped_sum() - self.commutator).max())
 
-    def remainder(self) -> np.ndarray:
-        return self.pi_shf_b - self.sh_pi_f_b
-
 
 def expansion_terms(b: np.ndarray, f: np.ndarray) -> ExpansionTerms:
-    """Compute all six expansion terms and the direct commutator.
+    """Compute the three expansion pieces and the direct commutator.
 
     b and f must be admissible.  Every intermediate is then admissible where
     a shift is applied, so the plans' shift drops nothing: Pi_b f and Pi_f b
@@ -316,10 +298,8 @@ def expansion_terms(b: np.ndarray, f: np.ndarray) -> ExpansionTerms:
     shf = shift(f)
     return ExpansionTerms(
         commutator=b * shf - shift(b * f),
-        pi_b_shf=pi_b.apply(shf),
-        sh_pi_b_f=shift(pi_b.apply(f)),
-        pi_b_star_shf=pi_b.transpose(shf),
-        sh_pi_b_star_f=shift(pi_b.transpose(f)),
-        pi_shf_b=paraproduct_operator(shf).apply(b),
-        sh_pi_f_b=shift(_paraproduct_plan(depth, cf).apply(b)),
+        paraproduct=pi_b.apply(shf) - shift(pi_b.apply(f)),
+        adjoint=pi_b.transpose(shf) - shift(pi_b.transpose(f)),
+        remainder=paraproduct_operator(shf).apply(b)
+        - shift(_paraproduct_plan(depth, cf).apply(b)),
     )

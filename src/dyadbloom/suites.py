@@ -37,9 +37,9 @@ symbol b projected onto admissible levels (<= D-2) so commutator identities
 and functionals see the same symbol, and Gaussian test functions f, g from
 the trial's function stream (f, g admissible; raw variants keep all levels
 for identities that need no admissibility).  The functionals of b (bmo, one
-BmoReport, which also holds the trial's Bloom weight rho) and the six-term
-expansion of (b, f) (expansion) are built once per trial, and each
-functional is computed when a check first reads it.
+BmoReport, which also holds the trial's Bloom weight rho) and the three
+pieces of the expansion of [b, Sh] f (expansion) are built once per trial,
+and each functional is computed when a check first reads it.
 """
 
 from __future__ import annotations
@@ -142,7 +142,6 @@ class SuiteResult:
     config: dict
     assertions: list[Assertion] = field(default_factory=list)
     measured: dict = field(default_factory=dict)
-    trial_records: list[dict] = field(default_factory=list)
     findings: list[Finding] = field(default_factory=list)
 
     @property
@@ -275,20 +274,19 @@ def _worked_example_assertions() -> list[Assertion]:
     # depth-2 grid, b = f = Haar function of the root.  The shift, the direct
     # commutator, and the closed-form remainder are quarter-pattern
     # computations whose outputs are exactly representable, so those three are
-    # compared bitwise.  The six-term sum synthesizes two of its terms from
-    # Haar coefficients, which costs one ulp on (1/sqrt(2))*sqrt(2); those
-    # comparisons are held to 1e-12 instead.
+    # compared bitwise.  The expansion's pieces [Pi_b, Sh] f, [Pi*_b, Sh] f
+    # and R_b f synthesize some of their terms from Haar coefficients, which
+    # costs one ulp on (1/sqrt(2))*sqrt(2); the sum of the three pieces and
+    # the piece R_b f are held to 1e-12 instead.
     h_root = haar_function(2, ROOT)
     shifted = shift_operator(2).apply(h_root)
     ok_shift = np.array_equal(shifted, np.array([-1.0, 1.0, 1.0, -1.0]))
-    six = expansion_terms(h_root, h_root)
-    ok_comm = np.array_equal(six.commutator, np.array([1.0, -1.0, 1.0, -1.0]))
+    terms = expansion_terms(h_root, h_root)
+    ok_comm = np.array_equal(terms.commutator, np.array([1.0, -1.0, 1.0, -1.0]))
     rem = remainder_closed_form(h_root, h_root)
     ok_rem = np.array_equal(rem, np.array([1.0, -1.0, 1.0, -1.0]))
     bitwise = ok_shift and ok_comm and ok_rem
-    d_sum = float(np.abs(six.signed_sum() - six.commutator).max())
-    d_rem = float(np.abs(six.remainder() - rem).max())
-    worst = max(d_sum, d_rem)
+    worst = max(terms.residual(), float(np.abs(terms.remainder - rem).max()))
     return [
         Assertion("worked_example_bitwise", bitwise, 0.0 if bitwise else 1.0, 0.0,
                   "depth-2 shift, commutator, closed-form remainder reproduce bitwise"),
@@ -329,7 +327,7 @@ def _check_identities(rec: Record, td: TrialData, solved: Solved) -> None:
     norm0 = math.sqrt(float((g0**2).mean()))
     norm1 = math.sqrt(float((shift_operator(depth).apply(g0) ** 2).mean()))
     rec.residual("shift_isometry_admissible", _rel(abs(norm1 - norm0), norm0))
-    # six-term expansion, remainder closed form, remainder energy
+    # the expansion's three pieces, remainder closed form, remainder energy
     terms = td.expansion
     scale = float(np.abs(terms.commutator).max())
     rec.residual("six_term_expansion", _rel(terms.residual(), scale))
@@ -337,7 +335,7 @@ def _check_identities(rec: Record, td: TrialData, solved: Solved) -> None:
     rem = remainder_closed_form(td.b, td.f)
     rec.residual(
         "remainder_closed_form",
-        _rel(float(np.abs(rem - terms.remainder()).max()), scale),
+        _rel(float(np.abs(rem - terms.remainder).max()), scale),
     )
     sq = accumulate_levels(square_layers(rem), depth)
     measured_energy = float((sq * td.lam.values).mean())
@@ -439,7 +437,7 @@ def _check_commutator_bounds(rec: Record, td: TrialData, solved: Solved) -> None
     b = td.b
     shift = shift_operator(rec.cfg.depth)
     M = commutator_operator(b, shift)
-    # the norm engine's apply vs the six-term paraproduct route
+    # the norm engine's apply vs the expansion's three pieces
     via_engine = M.apply(td.f)
     via_expansion = td.expansion.signed_sum()
     rec.residual(

@@ -1,4 +1,5 @@
-"""Paraproducts, the dyadic shift, commutators, and the six-term expansion."""
+"""Paraproducts, the dyadic shift, commutators, and the expansion of [b, Sh]
+in its three pieces [Pi_b, Sh] f, [Pi*_b, Sh] f and R_b f."""
 
 import numpy as np
 import pytest
@@ -272,8 +273,9 @@ def test_expansion_analyses_b_once_for_its_four_b_terms(monkeypatch):
 
 
 def test_expansion_signs_are_the_unique_working_ones():
-    # negating the first four terms breaks the identity by an O(1) amount,
-    # so a sign regression cannot hide inside the tolerance
+    # negating the two paraproduct pieces (the first four of the six terms)
+    # breaks the identity by an O(1) amount, so a sign regression cannot hide
+    # inside the tolerance
     b, f = _pair(5, 909)
     terms = expansion_terms(b, f)
     scale = max(1.0, float(np.abs(terms.commutator).max()))
@@ -285,7 +287,27 @@ def test_remainder_closed_form_equals_two_term_difference():
         b, f = _pair(5, 800 + seed)
         terms = expansion_terms(b, f)
         rem = remainder_closed_form(b, f)
-        assert np.abs(rem - terms.remainder()).max() <= 1e-12
+        assert np.abs(rem - terms.remainder).max() <= 1e-12
+
+
+def test_expansion_pieces_match_the_dense_oracle():
+    # each piece against its dense commutator: with P = Pi_b, A = Pi*_b and
+    # S = Sh as matrices, [Pi_b, Sh] f = (PS - SP) f, [Pi*_b, Sh] f =
+    # (AS - SA) f, and R_b f is what remains of the direct commutator C f
+    for depth in (3, 4, 5, 6):
+        S = oracles.shift_matrix(depth)
+        for seed in range(3):
+            b, f = _pair(depth, 950 + 10 * depth + seed)
+            P = oracles.paraproduct_matrix(b, depth)
+            A = oracles.paraproduct_adjoint_matrix(b, depth)
+            C = oracles.commutator_matrix(b, depth)
+            terms = expansion_terms(b, f)
+            tol = 1e-12 * max(1.0, float(np.abs(terms.commutator).max()))
+            para, adj = (P @ S - S @ P) @ f, (A @ S - S @ A) @ f
+            np.testing.assert_allclose(terms.commutator, C @ f, rtol=0, atol=tol)
+            np.testing.assert_allclose(terms.paraproduct, para, rtol=0, atol=tol)
+            np.testing.assert_allclose(terms.adjoint, adj, rtol=0, atol=tol)
+            np.testing.assert_allclose(terms.remainder, C @ f - para - adj, rtol=0, atol=tol)
 
 
 def test_remainder_quarter_pattern_oracle():

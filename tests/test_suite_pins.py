@@ -12,6 +12,8 @@ values must not depend on which other suites share its pass.
 
 To re-record after a change that is meant to move floats (and say so in
 CHANGES.md):  PYTHONPATH=src python tests/test_suite_pins.py
+Before it writes suite_pins.json, it prints every pin it moves (old -> new,
+hex and decimal), adds or removes.
 """
 
 import json
@@ -75,6 +77,40 @@ def test_joint_pass_matches_the_pins(config):
         assert result_floats(res) == pins[_key(res.suite, *config)], res.suite
 
 
+def _show(v):
+    # a pinned value as recorded, with its decimal reading for hex floats
+    return f"{v} ({float.fromhex(v)!r})" if isinstance(v, str) else repr(v)
+
+
+def pin_changes(old: dict, new: dict) -> list[str]:
+    """One line per pin that a re-record moves, adds or removes."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        was, now = old.get(key, {}), new.get(key, {})
+        for entry in sorted(was.keys() | now.keys()):
+            if entry not in now:
+                lines.append(f"{key}: {entry} removed, was {_show(was[entry])}")
+            elif entry not in was:
+                lines.append(f"{key}: {entry} added, {_show(now[entry])}")
+            elif was[entry] != now[entry]:
+                lines.append(f"{key}: {entry} {_show(was[entry])} -> {_show(now[entry])}")
+    return lines
+
+
+def test_pin_changes_lists_moved_added_and_removed_pins():
+    old = {"s": {"a": "0x1.0000000000000p+0", "b": 3, "c": "0x1.0000000000000p-1"}}
+    new = {"s": {"a": "0x1.8000000000000p+0", "b": 3, "d": 4}}
+    assert pin_changes(old, new) == [
+        "s: a 0x1.0000000000000p+0 (1.0) -> 0x1.8000000000000p+0 (1.5)",
+        "s: c removed, was 0x1.0000000000000p-1 (0.5)",
+        "s: d added, 4",
+    ]
+    assert pin_changes(old, old) == []
+
+
 if __name__ == "__main__":
     record = {_key(n, *c): suite_floats(n, *c) for n in SUITE_NAMES for c in CONFIGS}
+    old = json.loads(PINS.read_text(encoding="utf-8")) if PINS.exists() else {}
+    changes = pin_changes(old, record)
+    print("\n".join(changes) if changes else "no pin moves")
     PINS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")

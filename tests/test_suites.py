@@ -137,6 +137,14 @@ def test_suite_assertions_and_measured_keys(name):
     assert result.passed
 
 
+def test_suite_json_holds_exactly_the_result_fields():
+    # the top-level keys of every suite-<name>.json, and nothing kept empty
+    results = run_suites(ExperimentConfig(depth=4, trials=1))
+    for res in results:
+        assert set(res.to_dict()) == {
+            "suite", "config", "assertions", "measured", "findings", "passed"}, res.suite
+
+
 @pytest.mark.parametrize("names", [(n,) for n in SUITE_NAMES] + [SUITE_NAMES],
                          ids=lambda n: "+".join(n))
 def test_every_gate_is_reached_on_the_default_ensembles(names):
@@ -226,9 +234,9 @@ def test_joint_pass_draws_each_trial_once_and_solves_once(monkeypatch):
 def test_joint_pass_computes_each_trial_fact_once(monkeypatch):
     # all suites at D=4 x 3 trials: each trial's functionals are one
     # BmoReport (a primal and a dual Carleson constant, one bmo_rho scan, one
-    # Bloom weight) and its six-term expansion one expansion_terms call, whichever
-    # suites read them; equivalences' zero symbol adds one report, identities'
-    # worked example one expansion
+    # Bloom weight) and its expansion's three pieces one expansion_terms call,
+    # whichever suites read them; equivalences' zero symbol adds one report,
+    # identities' worked example one expansion
     calls = {name: count_calls(monkeypatch, module, name) for module, name in (
         (bmo, "_subtree_sums"), (bmo, "_bmo_rho_scan"), (operators, "expansion_terms"))}
     results = run_suites(ExperimentConfig.from_dict({"depth": 4, "trials": 3}))
