@@ -19,18 +19,15 @@ off-diagonal terms survive, and the ratio of the two routes is a measured
 quantity controlled by the square-function constants of lambda, recorded by
 the suites rather than assumed.
 
-Two kinds of supremum carry the functionals here, each written once.  A
-CarlesonSequence holds numbers a_I >= 0 on coefficient levels 0..D-1 tested
-against a weight w; its subtree sums and its Carleson constant
-sup_J (1/w(J)) sum_{I subset= J} a_I are computed on first read and kept.
-The report's two sequences, carleson and carleson_dual, are built by
-_carleson_terms(coeffs, squared, linear), a_I = bhat(I)^2 <squared>_I^2
-<linear>_I, from the report's one Haar analysis: bloom_b2 and bloom_b2_dual
-are the roots of their constants, and normest's embedding checks and
-necessity sums read the same sequences.  _oscillation_masses(b, w)
-integrates (b - <b>_I)^2 w over every interval of levels 0..D-1 (bmo_rho
-with w = 1; neccon and the neccon-chain suite's mu-normalised oscillation
-read the report's one w = lambda pass).  _sqrt_sup roots a sup of squares.
+Every per-interval array here is a heap over coefficient levels 0..D-1
+(grid's layout, entry 0 unread), and each supremum is one argmax over it,
+whose first occurrence is the level-major first one.  A CarlesonSequence
+holds numbers a_I >= 0 tested against a weight; its subtree sums
+(grid.sum_up) and Carleson constant are computed on first read and kept.
+_carleson_terms builds the report's two sequences from its one Haar
+analysis, and _oscillation_masses(b, w) integrates (b - <b>_I)^2 w over
+every interval (w = 1 for bmo_rho; w = lambda for neccon, whose pass the
+neccon-chain suite reads too).
 """
 
 from __future__ import annotations
@@ -43,7 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import DyadicInterval, analyze_leaves, depth_of, level_masses, same_depth
+from .grid import (DyadicInterval, analyze_leaves, depth_of, heap_scales, level, level_masses,
+                   same_depth, split, sum_up)
 from .weights import Weight
 
 __all__ = ["BmoReport", "CarlesonSequence"]
@@ -54,18 +52,17 @@ class _SupResult(NamedTuple):
     argmax: DyadicInterval
 
 
-def _sup_over_levels(per_level: list[np.ndarray]) -> _SupResult:
-    # per_level[k] holds the candidate value at each level-k interval;
-    # ties resolve to the level-major first occurrence.
-    best = -math.inf
-    where = DyadicInterval(0, 0)
-    for k, arr in enumerate(per_level):
-        j = int(np.argmax(arr))
-        v = float(arr[j])
-        if v > best:
-            best = v
-            where = DyadicInterval(k, j)
-    return _SupResult(best, where)
+def _sup(heap: np.ndarray) -> _SupResult:
+    # the largest of heap[1:] and its level-major first occurrence; a level
+    # holding a NaN is passed over whole, and with no number above -inf the
+    # result is (-inf, the root)
+    vals = heap[1:]
+    nan = np.isnan(vals)
+    if nan.any():
+        levels = heap_scales(heap.size).levels[1:]
+        vals = np.where(np.isin(levels, levels[nan]), -math.inf, vals)
+    i = int(np.argmax(vals))
+    return _SupResult(float(vals[i]), DyadicInterval.at(i + 1))
 
 
 def _sqrt_sup(sup: _SupResult) -> _SupResult:
@@ -73,129 +70,114 @@ def _sqrt_sup(sup: _SupResult) -> _SupResult:
     return _SupResult(math.sqrt(max(sup.value, 0.0)), sup.argmax)
 
 
-def _subtree_sums(per_level: list[np.ndarray]) -> list[np.ndarray]:
-    # sums[k][j] = sum of per_level over all intervals contained in I_{k,j}
-    # (inclusive), by a bottom-up pass.
-    depth = len(per_level)
-    sums = [None] * depth  # type: ignore[list-item]
-    acc = per_level[depth - 1].copy()
-    sums[depth - 1] = acc
-    for k in range(depth - 2, -1, -1):
-        acc = per_level[k] + acc.reshape(-1, 2).sum(axis=1)
-        sums[k] = acc
-    return sums
+def _masses(w: Weight) -> np.ndarray:
+    # w(I) on coefficient levels 0..D-1, exactly the level masses
+    n = 1 << w.depth
+    return np.ldexp(w.averages[:n], -heap_scales(n).levels)
 
 
-def _carleson_terms(coeffs: list[np.ndarray], squared: Weight, linear: Weight) -> list[np.ndarray]:
+def _subtree_sums(values: np.ndarray) -> np.ndarray:
+    # sums[i] = sum of values over all intervals contained in interval i
+    # (inclusive), by grid's bottom-up pass
+    return sum_up(values.copy(), values)
+
+
+def _carleson_terms(coeffs: np.ndarray, squared: Weight, linear: Weight) -> np.ndarray:
     # a_I = bhat(I)^2 <squared>_I^2 <linear>_I on coefficient levels 0..D-1
-    same_depth(squared.values, linear.values, depth=len(coeffs))
-    return [c**2 * s**2 * t for c, s, t in zip(coeffs, squared.averages, linear.averages)]
+    n = coeffs.shape[-1]
+    same_depth(squared.values, linear.values, depth=depth_of(coeffs))
+    a = coeffs**2 * squared.averages[:n] ** 2 * linear.averages[:n]
+    a[0] = 0.0
+    return a
 
 
 class CarlesonSequence:
     """Nonnegative numbers a_I on coefficient levels 0..D-1, tested against a
-    weight w of depth D: the sequence's depth is its number of levels.  Its
-    subtree sums (sums[k][j] = sum of a_I over I subset= I_{k,j}) and its
-    Carleson constant sup_J (1/w(J)) sum_{I subset= J} a_I, with the interval
-    achieving it (level-major first occurrence), are computed on first read
-    and kept."""
+    weight w of depth D: values is their heap of 2^D entries (entry 0 is
+    unread, and 0 in the report's sequences).  Its subtree sums
+    (subtree_sums[i] = sum of a_I over I within interval i) and its
+    Carleson constant sup_J (1/w(J)) sum_{I subset= J} a_I, with the
+    interval achieving it (level-major first occurrence), are computed on
+    first read and kept."""
 
-    def __init__(self, level_values, weight: Weight):
-        same_depth(weight.values, depth=len(level_values))
-        frozen = []
-        for k, arr in enumerate(level_values):
-            a = np.array(arr, dtype=np.float64)
-            if a.shape != (1 << k,):
-                raise ValueError(f"level {k} must have {1 << k} entries")
-            if np.any(a < 0.0) or not np.all(np.isfinite(a)):
-                raise ValueError("Carleson sequence entries must be finite and >= 0")
-            a.setflags(write=False)
-            frozen.append(a)
-        self.level_values = tuple(frozen)
+    def __init__(self, values, weight: Weight):
+        a = np.array(values, dtype=np.float64)
+        if a.ndim != 1:
+            raise ValueError(f"expected a heap of 2^D entries, got shape {a.shape}")
+        same_depth(weight.values, depth=depth_of(a))
+        if np.any(a < 0.0) or not np.all(np.isfinite(a)):
+            raise ValueError("Carleson sequence entries must be finite and >= 0")
+        a.setflags(write=False)
+        self.values = a
         self.weight = weight
 
     @cached_property
-    def subtree_sums(self) -> list[np.ndarray]:
-        return _subtree_sums(self.level_values)
+    def subtree_sums(self) -> np.ndarray:
+        return _subtree_sums(self.values)
 
     @cached_property
     def _sup(self) -> _SupResult:
-        sums, w = self.subtree_sums, self.weight
-        return _sup_over_levels([sums[k] / np.ldexp(w.averages[k], -k) for k in range(len(sums))])
+        return _sup(self.subtree_sums / _masses(self.weight))
 
     @property
     def constant(self) -> float:
         return self._sup.value
 
 
-def _bloom_l2form_scan(coeffs: list[np.ndarray], mu: Weight, lam: Weight) -> _SupResult:
+def _bloom_l2form_scan(coeffs: np.ndarray, mu: Weight, lam: Weight) -> _SupResult:
     # For each top level k, the localized syntheses of all level-k intervals
-    # K at once, end to end in v: each starts at 0, and level m >= k splits
-    # every entry into (v - s, v + s), s = bhat(I) <mu^{-1}>_I 2^{m/2}, so
-    # each leaf sees the additions of a per-K synthesis in the same order.
-    depth = len(coeffs)
+    # K at once: grid.split from 0.0 on level k over the steps
+    # s = bhat(I) <mu^{-1}>_I 2^{m/2} of the levels m >= k.
+    n = coeffs.shape[-1]
     mu_inv = mu.inverse
-    scaled = [
-        (coeffs[m] * mu_inv.averages[m]) * math.sqrt(2**m)
-        for m in range(depth)
-    ]
-    leaf_w = 2.0**-depth
-    per_level = []
-    for k in range(depth):
-        v = np.zeros(1 << k)
-        for m in range(k, depth):
-            split = np.empty(2 << m)
-            np.subtract(v, scaled[m], out=split[0::2])
-            np.add(v, scaled[m], out=split[1::2])
-            v = split
-        energy = (v**2 * lam.values).reshape(1 << k, -1).sum(axis=1) * leaf_w
-        per_level.append(energy / np.ldexp(mu_inv.averages[k], -k))
-    return _sqrt_sup(_sup_over_levels(per_level))
+    steps = (coeffs * mu_inv.averages[:n]) * heap_scales(n).root
+    steps[0] = 0.0
+    energy = np.zeros(n)
+    for k in range(depth_of(coeffs)):
+        v = split(steps, k)
+        level(energy, k)[:] = (v**2 * lam.values).reshape(1 << k, -1).sum(axis=1) / n
+    return _sqrt_sup(_sup(energy / _masses(mu_inv)))
 
 
-def _oscillation_masses(b: np.ndarray, w: Weight | None = None) -> list[np.ndarray]:
-    # osc[k][j] = integral over I_{k,j} of (b - <b>_I)^2 w (w = 1 when None)
+def _oscillation_masses(b: np.ndarray, w: Weight | None = None) -> np.ndarray:
+    # osc[i] = integral over interval i of (b - <b>_I)^2 w (w = 1 when None)
     # on levels 0..D-1, computed by subtracting the interval average from the
     # leaves before squaring; a constant symbol then gives exactly zero
     # instead of cancellation dust.
-    depth = depth_of(b)
-    n = 1 << depth
-    mb = level_masses(b)
-    out = []
-    for k in range(depth):
-        dev2 = (b - np.repeat(mb[k] * (2.0**k), n >> k)) ** 2
+    n = 1 << depth_of(b)
+    avg = np.ldexp(level_masses(b)[:n], heap_scales(n).levels)
+    out = np.zeros(n)
+    for k in range(depth_of(b)):
+        dev2 = (b - np.repeat(level(avg, k), n >> k)) ** 2
         if w is not None:
             dev2 = dev2 * w.values
-        out.append(dev2.reshape(1 << k, -1).sum(axis=1) / n)
+        level(out, k)[:] = dev2.reshape(1 << k, -1).sum(axis=1) / n
     return out
 
 
 def _bmo_rho_scan(b: np.ndarray, rho: Weight) -> _SupResult:
-    osc = _oscillation_masses(b)
-    return _sqrt_sup(_sup_over_levels([osc[k] / np.ldexp(rho.averages[k], -k)
-                                       for k in range(len(osc))]))
+    return _sqrt_sup(_sup(_oscillation_masses(b) / _masses(rho)))
 
 
-def _bmo_rho_l1_scan(coeffs: list[np.ndarray], rho: Weight) -> _SupResult:
-    depth = len(coeffs)
-    n = 1 << depth
+def _bmo_rho_l1_scan(coeffs: np.ndarray, rho: Weight) -> _SupResult:
+    n = coeffs.shape[-1]
+    layers = np.ldexp(coeffs**2, heap_scales(n).levels)
     # Bottom-up, suffix becomes the square function restricted to intervals
     # at levels >= k (those contained in a level-k interval): the running sum
     # of the leaf-resolved layers bhat(I)^2/|I| 1_I of levels D-1 down to k.
     suffix = np.zeros(n)
-    per_level = [None] * depth  # type: ignore[list-item]
-    for k in range(depth - 1, -1, -1):
-        suffix = np.repeat(coeffs[k]**2 * 2.0**k, n >> k) + suffix
-        integrals = np.sqrt(suffix).reshape(1 << k, -1).sum(axis=1) * 2.0**-depth
-        per_level[k] = integrals / np.ldexp(rho.averages[k], -k)
-    value, where = _sup_over_levels(per_level)
+    integrals = np.zeros(n)
+    for k in range(depth_of(coeffs) - 1, -1, -1):
+        suffix = np.repeat(level(layers, k), n >> k) + suffix
+        level(integrals, k)[:] = np.sqrt(suffix).reshape(1 << k, -1).sum(axis=1) / n
+    value, where = _sup(integrals / _masses(rho))
     return _SupResult(max(value, 0.0), where)
 
 
-def _neccon_scan(lam_osc: list[np.ndarray], mu_inv: Weight) -> _SupResult:
-    return _sqrt_sup(_sup_over_levels(
-        [np.ldexp(mu_inv.averages[k], -k) * (4.0**k) * lam_osc[k] for k in range(len(lam_osc))]
-    ))
+def _neccon_scan(lam_osc: np.ndarray, mu_inv: Weight) -> _SupResult:
+    # mu^{-1}(I) 4^k osc(I), each scaling exact
+    levels = heap_scales(lam_osc.size).levels
+    return _sqrt_sup(_sup(np.ldexp(_masses(mu_inv), 2 * levels) * lam_osc))
 
 
 class _Functional:
@@ -261,8 +243,8 @@ class BmoReport:
         self._scans: dict[str, _SupResult] = {}
 
     @cached_property
-    def coeffs(self) -> list[np.ndarray]:
-        return analyze_leaves(self.b)[1]
+    def coeffs(self) -> np.ndarray:
+        return analyze_leaves(self.b)
 
     @cached_property
     def carleson(self) -> CarlesonSequence:
@@ -278,7 +260,7 @@ class BmoReport:
         return Weight(np.sqrt(self.mu.values / self.lam.values))
 
     @cached_property
-    def lam_oscillation(self) -> list[np.ndarray]:
+    def lam_oscillation(self) -> np.ndarray:
         return _oscillation_masses(self.b, self.lam)
 
     @property

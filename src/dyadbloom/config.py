@@ -44,7 +44,7 @@ ROLE_FUNC = 3
 
 MIN_DEPTH = 2
 # the deepest depth whose one-trial all-suite verify passes under a 1 GiB
-# address-space limit (30 s and 444 MB peak RSS on a 2-core x86-64 box;
+# address-space limit (30 s and 458 MB peak RSS on a 2-core x86-64 box;
 # depth 21 runs out of memory there and exits 2)
 MAX_DEPTH = 20
 

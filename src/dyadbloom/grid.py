@@ -4,15 +4,19 @@ The grid of depth D consists of the dyadic intervals I = [j 2^{-k}, (j+1) 2^{-k}
 for levels 0 <= k <= D; level-D intervals are the leaves.  A step function is
 constant on leaves, and is held as its float64 array of 2^D leaf values: the
 depth is read off the length (depth_of, which rejects a length that is not a
-power of two), and nothing else ties a symbol and two weights together.  So
-the passes below take no depth beside an array of leaves; only
-synthesize_leaves and accumulate_levels, which build leaves from levels, are
-told it.  Data entering the library (files, generated ensembles, weights)
-passes leaf_values, which checks the shape, the depth bound and finiteness
-and marks the array read-only; same_depth is the one check that several
-arrays share a grid.  The operator plans in operators.py map arrays to
-arrays.  Integrals are exact leaf sums scaled by 2^{-D}, so every identity
-in this module is a finite linear-algebra statement.
+power of two), and nothing else ties a symbol and two weights together.
+Data entering the library (files, generated ensembles, weights) passes
+leaf_values, which checks the shape, the depth bound and finiteness and
+marks the array read-only; same_depth is the one check that several arrays
+share a grid.  Integrals are exact leaf sums scaled by 2^{-D}, so every
+identity in this module is a finite linear-algebra statement.
+
+Every per-interval quantity is one heap on the last axis: the level-k
+interval at position j is entry 2^k + j (DyadicInterval.at inverts it), so
+level k fills [2^k, 2^{k+1}) and the children of entry i are 2i and 2i+1.
+Entry 0 holds the mean of a coefficient heap and repeats the root of a mass
+heap.  heap_scales gives each entry's level k and sqrt(2^k), so a
+per-level scaling is one array operation (np.ldexp for 2^k, exact).
 
 The Haar function of an interval I with children I_- (left) and I_+ (right) is
 
@@ -22,25 +26,24 @@ normalized in unweighted L^2.  A step function of depth D is exactly
 
     f = mean(f) + sum over levels k < D of fhat(I) h_I,
 
-with fhat(I) = <f, h_I>.  Analysis and synthesis below implement the two sides
-of this identity by pyramid passes over sibling pairs; both operate on the last
-axis so batched inputs of shape (..., 2^D) work unchanged.
-
-Every pass writes each level at that level's own width (2^k entries), never
-all 2^D leaves per level, so a pass costs O(2^D) in all.  Analysis and
-level_masses go bottom-up over strided sibling views; synthesis and
-accumulate_levels go top-down, doubling their width per level.  Each leaf
-keeps the exact chain of floating-point additions of a full-width pass (the
-same operands in the same order), so every value is bit for bit what adding
-each level onto all 2^D leaves gives, and outputs built from them do not
-move.
+with fhat(I) = <f, h_I>.  Two pyramid passes carry the transforms, each
+writing every level at its own width, so a pass costs O(2^D): sum_up, the
+bottom-up pass (each entry the sum of its children), gives level_masses and
+so analysis; split, the top-down pass (each value v splits into its
+children v -+ s), gives synthesis, and operators.py's shift and remainder
+and bmo's localized syntheses are the same pass on their own steps.
+accumulate_levels adds each level's terms onto its intervals, top-down.
+Every leaf keeps the exact chain of floating-point operations of a
+full-width pass, so every value is bit for bit what adding each level onto
+all 2^D leaves gives, and outputs built from them do not move.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,6 +57,12 @@ __all__ = [
     "leaf_values",
     "depth_of",
     "same_depth",
+    "HeapScales",
+    "heap_scales",
+    "level",
+    "sum_up",
+    "split",
+    "spread",
     "analyze_leaves",
     "synthesize_leaves",
     "level_masses",
@@ -79,6 +88,12 @@ class DyadicInterval:
                 f"position must be in [0, 2^{self.level}), got {self.position}"
             )
 
+    @classmethod
+    def at(cls, index: int) -> "DyadicInterval":
+        """The interval at heap entry index >= 1 (entry 2^level + position)."""
+        k = int(index).bit_length() - 1
+        return cls(k, int(index) - (1 << k))
+
 
 ROOT = DyadicInterval(0, 0)
 
@@ -89,7 +104,9 @@ def leaf_values(values, depth: int | None = None) -> np.ndarray:
     depth defaults to the one the length gives."""
     arr = np.array(values, dtype=np.float64)
     if depth is None:
-        depth = max(arr.size.bit_length() - 1, 0) if arr.ndim == 1 else 0
+        if arr.ndim != 1:
+            raise ValueError(f"leaf values need shape (2^D,), got shape {arr.shape}")
+        depth = max(arr.size.bit_length() - 1, 0)
     if not 1 <= depth <= MAX_GRID_DEPTH:
         raise ValueError(f"depth must be in [1, {MAX_GRID_DEPTH}], got {depth}")
     if arr.shape != (1 << depth,):
@@ -103,8 +120,9 @@ def leaf_values(values, depth: int | None = None) -> np.ndarray:
 
 
 def depth_of(a: np.ndarray) -> int:
-    """The depth D of leaf data with 2^D entries on its last axis;
-    ValueError when that length is not a power of two."""
+    """The depth D of leaf data with 2^D entries on its last axis (for a
+    heap, the log2 of its length); ValueError when that length is not a
+    power of two."""
     n = np.shape(a)[-1]
     if n < 1 or n & (n - 1):
         raise ValueError(f"leaf data needs 2^D entries on its last axis, got {n}")
@@ -127,69 +145,106 @@ def same_depth(*arrays: np.ndarray, depth: int | None = None) -> int:
     return depths.pop()
 
 
-def analyze_leaves(values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Haar analysis on the last axis of a (..., 2^depth) array.
-
-    Returns (mean, coeffs) with mean of shape (...) and coeffs[k] of shape
-    (..., 2^k).  The level-k coefficient over interval I with child masses
-    m_-, m_+ is 2^{k/2} (m_+ - m_-); masses are leaf sums times 2^{-depth}.
-    Each level reads its children through the strided views [..., 0::2] and
-    [..., 1::2] and writes 2^k parents, so the pass costs O(2^depth); every
-    parent mass is m_- + m_+, one addition, as in level_masses.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    depth = depth_of(values)
-    masses = values * (2.0 ** (-depth))
-    coeffs: list[np.ndarray] = [None] * depth  # type: ignore[list-item]
-    for k in range(depth - 1, -1, -1):
-        left, right = masses[..., 0::2], masses[..., 1::2]
-        coeffs[k] = math.sqrt(2**k) * (right - left)
-        masses = left + right
-    # masses now has shape batch + (1,); the single entry is the total integral,
-    # which equals the mean since |[0,1)| = 1.
-    mean = masses[..., 0]
-    return mean, coeffs
+class HeapScales(NamedTuple):
+    levels: np.ndarray  # k, the level of each entry (entry 0 counts as level 0)
+    root: np.ndarray  # sqrt(2^k), correctly rounded, as math.sqrt(2**k)
 
 
-def synthesize_leaves(mean, coeffs: Sequence[np.ndarray], depth: int) -> np.ndarray:
-    """Inverse of analyze_leaves on the last axis.
+@functools.cache
+def heap_scales(n: int) -> HeapScales:
+    """Per entry of a heap of n entries; read-only, kept per n.  A level's
+    power of two scales exactly by np.ldexp(x, levels)."""
+    levels = np.maximum(np.frexp(np.arange(n))[1] - 1, 0).astype(np.int8)
+    out = HeapScales(levels, np.sqrt(np.ldexp(1.0, levels)))
+    for a in out:
+        a.setflags(write=False)
+    return out
 
-    Top-down pyramid: v starts as the mean, and level k turns each of its 2^k
-    entries into the pair (v - s, v + s), s = coeff * 2^{k/2}, so v doubles
-    in width and the pass costs O(2^depth).  A list shorter than depth
-    leaves the deeper levels zero: the last v is repeated onto the leaves.
-    Every leaf is mean -+ s_0 -+ s_1 -+ ... in level order, the same chain
-    of additions as adding each level onto all 2^depth leaves, so the
-    values are bit for bit those of that full-width pass.  For inputs whose
-    deepest nonzero level is k0, the result is constant on level-(k0+1)
-    blocks with bitwise-identical values inside each block, which
-    downstream exactness checks rely on.  A scalar mean serves a whole
-    stack: it is spread over the coefficients' leading axes.
-    """
-    mean = np.asarray(mean, dtype=np.float64)
-    v = mean[..., None]
-    if not mean.shape and len(coeffs) and np.ndim(coeffs[0]) > 1:
-        v = np.full(np.shape(coeffs[0])[:-1] + (1,), mean)
-    for k, c in enumerate(coeffs):
-        s = np.asarray(c, dtype=np.float64) * math.sqrt(2**k)
-        w = np.empty(v.shape[:-1] + (2 << k,))
+
+def level(heap: np.ndarray, k: int) -> np.ndarray:
+    """The level-k entries of a heap on the last axis, as a view."""
+    return heap[..., 1 << k : 2 << k]
+
+
+def sum_up(heap: np.ndarray, addend: np.ndarray | None = None) -> np.ndarray:
+    """The bottom-up pass, in place on a heap whose deepest level is set,
+    and returned: from the level above it up to level 0, entry i becomes
+    heap[2i] + heap[2i+1] (+ addend[i], when given)."""
+    m = heap[..., heap.shape[-1] >> 1 :]
+    for k in range(depth_of(heap) - 2, -1, -1):
+        m = np.add(m[..., 0::2], m[..., 1::2], out=level(heap, k))
+        if addend is not None:
+            m += level(addend, k)
+    return heap
+
+
+def split(steps: np.ndarray, top: int = 0) -> np.ndarray:
+    """The top-down pass over a heap of 2^m steps: every level-top value
+    starts at steps[..., 0], and each level-k value v, k = top..m-1, splits
+    into its children (v - s, v + s), s its step.  Returns the 2^m values of
+    level m, each start -+ s_top -+ s_{top+1} ... in level order."""
+    v = np.broadcast_to(steps[..., :1], steps.shape[:-1] + (1 << top,))
+    for k in range(top, depth_of(steps)):
+        s = level(steps, k)
+        w = np.empty(s.shape[:-1] + (2 << k,))
         np.subtract(v, s, out=w[..., 0::2])
         np.add(v, s, out=w[..., 1::2])
         v = w
-    return np.repeat(v, (1 << depth) >> len(coeffs), axis=-1)
+    return v
 
 
-def accumulate_levels(terms: Sequence[np.ndarray], depth: int) -> np.ndarray:
-    """sum_k repeat(terms[k], 2^{depth-k}) on the last axis, terms[k] of
-    shape (..., 2^k): each level's values spread over its intervals' leaves.
+def spread(values: np.ndarray, depth: int) -> np.ndarray:
+    """The values of one level on the last axis, each repeated over its
+    interval's 2^depth leaves."""
+    count = (1 << depth) // values.shape[-1]
+    return values if count == 1 else np.repeat(values, count, axis=-1)
 
-    Top-down, v = repeat(v, 2) + terms[k], so the pass costs O(2^depth) and
-    every leaf is ((0 + t_0) + t_1) + ... in level order.
-    """
-    v = np.zeros(1)
-    for t in terms:
-        v = np.repeat(v, t.shape[-1] // v.shape[-1], axis=-1) + t
-    return np.repeat(v, (1 << depth) // v.shape[-1], axis=-1)
+
+def level_masses(values: np.ndarray) -> np.ndarray:
+    """Masses (integrals) of every interval as a heap of 2^{D+1} entries,
+    the leaves' last; each parent is the sum of its children exactly, and
+    entry 0 repeats the root's."""
+    values = np.asarray(values, dtype=np.float64)
+    depth = depth_of(values)
+    h = np.empty(values.shape[:-1] + (2 << depth,))
+    np.multiply(values, 2.0 ** (-depth), out=level(h, depth))
+    sum_up(h)
+    h[..., 0] = h[..., 1]
+    return h
+
+
+def analyze_leaves(values: np.ndarray) -> np.ndarray:
+    """Haar analysis: the coefficient heap of a (..., 2^D) array, of its
+    shape; 2^{k/2} (m_+ - m_-) for a level-k interval with child masses
+    m_-, m_+, read off level_masses' heap in one array product."""
+    masses = level_masses(values)
+    n = masses.shape[-1] >> 1
+    c = np.empty(masses.shape[:-1] + (n,))
+    c[..., 0] = masses[..., 1]
+    np.subtract(masses[..., 3::2], masses[..., 2::2], out=c[..., 1:])
+    c[..., 1:] *= heap_scales(n).root[1:]
+    return c
+
+
+def synthesize_leaves(coeffs: np.ndarray, depth: int | None = None) -> np.ndarray:
+    """Inverse of analyze_leaves: the split pass from the mean over the
+    steps fhat(I) 2^{k/2}.  A heap shorter than 2^depth (depth defaults to
+    its own) leaves the deeper levels zero, so the result is constant, with
+    bitwise-identical values, on the blocks below its deepest level, which
+    downstream exactness checks rely on."""
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    depth = depth_of(coeffs) if depth is None else depth
+    return spread(split(coeffs * heap_scales(1 << depth).root[: coeffs.shape[-1]]), depth)
+
+
+def accumulate_levels(terms: np.ndarray) -> np.ndarray:
+    """Path sums of a heap of 2^m terms: the 2^{m-1} values of its deepest
+    level, each ((0.0 + t_root) + ...) + t_I over the path from the root
+    down to its interval I (a one-entry heap gives the one value 0.0)."""
+    v = np.zeros(terms.shape[:-1] + (1,))
+    for k in range(depth_of(terms)):
+        v = np.repeat(v, 2 if k else 1, axis=-1) + level(terms, k)
+    return v
 
 
 def stack_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -197,24 +252,6 @@ def stack_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
     stack stays unstacked, where each numpy call costs least.  Every pass
     here is elementwise, so a row's values are the same either way."""
     return np.asarray(arrays[0]) if len(arrays) == 1 else np.stack(arrays)
-
-
-def level_masses(values: np.ndarray) -> list[np.ndarray]:
-    """Masses (integrals) of every interval, by level, on the last axis.
-
-    Returns a list of depth+1 arrays; entry k has shape (..., 2^k) and holds
-    the integral of the step function over each level-k interval.  Parent mass
-    equals the sum of its children exactly (same additions, same order).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    depth = depth_of(values)
-    out = [None] * (depth + 1)  # type: ignore[list-item]
-    m = values * (2.0 ** (-depth))
-    out[depth] = m
-    for k in range(depth - 1, -1, -1):
-        m = m[..., 0::2] + m[..., 1::2]
-        out[k] = m
-    return out
 
 
 def haar_function(depth: int, iv: DyadicInterval) -> np.ndarray:
@@ -233,8 +270,12 @@ def haar_function(depth: int, iv: DyadicInterval) -> np.ndarray:
     return vals
 
 
-def square_layers(values: np.ndarray) -> list[np.ndarray]:
-    """The square function's layers fhat(I)^2 / |I|, entry k over the level-k
-    intervals, k = 0..depth-1, on the last axis."""
-    _, coeffs = analyze_leaves(values)
-    return [c**2 * 2.0**k for k, c in enumerate(coeffs)]
+def square_layers(values: np.ndarray) -> np.ndarray:
+    """The square function's layers fhat(I)^2 / |I| as a heap of 2^{D+1}
+    entries; the leaves and entry 0 carry none (0)."""
+    c = analyze_leaves(values)
+    n = c.shape[-1]
+    out = np.zeros(c.shape[:-1] + (2 * n,))
+    np.ldexp(c**2, heap_scales(n).levels, out=out[..., :n])
+    out[..., 0] = 0.0
+    return out

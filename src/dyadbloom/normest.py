@@ -16,7 +16,7 @@ with W'W applied as x -> mu^{-1/2} T'(lambda T(mu^{-1/2} x)).
 
 Best constants of the quadratic inequalities x'Ax <= C x'Gx met here have a
 diagonal G, so C = lambda_max(G^{-1/2} A G^{-1/2}), with A applied through
-the analysis and level_masses pyramids.
+the analysis and level_masses heaps.
 
 Every top eigenvalue comes from _top_eigenvalues, a numpy thick-restart
 Lanczos on the symmetric operator with full reorthogonalisation, started
@@ -73,8 +73,13 @@ from .errors import DyadBloomError
 from .grid import (
     accumulate_levels,
     analyze_leaves,
+    depth_of,
+    heap_scales,
+    level,
     level_masses,
     same_depth,
+    split,
+    spread,
     stack_rows,
     synthesize_leaves,
 )
@@ -298,16 +303,16 @@ def ppott_best_constants(ws: Sequence[Weight]) -> list[TopEigen]:
     y -> sqrt(w) * synthesis(analysis(sqrt(w) y) / <w>_I).  Bounded below by
     1/[w]_{A2} and equals 1 exactly when w is constant.
     """
-    depth = same_depth(*(w.values for w in ws))
+    n = 1 << same_depth(*(w.values for w in ws))
     root_w = np.sqrt(stack_rows([w.values for w in ws]))
-    inv_avgs = [1.0 / stack_rows([w.averages[k] for w in ws]) for k in range(depth)]
+    inv_avgs = 1.0 / stack_rows([w.averages[:n] for w in ws])
 
     def form(y: np.ndarray) -> np.ndarray:
-        _, c = analyze_leaves(root_w * y)
-        scaled = [c[k] * inv_avgs[k] for k in range(depth)]
-        return root_w * synthesize_leaves(0.0, scaled, depth)
+        c = analyze_leaves(root_w * y) * inv_avgs
+        c[..., 0] = 0.0
+        return root_w * synthesize_leaves(c)
 
-    return _top_eigenvalues(1 << depth, form, len(ws))
+    return _top_eigenvalues(n, form, len(ws))
 
 
 def carleson_embedding_checks(seqs: Sequence[CarlesonSequence]) -> list[TopEigen]:
@@ -322,21 +327,22 @@ def carleson_embedding_checks(seqs: Sequence[CarlesonSequence]) -> list[TopEigen
     4 * seq.constant]; callers assert that window.
     """
     depth = same_depth(*(seq.weight.values for seq in seqs))
+    n = 1 << depth
     root_w = np.sqrt(stack_rows([seq.weight.values for seq in seqs]))
-    level_weights = [stack_rows([seq.level_values[k] / np.ldexp(seq.weight.averages[k], -k) ** 2
-                               for seq in seqs]) for k in range(depth)]
+    levels = heap_scales(n).levels
+    level_weights = stack_rows([seq.values / np.ldexp(seq.weight.averages[:n], -levels) ** 2
+                                for seq in seqs])
 
     def form(y: np.ndarray) -> np.ndarray:
-        masses = level_masses(root_w * y)
-        terms = [level_weights[k] * masses[k] for k in range(depth)]
-        return root_w * accumulate_levels(terms, depth)
+        terms = level_weights * level_masses(root_w * y)[..., :n]
+        return root_w * spread(accumulate_levels(terms), depth)
 
     return _top_eigenvalues(1 << depth, form, len(seqs))
 
 
-def necessity_restriction_ratios(rep: BmoReport) -> list[np.ndarray]:
+def necessity_restriction_ratios(rep: BmoReport) -> np.ndarray:
     """Per-interval ratios behind the test-function lower bound, for the
-    symbol and weights of rep.
+    symbol and weights of rep, as a heap over levels 0..D-1 (entry 0 is 0).
 
     For each K the test function is phi_K = mu^{-1} 1_K, whose L^2(mu) norm is
     mu^{-1}(K)^{1/2}.  With
@@ -352,9 +358,9 @@ def necessity_restriction_ratios(rep: BmoReport) -> list[np.ndarray]:
     record where the ratio lands.  num(K) = 0 forces every localized term to
     vanish, and the ratio is defined as 0 there.
 
-    The images are not formed one K at a time: three per-level arrays give
-    all of them, so the pass costs O(2^D D) rather than one O(2^D)
-    paraproduct per K (O(4^D) in all).  For K at level k, <phi_K>_I is
+    The images are not formed one K at a time: three heaps give all of
+    them, so the pass costs O(2^D D) rather than one O(2^D) paraproduct per
+    K (O(4^D) in all).  For K at level k, <phi_K>_I is
     <mu^{-1}>_I for I subset= K, mu^{-1}(K)/|I| for I containing K
     strictly, and 0 otherwise, so
 
@@ -368,51 +374,46 @@ def necessity_restriction_ratios(rep: BmoReport) -> list[np.ndarray]:
 
     Hence ||Pi_b phi_K||^2_{L^2(lambda)} is the integral over K of
     (L_k + mu^{-1}(K) P(K))^2 lambda plus mu^{-1}(K)^2 R(K), with
-    R(child) = R(parent) + P(sibling)^2 lambda(sibling) and R(root) = 0.
+    R(child) = R(parent) + P(sibling)^2 lambda(sibling) and R(root) = 0:
+    P is grid.split, R grid.accumulate_levels, and L_k adds level k onto
+    L_{k+1}'s leaves.
     """
     lam, cb, sums = rep.lam, rep.coeffs, rep.carleson.subtree_sums
-    depth = len(cb)
-    n = 1 << depth
-    mu_inv = rep.mu.inverse
-
-    def siblings(a: np.ndarray) -> np.ndarray:
-        return a.reshape(-1, 2)[:, ::-1].ravel()
-
-    paths, outside = [np.zeros(1)], [np.zeros(1)]
-    for k in range(1, depth):
-        step = cb[k - 1] * (2.0 ** (k - 1)) * math.sqrt(2 ** (k - 1))
-        p = np.repeat(paths[-1], 2)
-        p[0::2] -= step
-        p[1::2] += step
-        paths.append(p)
-        outside.append(
-            np.repeat(outside[-1], 2) + siblings(p) ** 2 * siblings(np.ldexp(lam.averages[k], -k))
-        )
-    lam_vals = lam.values
+    n = cb.shape[-1]
+    half = max(n >> 1, 1)
+    levels, root = heap_scales(n)
+    mu_mass = np.ldexp(rep.mu.inverse.averages[:n], -levels)
+    # P and R on every level k: the passes over the levels above k
+    steps = np.ldexp(cb[:half], levels[:half]) * root[:half]  # bhat(I) 2^{3k/2}
+    steps[0] = 0.0
+    paths = np.concatenate([[0.0], *(split(steps[: 1 << k]) for k in range(depth_of(cb)))])
+    terms = (paths**2 * np.ldexp(lam.averages[:n], -levels))[np.arange(n) ^ 1]
+    terms[:2] = 0.0
+    outside = np.concatenate([[0.0], *(accumulate_levels(terms[: 2 << k])
+                                       for k in range(depth_of(cb)))])
+    # L_k, bottom-up on full-width leaves, and each level's energy on K
+    scaled = cb * rep.mu.inverse.averages[:n] * root
     local = np.zeros(n)
-    out: list[np.ndarray] = [None] * depth  # type: ignore[list-item]
-    for k in range(depth - 1, -1, -1):
-        scaled = cb[k] * mu_inv.averages[k] * math.sqrt(2**k)
+    on = np.zeros(n)
+    for k in range(depth_of(cb) - 1, -1, -1):
         blocks = local.reshape(1 << k, 2, n >> (k + 1))
-        blocks[:, 0, :] -= scaled[:, None]
-        blocks[:, 1, :] += scaled[:, None]
-        mass = np.ldexp(mu_inv.averages[k], -k)
-        image = local + np.repeat(mass * paths[k], n >> k)
-        on_k = (image**2 * lam_vals).reshape(1 << k, -1).sum(axis=1) / n
-        num = sums[k] / mass
-        den = (on_k + mass**2 * outside[k]) / mass
-        row = np.zeros(1 << k)
-        live = num != 0.0
-        row[live] = np.sqrt(num[live] / den[live])
-        out[k] = row
+        blocks[:, 0, :] -= level(scaled, k)[:, None]
+        blocks[:, 1, :] += level(scaled, k)[:, None]
+        image = local + np.repeat(level(mu_mass, k) * level(paths, k), n >> k)
+        level(on, k)[:] = (image**2 * lam.values).reshape(1 << k, -1).sum(axis=1) / n
+    num = sums / mu_mass
+    num[0] = 0.0  # entry 0 is no interval
+    den = (on + mu_mass**2 * outside) / mu_mass
+    out = np.zeros(n)
+    live = num != 0.0
+    out[live] = np.sqrt(num[live] / den[live])
     return out
 
 
 def necessity_test_function_bound(rep: BmoReport) -> float:
     """Max over K of the restriction ratio above (0 when b has no active
     coefficients at all)."""
-    ratios = necessity_restriction_ratios(rep)
-    return max((float(r.max()) for r in ratios if r.size), default=0.0)
+    return float(necessity_restriction_ratios(rep).max())
 
 
 @dataclass(frozen=True)

@@ -34,13 +34,13 @@ are the strict entry points: admissibility is the identities' precondition,
 so they raise InadmissibleLevelError when an input is not admissible, and
 return leaf arrays.
 
-Exactness.  Sh and the closed-form remainder are computed by quarter patterns:
-the image of the I-term of f is coefficient * |I|^{-1} times the sign pattern
-(-1, +1, +1, -1) on the four quarters of I, and the remainder term is
-bhat(I) fhat(I) |I|^{-1} times (+1, -1, +1, -1).  Both avoid any
-sqrt(2)*(1/sqrt(2)) products, so small worked examples reproduce bit for bit.
-Both patterns are laid down by one top-down pyramid in O(2^D), like the
-grid passes every apply here is built from.
+Exactness.  Every image is a synthesis, grid.split over a heap of steps:
+Sh writes the steps +c and -c, c = fhat(I) |I|^{-1/2}, at the children 2i
+and 2i+1 of each interval i, and R_b writes -bhat(I) fhat(I) |I|^{-1} at
+both.  Neither forms a sqrt(2)*(1/sqrt(2)) product, so small worked
+examples reproduce bit for bit.  Pi_b, Pi*_b and Sh^T are whole-heap
+products between one analysis and one synthesis (or accumulate_levels), so
+every apply costs O(2^D).
 """
 
 from __future__ import annotations
@@ -54,8 +54,12 @@ from .errors import InadmissibleLevelError
 from .grid import (
     accumulate_levels,
     analyze_leaves,
+    depth_of,
+    heap_scales,
     level_masses,
     same_depth,
+    split,
+    spread,
     stack_rows,
     synthesize_leaves,
 )
@@ -104,21 +108,22 @@ def paraproduct_operator(b: Symbols) -> LeafOperator:
     """Pi_b with transpose Pi*_b; b (one symbol's leaf array or a sequence
     of them) is analysed once, here."""
     depth, bv = _symbol_rows(b)
-    return _paraproduct_plan(depth, analyze_leaves(bv)[1])
+    return _paraproduct_plan(depth, analyze_leaves(bv))
 
 
-def _paraproduct_plan(depth: int, cb: list[np.ndarray]) -> LeafOperator:
-    # Pi_b with transpose Pi*_b from the Haar coefficients cb of b
+def _paraproduct_plan(depth: int, cb: np.ndarray) -> LeafOperator:
+    # Pi_b with transpose Pi*_b from the coefficient heap cb of b
+    levels = heap_scales(1 << depth).levels
+
     def apply(f: np.ndarray) -> np.ndarray:
         same_depth(f, depth=depth)
-        masses = level_masses(f)
-        out = [cb[k] * (masses[k] * (2.0**k)) for k in range(depth)]
-        return synthesize_leaves(0.0, out, depth)
+        c = cb * np.ldexp(level_masses(f)[..., : 1 << depth], levels)
+        c[..., 0] = 0.0
+        return synthesize_leaves(c)
 
     def transpose(g: np.ndarray) -> np.ndarray:
         same_depth(g, depth=depth)
-        _, cg = analyze_leaves(g)
-        return accumulate_levels([cb[k] * cg[k] * (1 << k) for k in range(depth)], depth)
+        return spread(accumulate_levels(np.ldexp(cb * analyze_leaves(g), levels)), depth)
 
     return LeafOperator(depth, apply, transpose)
 
@@ -136,17 +141,23 @@ def shift_operator(depth: int) -> LeafOperator:
     (ghat(I_-) - ghat(I_+)) / sqrt(2); the mean, the level-0 coefficient of
     g and the level-(D-1) coefficient of the image are all zero.
     """
+    half = max((1 << depth) >> 1, 1)
+    root = heap_scales(1 << depth).root[1:half]
 
     def apply(f: np.ndarray) -> np.ndarray:
+        # child steps +c at 2i and -c at 2i+1, c = fhat(I) |I|^{-1/2}
         same_depth(f, depth=depth)
-        return _shift_values(analyze_leaves(f)[1], depth)
+        c = analyze_leaves(f)[..., 1:half] * root
+        steps = np.zeros(f.shape[:-1] + (2 * half,))
+        steps[..., 2::2], steps[..., 3::2] = c, -c
+        return split(steps)
 
     def transpose(g: np.ndarray) -> np.ndarray:
         same_depth(g, depth=depth)
-        _, cg = analyze_leaves(g)
-        out = [(cg[k + 1][..., 0::2] - cg[k + 1][..., 1::2]) / math.sqrt(2.0)
-               for k in range(depth - 1)]
-        return synthesize_leaves(np.zeros(g.shape[:-1]), out, depth)
+        cg = analyze_leaves(g)
+        out = np.zeros(g.shape[:-1] + (half,))
+        out[..., 1:] = (cg[..., 2 : 2 * half : 2] - cg[..., 3 : 2 * half : 2]) / math.sqrt(2.0)
+        return synthesize_leaves(out, depth)
 
     return LeafOperator(depth, apply, transpose)
 
@@ -171,28 +182,28 @@ def commutator_operator(b: Symbols, T: LeafOperator) -> LeafOperator:
     return LeafOperator(depth, apply, transpose)
 
 
-def _top_level_max(coeffs: list[np.ndarray]) -> float:
+def _top_level_max(coeffs: np.ndarray) -> float:
     # max |coefficient| on level D-1, the level the shift cannot represent
-    return float(np.abs(coeffs[-1]).max(initial=0.0))
+    return float(np.abs(coeffs[..., coeffs.shape[-1] >> 1 :]).max(initial=0.0))
 
 
 def is_admissible(f: np.ndarray) -> bool:
     """True when f's spectrum is supported on levels <= D-2."""
-    return _top_level_max(analyze_leaves(f)[1]) == 0.0
+    return _top_level_max(analyze_leaves(f)) == 0.0
 
 
 def project_admissible(f: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the admissible subspace (levels <= D-2)."""
-    mean, coeffs = analyze_leaves(f)
-    return synthesize_leaves(mean, coeffs[: max(len(coeffs) - 1, 0)], len(coeffs))
+    c = analyze_leaves(f)
+    return synthesize_leaves(c[..., : max(c.shape[-1] >> 1, 1)], same_depth(f))
 
 
 def _admissible_coeffs(b: np.ndarray, f: np.ndarray, what: str):
-    # the Haar coefficients of b and f, each checked admissible
+    # the coefficient heaps of b and f, each checked admissible
     depth = same_depth(b, f)
     out = []
     for name, s in (("symbol b", b), ("argument f", f)):
-        coeffs = analyze_leaves(s)[1]
+        coeffs = analyze_leaves(s)
         worst = _top_level_max(coeffs)
         if worst > 0.0:
             raise InadmissibleLevelError(
@@ -207,47 +218,21 @@ def _admissible_coeffs(b: np.ndarray, f: np.ndarray, what: str):
     return out
 
 
-_SHIFT_SIGNS = (np.subtract, np.add, np.add, np.subtract)
-_REMAINDER_SIGNS = (np.add, np.subtract, np.add, np.subtract)
-
-
-def _quarter_pyramid(scaled: list[np.ndarray], depth: int, signs, batch=()) -> np.ndarray:
-    # Leaf values of sum_k scaled[k] * signs on the four quarters of each
-    # level-k interval, k <= D-2, top-down: v holds the sum so far at the
-    # resolution of level-(k+1) intervals, and quarter q of each level-k
-    # interval is written as v -+ scaled[k] straight into the strided view
-    # [q::4] of the next level.  Every leaf is 0 +- s_0 +- s_1 ... in level
-    # order, the chain of adding each level onto all 2^D leaves.
-    v = np.zeros(batch + (2,))
-    for k in range(max(depth - 1, 0)):
-        w = np.empty(batch + (4 << k,))
-        for q, op in enumerate(signs):
-            op(v[..., q >> 1::2], scaled[k], out=w[..., q::4])
-        v = w
-    return v
-
-
-def _shift_values(coeffs: list[np.ndarray], depth: int) -> np.ndarray:
-    # Image of sum_k coeffs: each level-k interval I contributes
-    # coeff * |I|^{-1/2} * (-1, +1, +1, -1) on its quarters, which is
-    # (h_{I_-} - h_{I_+})/sqrt(2) without irrational intermediates.
-    scaled = [coeffs[k] * math.sqrt(2**k) for k in range(max(depth - 1, 0))]
-    return _quarter_pyramid(scaled, depth, _SHIFT_SIGNS, coeffs[0].shape[:-1])
-
-
 def remainder_closed_form(b: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Closed form of the expansion remainder Pi_{Sh f} b - Sh(Pi_f b):
 
-        sum_I bhat(I) fhat(I) |I|^{-1} * (+1, -1, +1, -1 on the quarters of I),
+        -(1/sqrt(2)) sum_I bhat(I) fhat(I) |I|^{-1/2} (h_{I_-} + h_{I_+}),
 
-    equivalently -(1/sqrt(2)) sum_I bhat(I) fhat(I) |I|^{-1/2} (h_{I_-} + h_{I_+}).
-    Levels run over 0..D-2, and b and f must be admissible: the deepest
-    level must be zero to begin with.
+    the synthesis of the step -bhat(I) fhat(I) |I|^{-1} at both children of
+    each I.  Levels run over 0..D-2, and b and f (one row or stacks of rows)
+    must be admissible: the deepest level must be zero to begin with.
     """
     cb, cf = _admissible_coeffs(b, f, "remainder")
-    depth = len(cb)
-    scaled = [cb[k] * cf[k] * (1 << k) for k in range(max(depth - 1, 0))]
-    return _quarter_pyramid(scaled, depth, _REMAINDER_SIGNS)
+    half = max(cb.shape[-1] >> 1, 1)
+    s = np.ldexp(cb[..., 1:half] * cf[..., 1:half], heap_scales(cb.shape[-1]).levels[1:half])
+    steps = np.zeros(s.shape[:-1] + (2 * half,))
+    steps[..., 2:] = np.repeat(-s, 2, axis=-1)  # the same step at both children
+    return split(steps)
 
 
 class ExpansionTerms(NamedTuple):
@@ -292,7 +277,7 @@ def expansion_terms(b: np.ndarray, f: np.ndarray) -> ExpansionTerms:
     within levels <= D-2.
     """
     cb, cf = _admissible_coeffs(b, f, "expansion")
-    depth = len(cb)
+    depth = depth_of(cb)
     shift = shift_operator(depth).apply
     pi_b = _paraproduct_plan(depth, cb)
     shf = shift(f)

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import GridMismatchError, PackingSearchError
-from .grid import ROOT, DyadicInterval, same_depth, square_layers
+from .grid import ROOT, DyadicInterval, depth_of, level, same_depth, square_layers
 from .weights import Weight
 
 __all__ = [
@@ -84,13 +84,9 @@ class Intervals:
         return cls(np.array([iv.level for iv in ivs], dtype=np.intp),
                    np.array([iv.position for iv in ivs], dtype=np.intp))
 
-    def gather(self, rows: Sequence[np.ndarray]) -> np.ndarray:
-        """rows[level][position] per interval (rows: Weight.averages, ...)."""
-        out = np.empty(self.levels.size)
-        for k in set(self.levels.tolist()):
-            at = self.levels == k
-            out[at] = rows[k][self.positions[at]]
-        return out
+    def gather(self, heap: np.ndarray) -> np.ndarray:
+        """heap[2^level + position] per interval (heap: Weight.averages, ...)."""
+        return heap[(1 << self.levels) + self.positions]
 
 
 class StoppingRule(NamedTuple):
@@ -104,15 +100,15 @@ class StoppingRule(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class StoppingFamily:
     """Maximal stopping intervals under a root set on the depth-D grid:
-    member i lies inside root owners[i].  unstopped[k] masks the level-k
-    positions of the roots and of the intervals inside them in no member,
-    levels in order (a level missing from it has none)."""
+    member i lies inside root owners[i].  unstopped is the heap of
+    2^{D+1} flags (grid's layout) that marks the roots and the intervals
+    inside them in no member."""
 
     depth: int
     roots: Intervals
     members: Intervals
     owners: np.ndarray
-    unstopped: dict[int, np.ndarray]
+    unstopped: np.ndarray
 
     def member_masses(self, w: Weight) -> np.ndarray:
         """Per root, the w-masses of its members added left to right from 0:
@@ -140,7 +136,7 @@ def maximal_stopping_intervals(
     predicate = rule.anchor(roots)
     owner = np.full(1 << top, -1, dtype=np.intp)
     found = [np.empty(0, dtype=np.intp)] * 3  # levels, positions, owners
-    unstopped: dict[int, np.ndarray] = {}
+    unstopped = np.zeros(2 << depth, dtype=bool)
     for k in range(top, depth + 1):
         hits = 0
         if k > top:
@@ -151,7 +147,8 @@ def maximal_stopping_intervals(
                 owner[j] = -1
         if k in starting:
             owner[roots.positions[starting[k]]] = starting[k]
-        unstopped[k] = live = owner >= 0
+        live = level(unstopped, k)
+        np.greater_equal(owner, 0, out=live)
         # only a hit empties live, and no root starts below bottom
         if hits and k >= bottom and not live.any():
             break
@@ -184,7 +181,7 @@ def deviation_factory(weights: Weight | Sequence[Weight], C: float) -> StoppingR
         def predicate(k: int, owner: np.ndarray) -> np.ndarray:
             fires = False
             for w, hi, lo in bands:
-                v = w.averages[k]
+                v = level(w.averages, k)
                 fires = fires | (v > hi[owner]) | (v < lo[owner])
             return fires
 
@@ -198,30 +195,22 @@ def threshold_factory(w: Weight, factor: float = 4.0) -> StoppingRule:
 
     def anchor(roots: Intervals) -> Predicate:
         threshold = factor * roots.gather(w.averages)
-        return lambda k, owner: w.averages[k] >= threshold[owner]
+        return lambda k, owner: level(w.averages, k) >= threshold[owner]
 
     return StoppingRule(w.depth, anchor)
 
 
-def _scaled_squares(b: np.ndarray, w: Weight) -> list[np.ndarray]:
-    """bhat(I)^2/|I| per level k = 0..D of a symbol on w's grid; the leaves
-    carry no coefficient."""
-    depth = same_depth(b, w.values)
-    return square_layers(b) + [np.zeros(1 << depth)]
-
-
-def _path_sums(q: list[np.ndarray], roots: Intervals) -> dict[int, np.ndarray]:
-    """rows[k][j] = sum of q over the path from the root containing I_{k,j}
-    down to it, root first, for every level from the top root down (values
-    outside the roots mean nothing)."""
+def _path_sums(q: np.ndarray, roots: Intervals) -> np.ndarray:
+    """The heap whose entry for interval I is the sum of q over the path
+    from the root containing I down to it, root first, on every level from
+    the top root down (values outside the roots mean nothing)."""
     levels = set(roots.levels.tolist())
-    top = min(levels)
-    rows = {top: q[top]}
-    for k in range(top + 1, len(q)):
-        rows[k] = q[k] + rows[k - 1].repeat(2)
+    rows = q.copy()
+    for k in range(min(levels) + 1, depth_of(q)):
+        level(rows, k)[:] += level(rows, k - 1).repeat(2)
         if k in levels:  # a root's own row starts afresh
             at = roots.positions[roots.levels == k]
-            rows[k][at] = q[k][at]
+            level(rows, k)[at] = level(q, k)[at]
     return rows
 
 
@@ -241,9 +230,9 @@ def three_condition_factory(
     controlled only by John-Nirenberg-type behavior and its packing is
     recorded, not derived.
     """
-    same_depth(mu.values, rho.values)
+    depth = same_depth(b, mu.values, rho.values)
     mu_inv = mu.inverse
-    q = _scaled_squares(b, rho)
+    q = square_layers(b)
 
     def anchor(roots: Intervals) -> Predicate:
         hi_mu = C * roots.gather(mu_inv.averages)
@@ -255,14 +244,14 @@ def three_condition_factory(
 
         def predicate(k: int, owner: np.ndarray) -> np.ndarray:
             return (
-                (mu_inv.averages[k] > hi_mu[owner])
-                | (rho.averages[k] > hi_rho[owner])
-                | (rows[k] > threshold[owner])
+                (level(mu_inv.averages, k) > hi_mu[owner])
+                | (level(rho.averages, k) > hi_rho[owner])
+                | (level(rows, k) > threshold[owner])
             )
 
         return predicate
 
-    return StoppingRule(len(q) - 1, anchor)
+    return StoppingRule(depth, anchor)
 
 
 def square_sum_factories(
@@ -272,15 +261,16 @@ def square_sum_factories(
     bhat^2/|I'| first exceeds C * b2_value^2 * <rho>_I0^2 (b2_value is a
     Bloom-functional size for b), with b analysed once: the rule_of_c of
     a packing search over C."""
-    q = _scaled_squares(b, rho)
+    depth = same_depth(b, rho.values)
+    q = square_layers(b)
 
     def rule_of_c(C: float) -> StoppingRule:
         def anchor(roots: Intervals) -> Predicate:
             threshold = C * np.float_power(b2_value * roots.gather(rho.averages), 2.0)
             rows = _path_sums(q, roots)
-            return lambda k, owner: rows[k] >= threshold[owner]
+            return lambda k, owner: level(rows, k) >= threshold[owner]
 
-        return StoppingRule(len(q) - 1, anchor)
+        return StoppingRule(depth, anchor)
 
     return rule_of_c
 
@@ -349,11 +339,18 @@ def minimal_corona_constant(
     (so generation masses decay geometrically).  Monotone in C for the same
     reason as minimal_packing_constant; scanned upward from that constant.
     A caller that already has minimal_packing_constant's result for the same
-    arguments passes it as start, and the search is not run again."""
+    arguments passes it as start, and the search is not run again; a start
+    above the grid, or NaN, raises PackingSearchError."""
     candidates = _constant_grid()
     if start is None:
         start = minimal_packing_constant(rule_of_c, w)
-    idx = candidates.index(min(c for c in candidates if c >= start * (1 - 1e-12)))
+    idx = next((i for i, c in enumerate(candidates) if c >= start * (1 - 1e-12)), None)
+    if idx is None:  # start is NaN or above the grid
+        raise PackingSearchError(
+            f"corona search start {start!r} is NaN or above the grid's largest "
+            f"constant {candidates[-1]:.6g}",
+            min_ratio=math.nan,
+        )
 
     for c in candidates[idx:]:
         gens = corona_generations(rule_of_c(c))

@@ -60,6 +60,9 @@ from .grid import (
     analyze_leaves,
     depth_of,
     haar_function,
+    heap_scales,
+    level,
+    spread,
     square_layers,
     synthesize_leaves,
 )
@@ -272,12 +275,12 @@ def make_trial(cfg: ExperimentConfig, t: int) -> TrialData:
 
 def _worked_example_assertions() -> list[Assertion]:
     # depth-2 grid, b = f = Haar function of the root.  The shift, the direct
-    # commutator, and the closed-form remainder are quarter-pattern
-    # computations whose outputs are exactly representable, so those three are
-    # compared bitwise.  The expansion's pieces [Pi_b, Sh] f, [Pi*_b, Sh] f
-    # and R_b f synthesize some of their terms from Haar coefficients, which
-    # costs one ulp on (1/sqrt(2))*sqrt(2); the sum of the three pieces and
-    # the piece R_b f are held to 1e-12 instead.
+    # commutator, and the closed-form remainder synthesize their steps with
+    # no irrational intermediate, so those three are compared bitwise.  The
+    # expansion's pieces [Pi_b, Sh] f, [Pi*_b, Sh] f and R_b f synthesize
+    # some of their terms from Haar coefficients, which costs one ulp on
+    # (1/sqrt(2))*sqrt(2); the sum of the three pieces and the piece R_b f
+    # are held to 1e-12 instead.
     h_root = haar_function(2, ROOT)
     shifted = shift_operator(2).apply(h_root)
     ok_shift = np.array_equal(shifted, np.array([-1.0, 1.0, 1.0, -1.0]))
@@ -298,11 +301,13 @@ def _worked_example_assertions() -> list[Assertion]:
 def _check_identities(rec: Record, td: TrialData, solved: Solved) -> None:
     depth = rec.cfg.depth
     # round trip and Parseval on a full-spectrum function
-    mean, coeffs = analyze_leaves(td.f_raw)
-    back = synthesize_leaves(mean, coeffs, depth)
+    coeffs = analyze_leaves(td.f_raw)
+    back = synthesize_leaves(coeffs)
     rec.residual("haar_round_trip", float(np.abs(back - td.f_raw).max()))
     energy = float((td.f_raw**2).mean())
-    parseval = float(mean) ** 2 + float(sum((c**2).sum() for c in coeffs))
+    # summed level by level: one sum over the heap rounds differently
+    parseval = float(coeffs[0]) ** 2 + float(sum((level(coeffs, k) ** 2).sum()
+                                                  for k in range(depth)))
     rec.residual("parseval", _rel(abs(energy - parseval), energy))
     # product decomposition holds for arbitrary b, g
     b, g = td.b_raw, td.g_raw
@@ -337,14 +342,11 @@ def _check_identities(rec: Record, td: TrialData, solved: Solved) -> None:
         "remainder_closed_form",
         _rel(float(np.abs(rem - terms.remainder).max()), scale),
     )
-    sq = accumulate_levels(square_layers(rem), depth)
+    sq = spread(accumulate_levels(square_layers(rem)), depth)
     measured_energy = float((sq * td.lam.values).mean())
-    cb = td.bmo.coeffs
-    _, cf = analyze_leaves(td.f)
-    predicted = sum(
-        float((cb[k] ** 2 * cf[k] ** 2 * (1 << k) * td.lam.averages[k]).sum())
-        for k in range(depth - 1)
-    )
+    layers = np.ldexp(td.bmo.coeffs**2 * analyze_leaves(td.f) ** 2, heap_scales(1 << depth).levels)
+    predicted = sum(float((level(layers, k) * level(td.lam.averages, k)).sum())
+                    for k in range(depth - 1))
     rec.residual("remainder_energy_identity",
                  _rel(abs(measured_energy - predicted), measured_energy))
 
@@ -361,11 +363,9 @@ def _check_equivalences(rec: Record, td: TrialData, solved: Solved) -> None:
     for w, name in ((mu, "a2_mu"), (lam, "a2_lambda")):
         a2 = a2_characteristic(w)
         rec.sample(name, a2)
-        inv = w.inverse
-        for k in range(w.depth + 1):
-            prod = w.averages[k] * inv.averages[k]
-            rec.residual("a2_sandwich_lower", float((1.0 - prod).max()))
-            rec.residual("a2_sandwich_upper", float((prod - a2).max()))
+        prod = w.averages * w.inverse.averages
+        rec.residual("a2_sandwich_lower", float((1.0 - prod).max()))
+        rec.residual("a2_sandwich_upper", float((prod - a2).max()))
     rep = td.bmo
     b2, l2f, bmo, l1 = rep.bloom_b2, rep.bloom_b2_l2form, rep.bmo_rho, rep.bmo_rho_l1
     defined = min(b2, l2f, bmo, l1) > 0.0
@@ -476,9 +476,9 @@ def _check_carleson(rec: Record, td: TrialData, solved: Solved) -> None:
     for name, seq, root in (("carleson_equals_bloom_b2_sq", rep.carleson, rep.bloom_b2),
                             ("carleson_dual_equals_bloom_b2_dual_sq", rep.carleson_dual,
                              rep.bloom_b2_dual)):
-        a, w = seq.level_values, seq.weight
-        sups = [float((sum(a[m].reshape(1 << k, -1).sum(axis=1) for m in range(k, len(a)))
-                       / np.ldexp(w.averages[k], -k)).max()) for k in range(len(a))]
+        a, w, depth = seq.values, seq.weight, seq.weight.depth
+        sups = [float((sum(level(a, m).reshape(1 << k, -1).sum(axis=1) for m in range(k, depth))
+                       / np.ldexp(level(w.averages, k), -k)).max()) for k in range(depth)]
         rec.residual(name, _rel(abs(max(sups) - root**2), root**2))
     (best,) = solved["embedding"]
     car = rep.carleson.constant
@@ -552,11 +552,9 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
     if c_both is not None:
         fam = maximal_stopping_intervals(ROOT, by_both(c_both))
         coeffs = td.bmo.coeffs
-        # float_power is libm pow, as Python's ** on a float (a square is not)
-        coeff_sum = ordered_sum(np.concatenate([
-            np.float_power(coeffs[k][free], 2.0)
-            for k, free in fam.unstopped.items() if k < len(coeffs)
-        ]))
+        # float_power is libm pow, as Python's ** on a float (a square is
+        # not); the heap lists the unstopped intervals level-major
+        coeff_sum = ordered_sum(np.float_power(coeffs[fam.unstopped[: coeffs.size]], 2.0))
         base = b2**2 * 1.0 / (mu_inv.total_mass * lam.total_mass)
         bound = c_both**3 * base
         rec.residual(
@@ -597,7 +595,8 @@ def _check_neccon_chain(rec: Record, td: TrialData, solved: Solved) -> None:
     nec, bmo, b2 = td.bmo.neccon, td.bmo.bmo_rho, td.bmo.bloom_b2
     # sup_I (1/mu(I)) int_I (b - <b>_I)^2 lambda dx
     osc = td.bmo.lam_oscillation
-    base = max(float((osc[k] / np.ldexp(td.mu.averages[k], -k)).max()) for k in range(len(osc)))
+    n = osc.size
+    base = float((osc[1:] / np.ldexp(td.mu.averages[1:n], -heap_scales(n).levels[1:])).max())
     a2 = a2_characteristic(td.mu)
     # sandwich chain: base <= neccon^2 <= [mu]_{A2} * base, definitional
     rec.residual("neccon_at_least_mu_oscillation", _rel(base - nec**2, base))

@@ -1,11 +1,9 @@
 """Weights on the dyadic grid: interval averages, A2 characteristic, ensembles.
 
-A weight is a strictly positive step function that stores one pyramid: the
-average of every dyadic interval by level, its leaf values the deepest.
-They come from grid.level_masses' bottom-up pass, so a parent's mass is the
-sum of its children's exactly.  A level-k mass is its average scaled by
-2^-k, np.ldexp(w.averages[k], -k): a power-of-two scaling is exact, so it
-is bitwise grid.level_masses(w.values)[k].
+A weight is a strictly positive step function that stores one heap (grid's
+layout) of its interval averages: grid.level_masses' masses scaled by 2^k,
+so a parent's mass is the sum of its children's exactly, and the masses
+np.ldexp(w.averages, -k) are bitwise level_masses(w.values).
 """
 
 from __future__ import annotations
@@ -21,7 +19,9 @@ from .errors import ConfigError, EnsembleTargetError
 from .grid import (
     MAX_GRID_DEPTH,
     depth_of,
+    heap_scales,
     leaf_values,
+    level,
     level_masses,
     synthesize_leaves,
 )
@@ -41,8 +41,10 @@ class Weight:
     """A strictly positive step function with its interval averages.
 
     values are its checked leaf values (grid.leaf_values) and depth their
-    depth.  averages[k][j] is <w>_I at the level-k interval at position j,
-    for 0 <= k <= D, read-only; averages[D] is values itself.
+    depth.  averages is the read-only heap of 2^{D+1} interval averages:
+    averages[2^k + j] is <w>_I at the level-k interval at position j, for
+    0 <= k <= D (entry 0 repeats the root's), and values is its leaf level,
+    a view.
     """
 
     __slots__ = ("values", "depth", "averages", "__dict__")
@@ -54,15 +56,17 @@ class Weight:
         with np.errstate(over="ignore"):
             if not np.isfinite(1.0 / values).all():
                 raise ValueError("weight leaves must have finite reciprocals (not subnormal)")
-        self.values = values
         self.depth = depth_of(values)
-        self.averages = (*(m * 2.0**k for k, m in enumerate(level_masses(values)[:-1])), values)
-        for a in self.averages:
-            a.setflags(write=False)
+        n = values.size
+        self.averages = level_masses(values)
+        np.ldexp(self.averages[:n], heap_scales(n).levels, out=self.averages[:n])
+        self.averages[n:] = values
+        self.averages.setflags(write=False)
+        self.values = self.averages[n:]
 
     @property
     def total_mass(self) -> float:
-        return float(self.averages[0][0])
+        return float(self.averages[1])
 
     @cached_property
     def inverse(self) -> "Weight":
@@ -80,7 +84,7 @@ def a2_characteristic(w: Weight) -> float:
     runs over every level including the leaves (where the product is exactly 1
     for step weights, so leaves never dominate but are included for form).
     """
-    return max(1.0, *(float((a * b).max()) for a, b in zip(w.averages, w.inverse.averages)))
+    return max(1.0, float((w.averages * w.inverse.averages).max()))
 
 
 WEIGHT_KINDS = ("constant", "two-value", "power", "cascade")
@@ -233,21 +237,19 @@ def _cascade_values(depth: int, delta: float, rng: np.random.Generator) -> np.nd
 
 def _sparse_symbol_values(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
     depth = spec.depth
-    coeffs = []
+    coeffs = np.zeros(1 << depth)
     any_active = False
     for k in range(depth):
         mask = rng.random(1 << k) < spec.sparsity
         gauss = rng.standard_normal(1 << k)
-        c = np.where(mask, gauss * (2.0 ** (-k / 2.0)), 0.0)
+        level(coeffs, k)[...] = np.where(mask, gauss * (2.0 ** (-k / 2.0)), 0.0)
         any_active = any_active or bool(mask.any())
-        coeffs.append(c)
     if not any_active:
-        # force one interval so the symbol is never identically zero; the
-        # level-major index f - 1 is position f - 2^k of level k = floor(log2 f)
+        # force one interval so the symbol is never identically zero: heap
+        # entry f sits on level k = floor(log2 f)
         f = int(rng.integers((1 << depth) - 1)) + 1
-        k = f.bit_length() - 1
-        coeffs[k][f - (1 << k)] = float(rng.standard_normal()) * (2.0 ** (-k / 2.0))
-    return synthesize_leaves(np.asarray(0.0), coeffs, depth)
+        coeffs[f] = float(rng.standard_normal()) * (2.0 ** (-(f.bit_length() - 1) / 2.0))
+    return synthesize_leaves(coeffs)
 
 
 def _generate_once(spec: EnsembleSpec, rng: np.random.Generator):

@@ -597,9 +597,34 @@ def square_sum_predicate(b, rho, C, b2_value, depth, root):
 
 # ------------------------------------------------------ full-width kernels
 #
-# The package's Haar pyramids before they went top-down: every level writes
-# all 2^D leaves (O(2^D D)) and sibling sums reduce a length-2 axis.  The
-# package must reproduce these bit for bit (np.array_equal).
+# The package's Haar pyramids before they went top-down and into one heap:
+# lists of per-level arrays, every level writing all 2^D leaves (O(2^D D)),
+# and sibling sums reducing a length-2 axis.  The package must reproduce
+# these bit for bit (test_grid compares bit patterns).  heap_levels and
+# heap_from convert between the package's heaps (level k at
+# [2^k, 2^{k+1})) and these lists.
+
+
+def heap_index(k, j):
+    """The heap entry of the level-k interval at position j."""
+    return (1 << k) + j
+
+
+def heap_levels(heap, levels):
+    """[level 0, ..., level levels-1] of a heap on the last axis, by slicing."""
+    heap = np.asarray(heap)
+    return [heap[..., 1 << k : 2 << k] for k in range(levels)]
+
+
+def heap_from(first, levels):
+    """The heap with entry 0 = first and levels[k] at [2^k, 2^{k+1})."""
+    first = np.asarray(first, dtype=np.float64)
+    batch = np.broadcast_shapes(first.shape, *(np.shape(v)[:-1] for v in levels))
+    out = np.zeros(batch + (1 << len(levels),))
+    out[..., 0] = first
+    for k, v in enumerate(levels):
+        out[..., 1 << k : 2 << k] = v
+    return out
 
 
 def analyze_leaves_reference(values, depth):
@@ -639,26 +664,27 @@ def level_masses_reference(values, depth):
     return out
 
 
-def accumulate_levels_reference(terms, depth):
-    """sum_k repeat(terms[k], 2^{depth-k}), one full-width add per level."""
+def accumulate_levels_reference(terms, depth, batch=()):
+    """sum_k repeat(terms[k], 2^{depth-k}), one full-width add per level,
+    on batch's leading axes (and the terms')."""
     n = 1 << depth
-    batch = np.broadcast_shapes(*(np.shape(t)[:-1] for t in terms))
+    batch = np.broadcast_shapes(batch, *(np.shape(t)[:-1] for t in terms))
     acc = np.zeros(batch + (n,))
     for k, t in enumerate(terms):
         acc += np.repeat(t, n >> k, axis=-1)
     return acc
 
 
-def _quarter_pattern_reference(scaled, depth, signs):
+def _quarter_pattern_reference(scaled, depth, signs, batch):
     n = 1 << depth
-    out = np.zeros(n)
+    out = np.zeros(batch + (n,))
     for k in range(max(depth - 1, 0)):
-        blocks = out.reshape(1 << k, 4, n >> (k + 2))
+        blocks = out.reshape(batch + (1 << k, 4, n >> (k + 2)))
         for q, sign in enumerate(signs):
             if sign < 0:
-                blocks[:, q, :] -= scaled[k][:, None]
+                blocks[..., q, :] -= scaled[k][..., None]
             else:
-                blocks[:, q, :] += scaled[k][:, None]
+                blocks[..., q, :] += scaled[k][..., None]
     return out
 
 
@@ -666,14 +692,38 @@ def shift_values_reference(coeffs, depth):
     """Leaf values of the shift image of sum_k coeffs[k] h_I: the quarter
     pattern (-, +, +, -) times coeff 2^{k/2} on each level-k interval."""
     scaled = [coeffs[k] * math.sqrt(2**k) for k in range(max(depth - 1, 0))]
-    return _quarter_pattern_reference(scaled, depth, (-1, 1, 1, -1))
+    return _quarter_pattern_reference(scaled, depth, (-1, 1, 1, -1), np.shape(coeffs[0])[:-1])
 
 
 def remainder_values_reference(cb, cf, depth):
     """Leaf values of the expansion remainder: the quarter pattern
     (+, -, +, -) times bhat(I) fhat(I) |I|^{-1}."""
     scaled = [cb[k] * cf[k] * (1 << k) for k in range(max(depth - 1, 0))]
-    return _quarter_pattern_reference(scaled, depth, (1, -1, 1, -1))
+    return _quarter_pattern_reference(scaled, depth, (1, -1, 1, -1), np.shape(cb[0])[:-1])
+
+
+def shift_transpose_reference(g, depth):
+    """Sh^T g: the coefficient on a level-k interval, k <= D-2, is
+    (ghat(I_-) - ghat(I_+)) / sqrt(2), synthesized level by level."""
+    mean, cg = analyze_leaves_reference(g, depth)
+    out = [(cg[k + 1][..., 0::2] - cg[k + 1][..., 1::2]) / math.sqrt(2.0)
+           for k in range(depth - 1)]
+    return synthesize_leaves_reference(np.zeros_like(mean), out, depth)
+
+
+def paraproduct_apply_reference(b, f, depth):
+    """Pi_b f: the coefficients bhat(I) <f>_I, synthesized level by level."""
+    _, cb = analyze_leaves_reference(b, depth)
+    masses = level_masses_reference(f, depth)
+    out = [cb[k] * (masses[k] * (2.0**k)) for k in range(depth)]
+    return synthesize_leaves_reference(np.zeros(np.shape(f)[:-1]), out, depth)
+
+
+def paraproduct_transpose_reference(b, g, depth):
+    """Pi*_b g: bhat(I) ghat(I) / |I| added onto each interval's leaves."""
+    _, cb = analyze_leaves_reference(b, depth)
+    _, cg = analyze_leaves_reference(g, depth)
+    return accumulate_levels_reference([cb[k] * cg[k] * (1 << k) for k in range(depth)], depth)
 
 
 def bloom_l2form_scan_reference(b, mu, lam, depth):

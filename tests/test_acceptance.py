@@ -20,6 +20,7 @@ from dyadbloom.grid import (
     DyadicInterval,
     analyze_leaves,
     haar_function,
+    level,
     synthesize_leaves,
 )
 from dyadbloom.normest import carleson_embedding_checks, weighted_operator_norms
@@ -83,10 +84,10 @@ def test_criterion_01_haar_algebra():
     for i in range(1000):
         depth = 1 + i % 12
         f = rng.standard_normal(1 << depth)
-        mean, coeffs = analyze_leaves(f)
-        back = synthesize_leaves(mean, coeffs, depth)
+        coeffs = analyze_leaves(f)
+        back = synthesize_leaves(coeffs)
         worst = max(worst, float(np.abs(back - f).max()))
-        energy = float(mean**2) + sum(float((c**2).sum()) for c in coeffs)
+        energy = float((coeffs**2).sum())  # the mean's square included
         worst = max(worst, abs(energy - float(f @ f) / (1 << depth)))
     for depth in range(1, 13):
         H = np.array([haar_function(depth, DyadicInterval(k, j))
@@ -166,16 +167,16 @@ def test_criterion_04_remainder_closed_form():
             lam = generate(
                 EnsembleSpec(kind="cascade", depth=depth, seed=int(rng.integers(1 << 31)))
             )
-            _, cr = analyze_leaves(rem)
+            cr = analyze_leaves(rem)
             sq = np.zeros(n)
             for k in range(depth):
-                sq += np.repeat(cr[k] ** 2 * (1 << k), n >> k)
+                sq += np.repeat(level(cr, k) ** 2 * (1 << k), n >> k)
             measured = float((sq * lam.values).mean())
-            _, cb = analyze_leaves(b)
-            _, cf = analyze_leaves(f)
+            cb, cf = analyze_leaves(b), analyze_leaves(f)
             predicted = sum(
                 float(
-                    (cb[k] ** 2 * cf[k] ** 2 * (1 << k) * lam.averages[k]).sum()
+                    (level(cb, k) ** 2 * level(cf, k) ** 2 * (1 << k)
+                     * level(lam.averages, k)).sum()
                 )
                 for k in range(depth - 1)
             )
@@ -336,9 +337,9 @@ def test_criterion_11_shift_bounds():
     rng = np.random.default_rng(11011)
     worst_iso = 0.0
     for _ in range(200):
+        # the heap: mean 0, then levels 0..D-2 drawn, level D-1 zero
         coeffs = [rng.standard_normal(1 << k) for k in range(depth - 1)]
-        coeffs.append(np.zeros(1 << (depth - 1)))
-        f = synthesize_leaves(np.asarray(0.0), coeffs, depth)
+        f = synthesize_leaves(np.concatenate([[0.0], *coeffs]), depth)
         nf = float(np.sqrt((f**2).mean()))
         ns = float(np.sqrt((shift_operator(depth).apply(f) ** 2).mean()))
         worst_iso = max(worst_iso, abs(ns / nf - 1.0))

@@ -9,6 +9,7 @@ import ensembles
 import oracles
 from conftest import count_calls
 from dyadbloom import (
+    ROOT,
     BmoReport,
     DyadicInterval,
     GridMismatchError,
@@ -149,10 +150,23 @@ def test_oscillation_masses_match_per_interval_oracle(depth, weighted):
     mu, lam, b = _triple(depth, 1900 + depth)
     osc = bmo._oscillation_masses(b, lam if weighted else None)
     w = lam.values if weighted else None
-    assert [level.shape for level in osc] == [(1 << k,) for k in range(depth)]
+    assert osc.shape == (1 << depth,) and osc[0] == 0.0
     for k, j in oracles.all_intervals(depth, depth - 1):
         want = oracles.oscillation_oracle(b, w, depth, k, j)
-        assert osc[k][j] == pytest.approx(want, rel=1e-12), (k, j)
+        assert osc[oracles.heap_index(k, j)] == pytest.approx(want, rel=1e-12), (k, j)
+
+
+def test_sup_is_the_level_major_first_maximum_and_passes_over_nan_levels():
+    # a heap over levels 0..2: the argmax is the first maximum in level
+    # order; a level holding a NaN is passed over whole, as when each level
+    # was scanned on its own, and nothing above -inf leaves the root
+    heap = np.array([0.0, 1.0, 3.0, 2.0, 0.5, 3.0, 3.0, 0.0])
+    assert bmo._sup(heap) == (3.0, DyadicInterval(1, 0))
+    heap[3] = np.nan
+    assert bmo._sup(heap) == (3.0, DyadicInterval(2, 1))
+    heap[1:3] = -np.inf
+    heap[4:] = np.nan
+    assert bmo._sup(heap) == (-math.inf, ROOT)
 
 
 @over_ensembles

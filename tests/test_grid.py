@@ -20,7 +20,10 @@ from dyadbloom import (
 from dyadbloom.grid import (
     accumulate_levels,
     analyze_leaves,
+    heap_scales,
+    level,
     level_masses,
+    spread,
     square_layers,
     synthesize_leaves,
 )
@@ -124,6 +127,22 @@ def test_leaf_values_reject_nonfinite_and_wrong_shape():
             leaf_values(values, depth)
 
 
+def test_leaf_values_name_the_shape_of_an_array_that_is_not_1d():
+    # no depth is read off a second axis, or off a scalar: the error names
+    # the (2^D,) shape rather than a depth of 0
+    for values in (np.ones((2, 4)), np.ones((1, 1)), 3.0):
+        with pytest.raises(ValueError, match=r"need shape \(2\^D,\), got shape"):
+            leaf_values(values)
+
+
+def test_heap_entries_run_level_major():
+    # entry 2^k + j is the level-k interval at position j, level by level
+    for depth in (1, 4):
+        for i, (k, j) in enumerate(oracles.all_intervals(depth), start=1):
+            assert oracles.heap_index(k, j) == i
+            assert DyadicInterval.at(i) == DyadicInterval(k, j)
+
+
 def test_leaf_values_are_read_only():
     raw = np.zeros(4)
     f = leaf_values(raw)
@@ -144,11 +163,11 @@ def test_haar_function_matches_oracle():
 def test_analysis_matches_dot_product_oracle(rng):
     depth = 4
     f = leaf_values(rng.standard_normal(1 << depth))
-    mean, coeffs = analyze_leaves(f)
-    assert mean == pytest.approx(oracles.integral(f), abs=1e-15)
+    coeffs = analyze_leaves(f)
+    assert coeffs[0] == pytest.approx(oracles.integral(f), abs=1e-15)
     for k, j in oracles.all_intervals(depth, depth - 1):
         want = oracles.coeff(f, depth, k, j)
-        assert coeffs[k][j] == pytest.approx(want, abs=1e-13)
+        assert coeffs[oracles.heap_index(k, j)] == pytest.approx(want, abs=1e-13)
 
 
 def test_synthesis_matches_superposition_oracle(rng):
@@ -159,7 +178,7 @@ def test_synthesis_matches_superposition_oracle(rng):
     for k in range(depth):
         for j in range(1 << k):
             manual += coeffs[k][j] * oracles.haar_leaves(depth, k, j)
-    got = synthesize_leaves(mean, coeffs, depth)
+    got = synthesize_leaves(oracles.heap_from(mean, coeffs))
     np.testing.assert_allclose(got, manual, rtol=0, atol=1e-13)
 
 
@@ -171,7 +190,7 @@ def test_round_trip_exact_cases():
         haar_function(4, ROOT),
         haar_function(4, DyadicInterval(2, 1)),
     ):
-        back = synthesize_leaves(*analyze_leaves(f), 4)
+        back = synthesize_leaves(analyze_leaves(f))
         np.testing.assert_array_equal(back, f)
 
 
@@ -179,7 +198,7 @@ def test_round_trip_exact_cases():
 @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=8, max_size=8))
 def test_round_trip_property(leaves):
     f = leaf_values(leaves)
-    back = synthesize_leaves(*analyze_leaves(f), 3)
+    back = synthesize_leaves(analyze_leaves(f))
     scale = max(1.0, float(np.abs(f).max()))
     assert np.abs(back - f).max() <= 1e-12 * scale
 
@@ -191,20 +210,19 @@ def test_round_trip_property(leaves):
 )
 def test_analysis_is_linear(xs, ys):
     f, g = leaf_values(xs), leaf_values(ys)
-    (mf, cf), (mg, cg), (ms, cs) = (analyze_leaves(h) for h in (f, g, f + g))
+    cf, cg, cs = (analyze_leaves(h) for h in (f, g, f + g))
     scale = max(1.0, float(np.abs(f).max()), float(np.abs(g).max()))
-    assert abs(ms - mf - mg) <= 1e-12 * scale
-    for k in range(4):
-        diff = cs[k] - cf[k] - cg[k]
-        assert np.abs(diff).max() <= 1e-11 * scale
+    diff = cs - cf - cg
+    assert abs(diff[0]) <= 1e-12 * scale  # the mean
+    assert np.abs(diff[1:]).max() <= 1e-11 * scale
 
 
 def test_parseval(rng):
     for depth in (1, 3, 5, 8):
         f = leaf_values(rng.standard_normal(1 << depth))
-        mean, coeffs = analyze_leaves(f)
+        coeffs = analyze_leaves(f)
         energy = float((f**2).mean())
-        parseval = float(mean) ** 2 + float(sum((c**2).sum() for c in coeffs))
+        parseval = float((coeffs**2).sum())  # the mean's square included
         assert parseval == pytest.approx(energy, rel=1e-13)
 
 
@@ -212,22 +230,30 @@ def test_level_masses_parents_are_exact_child_sums(rng):
     depth = 6
     vals = rng.standard_normal(1 << depth)
     masses = level_masses(vals)
-    assert len(masses) == depth + 1
+    assert masses.shape == (2 << depth,)
     for k in range(depth):
-        np.testing.assert_array_equal(masses[k], masses[k + 1].reshape(-1, 2).sum(axis=1))
-    assert masses[depth].shape == (1 << depth,)
+        np.testing.assert_array_equal(level(masses, k),
+                                      level(masses, k + 1).reshape(-1, 2).sum(axis=1))
+    np.testing.assert_array_equal(level(masses, depth), vals * 2.0**-depth)
+    assert masses[0] == masses[1]  # entry 0 repeats the root's
 
 
 def test_analyze_synthesize_leaves_accept_short_coeff_lists(rng):
-    # synthesizing from fewer levels than the depth leaves the tail zero
+    # synthesizing from a heap shorter than the depth leaves the tail zero
     depth = 4
-    mean, coeffs = analyze_leaves(rng.standard_normal(1 << depth))
-    top_only = synthesize_leaves(mean, coeffs[:2], depth)
-    manual = np.full(1 << depth, mean)
+    coeffs = analyze_leaves(rng.standard_normal(1 << depth))
+    top_only = synthesize_leaves(coeffs[:4], depth)  # the mean, levels 0 and 1
+    manual = np.full(1 << depth, coeffs[0])
     for k in range(2):
         for j in range(1 << k):
-            manual += coeffs[k][j] * oracles.haar_leaves(depth, k, j)
+            manual += coeffs[oracles.heap_index(k, j)] * oracles.haar_leaves(depth, k, j)
     np.testing.assert_allclose(top_only, manual, rtol=0, atol=1e-14)
+
+
+def _same_bits(a, b) -> bool:
+    # equal shapes and equal bit patterns, so -0.0 differs from 0.0
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 @settings(max_examples=80, deadline=None)
@@ -239,38 +265,45 @@ def test_analyze_synthesize_leaves_accept_short_coeff_lists(rng):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_pyramids_equal_full_width_kernels(depth, batch, exponents, kept, seed):
-    # the O(2^D) pyramids keep every leaf's chain of additions, so they
-    # reproduce the full-width kernels bit for bit
+    # the O(2^D) heap passes keep every leaf's chain of operations, so they
+    # reproduce the full-width kernels bit for bit, on one row and on stacks
     r = np.random.default_rng(seed)
     n = 1 << depth
     lo, hi = exponents
     x = r.choice([-1.0, 1.0], batch + (n,)) * 10.0 ** r.uniform(lo, hi, batch + (n,))
-    mean, coeffs = analyze_leaves(x)
+    coeffs = analyze_leaves(x)
     want_mean, want_coeffs = oracles.analyze_leaves_reference(x, depth)
-    assert np.array_equal(mean, want_mean)
-    assert all(np.array_equal(a, b) for a, b in zip(coeffs, want_coeffs, strict=True))
-    assert all(
-        np.array_equal(a, b)
-        for a, b in zip(level_masses(x), oracles.level_masses_reference(x, depth),
-                        strict=True)
-    )
-    short = coeffs[: round(kept * depth)]
-    for levels in (coeffs, short, []):
-        got = synthesize_leaves(mean, levels, depth)
-        want = oracles.synthesize_leaves_reference(mean, levels, depth)
-        assert got.shape == want.shape and np.array_equal(got, want)
-    terms = [c * c * (1 << k) for k, c in enumerate(short)]
-    assert np.array_equal(
-        accumulate_levels(terms, depth), oracles.accumulate_levels_reference(terms, depth)
-    )
-    if batch == () and depth >= 1:
+    assert coeffs.shape == x.shape and _same_bits(coeffs[..., 0], want_mean)
+    assert all(_same_bits(a, b) for a, b in
+               zip(oracles.heap_levels(coeffs, depth), want_coeffs, strict=True))
+    masses = level_masses(x)
+    assert all(_same_bits(a, b) for a, b in
+               zip(oracles.heap_levels(masses, depth + 1),
+                   oracles.level_masses_reference(x, depth), strict=True))
+    kept_levels = round(kept * depth)
+    for m in (depth, kept_levels, 0):
+        got = synthesize_leaves(coeffs[..., : 1 << m], depth)
+        want = oracles.synthesize_leaves_reference(want_mean, want_coeffs[:m], depth)
+        assert _same_bits(got, want)
+    terms = np.ldexp(coeffs[..., : 1 << kept_levels] ** 2, heap_scales(1 << kept_levels).levels)
+    want = oracles.accumulate_levels_reference(oracles.heap_levels(terms, kept_levels), depth,
+                                               batch)
+    assert _same_bits(spread(accumulate_levels(terms), depth), want)
+    if depth >= 1:
+        b, g = r.standard_normal(n), r.standard_normal(batch + (n,))
         got = shift_operator(depth).apply(x)
-        assert np.array_equal(got, oracles.shift_values_reference(coeffs, depth))
-        fa, ga = project_admissible(x), project_admissible(r.standard_normal(n))
+        assert _same_bits(got, oracles.shift_values_reference(want_coeffs, depth))
+        assert _same_bits(shift_operator(depth).transpose(g),
+                              oracles.shift_transpose_reference(g, depth))
+        pi_b = paraproduct_operator(b)
+        assert _same_bits(pi_b.apply(x), oracles.paraproduct_apply_reference(b, x, depth))
+        assert _same_bits(pi_b.transpose(g),
+                              oracles.paraproduct_transpose_reference(b, g, depth))
+        fa, ga = project_admissible(x), project_admissible(g)
         got = remainder_closed_form(fa, ga)
         _, cx = oracles.analyze_leaves_reference(fa, depth)
         _, cy = oracles.analyze_leaves_reference(ga, depth)
-        assert np.array_equal(got, oracles.remainder_values_reference(cx, cy, depth))
+        assert _same_bits(got, oracles.remainder_values_reference(cx, cy, depth))
 
 
 def test_haar_matrix_rows_are_haar_functions():
@@ -294,7 +327,7 @@ def test_haar_matrix_orthonormality():
 def _square_function(values):
     """S f from the package's layers, spread over the leaves as the
     identities suite does."""
-    return np.sqrt(accumulate_levels(square_layers(values), depth_of(values)))
+    return np.sqrt(spread(accumulate_levels(square_layers(values)), depth_of(values)))
 
 
 def test_square_function_worked_example():
@@ -307,21 +340,22 @@ def test_square_function_worked_example():
 
 def test_square_function_l2_matches_coeff_energy(rng):
     f = rng.standard_normal(32)
-    _, coeffs = analyze_leaves(f)
+    coeffs = analyze_leaves(f)
     sf = _square_function(f)
     np.testing.assert_allclose(sf, oracles.square_function_leaves(f, 5), rtol=1e-13, atol=0)
-    energy = float(sum((c**2).sum() for c in coeffs))
+    energy = float((coeffs[1:] ** 2).sum())
     assert float((sf**2).mean()) == pytest.approx(energy, rel=1e-13)
 
 
 def test_square_layers_match_coefficient_oracle(rng):
-    # layer k holds fhat(I)^2 / |I| over the level-k intervals, row by row
+    # level k holds fhat(I)^2 / |I| over the level-k intervals, row by row
     x = rng.standard_normal((2, 32))
     layers = square_layers(x)
-    assert [layer.shape for layer in layers] == [(2, 1 << k) for k in range(5)]
+    assert layers.shape == (2, 64) and not layers[:, 0].any() and not layers[:, 32:].any()
     for row, v in enumerate(x):
         for k, j in oracles.all_intervals(4):
             want = oracles.coeff(v, 5, k, j) ** 2 * 2.0**k
-            assert layers[k][row, j] == pytest.approx(want, rel=1e-13, abs=1e-15)
+            assert layers[row, oracles.heap_index(k, j)] == pytest.approx(
+                want, rel=1e-13, abs=1e-15)
 
 

@@ -173,7 +173,7 @@ def _dense_oracles(depth, seed):
         ),
         "ppott": oracles.ppott_oracle(muv, depth),
         "carleson_embedding": oracles.carleson_embedding_oracle(
-            seq.level_values, 1.0 / muv, depth
+            oracles.heap_levels(seq.values, depth), 1.0 / muv, depth
         ),
     }
 
@@ -673,15 +673,14 @@ def test_carleson_constant_matches_oracle():
     r = np.random.default_rng(12)
     w = Weight(np.exp(r.uniform(-1, 1, 16)))
     vals = [r.uniform(0.0, 1.0, 1 << k) for k in range(4)]
-    seq = CarlesonSequence(vals, w)
+    seq = CarlesonSequence(oracles.heap_from(0.0, vals), w)
     want = oracles.carleson_oracle(vals, w.values, 4)
     assert seq.constant == pytest.approx(want, rel=1e-13)
 
 
 def test_carleson_single_root_mass_example():
     one = Weight(np.ones(8))
-    vals = [np.array([1.0])] + [np.zeros(1 << k) for k in range(1, 3)]
-    seq = CarlesonSequence(vals, one)
+    seq = CarlesonSequence([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], one)
     assert seq.constant == 1.0
     # phi = 1 achieves E^w_root(phi)^2 = ||phi||^2, so C* = 1 exactly
     assert carleson_embedding_checks([seq])[0].value == pytest.approx(1.0, rel=1e-12)
@@ -689,13 +688,16 @@ def test_carleson_single_root_mass_example():
 
 def test_carleson_sequence_validation():
     one = Weight(np.ones(8))
-    with pytest.raises(ValueError):
-        CarlesonSequence([np.array([-1.0]), np.zeros(2), np.zeros(4)], one)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        CarlesonSequence(oracles.heap_from(0.0, [[-1.0], np.zeros(2), np.zeros(4)]), one)
     # two levels against a depth-3 weight: the depths differ
     with pytest.raises(GridMismatchError):
-        CarlesonSequence([np.array([1.0]), np.zeros(2)], one)
-    with pytest.raises(ValueError):
-        CarlesonSequence([np.array([1.0, 2.0]), np.zeros(2), np.zeros(4)], one)
+        CarlesonSequence(oracles.heap_from(0.0, [[1.0], np.zeros(2)]), one)
+    # no heap: 7 entries, or levels on a second axis
+    with pytest.raises(ValueError, match="2\\^D entries"):
+        CarlesonSequence(np.ones(7), one)
+    with pytest.raises(ValueError, match="2\\^D entries"):
+        CarlesonSequence(np.ones((2, 4)), one)
 
 
 # every entry point that reads a symbol and weights together, given a
@@ -715,11 +717,9 @@ _MISMATCHED = {
         shift_operator(6), [mu, Weight(np.exp(b))], [lam, lam]),
     "ppott_best_constants": lambda b, mu, lam: ppott_best_constants(
         [Weight(np.exp(b)), mu]),
-    "CarlesonSequence": lambda b, mu, lam: CarlesonSequence(
-        [np.zeros(1 << k) for k in range(4)], mu),
+    "CarlesonSequence": lambda b, mu, lam: CarlesonSequence(np.zeros(16), mu),
     "carleson_embedding_checks": lambda b, mu, lam: carleson_embedding_checks([
-        CarlesonSequence([np.zeros(1 << k) for k in range(w.depth)], w)
-        for w in (Weight(np.exp(b)), mu)
+        CarlesonSequence(np.zeros(1 << w.depth), w) for w in (Weight(np.exp(b)), mu)
     ]),
     "paraproduct_operator-rows": lambda b, mu, lam: paraproduct_operator([b, mu.values]),
     "three_condition_factory": lambda b, mu, lam: three_condition_factory(
@@ -764,7 +764,8 @@ def test_paraproduct_sequence_carleson_equals_bloom_squared(depth, kind):
     ):
         want = oracle(b, mu.values, lam.values, depth) ** 2
         assert seq.constant == pytest.approx(want, rel=1e-12)
-        assert oracles.carleson_oracle(seq.level_values, seq.weight.values, depth) == (
+        levels = oracles.heap_levels(seq.values, depth)
+        assert oracles.carleson_oracle(levels, seq.weight.values, depth) == (
             pytest.approx(want, rel=1e-12)
         )
         assert bloom**2 == pytest.approx(want, rel=1e-12)
@@ -783,7 +784,7 @@ def test_both_bloom_functionals_are_their_sequences_carleson_roots_bitwise():
             (td.bmo.carleson_dual, td.lam, td.bmo.bloom_b2_dual),
         ):
             assert seq.weight is weight
-            assert bloom == math.sqrt(CarlesonSequence(seq.level_values, weight).constant)
+            assert bloom == math.sqrt(CarlesonSequence(seq.values, weight).constant)
 
 
 def test_embedding_constant_sits_in_the_classical_window():
@@ -819,8 +820,8 @@ def test_necessity_ratios_match_per_interval_oracle(depth):
         want = oracles.necessity_restriction_ratios_oracle(
             b, mu.values, lam.values, depth
         )
-        assert [r.shape for r in got] == [r.shape for r in want]
-        for g, w in zip(got, want):
+        assert got.shape == (1 << depth,) and got[0] == 0.0
+        for g, w in zip(oracles.heap_levels(got, depth), want, strict=True):
             np.testing.assert_array_equal(g == 0.0, w == 0.0)
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
             zero_rows += int((w == 0.0).sum())

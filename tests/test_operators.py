@@ -21,7 +21,7 @@ from dyadbloom import (
     remainder_closed_form,
     shift_operator,
 )
-from dyadbloom.grid import analyze_leaves, leaf_values
+from dyadbloom.grid import analyze_leaves, leaf_values, level
 
 
 def _pair(depth, seed, admissible=True):
@@ -139,7 +139,7 @@ def test_shift_plan_truncates_what_is_admissible_flags():
     assert np.all(shift(bad) == 0.0)
     good = haar_function(3, ROOT)
     assert is_admissible(good)
-    want = oracles.shift_values_reference(analyze_leaves(good)[1], 3)
+    want = oracles.shift_values_reference(oracles.heap_levels(analyze_leaves(good), 3), 3)
     np.testing.assert_array_equal(shift(good), want)
 
 
@@ -150,11 +150,9 @@ def test_admissibility_projection():
     assert is_admissible(p)
     # idempotent up to resynthesis ulps, and levels <= depth-2 are untouched
     np.testing.assert_allclose(project_admissible(p), p, rtol=0, atol=1e-14)
-    _, cb = analyze_leaves(b)
-    _, cp = analyze_leaves(p)
-    for k in range(4):
-        np.testing.assert_allclose(cp[k], cb[k], rtol=0, atol=1e-13)
-    assert np.abs(cp[4]).max() <= 1e-13
+    cb, cp = analyze_leaves(b), analyze_leaves(p)
+    np.testing.assert_allclose(cp[:16], cb[:16], rtol=0, atol=1e-13)  # levels 0..3
+    assert np.abs(cp[16:]).max() <= 1e-13
 
 
 def test_commutator_definition():
@@ -314,13 +312,13 @@ def test_remainder_quarter_pattern_oracle():
     # Sigma bhat(I) fhat(I) |I|^{-1} (+1,-1,+1,-1) on the quarters of I
     depth = 4
     b, f = _pair(depth, 77)
-    _, cb = analyze_leaves(b)
-    _, cf = analyze_leaves(f)
+    cb, cf = analyze_leaves(b), analyze_leaves(f)
     n = 1 << depth
     want = np.zeros(n)
     for k in range(depth - 1):
         for j in range(1 << k):
-            s = cb[k][j] * cf[k][j] * (1 << k)
+            i = oracles.heap_index(k, j)
+            s = cb[i] * cf[i] * (1 << k)
             width = n >> (k + 2)
             base = j * (n >> k)
             want[base : base + width] += s
@@ -339,16 +337,16 @@ def test_remainder_energy_identity():
     lam = Weight(np.exp(r.uniform(-1, 1, 1 << depth)))
     b, f = _pair(depth, 81)
     rem = remainder_closed_form(b, f)
-    _, cr = analyze_leaves(rem)
+    cr = analyze_leaves(rem)
     n = 1 << depth
     sq = np.zeros(n)
     for k in range(depth):
-        sq += np.repeat(cr[k] ** 2 * (1 << k), n >> k)
+        sq += np.repeat(level(cr, k) ** 2 * (1 << k), n >> k)
     measured = float((sq * lam.values).mean())
-    _, cb = analyze_leaves(b)
-    _, cf = analyze_leaves(f)
+    cb, cf = analyze_leaves(b), analyze_leaves(f)
     predicted = sum(
-        float((cb[k] ** 2 * cf[k] ** 2 * (1 << k) * lam.averages[k]).sum())
+        float((level(cb, k) ** 2 * level(cf, k) ** 2 * (1 << k)
+               * level(lam.averages, k)).sum())
         for k in range(depth - 1)
     )
     assert measured == pytest.approx(predicted, rel=1e-11)

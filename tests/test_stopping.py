@@ -7,6 +7,8 @@ root-set level scan with every factory against the depth-first per-interval
 scan and unstopped walk in oracles.py, root by root.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import count_calls
 from dyadbloom.errors import GridMismatchError, PackingSearchError
-from dyadbloom.grid import ROOT, DyadicInterval, depth_of, haar_function, level_masses
+from dyadbloom.grid import ROOT, DyadicInterval, depth_of, haar_function, level, level_masses
 from dyadbloom.bmo import BmoReport
 from dyadbloom.config import ExperimentConfig
 from dyadbloom.stopping import (
@@ -69,7 +71,7 @@ def _members(fam: StoppingFamily) -> tuple[DyadicInterval, ...]:
 
 
 def _unstopped(fam: StoppingFamily) -> list[DyadicInterval]:
-    return [DyadicInterval(k, int(j)) for k, m in fam.unstopped.items() for j in np.flatnonzero(m)]
+    return [DyadicInterval.at(i) for i in np.flatnonzero(fam.unstopped)]
 
 
 def _family(depth, root, *members) -> StoppingFamily:
@@ -101,7 +103,7 @@ def test_worked_example_single_member(weight_4411):
     lam = weight_4411
     root = ROOT
     rule = StoppingRule(lam.depth, lambda roots: (
-        lambda k, owner: lam.averages[k] > 1.2 * oracles.interval_average(lam.values, root)
+        lambda k, owner: level(lam.averages, k) > 1.2 * oracles.interval_average(lam.values, root)
     ))
     fam = maximal_stopping_intervals(root, rule)
     assert _members(fam) == (DyadicInterval(1, 0),)
@@ -319,6 +321,15 @@ def test_minimal_corona_constant_search_failure(unit_weight):
         minimal_corona_constant(lambda C: StoppingRule(one.depth, ALWAYS), one)
 
 
+@pytest.mark.parametrize("start", [2.0**21, math.inf, math.nan])
+def test_minimal_corona_constant_rejects_a_start_off_the_grid(unit_weight, start):
+    # a start above the grid's largest constant (2^20), or NaN, names itself
+    one = unit_weight(2)
+    with pytest.raises(PackingSearchError, match="corona search start") as exc:
+        minimal_corona_constant(lambda C: StoppingRule(one.depth, ALWAYS), one, start=start)
+    assert math.isnan(exc.value.min_ratio)
+
+
 def test_rules_take_their_depth_from_their_arrays(weight_4411, unit_weight):
     lam, one = weight_4411, unit_weight(2)
     b = haar_function(2, ROOT)
@@ -457,8 +468,8 @@ def test_corona_scan_matches_oracle_root_by_root(depth, data):
         )
         assert got_free == want_free
         masses = level_masses(lam.values)
-        sums = [sum(float(masses[k][j]) for k, j in ms) for ms in per_root]
-        ratios = [s / float(masses[k][j]) for s, (k, j) in zip(sums, roots)]
+        sums = [sum(float(masses[oracles.heap_index(*iv)]) for iv in ms) for ms in per_root]
+        ratios = [s / float(masses[oracles.heap_index(*r)]) for s, r in zip(sums, roots)]
         assert gen.member_masses(lam).tolist() == sums
         assert packing_ratio(gen, lam) == max(ratios)
         assert ordered_sum(gen.member_masses(lam)) == sum(sums)

@@ -121,7 +121,7 @@ def test_carleson_gates_fail_when_the_subtree_sums_drift(monkeypatch):
     # route, so a relative drift of 1e-6 in every subtree sum fails both
     subtree_sums = bmo._subtree_sums
     monkeypatch.setattr(bmo, "_subtree_sums",
-                        lambda per_level: [s * (1 + 1e-6) for s in subtree_sums(per_level)])
+                        lambda values: subtree_sums(values) * (1 + 1e-6))
     (res,) = run_suites(ExperimentConfig(depth=6, trials=2, suites=("carleson",)))
     failed = {a.name for a in res.assertions if not a.passed}
     assert {"carleson_equals_bloom_b2_sq", "carleson_dual_equals_bloom_b2_dual_sq"} <= failed

@@ -16,7 +16,7 @@ from dyadbloom import (
     a2_characteristic,
     generate,
 )
-from dyadbloom.grid import analyze_leaves, level_masses
+from dyadbloom.grid import analyze_leaves, heap_scales, level, level_masses
 from dyadbloom.weights import KIND_FIELDS, SYMBOL_KINDS, WEIGHT_KINDS
 
 
@@ -35,10 +35,11 @@ def test_weight_requires_positive_values():
 def test_interval_mass_and_average_match_slices(random_positive):
     w = random_positive(4, seed=7)
     for k, j in oracles.all_intervals(4):
-        assert level_masses(w.values)[k][j] == pytest.approx(
+        i = oracles.heap_index(k, j)
+        assert level_masses(w.values)[i] == pytest.approx(
             oracles.mass_on(w.values, 4, k, j), rel=1e-14
         )
-        assert w.averages[k][j] == pytest.approx(
+        assert w.averages[i] == pytest.approx(
             oracles.interval_average(w.values, DyadicInterval(k, j)), rel=1e-14
         )
 
@@ -55,24 +56,25 @@ def _pyramid_weights():
 def test_weight_stores_one_read_only_pyramid():
     for w in _pyramid_weights():
         d = w.depth
-        assert len(w.averages) == d + 1 and w.averages[d] is w.values
-        assert all(not a.flags.writeable for a in w.averages)
-        # every array it holds is in the pyramid: 2^D leaves, 2^D - 1 averages
+        assert w.averages.shape == (2 << d,) and not w.averages.flags.writeable
+        assert w.values.base is w.averages and not w.values.flags.writeable
+        np.testing.assert_array_equal(w.values, w.averages[1 << d :])
+        assert w.averages[0] == w.averages[1]  # entry 0 repeats the root's
+        # every array it holds is that heap or a view of it
         held = [getattr(w, n) for n in Weight.__slots__ if n != "__dict__"]
         held += vars(w).values()
-        arrays = {id(a): a for v in held for a in (v if isinstance(v, tuple) else (v,))
-                  if isinstance(a, np.ndarray)}
-        assert sum(a.size for a in arrays.values()) == (2 << d) - 1
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert all(a is w.averages or a.base is w.averages for a in arrays)
 
 
 def test_scaled_averages_are_bitwise_the_level_masses():
     # a power-of-two scaling is exact, so masses read as ldexp(average, -k)
     # are the masses of grid.level_masses bit for bit
     for w in _pyramid_weights():
-        for k, m in enumerate(level_masses(w.values)):
-            scaled = np.ldexp(w.averages[k], -k)
-            assert scaled.tobytes() == m.tobytes()
-        assert w.total_mass == float(level_masses(w.values)[0][0])
+        levels = heap_scales(w.averages.size).levels
+        scaled = np.ldexp(w.averages, -levels)
+        assert scaled.tobytes() == level_masses(w.values).tobytes()
+        assert w.total_mass == float(level_masses(w.values)[1])
 
 
 def test_a2_of_two_leaf_weight_is_four_thirds(weight_13):
@@ -176,7 +178,7 @@ def test_cascade_parent_masses_preserved_by_each_split():
     masses = level_masses(w.values)
     for k in range(5):
         np.testing.assert_allclose(
-            masses[k], masses[k + 1].reshape(-1, 2).sum(axis=1), rtol=1e-15
+            level(masses, k), level(masses, k + 1).reshape(-1, 2).sum(axis=1), rtol=1e-15
         )
 
 
@@ -187,17 +189,15 @@ def test_log_symbol_is_log_of_cascade():
 
 
 def test_sparse_symbol_has_scaled_coefficients_and_zero_mean():
-    from dyadbloom.grid import analyze_leaves, level_masses
-
     spec = EnsembleSpec(kind="haar-sparse-symbol", depth=6, seed=3, sparsity=0.05)
     sym = generate(spec)
     assert abs(sym.mean()) <= 1e-14
-    mean, coeffs = analyze_leaves(sym)
-    total = sum(int(np.count_nonzero(np.abs(c) > 1e-13)) for c in coeffs)
-    assert total >= 1
+    coeffs = analyze_leaves(sym)
+    assert int(np.count_nonzero(np.abs(coeffs[1:]) > 1e-13)) >= 1
     # nonzero coefficients carry the 2^{-k/2} normalization: a standard
     # normal draw at level k lands within a few sigma of that scale
-    for k, c in enumerate(coeffs):
+    for k in range(6):
+        c = level(coeffs, k)
         nz = np.abs(c[np.abs(c) > 1e-13])
         if nz.size:
             assert np.all(nz <= 8.0 * 2.0 ** (-k / 2))
@@ -218,10 +218,10 @@ def test_sparse_symbol_forces_at_least_one_interval():
                 rng.standard_normal(1 << k)
             k, j = level_major[int(rng.integers(len(level_major)))]
             value = float(rng.standard_normal()) * 2.0 ** (-k / 2.0)
-            mean, coeffs = analyze_leaves(generate(spec))
-            nonzero = [(lv, int(p)) for lv, c in enumerate(coeffs) for p in np.flatnonzero(c)]
-            assert mean == 0.0 and nonzero == [(k, j)], (depth, seed)
-            assert coeffs[k][j] == pytest.approx(value, rel=1e-12)
+            coeffs = analyze_leaves(generate(spec))
+            nonzero = [DyadicInterval.at(i) for i in np.flatnonzero(coeffs[1:]) + 1]
+            assert coeffs[0] == 0.0 and nonzero == [DyadicInterval(k, j)], (depth, seed)
+            assert coeffs[oracles.heap_index(k, j)] == pytest.approx(value, rel=1e-12)
 
 
 def test_a2_range_rejection_sampling():
