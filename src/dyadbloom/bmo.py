@@ -25,9 +25,11 @@ whose first occurrence is the level-major first one.  A CarlesonSequence
 holds numbers a_I >= 0 tested against a weight; its subtree sums
 (grid.sum_up) and Carleson constant are computed on first read and kept.
 _carleson_terms builds the report's two sequences from its one Haar
-analysis, and _oscillation_masses(b, w) integrates (b - <b>_I)^2 w over
-every interval (w = 1 for bmo_rho; w = lambda for neccon, whose pass the
-neccon-chain suite reads too).
+analysis.  The localized energies int_K |sum_{I subset= K} c_I h_I|^2 w of
+bloom_b2_l2form (c_I = bhat(I) <mu^{-1}>_I, w = lambda) and of the
+oscillations int_K (b - <b>_K)^2 w (c_I = bhat(I); w = 1 for bmo_rho,
+w = lambda for neccon, whose pass the neccon-chain suite reads too) are one
+grid.local_integrals pass each, from the one coefficient heap.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (DyadicInterval, analyze_leaves, depth_of, heap_scales, level, level_masses,
-                   same_depth, split, sum_up)
+from .grid import (DyadicInterval, analyze_leaves, depth_of, heap_scales, level, local_integrals,
+                   same_depth, sum_up)
 from .weights import Weight
 
 __all__ = ["BmoReport", "CarlesonSequence"]
@@ -125,38 +127,15 @@ class CarlesonSequence:
 
 
 def _bloom_l2form_scan(coeffs: np.ndarray, mu: Weight, lam: Weight) -> _SupResult:
-    # For each top level k, the localized syntheses of all level-k intervals
-    # K at once: grid.split from 0.0 on level k over the steps
-    # s = bhat(I) <mu^{-1}>_I 2^{m/2} of the levels m >= k.
-    n = coeffs.shape[-1]
     mu_inv = mu.inverse
-    steps = (coeffs * mu_inv.averages[:n]) * heap_scales(n).root
-    steps[0] = 0.0
-    energy = np.zeros(n)
-    for k in range(depth_of(coeffs)):
-        v = split(steps, k)
-        level(energy, k)[:] = (v**2 * lam.values).reshape(1 << k, -1).sum(axis=1) / n
+    energy = local_integrals(coeffs * mu_inv.averages[: coeffs.shape[-1]],
+                             lambda k, v: v**2 * lam.values)
     return _sqrt_sup(_sup(energy / _masses(mu_inv)))
 
 
-def _oscillation_masses(b: np.ndarray, w: Weight | None = None) -> np.ndarray:
-    # osc[i] = integral over interval i of (b - <b>_I)^2 w (w = 1 when None)
-    # on levels 0..D-1, computed by subtracting the interval average from the
-    # leaves before squaring; a constant symbol then gives exactly zero
-    # instead of cancellation dust.
-    n = 1 << depth_of(b)
-    avg = np.ldexp(level_masses(b)[:n], heap_scales(n).levels)
-    out = np.zeros(n)
-    for k in range(depth_of(b)):
-        dev2 = (b - np.repeat(level(avg, k), n >> k)) ** 2
-        if w is not None:
-            dev2 = dev2 * w.values
-        level(out, k)[:] = dev2.reshape(1 << k, -1).sum(axis=1) / n
-    return out
-
-
-def _bmo_rho_scan(b: np.ndarray, rho: Weight) -> _SupResult:
-    return _sqrt_sup(_sup(_oscillation_masses(b) / _masses(rho)))
+def _bmo_rho_scan(coeffs: np.ndarray, rho: Weight) -> _SupResult:
+    # on K, b - <b>_K is the synthesis of b's coefficients within K
+    return _sqrt_sup(_sup(local_integrals(coeffs, lambda k, v: v**2) / _masses(rho)))
 
 
 def _bmo_rho_l1_scan(coeffs: np.ndarray, rho: Weight) -> _SupResult:
@@ -222,8 +201,8 @@ class BmoReport:
     whose constant is bloom_b2^2, and carleson_dual, a_I = bhat(I)^2
     <lambda>_I^2 <mu^{-1}>_I tested against lambda itself, whose constant is
     bloom_b2_dual^2.  Scans and sequences share b's Haar coefficients
-    (coeffs), the Bloom weight rho and lam_oscillation =
-    _oscillation_masses(b, lambda), each built on first use.
+    (coeffs), the Bloom weight rho and lam_oscillation, the integrals
+    int_K (b - <b>_K)^2 lambda, each built on first use.
     The constructor checks that b, mu and lambda share a depth:
     GridMismatchError if not.
     """
@@ -233,7 +212,7 @@ class BmoReport:
     bloom_b2 = _Functional(lambda r: _sqrt_sup(r.carleson._sup))
     bloom_b2_dual = _Functional(lambda r: _sqrt_sup(r.carleson_dual._sup))
     bloom_b2_l2form = _Functional(lambda r: _bloom_l2form_scan(r.coeffs, r.mu, r.lam))
-    bmo_rho = _Functional(lambda r: _bmo_rho_scan(r.b, r.rho))
+    bmo_rho = _Functional(lambda r: _bmo_rho_scan(r.coeffs, r.rho))
     bmo_rho_l1 = _Functional(lambda r: _bmo_rho_l1_scan(r.coeffs, r.rho))
     neccon = _Functional(lambda r: _neccon_scan(r.lam_oscillation, r.mu.inverse))
 
@@ -261,7 +240,7 @@ class BmoReport:
 
     @cached_property
     def lam_oscillation(self) -> np.ndarray:
-        return _oscillation_masses(self.b, self.lam)
+        return local_integrals(self.coeffs, lambda k, v: v**2 * self.lam.values)
 
     @property
     def argmax(self) -> dict[str, DyadicInterval]:

@@ -16,6 +16,7 @@ null.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import errno
 import math
@@ -158,6 +159,17 @@ def _print_norm_report(rep: NormReport) -> None:
         print(f"ratio {k:<32} {v!r}")
 
 
+@contextlib.contextmanager
+def _double_range():
+    # norms, verify and sweep compute here: finite inputs can still overflow (a leaf
+    # near 1e308 squares to inf), and a non-finite intermediate's ValueError is a usage error
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            yield
+        except ValueError as e:
+            raise ConfigError(f"inputs out of double-precision range: {e}") from e
+
+
 def _cmd_norms(args) -> int:
     mu = load_weight(args.mu)
     lam = load_weight(args.lam)
@@ -170,14 +182,10 @@ def _cmd_norms(args) -> int:
             "depth mismatch across files: "
             + ", ".join(f"{p} has depth {d}" for p, d in depths.items())
         ) from e
-    # Finite inputs can still overflow (a leaf near 1e308 squares to inf);
-    # ratios are exempt, as NaN there marks a zero denominator.
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            rep = compute_norm_report(b, mu, lam)
-        except ValueError as e:
-            raise ConfigError(f"inputs out of double-precision range: {e}") from e
-    values = {**rep.to_dict(), **rep.bmo.to_dict()}
+    with _double_range():
+        rep = compute_norm_report(b, mu, lam)
+        values = {**rep.to_dict(), **rep.bmo.to_dict()}
+    # ratios are exempt, as NaN there marks a zero denominator
     bad = sorted(k for k, v in values.items() if isinstance(v, float) and not math.isfinite(v))
     if bad:
         raise ConfigError(f"inputs out of double-precision range: {', '.join(bad)} not finite")
@@ -218,7 +226,8 @@ def _cmd_verify(args) -> int:
         # every target is checked before any is written: a directory in the way leaves no suite file
         if blocked := [path for path in targets.values() if path.is_dir()]:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(blocked[0]))
-    results = run_suites(cfg)
+    with _double_range():
+        results = run_suites(cfg)
     # every suite file is written before anything prints: an unwritable one leaves only its error
     for result in results if targets else ():
         write_json(targets[result.suite], result.to_dict())
@@ -327,7 +336,8 @@ def _format_cell(v) -> str:
 def _cmd_sweep(args) -> int:
     base = _config_from_args(args)
     values = _parse_range(args.range_)
-    rows = sweep_rows(base, args.parameter, values)
+    with _double_range():
+        rows = sweep_rows(base, args.parameter, values)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)

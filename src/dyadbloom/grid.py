@@ -30,12 +30,12 @@ with fhat(I) = <f, h_I>.  Two pyramid passes carry the transforms, each
 writing every level at its own width, so a pass costs O(2^D): sum_up, the
 bottom-up pass (each entry the sum of its children), gives level_masses and
 so analysis; split, the top-down pass (each value v splits into its
-children v -+ s), gives synthesis, and operators.py's shift and remainder
-and bmo's localized syntheses are the same pass on their own steps.
+children v -+ s), gives synthesis and operators.py's shift and remainder;
 accumulate_levels adds each level's terms onto its intervals, top-down.
 Every leaf keeps the exact chain of floating-point operations of a
-full-width pass, so every value is bit for bit what adding each level onto
-all 2^D leaves gives, and outputs built from them do not move.
+full-width pass.  local_integrals, the localized pass, costs O(2^D D): it
+builds, deepest level first, every interval's synthesis of the coefficients
+within it on the 2^D leaves and integrates a function of it over the interval.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,6 +62,7 @@ __all__ = [
     "level",
     "sum_up",
     "split",
+    "local_integrals",
     "spread",
     "analyze_leaves",
     "synthesize_leaves",
@@ -178,19 +179,39 @@ def sum_up(heap: np.ndarray, addend: np.ndarray | None = None) -> np.ndarray:
     return heap
 
 
-def split(steps: np.ndarray, top: int = 0) -> np.ndarray:
-    """The top-down pass over a heap of 2^m steps: every level-top value
-    starts at steps[..., 0], and each level-k value v, k = top..m-1, splits
-    into its children (v - s, v + s), s its step.  Returns the 2^m values of
-    level m, each start -+ s_top -+ s_{top+1} ... in level order."""
-    v = np.broadcast_to(steps[..., :1], steps.shape[:-1] + (1 << top,))
-    for k in range(top, depth_of(steps)):
+def split(steps: np.ndarray) -> np.ndarray:
+    """The top-down pass over a heap of 2^m steps: the root value starts at
+    steps[..., 0], and each level-k value v, k = 0..m-1, splits into its
+    children (v - s, v + s), s its step.  Returns the 2^m values of level m,
+    each start -+ s_0 -+ s_1 ... in level order."""
+    v = steps[..., :1]
+    for k in range(depth_of(steps)):
         s = level(steps, k)
         w = np.empty(s.shape[:-1] + (2 << k,))
         np.subtract(v, s, out=w[..., 0::2])
         np.add(v, s, out=w[..., 1::2])
         v = w
     return v
+
+
+def local_integrals(coeffs: np.ndarray, integrand: Callable) -> np.ndarray:
+    """The bottom-up localized pass over a 1-D coefficient heap of 2^D
+    entries.  From level D-1 up to level 0 it adds each level-k step
+    s = c_I 2^{k/2} onto the 2^D leaves v in place (-s on I's left child's
+    leaves, +s on its right child's), so that on every level-k interval K, v
+    is the synthesis sum_{I subset= K} c_I h_I.  Returns the integrals of
+    integrand(k, v) over each level-k K (leaf sums / 2^D) as a heap over
+    levels 0..D-1, entry 0 zero; the mean c[0] is not read."""
+    n = coeffs.size
+    steps = coeffs * heap_scales(n).root
+    v = np.zeros(n)
+    out = np.zeros(n)
+    for k in range(depth_of(steps) - 1, -1, -1):
+        blocks = v.reshape(1 << k, 2, -1)
+        blocks[:, 0, :] -= level(steps, k)[:, None]
+        blocks[:, 1, :] += level(steps, k)[:, None]
+        level(out, k)[:] = integrand(k, v).reshape(1 << k, -1).sum(axis=1) / n
+    return out
 
 
 def spread(values: np.ndarray, depth: int) -> np.ndarray:

@@ -77,6 +77,7 @@ from .grid import (
     heap_scales,
     level,
     level_masses,
+    local_integrals,
     same_depth,
     split,
     spread,
@@ -375,39 +376,27 @@ def necessity_restriction_ratios(rep: BmoReport) -> np.ndarray:
     Hence ||Pi_b phi_K||^2_{L^2(lambda)} is the integral over K of
     (L_k + mu^{-1}(K) P(K))^2 lambda plus mu^{-1}(K)^2 R(K), with
     R(child) = R(parent) + P(sibling)^2 lambda(sibling) and R(root) = 0:
-    P is grid.split, R grid.accumulate_levels, and L_k adds level k onto
-    L_{k+1}'s leaves.
+    P is grid.split, R grid.accumulate_levels, and the integrals over K
+    one grid.local_integrals pass, which builds every L_k on the leaves.
     """
     lam, cb, sums = rep.lam, rep.coeffs, rep.carleson.subtree_sums
     n = cb.shape[-1]
-    half = max(n >> 1, 1)
     levels, root = heap_scales(n)
     mu_mass = np.ldexp(rep.mu.inverse.averages[:n], -levels)
     # P and R on every level k: the passes over the levels above k
-    steps = np.ldexp(cb[:half], levels[:half]) * root[:half]  # bhat(I) 2^{3k/2}
+    steps = (np.ldexp(cb, levels) * root)[: n >> 1]  # bhat(I) 2^{3k/2}
     steps[0] = 0.0
     paths = np.concatenate([[0.0], *(split(steps[: 1 << k]) for k in range(depth_of(cb)))])
     terms = (paths**2 * np.ldexp(lam.averages[:n], -levels))[np.arange(n) ^ 1]
     terms[:2] = 0.0
     outside = np.concatenate([[0.0], *(accumulate_levels(terms[: 2 << k])
                                        for k in range(depth_of(cb)))])
-    # L_k, bottom-up on full-width leaves, and each level's energy on K
-    scaled = cb * rep.mu.inverse.averages[:n] * root
-    local = np.zeros(n)
-    on = np.zeros(n)
-    for k in range(depth_of(cb) - 1, -1, -1):
-        blocks = local.reshape(1 << k, 2, n >> (k + 1))
-        blocks[:, 0, :] -= level(scaled, k)[:, None]
-        blocks[:, 1, :] += level(scaled, k)[:, None]
-        image = local + np.repeat(level(mu_mass, k) * level(paths, k), n >> k)
-        level(on, k)[:] = (image**2 * lam.values).reshape(1 << k, -1).sum(axis=1) / n
-    num = sums / mu_mass
-    num[0] = 0.0  # entry 0 is no interval
+    # (L_k + mu^{-1}(K) P(K))^2 lambda on K, L_k on the leaves of the localized pass
+    on = local_integrals(cb * rep.mu.inverse.averages[:n], lambda k, local: (
+        local + np.repeat(level(mu_mass, k) * level(paths, k), n >> k))**2 * lam.values)
+    num = sums / mu_mass  # entry 0 is no interval: sums[0] is 0
     den = (on + mu_mass**2 * outside) / mu_mass
-    out = np.zeros(n)
-    live = num != 0.0
-    out[live] = np.sqrt(num[live] / den[live])
-    return out
+    return np.sqrt(np.divide(num, den, out=np.zeros(n), where=num != 0.0))
 
 
 def necessity_test_function_bound(rep: BmoReport) -> float:

@@ -157,6 +157,21 @@ def oscillation_oracle(b, w, depth, k, j):
     return mass_on(dev2 if w is None else dev2 * np.asarray(w), depth, k, j)
 
 
+def local_integrals_oracle(coeffs, integrand, depth):
+    """For each interval K at levels 0..D-1: the full-width leaf array v that
+    is zero outside K and, on K, sum over I within K of c_I h_I;
+    integrand(level of K, v) integrated over K.  A heap over levels 0..D-1,
+    entry 0 zero."""
+    out = np.zeros(1 << depth)
+    for K, J in all_intervals(depth, depth - 1):
+        v = np.zeros(1 << depth)
+        for k, j in all_intervals(depth, depth - 1):
+            if contained(k, j, K, J):
+                v += coeffs[heap_index(k, j)] * haar_leaves(depth, k, j)
+        out[heap_index(K, J)] = mass_on(integrand(K, v), depth, K, J)
+    return out
+
+
 def bmo_rho_oracle(b, rho, depth):
     best = 0.0
     for k, j in all_intervals(depth, depth - 1):
@@ -729,7 +744,8 @@ def paraproduct_transpose_reference(b, g, depth):
 def bloom_l2form_scan_reference(b, mu, lam, depth):
     """The localized L^2(lam) form one interval at a time: for each K,
     synthesize sum_{I within K} bhat(I) <mu^{-1}>_I h_I on K's leaves level by
-    level, integrate its square against lam, divide by mu^{-1}(K).  Returns
+    level, deepest first (the association of grid.local_integrals),
+    integrate its square against lam, divide by mu^{-1}(K).  Returns
     (sqrt of the sup, (level, position) of its level-major first
     occurrence), built from the full-width kernels above."""
     mu_inv = 1.0 / np.asarray(mu, dtype=np.float64)
@@ -743,7 +759,7 @@ def bloom_l2form_scan_reference(b, mu, lam, depth):
         for J in range(1 << K):
             n_local = 1 << (depth - K)
             g = np.zeros(n_local)
-            for k in range(K, depth):
+            for k in range(depth - 1, K - 1, -1):
                 shift = k - K
                 lo, hi = J << shift, (J + 1) << shift
                 scaled = (coeffs[k][lo:hi] * scales[k][lo:hi]) * math.sqrt(2**k)

@@ -18,6 +18,7 @@ from dyadbloom import (
     bmo,
     haar_function,
 )
+from dyadbloom.grid import local_integrals
 
 
 def _triple(depth, seed):
@@ -145,10 +146,12 @@ def test_bmo_rho_l1_matches_oracle(depth, kind):
 @pytest.mark.parametrize("weighted", [False, True], ids=["w=1", "w=lambda"])
 @pytest.mark.parametrize("depth", range(2, 9))
 def test_oscillation_masses_match_per_interval_oracle(depth, weighted):
-    # the one oscillation kernel behind bmo_rho, neccon and the neccon-chain
-    # suite, interval by interval
+    # the localized pass over b's own coefficients behind bmo_rho (w = 1) and
+    # neccon and the neccon-chain suite (the report's lam_oscillation),
+    # interval by interval
     mu, lam, b = _triple(depth, 1900 + depth)
-    osc = bmo._oscillation_masses(b, lam if weighted else None)
+    rep = BmoReport(b, mu, lam)
+    osc = rep.lam_oscillation if weighted else local_integrals(rep.coeffs, lambda k, v: v**2)
     w = lam.values if weighted else None
     assert osc.shape == (1 << depth,) and osc[0] == 0.0
     for k, j in oracles.all_intervals(depth, depth - 1):

@@ -300,6 +300,31 @@ def _assert_clean_norms_exit(code, err, out):
     assert all(v is not None for v in leaves_of(json.loads(out.read_text())))
 
 
+@pytest.mark.parametrize("command", ["norms", "verify", "sweep"])
+def test_weights_out_of_double_range_exit_with_one_error_line(tmp_path, capsys, command):
+    # finite weights whose products leave the double range: every computing
+    # command exits 2 with one error line, no traceback and no output file
+    out = tmp_path / "out"
+    if command == "norms":
+        argv = ["norms", "--mu", str(_save(tmp_path, "mu.json", [1e-200, 1e200] * 8)),
+                "--lambda", str(_gen(tmp_path, "lam.json")),
+                "--symbol", str(_gen(tmp_path, "b.json", kind="log-symbol")), "--out", str(out)]
+    else:
+        config = tmp_path / "config.json"
+        write_json(config, {"depth": 4, "trials": 2, "suites": ["equivalences"],
+                            "mu": {"kind": "two-value", "values": [1e-200, 1e200]}})
+        argv = [command, "--config", str(config), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--parameter", "delta", "--range", "0.1:0.2:2"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: inputs out of double-precision range")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_verify_writes_suite_json(tmp_path, capsys):
     argv = ["verify", "--depth", "4", "--seed", "9", "--trials", "2",
             "--out", str(tmp_path / "r1")]
@@ -482,9 +507,9 @@ def test_sweep_single_point_alpha(tmp_path):
 #       --range=-0.5:0.5:3 --depth 4 --seed 7 --out sweep.csv
 _PINNED_SWEEP_CSV = """\
 parameter,value,depth,a2_mu,a2_lambda,a2_rho,bloom_b2,bloom_b2_dual,bmo_rho,neccon,norm_paraproduct,norm_shift_mu,norm_commutator,shift_mu_norm_over_a2_mu
-alpha,-0.5,4,1.3162604432489085,1.320700841615589,1.2218740315107328,0.22328326871875542,0.2126303004258333,0.24228818345246853,0.2174337906386803,0.23808379883038797,1.1532195515737211,0.4021117900792322,0.8761332588003969
-alpha,0.0,4,1.0,1.320700841615589,1.073501047856543,0.309360938193971,0.3077646261617421,0.30709495778907986,0.3187341658538922,0.32909919873405935,1.0,0.5103346340540854,1.0
-alpha,0.5,4,1.21259791332209,1.320700841615589,1.1897422972270533,0.48107755569772176,0.4862357938140646,0.37378439598079033,0.5111991884855893,0.5077556003478223,1.2472871551186377,0.7239949480721038,1.0286073738173533
+alpha,-0.5,4,1.3162604432489085,1.320700841615589,1.2218740315107328,0.22328326871875542,0.2126303004258333,0.24228818345246855,0.2174337906386803,0.23808379883038797,1.1532195515737211,0.4021117900792322,0.8761332588003969
+alpha,0.0,4,1.0,1.320700841615589,1.073501047856543,0.309360938193971,0.3077646261617421,0.30709495778907997,0.3187341658538922,0.32909919873405935,1.0,0.5103346340540854,1.0
+alpha,0.5,4,1.21259791332209,1.320700841615589,1.1897422972270533,0.48107755569772176,0.4862357938140646,0.37378439598079044,0.5111991884855894,0.5077556003478223,1.2472871551186377,0.7239949480721038,1.0286073738173533
 """
 
 

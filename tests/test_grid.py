@@ -23,6 +23,7 @@ from dyadbloom.grid import (
     heap_scales,
     level,
     level_masses,
+    local_integrals,
     spread,
     square_layers,
     synthesize_leaves,
@@ -236,6 +237,25 @@ def test_level_masses_parents_are_exact_child_sums(rng):
                                       level(masses, k + 1).reshape(-1, 2).sum(axis=1))
     np.testing.assert_array_equal(level(masses, depth), vals * 2.0**-depth)
     assert masses[0] == masses[1]  # entry 0 repeats the root's
+
+
+@pytest.mark.parametrize("depth", range(1, 11))
+def test_local_integrals_match_per_interval_brute_force(depth):
+    # the bottom-up localized pass against each K's synthesis built from the
+    # coefficients within K alone, under an integrand that adds a per-level
+    # offset and a weight, as the necessity bound's does
+    r = np.random.default_rng(2100 + depth)
+    coeffs = r.standard_normal(1 << depth)
+    offsets = r.standard_normal(depth)
+    w = np.exp(r.uniform(-2.0, 2.0, 1 << depth))
+
+    def integrand(k, v):
+        return (v + offsets[k]) ** 2 * w
+
+    got = local_integrals(coeffs, integrand)
+    want = oracles.local_integrals_oracle(coeffs, integrand, depth)
+    assert got.shape == (1 << depth,) and got[0] == 0.0
+    np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12, atol=0)
 
 
 def test_analyze_synthesize_leaves_accept_short_coeff_lists(rng):

@@ -458,6 +458,7 @@ def test_non_finite_matvec_raises(bad):
 # deterministic, so not one bit may move without a stated reason.  To
 # re-record after a change that is meant to move them (and say so in
 # CHANGES.md):  PYTHONPATH=src python tests/test_normest.py
+# It prints every pin it moves (old -> new, hex and decimal), then the tables.
 _PINNED_D8_REPORT = {
     "a2_lambda": "0x1.b4d4d4dffe061p+0",
     "a2_mu": "0x1.8766bd553978bp+0",
@@ -467,7 +468,7 @@ _PINNED_D8_REPORT = {
     "bmo.bloom_b2_l2form": "0x1.8eb45a3f71389p-1",
     "bmo.bmo_rho": "0x1.18b7682203cc5p-1",
     "bmo.bmo_rho_l1": "0x1.504c95913b235p-1",
-    "bmo.neccon": "0x1.64099d147a515p-1",
+    "bmo.neccon": "0x1.64099d147a516p-1",
     "norm_commutator": "0x1.8331849088937p+0",
     "norm_paraproduct": "0x1.dbcb8c726124cp-1",
     "norm_paraproduct_adjoint": "0x1.dbcb8c726124cp-1",
@@ -874,10 +875,17 @@ def test_indicator_average_identity():
 
 
 if __name__ == "__main__":
-    # prints the two pin tables above, to paste over them
+    # prints every pin the re-record moves (old -> new, hex and decimal),
+    # then the two pin tables above, to paste over them
+    from test_suite_pins import pin_changes
+
     report = _d8_report()
-    for name, table in (("_PINNED_D8_REPORT", _report_floats(report)),
-                        ("_PINNED_D8_DIAGNOSTICS", _report_diagnostics(report))):
+    tables = {"_PINNED_D8_REPORT": _report_floats(report),
+              "_PINNED_D8_DIAGNOSTICS": _report_diagnostics(report)}
+    changes = pin_changes({"_PINNED_D8_REPORT": _PINNED_D8_REPORT,
+                           "_PINNED_D8_DIAGNOSTICS": _PINNED_D8_DIAGNOSTICS}, tables)
+    print("\n".join(changes) if changes else "no pin moves", end="\n\n")
+    for name, table in tables.items():
         print(f"{name} = {{")
         for k, v in table.items():
             print(f"    {k!r}: {v!r},".replace("'", '"'))

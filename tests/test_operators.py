@@ -3,6 +3,8 @@ in its three pieces [Pi_b, Sh] f, [Pi*_b, Sh] f and R_b f."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from dyadbloom import (
@@ -94,6 +96,46 @@ def test_product_decomposition_is_an_identity():
         )
         scale = max(1.0, float(np.abs(lhs).max()))
         assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+
+
+def _wide_leaves(depth, decades, signed, seed):
+    # leaves log-uniform in [10^-decades, 10^decades] (1e-8 to 1e8 at
+    # decades = 8), of random sign when signed
+    r = np.random.default_rng(seed)
+    signs = r.choice([-1.0, 1.0], 1 << depth) if signed else 1.0
+    return leaf_values(signs * 10.0 ** (decades * r.uniform(-1.0, 1.0, 1 << depth)))
+
+
+_WIDE = dict(depth=st.integers(2, 12), decades=st.floats(0.0, 8.0), signed=st.booleans(),
+             seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_WIDE)
+def test_product_decomposition_holds_against_its_largest_summand(depth, decades, signed, seed):
+    # b g = <b><g> + Pi_b g + Pi_g b + Pi*_b g: the residual is measured
+    # against the largest summand, as the summands can dwarf b g itself
+    b, g = (_wide_leaves(depth, decades, signed, seed + i) for i in range(2))
+    pi_b = paraproduct_operator(b)
+    summands = (np.full(b.size, b.mean() * g.mean()), pi_b.apply(g),
+                paraproduct_operator(g).apply(b), pi_b.transpose(g))
+    residual = np.abs(b * g - sum(summands)).max()
+    assert residual <= 1e-11 * max(np.abs(s).max() for s in summands)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_WIDE)
+def test_three_piece_expansion_holds_against_its_largest_summand(depth, decades, signed, seed):
+    # [b, Sh] f = [Pi_b, Sh] f + [Pi*_b, Sh] f + R_b f on admissible b, f,
+    # measured against the largest of its eight summands and of b f: Sh(b f)
+    # rounds at the size of b f, which dwarfs every summand when b is nearly
+    # constant
+    b, f = (project_admissible(_wide_leaves(depth, decades, signed, seed + i)) for i in range(2))
+    sh = shift_operator(depth).apply
+    pi_b, pi_f, shf = paraproduct_operator(b), paraproduct_operator(f), sh(f)
+    summands = (b * shf, sh(b * f), pi_b.apply(shf), sh(pi_b.apply(f)), pi_b.transpose(shf),
+                sh(pi_b.transpose(f)), paraproduct_operator(shf).apply(b), sh(pi_f.apply(b)), b * f)
+    assert expansion_terms(b, f).residual() <= 1e-11 * max(np.abs(s).max() for s in summands)
 
 
 def test_shift_matches_spectrum_oracle():

@@ -273,7 +273,10 @@ def test_each_suite_scans_only_the_functionals_it_reads(monkeypatch, suite):
     # a one-suite pass at D=4 x 3 trials computes the functionals its checks
     # read and no other: each trial's report scans on first read
     calls = {name: count_calls(monkeypatch, bmo, name) for name in _SCANS}
-    oscillations = count_calls(monkeypatch, bmo, "_oscillation_masses")
+    # lam_oscillation is a cached_property: count the computations behind it
+    prop, oscillations = bmo.BmoReport.__dict__["lam_oscillation"], []
+    compute = prop.func
+    monkeypatch.setattr(prop, "func", lambda rep: oscillations.append(rep) or compute(rep))
     (res,) = run_suites(ExperimentConfig(depth=4, trials=3, suites=(suite,)))
     assert res.passed
     per_trial, weighted = _SCANS_PER_TRIAL[suite]
@@ -283,7 +286,7 @@ def test_each_suite_scans_only_the_functionals_it_reads(monkeypatch, suite):
         want.update(_SCANS + ("_subtree_sums",))
         want_weighted += 1
     assert Counter({name: len(c) for name, c in calls.items() if c}) == want
-    assert sum(len(args) > 1 for args in oscillations) == want_weighted
+    assert len(oscillations) == want_weighted
 
 
 # default D=8 x 20 trials: (Carleson term sets, subtree-sum passes, Haar
