@@ -72,12 +72,6 @@ def _sqrt_sup(sup: _SupResult) -> _SupResult:
     return _SupResult(math.sqrt(max(sup.value, 0.0)), sup.argmax)
 
 
-def _masses(w: Weight) -> np.ndarray:
-    # w(I) on coefficient levels 0..D-1, exactly the level masses
-    n = 1 << w.depth
-    return np.ldexp(w.averages[:n], -heap_scales(n).levels)
-
-
 def _subtree_sums(values: np.ndarray) -> np.ndarray:
     # sums[i] = sum of values over all intervals contained in interval i
     # (inclusive), by grid's bottom-up pass
@@ -119,7 +113,7 @@ class CarlesonSequence:
 
     @cached_property
     def _sup(self) -> _SupResult:
-        return _sup(self.subtree_sums / _masses(self.weight))
+        return _sup(self.subtree_sums / self.weight.masses)
 
     @property
     def constant(self) -> float:
@@ -130,12 +124,12 @@ def _bloom_l2form_scan(coeffs: np.ndarray, mu: Weight, lam: Weight) -> _SupResul
     mu_inv = mu.inverse
     energy = local_integrals(coeffs * mu_inv.averages[: coeffs.shape[-1]],
                              lambda k, v: v**2 * lam.values)
-    return _sqrt_sup(_sup(energy / _masses(mu_inv)))
+    return _sqrt_sup(_sup(energy / mu_inv.masses))
 
 
 def _bmo_rho_scan(coeffs: np.ndarray, rho: Weight) -> _SupResult:
     # on K, b - <b>_K is the synthesis of b's coefficients within K
-    return _sqrt_sup(_sup(local_integrals(coeffs, lambda k, v: v**2) / _masses(rho)))
+    return _sqrt_sup(_sup(local_integrals(coeffs, lambda k, v: v**2) / rho.masses))
 
 
 def _bmo_rho_l1_scan(coeffs: np.ndarray, rho: Weight) -> _SupResult:
@@ -149,14 +143,14 @@ def _bmo_rho_l1_scan(coeffs: np.ndarray, rho: Weight) -> _SupResult:
     for k in range(depth_of(coeffs) - 1, -1, -1):
         suffix = np.repeat(level(layers, k), n >> k) + suffix
         level(integrals, k)[:] = np.sqrt(suffix).reshape(1 << k, -1).sum(axis=1) / n
-    value, where = _sup(integrals / _masses(rho))
+    value, where = _sup(integrals / rho.masses)
     return _SupResult(max(value, 0.0), where)
 
 
 def _neccon_scan(lam_osc: np.ndarray, mu_inv: Weight) -> _SupResult:
     # mu^{-1}(I) 4^k osc(I), each scaling exact
     levels = heap_scales(lam_osc.size).levels
-    return _sqrt_sup(_sup(np.ldexp(_masses(mu_inv), 2 * levels) * lam_osc))
+    return _sqrt_sup(_sup(np.ldexp(mu_inv.masses, 2 * levels) * lam_osc))
 
 
 class _Functional:

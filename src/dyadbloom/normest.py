@@ -40,12 +40,15 @@ everything else per row, so each row returns bitwise what it returns alone.
 The solvers (weighted_operator_norms, ppott_best_constants,
 carleson_embedding_checks) take one symbol and weight (pair) per row and
 return one TopEigen (value, matvecs, residual, gap) per row, and one
-problem is a one-row call; the verification suites solve a group of trials
-this way, and compute_norm_report its two shift norms.  A report makes
-three solves (paraproduct, shifts, and [b, Sh] on the shifts' plan):
-||Pi*_b|| = ||Pi_b|| by transposition, so the adjoint's value and
-diagnostics are the paraproduct's solve; the paraproduct-bounds suite
-solves both routes and checks that duality.
+problem is a one-row call.  SOLVES is the one table of named eigenproblems:
+each entry is a solver and the rows one BmoReport contributes, and
+solve_named solves the named entries for a list of reports, each entry in
+as few lockstep solves as the width cap allows.  The verification suites
+read it for a group of trials, and compute_norm_report for one triple its
+paraproduct, shift and commutator entries: ||Pi*_b|| = ||Pi_b|| by
+transposition, so the report's adjoint value and diagnostics are the
+paraproduct's solve; the paraproduct-bounds suite solves both routes and
+checks that duality.
 
 The Carleson block ties the coefficient functionals to embedding constants.
 Its sequences are bmo.CarlesonSequence, whose constant is computed once and
@@ -88,6 +91,7 @@ from .operators import (
     LeafOperator,
     commutator_operator,
     is_admissible,
+    paraproduct_adjoint_operator,
     paraproduct_operator,
     shift_operator,
 )
@@ -99,6 +103,8 @@ __all__ = [
     "weighted_operator_norms",
     "ppott_best_constants",
     "carleson_embedding_checks",
+    "SOLVES",
+    "solve_named",
     "necessity_restriction_ratios",
     "necessity_test_function_bound",
     "NormReport",
@@ -330,15 +336,54 @@ def carleson_embedding_checks(seqs: Sequence[CarlesonSequence]) -> list[TopEigen
     depth = same_depth(*(seq.weight.values for seq in seqs))
     n = 1 << depth
     root_w = np.sqrt(stack_rows([seq.weight.values for seq in seqs]))
-    levels = heap_scales(n).levels
-    level_weights = stack_rows([seq.values / np.ldexp(seq.weight.averages[:n], -levels) ** 2
-                                for seq in seqs])
+    level_weights = stack_rows([seq.values / seq.weight.masses**2 for seq in seqs])
 
     def form(y: np.ndarray) -> np.ndarray:
         terms = level_weights * level_masses(root_w * y)[..., :n]
         return root_w * spread(accumulate_levels(terms), depth)
 
     return _top_eigenvalues(1 << depth, form, len(seqs))
+
+
+def _norms(plan: Callable) -> Callable[[list], list[TopEigen]]:
+    # weighted norms of one operator kind over rows (symbol, mu, lambda):
+    # one plan for all the rows' symbols
+    def solve(rows: list) -> list[TopEigen]:
+        bs, mus, lams = zip(*rows)
+        return weighted_operator_norms(plan(bs), mus, lams)
+    return solve
+
+
+# name -> (solver, the rows of one report); a solver maps the rows of any
+# number of reports to one TopEigen per row.  A zero Carleson sequence is a
+# zero operator: its row stops at its first image with 0.0.
+SOLVES: dict[str, tuple[Callable[[list], list[TopEigen]], Callable[[BmoReport], list]]] = {
+    "paraproduct": (_norms(paraproduct_operator), lambda r: [(r.b, r.mu, r.lam)]),
+    "adjoint": (_norms(paraproduct_adjoint_operator),
+                lambda r: [(r.b, r.lam.inverse, r.mu.inverse)]),
+    "shift": (lambda ws: weighted_operator_norms(shift_operator(ws[0].depth), ws, ws),
+              lambda r: [r.mu, r.lam]),
+    "commutator": (_norms(lambda bs: commutator_operator(bs, shift_operator(depth_of(bs[0])))),
+                   lambda r: [(r.b, r.mu, r.lam)]),
+    "embedding": (carleson_embedding_checks, lambda r: [r.carleson]),
+    "best_constant": (ppott_best_constants, lambda r: [r.mu, r.lam]),
+}
+
+
+def solve_named(names: Sequence[str], reports: Sequence[BmoReport]) -> list[dict[str, list]]:
+    """Each report's TopEigen rows of the named SOLVES entries, {name: rows},
+    each entry solved for all the reports in as few lockstep solves as the
+    width cap allows; a row's result does not depend on the other rows."""
+    n = 1 << reports[0].mu.depth
+    out: list[dict[str, list]] = [{} for _ in reports]
+    for name in names:
+        solver, rows_of = SOLVES[name]
+        rows = [rows_of(r) for r in reports]
+        flat = [row for report_rows in rows for row in report_rows]
+        eigen = iter([e for chunk in lockstep_chunks(flat, n) for e in solver(chunk)])
+        for solved, report_rows in zip(out, rows):
+            solved[name] = [next(eigen) for _ in report_rows]
+    return out
 
 
 def necessity_restriction_ratios(rep: BmoReport) -> np.ndarray:
@@ -382,12 +427,12 @@ def necessity_restriction_ratios(rep: BmoReport) -> np.ndarray:
     lam, cb, sums = rep.lam, rep.coeffs, rep.carleson.subtree_sums
     n = cb.shape[-1]
     levels, root = heap_scales(n)
-    mu_mass = np.ldexp(rep.mu.inverse.averages[:n], -levels)
+    mu_mass = rep.mu.inverse.masses
     # P and R on every level k: the passes over the levels above k
     steps = (np.ldexp(cb, levels) * root)[: n >> 1]  # bhat(I) 2^{3k/2}
     steps[0] = 0.0
     paths = np.concatenate([[0.0], *(split(steps[: 1 << k]) for k in range(depth_of(cb)))])
-    terms = (paths**2 * np.ldexp(lam.averages[:n], -levels))[np.arange(n) ^ 1]
+    terms = (paths**2 * lam.masses)[np.arange(n) ^ 1]
     terms[:2] = 0.0
     outside = np.concatenate([[0.0], *(accumulate_levels(terms[: 2 << k])
                                        for k in range(depth_of(cb)))])
@@ -444,8 +489,8 @@ def compute_norm_report(
 
     Norms use the raw symbol; shift_truncated records whether b (or any shift
     input) carries level-(D-1) content that the shift drops structurally.
-    A report makes three solves: the paraproduct, the two shift norms as one
-    two-row lockstep solve up to D=12, and the commutator.  The adjoint
+    A report reads three SOLVES entries: the paraproduct, the two shift norms
+    (one two-row lockstep solve up to D=12), and the commutator.  The adjoint
     paraproduct is not solved: the weighted matrix of
     Pi*_b : L^2(lambda^{-1}) -> L^2(mu^{-1}) is the transpose of that of
     Pi_b : L^2(mu) -> L^2(lambda), so ||Pi*_b|| = ||Pi_b|| (the
@@ -457,18 +502,10 @@ def compute_norm_report(
     depth = same_depth(b, mu.values, lam.values)
     a2_mu = a2_characteristic(mu)
     rep = BmoReport(b, mu, lam)
-    (para,) = weighted_operator_norms(paraproduct_operator(b), [mu], [lam])
-    shift = shift_operator(depth)
-    sh_mu, sh_lam = (e for ws in lockstep_chunks([mu, lam], 1 << depth)
-                     for e in weighted_operator_norms(shift, ws, ws))
-    (comm,) = weighted_operator_norms(commutator_operator(b, shift), [mu], [lam])
-    solves = {
-        "norm_paraproduct": para,
-        "norm_paraproduct_adjoint": para,
-        "norm_shift_mu": sh_mu,
-        "norm_shift_lambda": sh_lam,
-        "norm_commutator": comm,
-    }
+    (solved,) = solve_named(("paraproduct", "shift", "commutator"), [rep])
+    (para,), (sh_mu, sh_lam), (comm,) = solved.values()
+    norms = dict(zip(("norm_paraproduct", "norm_paraproduct_adjoint", "norm_shift_mu",
+                      "norm_shift_lambda", "norm_commutator"), (para, para, sh_mu, sh_lam, comm)))
     ratios = {
         "commutator_over_bmo_rho": _safe_ratio(comm.value, rep.bmo_rho),
         "bmo_rho_over_commutator": _safe_ratio(rep.bmo_rho, comm.value),
@@ -484,9 +521,9 @@ def compute_norm_report(
         a2_lambda=a2_characteristic(lam),
         a2_rho=a2_characteristic(rep.rho),
         bmo=rep,
-        **{k: e.value for k, e in solves.items()},
+        **{k: e.value for k, e in norms.items()},
         shift_truncated=not is_admissible(b),
         ratios=ratios,
         diagnostics={k: {"matvecs": e.matvecs, "ritz_residual": e.residual, "ritz_gap": e.gap}
-                     for k, e in solves.items()},
+                     for k, e in norms.items()},
     )

@@ -65,12 +65,10 @@ def write_json(path: str | Path, obj) -> None:
 def read_json(path: str | Path):
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        return json.loads(p.read_text(encoding="utf-8"))
     except OSError as e:
         raise ConfigError(f"cannot read {p}: {e}") from e
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
         raise ConfigError(f"{p} is not valid JSON: {e}") from e
 
 

@@ -21,16 +21,18 @@ once and every selected suite checks it, in suite order, reporting to its
 own Record, so a suite's assertions and measurements do not depend on which
 others ran.
 
-Eigenvalue solves run in lockstep groups.  SOLVES names every eigenproblem
-a check may read (weighted norms, best constants, embedding constants) with
-its solver and the rows one trial contributes; Suite.solves lists the names
-a suite reads.  For each group of trials, run_suites solves the union of the
-selected suites' names once, each as one stacked solve (normest's lockstep
-Lanczos, one matvec per step for the whole group).  normest's width cap
-bounds rows x 2^D per solve at 2^13 leaves, so a group holds 2^13 / 2^D
-trials, and at D >= 13 every solve has one row.  Each row of a lockstep
-solve returns bitwise what it returns alone, so a trial's values do not
-depend on its group, and the output does not depend on the width.
+Eigenvalue solves run in lockstep groups.  normest.SOLVES, the table that
+compute_norm_report reads too, names every eigenproblem a check may read
+(weighted norms, best constants, embedding constants) with its solver and
+the rows one trial's BmoReport contributes; Suite.solves lists the names a
+suite reads.  For each group of trials, run_suites solves the union of the
+selected suites' names once through normest.solve_named, each as one
+stacked solve (normest's lockstep Lanczos, one matvec per step for the
+whole group).  normest's width cap bounds rows x 2^D per solve at 2^13
+leaves, so a group holds 2^13 / 2^D trials, and at D >= 13 every solve has
+one row.  Each row of a lockstep solve returns bitwise what it returns
+alone, so a trial's values do not depend on its group, and the output does
+not depend on the width.
 
 Per-trial materials: mu and lambda from the config's weight recipes, the
 symbol b projected onto admissible levels (<= D-2) so commutator identities
@@ -45,7 +47,7 @@ and each functional is computed when a check first reads it.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 
@@ -58,7 +60,6 @@ from .grid import (
     ROOT,
     accumulate_levels,
     analyze_leaves,
-    depth_of,
     haar_function,
     heap_scales,
     level,
@@ -67,12 +68,10 @@ from .grid import (
     synthesize_leaves,
 )
 from .normest import (
-    TopEigen,
-    carleson_embedding_checks,
     lockstep_chunks,
     necessity_test_function_bound,
     ppott_best_constants,
-    weighted_operator_norms,
+    solve_named,
 )
 from .operators import (
     ExpansionTerms,
@@ -108,7 +107,6 @@ __all__ = [
     "TrialData",
     "make_trial",
     "run_suites",
-    "SOLVES",
     "SUITES",
 ]
 
@@ -221,8 +219,8 @@ Solved = dict[str, list]
 class Suite:
     """A per-trial check and the ordered gates that become the assertions.
 
-    solves names the SOLVES entries the check reads; the check receives
-    {name: that trial's values, in row order}.
+    solves names the normest.SOLVES entries the check reads; the check
+    receives {name: that trial's values, in row order}.
     """
 
     check: Callable[[Record, TrialData, Solved], None]
@@ -388,15 +386,6 @@ def _degenerate_assertions(rec: Record) -> list[Assertion]:
 
 
 # --------------------------------------------------------- paraproduct-bounds
-
-
-def _norms(plan: Callable) -> Callable[[list], list[TopEigen]]:
-    """Solver of weighted norms of one operator kind over rows
-    (symbol, mu, lambda): one plan for all the rows' symbols."""
-    def solve(rows: list) -> list[TopEigen]:
-        bs, mus, lams = zip(*rows)
-        return weighted_operator_norms(plan(bs), mus, lams)
-    return solve
 
 
 def _check_paraproduct_bounds(rec: Record, td: TrialData, solved: Solved) -> None:
@@ -594,9 +583,7 @@ def _packing_assertions(rec: Record) -> list[Assertion]:
 def _check_neccon_chain(rec: Record, td: TrialData, solved: Solved) -> None:
     nec, bmo, b2 = td.bmo.neccon, td.bmo.bmo_rho, td.bmo.bloom_b2
     # sup_I (1/mu(I)) int_I (b - <b>_I)^2 lambda dx
-    osc = td.bmo.lam_oscillation
-    n = osc.size
-    base = float((osc[1:] / np.ldexp(td.mu.averages[1:n], -heap_scales(n).levels[1:])).max())
+    base = float((td.bmo.lam_oscillation / td.mu.masses)[1:].max())
     a2 = a2_characteristic(td.mu)
     # sandwich chain: base <= neccon^2 <= [mu]_{A2} * base, definitional
     rec.residual("neccon_at_least_mu_oscillation", _rel(base - nec**2, base))
@@ -606,20 +593,6 @@ def _check_neccon_chain(rec: Record, td: TrialData, solved: Solved) -> None:
     (n_comm,) = solved["commutator"]
     rec.sample("neccon_over_commutator_norm", nec / n_comm if n_comm > 0 else None)
 
-
-# name -> (solver, rows of one trial); a solver is a normest solver, which
-# maps the rows of a whole group to one TopEigen per row, and _solve_group
-# hands the checks their values.  A zero Carleson sequence is a zero
-# operator: its row stops at its first image and the check ignores it.
-SOLVES: dict[str, tuple[Callable[[list], list], Callable[[TrialData], list]]] = {
-    "paraproduct": (_norms(paraproduct_operator), lambda td: [(td.b, td.mu, td.lam)]),
-    "adjoint": (_norms(paraproduct_adjoint_operator),
-                lambda td: [(td.b, td.lam.inverse, td.mu.inverse)]),
-    "commutator": (_norms(lambda bs: commutator_operator(bs, shift_operator(depth_of(bs[0])))),
-                   lambda td: [(td.b, td.mu, td.lam)]),
-    "embedding": (carleson_embedding_checks, lambda td: [td.bmo.carleson]),
-    "best_constant": (ppott_best_constants, lambda td: [td.mu, td.lam]),
-}
 
 SUITES = {
     "identities": Suite(
@@ -696,21 +669,6 @@ SUITES = {
 }
 
 
-def _solve_group(names: Sequence[str], group: list[TrialData]) -> list[Solved]:
-    """Each trial's values of the named eigenproblems, every problem solved
-    for the whole group in as few lockstep solves as the width cap allows."""
-    n = group[0].b.size
-    out: list[Solved] = [{} for _ in group]
-    for name in names:
-        solver, rows_of = SOLVES[name]
-        rows = [rows_of(td) for td in group]
-        flat = [row for trial_rows in rows for row in trial_rows]
-        values = iter([e.value for chunk in lockstep_chunks(flat, n) for e in solver(chunk)])
-        for solved, trial_rows in zip(out, rows):
-            solved[name] = [next(values) for _ in trial_rows]
-    return out
-
-
 def run_suites(cfg: ExperimentConfig) -> list[SuiteResult]:
     """One result per suite of cfg.suites, in order, from one pass over the
     trials."""
@@ -722,10 +680,11 @@ def run_suites(cfg: ExperimentConfig) -> list[SuiteResult]:
         if trials[0] == 0:
             for rec in recs:
                 rec.first = group[0]
-        for td, solved in zip(group, _solve_group(solves, group)):
+        for td, solved in zip(group, solve_named(solves, [td.bmo for td in group])):
+            values = {name: [e.value for e in rows] for name, rows in solved.items()}
             for suite, rec in zip(suites, recs):
                 rec.trial = td.index
-                suite.check(rec, td, solved)
+                suite.check(rec, td, values)
     results = []
     for suite, rec in zip(suites, recs):
         res = SuiteResult(rec.suite, cfg.to_dict(), findings=rec.findings)

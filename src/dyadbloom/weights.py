@@ -3,7 +3,8 @@
 A weight is a strictly positive step function that stores one heap (grid's
 layout) of its interval averages: grid.level_masses' masses scaled by 2^k,
 so a parent's mass is the sum of its children's exactly, and the masses
-np.ldexp(w.averages, -k) are bitwise level_masses(w.values).
+np.ldexp(w.averages, -k) (w.masses on levels 0..D-1) are bitwise
+level_masses(w.values).
 """
 
 from __future__ import annotations
@@ -67,6 +68,13 @@ class Weight:
     @property
     def total_mass(self) -> float:
         return float(self.averages[1])
+
+    @property
+    def masses(self) -> np.ndarray:
+        """w(I) on coefficient levels 0..D-1 (entry 0 the root's), bitwise
+        level_masses(values)[:2^D]; derived on each read, not kept."""
+        n = 1 << self.depth
+        return np.ldexp(self.averages[:n], -heap_scales(n).levels)
 
     @cached_property
     def inverse(self) -> "Weight":

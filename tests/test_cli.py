@@ -663,6 +663,38 @@ def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, case):
         assert not [p for p in (tmp_path / "suites").iterdir() if p.is_file()]
 
 
+# files no JSON reader can take: bytes that are not UTF-8 (an executable's
+# header) and arrays nested past the decoder's recursion limit
+_UNDECODABLE = {
+    "not-utf8": b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0xdc)),
+    "too-deep": b"[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("content", sorted(_UNDECODABLE))
+@pytest.mark.parametrize("command", ["verify", "sweep", "norms-mu", "norms-lambda",
+                                     "norms-symbol", "report"])
+def test_undecodable_json_exits_2_with_one_error_line(tmp_path, capsys, command, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(_UNDECODABLE[content])
+    one = str(_save(tmp_path, "one.json", [1.0] * 4))
+    files = {"mu": one, "lambda": one,
+             "symbol": str(_save(tmp_path, "b.json", [0.0, 0.0, 1.0, -1.0], role="symbol"))}
+    if command.startswith("norms-"):
+        files[command[len("norms-"):]] = str(bad)
+    argv = {
+        "verify": ["verify", "--config", str(bad)],
+        "sweep": ["sweep", "--parameter", "delta", "--range", "0.1:0.2:2", "--config", str(bad),
+                  "--out", str(tmp_path / "sweep.csv")],
+        "report": ["report", "--results", str(bad)],
+    }.get(command, ["norms", "--mu", files["mu"], "--lambda", files["lambda"],
+                    "--symbol", files["symbol"]])
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {bad} ") and len(err.splitlines()) == 1
+
+
 def _out_of_memory(*args, **kwargs):
     raise MemoryError
 

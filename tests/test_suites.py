@@ -12,11 +12,11 @@ from collections import Counter
 import pytest
 
 from conftest import count_calls
-from dyadbloom import bmo, grid, operators, suites
+from dyadbloom import bmo, grid, normest, operators, suites
 from dyadbloom.bmo import BmoReport
 from dyadbloom.config import SUITE_NAMES, ExperimentConfig
-from dyadbloom.normest import TopEigen
-from dyadbloom.suites import SOLVES, SUITES, Record, run_suites
+from dyadbloom.normest import SOLVES, TopEigen, compute_norm_report
+from dyadbloom.suites import SUITES, Record, run_suites
 
 CONTRACT = {
     "identities": (
@@ -102,14 +102,39 @@ def test_suite_registry_matches_config_names():
     assert tuple(CONTRACT) == SUITE_NAMES
 
 
-def test_every_solve_is_named_and_every_name_solved():
-    assert {name for suite in SUITES.values() for name in suite.solves} == set(SOLVES)
+def test_every_solve_is_named_and_every_name_solved(monkeypatch):
+    # every name a suite lists is a SOLVES entry, and every entry is read by
+    # an all-suite pass or by the norms report
+    read = set()
+
+    class Reading(dict):
+        def __getitem__(self, name):
+            read.add(name)
+            return super().__getitem__(name)
+
+    assert {name for suite in SUITES.values() for name in suite.solves} <= set(SOLVES)
+    monkeypatch.setattr(normest, "SOLVES", Reading(SOLVES))
+    run_suites(ExperimentConfig(depth=4, trials=1))
+    td = suites.make_trial(ExperimentConfig(depth=4), 0)
+    compute_norm_report(td.b, td.mu, td.lam)
+    assert read == set(SOLVES)
+
+
+def test_verify_and_the_norms_report_solve_through_one_table():
+    # a one-trial pass and the report of the same trial read the same SOLVES
+    # rows, so their paraproduct and commutator norms agree bitwise
+    cfg = ExperimentConfig(trials=1, suites=("paraproduct-bounds", "commutator-bounds"))
+    para, comm = run_suites(cfg)
+    td = suites.make_trial(cfg, 0)
+    rep = compute_norm_report(td.b, td.mu, td.lam)
+    assert para.measured["norm_paraproduct"]["min"] == rep.norm_paraproduct
+    assert comm.measured["norm_commutator"]["min"] == rep.norm_commutator
 
 
 @pytest.mark.parametrize("name", sorted(SOLVES))
 def test_every_solver_returns_one_top_eigen_per_row(name):
     solver, rows_of = SOLVES[name]
-    rows = rows_of(suites.make_trial(ExperimentConfig(depth=4), 0))
+    rows = rows_of(suites.make_trial(ExperimentConfig(depth=4), 0).bmo)
     out = solver(rows)
     assert len(out) == len(rows)
     assert all(type(e) is TopEigen for e in out)
