@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -68,7 +68,6 @@ __all__ = [
     "synthesize_leaves",
     "level_masses",
     "accumulate_levels",
-    "stack_rows",
     "haar_function",
     "square_layers",
 ]
@@ -266,13 +265,6 @@ def accumulate_levels(terms: np.ndarray) -> np.ndarray:
     for k in range(depth_of(terms)):
         v = np.repeat(v, 2 if k else 1, axis=-1) + level(terms, k)
     return v
-
-
-def stack_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """The arrays on a new leading axis, or the one array itself: a one-row
-    stack stays unstacked, where each numpy call costs least.  Every pass
-    here is elementwise, so a row's values are the same either way."""
-    return np.asarray(arrays[0]) if len(arrays) == 1 else np.stack(arrays)
 
 
 def haar_function(depth: int, iv: DyadicInterval) -> np.ndarray:

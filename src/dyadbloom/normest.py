@@ -34,9 +34,11 @@ cluster the basis has not yet resolved can leave theta low by up to the
 cluster's width.  Each matvec output is checked for finiteness once, and a
 zero operator is recognised from the first image, at no extra apply.
 
-The engine runs in lockstep: independent problems share one stacked matvec
-and one stacked eigh (each matrix diagonalised on its own) per step and keep
-everything else per row, so each row returns bitwise what it returns alone.
+The engine runs in lockstep on a (rows, 2^D) stack, one row included:
+independent problems share one stacked matvec, the stacked Gram-Schmidt
+products and one stacked eigh (each matrix diagonalised on its own) per
+step, and only the stop test and the restart run row by row, so each row
+returns bitwise what it returns alone.
 The solvers (weighted_operator_norms, ppott_best_constants,
 carleson_embedding_checks) take one symbol and weight (pair) per row and
 return one TopEigen (value, matvecs, residual, gap) per row, and one
@@ -84,7 +86,6 @@ from .grid import (
     same_depth,
     split,
     spread,
-    stack_rows,
     synthesize_leaves,
 )
 from .operators import (
@@ -156,24 +157,26 @@ def _top_eigenvalues(
     """Largest eigenvalue of each of `rows` symmetric positive semidefinite
     n x n operators, applied together: matvec maps a (rows, n) stack to the
     stack of images, row r of the input to row r of the output.  One row is
-    passed unstacked, as a vector of length n (see grid.stack_rows).
+    a one-row stack, of shape (1, n).
 
     Each row runs its own thick-restart Lanczos from one fixed seeded random
-    start vector; the rows only share the matvec, one stacked apply per
-    step, and one stacked eigh per step, which diagonalises each row's
-    projected matrix on its own.  Every other quantity is the row's own
-    (scaling, Gram-Schmidt, projected matrix, restart, stop test, restart
-    cap), computed with the same operations as a one-row solve, so each row
+    start vector.  Each step is one stacked matvec, the stacked products of
+    the scaling, the Gram-Schmidt passes, the norms and the basis update
+    (per stack item, numpy's matmul makes the same BLAS call as a one-row
+    product), and one stacked eigh, which diagonalises each row's
+    projected matrix on its own.  Only the stop test and the restart
+    rotation run row by row.  Each row's quantities (scaling, projected
+    matrix, restart, stop test, restart cap) are its own, so each row
     returns bitwise the result it returns when solved alone, and repeated
     calls return bitwise-equal floats.  A row that has stopped rides along
     on a zero vector until the last row stops; its images are not read.
 
-    Per row: each new vector is reorthogonalised against the whole basis by
-    two passes of classical Gram-Schmidt, whose coefficients fill the
-    projected matrix.  A full basis of 20 vectors restarts from its top 10
-    Ritz vectors, so at most 21 vectors of length n are held.  Images are
-    scaled by the power of two that puts the first image's largest entry in
-    [1/2, 1): exact, and it keeps squared norms from overflowing or
+    Each new vector is reorthogonalised against the whole basis by two
+    passes of classical Gram-Schmidt, whose coefficients fill the projected
+    matrix.  A full basis of 20 vectors restarts from its top 10 Ritz
+    vectors, so at most 21 vectors of length n are held per row.  Images are
+    scaled by the power of two that puts the row's first image's largest
+    entry in [1/2, 1): exact, and it keeps squared norms from overflowing or
     underflowing.
 
     After every step the row's (j+1) x (j+1) projected matrix is
@@ -208,61 +211,53 @@ def _top_eigenvalues(
     proj = np.zeros((rows, m, m))
     start = np.random.default_rng(0).standard_normal(n)
     basis[:, 0] = start / math.sqrt(start @ start)
-    shifts = [0] * rows
     ritz: list = [None] * rows  # each row's last (theta, s), for its restart
-    out: list[TopEigen] = [None] * rows  # type: ignore[list-item]
-    live = list(range(rows))
+    out = [TopEigen(0.0, 1, 0.0, 0.0)] * rows  # a zero first image's result
     steps = 0
-
-    def stop(r: int, top: float, residual: float, gap: float) -> None:
-        out[r] = TopEigen(max(float(np.ldexp(top, -shifts[r])), 0.0), steps,
-                          float(np.ldexp(residual, -shifts[r])),
-                          float(np.ldexp(gap, -shifts[r])))
-        live.remove(r)
-        if live:  # ride along on a zero vector
-            basis[r] = 0.0
-
     j = 0
     cap = _RESTARTS_PER_LEAF * n
     for _ in range(cap):
         while j < m:
-            images = matvec(basis[:, j] if rows > 1 else basis[0, j]).reshape(rows, n)
+            w = matvec(basis[:, j])
             steps += 1
-            if not np.isfinite(images).all():
+            if not np.isfinite(w).all():
                 raise ValueError("operator image is not finite")
-            grown = []  # (row, new residual vector, its norm, image norm)
-            for r in live[:]:
-                w = images[r]
-                if steps == 1:
-                    peak = float(np.abs(w).max())
-                    if peak == 0.0:
-                        stop(r, 0.0, 0.0, 0.0)
-                        continue
-                    shifts[r] = -math.frexp(peak)[1]
-                w = np.ldexp(w, shifts[r])
-                image_norm = math.sqrt(w @ w)
-                v = basis[r, : j + 1]
-                h = v @ w
-                w -= h @ v
-                c = v @ w
-                w -= c @ v
-                h += c
-                proj[r, : j + 1, j] = h
-                grown.append((r, w, math.sqrt(w @ w), image_norm))
+            if steps == 1:
+                peaks = np.abs(w).max(axis=-1)
+                shifts = -np.frexp(peaks)[1]
+                live = np.flatnonzero(peaks)
+                if not live.size:
+                    return out
+            w = np.ldexp(w, shifts[:, None])
+            image_norms = np.sqrt(w[:, None] @ w[..., None])[..., 0]
+            v = basis[:, : j + 1]
+            h = v @ w[..., None]
+            w -= (h.swapaxes(-1, -2) @ v)[:, 0]
+            c = v @ w[..., None]
+            w -= (c.swapaxes(-1, -2) @ v)[:, 0]
+            h += c
+            proj[:, : j + 1, j] = h[..., 0]
+            betas = np.sqrt(w[:, None] @ w[..., None])[..., 0]
             # one stacked eigh diagonalises each row's projected matrix on its own
-            pairs = (np.linalg.eigh(proj[[g[0] for g in grown], : j + 1, : j + 1], UPLO="U")
-                     if grown else ((), ()))
-            for (r, w, beta, image_norm), theta, s in zip(grown, *pairs):
+            thetas, ss = np.linalg.eigh(proj[live, : j + 1, : j + 1], UPLO="U")
+            going = np.zeros((rows, 1), dtype=bool)
+            for r, theta, s in zip(live, thetas, ss):
                 ritz[r] = theta, s
-                residual = abs(beta * s[-1, -1])
+                residual = abs(betas[r, 0] * s[-1, -1])
                 gap = float(theta[-1] - theta[-2]) if j else 0.0
-                if (j + 1 == n or beta <= (j + 1) * _EPS * image_norm
+                if (j + 1 == n or betas[r, 0] <= (j + 1) * _EPS * image_norms[r, 0]
                         or residual * residual <= _EPS * abs(theta[-1]) * max(gap, residual)):
-                    stop(r, theta[-1], residual, gap)
+                    out[r] = TopEigen(max(float(np.ldexp(theta[-1], -shifts[r])), 0.0), steps,
+                                      float(np.ldexp(residual, -shifts[r])),
+                                      float(np.ldexp(gap, -shifts[r])))
+                    if len(live) > 1:
+                        basis[r] = 0.0  # ride along on a zero vector
                 else:
-                    basis[r, j + 1] = w / beta
-            if not live:
+                    going[r] = True
+            live = np.flatnonzero(going)
+            if not live.size:
                 return out
+            np.divide(w, betas, out=basis[:, j + 1], where=going)
             j += 1
         for r in live:
             theta, s = ritz[r]
@@ -290,8 +285,8 @@ def weighted_operator_norms(
     residual and gap are those of W_r'W_r's top Ritz pair.  One norm is the
     one-row call weighted_operator_norms(T, [mu], [lam])[0].value."""
     depth = same_depth(*(w.values for w in (*mus, *lams)), depth=T.depth)
-    scale = 1.0 / np.sqrt(stack_rows([mu.values for mu in mus]))
-    lam_vals = stack_rows([lam.values for lam in lams])
+    scale = 1.0 / np.sqrt(np.stack([mu.values for mu in mus]))
+    lam_vals = np.stack([lam.values for lam in lams])
 
     def normal(x: np.ndarray) -> np.ndarray:
         return scale * T.transpose(lam_vals * T.apply(scale * x))
@@ -311,8 +306,8 @@ def ppott_best_constants(ws: Sequence[Weight]) -> list[TopEigen]:
     1/[w]_{A2} and equals 1 exactly when w is constant.
     """
     n = 1 << same_depth(*(w.values for w in ws))
-    root_w = np.sqrt(stack_rows([w.values for w in ws]))
-    inv_avgs = 1.0 / stack_rows([w.averages[:n] for w in ws])
+    root_w = np.sqrt(np.stack([w.values for w in ws]))
+    inv_avgs = 1.0 / np.stack([w.averages[:n] for w in ws])
 
     def form(y: np.ndarray) -> np.ndarray:
         c = analyze_leaves(root_w * y) * inv_avgs
@@ -335,8 +330,8 @@ def carleson_embedding_checks(seqs: Sequence[CarlesonSequence]) -> list[TopEigen
     """
     depth = same_depth(*(seq.weight.values for seq in seqs))
     n = 1 << depth
-    root_w = np.sqrt(stack_rows([seq.weight.values for seq in seqs]))
-    level_weights = stack_rows([seq.values / seq.weight.masses**2 for seq in seqs])
+    root_w = np.sqrt(np.stack([seq.weight.values for seq in seqs]))
+    level_weights = np.stack([seq.values / seq.weight.masses**2 for seq in seqs])
 
     def form(y: np.ndarray) -> np.ndarray:
         terms = level_weights * level_masses(root_w * y)[..., :n]

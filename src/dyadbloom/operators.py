@@ -60,7 +60,6 @@ from .grid import (
     same_depth,
     split,
     spread,
-    stack_rows,
     synthesize_leaves,
 )
 
@@ -98,10 +97,12 @@ Symbols = np.ndarray | Sequence[np.ndarray]
 
 
 def _symbol_rows(b: Symbols, values=lambda s: s, depth=None) -> tuple[int, np.ndarray]:
-    # the symbols' common depth (= depth, if given) and their stacked values(s)
+    # the symbols' common depth (= depth, if given) and their stacked values(s);
+    # a plan of one symbol holds its values unstacked
     if isinstance(b, np.ndarray):
         b = [b]
-    return same_depth(*b, depth=depth), stack_rows([values(s) for s in b])
+    rows = [values(s) for s in b]
+    return same_depth(*b, depth=depth), np.asarray(rows[0]) if len(b) == 1 else np.stack(rows)
 
 
 def paraproduct_operator(b: Symbols) -> LeafOperator:

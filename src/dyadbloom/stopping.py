@@ -61,10 +61,14 @@ Predicate = Callable[[int, np.ndarray], "np.ndarray | bool"]
 
 # The packing searches find the smallest constant on the geometric grid
 # {_GRID_FACTOR^k : k >= 1, up to _C_MAX} whose family packs to at most
-# PACKING_TARGET in w-mass.
+# PACKING_TARGET in w-mass.  The grid is built once, each constant the last
+# times _GRID_FACTOR.
 PACKING_TARGET = 0.5
 _GRID_FACTOR = 1.1
 _C_MAX = float(1 << 20)
+_CONSTANT_GRID = (_GRID_FACTOR,)
+while _CONSTANT_GRID[-1] * _GRID_FACTOR <= _C_MAX:
+    _CONSTANT_GRID += (_CONSTANT_GRID[-1] * _GRID_FACTOR,)
 
 
 def ordered_sum(values: np.ndarray) -> float:
@@ -275,15 +279,6 @@ def square_sum_factories(
     return rule_of_c
 
 
-def _constant_grid() -> list[float]:
-    out = []
-    c = _GRID_FACTOR
-    while c <= _C_MAX:
-        out.append(c)
-        c *= _GRID_FACTOR
-    return out
-
-
 def minimal_packing_constant(rule_of_c: Callable[[float], StoppingRule], w: Weight) -> float:
     """Smallest constant on the geometric grid whose stopping family under
     the root packs to at most PACKING_TARGET in w-mass.
@@ -293,7 +288,7 @@ def minimal_packing_constant(rule_of_c: Callable[[float], StoppingRule], w: Weig
     is valid.  Raises PackingSearchError carrying the best achieved ratio when
     even the largest constant fails.
     """
-    candidates = _constant_grid()
+    candidates = _CONSTANT_GRID
 
     def ratio_at(c: float) -> float:
         return packing_ratio(maximal_stopping_intervals(ROOT, rule_of_c(c)), w)
@@ -341,7 +336,7 @@ def minimal_corona_constant(
     A caller that already has minimal_packing_constant's result for the same
     arguments passes it as start, and the search is not run again; a start
     above the grid, or NaN, raises PackingSearchError."""
-    candidates = _constant_grid()
+    candidates = _CONSTANT_GRID
     if start is None:
         start = minimal_packing_constant(rule_of_c, w)
     idx = next((i for i, c in enumerate(candidates) if c >= start * (1 - 1e-12)), None)

@@ -271,7 +271,7 @@ def test_rank_one_operator_stops_at_once():
 
         def rank_one(x):
             matvecs.append(1)
-            return u * (u @ x)
+            return u * (x @ u[:, None])
 
         (got,) = normest._top_eigenvalues(len(u), rank_one, 1)
         assert got.value == pytest.approx(u @ u, rel=4 * np.finfo(float).eps)
@@ -325,9 +325,10 @@ def _alone(n, ops):
 
 
 def _stacked(n, ops):
-    """All of ops as one lockstep problem, row r applying ops[r]."""
+    """All of ops as one lockstep problem, row r applying ops[r] to its
+    one-row stack."""
     return normest._top_eigenvalues(
-        n, lambda x: np.stack([op(row) for op, row in zip(ops, x)]), len(ops)
+        n, lambda x: np.concatenate([op(x[r : r + 1]) for r, op in enumerate(ops)]), len(ops)
     )
 
 
@@ -343,7 +344,7 @@ def test_lockstep_rows_equal_rows_alone_on_synthetic_operators():
     gapped = _gapped_diagonal(n, 1e-2)
     ops = [
         lambda x: 0.0 * x,
-        lambda x: u * (u @ x),
+        lambda x: u * (x @ u[:, None]),
         lambda x: np.sqrt(np.linspace(0.1, 1.0, n)) * x,
         lambda x: np.arange(n) ** 4.0 * x,
         lambda x: gapped * x,
@@ -357,6 +358,27 @@ def test_lockstep_rows_equal_rows_alone_on_synthetic_operators():
     assert sum(e.matvecs > 20 and e.matvecs % 10 != 0 for e in alone) >= 2
     assert _stacked(n, ops) == alone
     assert _stacked(n, ops[::-1]) == alone[::-1]
+
+
+def test_one_row_solve_is_a_one_row_stack():
+    # the engine hands every matvec a (rows, n) stack, one row included: a
+    # matvec that takes only stacks solves alone what it solves as a row of
+    # a two-row lockstep, where the other row stops at a different step
+    n = 256
+    d = np.sqrt(np.linspace(0.1, 1.0, n))
+    e = _gapped_diagonal(n, 1e-2)
+
+    def stacks_only(x):
+        if x.ndim != 2:
+            raise ValueError("a matvec takes a (rows, n) stack")
+        return d * x
+
+    (alone,) = normest._top_eigenvalues(n, stacks_only, 1)
+    first, other = normest._top_eigenvalues(
+        n, lambda x: np.concatenate([stacks_only(x[:1]), e * x[1:]]), 2)
+    assert (first.value, first.matvecs) == (alone.value, alone.matvecs)
+    assert first == alone
+    assert other.matvecs != alone.matvecs
 
 
 def _depth8_rows(count, seed):
@@ -568,7 +590,7 @@ def test_restart_cap_is_ten_restarts_per_leaf():
 
     def not_linear(x):
         calls.append(1)
-        return noise.standard_normal(n)
+        return noise.standard_normal(x.shape)
 
     with pytest.raises(DyadBloomError, match=r"restart cap of 320 restarts \(10 n, n = 32\)"):
         normest._top_eigenvalues(n, not_linear, 1)
