@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import csv
 import errno
+import functools
 import math
 import os
 import sys
@@ -397,9 +398,14 @@ def _cmd_report(args) -> int:
     return 1 if any_fail else 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "gen": _cmd_gen,
         "norms": _cmd_norms,

@@ -199,12 +199,12 @@ def project_admissible(f: np.ndarray) -> np.ndarray:
     return synthesize_leaves(c[..., : max(c.shape[-1] >> 1, 1)], same_depth(f))
 
 
-def _admissible_coeffs(b: np.ndarray, f: np.ndarray, what: str):
-    # the coefficient heaps of b and f, each checked admissible
+def _admissible_coeffs(b: np.ndarray, f: np.ndarray, what: str, cb: np.ndarray | None):
+    # the coefficient heaps of b (cb, when given) and f, each checked admissible
     depth = same_depth(b, f)
     out = []
-    for name, s in (("symbol b", b), ("argument f", f)):
-        coeffs = analyze_leaves(s)
+    for name, coeffs in (("symbol b", analyze_leaves(b) if cb is None else cb),
+                         ("argument f", analyze_leaves(f))):
         worst = _top_level_max(coeffs)
         if worst > 0.0:
             raise InadmissibleLevelError(
@@ -219,16 +219,18 @@ def _admissible_coeffs(b: np.ndarray, f: np.ndarray, what: str):
     return out
 
 
-def remainder_closed_form(b: np.ndarray, f: np.ndarray) -> np.ndarray:
+def remainder_closed_form(b: np.ndarray, f: np.ndarray, cb: np.ndarray | None = None) -> np.ndarray:
     """Closed form of the expansion remainder Pi_{Sh f} b - Sh(Pi_f b):
 
         -(1/sqrt(2)) sum_I bhat(I) fhat(I) |I|^{-1/2} (h_{I_-} + h_{I_+}),
 
     the synthesis of the step -bhat(I) fhat(I) |I|^{-1} at both children of
     each I.  Levels run over 0..D-2, and b and f (one row or stacks of rows)
-    must be admissible: the deepest level must be zero to begin with.
+    must be admissible: the deepest level must be zero to begin with.  cb,
+    when given, is b's coefficient heap (grid.analyze_leaves(b)), read
+    instead of analysing b again.
     """
-    cb, cf = _admissible_coeffs(b, f, "remainder")
+    cb, cf = _admissible_coeffs(b, f, "remainder", cb)
     half = max(cb.shape[-1] >> 1, 1)
     s = np.ldexp(cb[..., 1:half] * cf[..., 1:half], heap_scales(cb.shape[-1]).levels[1:half])
     steps = np.zeros(s.shape[:-1] + (2 * half,))
@@ -268,16 +270,17 @@ class ExpansionTerms(NamedTuple):
         return float(np.abs(self.sign_flipped_sum() - self.commutator).max())
 
 
-def expansion_terms(b: np.ndarray, f: np.ndarray) -> ExpansionTerms:
+def expansion_terms(b: np.ndarray, f: np.ndarray, cb: np.ndarray | None = None) -> ExpansionTerms:
     """Compute the three expansion pieces and the direct commutator.
 
     b and f must be admissible.  Every intermediate is then admissible where
     a shift is applied, so the plans' shift drops nothing: Pi_b f and Pi_f b
     inherit b's and f's coefficient support, and Pi*_b f is constant on the
     (level of I)-blocks of its deepest active I, so its spectrum also stays
-    within levels <= D-2.
+    within levels <= D-2.  cb, when given, is b's coefficient heap, as for
+    remainder_closed_form.
     """
-    cb, cf = _admissible_coeffs(b, f, "expansion")
+    cb, cf = _admissible_coeffs(b, f, "expansion", cb)
     depth = depth_of(cb)
     shift = shift_operator(depth).apply
     pi_b = _paraproduct_plan(depth, cb)

@@ -279,9 +279,11 @@ def square_sum_factories(
     return rule_of_c
 
 
-def minimal_packing_constant(rule_of_c: Callable[[float], StoppingRule], w: Weight) -> float:
+def minimal_packing_constant(
+    rule_of_c: Callable[[float], StoppingRule], w: Weight
+) -> tuple[float, StoppingFamily]:
     """Smallest constant on the geometric grid whose stopping family under
-    the root packs to at most PACKING_TARGET in w-mass.
+    the root packs to at most PACKING_TARGET in w-mass, with that family.
 
     Packing is monotone nonincreasing in C for the factories above (members at
     larger C nest inside members at smaller C), so binary search over the grid
@@ -289,11 +291,8 @@ def minimal_packing_constant(rule_of_c: Callable[[float], StoppingRule], w: Weig
     even the largest constant fails.
     """
     candidates = _CONSTANT_GRID
-
-    def ratio_at(c: float) -> float:
-        return packing_ratio(maximal_stopping_intervals(ROOT, rule_of_c(c)), w)
-
-    best = ratio_at(candidates[-1])
+    found = maximal_stopping_intervals(ROOT, rule_of_c(candidates[-1]))
+    best = packing_ratio(found, w)
     if best > PACKING_TARGET:
         raise PackingSearchError(
             f"no constant up to {candidates[-1]:.6g} reaches packing target "
@@ -301,14 +300,15 @@ def minimal_packing_constant(rule_of_c: Callable[[float], StoppingRule], w: Weig
             min_ratio=best,
         )
     lo, hi = 0, len(candidates) - 1
-    # invariant: candidates[hi] succeeds
+    # invariant: candidates[hi] succeeds, with family found
     while lo < hi:
         mid = (lo + hi) // 2
-        if ratio_at(candidates[mid]) <= PACKING_TARGET:
-            hi = mid
+        fam = maximal_stopping_intervals(ROOT, rule_of_c(candidates[mid]))
+        if packing_ratio(fam, w) <= PACKING_TARGET:
+            hi, found = mid, fam
         else:
             lo = mid + 1
-    return candidates[hi]
+    return candidates[hi], found
 
 
 def corona_generations(rule: StoppingRule) -> list[StoppingFamily]:
@@ -329,16 +329,17 @@ def corona_generations(rule: StoppingRule) -> list[StoppingFamily]:
 
 def minimal_corona_constant(
     rule_of_c: Callable[[float], StoppingRule], w: Weight, start: float | None = None
-) -> float:
+) -> tuple[float, list[StoppingFamily]]:
     """Smallest grid constant whose packing target holds at EVERY corona root
-    (so generation masses decay geometrically).  Monotone in C for the same
-    reason as minimal_packing_constant; scanned upward from that constant.
-    A caller that already has minimal_packing_constant's result for the same
-    arguments passes it as start, and the search is not run again; a start
-    above the grid, or NaN, raises PackingSearchError."""
+    (so generation masses decay geometrically), with its corona_generations.
+    Monotone in C for the same reason as minimal_packing_constant; scanned
+    upward from that constant.  A caller that already has
+    minimal_packing_constant's constant for the same arguments passes it as
+    start, and the search is not run again; a start above the grid, or NaN,
+    raises PackingSearchError."""
     candidates = _CONSTANT_GRID
     if start is None:
-        start = minimal_packing_constant(rule_of_c, w)
+        start, _ = minimal_packing_constant(rule_of_c, w)
     idx = next((i for i, c in enumerate(candidates) if c >= start * (1 - 1e-12)), None)
     if idx is None:  # start is NaN or above the grid
         raise PackingSearchError(
@@ -350,7 +351,7 @@ def minimal_corona_constant(
     for c in candidates[idx:]:
         gens = corona_generations(rule_of_c(c))
         if all(packing_ratio(fam, w) <= PACKING_TARGET for fam in gens):
-            return c
+            return c, gens
     best = candidates[-1]
     raise PackingSearchError(
         f"no constant up to {best:.6g} packs every corona root to {PACKING_TARGET}",

@@ -38,10 +38,11 @@ Per-trial materials: mu and lambda from the config's weight recipes, the
 symbol b projected onto admissible levels (<= D-2) so commutator identities
 and functionals see the same symbol, and Gaussian test functions f, g from
 the trial's function stream (f, g admissible; raw variants keep all levels
-for identities that need no admissibility).  The functionals of b (bmo, one
-BmoReport, which also holds the trial's Bloom weight rho) and the three
-pieces of the expansion of [b, Sh] f (expansion) are built once per trial,
-and each functional is computed when a check first reads it.
+for identities that need no admissibility), drawn only if a check reads
+them.  The functionals of b (bmo, one BmoReport, which also holds the
+trial's Bloom weight rho and b's Haar coefficients) and the three pieces of
+the expansion of [b, Sh] f (expansion) are built once per trial, and each
+functional is computed when a check first reads it.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ from .operators import (
 )
 from .stopping import (
     PACKING_TARGET,
-    corona_generations,
     deviation_factory,
     maximal_stopping_intervals,
     minimal_corona_constant,
@@ -230,15 +230,27 @@ class Suite:
 
 @dataclass
 class TrialData:
+    """One trial's materials (module docstring); seed is the config's master
+    seed.  f_raw and g_raw are the two 2^D draws of the trial's function
+    stream, in that order, both drawn when either is first read; f and g,
+    their admissible projections, are made when first read."""
+
     index: int
+    seed: int
     mu: Weight
     lam: Weight
     b: np.ndarray
     b_raw: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    f_raw: np.ndarray
-    g_raw: np.ndarray
+
+    @cached_property
+    def _functions(self) -> np.ndarray:
+        rng = np.random.default_rng(derive_seed(self.seed, self.index, ROLE_FUNC))
+        return rng.standard_normal((2, self.b.size))
+
+    f_raw = cached_property(lambda self: self._functions[0])
+    g_raw = cached_property(lambda self: self._functions[1])
+    f = cached_property(lambda self: project_admissible(self.f_raw))
+    g = cached_property(lambda self: project_admissible(self.g_raw))
 
     @cached_property
     def bmo(self) -> BmoReport:
@@ -246,26 +258,13 @@ class TrialData:
 
     @cached_property
     def expansion(self) -> ExpansionTerms:
-        return expansion_terms(self.b, self.f)
+        return expansion_terms(self.b, self.f, self.bmo.coeffs)
 
 
 def make_trial(cfg: ExperimentConfig, t: int) -> TrialData:
     mu, lam, sym = (generate(spec) for spec in cfg.specs(t))
     b_raw = sym.values if isinstance(sym, Weight) else sym
-    rng = np.random.default_rng(derive_seed(cfg.seed, t, ROLE_FUNC))
-    f_raw = rng.standard_normal(1 << cfg.depth)
-    g_raw = rng.standard_normal(1 << cfg.depth)
-    return TrialData(
-        index=t,
-        mu=mu,
-        lam=lam,
-        b=project_admissible(b_raw),
-        b_raw=b_raw,
-        f=project_admissible(f_raw),
-        g=project_admissible(g_raw),
-        f_raw=f_raw,
-        g_raw=g_raw,
-    )
+    return TrialData(t, cfg.seed, mu, lam, project_admissible(b_raw), b_raw)
 
 
 # ---------------------------------------------------------------- identities
@@ -335,7 +334,7 @@ def _check_identities(rec: Record, td: TrialData, solved: Solved) -> None:
     scale = float(np.abs(terms.commutator).max())
     rec.residual("six_term_expansion", _rel(terms.residual(), scale))
     rec.sample("sign_flipped_residual", _rel(terms.sign_flipped_residual(), scale))
-    rem = remainder_closed_form(td.b, td.f)
+    rem = remainder_closed_form(td.b, td.f, td.bmo.coeffs)
     rec.residual(
         "remainder_closed_form",
         _rel(float(np.abs(rem - terms.remainder).max()), scale),
@@ -505,29 +504,27 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
     rho = td.bmo.rho
 
     def search(label, fn):
+        # a search's (constant, what it found there), or (None, None)
         try:
             return fn()
         except PackingSearchError as e:
             rec.failures.append((rec.trial, label, e.min_ratio))
-            return None
+            return None, None
 
     # C -> the deviation rules of lambda and of (mu^{-1}, lambda)
     by_lam, by_both = partial(deviation_factory, lam), partial(deviation_factory, [mu_inv, lam])
     # (a) two-sided lambda deviation: minimal constant and its packing
-    c = search("deviation", lambda: minimal_packing_constant(by_lam, lam))
+    c, fam = search("deviation", lambda: minimal_packing_constant(by_lam, lam))
     if c is not None:
-        fam = maximal_stopping_intervals(ROOT, by_lam(c))
         rec.residual("deviation_packing_at_target", packing_ratio(fam, lam) - PACKING_TARGET)
     rec.sample("deviation_constant", c)
     # corona decay at the corona-wide constant, scanned up from c (without
     # c the search reruns and records its own failure)
-    cc = search("corona", lambda: minimal_corona_constant(by_lam, lam, start=c))
-    if cc is not None:
-        gens = corona_generations(by_lam(cc))
-        for i, gen in enumerate(gens):
-            allowed = PACKING_TARGET ** (i + 1) * lam.total_mass
-            gen_mass = ordered_sum(gen.member_masses(lam))
-            rec.residual("corona_geometric_decay", gen_mass - allowed * (1 + 1e-12))
+    cc, gens = search("corona", lambda: minimal_corona_constant(by_lam, lam, start=c))
+    for i, gen in enumerate(gens or ()):
+        allowed = PACKING_TARGET ** (i + 1) * lam.total_mass
+        gen_mass = ordered_sum(gen.member_masses(lam))
+        rec.residual("corona_geometric_decay", gen_mass - allowed * (1 + 1e-12))
     rec.sample("corona_constant", cc)
     # (c) one-sided factor-4 threshold: definitional Lebesgue packing
     fam4 = maximal_stopping_intervals(ROOT, threshold_factory(mu_inv, 4.0))
@@ -537,9 +534,9 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
     b2 = td.bmo.bloom_b2
     c_both = over_base = None
     if b2 > 0:
-        c_both = search("two-weight deviation", lambda: minimal_packing_constant(by_both, mu_inv))
+        c_both, fam = search("two-weight deviation",
+                             lambda: minimal_packing_constant(by_both, mu_inv))
     if c_both is not None:
-        fam = maximal_stopping_intervals(ROOT, by_both(c_both))
         coeffs = td.bmo.coeffs
         # float_power is libm pow, as Python's ** on a float (a square is
         # not); the heap lists the unstopped intervals level-major
@@ -566,7 +563,7 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
     csq = None
     if b2 > 0:
         rules = square_sum_factories(b, rho, b2)
-        csq = search("square-sum", lambda: minimal_packing_constant(rules, rho))
+        csq, _ = search("square-sum", lambda: minimal_packing_constant(rules, rho))
     rec.sample("square_sum_constant", csq)
 
 

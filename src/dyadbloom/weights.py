@@ -231,15 +231,22 @@ def _power_leaf_averages(depth: int, alpha: float, center: float) -> np.ndarray:
 
 
 def _cascade_values(depth: int, delta: float, rng: np.random.Generator) -> np.ndarray:
+    # Per level, 2^k draws u then 2^k bits: an interval's children get the
+    # factors (1 + x, 1 - x), x = u delta, or -u delta where its bit is 1.
+    # random is uniform(0, 1) bit for bit, and a sign flip is exact, so
+    # u * -delta is -(u delta).
+    signed = np.array([delta, -delta])
+    u = np.empty(max((1 << depth) >> 1, 1))
     vals = np.ones(1)
     for k in range(depth):
-        u = rng.uniform(0.0, 1.0, size=1 << k)
-        sign = np.where(rng.integers(0, 2, size=1 << k) == 0, 1.0, -1.0)
-        factor = u * delta * sign
-        children = np.empty(1 << (k + 1))
-        children[0::2] = vals * (1.0 + factor)
-        children[1::2] = vals * (1.0 - factor)
-        vals = children
+        rng.random(out=u[: 1 << k])
+        x = signed[rng.integers(0, 2, size=1 << k)]
+        x *= u[: 1 << k]
+        children = np.empty((1 << k, 2))
+        np.add(1.0, x, out=children[:, 0])
+        np.subtract(1.0, x, out=children[:, 1])
+        children *= vals[:, None]
+        vals = children.reshape(-1)
     return vals
 
 

@@ -731,6 +731,53 @@ def test_norms_loads_no_scipy(tmp_path):
     assert json.loads(out.read_text())["depth"] == 4
 
 
+# runs each argument list of argv[1] through main in this one process and
+# prints [exit code, stdout, stderr] per call; a parse error's SystemExit
+# counts as its exit code
+_RUN_EACH = """
+import contextlib, io, json, sys
+from dyadbloom.cli import main
+calls = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    calls.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(calls))
+"""
+
+
+def test_one_process_runs_commands_as_fresh_processes_do(tmp_path):
+    # main keeps one parser per process: a call after another, a parse error
+    # included, exits and writes exactly as the same call in a new process
+    one = str(_save(tmp_path, "one.json", [1.0] * 8))
+    symbol, report, suites = (str(tmp_path / n) for n in ("b.json", "report.json", "suites"))
+    commands = [
+        ["gen", "--kind", "log-symbol", "--depth", "3", "--seed", "4", "--out", symbol],
+        ["verify", "--depth", "three"],
+        ["verify", "--depth", "3", "--trials", "2", "--suite", "stopping", "--out", suites],
+        ["norms", "--mu", one, "--lambda", one, "--symbol", symbol, "--out", report],
+    ]
+    outputs = [Path(symbol), None, Path(suites) / "suite-stopping.json", Path(report)]
+
+    def run(argvs):
+        proc = subprocess.run([sys.executable, "-c", _RUN_EACH, json.dumps(argvs)],
+                              capture_output=True, text=True, timeout=120, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    together = run(commands)
+    written = [p and p.read_bytes() for p in outputs]
+    assert [call[0] for call in together] == [0, 2, 0, 0]
+    assert "invalid int value: 'three'" in together[1][2]
+    for argv, call, path, data in zip(commands, together, outputs, written):
+        assert run([argv]) == [call], argv
+        assert (path and path.read_bytes()) == data, argv
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "dyadbloom.cli", "verify", "--depth", "3",

@@ -171,6 +171,19 @@ def test_identities_reject_deepest_level():
             identity(good, bad)
         assert exc.value.level == 2
         assert exc.value.max_abs > 0
+        # a symbol handed in with its coefficient heap is checked from the heap
+        with pytest.raises(InadmissibleLevelError, match="symbol b") as exc:
+            identity(bad, good, analyze_leaves(bad))
+        assert exc.value.level == 2
+
+
+def test_identities_given_the_symbols_coefficients_agree_bitwise():
+    for seed in range(3):
+        b, f = _pair(6, 40 + seed)
+        cb = analyze_leaves(b)
+        for got, want in zip(expansion_terms(b, f, cb), expansion_terms(b, f)):
+            assert got.tobytes() == want.tobytes()
+        assert remainder_closed_form(b, f, cb).tobytes() == remainder_closed_form(b, f).tobytes()
 
 
 def test_shift_plan_truncates_what_is_admissible_flags():

@@ -74,6 +74,13 @@ def _unstopped(fam: StoppingFamily) -> list[DyadicInterval]:
     return [DyadicInterval.at(i) for i in np.flatnonzero(fam.unstopped)]
 
 
+def _same_family(a: StoppingFamily, b: StoppingFamily) -> bool:
+    return all(np.array_equal(x, y) for x, y in (
+        (a.roots.levels, b.roots.levels), (a.roots.positions, b.roots.positions),
+        (a.members.levels, b.members.levels), (a.members.positions, b.members.positions),
+        (a.owners, b.owners), (a.unstopped, b.unstopped)))
+
+
 def _family(depth, root, *members) -> StoppingFamily:
     owners = np.zeros(len(members), np.intp)
     return StoppingFamily(depth, Intervals.of(root), Intervals.of(*members), owners, {})
@@ -178,16 +185,20 @@ def test_deviation_factory_stops_on_both_sides(weight_4411):
 
 def test_minimal_packing_constant_trivial(unit_weight):
     one = unit_weight(3)
-    c = minimal_packing_constant(lambda C: deviation_factory(one, C), one)
+    c, fam = minimal_packing_constant(lambda C: deviation_factory(one, C), one)
     assert c == pytest.approx(1.1, rel=1e-12)
+    assert _members(fam) == ()
 
 
 def test_minimal_packing_constant_worked_example(weight_4411):
     # exhaustive over the geometric grid: 4 > 2.5*C fails first at C = 1.1^5
     # and the low side 1 < 2.5/C keeps only [1/2,1), packing 0.2
     lam = weight_4411
-    c = minimal_packing_constant(lambda C: deviation_factory(lam, C), lam)
+    c, fam = minimal_packing_constant(lambda C: deviation_factory(lam, C), lam)
     assert c == pytest.approx(1.1**5, rel=1e-12)
+    # the search hands back its family at c, as a fresh scan finds it
+    assert _members(fam) == (DyadicInterval(1, 1),)
+    assert _same_family(fam, maximal_stopping_intervals(ROOT, deviation_factory(lam, c)))
 
     def ratio_at(cand: float) -> float:
         fam = maximal_stopping_intervals(ROOT, deviation_factory(lam, cand))
@@ -227,14 +238,18 @@ def test_corona_generation_indices_and_reanchoring(weight_4411):
 
 def test_corona_geometric_decay_cascade():
     lam = generate(EnsembleSpec(kind="cascade", depth=10, seed=5, delta=0.6))
-    cc = minimal_corona_constant(lambda C: deviation_factory(lam, C), lam)
-    cp = minimal_packing_constant(lambda C: deviation_factory(lam, C), lam)
+    cc, gens = minimal_corona_constant(lambda C: deviation_factory(lam, C), lam)
+    cp, _ = minimal_packing_constant(lambda C: deviation_factory(lam, C), lam)
     assert cc >= cp * (1 - 1e-12)
     # handing the packing constant in skips that search, same result
-    assert minimal_corona_constant(
-        lambda C: deviation_factory(lam, C), lam, start=cp
-    ) == cc
-    gens = corona_generations(deviation_factory(lam, cc))
+    cc_from_cp, gens_from_cp = minimal_corona_constant(
+        lambda C: deviation_factory(lam, C), lam, start=cp)
+    assert cc_from_cp == cc
+    # the search hands back the corona at cc, as a fresh scan finds it
+    fresh = corona_generations(deviation_factory(lam, cc))
+    assert len(gens) == len(gens_from_cp) == len(fresh) >= 2
+    assert all(_same_family(a, b) and _same_family(a, c)
+               for a, b, c in zip(gens, gens_from_cp, fresh))
     total = lam.total_mass
     for g, gen in enumerate(gens, start=1):
         mass = ordered_sum(gen.member_masses(lam))
@@ -293,8 +308,7 @@ def test_unstopped_coefficient_sum_bound(random_positive):
     b = rng.standard_normal(1 << depth)
     mu_inv = mu.inverse
     b2 = BmoReport(b, mu, lam).bloom_b2
-    c = minimal_packing_constant(lambda C: deviation_factory([mu_inv, lam], C), mu_inv)
-    fam = maximal_stopping_intervals(ROOT, deviation_factory([mu_inv, lam], c))
+    c, fam = minimal_packing_constant(lambda C: deviation_factory([mu_inv, lam], C), mu_inv)
     coeff_sum = sum(
         oracles.coeff(b, 6, iv.level, iv.position) ** 2
         for iv in _unstopped(fam)
@@ -482,11 +496,10 @@ def test_corona_scan_matches_oracle_root_by_root(depth, data):
 
 
 def test_stopping_suite_at_depth_16_scans_once_per_generation(monkeypatch):
-    # one trial at D=16: the suite passes, and every corona (one per
-    # constant tried, plus the suite's own) costs one root-set scan per
-    # generation, not one per root
+    # two trials at D=16: the suite passes, and every corona (one per
+    # constant the corona search tries; the suite reads the search's own)
+    # costs one root-set scan per generation, not one per root
     import dyadbloom.stopping as stopping
-    import dyadbloom.suites as suites
 
     scans = []
     coronas = []
@@ -504,22 +517,22 @@ def test_stopping_suite_at_depth_16_scans_once_per_generation(monkeypatch):
 
     monkeypatch.setattr(stopping, "maximal_stopping_intervals", counted_scan)
     monkeypatch.setattr(stopping, "corona_generations", counted_corona)
-    monkeypatch.setattr(suites, "corona_generations", counted_corona)
-    (res,) = run_suites(ExperimentConfig(depth=16, trials=1, suites=("stopping",)))
+    (res,) = run_suites(ExperimentConfig(depth=16, trials=2, suites=("stopping",)))
     assert res.passed
     assert len(coronas) >= 2
     assert all(n == g for n, g in coronas), coronas
 
 
 def test_stopping_trial_analyses_b_once_per_square_sum_search(monkeypatch):
-    # one default D=8 stopping trial: make_trial projects b, f and g (3),
-    # the trial's BmoReport (its coefficients, read by bloom_b2 and by the
-    # unstopped coefficient sum) and the three-condition factory analyse b
-    # once each (2), and the square-sum search once (1), not once per
-    # candidate constant it tries
+    # one default D=8 stopping trial: make_trial projects b (1; f and g are
+    # drawn only when read, and this suite reads neither), the trial's
+    # BmoReport (its coefficients, read by bloom_b2 and by the unstopped
+    # coefficient sum) and the three-condition factory analyse b once each
+    # (2), and the square-sum search once (1), not once per candidate
+    # constant it tries
     from dyadbloom import grid as grid_module
 
     calls = count_calls(monkeypatch, grid_module, "analyze_leaves")
     (res,) = run_suites(ExperimentConfig(trials=1, suites=("stopping",)))
     assert res.measured["square_sum_constant"]["n"] == 1
-    assert len(calls) == 6
+    assert len(calls) == 4

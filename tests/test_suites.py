@@ -6,6 +6,7 @@ pinned here as literals.  A gate that no trial reaches must still appear,
 reading "no trials".
 """
 
+import hashlib
 import math
 from collections import Counter
 
@@ -316,12 +317,16 @@ def test_each_suite_scans_only_the_functionals_it_reads(monkeypatch, suite):
 
 # default D=8 x 20 trials: (Carleson term sets, subtree-sum passes, Haar
 # analyses of the trials' symbols) for one pass; each trial builds its two
-# sequences once and analyses its symbol once for the suites, and the
-# equivalences zero-symbol report adds two sequences
+# sequences once and analyses its symbol once for its BmoReport, whose
+# coefficients the identities read too, and the equivalences zero-symbol
+# report adds two sequences.  All suites analyse each symbol 5 times: the
+# report, commutator-bounds' two paraproduct plans and stopping's
+# three-condition and square-sum rules.
 _DEFAULT_PASS_WORK = {
+    ("identities",): (0, 0, 20),
     ("carleson",): (40, 40, 20),
     ("paraproduct-bounds",): (40, 40, 20),
-    SUITE_NAMES: (42, 42, 140),
+    SUITE_NAMES: (42, 42, 100),
 }
 
 
@@ -351,3 +356,89 @@ def test_trial_report_is_the_cached_bmo_report():
     assert td.bmo.to_dict() == BmoReport(td.b, td.mu, td.lam).to_dict()
     assert td.bmo is td.bmo
     assert td.expansion is td.expansion
+
+
+# sha256 of the bytes of each array a trial holds, per (depth, seed, trial,
+# roles): the default roles, or a mu whose a2_range rejects its first draw and
+# a cascade symbol.  Recorded when make_trial still drew every array up front.
+_ROLES = {
+    "default": {},
+    "a2-range": {"mu": {"kind": "cascade", "delta": 0.6, "a2_range": [2.0, 2.2]},
+                 "symbol": {"kind": "cascade", "delta": 0.5}},
+}
+_TRIAL_ARRAYS = ("mu", "lam", "b", "b_raw", "f", "g", "f_raw", "g_raw")
+_TRIAL_DIGESTS = {
+    (2, 2026, 0, "default"): {
+        "mu": "e4116ea0e800aa1e227bb6d55f67af51c804d941ec1a1ae09cf62de16a75bea2",
+        "lam": "60de8410de54058dcfd1cbfa45590b25ab9258d93b544e6a6afc05451778004a",
+        "b": "9f9832bffa5aaeda7576adb7caff786f31c6bb493047b091c24529082b04a1e9",
+        "b_raw": "856fa4d2f2696a7590da076ff73bb880d922a877ffb701496a2add70c706892a",
+        "f": "78624ac888155814f35a2b649dbf08c5d355eeab51116079131009419b49d997",
+        "g": "a86d1e4d18f1c660507268d309dde5311651ce5e1ad4593110c15271496ed487",
+        "f_raw": "7050724cde671449cd101a5b5cec9367dc8dac7f9a32a071a8a8406e9e67fdbd",
+        "g_raw": "8d2da9c4d08b49eb78f2d108a43b062a5ad77f42c87a7891d53488f5c621fcb7",
+    },
+    (3, 7, 1, "default"): {
+        "mu": "f5bb29635374e1adcac3f4327887547fa05edc49ff80d17f93429be1ab4a4150",
+        "lam": "40de6809a4695f4018c8325e41bbab33404ac4cfd7cd6badfcbc3dba5b08561e",
+        "b": "5f213037a423f37989fb436dd08965e3b1ea87ed3eb4bf69172e8f3d92db33ad",
+        "b_raw": "ed26290722e44f865f6eedb505b7469464659093699211ac484ad1d74fcfe383",
+        "f": "cd9b356fafeada1efbc55b3188f81f7c3b963812a6176539d57c0ee84dc0e53c",
+        "g": "638c1658fd53640e0ef02dbda69d37cc7aee14e8cfff0b5fc7b74d8276064692",
+        "f_raw": "31337c01c615faf036bed5bf679d21b9ee33f91745682807f9b868a7bddc0694",
+        "g_raw": "4c494fd082c2fd3c180735a9c7cf39054431b378439a37519fdd7469db70c4ba",
+    },
+    (8, 2026, 4, "default"): {
+        "mu": "deb0783148fc803363bc59c47de85f6e765d62cd36f37f12c2acdc1a12120eb4",
+        "lam": "66cf550a36c2b233ccc3e9e892b39c482720580c29f04ad4096500c3003eaed6",
+        "b": "c14137f3e5c25a90bacb4c19d7ddc10fba859453eb1c677e49e7e36571425969",
+        "b_raw": "b262d77884305cf74dbe866a52be46ae92e0e5fc527f249dc1fe71e2952e8dc0",
+        "f": "976c3b2ae165d7368f47019073c8c68e7bdf6767d018b0447e04f2e34790e7f1",
+        "g": "544dc9ceba4073744d31e9901ce1d220b0ef10256f8cf3dc6de018c8ebba476f",
+        "f_raw": "36c3aa8cc612131cad4f0ff2d35cd0864c06aba6d4c7ee4689f8a7964a1d3a1a",
+        "g_raw": "301837b96649fb3298193017a9adae69db07abb307fb909bf220610e080c3505",
+    },
+    (12, 5, 2, "default"): {
+        "mu": "45b14187391d6407e43836ed5dc84080b151523a9c8b068be8967d68f93c3893",
+        "lam": "c73302c356532ce2979a04fd9d4172f65fb864b68e01d95c8f37b22aa0610645",
+        "b": "f1950801c6650bc71a490dcaf8bce2fbc40efb2066061d987a4a41b377d150db",
+        "b_raw": "c4285d7d2ae1288482a0927bee31d2bdb2edc69eeb68773aaa10a542b75147b0",
+        "f": "cee20c91e2d8b088902ef65c69e89ca8c6af9fee60fd7103b49af4356412ea04",
+        "g": "52139e4e40309267881f88d00cafb422e5dfe131a3aada41a1678514d0797798",
+        "f_raw": "ecf8358193737c5aa9f76ae82029424d467949761d63b69c58127b9fd4705219",
+        "g_raw": "20ca65d49d1d80da0b0941099ee3e8b8453c7bbaed9f27236415123b29d6f748",
+    },
+    (6, 11, 3, "a2-range"): {
+        "mu": "4041536887a0f708ebfeafbb497b4f81c88f26a247145faba3eb2b9d0710fa2c",
+        "lam": "ce811e3514aba04fe16b531c35c4bf2ed2215bd1f1dd0bf9e573d40f7c52c320",
+        "b": "2a6d3bbe6f887631cf01d2d7ded1569801dcdf9f9d917795f9a6ebc9a9dcb1d1",
+        "b_raw": "0de582ffa064f910c300e0c42c001e53e7a4fbcb86ee117c79289780a53e8419",
+        "f": "191624103a5be24db42d7b0ce938b10d13730733ab958ebad9346b583c0fbcc1",
+        "g": "a686132a8605a6c623a2599045803685184f26948f17ea0a0fd53a3b10356345",
+        "f_raw": "1d96091059188c2a4100d84b555a1359f27f771027274821ef0c74fc77d15dc1",
+        "g_raw": "0837b7bf229888a04f4d1f99ba9affecc1f2571e51b9b37069062a4a10580f17",
+    },
+}
+
+
+def _trial_arrays(td):
+    return {"mu": td.mu.values, "lam": td.lam.values,
+            **{name: getattr(td, name) for name in _TRIAL_ARRAYS[2:]}}
+
+
+@pytest.mark.parametrize("case", list(_TRIAL_DIGESTS), ids=lambda c: "-".join(map(str, c)))
+def test_trial_data_bytes_are_pinned(case):
+    depth, seed, t, roles = case
+    cfg = ExperimentConfig.from_dict({"depth": depth, "seed": seed, **_ROLES[roles]})
+    got = {name: hashlib.sha256(a.tobytes()).hexdigest()
+           for name, a in _trial_arrays(suites.make_trial(cfg, t)).items()}
+    assert got == _TRIAL_DIGESTS[case]
+
+
+def test_trial_functions_do_not_depend_on_read_order():
+    # f, g and their raw draws come from one stream in a fixed order, however
+    # a check reads them
+    cfg = ExperimentConfig(depth=5, seed=3)
+    first, second = suites.make_trial(cfg, 2), suites.make_trial(cfg, 2)
+    got = {name: getattr(second, name).tobytes() for name in ("g", "g_raw", "f", "f_raw")}
+    assert got == {name: getattr(first, name).tobytes() for name in ("f_raw", "f", "g_raw", "g")}

@@ -15,6 +15,7 @@ from dyadbloom import (
     Weight,
     a2_characteristic,
     generate,
+    weights,
 )
 from dyadbloom.grid import analyze_leaves, heap_scales, level, level_masses
 from dyadbloom.weights import KIND_FIELDS, SYMBOL_KINDS, WEIGHT_KINDS
@@ -180,6 +181,35 @@ def test_cascade_parent_masses_preserved_by_each_split():
         np.testing.assert_allclose(
             level(masses, k), level(masses, k + 1).reshape(-1, 2).sum(axis=1), rtol=1e-15
         )
+
+
+def _cascade_reference(depth, delta, rng):
+    # the cascade loop as first written, frozen: per level one uniform(0, 1)
+    # draw and one integers(0, 2) draw of 2^k each, in that order
+    vals = np.ones(1)
+    for k in range(depth):
+        u = rng.uniform(0.0, 1.0, size=1 << k)
+        sign = np.where(rng.integers(0, 2, size=1 << k) == 0, 1.0, -1.0)
+        factor = u * delta * sign
+        children = np.empty(1 << (k + 1))
+        children[0::2] = vals * (1.0 + factor)
+        children[1::2] = vals * (1.0 - factor)
+        vals = children
+    return vals
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.4, 0.95])
+def test_cascade_values_match_the_reference_loop_bitwise(delta):
+    # the same draws from the same stream, and the same floats, at every depth;
+    # the stream's next draw agrees too, so generate's retries see the same state
+    for depth in range(1, 17):
+        seed = 1000 * depth + round(100 * delta)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = weights._cascade_values(depth, delta, rng)
+        want = _cascade_reference(depth, delta, ref_rng)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), depth
+        assert rng.random() == ref_rng.random()
 
 
 def test_log_symbol_is_log_of_cascade():
