@@ -55,14 +55,10 @@ class _SupResult(NamedTuple):
 
 
 def _sup(heap: np.ndarray) -> _SupResult:
-    # the largest of heap[1:] and its level-major first occurrence; a level
-    # holding a NaN is passed over whole, and with no number above -inf the
-    # result is (-inf, the root)
+    # the largest of heap[1:] and its level-major first occurrence: the
+    # first NaN if there is one (np.argmax), and (-inf, the root) with no
+    # number above -inf
     vals = heap[1:]
-    nan = np.isnan(vals)
-    if nan.any():
-        levels = heap_scales(heap.size).levels[1:]
-        vals = np.where(np.isin(levels, levels[nan]), -math.inf, vals)
     i = int(np.argmax(vals))
     return _SupResult(float(vals[i]), DyadicInterval.at(i + 1))
 

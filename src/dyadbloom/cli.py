@@ -89,8 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", default=None, help="directory for suite JSON files")
 
     s = sub.add_parser("sweep", help="sweep one parameter, write CSV")
-    s.add_argument("--parameter", required=True,
-                   choices=["alpha", "delta", "sparsity", "depth"])
+    s.add_argument("--parameter", required=True, choices=list(_SWEEPS))
     s.add_argument("--range", dest="range_", required=True,
                    help="start:end:count (linspace, inclusive)")
     s.add_argument("--config", default=None)
@@ -291,30 +290,26 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_config(base: ExperimentConfig, parameter: str, value: float) -> ExperimentConfig:
-    d = base.to_dict()
-    if parameter == "alpha":
-        d["mu"] = {"kind": "power", "alpha": float(value)}
-    elif parameter == "delta":
-        for role in ("mu", "lambda", "symbol"):
-            if "delta" in KIND_FIELDS[d[role]["kind"]]:
-                d[role] = {**d[role], "delta": float(value)}
-    elif parameter == "sparsity":
-        if d["symbol"]["kind"] != "haar-sparse-symbol":
-            d["symbol"] = {"kind": "haar-sparse-symbol"}
-        d["symbol"] = {**d["symbol"], "sparsity": float(value)}
-    elif parameter == "depth":
-        d["depth"] = int(round(value))
-    else:
-        raise ConfigError(f"unknown sweep parameter {parameter!r}")
-    return ExperimentConfig.from_dict(d)
+# sweep parameter -> (config dict, value) -> the entries the value replaces
+_SWEEPS = {
+    "alpha": lambda d, v: {"mu": {"kind": "power", "alpha": v}},
+    "delta": lambda d, v: {role: {**d[role], "delta": v} for role in ("mu", "lambda", "symbol")
+                           if "delta" in KIND_FIELDS[d[role]["kind"]]},
+    "sparsity": lambda d, v: {"symbol": {**d["symbol"], "sparsity": v}
+                              if d["symbol"]["kind"] == "haar-sparse-symbol"
+                              else {"kind": "haar-sparse-symbol", "sparsity": v}},
+    "depth": lambda d, v: {"depth": int(round(v))},
+}
 
 
 def sweep_rows(base: ExperimentConfig, parameter: str, values) -> list[dict]:
     """One norm report per parameter value, on trial-0 materials."""
+    if parameter not in _SWEEPS:
+        raise ConfigError(f"unknown sweep parameter {parameter!r}")
+    d = base.to_dict()
     rows = []
     for v in values:
-        cfg = _sweep_config(base, parameter, float(v))
+        cfg = ExperimentConfig.from_dict({**d, **_SWEEPS[parameter](d, float(v))})
         td = make_trial(cfg, 0)
         rep = compute_norm_report(td.b, td.mu, td.lam)
         cells = {

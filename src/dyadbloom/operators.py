@@ -247,9 +247,9 @@ class ExpansionTerms(NamedTuple):
         remainder   = R_b f = Pi_{Sh f} b - Sh(Pi_f b),
 
     together with the directly computed commutator.  signed_sum assembles the
-    right-hand side; residual measures the identity.  sign_flipped_sum negates
-    the two paraproduct pieces (a diagnostic variant whose residual is
-    generically order one).
+    right-hand side; residual measures the identity.  sign_flipped_residual
+    measures it with the two paraproduct pieces negated (a diagnostic
+    variant, generically order one).
     """
 
     commutator: np.ndarray
@@ -260,14 +260,12 @@ class ExpansionTerms(NamedTuple):
     def signed_sum(self) -> np.ndarray:
         return self.paraproduct + self.adjoint + self.remainder
 
-    def sign_flipped_sum(self) -> np.ndarray:
-        return self.remainder - self.paraproduct - self.adjoint
-
     def residual(self) -> float:
         return float(np.abs(self.signed_sum() - self.commutator).max())
 
     def sign_flipped_residual(self) -> float:
-        return float(np.abs(self.sign_flipped_sum() - self.commutator).max())
+        return float(np.abs(self.remainder - self.paraproduct - self.adjoint
+                            - self.commutator).max())
 
 
 def expansion_terms(b: np.ndarray, f: np.ndarray, cb: np.ndarray | None = None) -> ExpansionTerms:

@@ -14,7 +14,9 @@ returns predicate(k, owner): owner[j] is the index of the root the level-k
 position j lies strictly inside, or -1 outside every root or inside a
 member already found, and the predicate answers for all 2^k positions
 through anchor[owner], as a bool array or one scalar (answers where owner is
--1 are ignored).  The scan walks levels top-down with a few array operations
+-1 are ignored).  Each factory below lists anchored tests, (heap,
+comparison, one bound per root) triples, and its predicate is their OR
+(_any_of).  The scan walks levels top-down with a few array operations
 per level and no Python work per root or per interval.  A family keeps its
 rule's depth, and reading its masses from a weight of another depth raises
 GridMismatchError; so do roots below the rule's grid.  The searches and the
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -58,6 +61,7 @@ __all__ = [
 ]
 
 Predicate = Callable[[int, np.ndarray], "np.ndarray | bool"]
+Test = tuple[np.ndarray, np.ufunc, np.ndarray]
 
 # The packing searches find the smallest constant on the geometric grid
 # {_GRID_FACTOR^k : k >= 1, up to _C_MAX} whose family packs to at most
@@ -169,6 +173,19 @@ def packing_ratio(family: StoppingFamily, w: Weight) -> float:
     return float((family.member_masses(w) / masses).max())
 
 
+def _any_of(depth: int, tests: Callable[[Intervals], list[Test]]) -> StoppingRule:
+    """The rule on the depth-D grid that fires where compare(level(heap, k),
+    bound[owner]) holds for any (heap, compare, bound) that tests(roots)
+    lists, bound holding one value per root."""
+
+    def anchor(roots: Intervals) -> Predicate:
+        anchored = tests(roots)
+        return lambda k, owner: reduce(np.logical_or, [
+            compare(level(heap, k), bound[owner]) for heap, compare, bound in anchored])
+
+    return StoppingRule(depth, anchor)
+
+
 def deviation_factory(weights: Weight | Sequence[Weight], C: float) -> StoppingRule:
     """Stop where any listed weight's average deviates from its root average:
     <w>_I > C <w>_I0 or <w>_I < <w>_I0 / C."""
@@ -178,30 +195,17 @@ def deviation_factory(weights: Weight | Sequence[Weight], C: float) -> StoppingR
     if C <= 1.0:
         raise ValueError(f"deviation constant must exceed 1, got {C}")
 
-    def anchor(roots: Intervals) -> Predicate:
-        anchors = [roots.gather(w.averages) for w in ws]
-        bands = [(w, C * a, a / C) for w, a in zip(ws, anchors)]
+    def tests(roots: Intervals) -> list[Test]:
+        anchors = [(w.averages, roots.gather(w.averages)) for w in ws]
+        return [t for h, a in anchors for t in ((h, np.greater, C * a), (h, np.less, a / C))]
 
-        def predicate(k: int, owner: np.ndarray) -> np.ndarray:
-            fires = False
-            for w, hi, lo in bands:
-                v = level(w.averages, k)
-                fires = fires | (v > hi[owner]) | (v < lo[owner])
-            return fires
-
-        return predicate
-
-    return StoppingRule(same_depth(*(w.values for w in ws)), anchor)
+    return _any_of(same_depth(*(w.values for w in ws)), tests)
 
 
 def threshold_factory(w: Weight, factor: float = 4.0) -> StoppingRule:
     """Stop where <w>_I >= factor * <w>_I0 (one-sided)."""
-
-    def anchor(roots: Intervals) -> Predicate:
-        threshold = factor * roots.gather(w.averages)
-        return lambda k, owner: level(w.averages, k) >= threshold[owner]
-
-    return StoppingRule(w.depth, anchor)
+    return _any_of(w.depth, lambda roots: [
+        (w.averages, np.greater_equal, factor * roots.gather(w.averages))])
 
 
 def _path_sums(q: np.ndarray, roots: Intervals) -> np.ndarray:
@@ -238,24 +242,14 @@ def three_condition_factory(
     mu_inv = mu.inverse
     q = square_layers(b)
 
-    def anchor(roots: Intervals) -> Predicate:
-        hi_mu = C * roots.gather(mu_inv.averages)
+    def tests(roots: Intervals) -> list[Test]:
         a_rho = roots.gather(rho.averages)
-        hi_rho = C * a_rho
         # float_power is libm pow, as Python's ** on a float (a square is not)
-        threshold = np.float_power(C_b * a_rho, 2.0)
-        rows = _path_sums(q, roots)
+        return [(mu_inv.averages, np.greater, C * roots.gather(mu_inv.averages)),
+                (rho.averages, np.greater, C * a_rho),
+                (_path_sums(q, roots), np.greater, np.float_power(C_b * a_rho, 2.0))]
 
-        def predicate(k: int, owner: np.ndarray) -> np.ndarray:
-            return (
-                (level(mu_inv.averages, k) > hi_mu[owner])
-                | (level(rho.averages, k) > hi_rho[owner])
-                | (level(rows, k) > threshold[owner])
-            )
-
-        return predicate
-
-    return StoppingRule(depth, anchor)
+    return _any_of(depth, tests)
 
 
 def square_sum_factories(
@@ -267,16 +261,9 @@ def square_sum_factories(
     a packing search over C."""
     depth = same_depth(b, rho.values)
     q = square_layers(b)
-
-    def rule_of_c(C: float) -> StoppingRule:
-        def anchor(roots: Intervals) -> Predicate:
-            threshold = C * np.float_power(b2_value * roots.gather(rho.averages), 2.0)
-            rows = _path_sums(q, roots)
-            return lambda k, owner: level(rows, k) >= threshold[owner]
-
-        return StoppingRule(depth, anchor)
-
-    return rule_of_c
+    return lambda C: _any_of(depth, lambda roots: [(
+        _path_sums(q, roots), np.greater_equal,
+        C * np.float_power(b2_value * roots.gather(rho.averages), 2.0))])
 
 
 def minimal_packing_constant(

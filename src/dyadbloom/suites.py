@@ -78,7 +78,6 @@ from .operators import (
     ExpansionTerms,
     commutator_operator,
     expansion_terms,
-    paraproduct_adjoint_operator,
     paraproduct_operator,
     project_admissible,
     remainder_closed_form,
@@ -439,12 +438,12 @@ def _check_commutator_bounds(rec: Record, td: TrialData, solved: Solved) -> None
         "constant_symbol_commutes",
         float(np.abs(commutator_operator(c, shift).apply(td.f)).max()),
     )
-    # <T f, g> = <f, T' g> for every transpose the engine uses; the raw
-    # functions keep level-(D-1) content, which the shift truncates
-    f, g = td.f_raw, td.g_raw
-    for T in (paraproduct_operator(b), paraproduct_adjoint_operator(b), shift, M):
-        ip1 = float((T.apply(f) * g).mean())
-        ip2 = float((f * T.transpose(g)).mean())
+    # <T f, g> = <f, T' g> for every transpose the engine uses (Pi*_b's is
+    # Pi_b's on g, f); raw functions keep level-(D-1) content, which Sh drops
+    pi_b, f, g = paraproduct_operator(b), td.f_raw, td.g_raw
+    for T, u, v in ((pi_b, f, g), (pi_b, g, f), (shift, f, g), (M, f, g)):
+        ip1 = float((T.apply(u) * v).mean())
+        ip2 = float((u * T.transpose(v)).mean())
         rec.residual("adjoint_consistency", _rel(abs(ip1 - ip2), ip1, ip2))
     (n_comm,) = solved["commutator"]
     bmo = td.bmo.bmo_rho

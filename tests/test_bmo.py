@@ -159,16 +159,18 @@ def test_oscillation_masses_match_per_interval_oracle(depth, weighted):
         assert osc[oracles.heap_index(k, j)] == pytest.approx(want, rel=1e-12), (k, j)
 
 
-def test_sup_is_the_level_major_first_maximum_and_passes_over_nan_levels():
+def test_sup_is_the_level_major_first_maximum_and_propagates_nan():
     # a heap over levels 0..2: the argmax is the first maximum in level
-    # order; a level holding a NaN is passed over whole, as when each level
-    # was scanned on its own, and nothing above -inf leaves the root
+    # order; a NaN anywhere is the result, at the first NaN, so a NaN
+    # functional reaches the finiteness checks; and nothing above -inf
+    # leaves the root
     heap = np.array([0.0, 1.0, 3.0, 2.0, 0.5, 3.0, 3.0, 0.0])
     assert bmo._sup(heap) == (3.0, DyadicInterval(1, 0))
-    heap[3] = np.nan
-    assert bmo._sup(heap) == (3.0, DyadicInterval(2, 1))
-    heap[1:3] = -np.inf
-    heap[4:] = np.nan
+    heap[3] = heap[6] = np.nan
+    value, argmax = bmo._sup(heap)
+    assert math.isnan(value) and argmax == DyadicInterval(1, 1)
+    assert math.isnan(bmo._sqrt_sup(bmo._sup(heap)).value)
+    heap[1:] = -np.inf
     assert bmo._sup(heap) == (-math.inf, ROOT)
 
 

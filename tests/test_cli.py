@@ -21,7 +21,7 @@ import pytest
 import dyadbloom
 from dyadbloom import cli
 from dyadbloom.cli import SWEEP_COLUMNS, main
-from dyadbloom.config import MAX_DEPTH, SUITE_NAMES
+from dyadbloom.config import MAX_DEPTH, SUITE_NAMES, ExperimentConfig
 from dyadbloom.errors import ConfigError
 from dyadbloom.grid import leaf_values
 from dyadbloom.serialize import (
@@ -523,6 +523,13 @@ def test_sweep_rows_and_determinism(tmp_path):
     assert main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert out1.read_text() == _PINNED_SWEEP_CSV
+
+
+def test_sweep_rows_rejects_an_unknown_parameter():
+    # the parser offers only the known parameters; sweep_rows, called
+    # directly, refuses any other
+    with pytest.raises(ConfigError, match="unknown sweep parameter 'beta'"):
+        cli.sweep_rows(ExperimentConfig(depth=3), "beta", [0.1])
 
 
 def test_sweep_bad_range(tmp_path, capsys):

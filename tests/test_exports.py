@@ -1,6 +1,7 @@
 """Every name a module lists in __all__ exists: a star import of each module
 fails on a name left behind after its definition is deleted.  No module
-imports a sibling's private names."""
+imports a sibling's private names, and every top-level name is read
+somewhere in the package besides its own definition."""
 
 import ast
 import pkgutil
@@ -37,3 +38,41 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                 if names:
                     private.setdefault(path.stem, []).extend(names)
     assert private == {}
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    # the names a top-level statement binds, dunders aside
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def _read(stmt: ast.stmt) -> set[str]:
+    # the names a statement reads: loads, attributes and from-imports
+    out = set()
+    for n in ast.walk(stmt):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(a.name for a in n.names)
+    return out
+
+
+def test_every_top_level_name_is_read_besides_its_definition():
+    # a refactor that leaves a helper, constant or class no code reads
+    # fails here; a public name counts as read where the package imports it
+    package = Path(dyadbloom.__file__).parent
+    stmts = [(path.name, stmt) for path in sorted(package.glob("*.py"))
+             for stmt in ast.parse(path.read_text()).body]
+    reads = [_read(stmt) for _, stmt in stmts]
+    unread = [f"{module}: {name}" for i, (module, stmt) in enumerate(stmts)
+              for name in _defined(stmt)
+              if not any(name in r for j, r in enumerate(reads) if j != i)]
+    assert unread == []

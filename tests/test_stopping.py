@@ -7,6 +7,7 @@ root-set level scan with every factory against the depth-first per-interval
 scan and unstopped walk in oracles.py, root by root.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -35,7 +36,7 @@ from dyadbloom.stopping import (
     three_condition_factory,
     threshold_factory,
 )
-from dyadbloom.suites import run_suites
+from dyadbloom.suites import make_trial, run_suites
 from dyadbloom.weights import EnsembleSpec, Weight, generate
 
 
@@ -536,3 +537,66 @@ def test_stopping_trial_analyses_b_once_per_square_sum_search(monkeypatch):
     (res,) = run_suites(ExperimentConfig(trials=1, suites=("stopping",)))
     assert res.measured["square_sum_constant"]["n"] == 1
     assert len(calls) == 4
+
+
+# sha256 of members.levels, members.positions, owners and unstopped, family
+# after family, for each factory's families anchored at ROOT at three
+# constants, and for two coronas, on make_trial data per (depth, seed,
+# trial).  Recorded when each factory still wrote its own predicate.
+_FAMILY_DIGESTS = {
+    (6, 7, 0): {
+        "deviation": "9613f7d562bc765bce7aa7fe638da8f7c9880180f75968fc10e7e2a3b62f87be",
+        "threshold": "2f722a1617df42616611b7ec3ef590523b556ea535802f42f15d58f26f7dfc98",
+        "three-condition": "95095337e9a2630760b2fa395e2427852fdb4ea73954bae443e6ce906c8bc451",
+        "square-sum": "45dd849afc22d59391bf6542c47afe1eb795b39e9a6ffd5885cffb2922e982c1",
+        "deviation-corona": "733128ebb0b63cadc4e56d49f4bcfc7474d72a6d5315e580c1721659c5a9de9f",
+        "three-condition-corona": "74cefcb79f0d180097cb8fb730fd3749fc35fa5313477e7a79f51e2eb56b88dc",
+    },
+    (8, 2026, 1): {
+        "deviation": "d7bbe9b52a91b2d130677f09a0b272a78815aeb664a152703b1e90d1f2a91d16",
+        "threshold": "41919f7107ee8dd76dd86a5d3365e3694e7a797b0b0323c150780be1e82828bd",
+        "three-condition": "7df7324f56c913a90399f2f4bdde2211ab34fd6f280981f69e46addb6d393b24",
+        "square-sum": "f909bbd02e79f00910a4c6234d1398f7ad49476b60cead519d9a61ab47aa335e",
+        "deviation-corona": "e9b7746c9d88aed13545538a94f9e496ee3cbc200826a23a65b574db8a72e2a0",
+        "three-condition-corona": "8af7cd975fe8030f603a284778d2e58bab639ea25678fa12b642294b101700d6",
+    },
+    (10, 2026, 2): {
+        "deviation": "d86b2516b7155a04a5ee960ebad8b49eb8670b3ee3da3a39bb3beff17653b30b",
+        "threshold": "3c856359b3a0791ef25d95e46fb49d3605fafea19bcea0d8a3a84f2cb6ee9dc3",
+        "three-condition": "04791649ec144c1d797826bd2fdb0eaeaf917fa948064b465a699ec4ba7591d9",
+        "square-sum": "8f75608b883235943d296381af21d3d48921eb57cf95a1f49272241e04131041",
+        "deviation-corona": "df09c339d060ac6de810584f4b290a95ea669af4029d9aadef986a9268f8df1d",
+        "three-condition-corona": "88fa84b41baecaf9d9f354b096b6b5f2b0cf1897a606b1ecc07d068a450d4c43",
+    },
+}
+
+
+def _pinned_families(depth, seed, t):
+    td = make_trial(ExperimentConfig(depth=depth, seed=seed), t)
+    mu, lam, b, rho = td.mu, td.lam, td.b, td.bmo.rho
+    mu_inv = mu.inverse
+    square_sum = square_sum_factories(b, rho, td.bmo.bloom_b2)
+    rules = {
+        "deviation": [deviation_factory([mu_inv, lam], c) for c in (1.5, 2.0, 4.0)],
+        "threshold": [threshold_factory(mu_inv, c) for c in (1.5, 2.0, 3.0)],
+        "three-condition": [three_condition_factory(mu, rho, b, c, cb)
+                            for c, cb in ((1.5, 0.5), (2.0, 1.0), (4.0, 2.0))],
+        "square-sum": [square_sum(c) for c in (0.03, 0.1, 0.3)],
+    }
+    fams = {name: [maximal_stopping_intervals(ROOT, r) for r in rs] for name, rs in rules.items()}
+    fams["deviation-corona"] = corona_generations(deviation_factory(lam, 2.0))
+    fams["three-condition-corona"] = corona_generations(
+        three_condition_factory(mu, rho, b, 2.0, 1.0))
+    return fams
+
+
+@pytest.mark.parametrize("case", list(_FAMILY_DIGESTS), ids=lambda c: "-".join(map(str, c)))
+def test_factory_families_are_pinned(case):
+    got = {}
+    for name, fams in _pinned_families(*case).items():
+        h = hashlib.sha256()
+        for fam in fams:
+            for a in (fam.members.levels, fam.members.positions, fam.owners, fam.unstopped):
+                h.update(a.tobytes())
+        got[name] = h.hexdigest()
+    assert got == _FAMILY_DIGESTS[case]
