@@ -66,6 +66,7 @@ from .grid import (
 __all__ = [
     "LeafOperator",
     "paraproduct_operator",
+    "paraproduct_plan",
     "paraproduct_adjoint_operator",
     "shift_operator",
     "commutator_operator",
@@ -108,12 +109,13 @@ def _symbol_rows(b: Symbols, values=lambda s: s, depth=None) -> tuple[int, np.nd
 def paraproduct_operator(b: Symbols) -> LeafOperator:
     """Pi_b with transpose Pi*_b; b (one symbol's leaf array or a sequence
     of them) is analysed once, here."""
-    depth, bv = _symbol_rows(b)
-    return _paraproduct_plan(depth, analyze_leaves(bv))
+    _, bv = _symbol_rows(b)
+    return paraproduct_plan(analyze_leaves(bv))
 
 
-def _paraproduct_plan(depth: int, cb: np.ndarray) -> LeafOperator:
-    # Pi_b with transpose Pi*_b from the coefficient heap cb of b
+def paraproduct_plan(cb: np.ndarray) -> LeafOperator:
+    """Pi_b with transpose Pi*_b from the coefficient heap cb of b."""
+    depth = depth_of(cb)
     levels = heap_scales(1 << depth).levels
 
     def apply(f: np.ndarray) -> np.ndarray:
@@ -281,12 +283,12 @@ def expansion_terms(b: np.ndarray, f: np.ndarray, cb: np.ndarray | None = None) 
     cb, cf = _admissible_coeffs(b, f, "expansion", cb)
     depth = depth_of(cb)
     shift = shift_operator(depth).apply
-    pi_b = _paraproduct_plan(depth, cb)
+    pi_b = paraproduct_plan(cb)
     shf = shift(f)
     return ExpansionTerms(
         commutator=b * shf - shift(b * f),
         paraproduct=pi_b.apply(shf) - shift(pi_b.apply(f)),
         adjoint=pi_b.transpose(shf) - shift(pi_b.transpose(f)),
         remainder=paraproduct_operator(shf).apply(b)
-        - shift(_paraproduct_plan(depth, cf).apply(b)),
+        - shift(paraproduct_plan(cf).apply(b)),
     )

@@ -1,30 +1,28 @@
 """Stopping times, packing constants, and corona decompositions.
 
 A stopping family under a set of disjoint roots is the collection of maximal
-dyadic intervals strictly inside some root where a predicate first fires;
+dyadic intervals strictly inside some root where its rule first fires;
 descent never continues below a member.  Corona generation g+1 is the family
 under all members of generation g, so the corona costs one scan per
 generation, and a single family is the one-root case.
 
 Roots and members are `Intervals`, (level, position) arrays ordered by left
-endpoint.  A StoppingRule(depth, anchor) carries the depth of the grid it
-scans, which each factory below reads off its own arrays (grid.same_depth).
-anchor(roots) anchors every root at once, in arrays indexed by root, and
-returns predicate(k, owner): owner[j] is the index of the root the level-k
-position j lies strictly inside, or -1 outside every root or inside a
-member already found, and the predicate answers for all 2^k positions
-through anchor[owner], as a bool array or one scalar (answers where owner is
--1 are ignored).  Each factory below lists anchored tests, (heap,
-comparison, one bound per root) triples, and its predicate is their OR
-(_any_of).  The scan walks levels top-down with a few array operations
-per level and no Python work per root or per interval.  A family keeps its
-rule's depth, and reading its masses from a weight of another depth raises
-GridMismatchError; so do roots below the rule's grid.  The searches and the
-corona start at the root [0,1).
+endpoint.  A StoppingRule(depth, tests) carries the depth of the grid it
+scans, which each factory below reads off its own arrays (grid.same_depth),
+and tests(roots) anchors every root at once: it lists the rule's (heap,
+comparison, bound) tests, at least one, each bound holding one value per
+root.  The scan walks levels top-down with a few array operations per level
+and no Python work per root or per interval: owner[j] is the index of the
+root the level-k position j lies strictly inside, or -1 outside every root
+or inside a member already found, and the rule fires at j where
+compare(level(heap, k)[j], bound[owner[j]]) holds for any test.  A family
+keeps its rule's depth, and reading its masses from a weight of another
+depth raises GridMismatchError; so do roots below the rule's grid.  The
+searches and the corona start at the root [0,1).
 
 The unstopped collection is the roots together with every interval inside
 them contained in no member, read off the scan's owner arrays; each one below
-a root fails the predicate, which coefficient-sum estimates over it rely on.
+a root fails every test, which coefficient-sum estimates over it rely on.
 Sums over members add left to right from 0, as Python's sum does: np.cumsum
 for one sequence, a weighted np.bincount for per-root sums, never a pairwise
 reduction.
@@ -60,7 +58,6 @@ __all__ = [
     "PACKING_TARGET",
 ]
 
-Predicate = Callable[[int, np.ndarray], "np.ndarray | bool"]
 Test = tuple[np.ndarray, np.ufunc, np.ndarray]
 
 # The packing searches find the smallest constant on the geometric grid
@@ -98,11 +95,11 @@ class Intervals:
 
 
 class StoppingRule(NamedTuple):
-    """A stopping predicate on the depth-D grid: anchor(roots) -> predicate
-    (see the module docstring)."""
+    """A stopping rule on the depth-D grid: tests(roots) -> its anchored
+    (heap, comparison, one bound per root) tests (see the module docstring)."""
 
     depth: int
-    anchor: Callable[[Intervals], Predicate]
+    tests: Callable[[Intervals], list[Test]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,8 +127,8 @@ def maximal_stopping_intervals(
     roots: Intervals | DyadicInterval, rule: StoppingRule
 ) -> StoppingFamily:
     """Maximal intervals of the rule's grid strictly inside each root where
-    rule.anchor(roots) holds, by one top-down level scan over the whole
-    root set; descent stops at each member, and the scan ends once no
+    any test of rule.tests(roots) holds, by one top-down level scan over the
+    whole root set; descent stops at each member, and the scan ends once no
     position is left inside a root.  Members are ordered by left endpoint,
     so grouped by root."""
     if isinstance(roots, DyadicInterval):
@@ -141,7 +138,7 @@ def maximal_stopping_intervals(
     top, bottom = min(starting), max(starting)
     if bottom > depth:
         raise GridMismatchError(f"a root at level {bottom} lies below the depth-{depth} grid")
-    predicate = rule.anchor(roots)
+    tests = rule.tests(roots)
     owner = np.full(1 << top, -1, dtype=np.intp)
     found = [np.empty(0, dtype=np.intp)] * 3  # levels, positions, owners
     unstopped = np.zeros(2 << depth, dtype=bool)
@@ -149,7 +146,8 @@ def maximal_stopping_intervals(
         hits = 0
         if k > top:
             owner = owner.repeat(2)
-            j = ((owner >= 0) & predicate(k, owner)).nonzero()[0]
+            fires = [compare(level(heap, k), bound[owner]) for heap, compare, bound in tests]
+            j = ((owner >= 0) & reduce(np.logical_or, fires)).nonzero()[0]
             if hits := j.size:
                 found += [np.full(hits, k), j, owner[j]]
                 owner[j] = -1
@@ -173,19 +171,6 @@ def packing_ratio(family: StoppingFamily, w: Weight) -> float:
     return float((family.member_masses(w) / masses).max())
 
 
-def _any_of(depth: int, tests: Callable[[Intervals], list[Test]]) -> StoppingRule:
-    """The rule on the depth-D grid that fires where compare(level(heap, k),
-    bound[owner]) holds for any (heap, compare, bound) that tests(roots)
-    lists, bound holding one value per root."""
-
-    def anchor(roots: Intervals) -> Predicate:
-        anchored = tests(roots)
-        return lambda k, owner: reduce(np.logical_or, [
-            compare(level(heap, k), bound[owner]) for heap, compare, bound in anchored])
-
-    return StoppingRule(depth, anchor)
-
-
 def deviation_factory(weights: Weight | Sequence[Weight], C: float) -> StoppingRule:
     """Stop where any listed weight's average deviates from its root average:
     <w>_I > C <w>_I0 or <w>_I < <w>_I0 / C."""
@@ -199,12 +184,12 @@ def deviation_factory(weights: Weight | Sequence[Weight], C: float) -> StoppingR
         anchors = [(w.averages, roots.gather(w.averages)) for w in ws]
         return [t for h, a in anchors for t in ((h, np.greater, C * a), (h, np.less, a / C))]
 
-    return _any_of(same_depth(*(w.values for w in ws)), tests)
+    return StoppingRule(same_depth(*(w.values for w in ws)), tests)
 
 
 def threshold_factory(w: Weight, factor: float = 4.0) -> StoppingRule:
     """Stop where <w>_I >= factor * <w>_I0 (one-sided)."""
-    return _any_of(w.depth, lambda roots: [
+    return StoppingRule(w.depth, lambda roots: [
         (w.averages, np.greater_equal, factor * roots.gather(w.averages))])
 
 
@@ -249,7 +234,7 @@ def three_condition_factory(
                 (rho.averages, np.greater, C * a_rho),
                 (_path_sums(q, roots), np.greater, np.float_power(C_b * a_rho, 2.0))]
 
-    return _any_of(depth, tests)
+    return StoppingRule(depth, tests)
 
 
 def square_sum_factories(
@@ -261,7 +246,7 @@ def square_sum_factories(
     a packing search over C."""
     depth = same_depth(b, rho.values)
     q = square_layers(b)
-    return lambda C: _any_of(depth, lambda roots: [(
+    return lambda C: StoppingRule(depth, lambda roots: [(
         _path_sums(q, roots), np.greater_equal,
         C * np.float_power(b2_value * roots.gather(rho.averages), 2.0))])
 
@@ -277,25 +262,24 @@ def minimal_packing_constant(
     is valid.  Raises PackingSearchError carrying the best achieved ratio when
     even the largest constant fails.
     """
-    candidates = _CONSTANT_GRID
-    found = maximal_stopping_intervals(ROOT, rule_of_c(candidates[-1]))
+    found = maximal_stopping_intervals(ROOT, rule_of_c(_CONSTANT_GRID[-1]))
     best = packing_ratio(found, w)
     if best > PACKING_TARGET:
         raise PackingSearchError(
-            f"no constant up to {candidates[-1]:.6g} reaches packing target "
+            f"no constant up to {_CONSTANT_GRID[-1]:.6g} reaches packing target "
             f"{PACKING_TARGET}; best achieved ratio {best:.6g}",
             min_ratio=best,
         )
-    lo, hi = 0, len(candidates) - 1
-    # invariant: candidates[hi] succeeds, with family found
+    lo, hi = 0, len(_CONSTANT_GRID) - 1
+    # invariant: _CONSTANT_GRID[hi] succeeds, with family found
     while lo < hi:
         mid = (lo + hi) // 2
-        fam = maximal_stopping_intervals(ROOT, rule_of_c(candidates[mid]))
+        fam = maximal_stopping_intervals(ROOT, rule_of_c(_CONSTANT_GRID[mid]))
         if packing_ratio(fam, w) <= PACKING_TARGET:
             hi, found = mid, fam
         else:
             lo = mid + 1
-    return candidates[hi], found
+    return _CONSTANT_GRID[hi], found
 
 
 def corona_generations(rule: StoppingRule) -> list[StoppingFamily]:
@@ -324,22 +308,21 @@ def minimal_corona_constant(
     minimal_packing_constant's constant for the same arguments passes it as
     start, and the search is not run again; a start above the grid, or NaN,
     raises PackingSearchError."""
-    candidates = _CONSTANT_GRID
     if start is None:
         start, _ = minimal_packing_constant(rule_of_c, w)
-    idx = next((i for i, c in enumerate(candidates) if c >= start * (1 - 1e-12)), None)
+    idx = next((i for i, c in enumerate(_CONSTANT_GRID) if c >= start * (1 - 1e-12)), None)
     if idx is None:  # start is NaN or above the grid
         raise PackingSearchError(
             f"corona search start {start!r} is NaN or above the grid's largest "
-            f"constant {candidates[-1]:.6g}",
+            f"constant {_CONSTANT_GRID[-1]:.6g}",
             min_ratio=math.nan,
         )
 
-    for c in candidates[idx:]:
+    for c in _CONSTANT_GRID[idx:]:
         gens = corona_generations(rule_of_c(c))
         if all(packing_ratio(fam, w) <= PACKING_TARGET for fam in gens):
             return c, gens
-    best = candidates[-1]
+    best = _CONSTANT_GRID[-1]
     raise PackingSearchError(
         f"no constant up to {best:.6g} packs every corona root to {PACKING_TARGET}",
         min_ratio=math.nan,

@@ -79,6 +79,7 @@ from .operators import (
     commutator_operator,
     expansion_terms,
     paraproduct_operator,
+    paraproduct_plan,
     project_admissible,
     remainder_closed_form,
     shift_operator,
@@ -440,7 +441,7 @@ def _check_commutator_bounds(rec: Record, td: TrialData, solved: Solved) -> None
     )
     # <T f, g> = <f, T' g> for every transpose the engine uses (Pi*_b's is
     # Pi_b's on g, f); raw functions keep level-(D-1) content, which Sh drops
-    pi_b, f, g = paraproduct_operator(b), td.f_raw, td.g_raw
+    pi_b, f, g = paraproduct_plan(td.bmo.coeffs), td.f_raw, td.g_raw
     for T, u, v in ((pi_b, f, g), (pi_b, g, f), (shift, f, g), (M, f, g)):
         ip1 = float((T.apply(u) * v).mean())
         ip2 = float((u * T.transpose(v)).mean())

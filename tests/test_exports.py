@@ -1,9 +1,12 @@
 """Every name a module lists in __all__ exists: a star import of each module
 fails on a name left behind after its definition is deleted.  No module
 imports a sibling's private names, and every top-level name is read
-somewhere in the package besides its own definition."""
+somewhere in the package besides its own definition.  The names the
+benchmark's tracer wraps, and the parser it reads, still resolve."""
 
 import ast
+import argparse
+import importlib
 import pkgutil
 from pathlib import Path
 
@@ -76,3 +79,46 @@ def test_every_top_level_name_is_read_besides_its_definition():
               for name in _defined(stmt)
               if not any(name in r for j, r in enumerate(reads) if j != i)]
     assert unread == []
+
+
+# the (module, name) pairs of perfbench/tracing.py's WRAPPED table that
+# resolve in the package: the tracer skips a name a module no longer has,
+# so a rename would read as a layer metric of zero instead of failing
+_TRACED = {
+    ("grid", "analyze_leaves"), ("grid", "synthesize_leaves"), ("grid", "level_masses"),
+    ("weights", "generate"), ("weights", "_generate_once"), ("weights", "a2_characteristic"),
+    ("operators", "expansion_terms"), ("operators", "remainder_closed_form"),
+    ("normest", "necessity_restriction_ratios"),
+    ("normest", "necessity_test_function_bound"),
+    ("stopping", "minimal_packing_constant"), ("stopping", "minimal_corona_constant"),
+    ("stopping", "maximal_stopping_intervals"),
+    ("suites", "make_trial"),
+    ("serialize", "load_step_function"), ("serialize", "load_weight"),
+    ("serialize", "read_json"), ("serialize", "write_json"),
+    ("serialize", "save_step_function"),
+    ("normest", "compute_norm_report"),
+}
+
+
+def test_the_names_the_benchmark_traces_resolve():
+    # read, not imported: the table is parsed from the tracer's source
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    (table,) = [stmt.value for stmt in ast.parse(source.read_text()).body
+                if isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in stmt.targets)]
+    wrapped = {(module, name) for _, module, names in ast.literal_eval(table) for name in names}
+    assert len(_TRACED) == 20 and _TRACED <= wrapped
+    missing = [f"{module}.{name}" for module, name in sorted(_TRACED)
+               if not callable(getattr(importlib.import_module(f"dyadbloom.{module}"), name, None))]
+    assert missing == []
+
+
+def test_build_parser_returns_a_new_parser_with_norms():
+    # the norms-d12 workload reads the norms subcommand's options off a
+    # parser of its own, so build_parser must not hand back a shared one
+    from dyadbloom import cli
+
+    parser = cli.build_parser()
+    assert parser is not cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert "--mu" in sub.choices["norms"]._option_string_actions

@@ -60,10 +60,10 @@ def _path_sum(b: np.ndarray, root: DyadicInterval, iv: DyadicInterval) -> float:
 
 
 def _fires(rule: StoppingRule, root: DyadicInterval, iv: DyadicInterval) -> bool:
-    """A rule's answer, anchored at root, at one interval below root."""
-    owner = np.zeros(1 << iv.level, dtype=np.intp)
-    row = np.broadcast_to(rule.anchor(Intervals.of(root))(iv.level, owner), owner.shape)
-    return bool(row[iv.position])
+    """A rule's answer, anchored at root, at one interval below root: does
+    any of its tests hold there?"""
+    return any(bool(compare(level(heap, iv.level)[iv.position], bound[0]))
+               for heap, compare, bound in rule.tests(Intervals.of(root)))
 
 
 def _members(fam: StoppingFamily) -> tuple[DyadicInterval, ...]:
@@ -87,9 +87,11 @@ def _family(depth, root, *members) -> StoppingFamily:
     return StoppingFamily(depth, Intervals.of(root), Intervals.of(*members), owners, {})
 
 
-# anchors of rules that never and always stop
-NEVER = lambda roots: (lambda k, owner: False)  # noqa: E731
-ALWAYS = lambda roots: (lambda k, owner: True)  # noqa: E731
+# tests of rules that never and always stop, on grids down to depth 4: no
+# heap entry exceeds +inf, and every one lies below it
+_ZEROS = np.zeros(2 << 4)
+NEVER = lambda roots: [(_ZEROS, np.greater, np.full(roots.levels.size, np.inf))]  # noqa: E731
+ALWAYS = lambda roots: [(_ZEROS, np.less, np.full(roots.levels.size, np.inf))]  # noqa: E731
 
 
 def test_false_predicate_gives_empty_family():
@@ -110,9 +112,9 @@ def test_worked_example_single_member(weight_4411):
     # are shadowed by maximality
     lam = weight_4411
     root = ROOT
-    rule = StoppingRule(lam.depth, lambda roots: (
-        lambda k, owner: level(lam.averages, k) > 1.2 * oracles.interval_average(lam.values, root)
-    ))
+    bound = 1.2 * oracles.interval_average(lam.values, root)
+    rule = StoppingRule(lam.depth, lambda roots: [
+        (lam.averages, np.greater, np.full(roots.levels.size, bound))])
     fam = maximal_stopping_intervals(root, rule)
     assert _members(fam) == (DyadicInterval(1, 0),)
     hits = [iv for iv in _subtree(root, 2) if iv != root and _fires(rule, root, iv)]
@@ -182,6 +184,41 @@ def test_deviation_factory_stops_on_both_sides(weight_4411):
     lam = weight_4411
     fam = maximal_stopping_intervals(ROOT, deviation_factory(lam, 1.3))
     assert _members(fam) == (DyadicInterval(1, 0), DyadicInterval(1, 1))
+
+
+def _tie_rules():
+    # dyadic data whose average or path sum lands exactly on one bound: the
+    # factory's strict (>, <) or non-strict (>=) comparison decides alone
+    # whether the tied interval is a member
+    w = lambda *vals: Weight(np.array(vals))  # noqa: E731
+    one, b0 = w(*[1.0] * 8), np.zeros(8)
+    h = haar_function(3, ROOT)  # bhat(I0) = 1: every path sum below I0 is 1
+    rho = w(3, 1.5, 1.5, 1.5, 1.5, 1, 1, 1)  # <rho>_I0 = 1.5, a leaf of 3
+    return {
+        # <w> = 3 = 2 * 1.5 at [0,1/4); > keeps it out
+        "deviation-above": (deviation_factory(w(3, 1, 1, 1), 2.0), ()),
+        # <w> = 1 = 2 / 2 at [0,1/4); < keeps it out
+        "deviation-below": (deviation_factory(w(1, 3, 2, 2), 2.0), ()),
+        # <w> = 3 = 2 * 1.5 at [0,1/4); >= stops there
+        "threshold": (threshold_factory(w(3, 1, 1, 1), 2.0), (DyadicInterval(2, 0),)),
+        # (1): <mu^-1> = 4 = 2 * 2 at [0,1/8), with rho and the path sums flat
+        "three-condition-mu": (three_condition_factory(
+            w(0.25, 0.5, 0.5, 0.5, 0.5, 0.5, 1, 1), one, b0, 2.0, 1.0), ()),
+        # (2): <rho> = 3 = 2 * 1.5 at [0,1/8), mu = rho^2 (lambda = 1)
+        "three-condition-rho": (three_condition_factory(
+            w(*rho.values**2), rho, b0, 2.0, 1.0), ()),
+        # (3): path sum 1 = (1 * <rho>_I0)^2 below I0
+        "three-condition-sum": (three_condition_factory(one, one, h, 2.0, 1.0), ()),
+        # path sum 1 = 1 * (1 * <rho>_I0)^2 below I0; >= stops both halves
+        "square-sum": (square_sum_factories(h, one, 1.0)(1.0),
+                       (DyadicInterval(1, 0), DyadicInterval(1, 1))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_tie_rules()))
+def test_factory_comparisons_at_a_tie(name):
+    rule, members = _tie_rules()[name]
+    assert _members(maximal_stopping_intervals(ROOT, rule)) == members
 
 
 def test_minimal_packing_constant_trivial(unit_weight):

@@ -318,16 +318,16 @@ def test_each_suite_scans_only_the_functionals_it_reads(monkeypatch, suite):
 # default D=8 x 20 trials: (Carleson term sets, subtree-sum passes, Haar
 # analyses of the trials' symbols) for one pass; each trial builds its two
 # sequences once and analyses its symbol once for its BmoReport, whose
-# coefficients the identities read too, and the equivalences zero-symbol
-# report adds two sequences.  All suites analyse each symbol 4 times: the
-# report, commutator-bounds' one paraproduct plan and stopping's
+# coefficients the identities and commutator-bounds' one paraproduct plan
+# read too, and the equivalences zero-symbol report adds two sequences.  All
+# suites analyse each symbol 3 times: the report and stopping's
 # three-condition and square-sum rules.
 _DEFAULT_PASS_WORK = {
     ("identities",): (0, 0, 20),
     ("carleson",): (40, 40, 20),
     ("paraproduct-bounds",): (40, 40, 20),
-    ("commutator-bounds",): (0, 0, 40),
-    SUITE_NAMES: (42, 42, 80),
+    ("commutator-bounds",): (0, 0, 20),
+    SUITE_NAMES: (42, 42, 60),
 }
 
 
