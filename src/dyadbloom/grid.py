@@ -31,7 +31,7 @@ writing every level at its own width, so a pass costs O(2^D): sum_up, the
 bottom-up pass (each entry the sum of its children), gives level_masses and
 so analysis; split, the top-down pass (each value v splits into its
 children v -+ s), gives synthesis and operators.py's shift and remainder;
-accumulate_levels adds each level's terms onto its intervals, top-down.
+accumulate_levels folds each level's terms onto its intervals, top-down.
 Every leaf keeps the exact chain of floating-point operations of a
 full-width pass.  local_integrals, the localized pass, costs O(2^D D): it
 builds, deepest level first, every interval's synthesis of the coefficients
@@ -257,13 +257,13 @@ def synthesize_leaves(coeffs: np.ndarray, depth: int | None = None) -> np.ndarra
     return spread(split(coeffs * heap_scales(1 << depth).root[: coeffs.shape[-1]]), depth)
 
 
-def accumulate_levels(terms: np.ndarray) -> np.ndarray:
-    """Path sums of a heap of 2^m terms: the 2^{m-1} values of its deepest
-    level, each ((0.0 + t_root) + ...) + t_I over the path from the root
-    down to its interval I (a one-entry heap gives the one value 0.0)."""
+def accumulate_levels(terms: np.ndarray, op: np.ufunc = np.add) -> np.ndarray:
+    """Path sums (op np.add) or maxima (np.maximum) of a heap of 2^m terms:
+    its deepest level's 2^{m-1} values op(...op(0.0, t_root)..., t_I) over
+    the path from the root down to each interval I (a one-entry heap: 0.0)."""
     v = np.zeros(terms.shape[:-1] + (1,))
     for k in range(depth_of(terms)):
-        v = np.repeat(v, 2 if k else 1, axis=-1) + level(terms, k)
+        v = op(np.repeat(v, 2 if k else 1, axis=-1), level(terms, k))
     return v
 
 

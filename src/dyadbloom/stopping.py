@@ -18,7 +18,8 @@ or inside a member already found, and the rule fires at j where
 compare(level(heap, k)[j], bound[owner[j]]) holds for any test.  A family
 keeps its rule's depth, and reading its masses from a weight of another
 depth raises GridMismatchError; so do roots below the rule's grid.  The
-searches and the corona start at the root [0,1).
+searches and the corona start at the root [0,1); a packing search reads its
+constant off the distribution of critical constants, confirmed by two scans.
 
 The unstopped collection is the roots together with every interval inside
 them contained in no member, read off the scan's owner arrays; each one below
@@ -30,7 +31,6 @@ reduction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, NamedTuple, Sequence
@@ -38,7 +38,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import GridMismatchError, PackingSearchError
-from .grid import ROOT, DyadicInterval, depth_of, level, same_depth, square_layers
+from .grid import (ROOT, DyadicInterval, accumulate_levels, depth_of, level, same_depth,
+                   square_layers)
 from .weights import Weight
 
 __all__ = [
@@ -257,29 +258,39 @@ def minimal_packing_constant(
     """Smallest constant on the geometric grid whose stopping family under
     the root packs to at most PACKING_TARGET in w-mass, with that family.
 
-    Packing is monotone nonincreasing in C for the factories above (members at
-    larger C nest inside members at smaller C), so binary search over the grid
-    is valid.  Raises PackingSearchError carrying the best achieved ratio when
-    even the largest constant fails.
-    """
-    found = maximal_stopping_intervals(ROOT, rule_of_c(_CONSTANT_GRID[-1]))
-    best = packing_ratio(found, w)
-    if best > PACKING_TARGET:
-        raise PackingSearchError(
-            f"no constant up to {_CONSTANT_GRID[-1]:.6g} reaches packing target "
-            f"{PACKING_TARGET}; best achieved ratio {best:.6g}",
-            min_ratio=best,
-        )
-    lo, hi = 0, len(_CONSTANT_GRID) - 1
-    # invariant: _CONSTANT_GRID[hi] succeeds, with family found
-    while lo < hi:
-        mid = (lo + hi) // 2
-        fam = maximal_stopping_intervals(ROOT, rule_of_c(_CONSTANT_GRID[mid]))
-        if packing_ratio(fam, w) <= PACKING_TARGET:
-            hi, found = mid, fam
-        else:
-            lo = mid + 1
-    return _CONSTANT_GRID[hi], found
+    Each bound of a searched rule is C a, a/C or C (b2 a)^2, so an interval
+    fires for C below its critical constant, and the family at C covers the
+    leaves whose path maximum of it below the root exceeds C: packing is
+    monotone in C, and the leaves' w-masses binned on the grid predict the
+    constant.  Scans confirm that it packs and the one below does not, one
+    step at a time where rounding disagrees.  Raises PackingSearchError, with
+    the largest constant's ratio, when no constant packs."""
+    rule = rule_of_c(c0 := _CONSTANT_GRID[0])  # deviation_factory refuses C <= 1
+    depth = same_depth(w.values, depth=rule.depth)
+    kappa = np.zeros(2 << depth)  # 0 at the root: members lie strictly below it
+    for heap, compare, bound in rule.tests(Intervals.of(ROOT)):
+        with np.errstate(divide="ignore"):  # a test above its bound (>, >=) or below it (<)
+            k = (c0 * heap / bound if compare(1.0, 0.0) else c0 * bound / heap)[2 : 2 << depth]
+        # a test that holds at a tie fires at C = k too, that is below the next float
+        np.maximum(kappa[2:], np.nextafter(k, np.inf) if compare(1.0, 1.0) else k, out=kappa[2:])
+    leaves = np.searchsorted(_CONSTANT_GRID, accumulate_levels(kappa, np.maximum))
+    # leaf x is covered below constant leaves[x]: covered leaf values, largest constant first
+    covered = np.cumsum(np.bincount(leaves, w.values, len(_CONSTANT_GRID) + 1)[:0:-1])
+    i = min(np.count_nonzero(covered > PACKING_TARGET * w.values.sum()), len(covered) - 1)
+    while i:  # the constant below must not pack: step down while it does
+        below = maximal_stopping_intervals(ROOT, rule_of_c(_CONSTANT_GRID[i - 1]))
+        if packing_ratio(below, w) > PACKING_TARGET:
+            break
+        i -= 1
+    for c in _CONSTANT_GRID[i:]:  # the first constant from there up that packs
+        found = maximal_stopping_intervals(ROOT, rule_of_c(c))
+        if (best := packing_ratio(found, w)) <= PACKING_TARGET:
+            return c, found
+    raise PackingSearchError(
+        f"no constant up to {_CONSTANT_GRID[-1]:.6g} reaches packing target "
+        f"{PACKING_TARGET}; best achieved ratio {best:.6g}",
+        min_ratio=best,
+    )
 
 
 def corona_generations(rule: StoppingRule) -> list[StoppingFamily]:
@@ -299,31 +310,20 @@ def corona_generations(rule: StoppingRule) -> list[StoppingFamily]:
 
 
 def minimal_corona_constant(
-    rule_of_c: Callable[[float], StoppingRule], w: Weight, start: float | None = None
+    rule_of_c: Callable[[float], StoppingRule], w: Weight
 ) -> tuple[float, list[StoppingFamily]]:
     """Smallest grid constant whose packing target holds at EVERY corona root
     (so generation masses decay geometrically), with its corona_generations.
-    Monotone in C for the same reason as minimal_packing_constant; scanned
-    upward from that constant.  A caller that already has
-    minimal_packing_constant's constant for the same arguments passes it as
-    start, and the search is not run again; a start above the grid, or NaN,
-    raises PackingSearchError."""
-    if start is None:
-        start, _ = minimal_packing_constant(rule_of_c, w)
-    idx = next((i for i, c in enumerate(_CONSTANT_GRID) if c >= start * (1 - 1e-12)), None)
-    if idx is None:  # start is NaN or above the grid
-        raise PackingSearchError(
-            f"corona search start {start!r} is NaN or above the grid's largest "
-            f"constant {_CONSTANT_GRID[-1]:.6g}",
-            min_ratio=math.nan,
-        )
-
-    for c in _CONSTANT_GRID[idx:]:
+    Monotone in C for the same reason as minimal_packing_constant, whose
+    constant bounds it below (generation 1 is that search's family); scanned
+    upward from that constant, one corona per constant."""
+    start, _ = minimal_packing_constant(rule_of_c, w)
+    for c in _CONSTANT_GRID[_CONSTANT_GRID.index(start):]:
         gens = corona_generations(rule_of_c(c))
         if all(packing_ratio(fam, w) <= PACKING_TARGET for fam in gens):
             return c, gens
     best = _CONSTANT_GRID[-1]
     raise PackingSearchError(
         f"no constant up to {best:.6g} packs every corona root to {PACKING_TARGET}",
-        min_ratio=math.nan,
+        min_ratio=np.nan,
     )

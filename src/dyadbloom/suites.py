@@ -518,9 +518,8 @@ def _check_stopping(rec: Record, td: TrialData, solved: Solved) -> None:
     if c is not None:
         rec.residual("deviation_packing_at_target", packing_ratio(fam, lam) - PACKING_TARGET)
     rec.sample("deviation_constant", c)
-    # corona decay at the corona-wide constant, scanned up from c (without
-    # c the search reruns and records its own failure)
-    cc, gens = search("corona", lambda: minimal_corona_constant(by_lam, lam, start=c))
+    # corona decay at the corona-wide constant, scanned up from c
+    cc, gens = search("corona", lambda: minimal_corona_constant(by_lam, lam))
     for i, gen in enumerate(gens or ()):
         allowed = PACKING_TARGET ** (i + 1) * lam.total_mass
         gen_mass = ordered_sum(gen.member_masses(lam))

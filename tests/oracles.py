@@ -610,6 +610,21 @@ def square_sum_predicate(b, rho, C, b2_value, depth, root):
     return lambda k, j: path_sum(coeffs, root, k, j) >= threshold
 
 
+def packing_grid():
+    """The packing searches' constants: 1.1, then each the last times 1.1,
+    up to 2^20."""
+    grid = [1.1]
+    while grid[-1] * 1.1 <= 2.0**20:
+        grid.append(grid[-1] * 1.1)
+    return grid
+
+
+def first_packing_constant(packs):
+    """The smallest grid constant C for which packs(C) holds, by trying every
+    constant from the smallest up; None when none does."""
+    return next((C for C in packing_grid() if packs(C)), None)
+
+
 # ------------------------------------------------------ full-width kernels
 #
 # The package's Haar pyramids before they went top-down and into one heap:

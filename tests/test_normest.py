@@ -757,8 +757,6 @@ _MISMATCHED = {
         lambda C: deviation_factory(Weight(np.exp(b)), C), mu),
     "minimal_corona_constant": lambda b, mu, lam: minimal_corona_constant(
         lambda C: deviation_factory(Weight(np.exp(b)), C), mu),
-    "minimal_corona_constant-start": lambda b, mu, lam: minimal_corona_constant(
-        lambda C: deviation_factory(Weight(np.exp(b)), C), mu, start=1.5),
     "packing_ratio": lambda b, mu, lam: packing_ratio(
         maximal_stopping_intervals(ROOT, threshold_factory(Weight(np.exp(b)))), mu),
 }

@@ -8,7 +8,7 @@ scan and unstopped walk in oracles.py, root by root.
 """
 
 import hashlib
-import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from dyadbloom.grid import ROOT, DyadicInterval, depth_of, haar_function, level,
 from dyadbloom.bmo import BmoReport
 from dyadbloom.config import ExperimentConfig
 from dyadbloom.stopping import (
+    PACKING_TARGET,
     Intervals,
     StoppingFamily,
     StoppingRule,
@@ -248,6 +249,81 @@ def test_minimal_packing_constant_worked_example(weight_4411):
     assert ratio_at(c) == pytest.approx(0.2, abs=1e-15)
 
 
+def _packs(w, families) -> bool:
+    return all(packing_ratio(fam, w) <= PACKING_TARGET for fam in families)
+
+
+@pytest.mark.parametrize("seed", [2026, 7])
+@pytest.mark.parametrize("depth", [4, 6, 8, 10, 12])
+def test_packing_searches_match_the_exhaustive_oracle(depth, seed):
+    # the stopping suite's searches on make_trial data: each returns the
+    # first grid constant, tried from the smallest up, whose family packs
+    # (whose every corona generation does, for the corona), and the family
+    # (the corona) a fresh scan finds there
+    for t in range(3):
+        td = make_trial(ExperimentConfig(depth=depth, seed=seed), t)
+        lam, mu_inv, rho = td.lam, td.mu.inverse, td.bmo.rho
+        for rule_of_c, w in ((partial(deviation_factory, lam), lam),
+                             (partial(deviation_factory, [mu_inv, lam]), mu_inv),
+                             (square_sum_factories(td.b, rho, td.bmo.bloom_b2), rho)):
+            scan = lambda C: maximal_stopping_intervals(ROOT, rule_of_c(C))  # noqa: E731
+            c, fam = minimal_packing_constant(rule_of_c, w)
+            assert c == oracles.first_packing_constant(lambda C: _packs(w, [scan(C)]))
+            assert _same_family(fam, scan(c))
+        rule_of_c = partial(deviation_factory, lam)
+        cc, gens = minimal_corona_constant(rule_of_c, lam)
+        assert cc == oracles.first_packing_constant(
+            lambda C: _packs(lam, corona_generations(rule_of_c(C))))
+        fresh = corona_generations(rule_of_c(cc))
+        assert len(gens) == len(fresh) and all(map(_same_family, gens, fresh))
+
+
+def _tie_searches():
+    # dyadic data that puts one interval's critical constant exactly on a
+    # grid constant: the prediction must keep a strict test (a member below
+    # that constant only) and a non-strict one (a member at it too) apart
+    grid = oracles.packing_grid()
+    x = grid[4]
+    w, one = Weight(np.array([x, x, 2 - x, 2 - x])), Weight(np.ones(4))
+    return {
+        # <w> = x = grid[4] times <w>_I0 = 1 on [0,1/2), which holds w-mass
+        # x/2 > 1/2; > stops it below grid[4] only
+        "deviation": (partial(deviation_factory, w), w, grid[4]),
+        # bhat(I0) = 1.1, so every path sum below I0 is 1.1^2 = grid[1]; >=
+        # stops both halves at grid[1] too
+        "square-sum": (square_sum_factories(1.1 * haar_function(2, ROOT), one, 1.0), one,
+                       grid[2]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_tie_searches()))
+def test_packing_search_at_a_tie_scans_twice(monkeypatch, name):
+    # the predicted constant packs and the one below does not, so the
+    # search confirms it with two scans; a prediction one constant off on
+    # either side takes a third
+    import dyadbloom.stopping as stopping
+
+    rule_of_c, w, want = _tie_searches()[name]
+    scans = count_calls(monkeypatch, stopping, "maximal_stopping_intervals")
+    c, _ = minimal_packing_constant(rule_of_c, w)
+    assert (c, len(scans)) == (want, 2)
+
+
+def test_packing_search_reads_no_critical_constant_at_the_root(monkeypatch, unit_weight):
+    # a test that holds at the root (100 > C) and nowhere below it: members
+    # lie strictly below the root, so the grid's smallest constant packs,
+    # and one scan confirms it
+    import dyadbloom.stopping as stopping
+
+    one, heap = unit_weight(2), np.zeros(8)
+    heap[1] = 100.0
+    rule_of_c = lambda C: StoppingRule(2, lambda roots: [  # noqa: E731
+        (heap, np.greater, np.full(roots.levels.size, C))])
+    scans = count_calls(monkeypatch, stopping, "maximal_stopping_intervals")
+    c, fam = minimal_packing_constant(rule_of_c, one)
+    assert (c, len(scans), _members(fam)) == (oracles.packing_grid()[0], 1, ())
+
+
 def test_packing_search_error_carries_ratio(unit_weight):
     one = unit_weight(2)
     with pytest.raises(PackingSearchError) as exc:
@@ -279,15 +355,10 @@ def test_corona_geometric_decay_cascade():
     cc, gens = minimal_corona_constant(lambda C: deviation_factory(lam, C), lam)
     cp, _ = minimal_packing_constant(lambda C: deviation_factory(lam, C), lam)
     assert cc >= cp * (1 - 1e-12)
-    # handing the packing constant in skips that search, same result
-    cc_from_cp, gens_from_cp = minimal_corona_constant(
-        lambda C: deviation_factory(lam, C), lam, start=cp)
-    assert cc_from_cp == cc
     # the search hands back the corona at cc, as a fresh scan finds it
     fresh = corona_generations(deviation_factory(lam, cc))
-    assert len(gens) == len(gens_from_cp) == len(fresh) >= 2
-    assert all(_same_family(a, b) and _same_family(a, c)
-               for a, b, c in zip(gens, gens_from_cp, fresh))
+    assert len(gens) == len(fresh) >= 2
+    assert all(_same_family(a, b) for a, b in zip(gens, fresh))
     total = lam.total_mass
     for g, gen in enumerate(gens, start=1):
         mass = ordered_sum(gen.member_masses(lam))
@@ -371,15 +442,6 @@ def test_minimal_corona_constant_search_failure(unit_weight):
     one = unit_weight(2)
     with pytest.raises(PackingSearchError):
         minimal_corona_constant(lambda C: StoppingRule(one.depth, ALWAYS), one)
-
-
-@pytest.mark.parametrize("start", [2.0**21, math.inf, math.nan])
-def test_minimal_corona_constant_rejects_a_start_off_the_grid(unit_weight, start):
-    # a start above the grid's largest constant (2^20), or NaN, names itself
-    one = unit_weight(2)
-    with pytest.raises(PackingSearchError, match="corona search start") as exc:
-        minimal_corona_constant(lambda C: StoppingRule(one.depth, ALWAYS), one, start=start)
-    assert math.isnan(exc.value.min_ratio)
 
 
 def test_rules_take_their_depth_from_their_arrays(weight_4411, unit_weight):
@@ -559,6 +621,24 @@ def test_stopping_suite_at_depth_16_scans_once_per_generation(monkeypatch):
     assert res.passed
     assert len(coronas) >= 2
     assert all(n == g for n, g in coronas), coronas
+
+
+# root-set scans of a default stopping pass of 5 trials at D=8: per trial,
+# each packing search confirms its predicted constant with two scans (one
+# where that is the grid's smallest), the corona search runs its own and
+# then one scan per generation of each corona it tries, and the threshold
+# and three-condition families take one each; a search that scanned once
+# per candidate constant would show here
+_STOPPING_PASS_SCANS = 61
+
+
+def test_stopping_pass_scan_count_is_pinned(monkeypatch):
+    import dyadbloom.stopping as stopping
+
+    scans = count_calls(monkeypatch, stopping, "maximal_stopping_intervals")
+    (res,) = run_suites(ExperimentConfig(trials=5, suites=("stopping",)))
+    assert res.passed
+    assert len(scans) == _STOPPING_PASS_SCANS
 
 
 def test_stopping_trial_analyses_b_once_per_square_sum_search(monkeypatch):
